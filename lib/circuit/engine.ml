@@ -645,7 +645,10 @@ let assemble_rhs c st opts rhs vnode t =
   assemble_rhs_hist c st opts rhs vnode;
   add_isources_rhs c rhs t
 
-let scatter_solution c vnode x =
+(* The annotations keep both arrays monomorphic: left to inference they
+   generalize to ['a array], and every element access then goes through the
+   generic primitive and boxes the float it moves. *)
+let scatter_solution c (vnode : float array) (x : float array) =
   for n = 1 to c.n_nodes - 1 do
     let u = c.unknown_of_node.(n) in
     if u >= 0 then vnode.(n) <- x.(u)
@@ -846,6 +849,112 @@ let record_plan c record_nodes =
   in
   (col_of_node, rec_nodes)
 
+(* Recorded waveforms.  A run whose length is known up front allocates it
+   exactly; one that steps adaptively or may stop early starts small and
+   doubles (amortized O(1), no per-step allocation), and is trimmed at the
+   end.  [tr_limit] caps the growth at the longest possible run. *)
+type trace = {
+  tr_nodes : int array;  (* recorded nodes, in column order *)
+  tr_limit : int;
+  mutable tr_len : int;
+  mutable tr_times : float array;
+  mutable tr_cols : float array array;
+}
+
+let trace_create rec_nodes ~cap ~limit =
+  {
+    tr_nodes = rec_nodes;
+    tr_limit = limit;
+    tr_len = 0;
+    tr_times = Array.make cap 0.;
+    tr_cols = Array.map (fun _ -> Array.make cap 0.) rec_nodes;
+  }
+
+(* Append the recorded nodes' voltages and return the new sample's index.
+   The caller stores the sample time there: passing the time in would box
+   it on every step. *)
+let trace_push tr (vnode : float array) =
+  let i = tr.tr_len in
+  if i = Array.length tr.tr_times then begin
+    let cap = Int.min tr.tr_limit (2 * i) in
+    let grow (a : float array) =
+      let b = Array.make cap 0. in
+      Array.blit a 0 b 0 i;
+      b
+    in
+    tr.tr_times <- grow tr.tr_times;
+    tr.tr_cols <- Array.map grow tr.tr_cols
+  end;
+  for k = 0 to Array.length tr.tr_nodes - 1 do
+    tr.tr_cols.(k).(i) <- vnode.(tr.tr_nodes.(k))
+  done;
+  tr.tr_len <- i + 1;
+  i
+
+let trace_finish tr =
+  let n = tr.tr_len in
+  if n = Array.length tr.tr_times then (tr.tr_times, tr.tr_cols)
+  else (Array.sub tr.tr_times 0 n, Array.map (fun a -> Array.sub a 0 n) tr.tr_cols)
+
+type crossing = Netlist.node * float * Waveform.direction
+
+(* The [until] list as flat arrays, plus each crossing's node voltage at
+   the last accepted sample.  A crossing is detected between consecutive
+   samples with exactly the comparisons of [Waveform.crossings], so when the
+   last one fires the recorded prefix already holds every listed first
+   crossing, bit for bit. *)
+type watch = {
+  w_nodes : int array;
+  w_levels : float array;
+  w_rising : bool array;
+  w_prev : float array;
+  w_hit : bool array;
+  mutable w_pending : int;
+}
+
+let watch_create c until (vnode : float array) =
+  match until with
+  | None | Some [] -> None
+  | Some l ->
+      let l = Array.of_list l in
+      let w_nodes = Array.map (fun ((n : Netlist.node), _, _) -> n) l in
+      Array.iter
+        (fun n ->
+          if n < 0 || n >= c.n_nodes then
+            invalid_arg "Engine.transient: until node out of range")
+        w_nodes;
+      Some
+        {
+          w_nodes;
+          w_levels = Array.map (fun (_, level, _) -> level) l;
+          w_rising = Array.map (fun (_, _, dir) -> dir = Waveform.Rising) l;
+          w_prev = Array.map (fun n -> vnode.(n)) w_nodes;
+          w_hit = Array.make (Array.length l) false;
+          w_pending = Array.length l;
+        }
+
+(* Advance the watch past the sample just accepted into [vnode]; [true]
+   once every listed crossing has happened. *)
+let watch_done watch (vnode : float array) =
+  match watch with
+  | None -> false
+  | Some w ->
+      for i = 0 to Array.length w.w_nodes - 1 do
+        let v = vnode.(w.w_nodes.(i)) in
+        if not w.w_hit.(i) then begin
+          let p = w.w_prev.(i) and level = w.w_levels.(i) in
+          if
+            (w.w_rising.(i) && p < level && v >= level)
+            || ((not w.w_rising.(i)) && p > level && v <= level)
+          then begin
+            w.w_hit.(i) <- true;
+            w.w_pending <- w.w_pending - 1
+          end
+        end;
+        w.w_prev.(i) <- v
+      done;
+      w.w_pending = 0
+
 (* ------------------------------------------------------------- adaptive *)
 
 type adaptive = { dt_min : float; dt_max : float; ltol : float }
@@ -889,8 +998,8 @@ let validate_adaptive (a : adaptive) =
   if a.dt_min <= 0. || a.dt_max < a.dt_min || a.ltol <= 0. then
     invalid_arg "Engine.transient: adaptive wants 0 < dt_min <= dt_max and ltol > 0"
 
-let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~rung_state
-    ~offcut_state =
+let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpoints
+    ~rung_state ~offcut_state =
   let t_stop = opts.t_stop in
   let vnode = Obs.time obs "engine.dc_solve" dc in
   init_companions c vnode;
@@ -907,32 +1016,13 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
     Array.of_list (l @ [ t_stop ])
   in
   let col_of_node, rec_nodes = record_plan c record_nodes in
+  let watch = watch_create c until vnode in
+  let stopped = ref false in
   (* The accepted-step count is data-dependent, so the recorded waveforms
-     live in doubling arrays (amortized O(1), no per-step allocation). *)
-  let cap = ref 256 and len = ref 0 in
-  let gtimes = ref (Array.make 256 0.) in
-  let gcols = Array.map (fun _ -> ref (Array.make 256 0.)) rec_nodes in
-  let push t =
-    if !len = !cap then begin
-      let ncap = 2 * !cap in
-      let nt = Array.make ncap 0. in
-      Array.blit !gtimes 0 nt 0 !len;
-      gtimes := nt;
-      Array.iter
-        (fun r ->
-          let na = Array.make ncap 0. in
-          Array.blit !r 0 na 0 !len;
-          r := na)
-        gcols;
-      cap := ncap
-    end;
-    !gtimes.(!len) <- t;
-    for i = 0 to Array.length rec_nodes - 1 do
-      (!(gcols.(i))).(!len) <- vnode.(rec_nodes.(i))
-    done;
-    incr len
-  in
-  push 0.;
+     live in growing buffers. *)
+  let tr = trace_create rec_nodes ~cap:256 ~limit:max_int in
+  let i0 = trace_push tr vnode in
+  tr.tr_times.(i0) <- 0.;
   (* Predictor history: the last three accepted (t, vnode) samples, rotated
      by reference swap so the hot loop never allocates. *)
   let h0v = ref (Array.make n_nodes 0.)
@@ -990,7 +1080,7 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
   let n_bps = Array.length bps in
   let step_t0 = Obs.start obs in
   let dl_tick = ref 0 in
-  while !bpi < n_bps do
+  while !bpi < n_bps && not !stopped do
     incr dl_tick;
     if !dl_tick land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
     let bp = bps.(!bpi) in
@@ -1031,8 +1121,10 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
         worst_newton := Int.max !worst_newton iters;
         commit_step c st opts vnode;
         t := t_new;
-        push t_new;
+        let i = trace_push tr vnode in
+        tr.tr_times.(i) <- t_new;
         push_hist t_new;
+        if watch_done watch vnode then stopped := true;
         Obs.observe obs "engine.step_size_ns" (h_eff *. 1e9);
         if clamped then begin
           incr bpi;
@@ -1050,9 +1142,8 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
           end
         end
   done;
-  let n_steps = !len - 1 in
-  let times_ = Array.sub !gtimes 0 !len in
-  let cols = Array.map (fun r -> Array.sub !r 0 !len) gcols in
+  let times_, cols = trace_finish tr in
+  let n_steps = Array.length times_ - 1 in
   if Obs.enabled obs then begin
     let path =
       if Array.length c.nonlinears = 0 then "adaptive-linear" else "adaptive-newton"
@@ -1083,12 +1174,12 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
     refactors_ = !refactors;
   }
 
-let transient_adaptive ~obs ~opts ~record_nodes (a : adaptive) netlist =
+let transient_adaptive ~obs ~opts ~record_nodes ~until (a : adaptive) netlist =
   validate_adaptive a;
   if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
   let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
   let rungs : (int, transient_state) Hashtbl.t = Hashtbl.create 8 in
-  adaptive_core ~obs ~opts ~record_nodes a ~c
+  adaptive_core ~obs ~opts ~record_nodes ~until a ~c
     ~dc:(fun () -> dc_solve ~t:0. c opts)
     ~breakpoints:(Netlist.breakpoints netlist)
     ~rung_state:(fun k ->
@@ -1103,24 +1194,26 @@ let transient_adaptive ~obs ~opts ~record_nodes (a : adaptive) netlist =
 (* Fixed-step stepping shared by [transient] and [Compiled.run]; like
    [adaptive_core] it is parameterized over the DC solve and the solver
    state so the compiled-handle path can substitute cached ones. *)
-let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
+let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~state =
   let dt = opts.dt and t_stop = opts.t_stop in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
   let vnode = Obs.time obs "engine.dc_solve" dc in
   init_companions c vnode;
-  let times_ = Array.init (n_steps + 1) (fun i -> dt *. float_of_int i) in
   let col_of_node, rec_nodes = record_plan c record_nodes in
-  let cols = Array.map (fun _ -> Array.make (n_steps + 1) 0.) rec_nodes in
-  let record step =
-    for i = 0 to Array.length rec_nodes - 1 do
-      cols.(i).(step) <- vnode.(rec_nodes.(i))
-    done
+  let watch = watch_create c until vnode in
+  (* A run that cannot stop early records into buffers of its exact length;
+     one that may stop starts small and grows. *)
+  let tr =
+    trace_create rec_nodes ~limit:(n_steps + 1)
+      ~cap:(if Option.is_none watch then n_steps + 1 else Int.min (n_steps + 1) 256)
   in
-  record 0;
+  let i0 = trace_push tr vnode in
+  tr.tr_times.(i0) <- 0.;
   let st = Obs.time obs "engine.factor" state in
   let total_newton = ref 0 and worst_newton = ref 0 in
+  let step = ref 0 and stopped = ref false in
   let step_t0 = Obs.start obs in
   (match (st.linear_fact, reassemble_per_step) with
   | Some f, false ->
@@ -1131,9 +1224,11 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
       let n_forced = Array.length c.forced in
       let n_coupled = Array.length c.coupled in
       let has_isources = Array.length c.isources > 0 in
-      for step = 1 to n_steps do
+      while (not !stopped) && !step < n_steps do
+        incr step;
+        let step = !step in
         if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = times_.(step) in
+        let t = dt *. float_of_int step in
         for i = 0 to n_forced - 1 do
           let fs = c.forced.(i) in
           vnode.(fs.fnode) <- fs.fsrc t
@@ -1146,15 +1241,19 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
         factored_solve f st.rhs st.xsol;
         scatter_solution c vnode st.rhs;
         commit_step c st opts vnode;
-        record step
+        let i = trace_push tr vnode in
+        tr.tr_times.(i) <- t;
+        stopped := watch_done watch vnode
       done;
-      total_newton := n_steps;
+      total_newton := !step;
       worst_newton := 1
   | _ ->
       let step_fn = if reassemble_per_step then rebuild_step else fast_step in
-      for step = 1 to n_steps do
+      while (not !stopped) && !step < n_steps do
+        incr step;
+        let step = !step in
         if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = times_.(step) in
+        let t = dt *. float_of_int step in
         update_forced c vnode t;
         (* Coupled-group history sources for this step (pre-step state),
            shared by assembly and commit. *)
@@ -1165,8 +1264,11 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
         commit_step c st opts vnode;
-        record step
+        let i = trace_push tr vnode in
+        tr.tr_times.(i) <- t;
+        stopped := watch_done watch vnode
       done);
+  let n_steps = !step in
   if Obs.enabled obs then begin
     let path =
       match (st.linear_fact, reassemble_per_step) with
@@ -1186,6 +1288,7 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
     Obs.add obs "engine.steps" n_steps;
     Obs.add obs "engine.newton_iters" !total_newton
   end;
+  let times_, cols = trace_finish tr in
   {
     times_;
     col_of_node;
@@ -1196,19 +1299,19 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
     refactors_ = 0;
   }
 
-let transient ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = false) ?adaptive
-    ~dt ~t_stop netlist =
+let transient ?(obs = Obs.null) ?options ?record_nodes ?until ?(reassemble_per_step = false)
+    ?adaptive ~dt ~t_stop netlist =
   let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
   match adaptive with
   | Some a ->
       if reassemble_per_step then
         invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
-      transient_adaptive ~obs ~opts ~record_nodes a netlist
+      transient_adaptive ~obs ~opts ~record_nodes ~until a netlist
   | None ->
       if opts.dt <= 0. || opts.t_stop <= 0. then
         invalid_arg "Engine.transient: dt and t_stop must be positive";
       let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-      fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c
+      fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c
         ~dc:(fun () -> dc_solve ~t:0. c opts)
         ~state:(fun () -> make_transient_state c opts)
 
@@ -1401,7 +1504,7 @@ module Compiled = struct
           v
     end
 
-  let run ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = false) ?adaptive
+  let run ?(obs = Obs.null) ?options ?record_nodes ?until ?(reassemble_per_step = false) ?adaptive
       ~dt ~t_stop h =
     let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
     match adaptive with
@@ -1410,14 +1513,15 @@ module Compiled = struct
           invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
         validate_adaptive a;
         if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-        adaptive_core ~obs ~opts ~record_nodes a ~c:h.h_c ~dc:(dc_for h opts)
+        adaptive_core ~obs ~opts ~record_nodes ~until a ~c:h.h_c ~dc:(dc_for h opts)
           ~breakpoints:(Netlist.breakpoints h.h_nl)
           ~rung_state:(fun k -> state_for h { opts with dt = ldexp a.dt_min k })
           ~offcut_state:(fun h_eff -> state_for h { opts with dt = h_eff })
     | None ->
         if opts.dt <= 0. || opts.t_stop <= 0. then
           invalid_arg "Engine.transient: dt and t_stop must be positive";
-        fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c:h.h_c ~dc:(dc_for h opts)
+        fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c:h.h_c
+          ~dc:(dc_for h opts)
           ~state:(fun () -> fst (state_for h opts))
 
   (* Structure-keyed handle cache, domain-local so handles (whose scratch

@@ -56,10 +56,16 @@ val default_adaptive : ?dt_min:float -> ?dt_max:float -> ?ltol:float -> unit -> 
 
 type result
 
+type crossing = Netlist.node * float * Waveform.direction
+(** [(node, level, direction)]: [node]'s voltage crossing [level] volts in
+    [direction], detected between consecutive accepted samples exactly as
+    {!Waveform.crossings} detects it. *)
+
 val transient :
   ?obs:Rlc_obs.Obs.t ->
   ?options:options ->
   ?record_nodes:Netlist.node list ->
+  ?until:crossing list ->
   ?reassemble_per_step:bool ->
   ?adaptive:adaptive ->
   dt:float ->
@@ -82,6 +88,20 @@ val transient :
     every node).  Recording all nodes costs O(nodes × steps) memory, which
     dominates for long ladders whose observers only ever read input/near/far;
     {!voltage} on an unrecorded node raises [Invalid_argument].
+
+    [until] stops the run after the first step (under [adaptive], the first
+    accepted step) at which every listed crossing has happened, and returns
+    that prefix: its times and samples are bit-identical to the first
+    samples of the run without [until], and it contains each listed
+    crossing's {e first} occurrence.  The contract is valid only for callers
+    that read first crossings — {!Rlc_waveform.Measure}'s [t_frac], [slew]
+    and [delay_50] — and list every (node, level, direction) they read;
+    anything else (later crossings, overshoot, settled values) may lie past
+    the stop.  When a listed crossing never happens, or [until] is omitted
+    or empty, the run is exactly the full one, failure messages included.
+    The step-loop span's [steps] arg and the ["engine.steps"] counter count
+    the steps actually taken.  A node out of range raises
+    [Invalid_argument].
 
     [reassemble_per_step] (default [false]) disables the factor-once fast
     path and rebuilds + refactors the full system at every step (and every
@@ -164,6 +184,7 @@ module Compiled : sig
     ?obs:Rlc_obs.Obs.t ->
     ?options:options ->
     ?record_nodes:Netlist.node list ->
+    ?until:crossing list ->
     ?reassemble_per_step:bool ->
     ?adaptive:adaptive ->
     dt:float ->
@@ -175,7 +196,9 @@ module Compiled : sig
       [(integration, step size)] (fixed-step states and adaptive
       rung/offcut states share the cache), and the DC operating point is
       reused whenever the circuit is linear and every source's value at
-      [t = 0] is bit-identical to the cached solve's. *)
+      [t = 0] is bit-identical to the cached solve's.  A run stopped early
+      by [until] leaves the handle fully reusable: every run restarts its
+      companion history from the DC point. *)
 
   val node_count : handle -> int
 

@@ -145,9 +145,8 @@ let run_sweep ?(obs = Rlc_obs.Obs.null) ?(dt = 0.5e-12) ?adaptive ?(jobs = 1)
   (* Never oversubscribe: more domains than cores only adds scheduler
      churn, so the requested fan-out is capped at the machine's
      recommendation.  Results are order-stable either way. *)
-  let jobs = effective_jobs jobs in
+  let pool = Pool.borrow ~jobs () in
   let case_arr = Array.of_list cases in
-  Pool.with_pool ~obs ~jobs @@ fun pool ->
   (* Cheap pass: model + screen only; expensive reference runs are reserved
      for the inductive survivors, as in the paper's 165-case figure.  Both
      passes go through [Pool.map], whose result array is in submission
@@ -156,7 +155,7 @@ let run_sweep ?(obs = Rlc_obs.Obs.null) ?(dt = 0.5e-12) ?adaptive ?(jobs = 1)
      memoized under a mutex, so the workers share one table. *)
   let screen_t0 = Obs.start obs in
   let screened =
-    Pool.map pool (Array.length case_arr) (fun i ->
+    Pool.map ~obs pool (Array.length case_arr) (fun i ->
         let c = case_arr.(i) in
         match model_only c with
         | m -> m.Driver_model.screen.Screen.significant
@@ -177,7 +176,7 @@ let run_sweep ?(obs = Rlc_obs.Obs.null) ?(dt = 0.5e-12) ?adaptive ?(jobs = 1)
      callback may fire concurrently from several domains. *)
   let completed = Atomic.make 0 in
   let points_arr =
-    Pool.map pool total (fun i ->
+    Pool.map ~obs pool total (fun i ->
         let case = inductive.(i) in
         let cmp =
           Obs.time obs ~args:[ ("case", case.Evaluate.label) ] "sweep.case" (fun () ->

@@ -18,31 +18,44 @@ type t = {
 let default_t_stop ~t0 ~input_slew ~line =
   t0 +. input_slew +. Float.max 2e-9 (20. *. Line.time_of_flight line)
 
-let simulate ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~tech ~size ~input_slew
+(* The transistor-level bench behind [simulate].  [far_50] stops it once the
+   input and the far end have both crossed 50 %, which is all [far_delay]
+   reads. *)
+let bench ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~far_50 ~tech ~size ~input_slew
     ~line ~cl () =
   let t0 = 30e-12 in
   let t_stop =
     match t_stop with Some t -> t | None -> default_t_stop ~t0 ~input_slew ~line
   in
+  let vdd = tech.Rlc_devices.Tech.vdd in
   let far_ref = ref Netlist.ground in
+  let until ~input ~output:_ =
+    let at node edge = (node, Measure.level_of_frac ~vdd ~edge ~frac:0.5, edge) in
+    [ at input Measure.Falling; at !far_ref Measure.Rising ]
+  in
   (* Only input/near/far are ever read back, so don't store the whole
      ladder's waveforms. *)
   let r =
     Testbench.drive ?obs ~dt ~t_stop ?adaptive ~t0 ~edge:Testbench.Rise
       ~record:(fun () -> [ !far_ref ])
+      ?until:(if far_50 then Some until else None)
       ~tech ~size ~input_slew
       ~load:(fun nl node -> Ladder.attach_load ?n_segments line ~cl nl node far_ref)
       ()
   in
   let far = Engine.voltage r.Testbench.engine !far_ref in
-  let vdd = tech.Rlc_devices.Tech.vdd in
   let t_in50 =
     Measure.t_frac_exn r.Testbench.input ~vdd ~edge:Measure.Falling ~frac:0.5
   in
   { input = r.Testbench.input; near = r.Testbench.output; far; vdd; t_in50 }
 
-let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ~pwl ~line
-    ~cl () =
+let simulate ?obs ?dt ?t_stop ?adaptive ?n_segments ~tech ~size ~input_slew ~line ~cl () =
+  bench ?obs ?dt ?t_stop ?adaptive ?n_segments ~far_50:false ~tech ~size ~input_slew ~line ~cl ()
+
+(* [replay_pwl]'s circuit; [far_until] lists (level, direction) crossings of
+   the far node to stop at. *)
+let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ?(far_until = [])
+    ~pwl ~line ~cl () =
   (* Shift so the source starts after t = 0 (the engine's DC point must see
      the quiescent low state). *)
   let start = fst (List.hd (Pwl.points pwl)) in
@@ -60,19 +73,33 @@ let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = tru
   Netlist.force_pwl nl near pwl;
   let far_ref = ref Netlist.ground in
   Ladder.attach_load ?n_segments line ~cl nl near far_ref;
+  let until = List.map (fun (level, dir) -> (!far_ref, level, dir)) far_until in
   (* Ceff-model replays sweep many π/ladder loads of identical shape; the
      structure-keyed handle cache makes each after the first a restamp
      (values in, no compile/alloc) with bit-identical results.  [reuse:false]
      keeps the uncached path available for equivalence tests. *)
   let r =
     if reuse then
-      Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ?adaptive ~dt ~t_stop
+      Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop
         (Engine.Compiled.cached ?obs nl)
-    else Engine.transient ?obs ~record_nodes:[ near; !far_ref ] ?adaptive ~dt ~t_stop nl
+    else Engine.transient ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop nl
   in
   (* Undo the shift: return waveforms on the caller's PWL time axis. *)
   ( Waveform.shift_time (-.shift) (Engine.voltage r near),
     Waveform.shift_time (-.shift) (Engine.voltage r !far_ref) )
+
+let replay_pwl ?obs ?dt ?t_stop ?adaptive ?n_segments ?reuse ~pwl ~line ~cl () =
+  replay ?obs ?dt ?t_stop ?adaptive ?n_segments ?reuse ~pwl ~line ~cl ()
+
+let far_timing ?obs ?dt ?adaptive ~vdd ~pwl ~line ~cl () =
+  let rising frac = (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac, Measure.Rising) in
+  let _, far =
+    replay ?obs ?dt ?adaptive ~far_until:(List.map rising [ 0.1; 0.5; 0.9 ]) ~pwl ~line ~cl ()
+  in
+  let t50 = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
+  match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
+  | Some s -> (t50, s)
+  | None -> invalid_arg "Reference.far_timing: far end never completed 10-90"
 
 let near_delay t =
   match
@@ -99,3 +126,7 @@ let far_slew t =
   match Measure.slew_10_90 t.far ~vdd:t.vdd ~edge:Measure.Rising with
   | Some s -> s
   | None -> invalid_arg "Reference.far_slew: far end incomplete"
+
+let simulated_far_delay ?obs ?dt ?adaptive ?n_segments ~tech ~size ~input_slew ~line ~cl () =
+  far_delay
+    (bench ?obs ?dt ?adaptive ?n_segments ~far_50:true ~tech ~size ~input_slew ~line ~cl ())

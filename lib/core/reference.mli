@@ -66,6 +66,25 @@ val replay_pwl :
     instead of recompiling.  Results are bit-identical either way; pass
     [~reuse:false] to force a fresh compile per call. *)
 
+val far_timing :
+  ?obs:Rlc_obs.Obs.t ->
+  ?dt:float ->
+  ?adaptive:Rlc_circuit.Engine.adaptive ->
+  vdd:float ->
+  pwl:Rlc_waveform.Pwl.t ->
+  line:Line.t ->
+  cl:float ->
+  unit ->
+  float * float
+(** [(t50, slew)]: the first rising 50 % crossing of {!replay_pwl}'s far
+    end (on the PWL's time axis, so for a {!Driver_model} waveform it is the
+    stage delay) and its 10–90 slew — bit for bit what measuring the full
+    replay gives — with the replay stopped as soon as the far end has
+    crossed 10, 50 and 90 % of [vdd].  The far-end step 5 of the paper's
+    flow, shared by {!Rlc_sta} and the full-design flow.  Raises
+    [Invalid_argument] when the far end never completes 10–90 inside the
+    window. *)
+
 (* Measurements (conventions of DESIGN.md §4, all on the rising edge). *)
 
 val near_delay : t -> float
@@ -76,3 +95,19 @@ val near_slew : t -> float
 
 val far_delay : t -> float
 val far_slew : t -> float
+
+val simulated_far_delay :
+  ?obs:Rlc_obs.Obs.t ->
+  ?dt:float ->
+  ?adaptive:Rlc_circuit.Engine.adaptive ->
+  ?n_segments:int ->
+  tech:Rlc_devices.Tech.t ->
+  size:float ->
+  input_slew:float ->
+  line:Line.t ->
+  cl:float ->
+  unit ->
+  float
+(** [far_delay (simulate ...)], bit for bit, with the transistor-level
+    transient stopped once the input and the far end have both crossed
+    50 % — the check a sizing search needs, at a fraction of the window. *)

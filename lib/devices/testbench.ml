@@ -25,7 +25,7 @@ type edge = Rise | Fall
 let cap_load farads nl node =
   if farads > 0. then Netlist.capacitor nl ~name:"Cload" node Netlist.ground farads
 
-let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) ?record
+let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) ?record ?until
     ~tech ~size ~input_slew ~load () =
   if input_slew <= 0. then invalid_arg "Testbench.drive: input_slew must be positive";
   let t_stop =
@@ -54,7 +54,8 @@ let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) 
     | None -> None
     | Some extra -> Some (input :: output :: vdd_node :: extra ())
   in
-  let engine = Engine.transient ?obs ?record_nodes ?adaptive ~dt ~t_stop nl in
+  let until = Option.map (fun f -> f ~input ~output) until in
+  let engine = Engine.transient ?obs ?record_nodes ?until ?adaptive ~dt ~t_stop nl in
   {
     input = Engine.voltage engine input;
     output = Engine.voltage engine output;

@@ -35,6 +35,7 @@ val drive :
   ?t0:float ->
   ?edge:edge ->
   ?record:(unit -> Netlist.node list) ->
+  ?until:(input:Netlist.node -> output:Netlist.node -> Rlc_circuit.Engine.crossing list) ->
   tech:Tech.t ->
   size:float ->
   input_slew:float ->
@@ -52,6 +53,12 @@ val drive :
     always kept).  When omitted every node is recorded — for long ladder
     loads that is O(nodes × steps) memory, so observers that only read a
     few probe nodes should pass the list.
+
+    [until], evaluated after [load] with the bench's input and output
+    nodes, is forwarded to {!Rlc_circuit.Engine.transient}: the run stops
+    once every crossing it lists has happened, so the returned waveforms
+    are a prefix that is only good for first-crossing measurements of
+    exactly those crossings.
 
     [obs] and [adaptive] are forwarded to {!Rlc_circuit.Engine.transient};
     the input ramp's corners ([t0] and [t0 + input_slew]) are declared as

@@ -152,19 +152,12 @@ let solve_net ?obs ?adaptive ~tech ~dt ~edge ~size c =
     Driver_model.model_pade ?obs ~cell ~edge ~input_slew:c.q_slew ~pade:c.q_pade ~line:c.q_line
       ~cl:c.q_cl ()
   in
-  let _, far =
-    Reference.replay_pwl ?obs ~dt ?adaptive ~pwl:model.Driver_model.pwl ~line:c.q_line
-      ~cl:c.q_cl ()
-  in
-  let vdd = model.Driver_model.vdd in
   (* The model waveform lives in the normalized rising domain; t = 0 is the
      driver-input 50 % crossing, so the far-end 50 % time IS the stage
      delay (same convention as Rlc_sta.analyze). *)
-  let stage_delay = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-  let far_slew =
-    match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
-    | Some s -> s
-    | None -> invalid_arg "Rlc_flow.Flow: far-end replay never completed 10-90"
+  let stage_delay, far_slew =
+    Reference.far_timing ?obs ~dt ?adaptive ~vdd:model.Driver_model.vdd
+      ~pwl:model.Driver_model.pwl ~line:c.q_line ~cl:c.q_cl ()
   in
   { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model }
 
@@ -195,23 +188,11 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
   and use_cache = cfg.Config.use_cache
   and quantize_digits = cfg.Config.quantize_digits
   and slew_grid = cfg.Config.slew_grid in
-  (* A borrowed pool (the service daemon's resident one) is used as-is and
-     left running; otherwise a pool is created for this run and shut down
-     with it.  Requested fan-out is clamped to the core count —
-     oversubscribing domains only adds scheduler churn. *)
-  let jobs_used =
-    match cfg.Config.pool with
-    | Some pool -> Pool.jobs pool
-    | None -> (
-        match cfg.Config.jobs with
-        | Some j -> Int.max 1 (Int.min j (Pool.default_jobs ()))
-        | None -> Pool.default_jobs ())
-  in
-  let with_run_pool f =
-    match cfg.Config.pool with
-    | Some pool -> f pool
-    | None -> Pool.with_pool ~obs ~jobs:jobs_used f
-  in
+  (* A borrowed pool (the service daemon's) is used as-is; otherwise the run
+     uses the process-wide resident pool of the requested size, clamped to
+     the core count. *)
+  let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
+  let jobs_used = Pool.jobs pool in
   let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
   let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
   let ch0, cm0, cs0 = Characterize.stats () in
@@ -235,90 +216,89 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
   let spent = Atomic.make 0 in
   let nets_done = Atomic.make 0 in
   timed "solve" (fun () ->
-      with_run_pool (fun pool ->
-          Array.iteri
-            (fun lvl ids ->
-              Deadline.check_ambient ();
-              let level_t0 = Obs.start obs in
-              (* Input slew and edge for this level are fixed by the
-                 previous level (or the spec), so prepare them serially. *)
-              let jobs_for_level =
-                Array.map
-                  (fun id ->
-                    let net = design.Design.nets.(id) in
-                    let edge, input_slew =
-                      match net.Design.fanin with
-                      | None -> (Measure.Rising, Option.get net.Design.prim_slew)
-                      | Some p ->
-                          let pr = Option.get results.(p) in
-                          ( Sta.other_edge pr.edge,
-                            Sta.handoff_slew ~far_slew:pr.solve.far_slew )
-                    in
-                    (net, edge, input_slew))
-                  ids
-              in
-              let solved =
-                Pool.map pool (Array.length ids) (fun k ->
-                    (* Observation point: a flow whose budget expired stops
-                       before the next solve, even when every remaining net
-                       would be a cheap cache hit. *)
-                    Deadline.check_ambient ();
-                    let net, edge, input_slew = jobs_for_level.(k) in
-                    let net_t0 = Obs.start obs in
-                    let c =
-                      canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive
-                        net ~edge ~input_slew
-                    in
-                    let compute () =
-                      let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
-                      Atomic.fetch_and_add spent s.iterations |> ignore;
-                      s
-                    in
-                    let solve, hit =
-                      if use_cache then Cache.find_or_add cache c.key compute
-                      else (compute (), false)
-                    in
-                    if Obs.enabled obs then begin
-                      Obs.finish obs
-                        ~args:
-                          [
-                            ("net", net.Design.name);
-                            ("level", string_of_int lvl);
-                            ("cache", if hit then "hit" else "miss");
-                            ("ceff_iterations", string_of_int solve.iterations);
-                            ( "shape",
-                              match solve.model.Driver_model.shape with
-                              | Driver_model.Two_ramp _ -> "two-ramp"
-                              | Driver_model.One_ramp _ -> "one-ramp" );
-                          ]
-                        "flow.net" net_t0;
-                      Obs.incr obs "flow.nets";
-                      Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
-                      (* Per-net iterations regardless of cache outcome: sums
-                         to [stats.iterations_total].  The separate *_run
-                         counter tracks iterations actually executed. *)
-                      Obs.add obs "flow.ceff_iterations" solve.iterations;
-                      if not hit then Obs.add obs "flow.ceff_iterations_run" solve.iterations
-                    end;
-                    Log.debug (fun m ->
-                        m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)"
-                          net.Design.name lvl
-                          (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
-                          (Rlc_num.Units.in_ps solve.stage_delay)
-                          (Rlc_num.Units.in_ps solve.far_slew)
-                          solve.iterations
-                          (if hit then ", cached" else ""));
-                    { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
-              in
-              Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved;
-              Obs.finish obs
-                ~args:[ ("level", string_of_int lvl); ("nets", string_of_int (Array.length ids)) ]
-                "flow.level" level_t0;
-              let done_now = Atomic.fetch_and_add nets_done (Array.length ids) + Array.length ids in
-              match progress with
-              | Some p -> Progress.report p done_now
-              | None -> ())
-            design.Design.levels));
+      Array.iteri
+        (fun lvl ids ->
+          Deadline.check_ambient ();
+          let level_t0 = Obs.start obs in
+          (* Input slew and edge for this level are fixed by the
+             previous level (or the spec), so prepare them serially. *)
+          let jobs_for_level =
+            Array.map
+              (fun id ->
+                let net = design.Design.nets.(id) in
+                let edge, input_slew =
+                  match net.Design.fanin with
+                  | None -> (Measure.Rising, Option.get net.Design.prim_slew)
+                  | Some p ->
+                      let pr = Option.get results.(p) in
+                      ( Sta.other_edge pr.edge,
+                        Sta.handoff_slew ~far_slew:pr.solve.far_slew )
+                in
+                (net, edge, input_slew))
+              ids
+          in
+          let solved =
+            Pool.map ~obs pool (Array.length ids) (fun k ->
+                (* Observation point: a flow whose budget expired stops
+                   before the next solve, even when every remaining net
+                   would be a cheap cache hit. *)
+                Deadline.check_ambient ();
+                let net, edge, input_slew = jobs_for_level.(k) in
+                let net_t0 = Obs.start obs in
+                let c =
+                  canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive
+                    net ~edge ~input_slew
+                in
+                let compute () =
+                  let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
+                  Atomic.fetch_and_add spent s.iterations |> ignore;
+                  s
+                in
+                let solve, hit =
+                  if use_cache then Cache.find_or_add cache c.key compute
+                  else (compute (), false)
+                in
+                if Obs.enabled obs then begin
+                  Obs.finish obs
+                    ~args:
+                      [
+                        ("net", net.Design.name);
+                        ("level", string_of_int lvl);
+                        ("cache", if hit then "hit" else "miss");
+                        ("ceff_iterations", string_of_int solve.iterations);
+                        ( "shape",
+                          match solve.model.Driver_model.shape with
+                          | Driver_model.Two_ramp _ -> "two-ramp"
+                          | Driver_model.One_ramp _ -> "one-ramp" );
+                      ]
+                    "flow.net" net_t0;
+                  Obs.incr obs "flow.nets";
+                  Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
+                  (* Per-net iterations regardless of cache outcome: sums
+                     to [stats.iterations_total].  The separate *_run
+                     counter tracks iterations actually executed. *)
+                  Obs.add obs "flow.ceff_iterations" solve.iterations;
+                  if not hit then Obs.add obs "flow.ceff_iterations_run" solve.iterations
+                end;
+                Log.debug (fun m ->
+                    m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)"
+                      net.Design.name lvl
+                      (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
+                      (Rlc_num.Units.in_ps solve.stage_delay)
+                      (Rlc_num.Units.in_ps solve.far_slew)
+                      solve.iterations
+                      (if hit then ", cached" else ""));
+                { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
+          in
+          Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved;
+          Obs.finish obs
+            ~args:[ ("level", string_of_int lvl); ("nets", string_of_int (Array.length ids)) ]
+            "flow.level" level_t0;
+          let done_now = Atomic.fetch_and_add nets_done (Array.length ids) + Array.length ids in
+          match progress with
+          | Some p -> Progress.report p done_now
+          | None -> ())
+        design.Design.levels);
   (* Arrivals accumulate along the fan-in chains; levels are already in
      dependency order, so one ordered pass suffices. *)
   let results =
@@ -444,19 +424,8 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
   and use_cache = cfg.Config.use_cache
   and quantize_digits = cfg.Config.quantize_digits
   and slew_grid = cfg.Config.slew_grid in
-  let jobs_used =
-    match cfg.Config.pool with
-    | Some pool -> Pool.jobs pool
-    | None -> (
-        match cfg.Config.jobs with
-        | Some j -> Int.max 1 (Int.min j (Pool.default_jobs ()))
-        | None -> Pool.default_jobs ())
-  in
-  let with_run_pool f =
-    match cfg.Config.pool with
-    | Some pool -> f pool
-    | None -> Pool.with_pool ~obs ~jobs:jobs_used f
-  in
+  let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
+  let jobs_used = Pool.jobs pool in
   let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
   let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
   let ch0, cm0, cs0 = Characterize.stats () in
@@ -467,59 +436,58 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
   let results : net_result option array = Array.make n None in
   let spent = Atomic.make 0 in
   let retimed = Atomic.make 0 and reused = Atomic.make 0 in
-  with_run_pool (fun pool ->
-      Array.iter
-        (fun ids ->
-          Deadline.check_ambient ();
-          let jobs_for_level =
-            Array.map
-              (fun id ->
-                let net = design.Design.nets.(id) in
-                let edge, input_slew =
-                  match net.Design.fanin with
-                  | None -> (Measure.Rising, Option.get net.Design.prim_slew)
-                  | Some p ->
-                      let pr = Option.get results.(p) in
-                      (Sta.other_edge pr.edge, Sta.handoff_slew ~far_slew:pr.solve.far_slew)
+  Array.iter
+    (fun ids ->
+      Deadline.check_ambient ();
+      let jobs_for_level =
+        Array.map
+          (fun id ->
+            let net = design.Design.nets.(id) in
+            let edge, input_slew =
+              match net.Design.fanin with
+              | None -> (Measure.Rising, Option.get net.Design.prim_slew)
+              | Some p ->
+                  let pr = Option.get results.(p) in
+                  (Sta.other_edge pr.edge, Sta.handoff_slew ~far_slew:pr.solve.far_slew)
+            in
+            (net, edge, input_slew))
+          ids
+      in
+      let solved =
+        Pool.map ~obs pool (Array.length ids) (fun k ->
+            Deadline.check_ambient ();
+            let net, edge, input_slew = jobs_for_level.(k) in
+            let c =
+              canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive net
+                ~edge ~input_slew
+            in
+            let id = net.Design.id in
+            let reuse =
+              if dirty.(id) then None
+              else if String.equal c.key keys.(id) then Some old_results.(id).solve
+              else None
+            in
+            match reuse with
+            | Some solve ->
+                Atomic.incr reused;
+                Obs.incr obs "flow.reused";
+                { net; edge; input_slew = c.q_slew; solve; arrival = 0. }
+            | None ->
+                Atomic.incr retimed;
+                Obs.incr obs "flow.retimed";
+                let compute () =
+                  let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
+                  Atomic.fetch_and_add spent s.iterations |> ignore;
+                  s
                 in
-                (net, edge, input_slew))
-              ids
-          in
-          let solved =
-            Pool.map pool (Array.length ids) (fun k ->
-                Deadline.check_ambient ();
-                let net, edge, input_slew = jobs_for_level.(k) in
-                let c =
-                  canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive net
-                    ~edge ~input_slew
+                let solve, _hit =
+                  if use_cache then Cache.find_or_add cache c.key compute
+                  else (compute (), false)
                 in
-                let id = net.Design.id in
-                let reuse =
-                  if dirty.(id) then None
-                  else if String.equal c.key keys.(id) then Some old_results.(id).solve
-                  else None
-                in
-                match reuse with
-                | Some solve ->
-                    Atomic.incr reused;
-                    Obs.incr obs "flow.reused";
-                    { net; edge; input_slew = c.q_slew; solve; arrival = 0. }
-                | None ->
-                    Atomic.incr retimed;
-                    Obs.incr obs "flow.retimed";
-                    let compute () =
-                      let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
-                      Atomic.fetch_and_add spent s.iterations |> ignore;
-                      s
-                    in
-                    let solve, _hit =
-                      if use_cache then Cache.find_or_add cache c.key compute
-                      else (compute (), false)
-                    in
-                    { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
-          in
-          Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved)
-        design.Design.levels);
+                { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
+      in
+      Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved)
+    design.Design.levels;
   let results =
     let out = Array.map Option.get results in
     Array.iter

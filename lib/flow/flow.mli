@@ -75,7 +75,8 @@ module Config : sig
             are folded into the Ceff cache key, so a shared cache never
             mixes fixed-step and adaptive solves. *)
     jobs : int option;
-        (** worker domains when the run creates its own pool; [None] means
+        (** worker domains of the process-wide resident pool the run uses
+            ({!Rlc_parallel.Pool.borrow}); [None] means
             {!Rlc_parallel.Pool.default_jobs}; requests beyond the core
             count are clamped (see [stats.jobs_used]).  Ignored when
             [pool] is given. *)
@@ -87,9 +88,9 @@ module Config : sig
     obs : Rlc_obs.Obs.t;  (** default {!Rlc_obs.Obs.null} (disabled) *)
     progress : Rlc_obs.Progress.t option;
     pool : Rlc_parallel.Pool.t option;
-        (** borrow a resident pool: the run uses it as-is and leaves it
+        (** borrow a caller-owned pool: the run uses it as-is and leaves it
             running (the service daemon's warm pool).  [None] (default)
-            creates and shuts down a per-run pool of [jobs] domains. *)
+            uses the process-wide resident pool of [jobs] domains. *)
     deadline : Rlc_errors.Deadline.t option;
         (** per-request wall-clock budget; when set, the run installs it
             as the ambient deadline for its whole extent — serial phases

@@ -169,11 +169,9 @@ let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residu
               else begin
                 incr escal;
                 Obs.incr obs "optimize.escalations";
-                let sim =
-                  Reference.simulate ~dt:cfg.Flow.Config.dt ?adaptive:cfg.Flow.Config.adaptive
-                    ~tech ~size ~input_slew ~line ~cl ()
-                in
-                Reference.far_delay sim <= target *. (1. +. escalation_band)
+                Reference.simulated_far_delay ~dt:cfg.Flow.Config.dt
+                  ?adaptive:cfg.Flow.Config.adaptive ~tech ~size ~input_slew ~line ~cl ()
+                <= target *. (1. +. escalation_band)
               end
             in
             if confirmed then full := Some (size, s.Flow.stage_delay)
@@ -270,19 +268,8 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
       let obs = cfg.Flow.Config.obs in
       let n = Array.length design.Design.nets in
       let slack id = required -. before.Flow.results.(id).Flow.arrival in
-      let jobs_used =
-        match cfg.Flow.Config.pool with
-        | Some pool -> Pool.jobs pool
-        | None -> (
-            match cfg.Flow.Config.jobs with
-            | Some j -> Int.max 1 (Int.min j (Pool.default_jobs ()))
-            | None -> Pool.default_jobs ())
-      in
-      let with_run_pool f =
-        match cfg.Flow.Config.pool with
-        | Some pool -> f pool
-        | None -> Pool.with_pool ~obs ~jobs:jobs_used f
-      in
+      let pool = Pool.borrow ?pool:cfg.Flow.Config.pool ?jobs:cfg.Flow.Config.jobs () in
+      let jobs_used = Pool.jobs pool in
       let with_ambient f =
         let body () =
           match cfg.Flow.Config.deadline with
@@ -324,47 +311,46 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
          the bookkeeping mirrors exactly the delta that will be applied. *)
       let improve = Array.make n 0. in
       let body () =
-        with_run_pool (fun pool ->
-            Array.iter
-              (fun ids ->
-                Deadline.check_ambient ();
-                let t0 = Obs.start obs in
-                let jobs =
-                  Array.to_list ids
-                  |> List.filter_map (fun id ->
-                         let r = before.Flow.results.(id) in
-                         let inherited =
-                           match r.Flow.net.Design.fanin with
-                           | Some p -> improve.(p)
-                           | None -> 0.
-                         in
-                         improve.(id) <- inherited;
-                         let residual = deficit.(id) -. inherited in
-                         if residual <= 0. then None else Some (id, residual))
-                  |> Array.of_list
-                in
-                let found =
-                  Pool.map pool (Array.length jobs) (fun k ->
-                      Deadline.check_ambient ();
-                      let id, residual = jobs.(k) in
-                      search_net cfg ~tech ~repeaters ~max_stages ~sizes ~residual
-                        before.Flow.results.(id))
-                in
-                Array.iteri
-                  (fun k s ->
-                    let id, residual = jobs.(k) in
-                    let r = before.Flow.results.(id) in
-                    (match s.s_fix with
-                    | Resize _ ->
-                        improve.(id) <-
-                          improve.(id) +. (r.Flow.solve.Flow.stage_delay -. s.s_stage_after)
-                    | Repeaters _ | Unfixable -> ());
-                    searches := (id, residual, s) :: !searches)
-                  found;
-                Obs.finish obs
-                  ~args:[ ("searched", string_of_int (Array.length jobs)) ]
-                  "optimize.level" t0)
-              design.Design.levels)
+        Array.iter
+          (fun ids ->
+            Deadline.check_ambient ();
+            let t0 = Obs.start obs in
+            let jobs =
+              Array.to_list ids
+              |> List.filter_map (fun id ->
+                     let r = before.Flow.results.(id) in
+                     let inherited =
+                       match r.Flow.net.Design.fanin with
+                       | Some p -> improve.(p)
+                       | None -> 0.
+                     in
+                     improve.(id) <- inherited;
+                     let residual = deficit.(id) -. inherited in
+                     if residual <= 0. then None else Some (id, residual))
+              |> Array.of_list
+            in
+            let found =
+              Pool.map ~obs pool (Array.length jobs) (fun k ->
+                  Deadline.check_ambient ();
+                  let id, residual = jobs.(k) in
+                  search_net cfg ~tech ~repeaters ~max_stages ~sizes ~residual
+                    before.Flow.results.(id))
+            in
+            Array.iteri
+              (fun k s ->
+                let id, residual = jobs.(k) in
+                let r = before.Flow.results.(id) in
+                (match s.s_fix with
+                | Resize _ ->
+                    improve.(id) <-
+                      improve.(id) +. (r.Flow.solve.Flow.stage_delay -. s.s_stage_after)
+                | Repeaters _ | Unfixable -> ());
+                searches := (id, residual, s) :: !searches)
+              found;
+            Obs.finish obs
+              ~args:[ ("searched", string_of_int (Array.length jobs)) ]
+              "optimize.level" t0)
+          design.Design.levels
       in
       match with_ambient body with
       | () ->

@@ -16,15 +16,22 @@ let characterize_point tech ~size ~edge ~input_slew ~cap =
      constants of the weakest drivers into the largest loads. *)
   let t0 = 10e-12 in
   let t_stop = t0 +. (2. *. input_slew) +. Float.max 2e-9 (2000. *. cap) in
-  let r =
-    Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew
-      ~load:(Testbench.cap_load cap) ()
-  in
   let out_edge =
     match edge with Testbench.Rise -> Measure.Rising | Testbench.Fall -> Measure.Falling
   in
   let in_edge =
     match edge with Testbench.Rise -> Measure.Falling | Testbench.Fall -> Measure.Rising
+  in
+  (* Every measurement below reads a first crossing — the input's 50 % and
+     the output's 10/20/50/80/90 % — so the transient stops once all of
+     them have happened. *)
+  let until ~input ~output =
+    let at node edge frac = (node, Measure.level_of_frac ~vdd ~edge ~frac, edge) in
+    at input in_edge 0.5 :: List.map (at output out_edge) [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
+  in
+  let r =
+    Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew ~until
+      ~load:(Testbench.cap_load cap) ()
   in
   let fail_point msg =
     failwith
@@ -93,7 +100,7 @@ let characterize_arc tech ~size ~edge grid =
    insert wins). *)
 type store = { mutable entries : (float * Table.cell) array  (* sorted by size *) }
 
-let stores : (string * int, store) Hashtbl.t = Hashtbl.create 4
+let stores : (string * float array * float array, store) Hashtbl.t = Hashtbl.create 4
 let cache_mutex = Mutex.create ()
 
 (* Global visibility counters: sweep-scale loops live or die on this memo,
@@ -111,15 +118,16 @@ let with_cache f =
 
 let clear_cache () = with_cache (fun () -> Hashtbl.reset stores)
 
-(* The grid participates in the store key: characterizing the same cell on
-   a different grid must not return stale tables. *)
+(* The grid's values are the store key, compared structurally: characterizing
+   the same cell on a different grid must never return its tables, however
+   the two grids hash.  The key keeps copies, so a caller mutating its grid
+   afterwards cannot re-key a store. *)
 let store_for ~grid tech =
-  let key = (tech.Tech.name, Hashtbl.hash (grid.slews, grid.caps)) in
-  match Hashtbl.find_opt stores key with
+  match Hashtbl.find_opt stores (tech.Tech.name, grid.slews, grid.caps) with
   | Some s -> s
   | None ->
       let s = { entries = [||] } in
-      Hashtbl.add stores key s;
+      Hashtbl.add stores (tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) s;
       s
 
 let find_size entries size =

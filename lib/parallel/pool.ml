@@ -3,6 +3,9 @@ type batch = {
   n : int;
   next : int Atomic.t;
   remaining : int Atomic.t;
+  obs : Rlc_obs.Obs.t;
+      (** the publisher's sink: workers record their queue-wait samples
+          there, so a resident pool reports into each caller's own sink *)
   published : float;  (** [Obs.now] at publication, for queue-wait stats *)
   deadline : Rlc_errors.Deadline.t;
       (** the publisher's ambient deadline, installed around each worker's
@@ -14,7 +17,6 @@ type batch = {
 
 type t = {
   n_jobs : int;
-  obs : Rlc_obs.Obs.t;
   mutex : Mutex.t;
   cond : Condition.t;
   mutable active : batch list;
@@ -68,8 +70,8 @@ let worker t () =
     | None -> Mutex.unlock t.mutex
     | Some b ->
         Mutex.unlock t.mutex;
-        if Rlc_obs.Obs.enabled t.obs then
-          Rlc_obs.Obs.observe t.obs "pool.queue_wait_s"
+        if Rlc_obs.Obs.enabled b.obs then
+          Rlc_obs.Obs.observe b.obs "pool.queue_wait_s"
             (Float.max 0. (Rlc_obs.Obs.now () -. b.published));
         Rlc_errors.Deadline.with_ambient b.deadline (fun () ->
             Rlc_obs.Obs.with_trace b.trace (fun () -> drain t b));
@@ -77,12 +79,11 @@ let worker t () =
   in
   loop ()
 
-let create ?(obs = Rlc_obs.Obs.null) ~jobs () =
+let create ~jobs () =
   let n_jobs = Int.max 1 jobs in
   let t =
     {
       n_jobs;
-      obs;
       mutex = Mutex.create ();
       cond = Condition.create ();
       active = [];
@@ -93,7 +94,7 @@ let create ?(obs = Rlc_obs.Obs.null) ~jobs () =
   t.domains <- List.init (n_jobs - 1) (fun _ -> Domain.spawn (worker t));
   t
 
-let map t n f =
+let map ?(obs = Rlc_obs.Obs.null) t n f =
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
@@ -103,7 +104,7 @@ let map t n f =
       | v -> results.(i) <- Some v
       | exception e -> errors.(i) <- Some e
     in
-    let t0 = Rlc_obs.Obs.start t.obs in
+    let t0 = Rlc_obs.Obs.start obs in
     if t.n_jobs = 1 || n = 1 then
       for i = 0 to n - 1 do
         run i
@@ -115,7 +116,8 @@ let map t n f =
           n;
           next = Atomic.make 0;
           remaining = Atomic.make n;
-          published = (if Rlc_obs.Obs.enabled t.obs then Rlc_obs.Obs.now () else 0.);
+          obs;
+          published = (if Rlc_obs.Obs.enabled obs then Rlc_obs.Obs.now () else 0.);
           deadline = Rlc_errors.Deadline.ambient ();
           trace = Rlc_obs.Obs.current_trace ();
         }
@@ -135,16 +137,16 @@ let map t n f =
       t.active <- List.filter (fun b' -> b' != b) t.active;
       Mutex.unlock t.mutex
     end;
-    Rlc_obs.Obs.finish t.obs
+    Rlc_obs.Obs.finish obs
       ~args:[ ("jobs", string_of_int (Int.min t.n_jobs n)); ("n", string_of_int n) ]
       "pool.batch" t0;
     Array.iter (function Some e -> raise e | None -> ()) errors;
     Array.map Option.get results
   end
 
-let run t thunks =
+let run ?obs t thunks =
   let arr = Array.of_list thunks in
-  ignore (map t (Array.length arr) (fun i -> arr.(i) ()))
+  ignore (map ?obs t (Array.length arr) (fun i -> arr.(i) ()))
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -154,6 +156,34 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_pool ?(obs = Rlc_obs.Obs.null) ~jobs f =
-  let t = create ~obs ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+(* Process-wide resident pools, one per jobs count, created on first use and
+   never shut down.  A run that spawned and retired its own worker domains
+   paid for fresh domain heaps every time, and in a process running many
+   flows back to back those retired heaps piled up as resident memory. *)
+let shared_lock = Mutex.create ()
+let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
+
+let shared ~jobs =
+  let jobs = Int.max 1 jobs in
+  Mutex.protect shared_lock (fun () ->
+      match Hashtbl.find_opt shared_pools jobs with
+      | Some t -> t
+      | None ->
+          let t = create ~jobs () in
+          Hashtbl.add shared_pools jobs t;
+          t)
+
+let borrow ?pool ?jobs () =
+  match pool with
+  | Some t -> t
+  | None ->
+      let jobs =
+        match jobs with
+        | Some j -> Int.max 1 (Int.min j (default_jobs ()))
+        | None -> default_jobs ()
+      in
+      shared ~jobs

@@ -125,7 +125,7 @@ type design_store_stats = {
 let create ?(config = Config.default) () =
   {
     config;
-    pool = Pool.create ~obs:config.Config.obs ~jobs:(Int.max 1 config.Config.jobs) ();
+    pool = Pool.create ~jobs:(Int.max 1 config.Config.jobs) ();
     cache = Flow.create_cache ();
     started_at = Unix.gettimeofday ();
     served = Atomic.make 0;

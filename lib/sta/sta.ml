@@ -49,15 +49,9 @@ let analyze ?(dt = 0.5e-12) ?(tech = Rlc_devices.Tech.c018) ~input_slew ~sink_cl
         let model =
           Driver_model.model ~cell ~edge ~input_slew:slew ~line:stage.line ~cl ()
         in
-        let _, far =
-          Reference.replay_pwl ~dt ~pwl:model.Driver_model.pwl ~line:stage.line ~cl ()
-        in
         (* Model time axis: t = 0 at this stage's input 50 % crossing. *)
-        let stage_delay = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-        let far_slew =
-          match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
-          | Some s -> s
-          | None -> invalid_arg "Sta.analyze: far end incomplete"
+        let stage_delay, far_slew =
+          Reference.far_timing ~dt ~vdd ~pwl:model.Driver_model.pwl ~line:stage.line ~cl ()
         in
         let result =
           {

@@ -18,6 +18,11 @@ val t_frac : Waveform.t -> vdd:float -> edge:edge -> frac:float -> float option
 
 val t_frac_exn : Waveform.t -> vdd:float -> edge:edge -> frac:float -> float
 
+val level_of_frac : vdd:float -> edge:edge -> frac:float -> float
+(** The voltage {!t_frac} looks for: [frac * vdd] on a rising edge,
+    [(1 - frac) * vdd] on a falling one.  Lets a caller name the crossing
+    it will measure before the waveform exists (an engine early stop). *)
+
 val slew : Waveform.t -> vdd:float -> edge:edge -> lo:float -> hi:float -> float option
 (** [slew w ~vdd ~edge ~lo ~hi] = t(hi) - t(lo) in transition progress. *)
 

@@ -136,19 +136,7 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
           victims)
   in
   (* ---------------------------------------------------------- simulate *)
-  let jobs_used =
-    match config.Config.pool with
-    | Some pool -> Pool.jobs pool
-    | None -> (
-        match config.Config.jobs with
-        | Some j -> Int.max 1 (Int.min j (Pool.default_jobs ()))
-        | None -> Pool.default_jobs ())
-  in
-  let with_run_pool f =
-    match config.Config.pool with
-    | Some pool -> f pool
-    | None -> Pool.with_pool ~obs ~jobs:jobs_used f
-  in
+  let pool = Pool.borrow ?pool:config.Config.pool ?jobs:config.Config.jobs () in
   let member_of ?drive id =
     let net = design.Design.nets.(id) in
     {
@@ -160,81 +148,80 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
   in
   let jobs = Array.of_list screened_victims in
   let sim_results =
-    with_run_pool (fun pool ->
-        Pool.map pool (Array.length jobs) (fun k ->
-            let v, pairs = jobs.(k) in
-            let survivors = List.filter (fun p -> not p.screened) pairs in
-            if survivors = [] then None
-            else begin
-              let t0 = Obs.start obs in
-              let vm = model_of v in
-              let isolated = (solve_of v).Flow.stage_delay in
-              (* Noise: quiet victim, every surviving aggressor rising on
-                 its own model waveform, simultaneous starts (worst for a
-                 same-polarity capacitive sum). *)
-              let rising =
-                List.map
-                  (fun p ->
-                    ( member_of ~drive:(model_of p.aggressor).Driver_model.pwl p.aggressor,
-                      p.cc ))
-                  survivors
-              in
-              let far =
-                Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                  ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
-              in
-              let noise = Waveform.v_max far in
-              (* Delay: victim switches on its own model waveform, the
-                 aggressors oppose it (Miller worst case); sweep their
-                 common start over the alignment grid and keep the worst
-                 far-end 50 % crossing. *)
-              let span =
-                List.fold_left
-                  (fun acc p ->
-                    Float.max acc (Driver_model.transition_end (model_of p.aggressor)))
-                  ((solve_of v).Flow.stage_delay +. (solve_of v).Flow.far_slew)
-                  survivors
-              in
-              let worst =
-                Array.fold_left
-                  (fun acc off ->
-                    let falling =
-                      List.map
-                        (fun p ->
-                          let m = model_of p.aggressor in
-                          ( member_of
-                              ~drive:
-                                (Pwl.shift_time off
-                                   (Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl))
-                              p.aggressor,
-                            p.cc ))
-                        survivors
-                    in
-                    let far =
-                      Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                        ~dt:config.Config.dt
-                        ~victim:(member_of ~drive:vm.Driver_model.pwl v)
-                        ~aggressors:falling ()
-                    in
-                    Obs.incr obs "xtalk.alignment_sweeps";
-                    let d = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-                    Float.max acc d)
-                  Float.neg_infinity
-                  (offsets ~span config.Config.alignments)
-              in
-              Obs.finish obs
-                ~args:
-                  [
-                    ("victim", design.Design.nets.(v).Design.name);
-                    ("aggressors", string_of_int (List.length survivors));
-                  ]
-                "xtalk.victim" t0;
-              Log.debug (fun m ->
-                  m "victim %s: noise %.1f mV, delay %.1f -> %.1f ps"
-                    design.Design.nets.(v).Design.name (1e3 *. noise)
-                    (Rlc_num.Units.in_ps isolated) (Rlc_num.Units.in_ps worst));
-              Some (noise, worst)
-            end))
+    Pool.map ~obs pool (Array.length jobs) (fun k ->
+        let v, pairs = jobs.(k) in
+        let survivors = List.filter (fun p -> not p.screened) pairs in
+        if survivors = [] then None
+        else begin
+          let t0 = Obs.start obs in
+          let vm = model_of v in
+          let isolated = (solve_of v).Flow.stage_delay in
+          (* Noise: quiet victim, every surviving aggressor rising on
+             its own model waveform, simultaneous starts (worst for a
+             same-polarity capacitive sum). *)
+          let rising =
+            List.map
+              (fun p ->
+                ( member_of ~drive:(model_of p.aggressor).Driver_model.pwl p.aggressor,
+                  p.cc ))
+              survivors
+          in
+          let far =
+            Cluster.simulate ~obs ~n_segments:config.Config.n_segments
+              ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
+          in
+          let noise = Waveform.v_max far in
+          (* Delay: victim switches on its own model waveform, the
+             aggressors oppose it (Miller worst case); sweep their
+             common start over the alignment grid and keep the worst
+             far-end 50 % crossing. *)
+          let span =
+            List.fold_left
+              (fun acc p ->
+                Float.max acc (Driver_model.transition_end (model_of p.aggressor)))
+              ((solve_of v).Flow.stage_delay +. (solve_of v).Flow.far_slew)
+              survivors
+          in
+          let worst =
+            Array.fold_left
+              (fun acc off ->
+                let falling =
+                  List.map
+                    (fun p ->
+                      let m = model_of p.aggressor in
+                      ( member_of
+                          ~drive:
+                            (Pwl.shift_time off
+                               (Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl))
+                          p.aggressor,
+                        p.cc ))
+                    survivors
+                in
+                let far =
+                  Cluster.simulate ~obs ~n_segments:config.Config.n_segments
+                    ~dt:config.Config.dt
+                    ~victim:(member_of ~drive:vm.Driver_model.pwl v)
+                    ~aggressors:falling ()
+                in
+                Obs.incr obs "xtalk.alignment_sweeps";
+                let d = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
+                Float.max acc d)
+              Float.neg_infinity
+              (offsets ~span config.Config.alignments)
+          in
+          Obs.finish obs
+            ~args:
+              [
+                ("victim", design.Design.nets.(v).Design.name);
+                ("aggressors", string_of_int (List.length survivors));
+              ]
+            "xtalk.victim" t0;
+          Log.debug (fun m ->
+              m "victim %s: noise %.1f mV, delay %.1f -> %.1f ps"
+                design.Design.nets.(v).Design.name (1e3 *. noise)
+                (Rlc_num.Units.in_ps isolated) (Rlc_num.Units.in_ps worst));
+          Some (noise, worst)
+        end)
   in
   (* ------------------------------------------------------------ report *)
   let victims_arr =

@@ -684,6 +684,191 @@ let test_compiled_cache_keying () =
   Alcotest.(check int) "topology change missed" 1 (m2 - m1);
   Engine.Compiled.clear_cache ()
 
+(* --------------------------------------------------------------- until *)
+
+(* The linear fixed-step loop must allocate O(1) minor words per step: a
+   per-unknown allocation (a boxed float per solved node) would make a
+   200-node ladder cost hundreds of words a step. *)
+let test_linear_step_allocation () =
+  let nl = Netlist.create () in
+  let src = Netlist.node nl "src" in
+  Netlist.force_voltage nl src (step 1.);
+  let prev = ref src in
+  for i = 1 to 200 do
+    let nd = Netlist.node nl (Printf.sprintf "n%d" i) in
+    Netlist.resistor nl !prev nd 10.;
+    Netlist.capacitor nl nd Netlist.ground 1e-15;
+    prev := nd
+  done;
+  let dt = 1e-12 in
+  let words n =
+    let w0 = Gc.minor_words () in
+    ignore (Engine.transient ~record_nodes:[ !prev ] ~dt ~t_stop:(dt *. float_of_int n) nl);
+    Gc.minor_words () -. w0
+  in
+  let per_step = (words 4000 -. words 2000) /. 2000. in
+  if per_step > 40. then
+    Alcotest.failf "linear fixed-step loop allocates %.1f minor words per step" per_step
+
+let until_vdd = 1.8
+let until_fracs = [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
+let bits w = Array.map Int64.bits_of_float (Waveform.values w)
+let edge_of rising = if rising then Measure.Rising else Measure.Falling
+
+(* Every Measure quantity the listed crossings determine, on (input, out). *)
+let first_crossing_measures ~edge ~input ~out =
+  let vdd = until_vdd in
+  List.map (fun frac -> Measure.t_frac out ~vdd ~edge ~frac) until_fracs
+  @ [
+      Measure.t_frac input ~vdd ~edge ~frac:0.5;
+      Measure.slew_10_90 out ~vdd ~edge;
+      Measure.slew_20_80 out ~vdd ~edge;
+      Measure.slew out ~vdd ~edge ~lo:0.5 ~hi:0.9;
+      Measure.delay_50 ~input ~output:out ~vdd ~input_edge:edge ~output_edge:edge;
+    ]
+
+let crossings_of ~edge ~input ~out =
+  let at node frac = (node, Measure.level_of_frac ~vdd:until_vdd ~edge ~frac, edge) in
+  at input 0.5 :: List.map (at out) until_fracs
+
+(* [pre] must be a bit-exact prefix of [full] on every probe. *)
+let check_prefix ~full ~pre probes =
+  let k = Array.length (Engine.times pre) in
+  if k > Array.length (Engine.times full) then QCheck.Test.fail_report "prefix longer than run";
+  let sub a = Array.sub a 0 k in
+  if sub (Array.map Int64.bits_of_float (Engine.times full))
+     <> Array.map Int64.bits_of_float (Engine.times pre)
+  then QCheck.Test.fail_report "time grids differ";
+  List.iter
+    (fun n ->
+      if sub (bits (Engine.voltage full n)) <> bits (Engine.voltage pre n) then
+        QCheck.Test.fail_report "samples differ")
+    probes
+
+type until_case = {
+  segs : int;
+  r_tot : float;
+  l_tot : float;
+  c_tot : float;
+  cl : float;
+  slew : float;
+  rising : bool;
+  adaptive : bool;
+  unreachable : bool;  (** add a crossing that never happens *)
+}
+
+let arb_until_case =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun ((segs, r_tot, l_tot, c_tot), (cl, slew, rising, adaptive), unreachable) ->
+        { segs; r_tot; l_tot; c_tot; cl; slew; rising; adaptive; unreachable })
+      (triple
+         (quad (int_range 1 8) (float_range 2. 400.) (float_range 1e-11 6e-9)
+            (float_range 50e-15 1.5e-12))
+         (quad (float_range 0. 200e-15) (float_range 2e-12 150e-12) bool bool)
+         (frequencyl [ (3, false); (1, true) ]))
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf "%d segs, R %g, L %g, C %g, cl %g, slew %g, %s, %s%s" u.segs u.r_tot u.l_tot
+        u.c_tot u.cl u.slew
+        (if u.rising then "rise" else "fall")
+        (if u.adaptive then "adaptive" else "fixed")
+        (if u.unreachable then ", unreachable crossing" else ""))
+
+(* Random RLC ladders (underdamped ones ring and overshoot) driven by a
+   random PWL edge: a run stopped by [until] is a bit-exact prefix of the
+   full run with identical first-crossing measurements, a crossing that
+   never happens yields the full run, the step-loop span counts the steps
+   taken, and a compiled handle reused after a stopped run replays the full
+   run bit for bit. *)
+let prop_until_linear =
+  QCheck.Test.make ~name:"until: linear replay prefix keeps every first crossing" ~count:40
+    arb_until_case (fun u ->
+      let nl = Netlist.create () in
+      let src = Netlist.node nl "src" in
+      let v0, v1 = if u.rising then (0., until_vdd) else (until_vdd, 0.) in
+      Netlist.force_pwl nl src (Pwl.ramp ~t0:10e-12 ~v0 ~v1 ~transition:u.slew);
+      let far = ref Netlist.ground in
+      Rlc_tline.Ladder.attach_load ~n_segments:u.segs
+        (Rlc_tline.Line.of_totals ~r:u.r_tot ~l:u.l_tot ~c:u.c_tot ~length:5e-3)
+        ~cl:u.cl nl src far;
+      let far = !far and edge = edge_of u.rising in
+      let until =
+        crossings_of ~edge ~input:src ~out:far
+        @ if u.unreachable then [ (far, 10. *. until_vdd, Waveform.Rising) ] else []
+      in
+      let adaptive =
+        if u.adaptive then Some (Engine.default_adaptive ~dt_min:0.5e-12 ()) else None
+      in
+      let record_nodes = [ src; far ] and dt = 0.5e-12 and t_stop = 3e-9 in
+      let full = Engine.transient ?adaptive ~record_nodes ~dt ~t_stop nl in
+      let obs = Rlc_obs.Obs.create () in
+      let pre = Engine.transient ~obs ?adaptive ~until ~record_nodes ~dt ~t_stop nl in
+      check_prefix ~full ~pre record_nodes;
+      let measures r =
+        first_crossing_measures ~edge ~input:(Engine.voltage r src) ~out:(Engine.voltage r far)
+      in
+      if measures full <> measures pre then
+        QCheck.Test.fail_report "first-crossing measures differ";
+      if u.unreachable && Engine.steps pre <> Engine.steps full then
+        QCheck.Test.fail_report "an unreachable crossing must yield the full run";
+      let loop =
+        List.find
+          (fun sp -> sp.Rlc_obs.Obs.sp_name = "engine.step_loop")
+          (Rlc_obs.Obs.snapshot obs).Rlc_obs.Obs.m_spans
+      in
+      if List.assoc "steps" loop.Rlc_obs.Obs.sp_args <> string_of_int (Engine.steps pre) then
+        QCheck.Test.fail_report "step-loop span does not count the steps taken";
+      let h = Engine.Compiled.compile nl in
+      ignore (Engine.Compiled.run ?adaptive ~until ~record_nodes ~dt ~t_stop h);
+      let again = Engine.Compiled.run ?adaptive ~record_nodes ~dt ~t_stop h in
+      if Engine.steps again <> Engine.steps full then
+        QCheck.Test.fail_report "reused handle: step counts differ";
+      check_prefix ~full:again ~pre:full record_nodes;
+      true)
+
+(* The same contract through the nonlinear inverter bench (Newton steps),
+   rising and falling output edges, fixed and adaptive. *)
+let prop_until_testbench =
+  QCheck.Test.make ~name:"until: inverter bench prefix keeps every first crossing" ~count:8
+    QCheck.(quad (float_range 10e-12 150e-12) (float_range 10e-15 400e-15) bool bool)
+    (fun (input_slew, cap, rise, adaptive) ->
+      let tech = Rlc_devices.Tech.c018 in
+      assert (tech.Rlc_devices.Tech.vdd = until_vdd);
+      let module Tb = Rlc_devices.Testbench in
+      let out_edge = edge_of rise in
+      let in_edge = edge_of (not rise) in
+      let adaptive = if adaptive then Some (Engine.default_adaptive ()) else None in
+      let drive ?until () =
+        Tb.drive ?adaptive ?until ~dt:0.5e-12 ~t_stop:1.5e-9
+          ~edge:(if rise then Tb.Rise else Tb.Fall)
+          ~tech ~size:50. ~input_slew ~load:(Tb.cap_load cap) ()
+      in
+      let full = drive () in
+      let pre =
+        drive
+          ~until:(fun ~input ~output ->
+            let at node edge frac =
+              (node, Measure.level_of_frac ~vdd:until_vdd ~edge ~frac, edge)
+            in
+            at input in_edge 0.5 :: List.map (at output out_edge) until_fracs)
+          ()
+      in
+      check_prefix ~full:full.Tb.engine ~pre:pre.Tb.engine [ full.Tb.out_node ];
+      let measures (r : Tb.result) =
+        let vdd = until_vdd in
+        List.map (fun frac -> Measure.t_frac r.Tb.output ~vdd ~edge:out_edge ~frac) until_fracs
+        @ [
+            Measure.slew_10_90 r.Tb.output ~vdd ~edge:out_edge;
+            Measure.delay_50 ~input:r.Tb.input ~output:r.Tb.output ~vdd ~input_edge:in_edge
+              ~output_edge:out_edge;
+          ]
+      in
+      if measures full <> measures pre then
+        QCheck.Test.fail_report "first-crossing measures differ";
+      Engine.steps pre.Tb.engine < Engine.steps full.Tb.engine)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_circuit"
@@ -735,6 +920,13 @@ let () =
             test_compiled_restamp;
           Alcotest.test_case "handle cache keys on structure" `Quick
             test_compiled_cache_keying;
+        ] );
+      ( "until",
+        [
+          Alcotest.test_case "linear step allocates O(1) words" `Quick
+            test_linear_step_allocation;
+          q prop_until_linear;
+          q prop_until_testbench;
         ] );
       ( "netlist",
         [

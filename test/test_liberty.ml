@@ -103,6 +103,25 @@ let test_cache_hit () =
   let b = cell_exn ~grid:small_grid tech ~size:75. in
   Alcotest.(check bool) "same physical table" true (a == b)
 
+let test_store_keys_on_grid_values () =
+  (* [Hashtbl.hash] reads only the first ten floats of a (slews, caps) pair,
+     so these two grids hash alike; each must still get its own tables. *)
+  let grid last =
+    {
+      Characterize.slews = Array.map Units.ps [| 50.; 100. |];
+      caps = Array.map Units.ff [| 50.; 100.; 150.; 200.; 300.; 400.; 600.; 800.; last |];
+    }
+  in
+  let g1 = grid 1000. and g2 = grid 1600. in
+  Alcotest.(check bool) "the grids' hashes collide" true
+    (Hashtbl.hash (g1.Characterize.slews, g1.Characterize.caps)
+    = Hashtbl.hash (g2.Characterize.slews, g2.Characterize.caps));
+  let axis grid =
+    (cell_exn ~grid tech ~size:40.).Table.rise.Table.delay.Table.caps
+  in
+  Alcotest.(check (array (float 0.))) "first grid's tables" g1.Characterize.caps (axis g1);
+  Alcotest.(check (array (float 0.))) "second grid's tables" g2.Characterize.caps (axis g2)
+
 let test_fall_arc_differs () =
   let c = Lazy.force cell75 in
   let dr = Table.delay c ~edge:Rlc_waveform.Measure.Rising ~slew:(Units.ps 100.) ~cap:(Units.ff 200.) in
@@ -283,6 +302,7 @@ let () =
           Alcotest.test_case "fitted Rs regime" `Quick test_fitted_rs_regime;
           Alcotest.test_case "ramp extrapolation" `Quick test_ramp_time_extrapolation;
           Alcotest.test_case "cache" `Quick test_cache_hit;
+          Alcotest.test_case "store keyed on grid values" `Quick test_store_keys_on_grid_values;
           Alcotest.test_case "fall arc" `Quick test_fall_arc_differs;
           q prop_lookup_inside_grid_is_bounded;
         ] );
