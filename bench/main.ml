@@ -1567,9 +1567,41 @@ let service_bench ?(smoke = false) ?json () =
    - the screen alone (threshold 1.0 dismisses everything) prices the
      closed form per pair;
    - the full analysis prices the coupled-cluster transients the survivors
-     pay for, per simulation and end to end at jobs 1 vs --jobs N.
+     pay for, end to end at jobs 1 vs --jobs N, and per run of each kind:
+     a victim's noise run covers the whole window, while its alignment runs
+     stop at the far end's first 50 % crossing, so the two are reported
+     apart (engine steps and step-loop ms per run).
 
-   `--json` writes the numbers as BENCH_xtalk.json. *)
+   `--json` writes the numbers as BENCH_xtalk.json, with a host block. *)
+
+let nproc () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> Domain.recommended_domain_count ()
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      let n = ref 0 in
+      (try
+         while true do
+           if String.starts_with ~prefix:"processor" (input_line ic) then incr n
+         done
+       with End_of_file -> ());
+      if !n = 0 then Domain.recommended_domain_count () else !n
+
+(* The checkout's revision, with "-dirty" when the tree has local changes. *)
+let git_revision () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try Some (input_line ic) with End_of_file -> None in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some rev -> String.trim rev
+      | _ -> "unknown")
+
+let host_json ~smoke =
+  Printf.sprintf
+    "{\"nproc\": %d, \"recommended_domains\": %d, \"smoke\": %b, \"git_revision\": %S, \
+     \"ocaml_version\": %S}"
+    (nproc ()) (Domain.recommended_domain_count ()) smoke (git_revision ()) Sys.ocaml_version
 
 let xtalk_sources ~bits =
   let buf = Buffer.create 4096 in
@@ -1655,16 +1687,51 @@ let xtalk_bench ?(smoke = false) ~jobs ?json () =
     Array.fold_left (fun acc (v : X.victim_result) -> if v.X.simulated then acc + 1 else acc) 0 r1.X.victims
   in
   let n_transients = n_victim_sims + stats.X.n_alignment_sims in
-  let per_sim_ms = if n_transients = 0 then 0. else 1e3 *. w1 /. float_of_int n_transients in
+  (* Per kind, from one traced serial analysis: each simulated victim runs
+     its noise cluster and then its [alignments] sweep runs, so the engine
+     step loops come in blocks of 1 + alignments led by the noise run.  The
+     classification is checked against the analysis' own step counters. *)
+  let obs = Rlc_obs.Obs.create () in
+  ignore
+    (X.analyze ~config:{ X.Config.default with X.Config.alignments; jobs = Some 1; obs } flow);
+  let m = Rlc_obs.Obs.snapshot obs in
+  let loops =
+    List.filter (fun sp -> sp.Rlc_obs.Obs.sp_name = "engine.step_loop") m.Rlc_obs.Obs.m_spans
+    |> List.sort (fun a b -> Float.compare a.Rlc_obs.Obs.sp_start b.Rlc_obs.Obs.sp_start)
+  in
+  let kind ~noise =
+    let runs = ref 0 and steps = ref 0 and dur = ref 0. in
+    List.iteri
+      (fun i sp ->
+        if (i mod (alignments + 1) = 0) = noise then begin
+          incr runs;
+          steps := !steps + int_of_string (List.assoc "steps" sp.Rlc_obs.Obs.sp_args);
+          dur := !dur +. sp.Rlc_obs.Obs.sp_dur
+        end)
+      loops;
+    let per x = if !runs = 0 then 0. else x /. float_of_int !runs in
+    (!runs, !steps, per (float_of_int !steps), per (1e3 *. !dur))
+  in
+  let ((noise_runs, noise_steps, _, _) as noise) = kind ~noise:true in
+  let ((align_runs, align_steps, _, _) as align) = kind ~noise:false in
+  if
+    noise_runs <> n_victim_sims
+    || align_runs <> stats.X.n_alignment_sims
+    || noise_steps <> Rlc_obs.Obs.counter m "xtalk.noise_steps"
+    || align_steps <> Rlc_obs.Obs.counter m "xtalk.alignment_steps"
+  then failwith "xtalk bench: step loops do not split into noise and alignment runs";
   let screen_rate = float_of_int stats.X.n_screened /. float_of_int (max 1 n_pairs) in
   let rec_domains = Rlc_parallel.Pool.default_jobs () in
   Format.printf "@.%d-bit coupled bus, %d ordered pairs, %d alignments:@." bits n_pairs
     alignments;
   Format.printf "  screen only  : %8.2f ms  (%5.1f us/pair)@." (1e3 *. screen_s)
     (1e6 *. screen_s /. float_of_int (max 1 n_pairs));
-  Format.printf "  full analysis: %8.1f ms  (%d screened = %.0f%%, %d coupled transients, \
-                 %.1f ms each)@."
-    (1e3 *. w1) stats.X.n_screened (100. *. screen_rate) n_transients per_sim_ms;
+  Format.printf "  full analysis: %8.1f ms  (%d screened = %.0f%%, %d coupled transients)@."
+    (1e3 *. w1) stats.X.n_screened (100. *. screen_rate) n_transients;
+  List.iter
+    (fun (name, (runs, _, steps, ms)) ->
+      Format.printf "  %-9s x %3d: %8.1f steps, %6.2f ms step loop per run@." name runs steps ms)
+    [ ("noise", noise); ("alignment", align) ];
   Format.printf "  jobs %-2d      : %8.1f ms  (%.2fx, identical: %b)@." jobs (1e3 *. wn)
     (w1 /. wn) identical;
   match json with
@@ -1674,10 +1741,14 @@ let xtalk_bench ?(smoke = false) ~jobs ?json () =
         if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
         else Printf.sprintf "%.6g" v
       in
+      let kind_json (runs, _, steps, ms) =
+        Printf.sprintf "{\"runs\": %d, \"steps_per_run\": %s, \"step_loop_ms_per_run\": %s}" runs
+          (fl steps) (fl ms)
+      in
       let buf = Buffer.create 512 in
-      Printf.bprintf buf "{\n  \"schema\": \"rlc-bench-xtalk/1\",\n";
-      Printf.bprintf buf "  \"smoke\": %b,\n  \"bits\": %d,\n  \"alignments\": %d,\n" smoke
-        bits alignments;
+      Printf.bprintf buf "{\n  \"schema\": \"rlc-bench-xtalk/2\",\n";
+      Printf.bprintf buf "  \"host\": %s,\n" (host_json ~smoke);
+      Printf.bprintf buf "  \"bits\": %d,\n  \"alignments\": %d,\n" bits alignments;
       Printf.bprintf buf
         "  \"screen\": {\"pairs\": %d, \"screened\": %d, \"rate\": %s, \"ms_total\": %s, \
          \"us_per_pair\": %s},\n"
@@ -1686,8 +1757,8 @@ let xtalk_bench ?(smoke = false) ~jobs ?json () =
         (fl (1e6 *. screen_s /. float_of_int (max 1 n_pairs)));
       Printf.bprintf buf
         "  \"simulate\": {\"victims\": %d, \"alignment_sims\": %d, \"transients\": %d, \
-         \"ms_per_transient\": %s},\n"
-        n_victim_sims stats.X.n_alignment_sims n_transients (fl per_sim_ms);
+         \"noise\": %s, \"alignment\": %s},\n"
+        n_victim_sims stats.X.n_alignment_sims n_transients (kind_json noise) (kind_json align);
       Printf.bprintf buf
         "  \"scaling\": {\"jobs\": %d, \"recommended_domains\": %d, \"wall_s_jobs1\": %s, \
          \"wall_s_jobsN\": %s, \"speedup\": %s, \"fragments_identical\": %b}\n"

@@ -476,8 +476,10 @@ let flow_cmd =
       & opt int Rlc_service.Session.default_xtalk.Rlc_service.Session.alignments
       & info [ "xtalk-alignments" ] ~docv:"N"
           ~doc:
-            "Aggressor-alignment grid points swept for the worst delay push-out (1 = aligned \
-             starts only; grids nest, so the worst case is monotone in N).")
+            (Printf.sprintf
+               "Aggressor-alignment grid points swept for the worst delay push-out, 1 to %d (1 \
+                = aligned starts only; grids nest, so the worst case is monotone in N)."
+               Rlc_xtalk.Xtalk.max_alignments))
   in
   Cmd.v
     (Cmd.info "flow"

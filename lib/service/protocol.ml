@@ -128,8 +128,9 @@ let parse_xtalk_knobs fields =
   let* x_alignments =
     match List.assoc_opt "alignments" fields with
     | None -> Ok None
-    | Some (Json.Int n) when n >= 1 -> Ok (Some n)
-    | Some _ -> bad "field %S must be a positive integer" "alignments"
+    | Some (Json.Int n) when n >= 1 && n <= Rlc_xtalk.Xtalk.max_alignments -> Ok (Some n)
+    | Some _ ->
+        bad "field %S must be an integer in 1..%d" "alignments" Rlc_xtalk.Xtalk.max_alignments
   in
   Ok { x_threshold; x_budget; x_alignments }
 

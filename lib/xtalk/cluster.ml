@@ -13,7 +13,7 @@ type member = {
 
 let default_segments = 40
 
-let simulate ?obs ?(n_segments = default_segments) ~dt ~victim ~aggressors () =
+let simulate ?obs ?(n_segments = default_segments) ?(until = []) ~dt ~victim ~aggressors () =
   if n_segments < 1 then invalid_arg "Rlc_xtalk.Cluster.simulate: need at least one segment";
   if dt <= 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: dt must be positive";
   List.iter
@@ -103,7 +103,9 @@ let simulate ?obs ?(n_segments = default_segments) ~dt ~victim ~aggressors () =
      shifted aggressor sources: same topology, new source closures — the
      cheapest possible restamp for the compiled-handle cache. *)
   let r =
-    Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ] ~dt ~t_stop
+    Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ]
+      ~until:(List.map (fun (level, dir) -> (fars.(0), level, dir)) until)
+      ~dt ~t_stop
       (Engine.Compiled.cached ?obs nl)
   in
   Waveform.shift_time (-.shift) (Engine.voltage r fars.(0))

@@ -33,6 +33,7 @@ val default_segments : int
 val simulate :
   ?obs:Rlc_obs.Obs.t ->
   ?n_segments:int ->
+  ?until:(float * Rlc_waveform.Waveform.direction) list ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -44,4 +45,15 @@ val simulate :
     DC point sees the quiescent state, then shifted back, as in
     [replay_pwl]).  The stop time covers every drive's end plus ten flight
     times of the slowest member.  Deterministic: a pure function of the
-    arguments, independent of worker scheduling. *)
+    arguments, independent of worker scheduling.
+
+    [until] lists [(level, direction)] crossings of the {e victim's far
+    end} and stops the run once each has happened, under the prefix
+    contract of {!Rlc_circuit.Engine.transient}'s [until]: the returned
+    waveform is bit-identical to the start of the full run and holds each
+    listed crossing's first occurrence, and a crossing that never happens
+    gives the full run.  Pass only the first crossings the caller reads
+    ({!Rlc_waveform.Measure.t_frac} and friends); a caller that reads
+    anything else of the waveform — a noise peak ([Waveform.v_max]), a
+    later crossing, the settled value — must omit [until] (the default,
+    the full window). *)

@@ -85,8 +85,14 @@ let offsets ~span n =
   if n <= 1 then [| 0. |]
   else Array.init n (fun k -> -.span +. (2. *. span *. float_of_int k /. float_of_int (n - 1)))
 
+(* The nested grid 9 -> 17 -> ... -> 257: a bound on the per-request cost
+   and on the offsets array a client can make the analysis allocate. *)
+let max_alignments = 257
+
 let analyze ?(config = Config.default) (flow : Flow.result) =
-  if config.Config.alignments < 1 then invalid_arg "Rlc_xtalk.analyze: alignments must be >= 1";
+  if config.Config.alignments < 1 || config.Config.alignments > max_alignments then
+    invalid_arg
+      (Printf.sprintf "Rlc_xtalk.analyze: alignments must be in 1..%d" max_alignments);
   if config.Config.threshold < 0. || config.Config.budget < 0. then
     invalid_arg "Rlc_xtalk.analyze: negative threshold or budget";
   let design = flow.Flow.design in
@@ -112,6 +118,10 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
   (* ------------------------------------------------------------ screen *)
   let screened_victims =
     Obs.time obs "xtalk.screen" (fun () ->
+        (* Coupling is symmetric, so every aggressor is also a victim: one
+           edge-rate measurement per net instead of one per ordered pair. *)
+        let tr_of = Hashtbl.create 16 in
+        List.iter (fun v -> Hashtbl.replace tr_of v (full_swing_tr (model_of v))) victims;
         List.map
           (fun v ->
             let net = design.Design.nets.(v) in
@@ -125,7 +135,7 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                 (Option.value (Hashtbl.find_opt agg_of v) ~default:[])
               |> List.map (fun (a, cc) ->
                      let est =
-                       Noise.estimate ~vdd ~tr:(full_swing_tr (model_of a)) ~rv ~cv ~cc ~damping
+                       Noise.estimate ~vdd ~tr:(Hashtbl.find tr_of a) ~rv ~cv ~cc ~damping
                      in
                      let screened = est.Noise.v_peak < threshold_v in
                      Obs.incr obs
@@ -170,11 +180,14 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
             Cluster.simulate ~obs ~n_segments:config.Config.n_segments
               ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
           in
+          Obs.add obs "xtalk.noise_steps" (Waveform.length far - 1);
           let noise = Waveform.v_max far in
           (* Delay: victim switches on its own model waveform, the
              aggressors oppose it (Miller worst case); sweep their
              common start over the alignment grid and keep the worst
-             far-end 50 % crossing. *)
+             far-end 50 % crossing.  That first crossing is all a run
+             reads, so each one stops there. *)
+          let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
           let span =
             List.fold_left
               (fun acc p ->
@@ -199,13 +212,20 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                 in
                 let far =
                   Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                    ~dt:config.Config.dt
+                    ~until:[ (level, Measure.Rising) ] ~dt:config.Config.dt
                     ~victim:(member_of ~drive:vm.Driver_model.pwl v)
                     ~aggressors:falling ()
                 in
                 Obs.incr obs "xtalk.alignment_sweeps";
-                let d = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-                Float.max acc d)
+                Obs.add obs "xtalk.alignment_steps" (Waveform.length far - 1);
+                match Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 with
+                | Some d -> Float.max acc d
+                | None ->
+                    failwith
+                      (Printf.sprintf
+                         "Rlc_xtalk.analyze: victim %s: far end never reaches 50%% of %g V \
+                          (aggressor offset %+.1f ps)"
+                         design.Design.nets.(v).Design.name vdd (Rlc_num.Units.in_ps off)))
               Float.neg_infinity
               (offsets ~span config.Config.alignments)
           in

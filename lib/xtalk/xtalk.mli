@@ -25,9 +25,10 @@ module Config : sig
             slack by the CLI) *)
     alignments : int;
         (** points of the symmetric aggressor-alignment grid swept for the
-            worst delay push-out; 1 means aligned starts only.  Grids nest:
-            the [2n-1]-point grid contains every point of the [n]-point
-            grid, so the worst case is monotone in the grid size. *)
+            worst delay push-out, in [1 .. max_alignments]; 1 means aligned
+            starts only.  Grids nest: the [2n-1]-point grid contains every
+            point of the [n]-point grid, so the worst case is monotone in
+            the grid size. *)
     n_segments : int;  (** ladder segments per cluster member *)
     dt : float;  (** fixed step of the cluster transients, s *)
     jobs : int option;  (** worker domains when no [pool] is borrowed *)
@@ -81,6 +82,10 @@ type result = {
   stats : stats;
 }
 
+val max_alignments : int
+(** 257, the largest accepted {!Config.t} [alignments]: a nested grid size
+    (9, 17, 33, ..., 257) that bounds the work one analysis can ask for. *)
+
 val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 (** Screen every ordered pair of the design's coupling graph, then simulate
     each victim that kept at least one aggressor: one cluster transient with
@@ -89,6 +94,16 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     Clusters are scheduled on the level-parallel domain pool ({!Config.t}
     [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
 
+    The noise run covers the full window, since its peak may come at any
+    time.  An alignment run reads only the victim far end's first 50 %
+    crossing, so it stops right after it ({!Cluster.simulate}'s [until]);
+    the reported delays are bit-identical to full-window runs.
+
+    Raises [Invalid_argument] when [alignments] is outside
+    [1 .. max_alignments] or [threshold]/[budget] is negative, and
+    [Failure] naming the victim and the aggressor offset when a victim's
+    far end never reaches 50 % of VDD in an alignment run.
+
     Worst-casing conventions: aggressor drives are the isolated driver-model
     PWLs regardless of the logical edge the flow assigned (noise assumes all
     aggressors rise together against a low victim; delay assumes they all
@@ -96,7 +111,9 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 
     [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans, counters
     ["xtalk.pairs_screened"], ["xtalk.pairs_simulated"],
-    ["xtalk.alignment_sweeps"], and the per-victim governing noise (mV) as
+    ["xtalk.alignment_sweeps"], the engine steps taken by the noise runs
+    (["xtalk.noise_steps"]) and by the alignment runs
+    (["xtalk.alignment_steps"]), and the per-victim governing noise (mV) as
     the ["xtalk.noise_mv"] histogram. *)
 
 val json_fragment : Rlc_flow.Design.t -> result -> string

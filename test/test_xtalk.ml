@@ -261,6 +261,230 @@ let test_off_mode_report_untouched () =
             o.Session.report;
           Alcotest.(check bool) "no xtalk result attached" true (o.Session.xtalk = None))
 
+(* ------------------------------------------------------- early stop *)
+
+module Cluster = Rlc_xtalk.Cluster
+module Line = Rlc_tline.Line
+module Pwl = Rlc_waveform.Pwl
+module Waveform = Rlc_waveform.Waveform
+module Measure = Rlc_waveform.Measure
+module Driver_model = Rlc_ceff.Driver_model
+
+let bits_of = Option.map Int64.bits_of_float
+
+type pair_case = {
+  r : float;
+  l : float;
+  c : float;
+  cl : float;
+  tr : float;
+  aggs : (float * float * float * float * float) list;
+      (** per aggressor: R, L, C jitter factors, coupling cc, start offset *)
+}
+
+(* A victim line rising through its far-end 50 % against one or two
+   aggressors falling at random offsets.  Half the cases are strongly
+   Miller-coupled (cc up to 1.5x the victim's own wire cap) on lightly
+   damped lines, where the far end crosses 50 %, is pulled back under it,
+   and crosses again: the early stop must still keep the first crossing. *)
+let arb_pair_case =
+  let open QCheck.Gen in
+  let jitter = float_range 0.8 1.2 in
+  let gen =
+    let* miller = bool in
+    let* r = if miller then float_range 5. 40. else float_range 5. 300. in
+    let* l = float_range 0.5e-9 6e-9 in
+    let* c = float_range 150e-15 900e-15 in
+    let* cl = float_range 0. 40e-15 in
+    let* tr = float_range 10e-12 120e-12 in
+    let agg =
+      let* jr = jitter and* jl = jitter and* jc = jitter in
+      let* cc = if miller then float_range (0.5 *. c) (1.5 *. c) else float_range 0. (0.3 *. c) in
+      let* off = float_range (-100e-12) 300e-12 in
+      return (jr, jl, jc, cc, off)
+    in
+    let* aggs = list_size (int_range 1 2) agg in
+    return { r; l; c; cl; tr; aggs }
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf "R %g L %g C %g cl %g tr %g; %s" u.r u.l u.c u.cl u.tr
+        (String.concat "; "
+           (List.map
+              (fun (jr, jl, jc, cc, off) ->
+                Printf.sprintf "agg x(%.2f,%.2f,%.2f) cc %g off %g" jr jl jc cc off)
+              u.aggs)))
+
+(* Counts the generated far ends that crossed 50 % more than once. *)
+let recrossed = ref 0
+
+let prop_until_pair =
+  QCheck.Test.make ~name:"Cluster.simulate ~until keeps the first far-end 50 % crossing"
+    ~count:40 arb_pair_case (fun u ->
+      let vdd = 1.8 in
+      let line ~r ~l ~c = Line.of_totals ~r ~l ~c ~length:3e-3 in
+      let victim =
+        {
+          Cluster.line = line ~r:u.r ~l:u.l ~c:u.c;
+          drive = Some (Pwl.ramp ~t0:0. ~v0:0. ~v1:vdd ~transition:u.tr);
+          rs = 50.;
+          cl = u.cl;
+        }
+      in
+      let aggressors =
+        List.map
+          (fun (jr, jl, jc, cc, off) ->
+            ( {
+                Cluster.line = line ~r:(jr *. u.r) ~l:(jl *. u.l) ~c:(jc *. u.c);
+                drive = Some (Pwl.ramp ~t0:off ~v0:vdd ~v1:0. ~transition:u.tr);
+                rs = 50.;
+                cl = u.cl;
+              },
+              cc ))
+          u.aggs
+      in
+      let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
+      let run ?until () =
+        Cluster.simulate ~n_segments:10 ?until ~dt:0.5e-12 ~victim ~aggressors ()
+      in
+      let full = run () and pre = run ~until:[ (level, Measure.Rising) ] () in
+      let first w = Waveform.first_crossing w ~level ~direction:Measure.Rising in
+      if List.length (Waveform.crossings full ~level ~direction:Measure.Rising) >= 2 then
+        incr recrossed;
+      if first full = None then QCheck.Test.fail_report "victim never reached 50 %";
+      if bits_of (first pre) <> bits_of (first full) then
+        QCheck.Test.fail_report "first 50 % crossing moved";
+      Waveform.length pre < Waveform.length full)
+
+let test_until_pair () =
+  recrossed := 0;
+  QCheck.Test.check_exn prop_until_pair;
+  Alcotest.(check bool) "some generated far end crossed 50 % twice" true (!recrossed > 0)
+
+(* Test-local oracle: the noise run and the alignment sweep exactly as
+   analyze runs them, but every transient over the full window. *)
+let test_matches_full_window () =
+  let flow = Lazy.force flow and r = Lazy.force analyzed in
+  let design = flow.Flow.design in
+  let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
+  let solve id = flow.Flow.results.(id).Flow.solve in
+  let model id = (solve id).Flow.model in
+  let member ?drive id =
+    let net = design.Design.nets.(id) in
+    { Cluster.line = net.Design.eq_line; drive; rs = (model id).Driver_model.rs; cl = net.Design.cl }
+  in
+  let n = r.Xtalk.alignments in
+  Alcotest.(check int) "default grid" 9 n;
+  let checked = ref 0 in
+  Array.iter
+    (fun (v : Xtalk.victim_result) ->
+      match (v.Xtalk.noise_sim, v.Xtalk.coupled_delay) with
+      | None, _ | _, None -> ()
+      | Some noise, Some coupled ->
+          incr checked;
+          let id = v.Xtalk.victim in
+          let name = design.Design.nets.(id).Design.name in
+          let survivors = List.filter (fun (p : Xtalk.pair) -> not p.Xtalk.screened) v.Xtalk.pairs in
+          let rising =
+            List.map
+              (fun (p : Xtalk.pair) ->
+                (member ~drive:(model p.Xtalk.aggressor).Driver_model.pwl p.Xtalk.aggressor, p.Xtalk.cc))
+              survivors
+          in
+          let quiet =
+            Cluster.simulate ~dt:Xtalk.Config.default.Xtalk.Config.dt ~victim:(member id)
+              ~aggressors:rising ()
+          in
+          Alcotest.(check int64)
+            (Printf.sprintf "victim %s noise bits" name)
+            (Int64.bits_of_float (Waveform.v_max quiet))
+            (Int64.bits_of_float noise);
+          let span =
+            List.fold_left
+              (fun acc (p : Xtalk.pair) ->
+                Float.max acc (Driver_model.transition_end (model p.Xtalk.aggressor)))
+              ((solve id).Flow.stage_delay +. (solve id).Flow.far_slew)
+              survivors
+          in
+          let worst = ref Float.neg_infinity in
+          for k = 0 to n - 1 do
+            let off = -.span +. (2. *. span *. float_of_int k /. float_of_int (n - 1)) in
+            let aggressors =
+              List.map
+                (fun (p : Xtalk.pair) ->
+                  let m = model p.Xtalk.aggressor in
+                  ( member
+                      ~drive:
+                        (Pwl.shift_time off (Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl))
+                      p.Xtalk.aggressor,
+                    p.Xtalk.cc ))
+                survivors
+            in
+            let far =
+              Cluster.simulate ~dt:Xtalk.Config.default.Xtalk.Config.dt
+                ~victim:(member ~drive:(model id).Driver_model.pwl id)
+                ~aggressors ()
+            in
+            worst := Float.max !worst (Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5)
+          done;
+          Alcotest.(check int64)
+            (Printf.sprintf "victim %s coupled delay bits" name)
+            (Int64.bits_of_float !worst) (Int64.bits_of_float coupled))
+    r.Xtalk.victims;
+  Alcotest.(check bool) "some victim simulated" true (!checked > 0)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A victim whose driver swings only 40 % of the rail can never reach the
+   far-end 50 % point: the analysis must fail naming it and the alignment,
+   as an internal error (Failure), not as a caller's bad argument. *)
+let test_unreachable_victim_named () =
+  let flow = Lazy.force flow and r = Lazy.force analyzed in
+  let design = flow.Flow.design in
+  let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
+  let v =
+    (List.find (fun (v : Xtalk.victim_result) -> v.Xtalk.simulated) (Array.to_list r.Xtalk.victims))
+      .Xtalk.victim
+  in
+  let results =
+    Array.mapi
+      (fun i (nr : Flow.net_result) ->
+        if i <> v then nr
+        else
+          let m = nr.Flow.solve.Flow.model in
+          (* The model's own swing shrinks with its waveform, so the screen
+             can still measure it as an aggressor. *)
+          let weak =
+            {
+              m with
+              Driver_model.vdd = 0.4 *. vdd;
+              pwl = Pwl.ramp ~t0:0. ~v0:0. ~v1:(0.4 *. vdd) ~transition:1e-9;
+            }
+          in
+          { nr with Flow.solve = { nr.Flow.solve with Flow.model = weak } })
+      flow.Flow.results
+  in
+  match
+    Xtalk.analyze
+      ~config:{ Xtalk.Config.default with Xtalk.Config.alignments = 1 }
+      { flow with Flow.results }
+  with
+  | _ -> Alcotest.fail "a victim that never reaches 50 % was timed"
+  | exception Failure msg ->
+      let name = design.Design.nets.(v).Design.name in
+      Alcotest.(check bool) ("names the victim: " ^ msg) true (contains msg ("victim " ^ name ^ ":"));
+      Alcotest.(check bool) ("names the offset: " ^ msg) true (contains msg "offset")
+
+let test_alignments_bounded () =
+  let rejects alignments =
+    match analyze_with ~alignments () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "0 rejected" true (rejects 0);
+  Alcotest.(check bool) "max + 1 rejected" true (rejects (Xtalk.max_alignments + 1));
+  Alcotest.(check int) "bound is a nested grid size" 257 Xtalk.max_alignments
+
 (* -------------------------------------------------------------- misc *)
 
 let test_protocol_xtalk_request () =
@@ -275,11 +499,19 @@ let test_protocol_xtalk_request () =
       Alcotest.(check (option (float 0.))) "budget defaults open" None x.Rlc_service.Protocol.x_budget
   | Ok _ -> Alcotest.fail "parsed to the wrong kind"
   | Error e -> Alcotest.fail (Rlc_errors.Error.message e));
-  match
-    parse {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","alignments":0}|}
-  with
-  | Ok _ -> Alcotest.fail "alignments 0 accepted"
-  | Error _ -> ()
+  let alignments n =
+    parse (Printf.sprintf {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","alignments":%d}|} n)
+  in
+  (match alignments Xtalk.max_alignments with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Rlc_errors.Error.message e));
+  List.iter
+    (fun n ->
+      match alignments n with
+      | Ok _ -> Alcotest.failf "alignments %d accepted" n
+      | Error (Rlc_errors.Error.Bad_request _) -> ()
+      | Error e -> Alcotest.failf "alignments %d: %s" n (Rlc_errors.Error.code e))
+    [ 0; Xtalk.max_alignments + 1; max_int ]
 
 let () =
   Alcotest.run "xtalk"
@@ -309,6 +541,13 @@ let () =
             test_screen_classification_deterministic;
           Alcotest.test_case "full report across jobs" `Slow test_full_report_identical_across_jobs;
           Alcotest.test_case "off mode untouched" `Slow test_off_mode_report_untouched;
+        ] );
+      ( "early stop",
+        [
+          Alcotest.test_case "random coupled pairs" `Quick test_until_pair;
+          Alcotest.test_case "= full-window runs" `Slow test_matches_full_window;
+          Alcotest.test_case "unreachable victim named" `Slow test_unreachable_victim_named;
+          Alcotest.test_case "alignments bounded" `Quick test_alignments_bounded;
         ] );
       ( "protocol", [ Alcotest.test_case "xtalk request" `Quick test_protocol_xtalk_request ] );
     ]
