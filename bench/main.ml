@@ -1568,9 +1568,10 @@ let service_bench ?(smoke = false) ?json () =
      closed form per pair;
    - the full analysis prices the coupled-cluster transients the survivors
      pay for, end to end at jobs 1 vs --jobs N, and per run of each kind:
-     a victim's noise run covers the whole window, while its alignment runs
-     stop at the far end's first 50 % crossing, so the two are reported
-     apart (engine steps and step-loop ms per run).
+     a victim's noise run stops once an energy bound proves its far-end
+     peak final, while its alignment runs stop at the far end's first 50 %
+     crossing, so the two are reported apart (engine steps and step-loop ms
+     per run).
 
    `--json` writes the numbers as BENCH_xtalk.json, with a host block. *)
 

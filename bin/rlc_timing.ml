@@ -459,7 +459,8 @@ let flow_cmd =
       & info [ "xtalk-threshold" ] ~docv:"FRAC"
           ~doc:
             "Screen level as a fraction of VDD: pairs whose closed-form estimate stays below \
-             it are dismissed without simulation.")
+             it are dismissed without simulation (0 simulates every pair).  Must be finite \
+             and non-negative.")
   in
   let xtalk_budget_arg =
     Arg.(
@@ -468,7 +469,7 @@ let flow_cmd =
       & info [ "xtalk-budget" ] ~docv:"FRAC"
           ~doc:
             "Noise budget as a fraction of VDD: a simulated victim peak at or above it is a \
-             violation (nonzero exit).")
+             violation (nonzero exit).  Must be finite and non-negative.")
   in
   let xtalk_alignments_arg =
     Arg.(

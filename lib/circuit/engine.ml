@@ -454,10 +454,11 @@ type result = {
   refactors_ : int;  (* adaptive mode: system assemblies/factorizations *)
 }
 
-let dc_solve ?(t = 0.) c opts =
+let g_short = 1e3
+
+let dc_solve ?(t = 0.) ?(leak = 1e-12) c opts =
   let vnode = Array.make c.n_nodes 0. in
   update_forced c vnode t;
-  let g_short = 1e3 in
   let assemble_base () =
     let sys = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
     sys_clear sys;
@@ -471,7 +472,7 @@ let dc_solve ?(t = 0.) c opts =
     (* Capacitors are open at DC, but a node connected only through
        capacitors would make the matrix singular; a tiny leak conductance
        pins such nodes without perturbing the solution elsewhere. *)
-    Array.iter (fun (cc : companion) -> stamp c sys rhs vnode cc.n1 cc.n2 1e-12 0.) c.caps;
+    Array.iter (fun (cc : companion) -> stamp c sys rhs vnode cc.n1 cc.n2 leak 0.) c.caps;
     Array.iter (fun (s : isource) -> stamp c sys rhs vnode s.sn1 s.sn2 0. (s.samps t)) c.isources;
     (sys, rhs)
   in
@@ -804,7 +805,7 @@ let init_companions c vnode =
     (fun (cc : companion) ->
       let dv = vnode.(cc.n1) -. vnode.(cc.n2) in
       cc.hist.v_prev <- dv;
-      cc.hist.i_prev <- 1e3 *. dv)
+      cc.hist.i_prev <- g_short *. dv)
     c.inds;
   Array.iter
     (fun (k : coupled_state) ->
@@ -812,7 +813,7 @@ let init_companions c vnode =
         (fun p (a, b) ->
           let dv = vnode.(a) -. vnode.(b) in
           k.v_prev_k.(p) <- dv;
-          k.i_prev_k.(p) <- 1e3 *. dv)
+          k.i_prev_k.(p) <- g_short *. dv)
         k.k_branches)
     c.coupled
 
@@ -954,6 +955,150 @@ let watch_done watch (vnode : float array) =
         w.w_prev.(i) <- v
       done;
       w.w_pending = 0
+
+(* [until_peak]: stop once no later sample can raise the node's running
+   maximum.  Once every source is flat, the deviation of the state from the
+   final DC point x^ obeys the source-free companion recurrence, and its
+   stored energy
+
+     W = 1/2 sum C (v - v^)^2 + 1/2 sum L i^2      (no inductor current at x^)
+
+   cannot rise from one step to the next.  Trapezoidal: a capacitor's or
+   inductor's energy change over a step is h times its step-averaged
+   voltage times current; KCL holds at both ends of the step, so by
+   Tellegen's theorem those terms sum to -h sum G avg(v)^2 <= 0 over the
+   resistors (forced nodes contribute nothing: their deviation is zero).
+   Backward Euler dissipates an extra 1/2 C dv^2 + 1/2 L di^2 per step.
+   The node's capacitance to ground or to forced nodes, C_g, alone holds
+   1/2 C_g (v - v^)^2 of W, so every later sample sits at or below
+   v^ + sqrt (2 W / C_g).  When that bound clears the running maximum by a
+   margin -- [peak_margin] of the peak's excursion above v^ plus a rounding
+   floor -- the maximum so far is the maximum of the whole run.  The margin
+   dwarfs the rounding of the solves and of x^ itself; x^ is solved with
+   capacitors open and inductors as the DC model's 1 mOhm shorts, which is
+   exact when no inductor carries DC current (otherwise the run keeps its
+   full window). *)
+let peak_stride = 16
+let peak_margin = 1e-3
+
+type peak_state =
+  | Off  (* a precondition failed: the run keeps its full window *)
+  | Waiting  (* sources not yet flat, or x^ not yet solved *)
+  | Live of { vhat : float array; scale : float  (* max |v^|, for the rounding floor *) }
+  | Final
+
+type peak = {
+  pk_node : int;
+  pk_cg : float;  (* capacitance from the node to ground or forced nodes *)
+  pk_flat : float;  (* every source holds its final value from here on *)
+  pk_max : float array;  (* [| running maximum |], kept unboxed *)
+  mutable pk_state : peak_state;
+}
+
+let peak_create c ~flat_after until_peak (vnode : float array) =
+  match until_peak with
+  | None -> None
+  | Some n ->
+      if n < 0 || n >= c.n_nodes then
+        invalid_arg "Engine.transient: until_peak node out of range";
+      let anchored m = m = Netlist.ground || c.unknown_of_node.(m) < 0 in
+      let cg =
+        Array.fold_left
+          (fun acc (cc : companion) ->
+            if (cc.n1 = n && anchored cc.n2) || (cc.n2 = n && anchored cc.n1) then acc +. cc.value
+            else acc)
+          0. c.caps
+      in
+      let certifiable =
+        Array.length c.nonlinears = 0
+        && Array.length c.isources = 0
+        && flat_after < Float.infinity
+        && c.unknown_of_node.(n) >= 0
+        && cg > 0.
+      in
+      Some
+        {
+          pk_node = n;
+          pk_cg = cg;
+          pk_flat = flat_after;
+          pk_max = [| vnode.(n) |];
+          pk_state = (if certifiable then Waiting else Off);
+        }
+
+(* The final DC point with the sources at their values at [t], or [None]
+   when it cannot anchor the bound: a capacitor-only node (singular with
+   capacitors open), or an inductor carrying DC current, whose 1 mOhm
+   short would misplace v^ (the drop test allows only rounding). *)
+let final_point c opts t =
+  match dc_solve ~t ~leak:0. c opts with
+  | exception (Banded.Singular _ | Linalg.Singular _) -> None
+  | v ->
+      let scale = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. v in
+      let tol = 1e-12 *. scale in
+      let carries a b = not (Float.abs (v.(a) -. v.(b)) <= tol) in
+      if
+        Array.exists (fun (cc : companion) -> carries cc.n1 cc.n2) c.inds
+        || Array.exists (fun k -> Array.exists (fun (a, b) -> carries a b) k.k_branches) c.coupled
+      then None
+      else Some (v, scale)
+
+(* 2 W from the committed companion histories. *)
+let deviation_energy2 c (vhat : float array) =
+  let w = ref 0. in
+  for i = 0 to Array.length c.caps - 1 do
+    let cc = c.caps.(i) in
+    let dv = cc.hist.v_prev -. (vhat.(cc.n1) -. vhat.(cc.n2)) in
+    w := !w +. (cc.value *. dv *. dv)
+  done;
+  for i = 0 to Array.length c.inds - 1 do
+    let cc = c.inds.(i) in
+    let di = cc.hist.i_prev in
+    w := !w +. (cc.value *. di *. di)
+  done;
+  Array.iter
+    (fun k ->
+      let nb = Array.length k.k_branches in
+      for p = 0 to nb - 1 do
+        for q = 0 to nb - 1 do
+          w := !w +. (k.i_prev_k.(p) *. k.k_lmat.(p).(q) *. k.i_prev_k.(q))
+        done
+      done)
+    c.coupled;
+  !w
+
+(* Advance the peak watch past the sample just committed at [step]; [true]
+   once the running maximum is certified final (and from then on). *)
+let rec peak_final c opts pk (vnode : float array) step =
+  let v = vnode.(pk.pk_node) in
+  if v > pk.pk_max.(0) then pk.pk_max.(0) <- v;
+  match pk.pk_state with
+  | Off -> false
+  | Final -> true
+  | (Waiting | Live _) when step land (peak_stride - 1) <> 0 -> false
+  | Waiting ->
+      let t = opts.dt *. float_of_int step in
+      if t < pk.pk_flat then false
+      else begin
+        pk.pk_state <-
+          (match final_point c opts t with
+          | Some (vhat, scale) -> Live { vhat; scale }
+          | None -> Off);
+        peak_final c opts pk vnode step
+      end
+  | Live { vhat; scale } ->
+      let vmax = pk.pk_max.(0) in
+      let dev = vmax -. vhat.(pk.pk_node) in
+      let margin = (peak_margin *. dev) +. (1e-9 *. Float.max scale (Float.abs vmax)) in
+      let final = Float.sqrt (deviation_energy2 c vhat /. pk.pk_cg) +. margin <= dev in
+      if final then pk.pk_state <- Final;
+      final
+
+(* The fixed-step stop: once every requested condition holds -- each
+   [until] crossing seen, the [until_peak] maximum final. *)
+let stop_now c opts watch peak vnode step =
+  let crossed = Option.is_none watch || watch_done watch vnode in
+  let final = match peak with None -> true | Some pk -> peak_final c opts pk vnode step in
+  (Option.is_some watch || Option.is_some peak) && crossed && final
 
 (* ------------------------------------------------------------- adaptive *)
 
@@ -1194,7 +1339,8 @@ let transient_adaptive ~obs ~opts ~record_nodes ~until (a : adaptive) netlist =
 (* Fixed-step stepping shared by [transient] and [Compiled.run]; like
    [adaptive_core] it is parameterized over the DC solve and the solver
    state so the compiled-handle path can substitute cached ones. *)
-let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~state =
+let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemble_per_step ~c
+    ~dc ~state =
   let dt = opts.dt and t_stop = opts.t_stop in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
@@ -1203,11 +1349,14 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~stat
   init_companions c vnode;
   let col_of_node, rec_nodes = record_plan c record_nodes in
   let watch = watch_create c until vnode in
+  let peak = peak_create c ~flat_after until_peak vnode in
   (* A run that cannot stop early records into buffers of its exact length;
      one that may stop starts small and grows. *)
   let tr =
     trace_create rec_nodes ~limit:(n_steps + 1)
-      ~cap:(if Option.is_none watch then n_steps + 1 else Int.min (n_steps + 1) 256)
+      ~cap:
+        (if Option.is_none watch && Option.is_none peak then n_steps + 1
+         else Int.min (n_steps + 1) 256)
   in
   let i0 = trace_push tr vnode in
   tr.tr_times.(i0) <- 0.;
@@ -1243,7 +1392,7 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~stat
         commit_step c st opts vnode;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t;
-        stopped := watch_done watch vnode
+        stopped := stop_now c opts watch peak vnode step
       done;
       total_newton := !step;
       worst_newton := 1
@@ -1266,7 +1415,7 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~stat
         commit_step c st opts vnode;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t;
-        stopped := watch_done watch vnode
+        stopped := stop_now c opts watch peak vnode step
       done);
   let n_steps = !step in
   if Obs.enabled obs then begin
@@ -1299,8 +1448,8 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c ~dc ~stat
     refactors_ = 0;
   }
 
-let transient ?(obs = Obs.null) ?options ?record_nodes ?until ?(reassemble_per_step = false)
-    ?adaptive ~dt ~t_stop netlist =
+let transient ?(obs = Obs.null) ?options ?record_nodes ?until ?until_peak
+    ?(reassemble_per_step = false) ?adaptive ~dt ~t_stop netlist =
   let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
   match adaptive with
   | Some a ->
@@ -1311,7 +1460,8 @@ let transient ?(obs = Obs.null) ?options ?record_nodes ?until ?(reassemble_per_s
       if opts.dt <= 0. || opts.t_stop <= 0. then
         invalid_arg "Engine.transient: dt and t_stop must be positive";
       let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-      fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c
+      fixed_core ~obs ~opts ~record_nodes ~until ~until_peak
+        ~flat_after:(Netlist.flat_after netlist) ~reassemble_per_step ~c
         ~dc:(fun () -> dc_solve ~t:0. c opts)
         ~state:(fun () -> make_transient_state c opts)
 
@@ -1504,8 +1654,8 @@ module Compiled = struct
           v
     end
 
-  let run ?(obs = Obs.null) ?options ?record_nodes ?until ?(reassemble_per_step = false) ?adaptive
-      ~dt ~t_stop h =
+  let run ?(obs = Obs.null) ?options ?record_nodes ?until ?until_peak
+      ?(reassemble_per_step = false) ?adaptive ~dt ~t_stop h =
     let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
     match adaptive with
     | Some a ->
@@ -1520,7 +1670,8 @@ module Compiled = struct
     | None ->
         if opts.dt <= 0. || opts.t_stop <= 0. then
           invalid_arg "Engine.transient: dt and t_stop must be positive";
-        fixed_core ~obs ~opts ~record_nodes ~until ~reassemble_per_step ~c:h.h_c
+        fixed_core ~obs ~opts ~record_nodes ~until ~until_peak
+          ~flat_after:(Netlist.flat_after h.h_nl) ~reassemble_per_step ~c:h.h_c
           ~dc:(dc_for h opts)
           ~state:(fun () -> fst (state_for h opts))
 

@@ -66,6 +66,7 @@ val transient :
   ?options:options ->
   ?record_nodes:Netlist.node list ->
   ?until:crossing list ->
+  ?until_peak:Netlist.node ->
   ?reassemble_per_step:bool ->
   ?adaptive:adaptive ->
   dt:float ->
@@ -101,6 +102,31 @@ val transient :
     or empty, the run is exactly the full one, failure messages included.
     The step-loop span's [steps] arg and the ["engine.steps"] counter count
     the steps actually taken.  A node out of range raises
+    [Invalid_argument].
+
+    [until_peak] stops the run once the node's running maximum is provably
+    the maximum of the whole run, and returns that prefix: bit-identical
+    to the start of the full run, with a {!Waveform.v_max} whose bits equal
+    the full run's.  The proof is an energy bound.  Once every source holds
+    its final value (from {!Netlist.flat_after}), the circuit's stored
+    energy W = 1/2 sum C (v - v^)^2 + 1/2 sum L i^2 about its final DC point
+    v^ cannot rise, for trapezoidal and backward-Euler steps alike, so no
+    later sample exceeds v^ + sqrt (2 W / C_g), where C_g is the node's
+    capacitance to ground or to forced nodes.  About every 16 steps the
+    bound is formed from the companion histories, and the run stops when
+    it clears the running maximum by a margin of 1e-3 of the peak's
+    excursion above v^ plus a 1e-9 relative rounding floor.  The margin
+    dwarfs the rounding of the steps and of v^, solved with capacitors open
+    and inductors as the DC model's 1 mOhm shorts.  The run keeps its full
+    window (the contract still holds, trivially) whenever a precondition
+    fails: a nonlinear device or a current source is present, a forced
+    source is a {!Netlist.force_voltage} closure rather than a
+    {!Netlist.force_pwl}, an inductor carries DC current at v^ (its short
+    would misplace v^), a node is reachable only through capacitors (v^ is
+    then singular with capacitors open), the watched node is forced or has
+    no capacitance to ground or to a forced node, or the run is [adaptive]
+    (which ignores [until_peak]).  With [until] as well, the run
+    stops once both conditions hold.  A fixed-step node out of range raises
     [Invalid_argument].
 
     [reassemble_per_step] (default [false]) disables the factor-once fast
@@ -185,6 +211,7 @@ module Compiled : sig
     ?options:options ->
     ?record_nodes:Netlist.node list ->
     ?until:crossing list ->
+    ?until_peak:Netlist.node ->
     ?reassemble_per_step:bool ->
     ?adaptive:adaptive ->
     dt:float ->
@@ -196,9 +223,11 @@ module Compiled : sig
       [(integration, step size)] (fixed-step states and adaptive
       rung/offcut states share the cache), and the DC operating point is
       reused whenever the circuit is linear and every source's value at
-      [t = 0] is bit-identical to the cached solve's.  A run stopped early
-      by [until] leaves the handle fully reusable: every run restarts its
-      companion history from the DC point. *)
+      [t = 0] is bit-identical to the cached solve's.  [until_peak] reads
+      the sources' flat time from the netlist of the latest {!restamp}.  A
+      run stopped early by [until] or [until_peak] leaves the handle fully
+      reusable: every run restarts its companion history from the DC
+      point. *)
 
   val node_count : handle -> int
 

@@ -30,11 +30,20 @@ type t = {
   mutable elems : element list;  (* reversed *)
   mutable forced : (node * (float -> float)) list;
   mutable breakpoints : float list;  (* source kink times, unsorted *)
+  mutable flat_after : float;  (* every forced source is constant from here on *)
   mutable counter : int;
 }
 
 let create () =
-  { names = [ "gnd" ]; n_nodes = 1; elems = []; forced = []; breakpoints = []; counter = 0 }
+  {
+    names = [ "gnd" ];
+    n_nodes = 1;
+    elems = [];
+    forced = [];
+    breakpoints = [];
+    flat_after = Float.neg_infinity;
+    counter = 0;
+  }
 
 let node t name =
   let id = t.n_nodes in
@@ -51,9 +60,13 @@ let node_name t n =
 let check_node t n ctx =
   if n < 0 || n >= t.n_nodes then invalid_arg (Printf.sprintf "Netlist.%s: unknown node %d" ctx n)
 
-let fresh_name t prefix =
-  t.counter <- t.counter + 1;
-  Printf.sprintf "%s%d" prefix t.counter
+(* Auto-names are formatted only when the caller gave none: per-replay
+   builders create thousands of elements whose names nothing reads. *)
+let name_or t prefix = function
+  | Some name -> name
+  | None ->
+      t.counter <- t.counter + 1;
+      Printf.sprintf "%s%d" prefix t.counter
 
 let add t e = t.elems <- e :: t.elems
 
@@ -61,24 +74,24 @@ let resistor t ?name n1 n2 ohms =
   check_node t n1 "resistor";
   check_node t n2 "resistor";
   if ohms <= 0. then invalid_arg "Netlist.resistor: ohms must be positive";
-  add t (Resistor { name = Option.value name ~default:(fresh_name t "R"); n1; n2; ohms })
+  add t (Resistor { name = name_or t "R" name; n1; n2; ohms })
 
 let capacitor t ?name n1 n2 farads =
   check_node t n1 "capacitor";
   check_node t n2 "capacitor";
   if farads <= 0. then invalid_arg "Netlist.capacitor: farads must be positive";
-  add t (Capacitor { name = Option.value name ~default:(fresh_name t "C"); n1; n2; farads })
+  add t (Capacitor { name = name_or t "C" name; n1; n2; farads })
 
 let inductor t ?name n1 n2 henries =
   check_node t n1 "inductor";
   check_node t n2 "inductor";
   if henries <= 0. then invalid_arg "Netlist.inductor: henries must be positive";
-  add t (Inductor { name = Option.value name ~default:(fresh_name t "L"); n1; n2; henries })
+  add t (Inductor { name = name_or t "L" name; n1; n2; henries })
 
 let current_source t ?name n1 n2 amps =
   check_node t n1 "current_source";
   check_node t n2 "current_source";
-  add t (Current_source { name = Option.value name ~default:(fresh_name t "I"); n1; n2; amps })
+  add t (Current_source { name = name_or t "I" name; n1; n2; amps })
 
 let nonlinear t nl =
   Array.iter (fun n -> check_node t n "nonlinear") nl.nl_nodes;
@@ -110,7 +123,7 @@ let coupled_inductors t ?name branches ~lmat =
   add t
     (Coupled_inductors
        {
-         cp_name = Option.value name ~default:(fresh_name t "K");
+         cp_name = name_or t "K" name;
          cp_branches = Array.copy branches;
          cp_lmat = Array.map Array.copy lmat;
        })
@@ -121,7 +134,7 @@ let coupled_pair t ?name (a1, b1) l1 (a2, b2) l2 ~k =
   let m = k *. Float.sqrt (l1 *. l2) in
   coupled_inductors t ?name [| (a1, b1); (a2, b2) |] ~lmat:[| [| l1; m |]; [| m; l2 |] |]
 
-let force_voltage t ?(breakpoints = []) n f =
+let force t ~breakpoints ~flat n f =
   check_node t n "force_voltage";
   if n = ground then invalid_arg "Netlist.force_voltage: cannot force ground";
   if List.mem_assoc n t.forced then invalid_arg "Netlist.force_voltage: node already forced";
@@ -131,14 +144,20 @@ let force_voltage t ?(breakpoints = []) n f =
         invalid_arg "Netlist.force_voltage: breakpoints must be finite")
     breakpoints;
   t.forced <- (n, f) :: t.forced;
+  t.flat_after <- Float.max t.flat_after flat;
   if breakpoints <> [] then t.breakpoints <- List.rev_append breakpoints t.breakpoints
 
+(* A closure's future is opaque: it may move at any time. *)
+let force_voltage t ?(breakpoints = []) n f = force t ~breakpoints ~flat:Float.infinity n f
+
+(* A PWL holds its last value from its last point on. *)
 let force_pwl t n pwl =
-  force_voltage t ~breakpoints:(List.map fst (Pwl.points pwl)) n (Pwl.eval pwl)
+  force t ~breakpoints:(List.map fst (Pwl.points pwl)) ~flat:(Pwl.end_time pwl) n (Pwl.eval pwl)
 
 let elements t = List.rev t.elems
 let forced t = List.rev t.forced
 let breakpoints t = List.sort_uniq Float.compare t.breakpoints
+let flat_after t = t.flat_after
 
 let element_nodes = function
   | Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ }

@@ -82,7 +82,8 @@ val force_voltage : t -> ?breakpoints:float list -> node -> (float -> float) -> 
 
 val force_pwl : t -> node -> Rlc_waveform.Pwl.t -> unit
 (** [force_voltage] with the PWL's evaluator and every PWL point registered
-    as a breakpoint. *)
+    as a breakpoint.  Unlike a closure, the source is known to hold its
+    last value from its last point on (see {!flat_after}). *)
 
 val elements : t -> element list
 (** In insertion order. *)
@@ -91,6 +92,12 @@ val forced : t -> (node * (float -> float)) list
 
 val breakpoints : t -> float list
 (** All declared source breakpoints, sorted and deduplicated. *)
+
+val flat_after : t -> float
+(** The time from which every forced source holds its final value: the
+    latest last-point time over the {!force_pwl} sources, [infinity] once
+    any node is forced by a {!force_voltage} closure (whose future the
+    netlist cannot see), [neg_infinity] when nothing is forced. *)
 
 val validate : t -> unit
 (** Checks that every non-ground node is reachable from a forced node or

@@ -107,15 +107,31 @@ type canonical = {
   key : string;
 }
 
-(* Adaptive stepping changes the replayed waveform's grid (and hence the
+(* The key packs the bit patterns of the quantized fields, so two keys are
+   equal exactly when every field is bit-identical -- for non-NaN floats,
+   exactly when their [%.17g] renderings are (both keep -0 and 0 apart).
+   Adaptive stepping changes the replayed waveform's grid (and hence the
    measured numbers at the last ulp), so its parameters are part of the
-   cache key: a shared cache never serves a fixed-step solve to an
-   adaptive run or vice versa. *)
-let stepping_tag = function
-  | None -> "fixed"
-  | Some a ->
-      Printf.sprintf "adaptive:%.17g:%.17g:%.17g" a.Rlc_circuit.Engine.dt_min
-        a.Rlc_circuit.Engine.dt_max a.Rlc_circuit.Engine.ltol
+   key: a shared cache never serves a fixed-step solve to an adaptive run
+   or vice versa.  The leading stepping tag fixes how many floats follow,
+   so the tech name after them keeps the packing injective. *)
+let pack_key ~tech_name ~edge ?adaptive fields =
+  let nf = Array.length fields in
+  let na = if Option.is_some adaptive then 3 else 0 in
+  let o = 2 + (8 * (nf + na)) in
+  let b = Bytes.create (o + String.length tech_name) in
+  Bytes.set b 0 (if na > 0 then 'a' else 'x');
+  Bytes.set b 1 (match edge with Measure.Rising -> 'r' | Measure.Falling -> 'f');
+  let put i x = Bytes.set_int64_le b (2 + (8 * i)) (Int64.bits_of_float x) in
+  Array.iteri put fields;
+  Option.iter
+    (fun (a : Rlc_circuit.Engine.adaptive) ->
+      put nf a.Rlc_circuit.Engine.dt_min;
+      put (nf + 1) a.Rlc_circuit.Engine.dt_max;
+      put (nf + 2) a.Rlc_circuit.Engine.ltol)
+    adaptive;
+  Bytes.blit_string tech_name 0 b o (String.length tech_name);
+  Bytes.unsafe_to_string b
 
 let canonicalize ~digits ~grid ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
   let q = Cache.quantize ~digits in
@@ -131,13 +147,21 @@ let canonicalize ~digits ~grid ~tech ~dt ?adaptive (net : Design.net) ~edge ~inp
   in
   let q_cl = q net.Design.cl in
   let key =
-    Printf.sprintf
-      "%s|%.17g|%c|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%.17g|%s"
-      tech.Rlc_devices.Tech.name net.Design.size
-      (match edge with Measure.Rising -> 'r' | Measure.Falling -> 'f')
-      q_slew q_pade.Pade.a1 q_pade.Pade.a2 q_pade.Pade.a3 q_pade.Pade.b1 q_pade.Pade.b2
-      (Line.total_r q_line) (Line.total_l q_line) (Line.total_c q_line) q_cl dt
-      (stepping_tag adaptive)
+    pack_key ~tech_name:tech.Rlc_devices.Tech.name ~edge ?adaptive
+      [|
+        net.Design.size;
+        q_slew;
+        q_pade.Pade.a1;
+        q_pade.Pade.a2;
+        q_pade.Pade.a3;
+        q_pade.Pade.b1;
+        q_pade.Pade.b2;
+        Line.total_r q_line;
+        Line.total_l q_line;
+        Line.total_c q_line;
+        q_cl;
+        dt;
+      |]
   in
   { q_slew; q_pade; q_line; q_cl; key }
 
@@ -212,6 +236,7 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
   timed "characterize" (fun () ->
       List.iter (fun size -> ignore (cell_exn ~obs tech ~size)) design.Design.sizes);
   let results : net_result option array = Array.make n None in
+  let keys = Array.make n "" in
   (* incremented from worker domains *)
   let spent = Atomic.make 0 in
   let nets_done = Atomic.make 0 in
@@ -288,9 +313,13 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
                       (Rlc_num.Units.in_ps solve.far_slew)
                       solve.iterations
                       (if hit then ", cached" else ""));
-                { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
+                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key))
           in
-          Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved;
+          Array.iteri
+            (fun k (r, key) ->
+              results.(ids.(k)) <- Some r;
+              keys.(ids.(k)) <- key)
+            solved;
           Obs.finish obs
             ~args:[ ("level", string_of_int lvl); ("nets", string_of_int (Array.length ids)) ]
             "flow.level" level_t0;
@@ -348,7 +377,7 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
       m "flow: %d nets / %d levels, %d inductive, cache %d hits / %d misses, %d/%d iterations run"
         stats.n_nets stats.n_levels stats.n_inductive stats.cache_hits stats.cache_misses
         stats.iterations_spent stats.iterations_total);
-  { design; results; stats }
+  ({ design; results; stats }, keys)
 
 (* The request deadline (when any) is installed ambiently for the whole
    run: the serial phases check it at level boundaries, worker domains
@@ -365,7 +394,7 @@ let with_run (cfg : Config.t) f =
   | Some _ as trace -> Obs.with_trace trace body
 
 let run_cfg (cfg : Config.t) (design : Design.t) =
-  with_run cfg (fun () -> run_cfg_inner cfg design)
+  fst (with_run cfg (fun () -> run_cfg_inner cfg design))
 
 (* ---------------------------------------------------- incremental (ECO) *)
 
@@ -376,9 +405,8 @@ module Timed = struct
     spec : Spec.t;
     result : result;
     keys : string array;
-        (* canonical cache key per net id, exactly as each net solved:
-           recomputable because quantization is idempotent and
-           [net_result.input_slew] is stored already quantized *)
+        (* canonical cache key per net id, exactly as each net solved,
+           kept from the solve pass that computed it *)
   }
 
   type t = timed
@@ -387,22 +415,12 @@ module Timed = struct
   let design t = t.result.design
 end
 
-let keys_of (cfg : Config.t) (res : result) =
-  let tech = res.design.Design.tech in
-  Array.map
-    (fun r ->
-      (canonicalize ~digits:cfg.Config.quantize_digits ~grid:cfg.Config.slew_grid ~tech
-         ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive r.net ~edge:r.edge
-         ~input_slew:r.input_slew)
-        .key)
-    res.results
-
 let time ?tech (cfg : Config.t) ~spef ~spec () =
   match Design.ingest ?tech ~spef ~spec () with
   | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
   | Ok design ->
-      let result = run_cfg cfg design in
-      Ok { Timed.cfg; spef; spec; result; keys = keys_of cfg result }
+      let result, keys = with_run cfg (fun () -> run_cfg_inner cfg design) in
+      Ok { Timed.cfg; spef; spec; result; keys }
 
 type delta_stats = { retimed : int; reused : int }
 
@@ -434,6 +452,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
   (* A delta can introduce a driver size the cold run never saw. *)
   List.iter (fun size -> ignore (cell_exn ~obs tech ~size)) design.Design.sizes;
   let results : net_result option array = Array.make n None in
+  let new_keys = Array.make n "" in
   let spent = Atomic.make 0 in
   let retimed = Atomic.make 0 and reused = Atomic.make 0 in
   Array.iter
@@ -471,7 +490,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
             | Some solve ->
                 Atomic.incr reused;
                 Obs.incr obs "flow.reused";
-                { net; edge; input_slew = c.q_slew; solve; arrival = 0. }
+                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key)
             | None ->
                 Atomic.incr retimed;
                 Obs.incr obs "flow.retimed";
@@ -484,9 +503,13 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
                   if use_cache then Cache.find_or_add cache c.key compute
                   else (compute (), false)
                 in
-                { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
+                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key))
       in
-      Array.iteri (fun k r -> results.(ids.(k)) <- Some r) solved)
+      Array.iteri
+        (fun k (r, key) ->
+          results.(ids.(k)) <- Some r;
+          new_keys.(ids.(k)) <- key)
+        solved)
     design.Design.levels;
   let results =
     let out = Array.map Option.get results in
@@ -526,7 +549,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
       phases = [];
     }
   in
-  ({ design; results; stats }, Atomic.get retimed, Atomic.get reused)
+  ({ design; results; stats }, new_keys, Atomic.get retimed, Atomic.get reused)
 
 let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
   match Delta.apply ~spef:t.Timed.spef ~spec:t.Timed.spec delta with
@@ -583,10 +606,10 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
             List.iter mark partners;
             let cfg = { t.Timed.cfg with Config.deadline; trace } in
             let obs = cfg.Config.obs in
-            let result, n_retimed, n_reused =
+            let result, keys, n_retimed, n_reused =
               with_run cfg (fun () ->
                   let t0 = Obs.start obs in
-                  let ((_, n_retimed, n_reused) as v) =
+                  let ((_, _, n_retimed, n_reused) as v) =
                     retime_inner cfg design ~old_results:old.results ~keys:t.Timed.keys ~dirty
                   in
                   Obs.finish obs
@@ -609,7 +632,7 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
                   spef;
                   spec;
                   result;
-                  keys = keys_of t.Timed.cfg result;
+                  keys;
                 },
                 { retimed = n_retimed; reused = n_reused } )
           end)

@@ -122,9 +122,17 @@ let parse_flow_req fields =
   | Ok _ -> assert false
   | Error e -> Error e
 
+(* Exactly the levels Xtalk.analyze accepts: finite and >= 0 (a zero
+   threshold simulates every pair).  JSON has no NaN, but 1e400 parses as
+   infinity. *)
+let level name = function
+  | Some x when not (Float.is_finite x && x >= 0.) ->
+      bad "field %S must be a finite number >= 0" name
+  | v -> Ok v
+
 let parse_xtalk_knobs fields =
-  let* x_threshold = Result.bind (num_opt "threshold" fields) (positive "threshold") in
-  let* x_budget = Result.bind (num_opt "budget" fields) (positive "budget") in
+  let* x_threshold = Result.bind (num_opt "threshold" fields) (level "threshold") in
+  let* x_budget = Result.bind (num_opt "budget" fields) (level "budget") in
   let* x_alignments =
     match List.assoc_opt "alignments" fields with
     | None -> Ok None

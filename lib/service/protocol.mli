@@ -35,8 +35,8 @@
       ["required_ps"], ["use_cache"], ["dt_ps"].
     - ["xtalk"]: a ["flow"] request that also runs the coupled-net
       crosstalk analysis; same fields plus optional ["threshold"] and
-      ["budget"] (fractions of VDD) and ["alignments"] (grid size, an
-      integer in [1 .. Rlc_xtalk.Xtalk.max_alignments]).
+      ["budget"] (fractions of VDD, finite and [>= 0]) and ["alignments"]
+      (grid size, an integer in [1 .. Rlc_xtalk.Xtalk.max_alignments]).
     - ["sweep_case"] / ["screen"]: one geometric case; required
       ["length_mm"], ["width_um"], ["size"]; optional ["slew_ps"],
       ["cl_ff"], ["dt_ps"] (sweep only).

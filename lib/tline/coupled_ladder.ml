@@ -19,19 +19,18 @@ let build ?n_segments nl line ~k ~cc_total ~near_a ~near_b =
   let rec go prev_a prev_b i =
     if i > n then (prev_a, prev_b)
     else begin
-      (* Alternate the two wires' nodes to keep the bandwidth small. *)
-      let mid_a = Netlist.node nl (Printf.sprintf "ca_m%d" i) in
-      let mid_b = Netlist.node nl (Printf.sprintf "cb_m%d" i) in
-      let next_a = Netlist.node nl (Printf.sprintf "ca_n%d" i) in
-      let next_b = Netlist.node nl (Printf.sprintf "cb_n%d" i) in
-      Netlist.resistor nl ~name:(Printf.sprintf "Ra%d" i) prev_a mid_a dr;
-      Netlist.resistor nl ~name:(Printf.sprintf "Rb%d" i) prev_b mid_b dr;
-      Netlist.coupled_pair nl
-        ~name:(Printf.sprintf "K%d" i)
-        (mid_a, next_a) dl (mid_b, next_b) dl ~k;
-      Netlist.capacitor nl ~name:(Printf.sprintf "Cga%d" i) next_a Netlist.ground dc;
-      Netlist.capacitor nl ~name:(Printf.sprintf "Cgb%d" i) next_b Netlist.ground dc;
-      if dcc > 0. then Netlist.capacitor nl ~name:(Printf.sprintf "Cc%d" i) next_a next_b dcc;
+      (* Alternate the two wires' nodes to keep the bandwidth small.
+         Constant names, as in Ladder.build. *)
+      let mid_a = Netlist.node nl "ca_m" in
+      let mid_b = Netlist.node nl "cb_m" in
+      let next_a = Netlist.node nl "ca_n" in
+      let next_b = Netlist.node nl "cb_n" in
+      Netlist.resistor nl ~name:"Ra" prev_a mid_a dr;
+      Netlist.resistor nl ~name:"Rb" prev_b mid_b dr;
+      Netlist.coupled_pair nl ~name:"K" (mid_a, next_a) dl (mid_b, next_b) dl ~k;
+      Netlist.capacitor nl ~name:"Cga" next_a Netlist.ground dc;
+      Netlist.capacitor nl ~name:"Cgb" next_b Netlist.ground dc;
+      if dcc > 0. then Netlist.capacitor nl ~name:"Cc" next_a next_b dcc;
       go next_a next_b (i + 1)
     end
   in

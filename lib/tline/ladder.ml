@@ -22,12 +22,14 @@ let build ?n_segments nl line ~near =
     if i > n then (prev, List.rev acc)
     else begin
       (* Series R and L need an intermediate node; allocate both in line
-         order to keep the matrix bandwidth at 2. *)
-      let mid = Netlist.node nl (Printf.sprintf "lad_m%d" i) in
-      let next = Netlist.node nl (Printf.sprintf "lad_n%d" i) in
-      Netlist.resistor nl ~name:(Printf.sprintf "Rseg%d" i) prev mid dr;
-      Netlist.inductor nl ~name:(Printf.sprintf "Lseg%d" i) mid next dl;
-      Netlist.capacitor nl ~name:(Printf.sprintf "Cseg%d" i) next Netlist.ground dc;
+         order to keep the matrix bandwidth at 2.  Names are constant: a
+         ladder is rebuilt per replay, and formatting a name per node and
+         element would cost more than nothing that reads them is worth. *)
+      let mid = Netlist.node nl "lad_m" in
+      let next = Netlist.node nl "lad_n" in
+      Netlist.resistor nl ~name:"Rseg" prev mid dr;
+      Netlist.inductor nl ~name:"Lseg" mid next dl;
+      Netlist.capacitor nl ~name:"Cseg" next Netlist.ground dc;
       go next (i + 1) (next :: mid :: acc)
     end
   in

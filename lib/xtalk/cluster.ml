@@ -13,7 +13,8 @@ type member = {
 
 let default_segments = 40
 
-let simulate ?obs ?(n_segments = default_segments) ?(until = []) ~dt ~victim ~aggressors () =
+let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = false) ~dt ~victim
+    ~aggressors () =
   if n_segments < 1 then invalid_arg "Rlc_xtalk.Cluster.simulate: need at least one segment";
   if dt <= 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: dt must be positive";
   List.iter
@@ -49,16 +50,16 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ~dt ~victim ~ag
     in
     drive_end +. settle
   in
+  (* Node and element names are constant: a cluster is rebuilt for every
+     transient, and nothing reads the names of a well-formed one. *)
   let nl = Netlist.create () in
   let nears =
-    Array.mapi
-      (fun j m ->
-        let nd = Netlist.node nl (Printf.sprintf "x%d_near" j) in
+    Array.map
+      (fun m ->
+        let nd = Netlist.node nl "x_near" in
         (match m.drive with
         | Some p -> Netlist.force_pwl nl nd p
-        | None ->
-            Netlist.resistor nl ~name:(Printf.sprintf "Rs%d" j) nd Netlist.ground
-              (Float.max 1e-3 m.rs));
+        | None -> Netlist.resistor nl ~name:"Rs" nd Netlist.ground (Float.max 1e-3 m.rs));
         nd)
       members
   in
@@ -71,33 +72,26 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ~dt ~victim ~ag
   in
   let dccs = Array.of_list (List.map (fun (_, cc) -> cc /. fn) aggressors) in
   let prev = ref nears in
-  for s = 1 to n_segments do
+  for _ = 1 to n_segments do
     (* Interleave member nodes per segment so coupling caps connect nearby
        matrix rows (small bandwidth, like Coupled_ladder). *)
-    let mids =
-      Array.mapi (fun j _ -> Netlist.node nl (Printf.sprintf "x%d_m%d" j s)) members
-    in
-    let nexts =
-      Array.mapi (fun j _ -> Netlist.node nl (Printf.sprintf "x%d_n%d" j s)) members
-    in
+    let mids = Array.map (fun _ -> Netlist.node nl "x_m") members in
+    let nexts = Array.map (fun _ -> Netlist.node nl "x_n") members in
     Array.iteri
       (fun j _ ->
         let dr, dl, dc = segs.(j) in
-        Netlist.resistor nl ~name:(Printf.sprintf "R%d_%d" j s) !prev.(j) mids.(j) dr;
-        Netlist.inductor nl ~name:(Printf.sprintf "L%d_%d" j s) mids.(j) nexts.(j) dl;
-        Netlist.capacitor nl ~name:(Printf.sprintf "C%d_%d" j s) nexts.(j) Netlist.ground dc)
+        Netlist.resistor nl ~name:"R" !prev.(j) mids.(j) dr;
+        Netlist.inductor nl ~name:"L" mids.(j) nexts.(j) dl;
+        Netlist.capacitor nl ~name:"C" nexts.(j) Netlist.ground dc)
       members;
     Array.iteri
-      (fun k dcc ->
-        if dcc > 0. then
-          Netlist.capacitor nl ~name:(Printf.sprintf "Cc%d_%d" k s) nexts.(0) nexts.(k + 1) dcc)
+      (fun k dcc -> if dcc > 0. then Netlist.capacitor nl ~name:"Cc" nexts.(0) nexts.(k + 1) dcc)
       dccs;
     prev := nexts
   done;
   let fars = !prev in
   Array.iteri
-    (fun j m ->
-      if m.cl > 0. then Netlist.capacitor nl ~name:(Printf.sprintf "CL%d" j) fars.(j) Netlist.ground m.cl)
+    (fun j m -> if m.cl > 0. then Netlist.capacitor nl ~name:"CL" fars.(j) Netlist.ground m.cl)
     members;
   (* Aligned worst-case sweeps re-simulate the same coupled cluster with
      shifted aggressor sources: same topology, new source closures — the
@@ -105,6 +99,7 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ~dt ~victim ~ag
   let r =
     Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ]
       ~until:(List.map (fun (level, dir) -> (fars.(0), level, dir)) until)
+      ?until_peak:(if until_peak then Some fars.(0) else None)
       ~dt ~t_stop
       (Engine.Compiled.cached ?obs nl)
   in

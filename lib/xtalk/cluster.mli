@@ -34,6 +34,7 @@ val simulate :
   ?obs:Rlc_obs.Obs.t ->
   ?n_segments:int ->
   ?until:(float * Rlc_waveform.Waveform.direction) list ->
+  ?until_peak:bool ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -54,6 +55,14 @@ val simulate :
     listed crossing's first occurrence, and a crossing that never happens
     gives the full run.  Pass only the first crossings the caller reads
     ({!Rlc_waveform.Measure.t_frac} and friends); a caller that reads
-    anything else of the waveform — a noise peak ([Waveform.v_max]), a
-    later crossing, the settled value — must omit [until] (the default,
-    the full window). *)
+    anything else of the waveform — a later crossing, the settled value —
+    must omit [until] (the default, the full window).
+
+    [until_peak] (default [false]) stops the run once the victim far end's
+    running maximum is proved final, under the energy-bound contract of
+    {!Rlc_circuit.Engine.transient}'s [until_peak]: the returned waveform
+    is a bit-identical prefix of the full run and its [Waveform.v_max] has
+    the full run's bits.  A noise-peak reader passes it; a cluster whose
+    drives are all PWLs and whose members are linear meets the engine's
+    preconditions, so the run ends a few hundred steps after the last
+    drive goes flat and the ringing has decayed under the peak. *)

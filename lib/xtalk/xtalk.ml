@@ -93,8 +93,12 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
   if config.Config.alignments < 1 || config.Config.alignments > max_alignments then
     invalid_arg
       (Printf.sprintf "Rlc_xtalk.analyze: alignments must be in 1..%d" max_alignments);
-  if config.Config.threshold < 0. || config.Config.budget < 0. then
-    invalid_arg "Rlc_xtalk.analyze: negative threshold or budget";
+  (* A NaN or infinite level would silently switch the screen or the gate
+     off: NaN compares false with every peak, and no peak reaches
+     infinity. *)
+  let level x = Float.is_finite x && x >= 0. in
+  if not (level config.Config.threshold && level config.Config.budget) then
+    invalid_arg "Rlc_xtalk.analyze: threshold and budget must be finite and non-negative";
   let design = flow.Flow.design in
   let obs = config.Config.obs in
   let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
@@ -177,10 +181,12 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
               survivors
           in
           let far =
-            Cluster.simulate ~obs ~n_segments:config.Config.n_segments
+            Cluster.simulate ~obs ~n_segments:config.Config.n_segments ~until_peak:true
               ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
           in
           Obs.add obs "xtalk.noise_steps" (Waveform.length far - 1);
+          (* The run stopped once its peak was proved final, so this is
+             the full window's maximum, bit for bit. *)
           let noise = Waveform.v_max far in
           (* Delay: victim switches on its own model waveform, the
              aggressors oppose it (Miller worst case); sweep their

@@ -94,13 +94,17 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     Clusters are scheduled on the level-parallel domain pool ({!Config.t}
     [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
 
-    The noise run covers the full window, since its peak may come at any
-    time.  An alignment run reads only the victim far end's first 50 %
-    crossing, so it stops right after it ({!Cluster.simulate}'s [until]);
-    the reported delays are bit-identical to full-window runs.
+    The noise run stops once an energy bound proves the victim far end's
+    peak final ({!Cluster.simulate}'s [until_peak]), typically a few
+    hundred steps after the aggressors' drives end; the reported peak is
+    bit-identical to a full-window run's.  An alignment run reads only the
+    victim far end's first 50 % crossing, so it stops right after it
+    ({!Cluster.simulate}'s [until]); the reported delays are bit-identical
+    to full-window runs.
 
     Raises [Invalid_argument] when [alignments] is outside
-    [1 .. max_alignments] or [threshold]/[budget] is negative, and
+    [1 .. max_alignments] or [threshold]/[budget] is negative, NaN or
+    infinite (a NaN budget would otherwise pass every peak), and
     [Failure] naming the victim and the aggressor offset when a victim's
     far end never reaches 50 % of VDD in an alignment run.
 
@@ -111,10 +115,11 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 
     [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans, counters
     ["xtalk.pairs_screened"], ["xtalk.pairs_simulated"],
-    ["xtalk.alignment_sweeps"], the engine steps taken by the noise runs
-    (["xtalk.noise_steps"]) and by the alignment runs
-    (["xtalk.alignment_steps"]), and the per-victim governing noise (mV) as
-    the ["xtalk.noise_mv"] histogram. *)
+    ["xtalk.alignment_sweeps"], the engine steps actually taken by the
+    noise runs (["xtalk.noise_steps"]) and by the alignment runs
+    (["xtalk.alignment_steps"]) -- both stop early, so neither is the full
+    window -- and the per-victim governing noise (mV) as the
+    ["xtalk.noise_mv"] histogram. *)
 
 val json_fragment : Rlc_flow.Design.t -> result -> string
 (** Render the result as a JSON object (net names resolved through the

@@ -869,6 +869,240 @@ let prop_until_testbench =
         QCheck.Test.fail_report "first-crossing measures differ";
       Engine.steps pre.Tb.engine < Engine.steps full.Tb.engine)
 
+(* ---------------------------------------------------------- until_peak *)
+
+type peak_drive = Rise | Fall | Two_ramp
+
+type peak_case = {
+  members : int;  (** 1: a driven ladder; 2-3: a quiet victim and its aggressors *)
+  segs : int;
+  pr_tot : float;
+  pl_tot : float;  (** 1e-16 H is the flow's clamp for RC-like nets *)
+  pc_tot : float;
+  cc_frac : float;  (** victim-aggressor coupling, fraction of the wire cap *)
+  k_mutual : float;  (** 0: separate inductors; else one coupled group per segment *)
+  rs : float;  (** the quiet victim's hold resistance *)
+  drive : peak_drive;
+  t0 : float;
+  tr : float;
+  probe : int;  (** picks the watched node among the first member's capacitor nodes *)
+  trap : bool;
+  compiled : bool;
+}
+
+let arb_peak_case =
+  let open QCheck.Gen in
+  let gen =
+    let* members = frequencyl [ (2, 1); (2, 2); (1, 3) ] in
+    let* segs = int_range 2 16 in
+    let* rc_like = frequencyl [ (1, true); (3, false) ] in
+    (* Nearly lossless lines ring longest and beat between modes: the
+       cases where energy parked in inductors returns as a later peak. *)
+    let* pr_tot = oneof [ float_range 0.5 8.; float_range 8. 40.; float_range 40. 300. ] in
+    let* pl_tot = if rc_like then return 1e-16 else float_range 0.5e-9 6e-9 in
+    let* pc_tot = float_range 100e-15 1.2e-12 in
+    let* cc_frac = float_range 0.05 1. in
+    (* Mutual coupling needs a real inductance matrix to invert. *)
+    let* k_mutual =
+      if rc_like then return 0. else frequencyl [ (2, 0.); (1, 0.3); (1, 0.45) ]
+    in
+    let* rs = float_range 20. 400. in
+    let* drive = oneofl [ Rise; Fall; Two_ramp ] in
+    let* t0 = float_range 0. 40e-12 in
+    let* tr = oneof [ float_range 2e-12 20e-12; float_range 20e-12 150e-12 ] in
+    let* probe = int_range 0 1000 in
+    let* trap = bool and* compiled = bool in
+    return
+      {
+        members;
+        segs;
+        pr_tot;
+        pl_tot;
+        pc_tot;
+        cc_frac;
+        k_mutual;
+        rs;
+        drive;
+        t0;
+        tr;
+        probe;
+        trap;
+        compiled;
+      }
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf
+        "%d member(s) x %d segs, R %g L %g C %g, cc %.2f, k %.2f, rs %g, %s t0 %g tr %g, \
+         probe %d, %s, %s"
+        u.members u.segs u.pr_tot u.pl_tot u.pc_tot u.cc_frac u.k_mutual u.rs
+        (match u.drive with Rise -> "rise" | Fall -> "fall" | Two_ramp -> "two-ramp")
+        u.t0 u.tr u.probe
+        (if u.trap then "trap" else "be")
+        (if u.compiled then "compiled" else "fresh"))
+
+(* A driven ladder, or a coupled cluster whose first member is held quiet
+   through [rs] while the others are driven; returns the netlist, the
+   watched node, every capacitor node of the first member, and the run's
+   stop time (drive end plus ten flight times, at least 1 ns). *)
+let build_peak_case u =
+  let vdd = 1.8 in
+  let pwl =
+    match u.drive with
+    | Rise -> Pwl.ramp ~t0:u.t0 ~v0:0. ~v1:vdd ~transition:u.tr
+    | Fall -> Pwl.ramp ~t0:u.t0 ~v0:vdd ~v1:0. ~transition:u.tr
+    | Two_ramp -> Pwl.two_ramp ~t0:u.t0 ~vdd ~f:0.6 ~tr1:u.tr ~tr2:(4. *. u.tr)
+  in
+  let nl = Netlist.create () in
+  let m = u.members in
+  let nears =
+    Array.init m (fun j ->
+        let nd = Netlist.node nl "near" in
+        if j = 0 && m > 1 then Netlist.resistor nl nd Netlist.ground u.rs
+        else Netlist.force_pwl nl nd pwl;
+        nd)
+  in
+  let fn = float_of_int u.segs in
+  let dr = u.pr_tot /. fn and dl = u.pl_tot /. fn and dc = u.pc_tot /. fn in
+  let prev = ref nears and victim = ref [] in
+  for _ = 1 to u.segs do
+    let mids = Array.map (fun _ -> Netlist.node nl "mid") nears in
+    let nexts = Array.map (fun _ -> Netlist.node nl "next") nears in
+    Array.iteri (fun j mid -> Netlist.resistor nl !prev.(j) mid dr) mids;
+    if u.k_mutual > 0. && m > 1 then
+      Netlist.coupled_inductors nl
+        (Array.mapi (fun j mid -> (mid, nexts.(j))) mids)
+        ~lmat:
+          (Array.init m (fun p -> Array.init m (fun q -> if p = q then dl else u.k_mutual *. dl)))
+    else Array.iteri (fun j mid -> Netlist.inductor nl mid nexts.(j) dl) mids;
+    Array.iter (fun nd -> Netlist.capacitor nl nd Netlist.ground dc) nexts;
+    for j = 1 to m - 1 do
+      Netlist.capacitor nl nexts.(0) nexts.(j) (u.cc_frac *. dc)
+    done;
+    victim := nexts.(0) :: !victim;
+    prev := nexts
+  done;
+  let victim = Array.of_list (List.rev !victim) in
+  let tof = Float.sqrt (u.pl_tot *. u.pc_tot) in
+  (nl, victim.(u.probe mod Array.length victim), Array.to_list victim,
+   Pwl.end_time pwl +. Float.max 1e-9 (10. *. tof))
+
+(* Tallies over the last check of [prop_until_peak]: cases run, cases that
+   stopped early, and stopped cases whose maximum came after the sources
+   went flat (a stop at the first flat sample would miss it). *)
+let peak_cases = ref 0
+let peak_stopped = ref 0
+let peak_late = ref 0
+
+(* Random linear circuits -- RC-like and underdamped RLC ladders, coupled
+   clusters with a quiet victim, separate or mutually coupled inductors --
+   under rising, falling and two-ramp PWL drives, trapezoidal and backward
+   Euler, fresh and compiled: a run stopped by [until_peak] is a bit-exact
+   prefix of the full run whose maximum has the full run's bits. *)
+let prop_until_peak =
+  QCheck.Test.make ~name:"until_peak: prefix keeps the full run's maximum" ~count:300
+    arb_peak_case (fun u ->
+      let nl, probe, record_nodes, t_stop = build_peak_case u in
+      let dt = 0.5e-12 in
+      let options =
+        {
+          (Engine.default_options ~dt ~t_stop) with
+          Engine.integration = (if u.trap then Engine.Trapezoidal else Engine.Backward_euler);
+        }
+      in
+      let handle = lazy (Engine.Compiled.compile nl) in
+      let run ?until_peak () =
+        if u.compiled then
+          Engine.Compiled.run ~options ?until_peak ~record_nodes ~dt ~t_stop (Lazy.force handle)
+        else Engine.transient ~options ?until_peak ~record_nodes ~dt ~t_stop nl
+      in
+      (* The stopped run goes first so a compiled handle is reused after it. *)
+      let pre = run ~until_peak:probe () in
+      let full = run () in
+      check_prefix ~full ~pre record_nodes;
+      let peak r = Waveform.v_max (Engine.voltage r probe) in
+      if Int64.bits_of_float (peak pre) <> Int64.bits_of_float (peak full) then
+        QCheck.Test.fail_reportf "maximum %.17g after the stop, %.17g over the full run"
+          (peak pre) (peak full);
+      incr peak_cases;
+      if Engine.steps pre < Engine.steps full then begin
+        incr peak_stopped;
+        let w = Engine.voltage full probe in
+        let vs = Waveform.values w in
+        let imax = ref 0 in
+        Array.iteri (fun i v -> if v > vs.(!imax) then imax := i) vs;
+        if (Waveform.times w).(!imax) > Netlist.flat_after nl then incr peak_late
+      end;
+      true)
+
+let test_until_peak () =
+  peak_cases := 0;
+  peak_stopped := 0;
+  peak_late := 0;
+  QCheck.Test.check_exn prop_until_peak;
+  if 2 * !peak_stopped <= !peak_cases then
+    Alcotest.failf "only %d of %d cases stopped early" !peak_stopped !peak_cases;
+  if !peak_late = 0 then Alcotest.fail "no stopped case peaked after its sources went flat"
+
+(* Each precondition of the stop keeps the full window.  The base circuit
+   is an underdamped RLC ladder under a rising PWL, whose far-end overshoot
+   is certified final early; every variant breaks one precondition. *)
+let test_until_peak_preconditions () =
+  let dt = 0.5e-12 and t_stop = 1.5e-9 in
+  let build ?(closure = false) ?(isource = false) ?(nonlinear = false) ?r_term () =
+    let nl = Netlist.create () in
+    let src = Netlist.node nl "src" in
+    let pwl = Pwl.ramp ~t0:10e-12 ~v0:0. ~v1:1.8 ~transition:30e-12 in
+    if closure then Netlist.force_voltage nl src (Pwl.eval pwl) else Netlist.force_pwl nl src pwl;
+    let b =
+      Rlc_tline.Ladder.build ~n_segments:6 nl
+        (Rlc_tline.Line.of_totals ~r:20. ~l:3e-9 ~c:0.6e-12 ~length:3e-3)
+        ~near:src
+    in
+    Netlist.capacitor nl b.Rlc_tline.Ladder.far Netlist.ground 20e-15;
+    if isource then Netlist.current_source nl b.Rlc_tline.Ladder.far Netlist.ground (fun _ -> 0.);
+    if nonlinear then Netlist.nonlinear nl (nonlinear_resistor b.Rlc_tline.Ladder.far 1e-9);
+    Option.iter (fun r -> Netlist.resistor nl b.Rlc_tline.Ladder.far Netlist.ground r) r_term;
+    (nl, b)
+  in
+  let steps ?adaptive ~until_peak nl =
+    let run up = Engine.steps (Engine.transient ?adaptive ?until_peak:up ~dt ~t_stop nl) in
+    (run (Some until_peak), run None)
+  in
+  let far_of (_, b) = b.Rlc_tline.Ladder.far in
+  let stops msg ((nl, _) as c) =
+    let pre, full = steps ~until_peak:(far_of c) nl in
+    if pre >= full then Alcotest.failf "%s: %d steps, full window %d" msg pre full
+  in
+  let full_window ?adaptive ?node msg ((nl, _) as c) =
+    let node = Option.value node ~default:(far_of c) in
+    let pre, full = steps ?adaptive ~until_peak:node nl in
+    Alcotest.(check int) msg full pre
+  in
+  stops "PWL-driven linear ladder" (build ());
+  full_window "force_voltage closure" (build ~closure:true ());
+  full_window "current source" (build ~isource:true ());
+  full_window "nonlinear device" (build ~nonlinear:true ());
+  full_window "DC inductor current into a resistive termination" (build ~r_term:200. ());
+  (let ((_, b) as c) = build () in
+   (* The first R-L junction: no capacitor touches it. *)
+   let mid = List.hd b.Rlc_tline.Ladder.internal in
+   full_window ~node:mid "node without grounded capacitance" c);
+  full_window ~adaptive:(Engine.default_adaptive ~dt_min:dt ()) "adaptive stepping" (build ());
+  (* A restamp carries the new netlist's flat time into a compiled handle. *)
+  (let ((nl, _) as c) = build () in
+   let h = Engine.Compiled.compile nl in
+   let run nl =
+     Engine.Compiled.restamp h nl;
+     Engine.steps (Engine.Compiled.run ~until_peak:(far_of c) ~dt ~t_stop h)
+   in
+   let full = Engine.steps (Engine.Compiled.run ~dt ~t_stop h) in
+   if run nl >= full then Alcotest.fail "compiled PWL ladder did not stop";
+   Alcotest.(check int) "restamped to a closure source" full (run (fst (build ~closure:true ())));
+   if run nl >= full then Alcotest.fail "restamped back to the PWL: did not stop");
+  match Engine.transient ~until_peak:1000 ~dt ~t_stop (fst (build ())) with
+  | _ -> Alcotest.fail "an out-of-range until_peak node must raise"
+  | exception Invalid_argument _ -> ()
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_circuit"
@@ -927,6 +1161,12 @@ let () =
             test_linear_step_allocation;
           q prop_until_linear;
           q prop_until_testbench;
+        ] );
+      ( "until_peak",
+        [
+          Alcotest.test_case "random linear circuits keep their maximum" `Quick test_until_peak;
+          Alcotest.test_case "each precondition keeps the full window" `Quick
+            test_until_peak_preconditions;
         ] );
       ( "netlist",
         [

@@ -361,9 +361,14 @@ let test_until_pair () =
   Alcotest.(check bool) "some generated far end crossed 50 % twice" true (!recrossed > 0)
 
 (* Test-local oracle: the noise run and the alignment sweep exactly as
-   analyze runs them, but every transient over the full window. *)
+   analyze runs them, but every transient over the full window.  Each
+   noise run of the analysis stops once its peak is proved final: the peak
+   must keep the full window's bits while the steps it counts fall. *)
 let test_matches_full_window () =
-  let flow = Lazy.force flow and r = Lazy.force analyzed in
+  let flow = Lazy.force flow in
+  let obs = Rlc_obs.Obs.create () in
+  let r = Xtalk.analyze ~config:{ Xtalk.Config.default with Xtalk.Config.obs } flow in
+  let noise_steps = ref 0 and full_steps = ref 0 in
   let design = flow.Flow.design in
   let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
   let solve id = flow.Flow.results.(id).Flow.solve in
@@ -398,6 +403,15 @@ let test_matches_full_window () =
             (Printf.sprintf "victim %s noise bits" name)
             (Int64.bits_of_float (Waveform.v_max quiet))
             (Int64.bits_of_float noise);
+          let stopped =
+            Cluster.simulate ~until_peak:true ~dt:Xtalk.Config.default.Xtalk.Config.dt
+              ~victim:(member id) ~aggressors:rising ()
+          in
+          if Waveform.length stopped >= Waveform.length quiet then
+            Alcotest.failf "victim %s: the noise run took %d samples, the full window %d" name
+              (Waveform.length stopped) (Waveform.length quiet);
+          noise_steps := !noise_steps + Waveform.length stopped - 1;
+          full_steps := !full_steps + Waveform.length quiet - 1;
           let span =
             List.fold_left
               (fun acc (p : Xtalk.pair) ->
@@ -430,7 +444,17 @@ let test_matches_full_window () =
             (Printf.sprintf "victim %s coupled delay bits" name)
             (Int64.bits_of_float !worst) (Int64.bits_of_float coupled))
     r.Xtalk.victims;
-  Alcotest.(check bool) "some victim simulated" true (!checked > 0)
+  Alcotest.(check bool) "some victim simulated" true (!checked > 0);
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Rlc_obs.Obs.snapshot obs).Rlc_obs.Obs.m_counters)
+  in
+  Alcotest.(check int) "xtalk.noise_steps counts the steps taken" !noise_steps
+    (counter "xtalk.noise_steps");
+  Alcotest.(check bool)
+    (Printf.sprintf "noise runs took %d steps, the full windows %d" !noise_steps !full_steps)
+    true
+    (!noise_steps < !full_steps)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -513,6 +537,95 @@ let test_protocol_xtalk_request () =
       | Error e -> Alcotest.failf "alignments %d: %s" n (Rlc_errors.Error.code e))
     [ 0; Xtalk.max_alignments + 1; max_int ]
 
+(* A two-net pair coupled far past the budget (the CI gating design): 757 mV
+   victims against the default 450 mV budget. *)
+let hot_spef =
+  let nodes = [ "1"; "2"; "3"; "rcv" ] in
+  let net name ~coupled =
+    String.concat "\n"
+      ([ Printf.sprintf "*D_NET %s 600" name; "*CONN";
+         Printf.sprintf "*P %s_drv O" name; Printf.sprintf "*P %s_rcv I" name; "*CAP" ]
+      @ List.mapi (fun i n -> Printf.sprintf "%d %s_%s 150" (i + 1) name n) nodes
+      @ (if coupled then
+           List.mapi (fun i n -> Printf.sprintf "%d a_%s v_%s 100" (i + 5) n n) nodes
+         else [])
+      @ [ "*RES" ]
+      @ List.mapi
+          (fun i (x, y) -> Printf.sprintf "%d %s_%s %s_%s 18" (i + 1) name x name y)
+          [ ("drv", "1"); ("1", "2"); ("2", "3"); ("3", "rcv") ]
+      @ [ "*INDUC" ]
+      @ List.mapi
+          (fun i (x, y) -> Printf.sprintf "%d %s_%s %s_%s 1100" (i + 1) name x name y)
+          [ ("drv", "1"); ("1", "2"); ("2", "3"); ("3", "rcv") ]
+      @ [ "*END" ])
+  in
+  String.concat "\n"
+    [ {|*SPEF "IEEE 1481-1998"|}; {|*DESIGN "hot_pair"|}; "*T_UNIT 1 PS"; "*C_UNIT 1 FF";
+      "*R_UNIT 1 OHM"; "*L_UNIT 1 PH"; net "a" ~coupled:true; net "v" ~coupled:false; "" ]
+
+let hot_spec = "driver a 75\ndriver v 75\ninput a 100\ninput v 100\n"
+
+(* A NaN or infinite level compares false against every peak, which would
+   silently pass a violating design: the analysis rejects it as a bad
+   argument (CLI exit 2, wire bad_request), and the wire accepts exactly
+   the finite, non-negative levels the analysis accepts -- 0 included. *)
+let test_nonfinite_levels_rejected () =
+  Session.with_session (fun session ->
+      let design =
+        match Session.ingest session ~spef:hot_spef ~spec:hot_spec () with
+        | Ok d -> d
+        | Error e -> failwith (Rlc_errors.Error.message e)
+      in
+      let flow xtalk =
+        Session.flow session
+          {
+            Session.Request.default with
+            Session.Request.xtalk =
+              Some { Session.default_xtalk with Session.alignments = 1; budget = xtalk };
+          }
+          design
+      in
+      (match flow Session.default_xtalk.Session.budget with
+      | Ok { Session.xtalk = Some x; _ } ->
+          Alcotest.(check int)
+            "default budget: both victims violate" 2 x.Xtalk.stats.Xtalk.n_violations
+      | Ok _ -> Alcotest.fail "no xtalk result"
+      | Error e -> Alcotest.fail (Rlc_errors.Error.message e));
+      List.iter
+        (fun budget ->
+          match flow budget with
+          | Error (Rlc_errors.Error.Bad_request _) -> ()
+          | Error e -> Alcotest.failf "budget %g: %s" budget (Rlc_errors.Error.code e)
+          | Ok _ -> Alcotest.failf "budget %g accepted" budget)
+        [ Float.nan; Float.infinity; -0.1 ]);
+  let rejects f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "NaN threshold" true
+    (rejects (fun () -> analyze_with ~threshold:Float.nan ()));
+  Alcotest.(check bool) "infinite threshold" true
+    (rejects (fun () -> analyze_with ~threshold:Float.infinity ()));
+  Alcotest.(check bool) "NaN budget" true (rejects (fun () -> analyze_with ~budget:Float.nan ()));
+  let wire knob value =
+    Rlc_service.Protocol.parse_request
+      (Printf.sprintf {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","%s":%s}|} knob value)
+  in
+  List.iter
+    (fun (knob, value, accepted) ->
+      match (wire knob value, accepted) with
+      | Ok _, true | Error (Rlc_errors.Error.Bad_request _), false -> ()
+      | Ok _, false -> Alcotest.failf "%s %s accepted" knob value
+      | Error e, _ -> Alcotest.failf "%s %s: %s" knob value (Rlc_errors.Error.code e))
+    [
+      ("threshold", "0", true);
+      ("budget", "0", true);
+      ("budget", "0.25", true);
+      ("budget", "1e400", false);
+      ("threshold", "-1e400", false);
+      ("threshold", "-0.01", false);
+    ];
+  (* The wire's 0 threshold runs: every pair is simulated. *)
+  let r = analyze_with ~threshold:0. () in
+  Alcotest.(check int) "threshold 0 screens nothing" 0 r.Xtalk.stats.Xtalk.n_screened
+
 let () =
   Alcotest.run "xtalk"
     [
@@ -549,5 +662,9 @@ let () =
           Alcotest.test_case "unreachable victim named" `Slow test_unreachable_victim_named;
           Alcotest.test_case "alignments bounded" `Quick test_alignments_bounded;
         ] );
-      ( "protocol", [ Alcotest.test_case "xtalk request" `Quick test_protocol_xtalk_request ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "xtalk request" `Quick test_protocol_xtalk_request;
+          Alcotest.test_case "non-finite levels rejected" `Slow test_nonfinite_levels_rejected;
+        ] );
     ]
