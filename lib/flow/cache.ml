@@ -59,6 +59,17 @@ let find_or_add t key compute =
       in
       (v, false)
 
+let find t key =
+  let s = shard_of t key in
+  locked s (fun () ->
+      match Hashtbl.find_opt s.table key with
+      | Some _ as v ->
+          s.hits <- s.hits + 1;
+          v
+      | None ->
+          s.misses <- s.misses + 1;
+          None)
+
 let sum_over t f = Array.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 t.shards
 let hits t = sum_over t (fun s -> s.hits)
 let misses t = sum_over t (fun s -> s.misses)
@@ -87,3 +98,5 @@ let quantize ?(digits = 9) x =
   else float_of_string (Printf.sprintf "%.*e" (digits - 1) x)
 
 let quantize_slew ?(grid = 0.1e-12) s = Float.round (s /. grid) *. grid
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)

@@ -33,6 +33,12 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * bool
 (** [find_or_add t key compute] returns [(value, hit)].  [compute] runs
     outside the lock on a miss. *)
 
+val find : 'a t -> string -> 'a option
+(** Lookup only: counts a hit or a miss exactly as {!find_or_add} does,
+    but a miss leaves the table unchanged.  For callers that keep what
+    they compute themselves (an incremental retime holds its solves in
+    its resident result), so serving edits does not grow the cache. *)
+
 val hits : 'a t -> int
 val misses : 'a t -> int
 val length : 'a t -> int
@@ -60,3 +66,8 @@ val quantize_slew : ?grid:float -> float -> float
 (** Snap a slew to a time grid (default 0.1 ps): slews arriving from
     upstream stages differ in the last ulps even for symmetric bus bits, so
     a coarser deterministic grid is what makes their cache keys collide. *)
+
+val same_bits : float -> float -> bool
+(** Bit-pattern equality: tells [-0.] from [0.] and matches a NaN only
+    with the same NaN.  Reuse checks compare floats with it, so a reused
+    value's inputs are the previous ones exactly, not merely [=]. *)

@@ -12,6 +12,7 @@ type net = {
   name : string;
   size : float;
   root_pin : string;
+  loads : (string * float) list;
   tree : Tree.t;
   pade : Rlc_moments.Pade.t;
   eq_line : Line.t;
@@ -54,32 +55,57 @@ let branch_totals (dnet : Spef.dnet) =
 
 exception Bad of string
 
-let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
+(* A previous record, built from the very same parsed block, stands for
+   the net exactly when everything else it was built from is provably the
+   same: a bit-equal driver size and primary slew, the same connectivity,
+   and the same receiver loads folded into the tree.  Tree, Pade fit,
+   equivalent line and [cl] are functions of the block and the loads
+   alone. *)
+let reusable (p : net) ~name ~size ~prim_slew ~fanin ~fanout ~level ~loads =
+  String.equal p.name name
+  && Cache.same_bits p.size size
+  && Option.equal Cache.same_bits p.prim_slew prim_slew
+  && Option.equal Int.equal p.fanin fanin
+  && List.equal Int.equal p.fanout fanout
+  && p.level = level
+  && List.equal (fun (a, x) (b, y) -> String.equal a b && Cache.same_bits x y) p.loads loads
+
+(* SPEF blocks by name, first block of a name winning (as a scan would
+   find it). *)
+let blocks_by_name (spef : Spef.t) =
+  let t = Hashtbl.create (2 * List.length spef.Spef.nets) in
+  List.iter
+    (fun (d : Spef.dnet) ->
+      if not (Hashtbl.mem t d.Spef.net_name) then Hashtbl.add t d.Spef.net_name d)
+    spef.Spef.nets;
+  t
+
+let ingest ?(tech = Rlc_devices.Tech.c018) ?prev ~spef ~spec () =
   try
     (* Net universe: the spec's driver lines, sorted by name for stable ids. *)
-    let names = List.sort compare (List.map fst spec.Spec.drivers) in
+    let names = Array.of_list (List.sort compare (List.map fst spec.Spec.drivers)) in
     let id_of = Hashtbl.create 16 in
-    List.iteri (fun i n -> Hashtbl.replace id_of n i) names;
-    let n = List.length names in
+    Array.iteri (fun i n -> Hashtbl.replace id_of n i) names;
+    let n = Array.length names in
     let lookup what name =
       match Hashtbl.find_opt id_of name with
       | Some i -> i
       | None -> raise (Bad (Printf.sprintf "%s references net %s with no driver line" what name))
     in
-    let dnets =
-      Array.of_list
-        (List.map
-           (fun name ->
-             match Spef.find_net spef name with
-             | Some d -> d
-             | None -> raise (Bad (Printf.sprintf "net %s is not in the SPEF file" name)))
-           names)
-    in
+    let block_of = blocks_by_name spef in
     List.iter
       (fun (d : Spef.dnet) ->
         if not (Hashtbl.mem id_of d.Spef.net_name) then
           Log.info (fun m -> m "SPEF net %s has no driver line; ignored" d.Spef.net_name))
       spef.Spef.nets;
+    let dnets =
+      Array.map
+        (fun name ->
+          match Hashtbl.find_opt block_of name with
+          | Some d -> d
+          | None -> raise (Bad (Printf.sprintf "net %s is not in the SPEF file" name)))
+        names
+    in
     let size = Array.make n 0. in
     List.iter (fun (name, s) -> size.(lookup "driver" name) <- s) spec.Spec.drivers;
     (* Connectivity. *)
@@ -108,13 +134,10 @@ let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
         | None, None ->
             raise
               (Bad
-                 (Printf.sprintf "net %s has no slew source (neither input nor edge)"
-                    (List.nth names i)))
+                 (Printf.sprintf "net %s has no slew source (neither input nor edge)" names.(i)))
         | Some _, Some _ ->
             raise
-              (Bad
-                 (Printf.sprintf "net %s is both a primary input and edge-driven"
-                    (List.nth names i)))
+              (Bad (Printf.sprintf "net %s is both a primary input and edge-driven" names.(i)))
         | _ -> ())
       prim;
     (* Levelize along the single-fanin chains; a net still unlevelled after
@@ -123,7 +146,7 @@ let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
     let rec level_of i seen =
       if level.(i) >= 0 then level.(i)
       else if List.mem i seen then
-        raise (Bad (Printf.sprintf "combinational cycle through net %s" (List.nth names i)))
+        raise (Bad (Printf.sprintf "combinational cycle through net %s" names.(i)))
       else begin
         let l = match fanin.(i) with None -> 0 | Some p -> 1 + level_of p (i :: seen) in
         level.(i) <- l;
@@ -134,48 +157,71 @@ let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
       ignore (level_of i [])
     done;
     (* Per-net electrical view. *)
+    let build i ~block ~loads ~fanout =
+      let name = names.(i) in
+      let root_pin =
+        match Spef.driver_conn block with Ok c -> c.Spef.pin | Error e -> raise (Bad e)
+      in
+      let tree =
+        match Spef.to_tree ~extra_caps:loads block ~root:root_pin with
+        | Ok t -> t
+        | Error e -> raise (Bad e)
+      in
+      let cl = List.fold_left (fun acc (_, c) -> acc +. c) 0. loads in
+      let r_tot, l_tot = branch_totals block in
+      let c_wire = Spef.net_total_cap block in
+      if c_wire <= 0. then
+        raise (Bad (Printf.sprintf "net %s has no grounded wire capacitance" name));
+      (* Equivalent uniform line for Z0 / tf / the screen; both are
+         length-independent given totals, so the nominal 1 mm only
+         feeds pretty-printing.  Degenerate R or L totals (single-node
+         or RC-only nets) are clamped to keep the line constructible —
+         a vanishing L makes Z0 ~ 0, which correctly drives Eq. 1's
+         breakpoint to 0 and the Eq. 9 screen to "RC-like". *)
+      let eq_line =
+        Line.of_totals ~r:(Float.max 1e-6 r_tot) ~l:(Float.max 1e-16 l_tot) ~c:c_wire
+          ~length:1e-3
+      in
+      let pade = Rlc_moments.Pade.fit (Rlc_moments.Moments.driving_point ~order:5 tree) in
+      {
+        id = i;
+        name;
+        size = size.(i);
+        root_pin;
+        loads;
+        tree;
+        pade;
+        eq_line;
+        cl;
+        fanin = fanin.(i);
+        fanout;
+        level = level.(i);
+        prim_slew = prim.(i);
+      }
+    in
+    (* The previous record of net [i] when it was built from this very
+       block.  The blocks are looked up in the previous SPEF, not kept in
+       the design, so a design never holds its parsed SPEF alive. *)
+    let prev_record =
+      match prev with
+      | None -> fun _ _ -> None
+      | Some (prev, prev_spef) ->
+          let prev_block_of = blocks_by_name prev_spef in
+          fun i block ->
+            match Hashtbl.find_opt prev_block_of names.(i) with
+            | Some b when b == block && i < Array.length prev.nets -> Some prev.nets.(i)
+            | _ -> None
+    in
     let nets =
       Array.init n (fun i ->
-          let dnet = dnets.(i) and name = List.nth names i in
-          let root_pin =
-            match Spef.driver_conn dnet with Ok c -> c.Spef.pin | Error e -> raise (Bad e)
-          in
-          let extra_caps = List.rev extra.(i) in
-          let tree =
-            match Spef.to_tree ~extra_caps dnet ~root:root_pin with
-            | Ok t -> t
-            | Error e -> raise (Bad e)
-          in
-          let cl = List.fold_left (fun acc (_, c) -> acc +. c) 0. extra_caps in
-          let r_tot, l_tot = branch_totals dnet in
-          let c_wire = Spef.net_total_cap dnet in
-          if c_wire <= 0. then
-            raise (Bad (Printf.sprintf "net %s has no grounded wire capacitance" name));
-          (* Equivalent uniform line for Z0 / tf / the screen; both are
-             length-independent given totals, so the nominal 1 mm only
-             feeds pretty-printing.  Degenerate R or L totals (single-node
-             or RC-only nets) are clamped to keep the line constructible —
-             a vanishing L makes Z0 ~ 0, which correctly drives Eq. 1's
-             breakpoint to 0 and the Eq. 9 screen to "RC-like". *)
-          let eq_line =
-            Line.of_totals ~r:(Float.max 1e-6 r_tot) ~l:(Float.max 1e-16 l_tot) ~c:c_wire
-              ~length:1e-3
-          in
-          let pade = Rlc_moments.Pade.fit (Rlc_moments.Moments.driving_point ~order:5 tree) in
-          {
-            id = i;
-            name;
-            size = size.(i);
-            root_pin;
-            tree;
-            pade;
-            eq_line;
-            cl;
-            fanin = fanin.(i);
-            fanout = List.sort compare fanout.(i);
-            level = level.(i);
-            prim_slew = prim.(i);
-          })
+          let block = dnets.(i) and loads = List.rev extra.(i) in
+          let fanout = List.sort compare fanout.(i) in
+          match prev_record i block with
+          | Some p
+            when reusable p ~name:names.(i) ~size:size.(i) ~prim_slew:prim.(i)
+                   ~fanin:fanin.(i) ~fanout ~level:level.(i) ~loads ->
+              p
+          | _ -> build i ~block ~loads ~fanout)
     in
     let max_level = Array.fold_left (fun acc net -> Int.max acc net.level) 0 nets in
     let levels =
@@ -194,15 +240,21 @@ let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
        two different nets is a modeling error.  Couplings touching a net the
        design does not time (driverless SPEF nets) are logged and skipped,
        matching how such nets are ignored above. *)
-    let owner = Hashtbl.create 64 in
+    let owner =
+      Hashtbl.create
+        (Array.fold_left
+           (fun acc (d : Spef.dnet) -> acc + List.length d.Spef.conns + List.length d.Spef.caps)
+           16 dnets)
+    in
     let claim i node =
       match Hashtbl.find_opt owner node with
       | Some j when j <> i ->
           raise
             (Bad
                (Printf.sprintf "node %s appears in both net %s and net %s" node
-                  (List.nth names j) (List.nth names i)))
-      | _ -> Hashtbl.replace owner node i
+                  names.(j) names.(i)))
+      | Some _ -> ()
+      | None -> Hashtbl.add owner node i
     in
     Array.iteri
       (fun i (d : Spef.dnet) ->
@@ -224,7 +276,7 @@ let ingest ?(tech = Rlc_devices.Tech.c018) ~spef ~spec () =
                 raise
                   (Bad
                      (Printf.sprintf "coupling cap %s-%s joins net %s to itself" x.Spef.x_node1
-                        x.Spef.x_node2 (List.nth names a)))
+                        x.Spef.x_node2 names.(a)))
             | Some a, Some b ->
                 let k = (Int.min a b, Int.max a b) in
                 Hashtbl.replace pair_cc k

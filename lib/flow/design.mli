@@ -15,6 +15,9 @@ type net = {
   name : string;
   size : float;  (** driver strength, X multiplier *)
   root_pin : string;  (** the SPEF [Output] conn the driver sits on *)
+  loads : (string * float) list;
+      (** [(pin, farads)] folded into [tree]: fan-out gate input caps in
+          [edge] order, then explicit [load]s *)
   tree : Rlc_moments.Tree.t;  (** extracted tree with sink loads folded in *)
   pade : Rlc_moments.Pade.t;  (** 3/2 fit of the tree's admittance moments *)
   eq_line : Rlc_tline.Line.t;
@@ -45,8 +48,30 @@ type t = {
 }
 
 val ingest :
-  ?tech:Rlc_devices.Tech.t -> spef:Rlc_spef.Spef.t -> spec:Spec.t -> unit -> (t, string) result
-(** Errors: a spec net missing from the SPEF (or vice versa: SPEF nets not
+  ?tech:Rlc_devices.Tech.t ->
+  ?prev:t * Rlc_spef.Spef.t ->
+  spef:Rlc_spef.Spef.t ->
+  spec:Spec.t ->
+  unit ->
+  (t, string) result
+(** Ingest runs in time linear in the design (nets, blocks, spec lines).
+
+    [prev] is the design these sources were edited from, with the SPEF it
+    was ingested from (an incremental retime passes the state before its
+    delta; cold callers pass nothing).  Net [i] keeps [prev]'s record for
+    id [i] — the same physical value, tree and Pade fit not recomputed —
+    only when all of these hold: its [*D_NET] block is physically the
+    block of that name in the previous SPEF (as {!Delta.apply} leaves
+    unedited blocks), its name, connectivity and level are equal, its
+    driver size and primary slew are bit-equal, and its [loads] are equal
+    (pins equal, farads bit-equal).  Every other net is built afresh.  A
+    kept record therefore equals, field by field, the one a cold ingest of
+    the same sources would build, and correctness never depends on a dirty
+    list.  Node ownership, the coupling graph and every validation below
+    still run over every net, with or without [prev].  A design keeps no
+    reference to the parsed SPEF.
+
+    Errors: a spec net missing from the SPEF (or vice versa: SPEF nets not
     covered by a [driver] line are ignored with a log message, they are not
     errors); a net without a unique [Output] conn; a net that is neither a
     primary input nor the target of exactly one [edge]; combinational

@@ -133,9 +133,11 @@ let pack_key ~tech_name ~edge ?adaptive fields =
   Bytes.blit_string tech_name 0 b o (String.length tech_name);
   Bytes.unsafe_to_string b
 
+let canonical_slew ~grid input_slew = Cache.quantize_slew ~grid (Sta.clamp_slew input_slew)
+
 let canonicalize ~digits ~grid ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
   let q = Cache.quantize ~digits in
-  let q_slew = Cache.quantize_slew ~grid (Sta.clamp_slew input_slew) in
+  let q_slew = canonical_slew ~grid input_slew in
   let p = net.Design.pade in
   let q_pade =
     { Pade.a1 = q p.Pade.a1; a2 = q p.Pade.a2; a3 = q p.Pade.a3; b1 = q p.Pade.b1; b2 = q p.Pade.b2 }
@@ -425,15 +427,19 @@ let time ?tech (cfg : Config.t) ~spef ~spec () =
 type delta_stats = { retimed : int; reused : int }
 
 (* The incremental solve pass.  Structure mirrors [run_cfg_inner] exactly —
-   same level order, same handoff preparation, same canonicalization, same
-   pooled fan-out — but a net outside the dirty set whose canonical key is
-   unchanged reuses its previous solve without touching the cache.  The
-   reuse is sound by induction over levels: the dirty set is downward-closed
-   over fan-out, so every ancestor of a clean net is clean, its handoff slew
-   and edge are bit-identical to the previous run, and an equal key selects
-   an equal (pure-function-of-the-key) solve.  A clean net whose key
-   nonetheless moved falls back to a full solve — correctness never rests
-   on the dirty-set computation being tight. *)
+   same level order, same handoff preparation, same pooled fan-out — but a
+   net outside the dirty set whose canonical inputs are provably the
+   previous ones keeps its previous solve and key, neither canonicalized
+   nor looked up.  They are when its record is the previous one (ingest
+   kept it, so size, Pade fit, line and load are the same values) and its
+   edge and quantized input slew are bit-equal: the key is a function of
+   exactly these and of the stored configuration.  The dirty set is
+   downward-closed over fan-out, so every ancestor of a clean net is clean
+   and hands off its previous slew; a clean net whose inputs nonetheless
+   moved is re-solved — correctness never rests on the dirty-set
+   computation being tight.  Re-solves look the shared cache up but do not
+   insert: the resident result keeps them, and inserting would grow the
+   cache by every edited net of every delta. *)
 let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result array) ~keys
     ~dirty =
   let obs = cfg.Config.obs
@@ -476,34 +482,34 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
         Pool.map ~obs pool (Array.length ids) (fun k ->
             Deadline.check_ambient ();
             let net, edge, input_slew = jobs_for_level.(k) in
-            let c =
-              canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive net
-                ~edge ~input_slew
-            in
             let id = net.Design.id in
-            let reuse =
-              if dirty.(id) then None
-              else if String.equal c.key keys.(id) then Some old_results.(id).solve
-              else None
-            in
-            match reuse with
-            | Some solve ->
-                Atomic.incr reused;
-                Obs.incr obs "flow.reused";
-                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key)
-            | None ->
-                Atomic.incr retimed;
-                Obs.incr obs "flow.retimed";
-                let compute () =
-                  let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
-                  Atomic.fetch_and_add spent s.iterations |> ignore;
-                  s
-                in
-                let solve, _hit =
-                  if use_cache then Cache.find_or_add cache c.key compute
-                  else (compute (), false)
-                in
-                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key))
+            let prev = old_results.(id) in
+            if
+              (not dirty.(id))
+              && net == prev.net && edge = prev.edge
+              && Cache.same_bits (canonical_slew ~grid:slew_grid input_slew) prev.input_slew
+            then begin
+              Atomic.incr reused;
+              Obs.incr obs "flow.reused";
+              ({ prev with arrival = 0. }, keys.(id))
+            end
+            else begin
+              Atomic.incr retimed;
+              Obs.incr obs "flow.retimed";
+              let c =
+                canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive net
+                  ~edge ~input_slew
+              in
+              let solve =
+                match if use_cache then Cache.find cache c.key else None with
+                | Some s -> s
+                | None ->
+                    let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
+                    Atomic.fetch_and_add spent s.iterations |> ignore;
+                    s
+              in
+              ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key)
+            end)
       in
       Array.iteri
         (fun k (r, key) ->
@@ -556,11 +562,13 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
   | Error _ as e -> e
   | Ok { Delta.spef; spec; changed } -> (
       let old = t.Timed.result in
-      (* Re-ingest the edited sources wholesale: ingest is pure graph and
-         fitting work (no waveform solves), and running it exactly as a
-         cold run would guarantees the structural inputs to every solve are
-         identical to that cold run's. *)
-      match Design.ingest ~tech:old.design.Design.tech ~spef ~spec () with
+      (* Re-ingest against the previous design: a net keeps its record only
+         when everything it is built from is provably unchanged, so every
+         record equals the one a cold ingest of the edited sources would
+         build, and the untouched nets skip the tree and Pade work. *)
+      match
+        Design.ingest ~tech:old.design.Design.tech ~prev:(old.design, t.Timed.spef) ~spef ~spec ()
+      with
       | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
       | Ok design ->
           let n = Array.length design.Design.nets in

@@ -194,16 +194,27 @@ val retime :
   Timed.t ->
   Delta.t ->
   (Timed.t * delta_stats, Rlc_errors.Error.t) Stdlib.result
-(** Apply a {!Delta.t} and re-time incrementally.  The directly changed
-    nets, their downstream fan-out cones through the levelized graph, and
-    (when [xtalk_victims], i.e. the handle runs crosstalk analysis) the
-    coupling partners of changed nets — under both the old and the edited
-    coupling graph — are dirtied and re-solved on the configured pool;
-    every other net reuses its stored solve after verifying its canonical
-    cache key is unchanged (a mismatch falls back to a full solve, so
-    correctness never depends on the dirty set being tight).  Handoff
-    slews at the cone frontier come from the reused results, exactly as a
-    cold run would hand them off.
+(** Apply a {!Delta.t} and re-time incrementally.  The edited sources are
+    re-ingested against the previous design ({!Design.ingest} [~prev]), so
+    a net keeps its ingest record only when its block, driver size,
+    primary slew, connectivity and loads are provably unchanged.  The
+    directly changed nets, their downstream fan-out cones through the
+    levelized graph, and (when [xtalk_victims], i.e. the handle runs
+    crosstalk analysis) the coupling partners of changed nets — under both
+    the old and the edited coupling graph — are dirtied and re-solved on
+    the configured pool.  Every other net keeps its stored solve and
+    cache key, without recomputing the key, when its record is the kept
+    one and its edge and quantized input slew are bit-equal to the
+    previous run's (the key is a function of exactly these and the stored
+    configuration); a clean net failing that check is re-solved, so
+    correctness never depends on the dirty set being tight.  Handoff slews
+    at the cone frontier come from the reused results, exactly as a cold
+    run would hand them off.
+
+    Re-solves look the configured cache up ({!Cache.find}) but do not
+    insert: the returned handle holds what they computed, so a stream of
+    deltas leaves a shared cache at the size the cold load left it, while
+    an edit that restores a loaded value is still answered from it.
 
     The returned {!Timed.t} replaces the old handle; its {!Timed.result}
     — and hence any {!Report} rendered from it — is byte-identical to a

@@ -7,12 +7,30 @@
     human {!summary} and the logs only.  Floats are printed with [%.6g] —
     one fixed, locale-independent format everywhere. *)
 
-val json_string : ?required:float -> ?xtalk:string -> Flow.result -> string
+type entries
+(** The rendered per-net entries of the last report of one evolving
+    design (a resident ECO handle), kept so the next report of its edited
+    successor re-renders only what moved.  Not thread-safe: renders that
+    share one value must be serialized. *)
+
+val entries : unit -> entries
+(** An empty store: the first render with it renders every entry. *)
+
+val json_string :
+  ?required:float -> ?xtalk:string -> ?entries:entries -> Flow.result -> string
 (** Full report: design header, one object per net (timing, shape, screen
     verdict, Ceff values, iteration count), and a summary block with the
     worst-arrival (critical) path, optional slack against a [required]
     arrival time (seconds), and fixed-bin stage-delay / far-slew
     histograms.
+
+    With [entries], net [i]'s entry is copied from the store when the
+    stored result for [i] has physically the same net record and solve
+    as [result]'s and a bit-equal edge, input slew and arrival — every
+    input the entry is rendered from — and rendered otherwise; the store
+    then holds this report's entries.  The bytes are the same with or
+    without [entries]; the header, summary and histograms are always
+    computed afresh.
 
     [xtalk] is a pre-rendered JSON object (produced by
     [Rlc_xtalk.Xtalk.json_fragment], which depends on this library)

@@ -602,22 +602,24 @@ type runtime = {
       (* responded by a worker; the listener re-arms their reads *)
 }
 
-(* Blocking write of one response line, restarted on EINTR; a vanished
-   client (EPIPE with SIGPIPE ignored) just marks the connection dead. *)
+(* Blocking write of one response line — the payload, then its newline,
+   each straight from its string — restarted on EINTR; a vanished client
+   (EPIPE with SIGPIPE ignored) just marks the connection dead. *)
 let write_response conn s =
-  if conn.alive then begin
-    let b = Bytes.of_string (s ^ "\n") in
-    let n = Bytes.length b in
+  let write_all s =
+    let n = String.length s in
     let rec go off =
-      if off < n then
-        match Unix.write conn.fd b off (n - off) with
+      if off < n && conn.alive then
+        match Unix.write_substring conn.fd s off (n - off) with
         | w -> go (off + w)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
             conn.alive <- false
     in
     go 0
-  end
+  in
+  write_all s;
+  write_all "\n"
 
 let take_line conn =
   let s = Buffer.contents conn.buf in

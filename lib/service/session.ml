@@ -81,11 +81,14 @@ end
    each applied delta under [lock]; [last_used] is a logical-clock stamp
    driving LRU eviction.  [req] is the load-time request with the
    per-request fields (deadline, trace, progress) stripped — deltas rebuild
-   those per call. *)
+   those per call.  [entries] holds the last report's per-net entries,
+   which the next delta's report copies where their inputs are unchanged
+   (also only under [lock]). *)
 type design_entry = {
   handle : string;
   req : Request.t;
   mutable timed : Flow.Timed.t;
+  entries : Report.entries;
   lock : Mutex.t;
   last_used : int Atomic.t;
 }
@@ -228,7 +231,7 @@ let flow_cfg t (req : Request.t) =
    identical for a cold [flow], a [design_load], and every [flow_delta]
    (Xtalk.analyze is a pure function of the result, the coupling graph and
    the config, so re-running it wholesale preserves byte-identity). *)
-let outcome_of t (req : Request.t) (result : Flow.result) =
+let outcome_of ?entries t (req : Request.t) (result : Flow.result) =
   let xtalk =
     Option.map
       (fun x ->
@@ -250,7 +253,7 @@ let outcome_of t (req : Request.t) (result : Flow.result) =
   {
     result;
     xtalk;
-    report = Report.json_string ?required:req.Request.required ?xtalk:fragment result;
+    report = Report.json_string ?required:req.Request.required ?xtalk:fragment ?entries result;
   }
 
 let flow t (req : Request.t) design =
@@ -269,13 +272,14 @@ let unknown_handle handle =
 
 let capacity t = Int.max 1 t.config.Config.design_capacity
 
-let register t ~req timed =
+let register t ~req ~entries timed =
   let handle = "d" ^ string_of_int (1 + Atomic.fetch_and_add t.design_seq 1) in
   let entry =
     {
       handle;
       req;
       timed;
+      entries;
       lock = Mutex.create ();
       last_used = Atomic.make (Atomic.fetch_and_add t.design_clock 1);
     }
@@ -309,9 +313,10 @@ let design_load t ?spef_name ?spec ?spec_name ?size ?slew ~req ~spef () =
     Result.join
       (guard (fun () -> Flow.time ~tech:t.config.Config.tech cfg ~spef ~spec ()))
   in
-  let* outcome = guard (fun () -> outcome_of t req (Flow.Timed.result timed)) in
+  let entries = Report.entries () in
+  let* outcome = guard (fun () -> outcome_of ~entries t req (Flow.Timed.result timed)) in
   let stored = { req with Request.deadline = None; trace = None; progress = None } in
-  let handle = register t ~req:stored timed in
+  let handle = register t ~req:stored ~entries timed in
   Ok (handle, outcome)
 
 let flow_delta t ?deadline ?trace ~handle delta =
@@ -333,7 +338,8 @@ let flow_delta t ?deadline ?trace ~handle delta =
           in
           let* outcome =
             guard (fun () ->
-                outcome_of t { req with Request.deadline; trace } (Flow.Timed.result timed))
+                outcome_of ~entries:entry.entries t { req with Request.deadline; trace }
+                  (Flow.Timed.result timed))
           in
           entry.timed <- timed;
           Ok (outcome, delta_stats))

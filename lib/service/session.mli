@@ -157,10 +157,16 @@ val flow_delta :
 (** Apply an ECO delta to a resident design ({!Rlc_flow.Flow.retime}): only
     the changed nets, their fan-out cones, and (when the handle was loaded
     with [xtalk]) coupling partners of changed nets are re-solved; the
-    rest reuse their stored solves.  The returned report is byte-identical
-    to a cold run of the edited design under the handle's configuration.
-    Deltas to one handle are serialized; different handles proceed
-    concurrently.  An unknown handle is {!Error.Bad_request}. *)
+    rest keep their ingest records, cache keys and solves wherever those
+    inputs are provably the previous ones.  Re-solves are looked up in the
+    session's Ceff cache but never inserted, so deltas leave
+    [stats.cache_entries] where {!design_load} left it.  The report copies
+    each net entry from the handle's previous report when the entry's
+    inputs are unchanged ({!Rlc_flow.Report.entries}); the summary is
+    recomputed.  The returned report is byte-identical to a cold run of
+    the edited design under the handle's configuration.  Deltas to one
+    handle are serialized; different handles proceed concurrently.  An
+    unknown handle is {!Error.Bad_request}. *)
 
 val design_unload : t -> string -> (unit, Error.t) result
 (** Drop a resident design.  Unknown handles are {!Error.Bad_request}. *)

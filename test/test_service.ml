@@ -374,6 +374,307 @@ let test_session_design_store () =
       | Error e -> Alcotest.fail ("wrong error: " ^ Error.to_string e)
       | Ok _ -> Alcotest.fail "double unload accepted")
 
+(* Deltas look the shared Ceff cache up but never insert: any number of
+   them leaves it at its post-load size, and an edit that restores a
+   loaded value is answered from the entries the load left. *)
+let test_session_delta_cache () =
+  with_default_session (fun session ->
+      let h, loaded =
+        ok_or_fail
+          (Session.design_load session ~req:Session.Request.default ~spef:(read_file bus8_spef)
+             ~spec:(read_file bus8_spec) ())
+      in
+      let entries = (Session.stats session).Session.cache_entries in
+      Alcotest.(check int) "one entry per load miss"
+        loaded.Session.result.Rlc_flow.Flow.stats.Rlc_flow.Flow.cache_misses entries;
+      let delta ?(drivers = []) ?(slews = []) () =
+        let out, st =
+          ok_or_fail
+            (Session.flow_delta session ~handle:h
+               { Rlc_flow.Delta.empty with Rlc_flow.Delta.drivers; slews })
+        in
+        Alcotest.(check int) "cache size unchanged" entries
+          (Session.stats session).Session.cache_entries;
+        (out, st)
+      in
+      for k = 1 to 4 do
+        ignore (delta ~slews:[ ("b1", (100. +. float_of_int k) *. 1e-12) ] ())
+      done;
+      ignore (delta ~drivers:[ ("o2", 60.) ] ());
+      let out, st = delta ~slews:[ ("b1", 100e-12) ] ~drivers:[ ("o2", 50.) ] () in
+      let stats = out.Session.result.Rlc_flow.Flow.stats in
+      Alcotest.(check int) "reverting cones retimed" 4 st.Rlc_flow.Flow.retimed;
+      Alcotest.(check int) "revert served from the cache" st.Rlc_flow.Flow.retimed
+        stats.Rlc_flow.Flow.cache_hits;
+      Alcotest.(check int) "revert misses nothing" 0 stats.Rlc_flow.Flow.cache_misses;
+      Alcotest.(check string) "reverted report = loaded report" loaded.Session.report
+        out.Session.report)
+
+(* ------------------------------------------------- incremental reuse *)
+
+module Flow = Rlc_flow.Flow
+module Delta = Rlc_flow.Delta
+module Design = Rlc_flow.Design
+
+(* A random bus: bit [i] is a primary-input global [b<i>] (an RLC ladder of
+   [segs] segments) driving a local [o<i>] (a 2-segment RC ladder); with
+   [tails] every local drives a third-level [t<i>].  [coupled] adds
+   coupling caps between adjacent globals, declared in the lower bit's
+   block.  [jitter] scales each net's parasitics so no two nets share a
+   cache key. *)
+type reuse_edit =
+  | Block of string * float * bool  (** net, R/L/C scale, couplings on (globals) *)
+  | Resize of string * float
+  | Slew of string * float  (** global net, ps *)
+  | Revert of string  (** the loaded block, size and slew of a net *)
+
+type reuse_case = {
+  bits : int;
+  segs : int;
+  tails : bool;
+  coupled : bool;
+  xtalk : bool;
+  jitter : float array;  (** per net, in [net_names] order *)
+  deltas : reuse_edit list list;
+}
+
+let net_names c =
+  List.concat
+    (List.init c.bits (fun i ->
+         List.map
+           (fun p -> Printf.sprintf "%s%d" p i)
+           (if c.tails then [ "b"; "o"; "t" ] else [ "b"; "o" ])))
+
+let is_global name = name.[0] = 'b'
+let bit_of name = int_of_string (String.sub name 1 (String.length name - 1))
+let loaded_size name = if is_global name then 75. else 50.
+
+let node name ~segs k =
+  if k = 0 then name ^ "_drv"
+  else if k = segs then name ^ "_rcv"
+  else Printf.sprintf "%s_%d" name k
+
+let block c ?(scale = 1.) ?(couple = c.coupled) name =
+  let jit =
+    let rec index i = function
+      | n :: _ when n = name -> i
+      | _ :: rest -> index (i + 1) rest
+      | [] -> invalid_arg name
+    in
+    c.jitter.(index 0 (net_names c))
+  in
+  let global = is_global name in
+  let segs = if global then c.segs else 2 in
+  let seg total = scale *. jit *. total /. float_of_int segs in
+  let r = seg (if global then 72. else 120.) and l = seg 4500. in
+  let cap = seg (if global then 600. else 90.) in
+  let b = Buffer.create 512 in
+  Printf.bprintf b "*D_NET %s %.6g\n*CONN\n*P %s_drv O\n*P %s_rcv I\n*CAP\n" name
+    (cap *. float_of_int segs) name name;
+  for k = 1 to segs do
+    Printf.bprintf b "%d %s %.6g\n" k (node name ~segs k) cap
+  done;
+  let i = bit_of name in
+  if global && couple && i < c.bits - 1 then
+    for k = 1 to segs do
+      Printf.bprintf b "%d %s %s %.6g\n" (segs + k) (node name ~segs k)
+        (node (Printf.sprintf "b%d" (i + 1)) ~segs k)
+        (scale *. 30.)
+    done;
+  let section title v =
+    Printf.bprintf b "*%s\n" title;
+    for k = 0 to segs - 1 do
+      Printf.bprintf b "%d %s %s %.6g\n" (k + 1) (node name ~segs k) (node name ~segs (k + 1)) v
+    done
+  in
+  section "RES" r;
+  if global then section "INDUC" l;
+  Buffer.add_string b "*END\n";
+  Buffer.contents b
+
+let sources c =
+  let spef = Buffer.create 4096 and spec = Buffer.create 512 in
+  Buffer.add_string spef
+    "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"reuse\"\n\
+     *T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n*L_UNIT 1 PH\n";
+  List.iter (fun name -> Buffer.add_string spef (block c name)) (net_names c);
+  for i = 0 to c.bits - 1 do
+    Printf.bprintf spec "driver b%d 75\ninput b%d 100\ndriver o%d 50\nedge b%d b%d_rcv o%d\n" i i
+      i i i i;
+    if c.tails then
+      Printf.bprintf spec "driver t%d 50\nedge o%d o%d_rcv t%d\nload t%d t%d_rcv 5\n" i i i i i i
+    else Printf.bprintf spec "load o%d o%d_rcv 5\n" i i
+  done;
+  (Buffer.contents spef, Buffer.contents spec)
+
+(* One delta's edit lists; a later edit naming a net already in its list
+   is dropped (a delta may not name a net twice). *)
+let delta_of c edits =
+  let add name v l = if List.mem_assoc name l then l else l @ [ (name, v) ] in
+  List.fold_left
+    (fun (d : Delta.t) e ->
+      match e with
+      | Block (name, scale, couple) ->
+          { d with Delta.nets = add name (block c ~scale ~couple name) d.Delta.nets }
+      | Resize (name, size) -> { d with Delta.drivers = add name size d.Delta.drivers }
+      | Slew (name, ps) -> { d with Delta.slews = add name (ps *. 1e-12) d.Delta.slews }
+      | Revert name ->
+          let d =
+            {
+              d with
+              Delta.nets = add name (block c name) d.Delta.nets;
+              drivers = add name (loaded_size name) d.Delta.drivers;
+            }
+          in
+          if is_global name then { d with Delta.slews = add name 100e-12 d.Delta.slews } else d)
+    Delta.empty edits
+
+let print_edit = function
+  | Block (n, s, k) -> Printf.sprintf "block %s x%g%s" n s (if k then " coupled" else "")
+  | Resize (n, s) -> Printf.sprintf "resize %s %gX" n s
+  | Slew (n, ps) -> Printf.sprintf "slew %s %g ps" n ps
+  | Revert n -> "revert " ^ n
+
+let arb_reuse_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 4 >>= fun bits ->
+    int_range 2 4 >>= fun segs ->
+    bool >>= fun tails ->
+    bool >>= fun coupled ->
+    frequencyl [ (2, false); (1, true) ] >>= fun xtalk ->
+    let shape = { bits; segs; tails; coupled; xtalk; jitter = [||]; deltas = [] } in
+    let names = Array.of_list (net_names shape) in
+    let globals = Array.of_list (List.filter is_global (Array.to_list names)) in
+    let driven = Array.of_list (List.filter (fun n -> not (is_global n)) (Array.to_list names)) in
+    let edit =
+      frequency
+        [
+          ( 3,
+            map3
+              (fun n s k -> Block (n, s, k))
+              (oneofa names) (oneofl [ 0.7; 0.9999; 1.0001; 1.25 ]) bool );
+          (2, map2 (fun n s -> Resize (n, s)) (oneofa driven) (oneofl [ 50.; 75.; 100. ]));
+          (1, map2 (fun n s -> Resize (n, s)) (oneofa globals) (oneofl [ 50.; 100. ]));
+          ( 2,
+            map2
+              (fun n ps -> Slew (n, ps))
+              (oneofa globals)
+              (oneofl [ 80.; 99.9; 100.1; 120. ]) );
+          (1, map (fun n -> Revert n) (oneofa names));
+        ]
+    in
+    array_size (return (Array.length names)) (float_range 0.9 1.1) >>= fun jitter ->
+    list_size (int_range 1 4) (list_size (int_range 1 3) edit) >|= fun deltas ->
+    { shape with jitter; deltas }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "%d bits x %d segs%s%s%s: %s" c.bits c.segs
+        (if c.tails then ", tails" else "")
+        (if c.coupled then ", coupled" else "")
+        (if c.xtalk then ", xtalk" else "")
+        (String.concat " | "
+           (List.map (fun d -> String.concat ", " (List.map print_edit d)) c.deltas)))
+
+(* The first field in which two ingest records differ, if any. *)
+let net_diff (a : Design.net) (b : Design.net) =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  List.find_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("id", a.Design.id = b.Design.id);
+      ("name", a.Design.name = b.Design.name);
+      ("size", bits a.Design.size b.Design.size);
+      ("root_pin", a.Design.root_pin = b.Design.root_pin);
+      ("loads", a.Design.loads = b.Design.loads);
+      ("tree", a.Design.tree = b.Design.tree);
+      ("pade", a.Design.pade = b.Design.pade);
+      ("eq_line", a.Design.eq_line = b.Design.eq_line);
+      ("cl", bits a.Design.cl b.Design.cl);
+      ("fanin", a.Design.fanin = b.Design.fanin);
+      ("fanout", a.Design.fanout = b.Design.fanout);
+      ("level", a.Design.level = b.Design.level);
+      ("prim_slew", Option.equal bits a.Design.prim_slew b.Design.prim_slew);
+    ]
+
+let xtalk_knobs = { Session.default_xtalk with Session.alignments = 3 }
+
+(* The oracle: a cold ingest and flow of the edited sources with a fresh
+   cache, crosstalk and rendering exactly as a session composes them. *)
+let cold_report ~xtalk design =
+  let result = Flow.run_cfg Flow.Config.default design in
+  let fragment =
+    if not xtalk then None
+    else
+      let x =
+        Rlc_xtalk.Xtalk.analyze
+          ~config:
+            {
+              Rlc_xtalk.Xtalk.Config.default with
+              Rlc_xtalk.Xtalk.Config.threshold = xtalk_knobs.Session.threshold;
+              budget = xtalk_knobs.Session.budget;
+              alignments = xtalk_knobs.Session.alignments;
+            }
+          result
+      in
+      Some (Rlc_xtalk.Xtalk.json_fragment design x)
+  in
+  Rlc_flow.Report.json_string ?xtalk:fragment result
+
+(* Random bus designs under random delta sequences, served through
+   [Session.flow_delta]: every report is byte-identical to a cold run of
+   the [Delta.apply]'d sources, retimed + reused covers every net, and
+   every ingest record a delta kept (physically the previous one) equals
+   the cold-ingested record field by field. *)
+let prop_reuse =
+  QCheck.Test.make ~name:"flow_delta reuse = cold run of the edited sources" ~count:40
+    arb_reuse_case (fun c ->
+      let spef_src, spec_src = sources c in
+      let req =
+        {
+          Session.Request.default with
+          Session.Request.xtalk = (if c.xtalk then Some xtalk_knobs else None);
+        }
+      in
+      Session.with_session (fun session ->
+          let handle, loaded =
+            ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
+          in
+          let spef = ref (ok_or_fail (Rlc_spef.Spef.parse_res spef_src)) in
+          let spec = ref (ok_or_fail (Rlc_flow.Spec.parse_res spec_src)) in
+          let prev = ref loaded.Session.result.Flow.design in
+          List.iteri
+            (fun k edits ->
+              let delta = delta_of c edits in
+              let a = ok_or_fail (Delta.apply ~spef:!spef ~spec:!spec delta) in
+              spef := a.Delta.spef;
+              spec := a.Delta.spec;
+              let out, st = ok_or_fail (Session.flow_delta session ~handle delta) in
+              let cold =
+                match Design.ingest ~spef:a.Delta.spef ~spec:a.Delta.spec () with
+                | Ok d -> d
+                | Error e -> QCheck.Test.fail_reportf "delta %d: cold ingest: %s" k e
+              in
+              if not (String.equal out.Session.report (cold_report ~xtalk:c.xtalk cold)) then
+                QCheck.Test.fail_reportf "delta %d: report differs from a cold run" k;
+              let n = Design.n_nets cold in
+              if st.Flow.retimed + st.Flow.reused <> n then
+                QCheck.Test.fail_reportf "delta %d: retimed %d + reused %d <> %d nets" k
+                  st.Flow.retimed st.Flow.reused n;
+              let design = out.Session.result.Flow.design in
+              Array.iteri
+                (fun i (net : Design.net) ->
+                  if net == !prev.Design.nets.(i) then
+                    match net_diff net cold.Design.nets.(i) with
+                    | Some field ->
+                        QCheck.Test.fail_reportf "delta %d: kept record of %s differs in %s" k
+                          net.Design.name field
+                    | None -> ())
+                design.Design.nets;
+              prev := design)
+            c.deltas;
+          true))
+
 (* -------------------------------------------------------------- server *)
 
 let send server line =
@@ -1144,7 +1445,9 @@ let () =
           Alcotest.test_case "ingest errors" `Quick test_session_ingest_errors;
           Alcotest.test_case "case ops" `Quick test_session_case_ops;
           Alcotest.test_case "design store" `Quick test_session_design_store;
+          Alcotest.test_case "deltas keep the cache size" `Quick test_session_delta_cache;
         ] );
+      ("incremental reuse", [ QCheck_alcotest.to_alcotest prop_reuse ]);
       ( "server",
         [
           Alcotest.test_case "flow warmth" `Quick test_server_flow_warmth;
