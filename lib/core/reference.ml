@@ -54,8 +54,8 @@ let simulate ?obs ?dt ?t_stop ?adaptive ?n_segments ~tech ~size ~input_slew ~lin
 
 (* [replay_pwl]'s circuit; [far_until] lists (level, direction) crossings of
    the far node to stop at. *)
-let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ?(far_until = [])
-    ~pwl ~line ~cl () =
+let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(far_until = []) ~pwl ~line ~cl
+    () =
   (* Shift so the source starts after t = 0 (the engine's DC point must see
      the quiescent low state). *)
   let start = fst (List.hd (Pwl.points pwl)) in
@@ -76,20 +76,17 @@ let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ?
   let until = List.map (fun (level, dir) -> (!far_ref, level, dir)) far_until in
   (* Ceff-model replays sweep many π/ladder loads of identical shape; the
      structure-keyed handle cache makes each after the first a restamp
-     (values in, no compile/alloc) with bit-identical results.  [reuse:false]
-     keeps the uncached path available for equivalence tests. *)
+     (values in, no compile/alloc) with bit-identical results. *)
   let r =
-    if reuse then
-      Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop
-        (Engine.Compiled.cached ?obs nl)
-    else Engine.transient ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop nl
+    Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop
+      (Engine.Compiled.cached ?obs nl)
   in
   (* Undo the shift: return waveforms on the caller's PWL time axis. *)
   ( Waveform.shift_time (-.shift) (Engine.voltage r near),
     Waveform.shift_time (-.shift) (Engine.voltage r !far_ref) )
 
-let replay_pwl ?obs ?dt ?t_stop ?adaptive ?n_segments ?reuse ~pwl ~line ~cl () =
-  replay ?obs ?dt ?t_stop ?adaptive ?n_segments ?reuse ~pwl ~line ~cl ()
+let replay_pwl ?obs ?dt ?t_stop ?adaptive ?n_segments ~pwl ~line ~cl () =
+  replay ?obs ?dt ?t_stop ?adaptive ?n_segments ~pwl ~line ~cl ()
 
 let far_timing ?obs ?dt ?adaptive ~vdd ~pwl ~line ~cl () =
   let rising frac = (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac, Measure.Rising) in

@@ -49,7 +49,6 @@ val replay_pwl :
   ?t_stop:float ->
   ?adaptive:Rlc_circuit.Engine.adaptive ->
   ?n_segments:int ->
-  ?reuse:bool ->
   pwl:Rlc_waveform.Pwl.t ->
   line:Line.t ->
   cl:float ->
@@ -58,13 +57,10 @@ val replay_pwl :
 (** [(near, far)] for the ideal-source replay, on the {e same time axis as
     the input PWL} (for a {!Driver_model} waveform: t = 0 at the input 50 %
     crossing), so model far-end measurements compare directly against
-    {!far_delay} of a transistor-level run.
-
-    [reuse] (default [true]) routes the replay through the domain-local
-    {!Rlc_circuit.Engine.Compiled.cached} handle cache: same-shape ladder
-    replays after the first restamp values into the compiled structure
-    instead of recompiling.  Results are bit-identical either way; pass
-    [~reuse:false] to force a fresh compile per call. *)
+    {!far_delay} of a transistor-level run.  The replay runs through the
+    domain-local {!Rlc_circuit.Engine.Compiled.cached} handle cache:
+    same-shape ladder replays after the first restamp values into the
+    compiled structure instead of recompiling. *)
 
 val far_timing :
   ?obs:Rlc_obs.Obs.t ->

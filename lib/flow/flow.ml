@@ -187,61 +187,188 @@ let solve_net ?obs ?adaptive ~tech ~dt ~edge ~size c =
   in
   { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model }
 
+(* Where a net's solve came from: kept from the previous run ([Reused],
+   retime only), answered by the Ceff cache, or solved -- on a cache miss
+   or with the cache off. *)
+type outcome = Reused | Hit | Miss | Uncached
+
+(* The per-net step of every solve: canonicalize, look the cache up, solve
+   on a miss.  [insert] keeps a miss's solve in the cache. *)
+let lookup_or_solve (cfg : Config.t) ~tech ~insert (net : Design.net) ~edge ~input_slew =
+  let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
+  let c =
+    canonicalize ~digits:cfg.Config.quantize_digits ~grid:cfg.Config.slew_grid ~tech ~dt
+      ?adaptive net ~edge ~input_slew
+  in
+  let compute () =
+    solve_net ~obs:cfg.Config.obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c
+  in
+  let solve, outcome =
+    match cfg.Config.cache with
+    | Some cache when cfg.Config.use_cache -> (
+        if insert then
+          let s, hit = Cache.find_or_add cache c.key compute in
+          (s, if hit then Hit else Miss)
+        else
+          match Cache.find cache c.key with Some s -> (s, Hit) | None -> (compute (), Miss))
+    | _ -> (compute (), Uncached)
+  in
+  (c, solve, outcome)
+
 (* One candidate evaluation for the optimizer: the net's interconnect with a
    caller-chosen driver size, canonicalized and cached exactly as the flow
    canonicalizes its own solves — so an optimize sweep and the final
    verification flow agree on every shared (net, size, slew) key, and the
    solve stays a pure function of the quantized inputs (jobs-independent). *)
 let solve_sized (cfg : Config.t) ~tech ~(net : Design.net) ~size ~edge ~input_slew =
-  let net = { net with Design.size } in
-  let c =
-    canonicalize ~digits:cfg.Config.quantize_digits ~grid:cfg.Config.slew_grid ~tech
-      ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive net ~edge ~input_slew
+  let _, solve, _ =
+    lookup_or_solve cfg ~tech ~insert:true { net with Design.size } ~edge ~input_slew
   in
-  let obs = cfg.Config.obs in
-  let compute () =
-    solve_net ~obs ?adaptive:cfg.Config.adaptive ~tech ~dt:cfg.Config.dt ~edge ~size c
-  in
-  match cfg.Config.cache with
-  | Some cache when cfg.Config.use_cache -> fst (Cache.find_or_add cache c.key compute)
-  | _ -> compute ()
+  solve
 
-let run_cfg_inner (cfg : Config.t) (design : Design.t) =
-  let obs = cfg.Config.obs
-  and progress = cfg.Config.progress
-  and dt = cfg.Config.dt
-  and adaptive = cfg.Config.adaptive
-  and use_cache = cfg.Config.use_cache
-  and quantize_digits = cfg.Config.quantize_digits
-  and slew_grid = cfg.Config.slew_grid in
+(* The request deadline (when any) is installed ambiently for the whole
+   run: the serial phases check it at level boundaries, worker domains
+   inherit it through the pool's batch snapshot, and the replay engine
+   polls it inside its step loops.  The trace id rides the same mechanism:
+   installed here for the master domain, snapshotted into pool batches for
+   the workers, stamped onto every span by [Obs.record_span]. *)
+let with_run (cfg : Config.t) f =
+  let body () =
+    match cfg.Config.deadline with None -> f () | Some d -> Deadline.with_ambient d f
+  in
+  match cfg.Config.trace with
+  | None -> body ()
+  | Some _ as trace -> Obs.with_trace trace body
+
+module Timed = struct
+  type timed = {
+    cfg : Config.t;
+    spef : Rlc_spef.Spef.t;
+    spec : Spec.t;
+    result : result;
+    keys : string array;
+        (* canonical cache key per net id, exactly as each net solved,
+           kept from the solve pass that computed it *)
+  }
+
+  type t = timed
+
+  let result t = t.result
+  let design t = t.result.design
+end
+
+(* The one solve pass over the levels, for a cold run ([prev] absent) and a
+   retime ([prev] = the previous state and the dirty set); every difference
+   between the two follows from [prev]:
+   - Only a retime reuses.  A net outside the dirty set keeps its previous
+     solve and key, neither canonicalized nor looked up, when its record is
+     the previous one (ingest kept it: same size, Pade fit, line and load)
+     and its edge and quantized input slew are bit-equal -- the key is a
+     function of exactly these and the stored configuration.  The dirty set
+     is downward-closed over fan-out, so a clean net's ancestors hand off
+     their previous slews; a clean net whose inputs moved anyway is
+     re-solved, so correctness never rests on the dirty set being tight.
+   - A retime looks the cache up without inserting: the resident result
+     keeps its solves, and inserting would grow the cache by every edited
+     net of every delta.
+   - Phase and level spans, [stats.phases] and progress are a cold run's;
+     a retime's one [flow.delta] span times it.  The benchmark ledger sums
+     phase and delta spans into one row, so a retime records no phases.
+   Cache and work counts fold the run's own outcomes, not the shared
+   cache's counters, so a run counts none of a concurrent run's lookups. *)
+let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
+  let cold = Option.is_none prev in
+  let obs = cfg.Config.obs and slew_grid = cfg.Config.slew_grid in
   (* A borrowed pool (the service daemon's) is used as-is; otherwise the run
      uses the process-wide resident pool of the requested size, clamped to
      the core count. *)
   let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
-  let jobs_used = Pool.jobs pool in
-  let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
-  let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
+  let cfg =
+    match cfg.Config.cache with Some _ -> cfg | None -> Config.with_cache (create_cache ()) cfg
+  in
   let ch0, cm0, cs0 = Characterize.stats () in
   let tech = design.Design.tech in
   let n = Array.length design.Design.nets in
   let phases = ref [] in
   let timed name f =
-    let t0 = Unix.gettimeofday () in
-    let v = Obs.time obs ("flow." ^ name) f in
-    let dt_wall = Unix.gettimeofday () -. t0 in
-    phases := { p_name = name; p_seconds = dt_wall } :: !phases;
-    Log.info (fun m -> m "phase %-12s %8.1f ms" name (1e3 *. dt_wall));
-    v
+    if not cold then f ()
+    else begin
+      let t0 = Unix.gettimeofday () in
+      let v = Obs.time obs ("flow." ^ name) f in
+      let dt_wall = Unix.gettimeofday () -. t0 in
+      phases := { p_name = name; p_seconds = dt_wall } :: !phases;
+      Log.info (fun m -> m "phase %-12s %8.1f ms" name (1e3 *. dt_wall));
+      v
+    end
   in
   (* Characterize every driver size once, in the calling domain, so the
-     worker domains only ever read the (mutex-guarded) memo table. *)
+     worker domains only ever read the (mutex-guarded) memo table.  A delta
+     can introduce a driver size the cold run never saw. *)
   timed "characterize" (fun () ->
       List.iter (fun size -> ignore (cell_exn ~obs tech ~size)) design.Design.sizes);
   let results : net_result option array = Array.make n None in
   let keys = Array.make n "" in
-  (* incremented from worker domains *)
-  let spent = Atomic.make 0 in
-  let nets_done = Atomic.make 0 in
+  (* The run's own cache and work counts, folded from its outcomes. *)
+  let reused = ref 0 and hits = ref 0 and misses = ref 0 and spent = ref 0 in
+  let reusable (net : Design.net) edge input_slew =
+    match prev with
+    | None -> None
+    | Some ((old : Timed.t), dirty) ->
+        let id = net.Design.id in
+        let p = old.Timed.result.results.(id) in
+        if
+          (not dirty.(id))
+          && net == p.net && edge = p.edge
+          && Cache.same_bits (canonical_slew ~grid:slew_grid input_slew) p.input_slew
+        then Some ({ p with arrival = 0. }, old.Timed.keys.(id))
+        else None
+  in
+  let solve_one lvl ((net : Design.net), edge, input_slew) =
+    (* Observation point: a flow whose budget expired stops before the next
+       solve, even when every remaining net would be a cheap cache hit. *)
+    Deadline.check_ambient ();
+    match reusable net edge input_slew with
+    | Some (r, key) ->
+        Obs.incr obs "flow.reused";
+        (r, key, Reused)
+    | None ->
+        if not cold then Obs.incr obs "flow.retimed";
+        let net_t0 = Obs.start obs in
+        let c, solve, outcome = lookup_or_solve cfg ~tech ~insert:cold net ~edge ~input_slew in
+        let hit = outcome = Hit in
+        if Obs.enabled obs then begin
+          Obs.finish obs
+            ~args:
+              [
+                ("net", net.Design.name);
+                ("level", string_of_int lvl);
+                ("cache", if hit then "hit" else "miss");
+                ("ceff_iterations", string_of_int solve.iterations);
+                ( "shape",
+                  match solve.model.Driver_model.shape with
+                  | Driver_model.Two_ramp _ -> "two-ramp"
+                  | Driver_model.One_ramp _ -> "one-ramp" );
+              ]
+            "flow.net" net_t0;
+          Obs.incr obs "flow.nets";
+          Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
+          (* Per-net iterations regardless of cache outcome: sums to
+             [stats.iterations_total] on a cold run.  The separate *_run
+             counter tracks iterations actually executed. *)
+          Obs.add obs "flow.ceff_iterations" solve.iterations;
+          if not hit then Obs.add obs "flow.ceff_iterations_run" solve.iterations
+        end;
+        Log.debug (fun m ->
+            m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)" net.Design.name
+              lvl
+              (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
+              (Rlc_num.Units.in_ps solve.stage_delay)
+              (Rlc_num.Units.in_ps solve.far_slew)
+              solve.iterations
+              (if hit then ", cached" else ""));
+        ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key, outcome)
+  in
+  let nets_done = ref 0 in
   timed "solve" (fun () ->
       Array.iteri
         (fun lvl ids ->
@@ -265,70 +392,27 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
               ids
           in
           let solved =
-            Pool.map ~obs pool (Array.length ids) (fun k ->
-                (* Observation point: a flow whose budget expired stops
-                   before the next solve, even when every remaining net
-                   would be a cheap cache hit. *)
-                Deadline.check_ambient ();
-                let net, edge, input_slew = jobs_for_level.(k) in
-                let net_t0 = Obs.start obs in
-                let c =
-                  canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive
-                    net ~edge ~input_slew
-                in
-                let compute () =
-                  let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
-                  Atomic.fetch_and_add spent s.iterations |> ignore;
-                  s
-                in
-                let solve, hit =
-                  if use_cache then Cache.find_or_add cache c.key compute
-                  else (compute (), false)
-                in
-                if Obs.enabled obs then begin
-                  Obs.finish obs
-                    ~args:
-                      [
-                        ("net", net.Design.name);
-                        ("level", string_of_int lvl);
-                        ("cache", if hit then "hit" else "miss");
-                        ("ceff_iterations", string_of_int solve.iterations);
-                        ( "shape",
-                          match solve.model.Driver_model.shape with
-                          | Driver_model.Two_ramp _ -> "two-ramp"
-                          | Driver_model.One_ramp _ -> "one-ramp" );
-                      ]
-                    "flow.net" net_t0;
-                  Obs.incr obs "flow.nets";
-                  Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
-                  (* Per-net iterations regardless of cache outcome: sums
-                     to [stats.iterations_total].  The separate *_run
-                     counter tracks iterations actually executed. *)
-                  Obs.add obs "flow.ceff_iterations" solve.iterations;
-                  if not hit then Obs.add obs "flow.ceff_iterations_run" solve.iterations
-                end;
-                Log.debug (fun m ->
-                    m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)"
-                      net.Design.name lvl
-                      (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
-                      (Rlc_num.Units.in_ps solve.stage_delay)
-                      (Rlc_num.Units.in_ps solve.far_slew)
-                      solve.iterations
-                      (if hit then ", cached" else ""));
-                ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key))
+            Pool.map ~obs pool (Array.length ids) (fun k -> solve_one lvl jobs_for_level.(k))
           in
           Array.iteri
-            (fun k (r, key) ->
+            (fun k (r, key, outcome) ->
               results.(ids.(k)) <- Some r;
-              keys.(ids.(k)) <- key)
+              keys.(ids.(k)) <- key;
+              match outcome with
+              | Reused -> incr reused
+              | Hit -> incr hits
+              | Miss ->
+                  incr misses;
+                  spent := !spent + r.solve.iterations
+              | Uncached -> spent := !spent + r.solve.iterations)
             solved;
-          Obs.finish obs
-            ~args:[ ("level", string_of_int lvl); ("nets", string_of_int (Array.length ids)) ]
-            "flow.level" level_t0;
-          let done_now = Atomic.fetch_and_add nets_done (Array.length ids) + Array.length ids in
-          match progress with
-          | Some p -> Progress.report p done_now
-          | None -> ())
+          if cold then begin
+            Obs.finish obs
+              ~args:[ ("level", string_of_int lvl); ("nets", string_of_int (Array.length ids)) ]
+              "flow.level" level_t0;
+            nets_done := !nets_done + Array.length ids;
+            Option.iter (fun p -> Progress.report p !nets_done) cfg.Config.progress
+          end)
         design.Design.levels);
   (* Arrivals accumulate along the fan-in chains; levels are already in
      dependency order, so one ordered pass suffices. *)
@@ -365,13 +449,13 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
             | Driver_model.One_ramp _ -> false);
       iterations_total =
         Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
-      cache_hits = Cache.hits cache - hits0;
-      cache_misses = Cache.misses cache - misses0;
+      cache_hits = !hits;
+      cache_misses = !misses;
       char_hits = (let h, _, _ = Characterize.stats () in h - ch0);
       char_misses = (let _, m, _ = Characterize.stats () in m - cm0);
       char_stores = (let _, _, s = Characterize.stats () in s - cs0);
-      iterations_spent = Atomic.get spent;
-      jobs_used;
+      iterations_spent = !spent;
+      jobs_used = Pool.jobs pool;
       phases = List.rev !phases;
     }
   in
@@ -379,183 +463,22 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
       m "flow: %d nets / %d levels, %d inductive, cache %d hits / %d misses, %d/%d iterations run"
         stats.n_nets stats.n_levels stats.n_inductive stats.cache_hits stats.cache_misses
         stats.iterations_spent stats.iterations_total);
-  ({ design; results; stats }, keys)
-
-(* The request deadline (when any) is installed ambiently for the whole
-   run: the serial phases check it at level boundaries, worker domains
-   inherit it through the pool's batch snapshot, and the replay engine
-   polls it inside its step loops.  The trace id rides the same mechanism:
-   installed here for the master domain, snapshotted into pool batches for
-   the workers, stamped onto every span by [Obs.record_span]. *)
-let with_run (cfg : Config.t) f =
-  let body () =
-    match cfg.Config.deadline with None -> f () | Some d -> Deadline.with_ambient d f
-  in
-  match cfg.Config.trace with
-  | None -> body ()
-  | Some _ as trace -> Obs.with_trace trace body
+  ({ design; results; stats }, keys, !reused)
 
 let run_cfg (cfg : Config.t) (design : Design.t) =
-  fst (with_run cfg (fun () -> run_cfg_inner cfg design))
+  let result, _, _ = with_run cfg (fun () -> solve_pass cfg design) in
+  result
 
 (* ---------------------------------------------------- incremental (ECO) *)
-
-module Timed = struct
-  type timed = {
-    cfg : Config.t;
-    spef : Rlc_spef.Spef.t;
-    spec : Spec.t;
-    result : result;
-    keys : string array;
-        (* canonical cache key per net id, exactly as each net solved,
-           kept from the solve pass that computed it *)
-  }
-
-  type t = timed
-
-  let result t = t.result
-  let design t = t.result.design
-end
 
 let time ?tech (cfg : Config.t) ~spef ~spec () =
   match Design.ingest ?tech ~spef ~spec () with
   | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
   | Ok design ->
-      let result, keys = with_run cfg (fun () -> run_cfg_inner cfg design) in
+      let result, keys, _ = with_run cfg (fun () -> solve_pass cfg design) in
       Ok { Timed.cfg; spef; spec; result; keys }
 
 type delta_stats = { retimed : int; reused : int }
-
-(* The incremental solve pass.  Structure mirrors [run_cfg_inner] exactly —
-   same level order, same handoff preparation, same pooled fan-out — but a
-   net outside the dirty set whose canonical inputs are provably the
-   previous ones keeps its previous solve and key, neither canonicalized
-   nor looked up.  They are when its record is the previous one (ingest
-   kept it, so size, Pade fit, line and load are the same values) and its
-   edge and quantized input slew are bit-equal: the key is a function of
-   exactly these and of the stored configuration.  The dirty set is
-   downward-closed over fan-out, so every ancestor of a clean net is clean
-   and hands off its previous slew; a clean net whose inputs nonetheless
-   moved is re-solved — correctness never rests on the dirty-set
-   computation being tight.  Re-solves look the shared cache up but do not
-   insert: the resident result keeps them, and inserting would grow the
-   cache by every edited net of every delta. *)
-let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result array) ~keys
-    ~dirty =
-  let obs = cfg.Config.obs
-  and dt = cfg.Config.dt
-  and adaptive = cfg.Config.adaptive
-  and use_cache = cfg.Config.use_cache
-  and quantize_digits = cfg.Config.quantize_digits
-  and slew_grid = cfg.Config.slew_grid in
-  let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
-  let jobs_used = Pool.jobs pool in
-  let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
-  let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
-  let ch0, cm0, cs0 = Characterize.stats () in
-  let tech = design.Design.tech in
-  let n = Array.length design.Design.nets in
-  (* A delta can introduce a driver size the cold run never saw. *)
-  List.iter (fun size -> ignore (cell_exn ~obs tech ~size)) design.Design.sizes;
-  let results : net_result option array = Array.make n None in
-  let new_keys = Array.make n "" in
-  let spent = Atomic.make 0 in
-  let retimed = Atomic.make 0 and reused = Atomic.make 0 in
-  Array.iter
-    (fun ids ->
-      Deadline.check_ambient ();
-      let jobs_for_level =
-        Array.map
-          (fun id ->
-            let net = design.Design.nets.(id) in
-            let edge, input_slew =
-              match net.Design.fanin with
-              | None -> (Measure.Rising, Option.get net.Design.prim_slew)
-              | Some p ->
-                  let pr = Option.get results.(p) in
-                  (Sta.other_edge pr.edge, Sta.handoff_slew ~far_slew:pr.solve.far_slew)
-            in
-            (net, edge, input_slew))
-          ids
-      in
-      let solved =
-        Pool.map ~obs pool (Array.length ids) (fun k ->
-            Deadline.check_ambient ();
-            let net, edge, input_slew = jobs_for_level.(k) in
-            let id = net.Design.id in
-            let prev = old_results.(id) in
-            if
-              (not dirty.(id))
-              && net == prev.net && edge = prev.edge
-              && Cache.same_bits (canonical_slew ~grid:slew_grid input_slew) prev.input_slew
-            then begin
-              Atomic.incr reused;
-              Obs.incr obs "flow.reused";
-              ({ prev with arrival = 0. }, keys.(id))
-            end
-            else begin
-              Atomic.incr retimed;
-              Obs.incr obs "flow.retimed";
-              let c =
-                canonicalize ~digits:quantize_digits ~grid:slew_grid ~tech ~dt ?adaptive net
-                  ~edge ~input_slew
-              in
-              let solve =
-                match if use_cache then Cache.find cache c.key else None with
-                | Some s -> s
-                | None ->
-                    let s = solve_net ~obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c in
-                    Atomic.fetch_and_add spent s.iterations |> ignore;
-                    s
-              in
-              ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key)
-            end)
-      in
-      Array.iteri
-        (fun k (r, key) ->
-          results.(ids.(k)) <- Some r;
-          new_keys.(ids.(k)) <- key)
-        solved)
-    design.Design.levels;
-  let results =
-    let out = Array.map Option.get results in
-    Array.iter
-      (fun ids ->
-        Array.iter
-          (fun id ->
-            let r = out.(id) in
-            let base =
-              match r.net.Design.fanin with None -> 0. | Some p -> out.(p).arrival
-            in
-            out.(id) <- { r with arrival = base +. r.solve.stage_delay })
-          ids)
-      design.Design.levels;
-    out
-  in
-  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
-  let stats =
-    {
-      n_nets = n;
-      n_levels = Array.length design.Design.levels;
-      n_inductive =
-        count (fun r -> r.solve.model.Driver_model.screen.Rlc_ceff.Screen.significant);
-      n_two_ramp =
-        count (fun r ->
-            match r.solve.model.Driver_model.shape with
-            | Driver_model.Two_ramp _ -> true
-            | Driver_model.One_ramp _ -> false);
-      iterations_total = Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
-      cache_hits = Cache.hits cache - hits0;
-      cache_misses = Cache.misses cache - misses0;
-      char_hits = (let h, _, _ = Characterize.stats () in h - ch0);
-      char_misses = (let _, m, _ = Characterize.stats () in m - cm0);
-      char_stores = (let _, _, s = Characterize.stats () in s - cs0);
-      iterations_spent = Atomic.get spent;
-      jobs_used;
-      phases = [];
-    }
-  in
-  ({ design; results; stats }, new_keys, Atomic.get retimed, Atomic.get reused)
 
 let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
   match Delta.apply ~spef:t.Timed.spef ~spec:t.Timed.spec delta with
@@ -614,35 +537,25 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
             List.iter mark partners;
             let cfg = { t.Timed.cfg with Config.deadline; trace } in
             let obs = cfg.Config.obs in
-            let result, keys, n_retimed, n_reused =
+            let result, keys, reused =
               with_run cfg (fun () ->
                   let t0 = Obs.start obs in
-                  let ((_, _, n_retimed, n_reused) as v) =
-                    retime_inner cfg design ~old_results:old.results ~keys:t.Timed.keys ~dirty
-                  in
+                  let ((_, _, reused) as v) = solve_pass ~prev:(t, dirty) cfg design in
                   Obs.finish obs
                     ~args:
                       [
                         ("nets", string_of_int n);
                         ("changed", string_of_int (List.length changed));
-                        ("retimed", string_of_int n_retimed);
-                        ("reused", string_of_int n_reused);
+                        ("retimed", string_of_int (n - reused));
+                        ("reused", string_of_int reused);
                       ]
                     "flow.delta" t0;
                   v)
             in
             Log.info (fun m ->
-                m "delta: %d/%d nets retimed (%d reused) for %d changed"
-                  n_retimed n n_reused (List.length changed));
-            Ok
-              ( {
-                  Timed.cfg = t.Timed.cfg;
-                  spef;
-                  spec;
-                  result;
-                  keys;
-                },
-                { retimed = n_retimed; reused = n_reused } )
+                m "delta: %d/%d nets retimed (%d reused) for %d changed" (n - reused) n reused
+                  (List.length changed));
+            Ok ({ t with Timed.spef; spec; result; keys }, { retimed = n - reused; reused })
           end)
 
 let critical_path result =

@@ -10,6 +10,9 @@
     next level exactly as {!Rlc_sta.analyze} hands off between stages of a
     path ({!Rlc_sta.handoff_slew}, edge alternation included).
 
+    A cold run and a {!retime} are one pass; a retime adds a previous
+    state to reuse from.
+
     Determinism: every per-net quantity in {!net_result} is a pure function
     of the canonicalized inputs, and results are stored by net id — so
     reports are byte-identical for any [jobs] count.  Cache hit/miss
@@ -39,20 +42,22 @@ type stats = {
   n_inductive : int;  (** Eq. 9 verdicts (deterministic) *)
   n_two_ramp : int;
   iterations_total : int;  (** sum of per-net solve iterations (deterministic) *)
-  cache_hits : int;  (** scheduling-dependent; never reported in JSON/CSV *)
+  cache_hits : int;
+      (** this run's own Ceff cache lookups, none of a concurrent run's;
+          scheduling-dependent, never reported in JSON/CSV *)
   cache_misses : int;
   char_hits : int;
-      (** characterization-memo hits/misses/stores attributable to this run
-          ({!Rlc_liberty.Characterize.stats} deltas); like the Ceff cache
-          counters they are scheduling-dependent and stay out of report
-          payloads *)
+      (** characterization-memo hits/misses/stores: process-wide
+          {!Rlc_liberty.Characterize.stats} deltas over the run, so unlike
+          the Ceff counts they include any concurrent request's; they stay
+          out of report payloads *)
   char_misses : int;
   char_stores : int;
-  iterations_spent : int;  (** iterations actually run = sum over misses *)
+  iterations_spent : int;  (** iterations this run actually ran = sum over its solves *)
   jobs_used : int;
       (** worker domains actually used, after clamping the request to the
           machine's core count; surfaced in the human summary only *)
-  phases : phase list;  (** wall time per phase, in execution order *)
+  phases : phase list;  (** wall time per phase, in execution order; empty for a retime *)
 }
 
 type result = { design : Design.t; results : net_result array; stats : stats }
@@ -131,21 +136,29 @@ val solve_sized :
     [Config.cache] when [use_cache]).  The result is a pure function of the
     quantized inputs, so sweeps built on it are jobs-independent; a
     subsequent full flow at the chosen size hits the same cache entries.
+    Same per-net step as the flow, without its per-net telemetry.
     May raise as {!run_cfg} does (engine failures, deadline expiry). *)
 
-val run_cfg : Config.t -> Design.t -> result
-(** Run the flow under a {!Config.t}.  Cells for every driver size are
-    characterized up front in the calling domain (the memo table is shared,
-    read-only during fan-out).
+val with_run : Config.t -> (unit -> 'a) -> 'a
+(** Run [f] under [cfg]'s [deadline] and [trace], installed ambiently as
+    every flow run installs them. *)
 
-    [Config.obs] (default disabled) records: ["flow.characterize"] /
-    ["flow.solve"] / ["flow.arrivals"] phase spans, a ["flow.level"] span
-    per timing level, a ["flow.net"] span per net (args: net name, level,
-    [cache] hit/miss, Ceff iteration count, waveform shape), counters
-    ["flow.nets"], ["flow.cache.hits"]/["flow.cache.misses"],
+val run_cfg : Config.t -> Design.t -> result
+(** Run the flow cold under a {!Config.t}: the solve pass with nothing to
+    reuse, inserting every miss into the cache.  Cells for every driver
+    size are characterized up front in the calling domain (the memo table
+    is shared, read-only during fan-out).
+
+    [Config.obs] (default disabled) records a ["flow.net"] span (args: net
+    name, level, [cache] hit/miss, Ceff iteration count, waveform shape)
+    and the counters ["flow.nets"], ["flow.cache.hits"]/["flow.cache.misses"],
     ["flow.ceff_iterations"] (per-net solve iterations, cached or not —
-    sums to [stats.iterations_total]) and ["flow.ceff_iterations_run"]
-    (misses only — sums to [stats.iterations_spent]); the sink is also
+    on a cold run sums to [stats.iterations_total]) and
+    ["flow.ceff_iterations_run"] (solves actually run — sums to
+    [stats.iterations_spent]) for every net the pass looks up or solves,
+    in a {!retime} too.  Only a cold run records the
+    ["flow.characterize"] / ["flow.solve"] / ["flow.arrivals"] phase spans
+    and a ["flow.level"] span per timing level.  The sink is also
     forwarded to the pool, the driver model, and the replay engine.
     Telemetry stays out of {!Report} payloads by construction.
 
@@ -211,10 +224,12 @@ val retime :
     at the cone frontier come from the reused results, exactly as a cold
     run would hand them off.
 
-    Re-solves look the configured cache up ({!Cache.find}) but do not
-    insert: the returned handle holds what they computed, so a stream of
-    deltas leaves a shared cache at the size the cold load left it, while
-    an edit that restores a loaded value is still answered from it.
+    Re-solves take {!run_cfg}'s per-net step, but look the configured
+    cache up ({!Cache.find}) without inserting: the returned handle holds
+    what they computed, so a stream of deltas leaves a shared cache at the
+    size the cold load left it, while an edit that restores a loaded value
+    is still answered from it.  With the cache on, the result's
+    [cache_hits + cache_misses] is [retimed].
 
     The returned {!Timed.t} replaces the old handle; its {!Timed.result}
     — and hence any {!Report} rendered from it — is byte-identical to a
@@ -223,7 +238,8 @@ val retime :
     as {!run_cfg} installs its own).
 
     Obs: one ["flow.delta"] span (args: net/changed/retimed/reused
-    counts) plus ["flow.retimed"] / ["flow.reused"] counters.
+    counts), ["flow.retimed"] / ["flow.reused"] counters, and {!run_cfg}'s
+    per-net span and counters for each re-solved net.
 
     Errors: delta validation failures ({!Delta.apply}) and edited designs
     that no longer ingest are {!Rlc_errors.Error.Bad_request}; the engine

@@ -270,16 +270,6 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
       let slack id = required -. before.Flow.results.(id).Flow.arrival in
       let pool = Pool.borrow ?pool:cfg.Flow.Config.pool ?jobs:cfg.Flow.Config.jobs () in
       let jobs_used = Pool.jobs pool in
-      let with_ambient f =
-        let body () =
-          match cfg.Flow.Config.deadline with
-          | None -> f ()
-          | Some d -> Deadline.with_ambient d f
-        in
-        match cfg.Flow.Config.trace with
-        | None -> body ()
-        | Some _ as trace -> Obs.with_trace trace body
-      in
       let searches : (int * float * search) list ref = ref [] in
       (* Backward deficit pass.  A net's stage delay is on the arrival path
          of every endpoint downstream of it, so the deficit it should help
@@ -352,7 +342,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
               "optimize.level" t0)
           design.Design.levels
       in
-      match with_ambient body with
+      match Flow.with_run cfg body with
       | () ->
           let searches = List.rev !searches in
           (* The applied fix set: driver resizes only (repeaters are

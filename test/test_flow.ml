@@ -515,16 +515,79 @@ let test_delta_obs_counters () =
   let sink = Rlc_obs.Obs.create () in
   let cfg = { Flow.Config.default with Flow.Config.obs = sink } in
   let t = time_cfg cfg in
+  let loaded = Rlc_obs.Obs.snapshot sink in
   match Flow.retime t { Delta.empty with Delta.nets = [ ("b0", b0_heavier) ] } with
   | Error e -> Alcotest.failf "retime: %s" (Rlc_errors.Error.message e)
   | Ok (_, stats) ->
       let m = Rlc_obs.Obs.snapshot sink in
-      Alcotest.(check int) "flow.retimed counter" stats.Flow.retimed
-        (Rlc_obs.Obs.counter m "flow.retimed");
-      Alcotest.(check int) "flow.reused counter" stats.Flow.reused
-        (Rlc_obs.Obs.counter m "flow.reused");
+      (* What the retime alone recorded: the load's telemetry subtracted. *)
+      let counter name = Rlc_obs.Obs.counter m name - Rlc_obs.Obs.counter loaded name in
+      let spans name =
+        fst (Rlc_obs.Obs.span_total m name) - fst (Rlc_obs.Obs.span_total loaded name)
+      in
+      Alcotest.(check int) "flow.retimed counter" stats.Flow.retimed (counter "flow.retimed");
+      Alcotest.(check int) "flow.reused counter" stats.Flow.reused (counter "flow.reused");
       Alcotest.(check int) "counters sum to net count" 4
-        (Rlc_obs.Obs.counter m "flow.retimed" + Rlc_obs.Obs.counter m "flow.reused")
+        (counter "flow.retimed" + counter "flow.reused");
+      Alcotest.(check int) "flow.nets = retimed" stats.Flow.retimed (counter "flow.nets");
+      Alcotest.(check int) "flow.cache.* = retimed" stats.Flow.retimed
+        (counter "flow.cache.hits" + counter "flow.cache.misses");
+      Alcotest.(check int) "a flow.net span per retimed net" stats.Flow.retimed
+        (spans "flow.net");
+      Alcotest.(check int) "one flow.delta span" 1 (spans "flow.delta");
+      Alcotest.(check int) "no flow.solve phase span" 0 (spans "flow.solve")
+
+(* Two domains share one cache: one loops cold runs of the design while the
+   other re-times one-net slew edits of a timed handle.  Each run's cache
+   counts must be its own lookups: every net for a cold run, every retimed
+   net for a retime -- none of the other domain's. *)
+let test_delta_counts_own_lookups () =
+  let d = Lazy.force design in
+  let cfg =
+    { Flow.Config.default with Flow.Config.jobs = Some 1; cache = Some (Flow.create_cache ()) }
+  in
+  let lookups (s : Flow.stats) = s.Flow.cache_hits + s.Flow.cache_misses in
+  let runs = Atomic.make 0 and stop = Atomic.make false in
+  let cold =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stop true)
+          (fun () ->
+            let off = ref 0 in
+            while not (Atomic.get stop) do
+              let s = (Flow.run_cfg cfg d).Flow.stats in
+              Atomic.incr runs;
+              if lookups s <> s.Flow.n_nets then incr off
+            done;
+            !off))
+  in
+  (* The retimes start once the cold loop is running (or has died). *)
+  while Atomic.get runs = 0 && not (Atomic.get stop) do
+    Domain.cpu_relax ()
+  done;
+  let retimes_off =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        let t = ref (time_cfg cfg) and off = ref [] in
+        for i = 1 to 40 do
+          let slew = float_of_int (100 + (10 * (i mod 4))) *. 1e-12 in
+          match Flow.retime !t { Delta.empty with Delta.slews = [ ("b0", slew) ] } with
+          | Error e -> Alcotest.failf "retime %d: %s" i (Rlc_errors.Error.message e)
+          | Ok (t', st) ->
+              t := t';
+              let s = (Flow.Timed.result t').Flow.stats in
+              if st.Flow.retimed <> 2 || lookups s <> st.Flow.retimed then
+                off :=
+                  Printf.sprintf "retime %d: %d retimed, %d hits + %d misses" i st.Flow.retimed
+                    s.Flow.cache_hits s.Flow.cache_misses
+                  :: !off
+        done;
+        List.rev !off)
+  in
+  let cold_off = Domain.join cold in
+  Alcotest.(check (list string)) "retimes count their 2 nets' lookups" [] retimes_off;
+  Alcotest.(check int) "cold runs counting lookups not their own" 0 cold_off
 
 let test_delta_errors () =
   let t = time_cfg Flow.Config.default in
@@ -590,6 +653,7 @@ let () =
           Alcotest.test_case "slew edit" `Quick test_delta_slew_edit;
           Alcotest.test_case "deltas compose" `Quick test_delta_compose;
           Alcotest.test_case "obs counters" `Quick test_delta_obs_counters;
+          Alcotest.test_case "runs count their own lookups" `Quick test_delta_counts_own_lookups;
           Alcotest.test_case "validation errors" `Quick test_delta_errors;
         ] );
     ]

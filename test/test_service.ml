@@ -434,6 +434,7 @@ type reuse_case = {
   tails : bool;
   coupled : bool;
   xtalk : bool;
+  jobs : int;  (** the session's pool size *)
   jitter : float array;  (** per net, in [net_names] order *)
   deltas : reuse_edit list list;
 }
@@ -543,7 +544,8 @@ let arb_reuse_case =
     bool >>= fun tails ->
     bool >>= fun coupled ->
     frequencyl [ (2, false); (1, true) ] >>= fun xtalk ->
-    let shape = { bits; segs; tails; coupled; xtalk; jitter = [||]; deltas = [] } in
+    oneofl [ 1; 2 ] >>= fun jobs ->
+    let shape = { bits; segs; tails; coupled; xtalk; jobs; jitter = [||]; deltas = [] } in
     let names = Array.of_list (net_names shape) in
     let globals = Array.of_list (List.filter is_global (Array.to_list names)) in
     let driven = Array.of_list (List.filter (fun n -> not (is_global n)) (Array.to_list names)) in
@@ -569,10 +571,11 @@ let arb_reuse_case =
     { shape with jitter; deltas }
   in
   QCheck.make gen ~print:(fun c ->
-      Printf.sprintf "%d bits x %d segs%s%s%s: %s" c.bits c.segs
+      Printf.sprintf "%d bits x %d segs%s%s%s, jobs %d: %s" c.bits c.segs
         (if c.tails then ", tails" else "")
         (if c.coupled then ", coupled" else "")
         (if c.xtalk then ", xtalk" else "")
+        c.jobs
         (String.concat " | "
            (List.map (fun d -> String.concat ", " (List.map print_edit d)) c.deltas)))
 
@@ -622,10 +625,11 @@ let cold_report ~xtalk design =
   Rlc_flow.Report.json_string ?xtalk:fragment result
 
 (* Random bus designs under random delta sequences, served through
-   [Session.flow_delta]: every report is byte-identical to a cold run of
-   the [Delta.apply]'d sources, retimed + reused covers every net, and
-   every ingest record a delta kept (physically the previous one) equals
-   the cold-ingested record field by field. *)
+   [Session.flow_delta] by a session of 1 or 2 domains: every report is
+   byte-identical to a cold run of the [Delta.apply]'d sources (so the one
+   flow pass is jobs-independent in both of its modes), retimed + reused
+   covers every net, and every ingest record a delta kept (physically the
+   previous one) equals the cold-ingested record field by field. *)
 let prop_reuse =
   QCheck.Test.make ~name:"flow_delta reuse = cold run of the edited sources" ~count:40
     arb_reuse_case (fun c ->
@@ -636,7 +640,8 @@ let prop_reuse =
           Session.Request.xtalk = (if c.xtalk then Some xtalk_knobs else None);
         }
       in
-      Session.with_session (fun session ->
+      let config = { Session.Config.default with Session.Config.jobs = c.jobs } in
+      Session.with_session ~config (fun session ->
           let handle, loaded =
             ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
           in
