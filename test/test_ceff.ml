@@ -486,23 +486,46 @@ let test_default_t_stop_covers_table1 () =
     Experiments.table1
 
 let test_adaptive_matches_fixed_on_table1 () =
-  (* Acceptance bar for the adaptive engine: on a Table-1 case the reference
-     delay/slew must agree with fixed-step to < 1 % while taking several
-     times fewer steps (step counts are asserted at the engine level in
-     test_circuit). *)
-  let case = Experiments.case_of_row (List.nth Experiments.table1 11) in
-  let fixed = Evaluate.run ~dt:0.5e-12 case in
-  let adaptive =
-    Evaluate.run ~dt:0.5e-12 ~adaptive:(Rlc_circuit.Engine.default_adaptive ()) case
+  (* Acceptance bar for the adaptive engine: the reference delay/slew of
+     every scored point must agree with fixed-step to < 1 % while the
+     engine takes at least 3x fewer steps (exact counts at jobs 1).  Two
+     inputs: a Table-1 case at the default dt_min, and every 70th case of
+     the Figure 7 grid with dt_min pinned to the fixed dt.  Sizes are
+     characterized first, so neither count includes characterization. *)
+  let dt = 0.5e-12 in
+  let check name ~adaptive cases =
+    List.iter
+      (fun (c : Evaluate.case) -> ignore (cell_exn c.Evaluate.tech ~size:c.Evaluate.size))
+      cases;
+    let sweep adaptive =
+      let obs = Rlc_obs.Obs.create () in
+      let s = Experiments.run_sweep ~obs ~dt ?adaptive ~jobs:1 cases in
+      (s.Experiments.points, Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs) "engine.steps")
+    in
+    let fixed, fixed_steps = sweep None in
+    let adapt, adaptive_steps = sweep (Some adaptive) in
+    Alcotest.(check bool) (name ^ ": some case scored") true (fixed <> []);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: 3x fewer steps (%d adaptive vs %d fixed)" name adaptive_steps
+         fixed_steps)
+      true
+      (adaptive_steps * 3 <= fixed_steps);
+    let rel what a b =
+      let e = 100. *. Float.abs (a -. b) /. Float.abs b in
+      Alcotest.(check bool) (Printf.sprintf "%s within 1%% (%.2f%%)" what e) true (e < 1.)
+    in
+    List.iter2
+      (fun (f : Experiments.sweep_point) (a : Experiments.sweep_point) ->
+        let label = f.Experiments.point_case.Evaluate.label in
+        rel (label ^ " reference delay") a.Experiments.ref_delay f.Experiments.ref_delay;
+        rel (label ^ " reference slew") a.Experiments.ref_slew f.Experiments.ref_slew)
+      fixed adapt
   in
-  let rel what a b =
-    let e = 100. *. Float.abs (a -. b) /. Float.abs b in
-    Alcotest.(check bool) (Printf.sprintf "%s within 1%% (%.2f%%)" what e) true (e < 1.)
-  in
-  rel "reference delay" adaptive.Evaluate.reference.Evaluate.delay
-    fixed.Evaluate.reference.Evaluate.delay;
-  rel "reference slew" adaptive.Evaluate.reference.Evaluate.slew
-    fixed.Evaluate.reference.Evaluate.slew
+  check "table 1" ~adaptive:(Rlc_circuit.Engine.default_adaptive ())
+    [ Experiments.case_of_row (List.nth Experiments.table1 11) ];
+  check "sweep"
+    ~adaptive:(Rlc_circuit.Engine.default_adaptive ~dt_min:dt ())
+    (List.filteri (fun i _ -> i mod 70 = 0) (Experiments.sweep_cases ()))
 
 (* --------------------------------------------------------------- sweep *)
 

@@ -338,6 +338,21 @@ let build_ramp_rc () =
   Netlist.capacitor nl out Netlist.ground 1e-12;
   (nl, out, t0, tr)
 
+(* Step economy of an adaptive run against its fixed-step twin: at least
+   3x fewer steps, and rung reuse keeping the factorizations (one per
+   rung first used, one per breakpoint offcut) to a quarter of the steps. *)
+let check_step_economy name ~fixed ad =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: 3x fewer steps (%d adaptive vs %d fixed)" name (Engine.steps ad)
+       (Engine.steps fixed))
+    true
+    (Engine.steps ad * 3 <= Engine.steps fixed);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: refactors (%d) << steps (%d)" name (Engine.refactors ad)
+       (Engine.steps ad))
+    true
+    (Engine.refactors ad * 4 <= Engine.steps ad)
+
 let test_adaptive_rc () =
   let t_stop = 5e-9 in
   let nl_f, out_f, _, _ = build_ramp_rc () in
@@ -354,15 +369,28 @@ let test_adaptive_rc () =
         (Printf.sprintf "adaptive rc at %g" t)
         (Waveform.value_at wf t) (Waveform.value_at wa t))
     [ 30e-12; 60e-12; 0.2e-9; 0.5e-9; 1e-9; 2e-9; 4e-9 ];
-  Alcotest.(check bool)
-    (Printf.sprintf "3x fewer steps (%d adaptive vs %d fixed)" (Engine.steps ad)
-       (Engine.steps fixed))
-    true
-    (Engine.steps ad * 3 <= Engine.steps fixed);
-  Alcotest.(check bool)
-    (Printf.sprintf "refactors (%d) << steps (%d)" (Engine.refactors ad) (Engine.steps ad))
-    true
-    (Engine.refactors ad * 4 <= Engine.steps ad)
+  check_step_economy "ramp rc" ~fixed ad
+
+(* A 5 mm-class global line (72.44 Ohm / 5.14 nH / 1.10 pF) as 100 R-L-C
+   segments behind a 25 ps ramp, at the timing-grade default ltol with
+   dt_min pinned to the fixed dt: the controller may only coarsen. *)
+let test_adaptive_rlc_ladder () =
+  let dt = 0.5e-12 and t_stop = 1e-9 and n = 100 in
+  let nl = Netlist.create () in
+  let src = Netlist.node nl "src" in
+  Netlist.force_voltage nl src (fun t -> Float.min 1. (Float.max 0. (t /. 25e-12)));
+  let prev = ref src in
+  for i = 1 to n do
+    let mid = Netlist.node nl (Printf.sprintf "m%d" i) in
+    let nd = Netlist.node nl (Printf.sprintf "n%d" i) in
+    Netlist.resistor nl !prev mid (72.44 /. float_of_int n);
+    Netlist.inductor nl mid nd (5.14e-9 /. float_of_int n);
+    Netlist.capacitor nl nd Netlist.ground (1.10e-12 /. float_of_int n);
+    prev := nd
+  done;
+  let fixed = Engine.transient ~dt ~t_stop nl in
+  let ad = Engine.transient ~adaptive:(Engine.default_adaptive ~dt_min:dt ()) ~dt ~t_stop nl in
+  check_step_economy "rlc ladder" ~fixed ad
 
 let test_adaptive_breakpoints_exact () =
   let t_stop = 1e-9 in
@@ -682,6 +710,73 @@ let test_compiled_cache_keying () =
   Alcotest.(check bool) "different structure gets its own handle" true (hc != ha);
   let _, m2 = Engine.Compiled.cache_stats () in
   Alcotest.(check int) "topology change missed" 1 (m2 - m1);
+  Engine.Compiled.clear_cache ()
+
+(* A candidate sweep's unit of work: one coupled bus replayed at several
+   aggressor alignments.  Bit 0 is the quiet victim; the other bits ramp at
+   staggered times, so each run lands on many source kinks (one offcut
+   factorization each).  Candidates differ only in source timing, so after
+   one pass through the structure-keyed handle cache a second pass finds
+   every rung and offcut state it needs already factored, where a fresh
+   transient factors each one again. *)
+let build_staggered_bus t_off =
+  let bits = 4 and segs = 16 and tr = 30e-12 in
+  let fs = float_of_int segs in
+  let nl = Netlist.create () in
+  let nodes = Array.make_matrix bits segs Netlist.ground in
+  for b = 0 to bits - 1 do
+    let src = Netlist.node nl (Printf.sprintf "s%d" b) in
+    (if b = 0 then Netlist.force_voltage nl ~breakpoints:[] src (fun _ -> 0.)
+     else
+       let t0 = t_off +. (3e-12 *. float_of_int b) in
+       Netlist.force_voltage nl ~breakpoints:[ t0; t0 +. tr ] src (fun t ->
+           if t <= t0 then 0. else if t >= t0 +. tr then 1. else (t -. t0) /. tr));
+    let prev = ref src in
+    for s = 0 to segs - 1 do
+      let n = Netlist.node nl (Printf.sprintf "n%d_%d" b s) in
+      nodes.(b).(s) <- n;
+      Netlist.resistor nl !prev n (if s = 0 then 100. else 120. /. fs);
+      Netlist.inductor nl !prev n (1e-10 /. fs);
+      Netlist.capacitor nl n Netlist.ground (60e-15 /. fs);
+      prev := n
+    done
+  done;
+  for b = 0 to bits - 2 do
+    for s = 0 to segs - 1 do
+      Netlist.capacitor nl nodes.(b).(s) nodes.(b + 1).(s) (30e-15 /. fs)
+    done
+  done;
+  (nl, nodes.(0).(segs - 1))
+
+let test_compiled_candidate_sweep () =
+  let dt = 0.5e-12 and t_stop = 120e-12 in
+  let adaptive = Engine.default_adaptive ~dt_min:dt () in
+  let offsets = [ 10e-12; 15e-12; 20e-12; 25e-12 ] in
+  Engine.Compiled.clear_cache ();
+  let _, m0 = Engine.Compiled.cache_stats () in
+  let pass k =
+    List.iter
+      (fun off ->
+        let nl, victim = build_staggered_bus off in
+        let r =
+          Engine.Compiled.run ~record_nodes:[ victim ] ~adaptive ~dt ~t_stop
+            (Engine.Compiled.cached nl)
+        in
+        let fresh = Engine.transient ~record_nodes:[ victim ] ~adaptive ~dt ~t_stop nl in
+        if Engine.times fresh <> Engine.times r then
+          Alcotest.failf "pass %d, offset %g: time grids differ" k off;
+        assert_same_waveform (Printf.sprintf "pass %d, offset %g" k off) fresh r victim;
+        if Engine.refactors fresh = 0 then
+          Alcotest.failf "offset %g: a fresh transient factored nothing" off;
+        if k = 2 && Engine.refactors r <> 0 then
+          Alcotest.failf "second pass, offset %g: %d refactors (fresh: %d)" off
+            (Engine.refactors r) (Engine.refactors fresh))
+      offsets
+  in
+  pass 1;
+  pass 2;
+  let _, m1 = Engine.Compiled.cache_stats () in
+  Alcotest.(check int) "one handle for every candidate" 1 (m1 - m0);
   Engine.Compiled.clear_cache ()
 
 (* --------------------------------------------------------------- until *)
@@ -1134,6 +1229,7 @@ let () =
       ( "adaptive",
         [
           Alcotest.test_case "RC tracks fixed, 3x fewer steps" `Quick test_adaptive_rc;
+          Alcotest.test_case "RLC ladder, 3x fewer steps" `Quick test_adaptive_rlc_ladder;
           Alcotest.test_case "breakpoints hit exactly" `Quick test_adaptive_breakpoints_exact;
           Alcotest.test_case "underdamped RLC tracked" `Quick test_adaptive_rlc_rings;
           Alcotest.test_case "obs counters reconcile" `Quick test_adaptive_obs_reconcile;
@@ -1154,6 +1250,8 @@ let () =
             test_compiled_restamp;
           Alcotest.test_case "handle cache keys on structure" `Quick
             test_compiled_cache_keying;
+          Alcotest.test_case "candidate sweep reruns without refactoring" `Quick
+            test_compiled_candidate_sweep;
         ] );
       ( "until",
         [

@@ -51,6 +51,8 @@ let test_recovers_slack () =
     (worst o.Optimize.after < worst o.Optimize.before);
   Alcotest.(check bool) "candidates evaluated" true
     (o.Optimize.stats.Optimize.o_candidates > 0);
+  Alcotest.(check bool) "characterization store hit" true
+    (o.Optimize.stats.Optimize.o_char_hits > 0);
   Array.iter
     (fun f ->
       match f.Optimize.f_fix with

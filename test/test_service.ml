@@ -680,6 +680,83 @@ let prop_reuse =
             c.deltas;
           true))
 
+(* What a 1-net ECO edit costs against the load it edits, in exact work
+   counts from the session's obs sink (jobs 1).  The bus is [sources]'
+   16-bit shape at 3 segments, except that b<i>'s node caps are 200 + i fF
+   (R and L unscaled), so all 32 nets have distinct cache keys and the load
+   solves every one.  The delta raises b0's caps to 510 fF: only b0 and o0
+   are re-solved, so it runs at most a tenth of the load's transients and
+   Ceff iterations.  Steps are not the measure: the heavier b0 takes more
+   steps than an average net. *)
+let test_delta_work () =
+  let c =
+    {
+      bits = 16;
+      segs = 3;
+      tails = false;
+      coupled = false;
+      xtalk = false;
+      jobs = 1;
+      jitter = Array.make 32 1.;
+      deltas = [];
+    }
+  in
+  let global ~cap i =
+    let bit = Printf.sprintf "b%d" i in
+    let b = Buffer.create 512 in
+    Printf.bprintf b "*D_NET %s %d\n*CONN\n*P %s_drv O\n*P %s_rcv I\n*CAP\n" bit (3 * cap) bit bit;
+    for k = 1 to 3 do
+      Printf.bprintf b "%d %s %d\n" k (node bit ~segs:3 k) cap
+    done;
+    List.iter
+      (fun (title, v) ->
+        Printf.bprintf b "*%s\n" title;
+        for k = 1 to 3 do
+          Printf.bprintf b "%d %s %s %d\n" k (node bit ~segs:3 (k - 1)) (node bit ~segs:3 k) v
+        done)
+      [ ("RES", 24); ("INDUC", 1500) ];
+    Buffer.add_string b "*END\n";
+    Buffer.contents b
+  in
+  let spef =
+    String.concat ""
+      ("*SPEF \"IEEE 1481-1998\"\n*DESIGN \"bus\"\n\
+        *T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n*L_UNIT 1 PH\n"
+      :: List.concat_map
+           (fun i -> [ global ~cap:(200 + i) i; block c (Printf.sprintf "o%d" i) ])
+           (List.init 16 Fun.id))
+  and spec = snd (sources c) in
+  let obs = Rlc_obs.Obs.create () in
+  let config = { Session.Config.default with Session.Config.obs } in
+  Session.with_session ~config (fun session ->
+      ok_or_fail (Session.warm session [ 75.; 50. ]);
+      let work f =
+        let before = Rlc_obs.Obs.snapshot obs in
+        let v = f () in
+        let after = Rlc_obs.Obs.snapshot obs in
+        let d name = Rlc_obs.Obs.counter after name - Rlc_obs.Obs.counter before name in
+        (v, (d "engine.transients", d "flow.ceff_iterations"))
+      in
+      let (handle, _), (load_tr, load_it) =
+        work (fun () ->
+            ok_or_fail
+              (Session.design_load session ~req:Session.Request.default ~spef ~spec ()))
+      in
+      let edit = { Delta.empty with Delta.nets = [ ("b0", global ~cap:510 0) ] } in
+      let (_, st), (delta_tr, delta_it) =
+        work (fun () -> ok_or_fail (Session.flow_delta session ~handle edit))
+      in
+      Alcotest.(check int) "b0 and o0 retimed" 2 st.Flow.retimed;
+      Alcotest.(check int) "every other net reused" 30 st.Flow.reused;
+      let tenth what d l =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: delta %d <= load %d / 10" what d l)
+          true
+          (l > 0 && d * 10 <= l)
+      in
+      tenth "engine transients" delta_tr load_tr;
+      tenth "Ceff iterations" delta_it load_it)
+
 (* -------------------------------------------------------------- server *)
 
 let send server line =
@@ -1452,7 +1529,11 @@ let () =
           Alcotest.test_case "design store" `Quick test_session_design_store;
           Alcotest.test_case "deltas keep the cache size" `Quick test_session_delta_cache;
         ] );
-      ("incremental reuse", [ QCheck_alcotest.to_alcotest prop_reuse ]);
+      ( "incremental reuse",
+        [
+          QCheck_alcotest.to_alcotest prop_reuse;
+          Alcotest.test_case "1-net delta re-solves a tenth of the load" `Quick test_delta_work;
+        ] );
       ( "server",
         [
           Alcotest.test_case "flow warmth" `Quick test_server_flow_warmth;

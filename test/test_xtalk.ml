@@ -451,6 +451,16 @@ let test_matches_full_window () =
   in
   Alcotest.(check int) "xtalk.noise_steps counts the steps taken" !noise_steps
     (counter "xtalk.noise_steps");
+  (* Every engine run of the analysis is a noise run or an alignment run. *)
+  Alcotest.(check int) "engine steps = noise + alignment steps" (counter "engine.steps")
+    (counter "xtalk.noise_steps" + counter "xtalk.alignment_steps");
+  let noise_runs =
+    Array.fold_left (fun n (v : Xtalk.victim_result) -> if v.Xtalk.simulated then n + 1 else n) 0
+      r.Xtalk.victims
+  in
+  Alcotest.(check int) "engine transients = noise runs + alignment sweeps"
+    (counter "engine.transients")
+    (noise_runs + counter "xtalk.alignment_sweeps");
   Alcotest.(check bool)
     (Printf.sprintf "noise runs took %d steps, the full windows %d" !noise_steps !full_steps)
     true
