@@ -6,9 +6,14 @@ module Units = Rlc_num.Units
 let ps = Units.in_ps
 let ff = Units.in_ff
 
-(* One float format for every payload so report bytes are reproducible. *)
-let num = Printf.sprintf "%.6g"
-let num_ps x = num (ps x)
+(* One float format for every payload so report bytes are reproducible.
+   [%g] prints a NaN or an infinity bare, which no JSON reader accepts, so
+   a non-finite value is an internal error naming its field. *)
+let num field x =
+  if Float.is_finite x then Printf.sprintf "%.6g" x
+  else failwith (Printf.sprintf "Rlc_flow.Report: %s is %g, not a finite number" field x)
+
+let num_ps field x = num field (ps x)
 
 let edge_name = function Measure.Rising -> "rise" | Measure.Falling -> "fall"
 
@@ -57,8 +62,8 @@ let json_escape s =
   Buffer.contents buf
 
 let json_histogram h =
-  Printf.sprintf {|{"lo_ps":%s,"bin_width_ps":%s,"counts":[%s]}|} (num_ps h.lo)
-    (num_ps h.bin_width)
+  Printf.sprintf {|{"lo_ps":%s,"bin_width_ps":%s,"counts":[%s]}|} (num_ps "lo_ps" h.lo)
+    (num_ps "bin_width_ps" h.bin_width)
     (String.concat "," (List.map string_of_int (Array.to_list h.counts)))
 
 let net_json (r : Flow.net_result) =
@@ -69,20 +74,21 @@ let net_json (r : Flow.net_result) =
     {|    {"net":"%s","level":%d,"driver_size":%s,"edge":"%s","input_slew_ps":%s,"shape":"%s","inductive":%b,"f":%s,"rs_ohm":%s,"z0_ohm":%s,"tf_ps":%s,"ceff1_ff":%s,"tr1_ps":%s,"ceff2_ff":%s,"tr2_ps":%s,"ceff_iterations":%d,"near_delay_ps":%s,"stage_delay_ps":%s,"far_slew_ps":%s,"arrival_ps":%s}|}
     (json_escape r.Flow.net.Design.name)
     r.Flow.net.Design.level
-    (num r.Flow.net.Design.size)
-    (edge_name r.Flow.edge) (num_ps r.Flow.input_slew) (shape_name m)
-    screen.Screen.significant (num m.Driver_model.f) (num m.Driver_model.rs)
-    (num m.Driver_model.z0)
-    (num_ps m.Driver_model.tf)
-    (num (ff c1.Driver_model.value))
-    (num_ps c1.Driver_model.ramp)
-    (match c2 with Some c -> num (ff c.Driver_model.value) | None -> "null")
-    (match c2 with Some c -> num_ps c.Driver_model.ramp | None -> "null")
+    (num "driver_size" r.Flow.net.Design.size)
+    (edge_name r.Flow.edge)
+    (num_ps "input_slew_ps" r.Flow.input_slew)
+    (shape_name m) screen.Screen.significant (num "f" m.Driver_model.f)
+    (num "rs_ohm" m.Driver_model.rs) (num "z0_ohm" m.Driver_model.z0)
+    (num_ps "tf_ps" m.Driver_model.tf)
+    (num "ceff1_ff" (ff c1.Driver_model.value))
+    (num_ps "tr1_ps" c1.Driver_model.ramp)
+    (match c2 with Some c -> num "ceff2_ff" (ff c.Driver_model.value) | None -> "null")
+    (match c2 with Some c -> num_ps "tr2_ps" c.Driver_model.ramp | None -> "null")
     r.Flow.solve.Flow.iterations
-    (num_ps m.Driver_model.delay_50)
-    (num_ps r.Flow.solve.Flow.stage_delay)
-    (num_ps r.Flow.solve.Flow.far_slew)
-    (num_ps r.Flow.arrival)
+    (num_ps "near_delay_ps" m.Driver_model.delay_50)
+    (num_ps "stage_delay_ps" r.Flow.solve.Flow.stage_delay)
+    (num_ps "far_slew_ps" r.Flow.solve.Flow.far_slew)
+    (num_ps "arrival_ps" r.Flow.arrival)
 
 type entries = { mutable rendered : (Flow.net_result * string) array }
 
@@ -138,9 +144,9 @@ let json_string ?required ?xtalk ?entries (result : Flow.result) =
     match List.rev path with last :: _ -> last.Flow.arrival | [] -> 0.
   in
   p "  \"summary\": {\n";
-  p "    \"worst_arrival_ps\": %s,\n" (num_ps worst_arrival);
+  p "    \"worst_arrival_ps\": %s,\n" (num_ps "worst_arrival_ps" worst_arrival);
   (match required with
-  | Some req -> p "    \"worst_slack_ps\": %s,\n" (num_ps (req -. worst_arrival))
+  | Some req -> p "    \"worst_slack_ps\": %s,\n" (num_ps "worst_slack_ps" (req -. worst_arrival))
   | None -> ());
   p "    \"critical_path\": [%s],\n"
     (String.concat ","
@@ -170,20 +176,21 @@ let csv_string (result : Flow.result) =
       Buffer.add_string buf
         (Printf.sprintf "%s,%d,%s,%s,%s,%s,%b,%s,%s,%s,%s,%s,%s,%s,%s,%d,%s,%s,%s,%s\n"
            r.Flow.net.Design.name r.Flow.net.Design.level
-           (num r.Flow.net.Design.size)
-           (edge_name r.Flow.edge) (num_ps r.Flow.input_slew) (shape_name m)
-           m.Driver_model.screen.Screen.significant (num m.Driver_model.f)
-           (num m.Driver_model.rs) (num m.Driver_model.z0)
-           (num_ps m.Driver_model.tf)
-           (num (ff c1.Driver_model.value))
-           (num_ps c1.Driver_model.ramp)
-           (match c2 with Some c -> num (ff c.Driver_model.value) | None -> "")
-           (match c2 with Some c -> num_ps c.Driver_model.ramp | None -> "")
+           (num "driver_size" r.Flow.net.Design.size)
+           (edge_name r.Flow.edge)
+           (num_ps "input_slew_ps" r.Flow.input_slew)
+           (shape_name m) m.Driver_model.screen.Screen.significant (num "f" m.Driver_model.f)
+           (num "rs_ohm" m.Driver_model.rs) (num "z0_ohm" m.Driver_model.z0)
+           (num_ps "tf_ps" m.Driver_model.tf)
+           (num "ceff1_ff" (ff c1.Driver_model.value))
+           (num_ps "tr1_ps" c1.Driver_model.ramp)
+           (match c2 with Some c -> num "ceff2_ff" (ff c.Driver_model.value) | None -> "")
+           (match c2 with Some c -> num_ps "tr2_ps" c.Driver_model.ramp | None -> "")
            r.Flow.solve.Flow.iterations
-           (num_ps m.Driver_model.delay_50)
-           (num_ps r.Flow.solve.Flow.stage_delay)
-           (num_ps r.Flow.solve.Flow.far_slew)
-           (num_ps r.Flow.arrival)))
+           (num_ps "near_delay_ps" m.Driver_model.delay_50)
+           (num_ps "stage_delay_ps" r.Flow.solve.Flow.stage_delay)
+           (num_ps "far_slew_ps" r.Flow.solve.Flow.far_slew)
+           (num_ps "arrival_ps" r.Flow.arrival)))
     result.Flow.results;
   Buffer.contents buf
 
@@ -197,10 +204,10 @@ let worst_arrival (result : Flow.result) =
 let fix_kind_json (f : Optimize.net_fix) =
   match f.Optimize.f_fix with
   | Optimize.Resize { to_size } ->
-      Printf.sprintf {|{"kind":"resize","to_size":%s}|} (num to_size)
+      Printf.sprintf {|{"kind":"resize","to_size":%s}|} (num "to_size" to_size)
   | Optimize.Repeaters { stages; size; est_delay } ->
       Printf.sprintf {|{"kind":"repeaters","stages":%d,"size":%s,"est_delay_ps":%s}|} stages
-        (num size) (num_ps est_delay)
+        (num "size" size) (num_ps "est_delay_ps" est_delay)
   | Optimize.Unfixable -> {|{"kind":"unfixable"}|}
 
 let fix_json (f : Optimize.net_fix) =
@@ -208,12 +215,12 @@ let fix_json (f : Optimize.net_fix) =
     {|    {"net":"%s","level":%d,"edge":"%s","driver_size":%s,"slack_before_ps":%s,"slack_after_ps":%s,"residual_ps":%s,"stage_before_ps":%s,"stage_after_ps":%s,"candidates":%d,"screened":%d,"escalations":%d,"fix":%s}|}
     (json_escape f.Optimize.f_net.Design.name)
     f.Optimize.f_net.Design.level (edge_name f.Optimize.f_edge)
-    (num f.Optimize.f_net.Design.size)
-    (num_ps f.Optimize.f_slack_before)
-    (num_ps f.Optimize.f_slack_after)
-    (num_ps f.Optimize.f_residual)
-    (num_ps f.Optimize.f_stage_before)
-    (num_ps f.Optimize.f_stage_after)
+    (num "driver_size" f.Optimize.f_net.Design.size)
+    (num_ps "slack_before_ps" f.Optimize.f_slack_before)
+    (num_ps "slack_after_ps" f.Optimize.f_slack_after)
+    (num_ps "residual_ps" f.Optimize.f_residual)
+    (num_ps "stage_before_ps" f.Optimize.f_stage_before)
+    (num_ps "stage_after_ps" f.Optimize.f_stage_after)
     f.Optimize.f_candidates f.Optimize.f_screened f.Optimize.f_escalations (fix_kind_json f)
 
 (* Only deterministic quantities enter the payload: fix choices, candidate /
@@ -226,7 +233,7 @@ let optimize_json_string (o : Optimize.t) =
   p "{\n";
   p "  \"design\": \"%s\",\n"
     (json_escape o.Optimize.before.Flow.design.Design.design_name);
-  p "  \"required_ps\": %s,\n" (num_ps o.Optimize.required);
+  p "  \"required_ps\": %s,\n" (num_ps "required_ps" o.Optimize.required);
   p "  \"nets\": %d,\n" s.Optimize.o_nets;
   p "  \"violations_before\": %d,\n" s.Optimize.o_violations_before;
   p "  \"violations_after\": %d,\n" s.Optimize.o_violations_after;
@@ -247,9 +254,11 @@ let optimize_json_string (o : Optimize.t) =
   let wa_before = worst_arrival o.Optimize.before
   and wa_after = worst_arrival o.Optimize.after in
   p "  \"summary\": {\n";
-  p "    \"worst_slack_before_ps\": %s,\n" (num_ps (o.Optimize.required -. wa_before));
-  p "    \"worst_slack_after_ps\": %s,\n" (num_ps (o.Optimize.required -. wa_after));
-  p "    \"slack_recovered_ps\": %s\n" (num_ps (wa_before -. wa_after));
+  p "    \"worst_slack_before_ps\": %s,\n"
+    (num_ps "worst_slack_before_ps" (o.Optimize.required -. wa_before));
+  p "    \"worst_slack_after_ps\": %s,\n"
+    (num_ps "worst_slack_after_ps" (o.Optimize.required -. wa_after));
+  p "    \"slack_recovered_ps\": %s\n" (num_ps "slack_recovered_ps" (wa_before -. wa_after));
   p "  }\n";
   p "}\n";
   Buffer.contents buf
@@ -262,21 +271,21 @@ let optimize_csv_string (o : Optimize.t) =
     (fun (f : Optimize.net_fix) ->
       let kind, fsize, fstages =
         match f.Optimize.f_fix with
-        | Optimize.Resize { to_size } -> ("resize", num to_size, "")
+        | Optimize.Resize { to_size } -> ("resize", num "fix_size" to_size, "")
         | Optimize.Repeaters { stages; size; _ } ->
-            ("repeaters", num size, string_of_int stages)
+            ("repeaters", num "fix_size" size, string_of_int stages)
         | Optimize.Unfixable -> ("unfixable", "", "")
       in
       Buffer.add_string buf
         (Printf.sprintf "%s,%d,%s,%s,%s,%s,%s,%s,%s,%d,%d,%d,%s,%s,%s\n"
            f.Optimize.f_net.Design.name f.Optimize.f_net.Design.level
            (edge_name f.Optimize.f_edge)
-           (num f.Optimize.f_net.Design.size)
-           (num_ps f.Optimize.f_slack_before)
-           (num_ps f.Optimize.f_slack_after)
-           (num_ps f.Optimize.f_residual)
-           (num_ps f.Optimize.f_stage_before)
-           (num_ps f.Optimize.f_stage_after)
+           (num "driver_size" f.Optimize.f_net.Design.size)
+           (num_ps "slack_before_ps" f.Optimize.f_slack_before)
+           (num_ps "slack_after_ps" f.Optimize.f_slack_after)
+           (num_ps "residual_ps" f.Optimize.f_residual)
+           (num_ps "stage_before_ps" f.Optimize.f_stage_before)
+           (num_ps "stage_after_ps" f.Optimize.f_stage_after)
            f.Optimize.f_candidates f.Optimize.f_screened f.Optimize.f_escalations kind fsize
            fstages))
     o.Optimize.fixes;

@@ -5,7 +5,10 @@
     with [--jobs N] emits byte-identical reports for every [N]; scheduling-
     dependent observability (cache hit counters, wall times) lives in the
     human {!summary} and the logs only.  Floats are printed with [%.6g] —
-    one fixed, locale-independent format everywhere. *)
+    one fixed, locale-independent format everywhere.  A NaN or infinite
+    float has no JSON spelling, so the renderers ({!json_string},
+    {!csv_string} and the optimize payloads) raise [Failure] naming the
+    field instead of printing it (the daemon answers [internal]). *)
 
 type entries
 (** The rendered per-net entries of the last report of one evolving

@@ -3,6 +3,8 @@ module Engine = Rlc_circuit.Engine
 module Line = Rlc_tline.Line
 module Pwl = Rlc_waveform.Pwl
 module Waveform = Rlc_waveform.Waveform
+module Measure = Rlc_waveform.Measure
+module Obs = Rlc_obs.Obs
 
 type member = {
   line : Line.t;
@@ -13,29 +15,33 @@ type member = {
 
 let default_segments = 40
 
-let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = false) ~dt ~victim
-    ~aggressors () =
+(* Every run starts [lead] before its earliest drive, so the engine's DC
+   point sees the quiescent state. *)
+let lead = 10e-12
+
+let drive_start members =
+  List.fold_left
+    (fun acc m ->
+      match m.drive with None -> acc | Some p -> Float.min acc (fst (List.hd (Pwl.points p))))
+    Float.infinity members
+
+let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = false) ?horizon
+    ~dt ~victim ~aggressors () =
   if n_segments < 1 then invalid_arg "Rlc_xtalk.Cluster.simulate: need at least one segment";
   if dt <= 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: dt must be positive";
   List.iter
     (fun (_, cc) ->
       if cc < 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: negative coupling capacitance")
     aggressors;
-  let members = Array.of_list (victim :: List.map fst aggressors) in
+  let members = victim :: List.map fst aggressors in
   (* Shift all drives by a common offset so the earliest one starts after
      t = 0 (the DC point must see the quiescent state); the recorded
      waveform is shifted back before returning. *)
-  let start =
-    Array.fold_left
-      (fun acc m ->
-        match m.drive with
-        | None -> acc
-        | Some p -> Float.min acc (fst (List.hd (Pwl.points p))))
-      Float.infinity members
-  in
-  let shift = if Float.is_finite start then 10e-12 -. start else 0. in
+  let start = drive_start members in
+  let shift = if Float.is_finite start then lead -. start else 0. in
   let members =
-    Array.map (fun m -> { m with drive = Option.map (Pwl.shift_time shift) m.drive }) members
+    Array.of_list
+      (List.map (fun m -> { m with drive = Option.map (Pwl.shift_time shift) m.drive }) members)
   in
   let t_stop =
     let drive_end =
@@ -48,7 +54,8 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = 
         (fun acc m -> Float.max acc (10. *. Line.time_of_flight m.line))
         1e-9 members
     in
-    drive_end +. settle
+    let full = drive_end +. settle in
+    match horizon with None -> full | Some h -> Float.min full (Float.max dt (h +. shift))
   in
   (* Node and element names are constant: a cluster is rebuilt for every
      transient, and nothing reads the names of a well-formed one. *)
@@ -104,3 +111,170 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = 
       (Engine.Compiled.cached ?obs nl)
   in
   Waveform.shift_time (-.shift) (Engine.voltage r fars.(0))
+
+(* ------------------------------------------------------ alignment sweep *)
+
+(* The screen's voltage margin, as a fraction of VDD.  It must exceed the
+   gap between the superposed far end and a real run's, which comes from
+   the three runs sampling their sources on different time grids: over
+   every offset of 400 random clusters (test_xtalk's generator, grids of
+   up to 257 points) the gap stayed under 0.96 mV, against 1.8 mV at
+   1.8 V. *)
+let screen_margin = 1e-3
+
+let at_offset off aggressors =
+  List.map
+    (fun (m, cc) -> ({ m with drive = Option.map (Pwl.shift_time off) m.drive }, cc))
+    aggressors
+
+(* The member with its drive held at the drive's initial value; the near
+   end stays forced, so the cluster keeps its topology. *)
+let hold m =
+  { m with drive = Option.map (fun p -> Pwl.of_points [ List.hd (Pwl.points p) ]) m.drive }
+
+(* The superposition screen.  A cluster is linear, so the victim's far end
+   with the aggressors shifted by [off] is v(t) + a(t - off) - a0: [v]
+   switches the victim against aggressors held at their initial level, [a]
+   holds the victim and switches the unshifted aggressors, and [a0] is the
+   quiescent level both start from.  [v] stops at its 90 % crossing and [a]
+   covers every shift of [v]'s window; an offset's screen window is where
+   both exist.
+
+   On a [dt] grid from the earliest real run's first sample, an offset's
+   bracket is the superposed far end's first crossings of level -/+ eps.
+   While the real run stays within eps of it, its first crossing of the
+   level lies inside the bracket, so an offset whose bracket ends before
+   another's starts cannot be the worst.  Returns which offsets must run
+   -- the others, plus every one whose bracket the window cannot resolve
+   -- and the check of a real run's samples against the superposition. *)
+let screen ~run ~dt ~vdd ~level ~victim ~aggressors offsets =
+  let eps = screen_margin *. vdd in
+  let off_lo = Array.fold_left Float.min Float.infinity offsets in
+  let v =
+    run
+      ~until:[ (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.9, Measure.Rising) ]
+      ~horizon:None ~victim
+      ~aggressors:(List.map (fun (m, cc) -> (hold m, cc)) aggressors)
+  in
+  let a =
+    run ~until:[] ~horizon:(Some (Waveform.t_end v -. off_lo)) ~victim:(hold victim) ~aggressors
+  in
+  let a0 = Waveform.value_at a (Waveform.t_start a) in
+  let superposed off t = Waveform.value_at v t +. Waveform.value_at a (t -. off) -. a0 in
+  let window off = Float.min (Waveform.t_end v) (Waveform.t_end a +. off) in
+  let start = drive_start (victim :: List.map fst (at_offset off_lo aggressors)) in
+  let t0 = if Float.is_finite start then start -. lead else 0. in
+  let time j = t0 +. (dt *. float_of_int j) in
+  let n_grid = Int.max 0 (1 + int_of_float (Float.floor ((Waveform.t_end v -. t0) /. dt))) in
+  let v_grid = Array.init n_grid (fun j -> Waveform.value_at v (time j)) in
+  let a_ts = Waveform.times a and a_vs = Waveform.values a in
+  let lo_level = level -. eps and hi_level = level +. eps in
+  let bracket off =
+    let w = window off in
+    (* [superposed off] along the grid: [a] is read at increasing times,
+       so a walk over its samples replaces [Waveform.value_at]'s search
+       and gives the same values. *)
+    let i = ref 0 and last = Array.length a_ts - 1 in
+    let sample j =
+      let t = time j -. off in
+      while !i < last && a_ts.(!i + 1) <= t do incr i done;
+      let a =
+        if t <= a_ts.(0) then a_vs.(0)
+        else if !i = last then a_vs.(last)
+        else
+          a_vs.(!i)
+          +. ((t -. a_ts.(!i)) /. (a_ts.(!i + 1) -. a_ts.(!i)) *. (a_vs.(!i + 1) -. a_vs.(!i)))
+      in
+      v_grid.(j) +. a -. a0
+    in
+    let cross y0 y1 level j = time (j - 1) +. ((level -. y0) /. (y1 -. y0) *. dt) in
+    let rec go j prev lo =
+      if j >= n_grid || time j > w then None
+      else
+        let y = sample j in
+        let lo =
+          if Option.is_none lo && prev < lo_level && y >= lo_level then
+            Some (cross prev y lo_level j)
+          else lo
+        in
+        if prev < hi_level && y >= hi_level then
+          Option.map (fun lo -> (lo, cross prev y hi_level j)) lo
+        else go (j + 1) y lo
+    in
+    if n_grid = 0 then None else go 1 (sample 0) None
+  in
+  let brackets = Array.map bracket offsets in
+  let latest_lo =
+    Array.fold_left
+      (fun acc b -> match b with Some (lo, _) -> Float.max acc lo | None -> acc)
+      Float.neg_infinity brackets
+  in
+  let must = Array.map (function Some (_, hi) -> hi >= latest_lo | None -> true) brackets in
+  let agrees k far =
+    let off = offsets.(k) in
+    let w = window off in
+    Array.for_all2
+      (fun t y -> t > w || Float.abs (y -. superposed off t) <= 0.5 *. eps)
+      (Waveform.times far) (Waveform.values far)
+  in
+  (must, agrees)
+
+let worst_crossing ?obs ?n_segments ~dt ~vdd ~victim ~aggressors offsets =
+  let exception Unreached of int in
+  let o = Option.value obs ~default:Obs.null in
+  let n = Array.length offsets in
+  let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
+  let crossed = Array.make n None in
+  let run k =
+    let far =
+      simulate ?obs ?n_segments ~until:[ (level, Measure.Rising) ] ~dt ~victim
+        ~aggressors:(at_offset offsets.(k) aggressors) ()
+    in
+    Obs.incr o "xtalk.alignment_sweeps";
+    Obs.add o "xtalk.alignment_steps" (Waveform.length far - 1);
+    match Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 with
+    | Some d ->
+        crossed.(k) <- Some d;
+        far
+    | None -> raise (Unreached k)
+  in
+  (* Every offset below [limit] that has not run yet, in order: the first
+     that never reaches the level is the one the plain loop would name. *)
+  let rest limit =
+    for k = 0 to limit - 1 do
+      if Option.is_none crossed.(k) then ignore (run k)
+    done
+  in
+  let sweep () =
+    (* Two screen runs cost more than a sweep this short. *)
+    if n <= 3 then rest n
+    else
+      let screen_run ~until ~horizon ~victim ~aggressors =
+        let w = simulate ?obs ?n_segments ~until ?horizon ~dt ~victim ~aggressors () in
+        Obs.incr o "xtalk.screen_runs";
+        Obs.add o "xtalk.screen_steps" (Waveform.length w - 1);
+        w
+      in
+      let must, agrees = screen ~run:screen_run ~dt ~vdd ~level ~victim ~aggressors offsets in
+      let rec confirm k =
+        if k < n then
+          if not must.(k) then confirm (k + 1)
+          else
+            match run k with
+            | far when agrees k far -> confirm (k + 1)
+            | _ ->
+                Obs.incr o "xtalk.screen_fallbacks";
+                rest n
+            | exception Unreached k ->
+                rest k;
+                raise (Unreached k)
+      in
+      confirm 0
+  in
+  match sweep () with
+  | () ->
+      Ok
+        (Array.fold_left
+           (fun acc c -> match c with Some d -> Float.max acc d | None -> acc)
+           Float.neg_infinity crossed)
+  | exception Unreached k -> Error offsets.(k)

@@ -35,6 +35,7 @@ val simulate :
   ?n_segments:int ->
   ?until:(float * Rlc_waveform.Waveform.direction) list ->
   ?until_peak:bool ->
+  ?horizon:float ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -65,4 +66,50 @@ val simulate :
     the full run's bits.  A noise-peak reader passes it; a cluster whose
     drives are all PWLs and whose members are linear meets the engine's
     preconditions, so the run ends a few hundred steps after the last
-    drive goes flat and the ringing has decayed under the peak. *)
+    drive goes flat and the ringing has decayed under the peak.
+
+    [horizon] (default: none) ends the run at the first step at or past
+    time [horizon] on the caller's axis when that comes before the full
+    window's end; a horizon past the end changes nothing, one before the
+    first sample still takes one step.  The waveform is a bit-identical
+    prefix of the full run, like [until]'s.  A caller that needs the
+    waveform only up to a known time passes it.
+
+    A cluster is linear, so its far end is the sum of the responses to
+    each drive's moves from its initial value; {!worst_crossing} screens
+    with that. *)
+
+val worst_crossing :
+  ?obs:Rlc_obs.Obs.t ->
+  ?n_segments:int ->
+  dt:float ->
+  vdd:float ->
+  victim:member ->
+  aggressors:(member * float) list ->
+  float array ->
+  (float, float) result
+(** [worst_crossing ~dt ~vdd ~victim ~aggressors offsets] is the latest
+    far-end 50 % rising crossing of the victim
+    ({!Rlc_waveform.Measure.t_frac}) over the runs that shift every
+    aggressor drive by each offset in [offsets] (non-empty): [Ok] with the
+    same bits as the maximum over one [simulate ~until] run per offset, or
+    [Error off] with the first offset in array order whose run never
+    reaches 50 % of [vdd], the one a loop over every offset would stop at.
+
+    Only the offsets that can still be the worst are simulated.  Two
+    screen runs -- the victim switching against aggressors held at their
+    initial level, stopped at the victim's 90 % crossing, and the victim
+    held while the aggressors switch unshifted, run for as long as any
+    shift of the first one needs -- superpose into every offset's far end.
+    A margin of [1e-3 * vdd] around the 50 % level brackets each offset's
+    crossing; an offset is run when its bracket reaches past the latest
+    lower end of any bracket, or when the screen's windows cannot resolve
+    it.  Runs go in array order, and each one's samples are checked
+    against the superposition: a gap over half the margin runs every
+    remaining offset (a fallback).  Arrays of three offsets or fewer run
+    every offset, as two screen runs would cost more.
+
+    [obs] counts ["xtalk.alignment_sweeps"] (runs at an offset) with their
+    steps in ["xtalk.alignment_steps"], ["xtalk.screen_runs"] with their
+    steps in ["xtalk.screen_steps"], and ["xtalk.screen_fallbacks"]; the
+    engine's own spans and counters cover every run. *)

@@ -5,7 +5,6 @@ module Obs = Rlc_obs.Obs
 module Line = Rlc_tline.Line
 module Pwl = Rlc_waveform.Pwl
 module Waveform = Rlc_waveform.Waveform
-module Measure = Rlc_waveform.Measure
 module Driver_model = Rlc_ceff.Driver_model
 
 let src = Logs.Src.create "rlc.xtalk" ~doc:"coupled-net crosstalk analysis"
@@ -191,9 +190,7 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
           (* Delay: victim switches on its own model waveform, the
              aggressors oppose it (Miller worst case); sweep their
              common start over the alignment grid and keep the worst
-             far-end 50 % crossing.  That first crossing is all a run
-             reads, so each one stops there. *)
-          let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
+             far-end 50 % crossing. *)
           let span =
             List.fold_left
               (fun acc p ->
@@ -201,39 +198,29 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
               ((solve_of v).Flow.stage_delay +. (solve_of v).Flow.far_slew)
               survivors
           in
+          let falling =
+            List.map
+              (fun p ->
+                let m = model_of p.aggressor in
+                ( member_of ~drive:(Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl)
+                    p.aggressor,
+                  p.cc ))
+              survivors
+          in
           let worst =
-            Array.fold_left
-              (fun acc off ->
-                let falling =
-                  List.map
-                    (fun p ->
-                      let m = model_of p.aggressor in
-                      ( member_of
-                          ~drive:
-                            (Pwl.shift_time off
-                               (Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl))
-                          p.aggressor,
-                        p.cc ))
-                    survivors
-                in
-                let far =
-                  Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                    ~until:[ (level, Measure.Rising) ] ~dt:config.Config.dt
-                    ~victim:(member_of ~drive:vm.Driver_model.pwl v)
-                    ~aggressors:falling ()
-                in
-                Obs.incr obs "xtalk.alignment_sweeps";
-                Obs.add obs "xtalk.alignment_steps" (Waveform.length far - 1);
-                match Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 with
-                | Some d -> Float.max acc d
-                | None ->
-                    failwith
-                      (Printf.sprintf
-                         "Rlc_xtalk.analyze: victim %s: far end never reaches 50%% of %g V \
-                          (aggressor offset %+.1f ps)"
-                         design.Design.nets.(v).Design.name vdd (Rlc_num.Units.in_ps off)))
-              Float.neg_infinity
-              (offsets ~span config.Config.alignments)
+            match
+              Cluster.worst_crossing ~obs ~n_segments:config.Config.n_segments
+                ~dt:config.Config.dt ~vdd ~victim:(member_of ~drive:vm.Driver_model.pwl v)
+                ~aggressors:falling
+                (offsets ~span config.Config.alignments)
+            with
+            | Ok d -> d
+            | Error off ->
+                failwith
+                  (Printf.sprintf
+                     "Rlc_xtalk.analyze: victim %s: far end never reaches 50%% of %g V \
+                      (aggressor offset %+.1f ps)"
+                     design.Design.nets.(v).Design.name vdd (Rlc_num.Units.in_ps off))
           in
           Obs.finish obs
             ~args:
@@ -313,18 +300,23 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
 
 (* ---------------------------------------------------------------- JSON *)
 
-let num = Printf.sprintf "%.6g"
-let num_ps x = num (Rlc_num.Units.in_ps x)
-let num_mv x = num (1e3 *. x)
-let num_ff x = num (Rlc_num.Units.in_ff x)
+(* The report's float format; a NaN or an infinity would print bare and
+   break the JSON, so it is an internal error naming its field. *)
+let num field x =
+  if Float.is_finite x then Printf.sprintf "%.6g" x
+  else failwith (Printf.sprintf "Rlc_xtalk.json_fragment: %s is %g, not a finite number" field x)
+
+let num_ps field x = num field (Rlc_num.Units.in_ps x)
+let num_mv field x = num field (1e3 *. x)
+let num_ff field x = num field (Rlc_num.Units.in_ff x)
 
 let json_fragment (design : Design.t) (r : result) =
   let buf = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let name id = Rlc_flow.Report.json_escape design.Design.nets.(id).Design.name in
   p "{\n";
-  p "    \"threshold_mv\": %s,\n" (num_mv (r.threshold *. r.vdd));
-  p "    \"budget_mv\": %s,\n" (num_mv (r.budget *. r.vdd));
+  p "    \"threshold_mv\": %s,\n" (num_mv "threshold_mv" (r.threshold *. r.vdd));
+  p "    \"budget_mv\": %s,\n" (num_mv "budget_mv" (r.budget *. r.vdd));
   p "    \"alignments\": %d,\n" r.alignments;
   p "    \"pairs\": %d,\n" r.stats.n_pairs;
   p "    \"pairs_screened\": %d,\n" r.stats.n_screened;
@@ -339,17 +331,18 @@ let json_fragment (design : Design.t) (r : result) =
         (fun j pr ->
           if j > 0 then p ",";
           p "{\"net\":\"%s\",\"cc_ff\":%s,\"est_mv\":%s,\"screened\":%b}" (name pr.aggressor)
-            (num_ff pr.cc) (num_mv pr.est.Noise.v_peak) pr.screened)
+            (num_ff "cc_ff" pr.cc) (num_mv "est_mv" pr.est.Noise.v_peak) pr.screened)
         v.pairs;
       p "],";
-      p "\"noise_est_mv\":%s," (num_mv v.noise_est);
+      p "\"noise_est_mv\":%s," (num_mv "noise_est_mv" v.noise_est);
       p "\"simulated\":%b," v.simulated;
       p "\"noise_mv\":%s,"
-        (match v.noise_sim with Some n -> num_mv n | None -> "null");
-      p "\"isolated_delay_ps\":%s," (num_ps v.isolated_delay);
+        (match v.noise_sim with Some n -> num_mv "noise_mv" n | None -> "null");
+      p "\"isolated_delay_ps\":%s," (num_ps "isolated_delay_ps" v.isolated_delay);
       p "\"coupled_delay_ps\":%s,"
-        (match v.coupled_delay with Some d -> num_ps d | None -> "null");
-      p "\"pushout_ps\":%s," (match v.pushout with Some d -> num_ps d | None -> "null");
+        (match v.coupled_delay with Some d -> num_ps "coupled_delay_ps" d | None -> "null");
+      p "\"pushout_ps\":%s,"
+        (match v.pushout with Some d -> num_ps "pushout_ps" d | None -> "null");
       p "\"violation\":%b}" v.violation;
       if i < Array.length r.victims - 1 then p ",";
       p "\n")

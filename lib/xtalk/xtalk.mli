@@ -69,7 +69,10 @@ type stats = {
   n_pairs : int;  (** ordered victim/aggressor pairs examined *)
   n_screened : int;  (** pairs dismissed by the closed form *)
   n_simulated : int;  (** pairs that reached a coupled simulation *)
-  n_alignment_sims : int;  (** coupled transients run for the delay sweep *)
+  n_alignment_sims : int;
+      (** alignment grid points evaluated for the delay sweep: [alignments]
+          per simulated victim.  Not a transient count: the sweep simulates
+          only the points its screen cannot dismiss (see {!analyze}). *)
   n_violations : int;  (** victims whose simulated peak broke the budget *)
 }
 
@@ -89,10 +92,18 @@ val max_alignments : int
 val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 (** Screen every ordered pair of the design's coupling graph, then simulate
     each victim that kept at least one aggressor: one cluster transient with
-    the victim quiet for the noise peak, plus [alignments] transients with
-    the victim switching and the aggressors opposing for the worst delay.
-    Clusters are scheduled on the level-parallel domain pool ({!Config.t}
-    [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
+    the victim quiet for the noise peak, plus the worst delay over
+    [alignments] start offsets of the aggressors, which switch opposite to
+    the victim ({!Cluster.worst_crossing}).  A grid of three points or
+    fewer runs one transient per point.  A larger one runs two screen
+    transients, whose superposition stands for every offset, plus one
+    transient per offset that can still be the worst -- typically one or
+    two; on [xtalk_bus] 16 victims ran 16 instead of 144 -- and every
+    remaining offset if a run disagrees with the screen.  The reported
+    delay is always a real run's, with the bits of the maximum over one
+    transient per offset.  Clusters are scheduled on the level-parallel
+    domain pool ({!Config.t} [pool]/[jobs]); the flow's Ceff cache is not
+    consulted or touched.
 
     The noise run stops once an energy bound proves the victim far end's
     peak final ({!Cluster.simulate}'s [until_peak]), typically a few
@@ -115,17 +126,23 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 
     [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans, counters
     ["xtalk.pairs_screened"], ["xtalk.pairs_simulated"],
-    ["xtalk.alignment_sweeps"], the engine steps actually taken by the
-    noise runs (["xtalk.noise_steps"]) and by the alignment runs
-    (["xtalk.alignment_steps"]) -- both stop early, so neither is the full
-    window -- and the per-victim governing noise (mV) as the
-    ["xtalk.noise_mv"] histogram. *)
+    ["xtalk.alignment_sweeps"] (transients run at an offset),
+    ["xtalk.screen_runs"] and ["xtalk.screen_fallbacks"] (victims whose
+    sweep ran every offset after a disagreement), the engine steps actually
+    taken by the noise runs (["xtalk.noise_steps"]), the screen runs
+    (["xtalk.screen_steps"]) and the alignment runs
+    (["xtalk.alignment_steps"]) -- all stop early, so none is a full
+    window, and together they are every engine step of the analysis --
+    and the per-victim governing noise (mV) as the ["xtalk.noise_mv"]
+    histogram. *)
 
 val json_fragment : Rlc_flow.Design.t -> result -> string
 (** Render the result as a JSON object (net names resolved through the
     design), formatted to sit under the ["xtalk"] key of
     {!Rlc_flow.Report.json_string} at its indentation.  Deterministic and
-    byte-identical across worker counts. *)
+    byte-identical across worker counts.  Raises [Failure] naming the
+    field when a number to print is NaN or infinite, as the report
+    renderers do. *)
 
 val summary : Rlc_flow.Design.t -> Format.formatter -> result -> unit
 (** Human summary mirroring {!Rlc_flow.Report.summary}: screen rate, then

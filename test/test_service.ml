@@ -1376,10 +1376,21 @@ let test_server_unix_telemetry () =
         let ((ic, oc) as cl) = client_channels path in
         for i = 0 to 1 do
           let resp = json_of (roundtrip ic oc (bus8_flow_request ~id:((cid * 10) + i) ())) in
+          let ok = Json.get_bool (member "ok" resp) in
+          (* A failed response carries its id and error: keep them in the
+             failure message. *)
+          let why =
+            if ok = Some true then ""
+            else
+              let field obj f = Option.bind obj (Json.member f) in
+              let text = function Some j -> Json.to_string j | None -> "-" in
+              let err = Json.member "error" resp in
+              Printf.sprintf " (request id %s, error %s: %s)" (text (Json.member "id" resp))
+                (text (field err "code")) (text (field err "message"))
+          in
           Alcotest.(check (option bool))
-            (Printf.sprintf "client %d flow %d ok" cid i)
-            (Some true)
-            (Json.get_bool (member "ok" resp))
+            (Printf.sprintf "client %d flow %d ok%s" cid i why)
+            (Some true) ok
         done;
         close_client cl
       in

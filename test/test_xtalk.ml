@@ -314,34 +314,43 @@ let arb_pair_case =
                 Printf.sprintf "agg x(%.2f,%.2f,%.2f) cc %g off %g" jr jl jc cc off)
               u.aggs)))
 
+let case_vdd = 1.8
+
+(* A generated case's cluster: the victim rising from t = 0, each aggressor
+   falling from its own start offset. *)
+let cluster_of u =
+  let vdd = case_vdd in
+  let line ~r ~l ~c = Line.of_totals ~r ~l ~c ~length:3e-3 in
+  let victim =
+    {
+      Cluster.line = line ~r:u.r ~l:u.l ~c:u.c;
+      drive = Some (Pwl.ramp ~t0:0. ~v0:0. ~v1:vdd ~transition:u.tr);
+      rs = 50.;
+      cl = u.cl;
+    }
+  in
+  let aggressors =
+    List.map
+      (fun (jr, jl, jc, cc, off) ->
+        ( {
+            Cluster.line = line ~r:(jr *. u.r) ~l:(jl *. u.l) ~c:(jc *. u.c);
+            drive = Some (Pwl.ramp ~t0:off ~v0:vdd ~v1:0. ~transition:u.tr);
+            rs = 50.;
+            cl = u.cl;
+          },
+          cc ))
+      u.aggs
+  in
+  (victim, aggressors)
+
 (* Counts the generated far ends that crossed 50 % more than once. *)
 let recrossed = ref 0
 
 let prop_until_pair =
   QCheck.Test.make ~name:"Cluster.simulate ~until keeps the first far-end 50 % crossing"
     ~count:40 arb_pair_case (fun u ->
-      let vdd = 1.8 in
-      let line ~r ~l ~c = Line.of_totals ~r ~l ~c ~length:3e-3 in
-      let victim =
-        {
-          Cluster.line = line ~r:u.r ~l:u.l ~c:u.c;
-          drive = Some (Pwl.ramp ~t0:0. ~v0:0. ~v1:vdd ~transition:u.tr);
-          rs = 50.;
-          cl = u.cl;
-        }
-      in
-      let aggressors =
-        List.map
-          (fun (jr, jl, jc, cc, off) ->
-            ( {
-                Cluster.line = line ~r:(jr *. u.r) ~l:(jl *. u.l) ~c:(jc *. u.c);
-                drive = Some (Pwl.ramp ~t0:off ~v0:vdd ~v1:0. ~transition:u.tr);
-                rs = 50.;
-                cl = u.cl;
-              },
-              cc ))
-          u.aggs
-      in
+      let vdd = case_vdd in
+      let victim, aggressors = cluster_of u in
       let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
       let run ?until () =
         Cluster.simulate ~n_segments:10 ?until ~dt:0.5e-12 ~victim ~aggressors ()
@@ -360,15 +369,101 @@ let test_until_pair () =
   QCheck.Test.check_exn prop_until_pair;
   Alcotest.(check bool) "some generated far end crossed 50 % twice" true (!recrossed > 0)
 
+(* --------------------------------------------------- screened sweep *)
+
+(* Grid sizes of the sweep property: the plain loop's (three points or
+   fewer), the smallest screened ones, and the nested grids up to
+   [Xtalk.max_alignments]. *)
+let grid_sizes = [| 1; 2; 3; 4; 5; 9; 17; 33; 65; 129; 257 |]
+
+let arb_sweep_case =
+  QCheck.pair arb_pair_case
+    (QCheck.make ~print:(Printf.sprintf "%d offsets") (QCheck.Gen.oneofa grid_sizes))
+
+(* The symmetric grid analyze sweeps, over +-200 ps around each
+   aggressor's own start. *)
+let sweep_offsets n =
+  let span = 200e-12 in
+  if n = 1 then [| 0. |]
+  else Array.init n (fun k -> -.span +. (2. *. span *. float_of_int k /. float_of_int (n - 1)))
+
+(* The sweep every screened one must reproduce: one stopped run per
+   offset, the maximum of their first 50 % crossings, or the first offset
+   whose run never gets there. *)
+let brute_force_sweep ~n_segments ~dt ~vdd ~victim ~aggressors offsets =
+  let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
+  let shift off (m, cc) =
+    ({ m with Cluster.drive = Option.map (Pwl.shift_time off) m.Cluster.drive }, cc)
+  in
+  Array.fold_left
+    (fun acc off ->
+      Result.bind acc (fun worst ->
+          let far =
+            Cluster.simulate ~n_segments ~until:[ (level, Measure.Rising) ] ~dt ~victim
+              ~aggressors:(List.map (shift off) aggressors) ()
+          in
+          match Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 with
+          | Some d -> Ok (Float.max worst d)
+          | None -> Error off))
+    (Ok Float.neg_infinity) offsets
+
+let prop_sweep_screen =
+  QCheck.Test.make ~name:"Cluster.worst_crossing = brute-force worst over every offset" ~count:100
+    arb_sweep_case (fun (u, n) ->
+      let victim, aggressors = cluster_of u in
+      let offsets = sweep_offsets n in
+      let dt = 0.5e-12 and vdd = case_vdd in
+      let brute = brute_force_sweep ~n_segments:10 ~dt ~vdd ~victim ~aggressors offsets in
+      let screened = Cluster.worst_crossing ~n_segments:10 ~dt ~vdd ~victim ~aggressors offsets in
+      match (screened, brute) with
+      | Ok screened, Ok brute ->
+          Int64.equal (Int64.bits_of_float screened) (Int64.bits_of_float brute)
+          || QCheck.Test.fail_reportf "screened worst %.17g s, brute force %.17g s" screened brute
+      | Error a, Error b ->
+          Float.equal a b || QCheck.Test.fail_reportf "offsets %g vs %g named" a b
+      | _ -> QCheck.Test.fail_report "only one sweep reached 50 % at every offset")
+
+let test_sweep_screen () = QCheck.Test.check_exn prop_sweep_screen
+
+(* A damped victim whose drive stops at 20 % of the rail reaches 50 % at
+   no offset: a screened grid fails at its first offset, like the plain
+   loop. *)
+let test_sweep_unreachable () =
+  let u =
+    {
+      r = 300.;
+      l = 1e-9;
+      c = 400e-15;
+      cl = 10e-15;
+      tr = 50e-12;
+      aggs = [ (1., 1., 1., 40e-15, 0.) ];
+    }
+  in
+  let victim, aggressors = cluster_of u in
+  let drive = Pwl.ramp ~t0:0. ~v0:0. ~v1:(0.2 *. case_vdd) ~transition:50e-12 in
+  let victim = { victim with Cluster.drive = Some drive } in
+  List.iter
+    (fun n ->
+      let offsets = sweep_offsets n in
+      let vdd = case_vdd and dt = 0.5e-12 in
+      match Cluster.worst_crossing ~n_segments:10 ~dt ~vdd ~victim ~aggressors offsets with
+      | Ok d -> Alcotest.failf "%d offsets: timed at %g s" n d
+      | Error off ->
+          let what = Printf.sprintf "%d offsets: first named" n in
+          Alcotest.(check (float 0.)) what offsets.(0) off)
+    [ 1; 9 ]
+
 (* Test-local oracle: the noise run and the alignment sweep exactly as
    analyze runs them, but every transient over the full window.  Each
    noise run of the analysis stops once its peak is proved final: the peak
-   must keep the full window's bits while the steps it counts fall. *)
+   must keep the full window's bits while the steps it counts fall.  The
+   screened sweep must cost at most half the steps of one stopped run per
+   offset. *)
 let test_matches_full_window () =
   let flow = Lazy.force flow in
   let obs = Rlc_obs.Obs.create () in
   let r = Xtalk.analyze ~config:{ Xtalk.Config.default with Xtalk.Config.obs } flow in
-  let noise_steps = ref 0 and full_steps = ref 0 in
+  let noise_steps = ref 0 and full_steps = ref 0 and stopped_sweep_steps = ref 0 in
   let design = flow.Flow.design in
   let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
   let solve id = flow.Flow.results.(id).Flow.solve in
@@ -433,12 +528,16 @@ let test_matches_full_window () =
                     p.Xtalk.cc ))
                 survivors
             in
-            let far =
-              Cluster.simulate ~dt:Xtalk.Config.default.Xtalk.Config.dt
-                ~victim:(member ~drive:(model id).Driver_model.pwl id)
-                ~aggressors ()
+            let victim = member ~drive:(model id).Driver_model.pwl id in
+            let dt = Xtalk.Config.default.Xtalk.Config.dt in
+            let far = Cluster.simulate ~dt ~victim ~aggressors () in
+            let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
+            let crossing = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
+            worst := Float.max !worst crossing;
+            let stopped =
+              Cluster.simulate ~until:[ (level, Measure.Rising) ] ~dt ~victim ~aggressors ()
             in
-            worst := Float.max !worst (Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5)
+            stopped_sweep_steps := !stopped_sweep_steps + Waveform.length stopped - 1
           done;
           Alcotest.(check int64)
             (Printf.sprintf "victim %s coupled delay bits" name)
@@ -451,16 +550,24 @@ let test_matches_full_window () =
   in
   Alcotest.(check int) "xtalk.noise_steps counts the steps taken" !noise_steps
     (counter "xtalk.noise_steps");
-  (* Every engine run of the analysis is a noise run or an alignment run. *)
-  Alcotest.(check int) "engine steps = noise + alignment steps" (counter "engine.steps")
-    (counter "xtalk.noise_steps" + counter "xtalk.alignment_steps");
+  (* Every engine run of the analysis is a noise, screen or alignment run. *)
+  Alcotest.(check int) "engine steps = noise + screen + alignment steps" (counter "engine.steps")
+    (counter "xtalk.noise_steps" + counter "xtalk.screen_steps"
+    + counter "xtalk.alignment_steps");
   let noise_runs =
     Array.fold_left (fun n (v : Xtalk.victim_result) -> if v.Xtalk.simulated then n + 1 else n) 0
       r.Xtalk.victims
   in
-  Alcotest.(check int) "engine transients = noise runs + alignment sweeps"
+  Alcotest.(check int) "engine transients = noise runs + screen runs + alignment sweeps"
     (counter "engine.transients")
-    (noise_runs + counter "xtalk.alignment_sweeps");
+    (noise_runs + counter "xtalk.screen_runs" + counter "xtalk.alignment_sweeps");
+  Alcotest.(check int) "no screen fallback" 0 (counter "xtalk.screen_fallbacks");
+  let sweep_steps = counter "xtalk.screen_steps" + counter "xtalk.alignment_steps" in
+  Alcotest.(check bool)
+    (Printf.sprintf "screened sweeps took %d steps, one stopped run per offset %d" sweep_steps
+       !stopped_sweep_steps)
+    true
+    (2 * sweep_steps <= !stopped_sweep_steps);
   Alcotest.(check bool)
     (Printf.sprintf "noise runs took %d steps, the full windows %d" !noise_steps !full_steps)
     true
@@ -636,6 +743,40 @@ let test_nonfinite_levels_rejected () =
   let r = analyze_with ~threshold:0. () in
   Alcotest.(check int) "threshold 0 screens nothing" 0 r.Xtalk.stats.Xtalk.n_screened
 
+(* ---------------------------------------------------------- rendering *)
+
+(* [%g] prints NaN and infinity bare, which is not JSON: every renderer
+   refuses a non-finite number, naming its field, so the daemon answers
+   internal instead of sending a malformed payload. *)
+let test_nonfinite_rendering_refused () =
+  let flow = Lazy.force flow in
+  let raises_naming field f =
+    match f () with
+    | _ -> Alcotest.failf "rendered a non-finite %s" field
+    | exception Failure msg ->
+        Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true (contains msg field)
+  in
+  let results =
+    Array.mapi
+      (fun i (nr : Flow.net_result) -> if i = 3 then { nr with Flow.arrival = Float.nan } else nr)
+      flow.Flow.results
+  in
+  let bad = { flow with Flow.results } in
+  raises_naming "arrival_ps" (fun () -> Report.json_string bad);
+  raises_naming "arrival_ps" (fun () -> Report.csv_string bad);
+  let r = Lazy.force analyzed in
+  let victims =
+    Array.map
+      (fun (v : Xtalk.victim_result) ->
+        if v.Xtalk.simulated then { v with Xtalk.coupled_delay = Some Float.infinity } else v)
+      r.Xtalk.victims
+  in
+  raises_naming "coupled_delay_ps" (fun () ->
+      Xtalk.json_fragment flow.Flow.design { r with Xtalk.victims });
+  (* Finite results render as before. *)
+  ignore (Report.json_string flow);
+  ignore (Xtalk.json_fragment flow.Flow.design r)
+
 let () =
   Alcotest.run "xtalk"
     [
@@ -672,9 +813,19 @@ let () =
           Alcotest.test_case "unreachable victim named" `Slow test_unreachable_victim_named;
           Alcotest.test_case "alignments bounded" `Quick test_alignments_bounded;
         ] );
+      ( "screened sweep",
+        [
+          Alcotest.test_case "= brute force on random clusters" `Quick test_sweep_screen;
+          Alcotest.test_case "unreachable victim names the first offset" `Quick
+            test_sweep_unreachable;
+        ] );
       ( "protocol",
         [
           Alcotest.test_case "xtalk request" `Quick test_protocol_xtalk_request;
           Alcotest.test_case "non-finite levels rejected" `Slow test_nonfinite_levels_rejected;
+        ] );
+      ( "rendering",
+        [
+          Alcotest.test_case "non-finite numbers refused" `Slow test_nonfinite_rendering_refused;
         ] );
     ]
