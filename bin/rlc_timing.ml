@@ -371,7 +371,7 @@ let flow_cmd =
                 Option.iter Rlc_obs.Progress.finish progress;
                 Format.eprintf "%s@." (Rlc_service.Error.message e);
                 2
-            | Ok { Rlc_service.Session.result; xtalk = xtalk_result; report } ->
+            | Ok { Rlc_service.Session.result; xtalk = xtalk_result; report; _ } ->
                 Option.iter Rlc_obs.Progress.finish progress;
                 export_obs obs ~trace ~metrics_json;
                 Format.printf "%a" (fun fmt -> Rlc_flow.Report.summary ?required fmt) result;

@@ -405,6 +405,23 @@ let update_forced c vnode t =
     vnode.(fs.fnode) <- fs.fsrc t
   done
 
+exception Newton_diverged of { t : float; within : string list }
+
+let () =
+  Printexc.register_printer (function
+    | Newton_diverged { t; within } ->
+        Some
+          (Printf.sprintf "Engine: Newton failed to converge at t=%g s%s" t
+             (match within with [] -> "" | l -> " (" ^ String.concat "; " l ^ ")"))
+    | _ -> None)
+
+let within what f =
+  match f () with
+  | v -> v
+  | exception Newton_diverged d -> raise (Newton_diverged { d with within = what :: d.within })
+
+let diverged t = raise (Newton_diverged { t; within = [] })
+
 (* Newton loop on top of a base (linear part) assembly function — the
    rebuild-everything path, used for the DC operating point (once per
    transient) and as the [reassemble_per_step] reference stepper. *)
@@ -440,7 +457,7 @@ let newton ~opts ~c ~assemble_base ~vnode ~t =
       if !worst < opts.newton_tol then converged := true
     done;
     if not !converged then
-      failwith (Printf.sprintf "Engine: Newton failed to converge at t=%g s" t);
+      diverged t;
     !iter
   end
 
@@ -694,7 +711,7 @@ let fast_step c st opts vnode t =
           if !worst < opts.newton_tol then converged := true
         done;
         if not !converged then
-          failwith (Printf.sprintf "Engine: Newton failed to converge at t=%g s" t);
+          diverged t;
         !iter
 
 (* The pre-factorization stepper: rebuild and refactor the whole system at
@@ -1253,7 +1270,7 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
              points since the start or the last kink). *)
           let err = if !nh >= 3 then pred_err t_new else -1. in
           if !k = 0 || err < 0. || err <= a.ltol then Some (iters, err) else None
-      | exception Failure _ when !k > 0 -> None
+      | exception (Failure _ | Newton_diverged _) when !k > 0 -> None
     in
     match verdict with
     | None ->

@@ -33,6 +33,19 @@ val default_options : dt:float -> t_stop:float -> options
 (** Trapezoidal, [newton_tol = 1e-9] V, [newton_max = 60],
     [dv_limit = 0.5] V. *)
 
+exception Newton_diverged of { t : float; within : string list }
+(** Newton iteration did not converge within [newton_max] iterations at
+    time [t] (seconds; [0.] is the DC operating point).  [within] names
+    what was being simulated, outermost first, as callers add it with
+    {!within} (a net, a driver size); the engine itself leaves it empty.
+    A registered printer renders it as ["Engine: Newton failed to converge
+    at t=... s (...)"], the text [Printexc.to_string] and the service's
+    [internal] error message show. *)
+
+val within : string -> (unit -> 'a) -> 'a
+(** [within what f] is [f ()], with [what] prepended to the [within] of a
+    {!Newton_diverged} that escapes it. *)
+
 type adaptive = {
   dt_min : float;  (** smallest step (ladder rung 0), seconds *)
   dt_max : float;  (** largest step; the ladder tops out at the largest
@@ -74,8 +87,8 @@ val transient :
   Netlist.t ->
   result
 (** Runs DC operating point at [t = 0] then steps to [t_stop].  Either pass
-    a full [options] record or just [dt]/[t_stop].  Raises [Failure] if
-    Newton fails to converge at any timestep.
+    a full [options] record or just [dt]/[t_stop].  Raises
+    {!Newton_diverged} if Newton fails to converge at any timestep.
 
     [obs] (default disabled) records ["engine.compile"] /
     ["engine.dc_solve"] / ["engine.factor"] / ["engine.step_loop"] spans

@@ -49,27 +49,13 @@ type t = {
 
 val ingest :
   ?tech:Rlc_devices.Tech.t ->
-  ?prev:t * Rlc_spef.Spef.t ->
+  ?obs:Rlc_obs.Obs.t ->
   spef:Rlc_spef.Spef.t ->
   spec:Spec.t ->
   unit ->
   (t, string) result
-(** Ingest runs in time linear in the design (nets, blocks, spec lines).
-
-    [prev] is the design these sources were edited from, with the SPEF it
-    was ingested from (an incremental retime passes the state before its
-    delta; cold callers pass nothing).  Net [i] keeps [prev]'s record for
-    id [i] — the same physical value, tree and Pade fit not recomputed —
-    only when all of these hold: its [*D_NET] block is physically the
-    block of that name in the previous SPEF (as {!Delta.apply} leaves
-    unedited blocks), its name, connectivity and level are equal, its
-    driver size and primary slew are bit-equal, and its [loads] are equal
-    (pins equal, farads bit-equal).  Every other net is built afresh.  A
-    kept record therefore equals, field by field, the one a cold ingest of
-    the same sources would build, and correctness never depends on a dirty
-    list.  Node ownership, the coupling graph and every validation below
-    still run over every net, with or without [prev].  A design keeps no
-    reference to the parsed SPEF.
+(** A cold ingest, in time linear in the design (nets, blocks, spec
+    lines).  A design keeps no reference to the parsed SPEF.
 
     Errors: a spec net missing from the SPEF (or vice versa: SPEF nets not
     covered by a [driver] line are ignored with a log message, they are not
@@ -79,7 +65,56 @@ val ingest :
     coupling caps resolve each endpoint to the design net owning that node
     (a node owned by two nets, or a coupling joining a net to itself, is an
     error); couplings touching nets the design does not time are logged and
-    skipped. *)
+    skipped.
+
+    [obs] (default disabled) records a ["design.ingest"] span (also
+    charged to the calling domain's {!Rlc_obs.Obs.with_split}) and adds
+    every node claim made — each conn pin, grounded-cap node and branch
+    endpoint of every net — to the ["design.nodes_claimed"] counter. *)
+
+type index
+(** A resident design's ingest index: what the ingest of an edited
+    successor reuses.  It holds the name order and id map, the
+    connectivity the spec's edges and loads define, the node-ownership
+    index (an immutable base table plus a persistent overlay of the blocks
+    replaced since) and each coupling's caps in file order.  Immutable:
+    deriving a successor never changes it. *)
+
+val ingest_resident :
+  ?tech:Rlc_devices.Tech.t ->
+  ?obs:Rlc_obs.Obs.t ->
+  ?prev:t * index * Rlc_spef.Spef.t ->
+  spef:Rlc_spef.Spef.t ->
+  spec:Spec.t ->
+  unit ->
+  (t * index, string) result
+(** {!ingest}, plus the index for the design's edited successors.
+
+    [prev] is the design these sources were edited from, with its index
+    and the SPEF it was ingested from (an incremental retime passes the
+    state before its delta).  When the sources are provably [prev]'s with
+    only values and whole blocks changed — the same driver and input lines
+    in the same order (sizes and slews may differ), physically [prev]'s
+    spec [edges] and [loads] lists, the same [*D_NET] names in the same
+    order, each block physically the previous one or a replacement, as
+    {!Delta.apply} produces them — the ingest costs the edit, not the
+    design:
+    - ids, levels and connectivity are [prev]'s;
+    - only nets whose block was replaced, whose size or primary slew
+      changed, or which drive a resized net get a new record (a size- or
+      slew-only change copies the record with the new value); every other
+      net keeps [prev]'s record, physically;
+    - only the replaced blocks' nodes are claimed, against [prev]'s
+      ownership index; the overlay is folded into a new base once a
+      quarter of the nets sit in it;
+    - only the coupling pairs a replaced block or its nodes touch are
+      re-summed, in file order, so every [cc] keeps its bits.
+    Any other input, and any check the quick path cannot settle (a node
+    claimed twice, a coupling joining a net to itself, a block that does
+    not build), takes the full pass of {!ingest} instead.  Either way the
+    design equals, field by field, the one a cold ingest of the same
+    sources builds, and errors carry a cold ingest's text.  [obs] as in
+    {!ingest}: the quick path claims only the replaced blocks' nodes. *)
 
 val n_nets : t -> int
 val pp : Format.formatter -> t -> unit

@@ -249,6 +249,7 @@ module Timed = struct
     keys : string array;
         (* canonical cache key per net id, exactly as each net solved,
            kept from the solve pass that computed it *)
+    index : Design.index;  (* what the next delta's ingest reuses *)
   }
 
   type t = timed
@@ -472,11 +473,11 @@ let run_cfg (cfg : Config.t) (design : Design.t) =
 (* ---------------------------------------------------- incremental (ECO) *)
 
 let time ?tech (cfg : Config.t) ~spef ~spec () =
-  match Design.ingest ?tech ~spef ~spec () with
+  match Design.ingest_resident ?tech ~obs:cfg.Config.obs ~spef ~spec () with
   | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
-  | Ok design ->
+  | Ok (design, index) ->
       let result, keys, _ = with_run cfg (fun () -> solve_pass cfg design) in
-      Ok { Timed.cfg; spef; spec; result; keys }
+      Ok { Timed.cfg; spef; spec; result; keys; index }
 
 type delta_stats = { retimed : int; reused : int }
 
@@ -485,15 +486,17 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
   | Error _ as e -> e
   | Ok { Delta.spef; spec; changed } -> (
       let old = t.Timed.result in
-      (* Re-ingest against the previous design: a net keeps its record only
-         when everything it is built from is provably unchanged, so every
-         record equals the one a cold ingest of the edited sources would
-         build, and the untouched nets skip the tree and Pade work. *)
+      (* Re-ingest against the previous design and its index: on the
+         sources Delta.apply produced only the edit's nets, nodes and
+         coupling pairs are redone, and a net keeps its record only when
+         everything it is built from is provably unchanged, so every record
+         equals the one a cold ingest of the edited sources would build. *)
       match
-        Design.ingest ~tech:old.design.Design.tech ~prev:(old.design, t.Timed.spef) ~spef ~spec ()
+        Design.ingest_resident ~tech:old.design.Design.tech ~obs:t.Timed.cfg.Config.obs
+          ~prev:(old.design, t.Timed.index, t.Timed.spef) ~spef ~spec ()
       with
       | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
-      | Ok design ->
+      | Ok (design, index) ->
           let n = Array.length design.Design.nets in
           if
             n <> Array.length old.design.Design.nets
@@ -555,7 +558,9 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
             Log.info (fun m ->
                 m "delta: %d/%d nets retimed (%d reused) for %d changed" (n - reused) n reused
                   (List.length changed));
-            Ok ({ t with Timed.spef; spec; result; keys }, { retimed = n - reused; reused })
+            Ok
+              ( { t with Timed.spef; spec; result; keys; index },
+                { retimed = n - reused; reused } )
           end)
 
 let critical_path result =

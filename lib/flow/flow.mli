@@ -208,9 +208,11 @@ val retime :
   Delta.t ->
   (Timed.t * delta_stats, Rlc_errors.Error.t) Stdlib.result
 (** Apply a {!Delta.t} and re-time incrementally.  The edited sources are
-    re-ingested against the previous design ({!Design.ingest} [~prev]), so
-    a net keeps its ingest record only when its block, driver size,
-    primary slew, connectivity and loads are provably unchanged.  The
+    re-ingested against the previous design and its resident index
+    ({!Design.ingest_resident} [~prev]), which on a delta's sources costs
+    the edit rather than the design: a net keeps its ingest record only
+    when its block, driver size, primary slew, connectivity and loads are
+    provably unchanged.  The
     directly changed nets, their downstream fan-out cones through the
     levelized graph, and (when [xtalk_victims], i.e. the handle runs
     crosstalk analysis) the coupling partners of changed nets — under both

@@ -169,8 +169,11 @@ let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residu
               else begin
                 incr escal;
                 Obs.incr obs "optimize.escalations";
-                Reference.simulated_far_delay ~dt:cfg.Flow.Config.dt
-                  ?adaptive:cfg.Flow.Config.adaptive ~tech ~size ~input_slew ~line ~cl ()
+                Engine.within
+                  (Printf.sprintf "escalation of net %s at %gX" net.Design.name size)
+                  (fun () ->
+                    Reference.simulated_far_delay ~dt:cfg.Flow.Config.dt
+                      ?adaptive:cfg.Flow.Config.adaptive ~tech ~size ~input_slew ~line ~cl ())
                 <= target *. (1. +. escalation_band)
               end
             in

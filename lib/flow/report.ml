@@ -2,6 +2,7 @@ module Driver_model = Rlc_ceff.Driver_model
 module Screen = Rlc_ceff.Screen
 module Measure = Rlc_waveform.Measure
 module Units = Rlc_num.Units
+module Obs = Rlc_obs.Obs
 
 let ps = Units.in_ps
 let ff = Units.in_ff
@@ -90,9 +91,13 @@ let net_json (r : Flow.net_result) =
     (num_ps "far_slew_ps" r.Flow.solve.Flow.far_slew)
     (num_ps "arrival_ps" r.Flow.arrival)
 
-type entries = { mutable rendered : (Flow.net_result * string) array }
+(* A rendered entry: the bytes it was rendered to and, in a store, those
+   bytes escaped by the store's [escape]. *)
+type entry = { result : Flow.net_result; text : string; escaped : string }
 
-let entries () = { rendered = [||] }
+type entries = { mutable rendered : entry array; escape : string -> string }
+
+let entries ~escape () = { rendered = [||]; escape }
 
 (* An entry is a function of the net record, the solve, and the three
    floats and edge the flow adds; physically equal records and bit-equal
@@ -102,22 +107,31 @@ let same_entry (a : Flow.net_result) (b : Flow.net_result) =
   && Cache.same_bits a.Flow.input_slew b.Flow.input_slew
   && Cache.same_bits a.Flow.arrival b.Flow.arrival
 
-let net_entries ?entries (result : Flow.result) =
+let net_entries ~obs ?entries (result : Flow.result) =
   let prev = match entries with Some e -> e.rendered | None -> [||] in
+  let rendered = ref 0 in
   let fresh =
     Array.mapi
       (fun i r ->
-        if i < Array.length prev && same_entry (fst prev.(i)) r then (r, snd prev.(i))
-        else (r, net_json r))
+        if i < Array.length prev && same_entry prev.(i).result r then prev.(i)
+        else begin
+          incr rendered;
+          let text = net_json r in
+          let escaped = match entries with Some e -> e.escape text | None -> "" in
+          { result = r; text; escaped }
+        end)
       result.Flow.results
   in
-  Option.iter (fun e -> e.rendered <- fresh) entries;
+  Obs.add obs "report.entries_rendered" !rendered;
+  if Option.is_some entries then Obs.add obs "report.entries_escaped" !rendered;
   fresh
 
-let json_string ?required ?xtalk ?entries (result : Flow.result) =
-  let rendered = net_entries ?entries result in
-  let bytes = Array.fold_left (fun acc (_, e) -> acc + String.length e + 2) 0 rendered in
-  let buf = Buffer.create (bytes + 1024) in
+(* The report in three parts: the header, through the opening of
+   ["net_results"]; the entries, each followed by [",\n"] but the last by
+   ["\n"]; and the rest. *)
+let parts ~obs ?required ?xtalk ?entries (result : Flow.result) =
+  let rendered = net_entries ~obs ?entries result in
+  let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let stats = result.Flow.stats in
   p "{\n";
@@ -128,12 +142,8 @@ let json_string ?required ?xtalk ?entries (result : Flow.result) =
   p "  \"two_ramp_nets\": %d,\n" stats.Flow.n_two_ramp;
   p "  \"ceff_iterations\": %d,\n" stats.Flow.iterations_total;
   p "  \"net_results\": [\n";
-  Array.iteri
-    (fun i (_, entry) ->
-      Buffer.add_string buf entry;
-      if i < Array.length rendered - 1 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n")
-    rendered;
+  let header = Buffer.contents buf in
+  Buffer.clear buf;
   p "  ],\n";
   (* Pre-rendered crosstalk fragment (Rlc_xtalk lives above this library, so
      the composition is by string injection); absent, the payload is
@@ -161,7 +171,48 @@ let json_string ?required ?xtalk ?entries (result : Flow.result) =
   p "    \"far_slew_histogram\": %s\n" (json_histogram (histogram slews));
   p "  }\n";
   p "}\n";
-  Buffer.contents buf
+  (header, rendered, Buffer.contents buf)
+
+(* The report in one exactly sized string: no buffer to outgrow or copy. *)
+let text (header, rendered, footer) =
+  let n = Array.length rendered in
+  let entries = Array.fold_left (fun acc e -> acc + String.length e.text + 2) (-1) rendered in
+  let b = Bytes.create (String.length header + Int.max 0 entries + String.length footer) in
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  put header;
+  Array.iteri
+    (fun i e ->
+      put e.text;
+      put (if i < n - 1 then ",\n" else "\n"))
+    rendered;
+  put footer;
+  Bytes.unsafe_to_string b
+
+(* Render, then hand the store this report's entries: only a report that
+   rendered whole changes it. *)
+let render ~obs ?required ?xtalk ?entries result k =
+  Obs.layer obs "report.render" (fun () ->
+      let ((_, rendered, _) as parts) = parts ~obs ?required ?xtalk ?entries result in
+      let v = k parts in
+      Option.iter (fun e -> e.rendered <- rendered) entries;
+      v)
+
+let json_string ?(obs = Obs.null) ?required ?xtalk result =
+  render ~obs ?required ?xtalk result text
+
+let json_escaped ?(obs = Obs.null) ?required ?xtalk ~entries result =
+  render ~obs ?required ?xtalk ~entries result (fun ((header, rendered, footer) as parts) ->
+      let escape = entries.escape and n = Array.length rendered in
+      let sep = escape ",\n" and last = escape "\n" in
+      let chunks = ref [ escape footer ] in
+      for i = n - 1 downto 0 do
+        chunks := rendered.(i).escaped :: (if i < n - 1 then sep else last) :: !chunks
+      done;
+      (text parts, escape header :: !chunks))
 
 (* ------------------------------------------------------------------ CSV *)
 

@@ -10,36 +10,55 @@
     {!csv_string} and the optimize payloads) raise [Failure] naming the
     field instead of printing it (the daemon answers [internal]). *)
 
-type entries
-(** The rendered per-net entries of the last report of one evolving
-    design (a resident ECO handle), kept so the next report of its edited
-    successor re-renders only what moved.  Not thread-safe: renders that
-    share one value must be serialized. *)
-
-val entries : unit -> entries
-(** An empty store: the first render with it renders every entry. *)
-
-val json_string :
-  ?required:float -> ?xtalk:string -> ?entries:entries -> Flow.result -> string
+val json_string : ?obs:Rlc_obs.Obs.t -> ?required:float -> ?xtalk:string -> Flow.result -> string
 (** Full report: design header, one object per net (timing, shape, screen
     verdict, Ceff values, iteration count), and a summary block with the
     worst-arrival (critical) path, optional slack against a [required]
     arrival time (seconds), and fixed-bin stage-delay / far-slew
     histograms.
 
-    With [entries], net [i]'s entry is copied from the store when the
-    stored result for [i] has physically the same net record and solve
-    as [result]'s and a bit-equal edge, input slew and arrival — every
-    input the entry is rendered from — and rendered otherwise; the store
-    then holds this report's entries.  The bytes are the same with or
-    without [entries]; the header, summary and histograms are always
-    computed afresh.
-
     [xtalk] is a pre-rendered JSON object (produced by
     [Rlc_xtalk.Xtalk.json_fragment], which depends on this library)
     injected under an ["xtalk"] key between the net results and the
     summary; omitted, the payload is byte-identical to a pre-crosstalk
-    report. *)
+    report.
+
+    [obs] (default disabled) records a ["report.render"] span (also
+    charged to the calling domain's {!Rlc_obs.Obs.with_split}) and counts
+    the entries rendered in ["report.entries_rendered"]. *)
+
+type entries
+(** The rendered per-net entries of the last report of one evolving
+    design (a resident ECO handle), each kept as rendered and escaped, so
+    the next report of its edited successor re-renders and re-escapes only
+    what moved.  Not thread-safe: renders that share one value must be
+    serialized. *)
+
+val entries : escape:(string -> string) -> unit -> entries
+(** An empty store whose entries are escaped by [escape], once each, when
+    rendered.  [escape] must work byte by byte ([escape (a ^ b) = escape a
+    ^ escape b]), as a JSON string escape does. *)
+
+val json_escaped :
+  ?obs:Rlc_obs.Obs.t ->
+  ?required:float ->
+  ?xtalk:string ->
+  entries:entries ->
+  Flow.result ->
+  string * string list
+(** {!json_string} and its bytes escaped by the store's [escape], in
+    pieces whose concatenation is [escape] of the report.
+
+    Net [i]'s entry, rendered and escaped, is copied from the store when
+    the stored result for [i] has physically the same net record and
+    solve as [result]'s and a bit-equal edge, input slew and arrival —
+    every input the entry is rendered from — and rendered and escaped
+    otherwise; the store then holds this report's entries (a render that
+    raises leaves it unchanged).  The header and the summary are always
+    computed and escaped afresh, so a report that re-renders two entries
+    escapes two entries, not the report.  The report bytes equal
+    {!json_string}'s.  [obs] as in {!json_string}, plus the entries
+    escaped in ["report.entries_escaped"]. *)
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON payload (used by the crosstalk

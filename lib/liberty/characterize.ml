@@ -29,15 +29,16 @@ let characterize_point tech ~size ~edge ~input_slew ~cap =
     let at node edge frac = (node, Measure.level_of_frac ~vdd ~edge ~frac, edge) in
     at input in_edge 0.5 :: List.map (at output out_edge) [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
   in
+  let point =
+    Printf.sprintf "size=%g, slew=%g ps, cap=%g fF" size (Rlc_num.Units.in_ps input_slew)
+      (Rlc_num.Units.in_ff cap)
+  in
   let r =
-    Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew ~until
-      ~load:(Testbench.cap_load cap) ()
+    Rlc_circuit.Engine.within ("Characterize: " ^ point) (fun () ->
+        Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew ~until
+          ~load:(Testbench.cap_load cap) ())
   in
-  let fail_point msg =
-    failwith
-      (Printf.sprintf "Characterize: %s (size=%g, slew=%g ps, cap=%g fF)" msg size
-         (Rlc_num.Units.in_ps input_slew) (Rlc_num.Units.in_ff cap))
-  in
+  let fail_point msg = failwith (Printf.sprintf "Characterize: %s (%s)" msg point) in
   let delay =
     match
       Measure.delay_50 ~input:r.Testbench.input ~output:r.Testbench.output ~vdd
@@ -193,9 +194,13 @@ let characterize_point_res tech ~size ~edge ~input_slew ~cap =
   | v -> Ok v
   | exception Invalid_argument msg -> Error (Rlc_errors.Error.Bad_request msg)
   | exception Failure msg -> Error (Rlc_errors.Error.Internal msg)
+  | exception (Rlc_circuit.Engine.Newton_diverged _ as e) ->
+      Error (Rlc_errors.Error.Internal (Printexc.to_string e))
 
 let cell_res ?obs ?grid tech ~size =
   match cell ?obs ?grid tech ~size with
   | c -> Ok c
   | exception Invalid_argument msg -> Error (Rlc_errors.Error.Bad_request msg)
   | exception Failure msg -> Error (Rlc_errors.Error.Internal msg)
+  | exception (Rlc_circuit.Engine.Newton_diverged _ as e) ->
+      Error (Rlc_errors.Error.Internal (Printexc.to_string e))

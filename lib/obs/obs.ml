@@ -200,6 +200,33 @@ let time t ?(args = []) name f =
         raise e
   end
 
+(* The current request's layer split, ambient per domain like the trace id:
+   wall seconds per layer name, in first-recorded order.  Independent of any
+   sink, so a daemon whose sink records no spans still splits its requests. *)
+
+type split = { mutable layers : (string * float ref) list }
+
+let split_key : split option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let with_split f =
+  let prev = Domain.DLS.get split_key in
+  let s = { layers = [] } in
+  Domain.DLS.set split_key (Some s);
+  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set split_key prev) f in
+  (v, List.rev_map (fun (name, r) -> (name, !r)) s.layers)
+
+let layer t name f =
+  match Domain.DLS.get split_key with
+  | None -> time t name f
+  | Some s ->
+      let t0 = now () in
+      let charge () =
+        match List.assoc_opt name s.layers with
+        | Some r -> r := !r +. (now () -. t0)
+        | None -> s.layers <- (name, ref (now () -. t0)) :: s.layers
+      in
+      Fun.protect ~finally:charge (fun () -> time t name f)
+
 (* ------------------------------------------------------------- snapshot *)
 
 type stat_summary = {

@@ -82,6 +82,24 @@ val time : t -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [time t name f] runs [f] inside a span.  Exception-safe: a raising
     [f] still records the span, with an ["error"] arg, then re-raises. *)
 
+(** {1 Per-request layer split}
+
+    A per-domain tally of wall time by layer name (one process-wide slot,
+    independent of any sink, like the trace id).  A server installs one
+    around each request to say where that request's time went even when
+    its sink records no spans. *)
+
+val with_split : (unit -> 'a) -> 'a * (string * float) list
+(** [with_split f] runs [f] with a fresh split installed on the calling
+    domain and returns [f]'s value with the seconds {!layer} charged to
+    each name while it ran, in first-charged order (names never charged
+    are absent).  The previous split is restored afterwards. *)
+
+val layer : t -> string -> (unit -> 'a) -> 'a
+(** [layer t name f] is [time t name f] that also charges its wall time
+    to the calling domain's split, when one is installed (also when [f]
+    raises).  Without a split and with spans off it reads no clock. *)
+
 (** {1 Snapshot} *)
 
 type span = {

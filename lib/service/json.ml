@@ -11,6 +11,7 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Escaped of string list
 
 (* ------------------------------------------------------------- parser *)
 
@@ -249,63 +250,86 @@ let escapes =
       | _ when code < 0x20 -> Printf.sprintf "\\u%04x" code
       | _ -> "")
 
-(* Copy the runs between escaped characters in one blit each. *)
-let escape_to buf s =
+(* The escaped bytes, in one exactly sized string ([s] itself when nothing
+   needs escaping): a first pass sizes it, a second copies the runs
+   between escaped characters in one blit each. *)
+let escape s =
   let n = String.length s in
-  let start = ref 0 in
+  let len = ref n in
   for i = 0 to n - 1 do
     let e = Array.unsafe_get escapes (Char.code (String.unsafe_get s i)) in
-    if String.length e > 0 then begin
-      Buffer.add_substring buf s !start (i - !start);
-      Buffer.add_string buf e;
-      start := i + 1
-    end
+    if String.length e > 0 then len := !len + String.length e - 1
   done;
-  Buffer.add_substring buf s !start (n - !start)
+  if !len = n then s
+  else begin
+    let b = Bytes.create !len in
+    let pos = ref 0 and start = ref 0 in
+    let blit src off k =
+      Bytes.blit_string src off b !pos k;
+      pos := !pos + k
+    in
+    for i = 0 to n - 1 do
+      let e = Array.unsafe_get escapes (Char.code (String.unsafe_get s i)) in
+      if String.length e > 0 then begin
+        blit s !start (i - !start);
+        blit e 0 (String.length e);
+        start := i + 1
+      end
+    done;
+    blit s !start (n - !start);
+    Bytes.unsafe_to_string b
+  end
 
-(* A buffer size that holds most payloads without regrowing: strings at
-   their length plus a quarter for escapes (a flow report escapes about
-   an eighth of its bytes), a little for everything else. *)
-let rec size_hint = function
-  | Null | Bool _ | Int _ | Float _ -> 24
-  | Str s -> String.length s + (String.length s / 4) + 2
-  | List l -> List.fold_left (fun acc v -> acc + 1 + size_hint v) 2 l
-  | Obj fields ->
-      List.fold_left (fun acc (k, v) -> acc + String.length k + 4 + size_hint v) 2 fields
-
+(* The line's pieces in order, then one exactly sized copy: a payload
+   carried as [Escaped] pieces is copied once, straight into the line. *)
 let to_string v =
-  let buf = Buffer.create (size_hint v) in
+  let pieces = ref [] and len = ref 0 in
+  let add s =
+    pieces := s :: !pieces;
+    len := !len + String.length s
+  in
   let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (float_repr f)
+    | Null -> add "null"
+    | Bool b -> add (if b then "true" else "false")
+    | Int i -> add (string_of_int i)
+    | Float f -> add (float_repr f)
     | Str s ->
-        Buffer.add_char buf '"';
-        escape_to buf s;
-        Buffer.add_char buf '"'
+        add "\"";
+        add (escape s);
+        add "\""
+    | Escaped parts ->
+        add "\"";
+        List.iter add parts;
+        add "\""
     | List l ->
-        Buffer.add_char buf '[';
+        add "[";
         List.iteri
           (fun i v ->
-            if i > 0 then Buffer.add_char buf ',';
+            if i > 0 then add ",";
             go v)
           l;
-        Buffer.add_char buf ']'
+        add "]"
     | Obj fields ->
-        Buffer.add_char buf '{';
+        add "{";
         List.iteri
           (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            escape_to buf k;
-            Buffer.add_string buf "\":";
+            if i > 0 then add ",";
+            add "\"";
+            add (escape k);
+            add "\":";
             go v)
           fields;
-        Buffer.add_char buf '}'
+        add "}"
   in
   go v;
-  Buffer.contents buf
+  let b = Bytes.create !len in
+  let pos = ref !len in
+  List.iter
+    (fun s ->
+      pos := !pos - String.length s;
+      Bytes.blit_string s 0 b !pos (String.length s))
+    !pieces;
+  Bytes.unsafe_to_string b
 
 (* ---------------------------------------------------------- accessors *)
 

@@ -14,6 +14,12 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list  (** field order preserved *)
+  | Escaped of string list
+      (** A string given by its escaped bytes ({!escape} of it), in pieces
+          printed verbatim between the quotes: how a producer that keeps
+          escaped parts of a large string splices them instead of
+          re-escaping the whole.  {!parse} never returns it; the accessors
+          treat it as no string. *)
 
 val parse : string -> (t, int * string) result
 (** Whole-string parse; [Error (byte_pos, msg)] on malformed input
@@ -27,6 +33,10 @@ val to_string : t -> string
     and control characters; non-finite floats print as [null] (JSON has no
     NaN/inf); float formatting is the shortest [%g] that round-trips, so
     values survive a parse/print cycle bit-exactly. *)
+
+val escape : string -> string
+(** The bytes {!to_string} prints between the quotes of a {!Str}.  Works
+    byte by byte: [escape (a ^ b) = escape a ^ escape b]. *)
 
 (** {2 Accessors} — [None] on a type mismatch, never an exception. *)
 

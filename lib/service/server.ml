@@ -178,7 +178,10 @@ let shape_name (m : Rlc_ceff.Driver_model.t) =
 let flow_fields (o : Session.flow_outcome) =
   let s = o.Session.result.Rlc_flow.Flow.stats in
   [
-    ("report", Json.Str o.Session.report);
+    ( "report",
+      match o.Session.report_escaped with
+      | Some pieces -> Json.Escaped pieces
+      | None -> Json.Str o.Session.report );
     ("nets", Json.Int s.Rlc_flow.Flow.n_nets);
     ("levels", Json.Int s.Rlc_flow.Flow.n_levels);
     ("inductive", Json.Int s.Rlc_flow.Flow.n_inductive);
@@ -411,17 +414,31 @@ let respond t ~deadline ~trace (req : Protocol.request) =
         (Error (Error.Timeout budget), `Continue)
     | exception e -> (Error (Error.of_exn e), `Continue)
   in
+  (* Encoding belongs to the request too: its span carries the trace. *)
+  let encode f = Obs.with_trace (Some trace) (fun () -> Obs.layer (obs t) "service.encode" f) in
   match outcome with
   | Ok fields ->
       Session.note t.session ~ok:true;
-      (Protocol.ok_response ~schema:req.Protocol.schema ?id fields, control, Ok fields)
+      ( encode (fun () -> Protocol.ok_response ~schema:req.Protocol.schema ?id fields),
+        control,
+        Ok fields )
   | Error e ->
       Session.note t.session ~ok:false;
       (match e with Error.Timeout _ -> Obs.incr (obs t) "service.timeouts" | _ -> ());
       Log.info (fun m -> m "request failed: %s" (Error.to_string e));
-      (Protocol.error_response ~schema:req.Protocol.schema ?id e, `Continue, Error e)
+      ( encode (fun () -> Protocol.error_response ~schema:req.Protocol.schema ?id e),
+        `Continue,
+        Error e )
 
-let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker outcome =
+(* The slow-log keys of a request's split: the daemon's own layers. *)
+let split_keys =
+  [
+    ("ingest_ms", "design.ingest");
+    ("render_ms", "report.render");
+    ("encode_ms", "service.encode");
+  ]
+
+let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome =
   match t.slow_ms with
   | Some threshold when wall_s *. 1e3 >= threshold ->
       let ok, cache_hits =
@@ -445,10 +462,12 @@ let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker outcome =
                 ("ok", Json.Bool ok);
                 ("worker", Json.Int worker);
               ]
-             @
-             match cache_hits with
-             | Some n -> [ ("cache_hits", Json.Int n) ]
-             | None -> []))
+             @ (match cache_hits with Some n -> [ ("cache_hits", Json.Int n) ] | None -> [])
+             @ List.map
+                 (fun (key, layer) ->
+                   ( key,
+                     Json.Float (1e3 *. Option.value (List.assoc_opt layer split) ~default:0.) ))
+                 split_keys))
       in
       Mutex.lock t.log_mutex;
       output_string t.slow_channel line;
@@ -466,7 +485,9 @@ let serve_request t ~deadline ~trace ~queue_wait_s ~worker (req : Protocol.reque
   let o = obs t in
   let kind = kind_name req.Protocol.kind in
   let t0 = Unix.gettimeofday () in
-  let response, control, outcome = respond t ~deadline ~trace req in
+  let (response, control, outcome), split =
+    Obs.with_split (fun () -> respond t ~deadline ~trace req)
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
   if Obs.enabled o then begin
     (* Telemetry scrapes stay out of the window's rate counter and latency
@@ -484,7 +505,7 @@ let serve_request t ~deadline ~trace ~queue_wait_s ~worker (req : Protocol.reque
       ~args:[ ("worker", string_of_int worker); ("kind", kind); ("trace", trace) ]
       "service.request" t0
   end;
-  slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker outcome;
+  slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome;
   (response, control)
 
 let handle_line t line =

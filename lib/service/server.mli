@@ -75,7 +75,13 @@ val create :
     emits one JSON line on [slow_channel] (default [stderr]) with fields
     [slow_request], [trace], [kind], [queue_wait_ms], [wall_ms], [ok],
     [worker] (executor domain index, [-1] for requests served on the
-    serving loop itself), and [cache_hits] when the response carries it.
+    serving loop itself), [cache_hits] when the response carries it, and
+    the request's split of [wall_ms] over the daemon's own layers:
+    [ingest_ms] ({!Rlc_flow.Design.ingest}), [render_ms] (the report,
+    {!Rlc_flow.Report.json_string}) and [encode_ms] (the response line),
+    each [0] when the request did not run that layer.  The same three run
+    as ["design.ingest"], ["report.render"] and ["service.encode"] spans
+    inside ["service.request"] when the session's sink records spans.
 
     [tick_period_s] (default {!default_tick_period_s}) is the telemetry
     ticker period and [window_capacity] (default 60 samples) the rolling

@@ -173,7 +173,7 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Map the two raising conventions of the numeric layers to typed errors.
+(* Map the raising conventions of the numeric layers to typed errors.
    Deliberately NOT a catch-all: unknown exceptions (including
    [Rlc_errors.Deadline.Expired]) must keep propagating to the caller's
    own handler. *)
@@ -182,6 +182,8 @@ let guard f =
   | v -> Ok v
   | exception Invalid_argument msg -> Error (Error.Bad_request msg)
   | exception Failure msg -> Error (Error.Internal msg)
+  | exception (Rlc_circuit.Engine.Newton_diverged _ as e) ->
+      Error (Error.Internal (Printexc.to_string e))
 
 (* --------------------------------------------------------------- flow *)
 
@@ -201,7 +203,9 @@ let parse_sources t ?spef_name ?spec ?spec_name ?size ?slew ~spef () =
 let ingest t ?spef_name ?spec ?spec_name ?size ?slew ~spef () =
   let ( let* ) = Result.bind in
   let* spef, spec = parse_sources t ?spef_name ?spec ?spec_name ?size ?slew ~spef () in
-  match Rlc_flow.Design.ingest ~tech:t.config.Config.tech ~spef ~spec () with
+  match
+    Rlc_flow.Design.ingest ~tech:t.config.Config.tech ~obs:t.config.Config.obs ~spef ~spec ()
+  with
   | Ok d -> Ok d
   | Error msg -> Error (Error.Bad_request msg)
 
@@ -209,6 +213,7 @@ type flow_outcome = {
   result : Flow.result;
   xtalk : Rlc_xtalk.Xtalk.result option;
   report : string;
+  report_escaped : string list option;
 }
 
 let flow_cfg t (req : Request.t) =
@@ -250,11 +255,17 @@ let outcome_of ?entries t (req : Request.t) (result : Flow.result) =
       req.Request.xtalk
   in
   let fragment = Option.map (Rlc_xtalk.Xtalk.json_fragment result.Flow.design) xtalk in
-  {
-    result;
-    xtalk;
-    report = Report.json_string ?required:req.Request.required ?xtalk:fragment ?entries result;
-  }
+  let obs = t.config.Config.obs and required = req.Request.required in
+  let report, report_escaped =
+    match entries with
+    | Some entries ->
+        let report, escaped =
+          Report.json_escaped ~obs ?required ?xtalk:fragment ~entries result
+        in
+        (report, Some escaped)
+    | None -> (Report.json_string ~obs ?required ?xtalk:fragment result, None)
+  in
+  { result; xtalk; report; report_escaped }
 
 let flow t (req : Request.t) design =
   let cfg = flow_cfg t req in
@@ -313,7 +324,7 @@ let design_load t ?spef_name ?spec ?spec_name ?size ?slew ~req ~spef () =
     Result.join
       (guard (fun () -> Flow.time ~tech:t.config.Config.tech cfg ~spef ~spec ()))
   in
-  let entries = Report.entries () in
+  let entries = Report.entries ~escape:Json.escape () in
   let* outcome = guard (fun () -> outcome_of ~entries t req (Flow.Timed.result timed)) in
   let stored = { req with Request.deadline = None; trace = None; progress = None } in
   let handle = register t ~req:stored ~entries timed in

@@ -116,6 +116,12 @@ type flow_outcome = {
       (** {!Rlc_flow.Report.json_string} of [result] — the exact payload
           the CLI writes with [--json]; includes the [xtalk] fragment when
           the analysis ran *)
+  report_escaped : string list option;
+      (** [report] as {!Json.escape} escapes it, in pieces whose
+          concatenation is [Json.escape report] — present for
+          {!design_load} and {!flow_delta}, whose handle keeps each report
+          entry escaped ({!Rlc_flow.Report.json_escaped}), so a delta
+          escapes only the entries it re-rendered; [None] for {!flow}. *)
 }
 
 val flow : t -> Request.t -> Rlc_flow.Design.t -> (flow_outcome, Error.t) result

@@ -76,6 +76,8 @@ let analyze_res ?dt ?tech ~input_slew ~sink_cl stages =
   | r -> Ok r
   | exception Invalid_argument msg -> Error (Rlc_errors.Error.Bad_request msg)
   | exception Failure msg -> Error (Rlc_errors.Error.Internal msg)
+  | exception (Rlc_circuit.Engine.Newton_diverged _ as e) ->
+      Error (Rlc_errors.Error.Internal (Printexc.to_string e))
 
 let estimate_far_delay (model : Driver_model.t) ~line ~cl =
   (* Near-end 50% plus the two-moment transfer estimate of the line's own

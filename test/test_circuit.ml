@@ -194,6 +194,40 @@ let test_diode_clamp_dc () =
   check_float ~eps:1e-9 "KCL balance" 0. (i_r -. i_d);
   Alcotest.(check bool) "forward drop plausible" true (v.(out) > 0.4 && v.(out) < 0.75)
 
+(* Newton non-convergence is a typed error: the engine says when, callers
+   say what (a net, a driver size), and the printed message carries both. *)
+let test_newton_diverged_typed () =
+  let is_ = 1e-14 and vt = 0.02585 in
+  let nl = Netlist.create () in
+  let src = Netlist.node nl "src" and out = Netlist.node nl "out" in
+  Netlist.force_voltage nl src (fun _ -> 1.);
+  Netlist.resistor nl src out 1e3;
+  Netlist.nonlinear nl
+    {
+      Netlist.nl_name = "diode";
+      nl_nodes = [| out |];
+      nl_eval =
+        (fun v ->
+          let e = Float.exp (Float.min (v.(0) /. vt) 60.) in
+          ([| is_ *. (e -. 1.) |], [| [| is_ *. e /. vt |] |]));
+    };
+  let dt = 1e-12 and t_stop = 10e-12 in
+  let options = { (Engine.default_options ~dt ~t_stop) with Engine.newton_max = 1 } in
+  (match Engine.transient ~options ~dt ~t_stop nl with
+  | _ -> Alcotest.fail "one Newton iteration cannot clamp the diode"
+  | exception Engine.Newton_diverged { t; within } ->
+      check_float ~eps:0. "at the operating point" 0. t;
+      Alcotest.(check (list string)) "the engine names no context" [] within);
+  match
+    Engine.within "net b1" (fun () ->
+        Engine.within "size 75X" (fun () -> Engine.transient ~options ~dt ~t_stop nl))
+  with
+  | _ -> Alcotest.fail "expected Newton_diverged"
+  | exception (Engine.Newton_diverged { within; _ } as e) ->
+      Alcotest.(check (list string)) "outermost first" [ "net b1"; "size 75X" ] within;
+      Alcotest.(check string) "message"
+        "Engine: Newton failed to converge at t=0 s (net b1; size 75X)" (Printexc.to_string e)
+
 (* -------------------------------------------------------- factor-once *)
 
 (* The factor-once fast path (assemble + factor the linear system once, then
@@ -1235,6 +1269,7 @@ let () =
           Alcotest.test_case "obs counters reconcile" `Quick test_adaptive_obs_reconcile;
           Alcotest.test_case "nonlinear Newton path" `Quick test_adaptive_nonlinear;
           Alcotest.test_case "parameter validation" `Quick test_adaptive_rejects_bad_params;
+          Alcotest.test_case "Newton divergence is typed" `Quick test_newton_diverged_typed;
         ] );
       ( "compiled",
         [

@@ -427,6 +427,19 @@ type reuse_edit =
   | Resize of string * float
   | Slew of string * float  (** global net, ps *)
   | Revert of string  (** the loaded block, size and slew of a net *)
+  | Rename of string
+      (** a global's block with its interior nodes renamed: the couplings
+          the bit below declares against them dangle until reverted *)
+  | Odd of string
+      (** a local's block that also declares a coupling between two
+          globals it does not own and one to a node no net owns *)
+  | Clash of string
+      (** a global's block whose first interior node is named as its local's:
+          ingest error *)
+  | Self_couple of string  (** a global's block coupling two of its own nodes: ingest error *)
+  | Repeat_pair of string
+      (** an upper global's block declaring a coupling to the bit below;
+          a duplicate pair (a delta error) while that bit declares its own *)
 
 type reuse_case = {
   bits : int;
@@ -455,7 +468,7 @@ let node name ~segs k =
   else if k = segs then name ^ "_rcv"
   else Printf.sprintf "%s_%d" name k
 
-let block c ?(scale = 1.) ?(couple = c.coupled) name =
+let block c ?(scale = 1.) ?(couple = c.coupled) ?(rename = false) ?clash ?(extra = []) name =
   let jit =
     let rec index i = function
       | n :: _ when n = name -> i
@@ -469,23 +482,36 @@ let block c ?(scale = 1.) ?(couple = c.coupled) name =
   let seg total = scale *. jit *. total /. float_of_int segs in
   let r = seg (if global then 72. else 120.) and l = seg 4500. in
   let cap = seg (if global then 600. else 90.) in
+  let own k =
+    match clash with
+    | Some other when k = 1 -> other
+    | _ when rename && k > 0 && k < segs -> Printf.sprintf "%s_r%d" name k
+    | _ -> node name ~segs k
+  in
   let b = Buffer.create 512 in
   Printf.bprintf b "*D_NET %s %.6g\n*CONN\n*P %s_drv O\n*P %s_rcv I\n*CAP\n" name
     (cap *. float_of_int segs) name name;
   for k = 1 to segs do
-    Printf.bprintf b "%d %s %.6g\n" k (node name ~segs k) cap
+    Printf.bprintf b "%d %s %.6g\n" k (own k) cap
   done;
   let i = bit_of name in
   if global && couple && i < c.bits - 1 then
     for k = 1 to segs do
-      Printf.bprintf b "%d %s %s %.6g\n" (segs + k) (node name ~segs k)
+      Printf.bprintf b "%d %s %s %.6g\n" (segs + k) (own k)
         (node (Printf.sprintf "b%d" (i + 1)) ~segs k)
         (scale *. 30.)
     done;
+  (* [extra]: further [*CAP] lines, grounded ([None]) or coupling. *)
+  List.iteri
+    (fun k (n1, n2, ff) ->
+      match n2 with
+      | None -> Printf.bprintf b "%d %s %.6g\n" (3 * segs) n1 ff
+      | Some n2 -> Printf.bprintf b "%d %s %s %.6g\n" ((3 * segs) + k + 1) n1 n2 ff)
+    extra;
   let section title v =
     Printf.bprintf b "*%s\n" title;
     for k = 0 to segs - 1 do
-      Printf.bprintf b "%d %s %s %.6g\n" (k + 1) (node name ~segs k) (node name ~segs (k + 1)) v
+      Printf.bprintf b "%d %s %s %.6g\n" (k + 1) (own k) (own (k + 1)) v
     done
   in
   section "RES" r;
@@ -527,7 +553,29 @@ let delta_of c edits =
               drivers = add name (loaded_size name) d.Delta.drivers;
             }
           in
-          if is_global name then { d with Delta.slews = add name 100e-12 d.Delta.slews } else d)
+          if is_global name then { d with Delta.slews = add name 100e-12 d.Delta.slews } else d
+      | Rename name -> { d with Delta.nets = add name (block c ~rename:true name) d.Delta.nets }
+      | Odd name ->
+          let i = bit_of name in
+          let extra =
+            [
+              ( Printf.sprintf "b%d_1" i,
+                Some (Printf.sprintf "b%d_drv" ((i + 1) mod c.bits)),
+                2. );
+              (name ^ "_1", Some (Printf.sprintf "x%d" i), 4.);
+            ]
+          in
+          { d with Delta.nets = add name (block c ~extra name) d.Delta.nets }
+      | Clash name ->
+          let clash = Printf.sprintf "o%d_1" (bit_of name) in
+          { d with Delta.nets = add name (block c ~clash name) d.Delta.nets }
+      | Self_couple name ->
+          let extra = [ (name ^ "_1", Some (name ^ "_rcv"), 1.) ] in
+          { d with Delta.nets = add name (block c ~extra name) d.Delta.nets }
+      | Repeat_pair name ->
+          let below = Printf.sprintf "b%d" (bit_of name - 1) in
+          let extra = [ (name ^ "_1", Some (below ^ "_1"), 5.) ] in
+          { d with Delta.nets = add name (block c ~extra name) d.Delta.nets })
     Delta.empty edits
 
 let print_edit = function
@@ -535,6 +583,11 @@ let print_edit = function
   | Resize (n, s) -> Printf.sprintf "resize %s %gX" n s
   | Slew (n, ps) -> Printf.sprintf "slew %s %g ps" n ps
   | Revert n -> "revert " ^ n
+  | Rename n -> "rename " ^ n
+  | Odd n -> "odd " ^ n
+  | Clash n -> "clash " ^ n
+  | Self_couple n -> "self-couple " ^ n
+  | Repeat_pair n -> "repeat-pair " ^ n
 
 let arb_reuse_case =
   let open QCheck.Gen in
@@ -564,6 +617,11 @@ let arb_reuse_case =
               (oneofa globals)
               (oneofl [ 80.; 99.9; 100.1; 120. ]) );
           (1, map (fun n -> Revert n) (oneofa names));
+          (1, map (fun n -> Rename n) (oneofa globals));
+          (1, map (fun n -> Odd n) (oneofa driven));
+          (1, map (fun n -> Clash n) (oneofa globals));
+          (1, map (fun n -> Self_couple n) (oneofa globals));
+          (1, map (fun n -> Repeat_pair (Printf.sprintf "b%d" n)) (int_range 1 (bits - 1)));
         ]
     in
     array_size (return (Array.length names)) (float_range 0.9 1.1) >>= fun jitter ->
@@ -624,61 +682,167 @@ let cold_report ~xtalk design =
   in
   Rlc_flow.Report.json_string ?xtalk:fragment result
 
+(* The first field in which two designs differ, if any: every net record
+   (field by field), the levels, the sizes, and the coupling graph with
+   bit-equal capacitances. *)
+let design_diff (a : Design.t) (b : Design.t) =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  if a.Design.design_name <> b.Design.design_name then Some "design_name"
+  else if Design.n_nets a <> Design.n_nets b then Some "net count"
+  else
+    match
+      List.find_map
+        (fun i ->
+          Option.map
+            (fun f -> Printf.sprintf "net %s: %s" a.Design.nets.(i).Design.name f)
+            (net_diff a.Design.nets.(i) b.Design.nets.(i)))
+        (List.init (Design.n_nets a) Fun.id)
+    with
+    | Some _ as d -> d
+    | None ->
+        List.find_map
+          (fun (field, same) -> if same then None else Some field)
+          [
+            ("levels", a.Design.levels = b.Design.levels);
+            ("sizes", List.equal bits a.Design.sizes b.Design.sizes);
+            ( "couplings",
+              Array.length a.Design.couplings = Array.length b.Design.couplings
+              && Array.for_all2
+                   (fun (x : Design.coupling) (y : Design.coupling) ->
+                     x.Design.net_a = y.Design.net_a && x.Design.net_b = y.Design.net_b
+                     && bits x.Design.cc y.Design.cc)
+                   a.Design.couplings b.Design.couplings );
+          ]
+
 (* Random bus designs under random delta sequences, served through
-   [Session.flow_delta] by a session of 1 or 2 domains: every report is
-   byte-identical to a cold run of the [Delta.apply]'d sources (so the one
-   flow pass is jobs-independent in both of its modes), retimed + reused
-   covers every net, and every ingest record a delta kept (physically the
-   previous one) equals the cold-ingested record field by field. *)
-let prop_reuse =
-  QCheck.Test.make ~name:"flow_delta reuse = cold run of the edited sources" ~count:40
-    arb_reuse_case (fun c ->
-      let spef_src, spec_src = sources c in
-      let req =
-        {
-          Session.Request.default with
-          Session.Request.xtalk = (if c.xtalk then Some xtalk_knobs else None);
-        }
+   [Session.flow_delta] by a session of 1 or 2 domains, against the cold
+   path: [Delta.apply] of the sources so far, a cold ingest, a cold flow.
+   A delta the cold path rejects (a node claimed by two nets, a coupling
+   joining a net to itself, a duplicate coupling pair) must fail with the
+   same message and leave the handle as it was, so the next delta is
+   checked against the sources before it.  Otherwise: the report is
+   byte-identical to the cold run's (so the one flow pass is
+   jobs-independent in both of its modes), its escaped pieces splice to
+   the escaped report, retimed + reused covers every net, and the
+   resident design equals the cold-ingested one in every record, level,
+   size and coupling. *)
+let reuse_matches_cold c =
+  let spef_src, spec_src = sources c in
+  let req =
+    {
+      Session.Request.default with
+      Session.Request.xtalk = (if c.xtalk then Some xtalk_knobs else None);
+    }
+  in
+  let config = { Session.Config.default with Session.Config.jobs = c.jobs } in
+  let spliced k (out : Session.flow_outcome) =
+    match out.Session.report_escaped with
+    | Some pieces when String.equal (String.concat "" pieces) (Json.escape out.Session.report)
+      ->
+        ()
+    | Some _ -> QCheck.Test.fail_reportf "delta %d: escaped pieces differ from the report" k
+    | None -> QCheck.Test.fail_reportf "delta %d: no escaped pieces" k
+  in
+  Session.with_session ~config (fun session ->
+      let handle, loaded =
+        ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
       in
-      let config = { Session.Config.default with Session.Config.jobs = c.jobs } in
-      Session.with_session ~config (fun session ->
-          let handle, loaded =
-            ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
+      spliced 0 loaded;
+      let spef = ref (ok_or_fail (Rlc_spef.Spef.parse_res spef_src)) in
+      let spec = ref (ok_or_fail (Rlc_flow.Spec.parse_res spec_src)) in
+      let prev = ref loaded.Session.result.Flow.design in
+      List.iteri
+        (fun k edits ->
+          let k = k + 1 in
+          let delta = delta_of c edits in
+          let cold =
+            match Delta.apply ~spef:!spef ~spec:!spec delta with
+            | Error e -> Error (Error.message e)
+            | Ok a -> (
+                match Design.ingest ~spef:a.Delta.spef ~spec:a.Delta.spec () with
+                | Ok d -> Ok (a, d)
+                | Error msg -> Error msg)
           in
-          let spef = ref (ok_or_fail (Rlc_spef.Spef.parse_res spef_src)) in
-          let spec = ref (ok_or_fail (Rlc_flow.Spec.parse_res spec_src)) in
-          let prev = ref loaded.Session.result.Flow.design in
-          List.iteri
-            (fun k edits ->
-              let delta = delta_of c edits in
-              let a = ok_or_fail (Delta.apply ~spef:!spef ~spec:!spec delta) in
+          match (Session.flow_delta session ~handle delta, cold) with
+          | Error e, Error msg ->
+              if not (String.equal (Error.message e) msg) then
+                QCheck.Test.fail_reportf "delta %d: error %S, cold path %S" k
+                  (Error.message e) msg
+          | Error e, Ok _ ->
+              QCheck.Test.fail_reportf "delta %d: failed (%s), cold path succeeds" k
+                (Error.to_string e)
+          | Ok _, Error msg ->
+              QCheck.Test.fail_reportf "delta %d: succeeded, cold path fails with %S" k msg
+          | Ok (out, st), Ok (a, cold) ->
               spef := a.Delta.spef;
               spec := a.Delta.spec;
-              let out, st = ok_or_fail (Session.flow_delta session ~handle delta) in
-              let cold =
-                match Design.ingest ~spef:a.Delta.spef ~spec:a.Delta.spec () with
-                | Ok d -> d
-                | Error e -> QCheck.Test.fail_reportf "delta %d: cold ingest: %s" k e
-              in
               if not (String.equal out.Session.report (cold_report ~xtalk:c.xtalk cold)) then
                 QCheck.Test.fail_reportf "delta %d: report differs from a cold run" k;
+              spliced k out;
               let n = Design.n_nets cold in
               if st.Flow.retimed + st.Flow.reused <> n then
                 QCheck.Test.fail_reportf "delta %d: retimed %d + reused %d <> %d nets" k
                   st.Flow.retimed st.Flow.reused n;
               let design = out.Session.result.Flow.design in
+              (match design_diff design cold with
+              | Some field ->
+                  QCheck.Test.fail_reportf "delta %d: design differs from a cold ingest in %s"
+                    k field
+              | None -> ());
+              (* Unedited nets keep their very record. *)
               Array.iteri
                 (fun i (net : Design.net) ->
-                  if net == !prev.Design.nets.(i) then
-                    match net_diff net cold.Design.nets.(i) with
-                    | Some field ->
-                        QCheck.Test.fail_reportf "delta %d: kept record of %s differs in %s" k
-                          net.Design.name field
-                    | None -> ())
+                  if
+                    (not (List.mem_assoc net.Design.name delta.Delta.nets))
+                    && (not (List.mem_assoc net.Design.name delta.Delta.drivers))
+                    && (not (List.mem_assoc net.Design.name delta.Delta.slews))
+                    && not
+                         (List.exists
+                            (fun (d, _) ->
+                              net.Design.fanout
+                              |> List.exists (fun j ->
+                                     String.equal design.Design.nets.(j).Design.name d))
+                            delta.Delta.drivers)
+                    && net != !prev.Design.nets.(i)
+                  then
+                    QCheck.Test.fail_reportf "delta %d: unedited net %s got a new record" k
+                      net.Design.name)
                 design.Design.nets;
               prev := design)
-            c.deltas;
-          true))
+        c.deltas;
+      true)
+
+let prop_reuse =
+  QCheck.Test.make ~name:"flow_delta reuse = cold run of the edited sources" ~count:40
+    arb_reuse_case reuse_matches_cold
+
+(* The case the random property meets least: couplings that a renamed
+   block leaves dangling, then re-attach when it is reverted or edited,
+   with a third net's couplings and a failing delta in between. *)
+let test_reuse_dangling () =
+  let c =
+    {
+      bits = 3;
+      segs = 3;
+      tails = false;
+      coupled = true;
+      xtalk = true;
+      jobs = 1;
+      jitter = [| 1.; 1.02; 0.98; 1.01; 0.99; 1.03 |];
+      deltas =
+        [
+          [ Rename "b1" ];
+          [ Odd "o0" ];
+          [ Revert "b1" ];
+          [ Rename "b2"; Slew ("b0", 120.) ];
+          [ Clash "b2" ];
+          [ Block ("b2", 1.25, true) ];
+          [ Revert "o0"; Rename "b1" ];
+          [ Block ("b1", 0.7, true) ];
+        ];
+    }
+  in
+  Alcotest.(check bool) "every delta = its cold run" true (reuse_matches_cold c)
 
 (* What a 1-net ECO edit costs against the load it edits, in exact work
    counts from the session's obs sink (jobs 1).  The bus is [sources]'
@@ -687,7 +851,11 @@ let prop_reuse =
    solves every one.  The delta raises b0's caps to 510 fF: only b0 and o0
    are re-solved, so it runs at most a tenth of the load's transients and
    Ceff iterations.  Steps are not the measure: the heavier b0 takes more
-   steps than an average net. *)
+   steps than an average net.  Ingest and report work are counted too:
+   the load claims every node of every block and renders and escapes all
+   32 entries; the block edit claims only its new block's nodes and
+   renders and escapes at most its 2 re-solved nets' entries; a resize
+   and a slew edit claim no node at all. *)
 let test_delta_work () =
   let c =
     {
@@ -735,15 +903,29 @@ let test_delta_work () =
         let v = f () in
         let after = Rlc_obs.Obs.snapshot obs in
         let d name = Rlc_obs.Obs.counter after name - Rlc_obs.Obs.counter before name in
-        (v, (d "engine.transients", d "flow.ceff_iterations"))
+        ( v,
+          (d "engine.transients", d "flow.ceff_iterations"),
+          (d "design.nodes_claimed", d "report.entries_rendered", d "report.entries_escaped") )
       in
-      let (handle, _), (load_tr, load_it) =
+      (* Claims of a block: conn pins, grounded-cap nodes, branch ends. *)
+      let claims (d : Rlc_spef.Spef.dnet) =
+        List.length d.Rlc_spef.Spef.conns + List.length d.Rlc_spef.Spef.caps
+        + (2 * List.length d.Rlc_spef.Spef.branches)
+      in
+      let parsed = ok_or_fail (Rlc_spef.Spef.parse_res spef) in
+      let (handle, _), (load_tr, load_it), (load_claims, load_rendered, load_escaped) =
         work (fun () ->
             ok_or_fail
               (Session.design_load session ~req:Session.Request.default ~spef ~spec ()))
       in
-      let edit = { Delta.empty with Delta.nets = [ ("b0", global ~cap:510 0) ] } in
-      let (_, st), (delta_tr, delta_it) =
+      Alcotest.(check int) "load claims every node of every block"
+        (List.fold_left (fun acc d -> acc + claims d) 0 parsed.Rlc_spef.Spef.nets)
+        load_claims;
+      Alcotest.(check int) "load renders every entry" 32 load_rendered;
+      Alcotest.(check int) "load escapes every entry" 32 load_escaped;
+      let b0 = global ~cap:510 0 in
+      let edit = { Delta.empty with Delta.nets = [ ("b0", b0) ] } in
+      let (_, st), (delta_tr, delta_it), (delta_claims, delta_rendered, delta_escaped) =
         work (fun () -> ok_or_fail (Session.flow_delta session ~handle edit))
       in
       Alcotest.(check int) "b0 and o0 retimed" 2 st.Flow.retimed;
@@ -755,7 +937,25 @@ let test_delta_work () =
           (l > 0 && d * 10 <= l)
       in
       tenth "engine transients" delta_tr load_tr;
-      tenth "Ceff iterations" delta_it load_it)
+      tenth "Ceff iterations" delta_it load_it;
+      Alcotest.(check int) "block edit claims only the new block's nodes"
+        (claims (ok_or_fail (Rlc_spef.Spef.parse_dnet_res ~units:parsed.Rlc_spef.Spef.units b0)))
+        delta_claims;
+      let at_most_2 what n =
+        Alcotest.(check bool) (Printf.sprintf "%s: %d <= 2" what n) true (n <= 2)
+      in
+      at_most_2 "entries rendered" delta_rendered;
+      at_most_2 "entries escaped" delta_escaped;
+      List.iter
+        (fun (what, edit) ->
+          let _, _, (c, _, _) =
+            work (fun () -> ok_or_fail (Session.flow_delta session ~handle edit))
+          in
+          Alcotest.(check int) (what ^ " claims no node") 0 c)
+        [
+          ("resize", { Delta.empty with Delta.drivers = [ ("o5", 75.) ] });
+          ("slew", { Delta.empty with Delta.slews = [ ("b7", 90e-12) ] });
+        ])
 
 (* -------------------------------------------------------------- server *)
 
@@ -885,7 +1085,15 @@ let test_server_design_lifecycle () =
       (* Ground truths come from the stateless v1 path on the same server. *)
       let oneshot, _ = send server (bus8_flow_request ()) in
       let expected = Option.get (Json.get_string (member "report" oneshot)) in
-      let loaded, _ = send server (design_load_request ~id:1 ()) in
+      (* A handle's responses splice the report's escaped pieces; the bytes
+         must be exactly [Json.to_string] of the plain fields. *)
+      let send_spliced what line =
+        let raw, _ = Server.handle_line server line in
+        let j = json_of raw in
+        Alcotest.(check string) (what ^ ": spliced = plain rendering") (Json.to_string j) raw;
+        j
+      in
+      let loaded = send_spliced "design_load" (design_load_request ~id:1 ()) in
       Alcotest.(check (option bool)) "load ok" (Some true) (Json.get_bool (member "ok" loaded));
       Alcotest.(check (option string)) "v2 tag echoed" (Some Protocol.schema_v2)
         (Json.get_string (member "schema" loaded));
@@ -904,7 +1112,7 @@ let test_server_design_lifecycle () =
                ("slews_ps", Json.Obj [ ("b0", Json.Float 120.) ]);
              ])
       in
-      let resp, _ = send server delta_line in
+      let resp = send_spliced "flow_delta" delta_line in
       Alcotest.(check (option bool)) "delta ok" (Some true) (Json.get_bool (member "ok" resp));
       Alcotest.(check (option int)) "cone retimed" (Some 2)
         (Json.get_int (member "retimed_nets" resp));
@@ -942,6 +1150,18 @@ let test_server_design_lifecycle () =
       Alcotest.(check (option int)) "nets held" (Some 8) (Json.get_int (member "nets" designs));
       Alcotest.(check (option int)) "no evictions" (Some 0)
         (Json.get_int (member "evictions" designs));
+      (* A driver size the transistor-level characterization cannot
+         converge on is a typed [internal] error naming the size. *)
+      let diverged, _ =
+        send server
+          ({|{"schema":"rlc-service/2","kind":"flow_delta","handle":"|} ^ handle
+         ^ {|","drivers":{"o1":1e999}}|})
+      in
+      Alcotest.(check (option string)) "non-convergence code" (Some "internal")
+        (Json.get_string (member "code" (member "error" diverged)));
+      Alcotest.(check (option string)) "non-convergence names the size"
+        (Some "Engine: Newton failed to converge at t=0 s (Characterize: size=inf, slew=20 ps, cap=20 fF)")
+        (Json.get_string (member "message" (member "error" diverged)));
       (* Unknown handles are typed rejections; unload frees the handle. *)
       let bad, _ =
         send server
@@ -1430,7 +1650,26 @@ let test_server_unix_telemetry () =
           (Json.get_bool (member "slow_request" j));
         List.iter
           (fun f -> Alcotest.(check bool) ("slow field " ^ f) true (Json.member f j <> None))
-          [ "trace"; "kind"; "queue_wait_ms"; "wall_ms"; "ok"; "worker" ];
+          [
+            "trace";
+            "kind";
+            "queue_wait_ms";
+            "wall_ms";
+            "ok";
+            "worker";
+            "ingest_ms";
+            "render_ms";
+            "encode_ms";
+          ];
+        (* The split is the daemon's own share of the request's wall time;
+           a flow ingests, renders and encodes. *)
+        let ms f = Option.get (Json.get_float (member f j)) in
+        Alcotest.(check bool) "split within wall time" true
+          (ms "ingest_ms" +. ms "render_ms" +. ms "encode_ms" <= ms "wall_ms");
+        if Json.get_string (member "kind" j) = Some "flow" then
+          List.iter
+            (fun f -> Alcotest.(check bool) ("flow " ^ f ^ " > 0") true (ms f > 0.))
+            [ "ingest_ms"; "render_ms"; "encode_ms" ];
         Option.get (Json.get_string (member "trace" j)))
       slow_lines
   in
@@ -1456,6 +1695,15 @@ let test_server_unix_telemetry () =
     (List.length (List.sort_uniq compare request_traces));
   let net_traces = List.sort_uniq compare (traces_of "flow.net") in
   Alcotest.(check int) "one trace per flow request" 4 (List.length net_traces);
+  (* Each flow request's own layers run as spans under its trace. *)
+  List.iter
+    (fun layer ->
+      List.iter
+        (fun tr ->
+          Alcotest.(check bool) (Printf.sprintf "%s span in %s" layer tr) true
+            (List.mem tr (traces_of layer)))
+        net_traces)
+    [ "design.ingest"; "report.render"; "service.encode" ];
   List.iter
     (fun tr ->
       Alcotest.(check bool) ("flow trace is a request trace: " ^ tr) true
@@ -1543,6 +1791,7 @@ let () =
       ( "incremental reuse",
         [
           QCheck_alcotest.to_alcotest prop_reuse;
+          Alcotest.test_case "dangling couplings re-attach" `Quick test_reuse_dangling;
           Alcotest.test_case "1-net delta re-solves a tenth of the load" `Quick test_delta_work;
         ] );
       ( "server",
