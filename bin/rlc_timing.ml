@@ -96,12 +96,14 @@ let adaptive_of ~adaptive ~dt_min ~dt_max ~ltol =
          ?dt_max:(Option.map Rlc_num.Units.ps dt_max)
          ~ltol ())
 
+(* Print a typed error on stderr and return the exit code: 2, except in
+   [spef], whose errors exit 1. *)
+let fail ?(code = 2) e =
+  Format.eprintf "%s@." (Rlc_service.Error.message e);
+  code
+
 let cell_or_die tech ~size =
-  match Rlc_liberty.Characterize.cell_res tech ~size with
-  | Ok c -> c
-  | Error e ->
-      Format.eprintf "%s@." (Rlc_service.Error.message e);
-      exit 2
+  match Rlc_liberty.Characterize.cell_res tech ~size with Ok c -> c | Error e -> exit (fail e)
 
 let make_case ~label length width size slew cl =
   Evaluate.case ~label ~length_mm:length ~width_um:width ~size ~input_slew_ps:slew
@@ -116,6 +118,19 @@ let read_file file =
 let write_file path content =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
+
+(* [--jobs]: the requested count ([auto] is the recommended domain count)
+   and the count the run actually uses. *)
+let resolve_jobs jobs =
+  let requested = match jobs with Some j -> j | None -> Rlc_parallel.Pool.default_jobs () in
+  (requested, Experiments.effective_jobs requested)
+
+(* [-v]: info-level log lines on stderr. *)
+let setup_logs verbose =
+  if verbose then begin
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.set_level (Some Logs.Info)
+  end
 
 (* -------------------------------------------------- instrumentation args *)
 
@@ -221,9 +236,7 @@ let characterize_cmd =
           | Error e -> Error e)
     in
     match build [] sizes with
-    | Error e ->
-        Format.eprintf "%s@." (Rlc_service.Error.message e);
-        2
+    | Error e -> fail e
     | Ok cells ->
         Rlc_liberty.Liberty_io.save ~path:out ~name:"rlc_timing_c018" cells;
         Format.printf "wrote %d cells to %s@." (List.length cells) out;
@@ -252,8 +265,7 @@ let sweep_cmd =
       | Some n -> List.filteri (fun i _ -> i < n) cases
       | None -> cases
     in
-    let requested = match jobs with Some j -> j | None -> Rlc_parallel.Pool.default_jobs () in
-    let jobs = Experiments.effective_jobs requested in
+    let requested, jobs = resolve_jobs jobs in
     let adaptive = adaptive_of ~adaptive ~dt_min ~dt_max ~ltol in
     let obs = obs_of ~trace ~metrics_json in
     (* The reference-pass total (inductive survivor count) is only known
@@ -302,10 +314,7 @@ let sweep_cmd =
 let flow_cmd =
   let run spef_file spec_file jobs json csv size slew no_cache dt adaptive dt_min dt_max ltol
       required verbose trace metrics_json xtalk xtalk_threshold xtalk_budget xtalk_alignments =
-    if verbose then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Info)
-    end;
+    setup_logs verbose;
     let obs = obs_of ~trace ~metrics_json in
     let adaptive = adaptive_of ~adaptive ~dt_min ~dt_max ~ltol in
     (* The one-shot flow rides the same Session as the daemon, so the
@@ -315,9 +324,7 @@ let flow_cmd =
     let config =
       {
         Rlc_service.Session.Config.default with
-        Rlc_service.Session.Config.jobs =
-          Experiments.effective_jobs
-            (match jobs with Some j -> j | None -> Rlc_parallel.Pool.default_jobs ());
+        Rlc_service.Session.Config.jobs = snd (resolve_jobs jobs);
         dt = Rlc_num.Units.ps dt;
         use_cache = not no_cache;
         default_size = size;
@@ -332,9 +339,7 @@ let flow_cmd =
             ?spec_name:spec_file ()
         in
         match ingested with
-        | Error e ->
-            Format.eprintf "%s@." (Rlc_service.Error.message e);
-            2
+        | Error e -> fail e
         | Ok design -> (
             (* Level-grained progress: a plain line per level on a non-TTY
                stderr (every:1), an in-place redraw on a terminal. *)
@@ -369,8 +374,7 @@ let flow_cmd =
             match Rlc_service.Session.flow session request design with
             | Error e ->
                 Option.iter Rlc_obs.Progress.finish progress;
-                Format.eprintf "%s@." (Rlc_service.Error.message e);
-                2
+                fail e
             | Ok { Rlc_service.Session.result; xtalk = xtalk_result; report; _ } ->
                 Option.iter Rlc_obs.Progress.finish progress;
                 export_obs obs ~trace ~metrics_json;
@@ -499,20 +503,14 @@ let flow_cmd =
 let optimize_cmd =
   let run spef_file spec_file required jobs json csv sizes no_repeaters max_stages no_cache dt
       adaptive dt_min dt_max ltol timeout_ms verbose trace metrics_json =
-    if verbose then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Info)
-    end;
+    setup_logs verbose;
     let obs = obs_of ~trace ~metrics_json in
     let adaptive = adaptive_of ~adaptive ~dt_min ~dt_max ~ltol in
     let deadline =
       if timeout_ms <= 0 then None
       else Some (Rlc_errors.Deadline.start (float_of_int timeout_ms /. 1000.))
     in
-    let jobs =
-      Experiments.effective_jobs
-        (match jobs with Some j -> j | None -> Rlc_parallel.Pool.default_jobs ())
-    in
+    let _, jobs = resolve_jobs jobs in
     let cfg =
       {
         Rlc_flow.Flow.Config.default with
@@ -531,14 +529,10 @@ let optimize_cmd =
       | Some f -> Rlc_flow.Spec.parse_res ~file:f (read_file f)
     in
     match Rlc_spef.Spef.parse_res ~file:spef_file (read_file spef_file) with
-    | Error e ->
-        Format.eprintf "%s@." (Rlc_service.Error.message e);
-        2
+    | Error e -> fail e
     | Ok spef -> (
         match spec_of spef spec_file with
-        | Error e ->
-            Format.eprintf "%s@." (Rlc_service.Error.message e);
-            2
+        | Error e -> fail e
         | Ok spec -> (
             let result =
               try
@@ -548,9 +542,7 @@ let optimize_cmd =
                 Error (Rlc_errors.Error.Timeout budget)
             in
             match result with
-            | Error e ->
-                Format.eprintf "%s@." (Rlc_service.Error.message e);
-                2
+            | Error e -> fail e
             | Ok o ->
                 export_obs obs ~trace ~metrics_json;
                 Format.printf "%a" (fun fmt -> Rlc_flow.Report.optimize_summary fmt) o;
@@ -652,10 +644,7 @@ let optimize_cmd =
 let serve_cmd =
   let run socket jobs workers queue backlog timeout_ms max_bytes warm designs verbose trace
       metrics_json slow_ms tick_ms =
-    if verbose then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Info)
-    end;
+    setup_logs verbose;
     (* The daemon always runs with an enabled sink: the rolling window
        behind [metrics]/[health]/[top] needs the counters and histograms,
        and report payloads are byte-identical either way (CI asserts it).
@@ -674,9 +663,7 @@ let serve_cmd =
     in
     Rlc_service.Session.with_session ~config (fun session ->
         match Rlc_service.Session.warm session warm with
-        | Error e ->
-            Format.eprintf "%s@." (Rlc_service.Error.message e);
-            2
+        | Error e -> fail e
         | Ok () ->
             let server =
               Rlc_service.Server.create
@@ -947,16 +934,8 @@ let top_cmd =
 
 let spef_cmd =
   let run file net_name root size slew =
-    let ic = open_in_bin file in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Rlc_spef.Spef.parse_res ~file content with
-    | Error e ->
-        Format.eprintf "%s@." (Rlc_service.Error.message e);
-        1
+    match Rlc_spef.Spef.parse_res ~file (read_file file) with
+    | Error e -> fail ~code:1 e
     | Ok spef -> (
         match Rlc_spef.Spef.find_net spef net_name with
         | None ->

@@ -3,8 +3,6 @@ module Waveform = Rlc_waveform.Waveform
 module Obs = Rlc_obs.Obs
 module Deadline = Rlc_errors.Deadline
 
-type integration = Trapezoidal | Backward_euler
-
 (* Per-request deadline observation points: every step loop polls the
    ambient deadline once per [deadline_stride] steps.  With no deadline
    installed a poll is one domain-local read and a float compare, so the
@@ -12,17 +10,12 @@ type integration = Trapezoidal | Backward_euler
    transient within a few hundred steps of its budget expiring. *)
 let deadline_stride = 256
 
-type options = {
-  dt : float;
-  t_stop : float;
-  integration : integration;
-  newton_tol : float;
-  newton_max : int;
-  dv_limit : float;
-}
-
-let default_options ~dt ~t_stop =
-  { dt; t_stop; integration = Trapezoidal; newton_tol = 1e-9; newton_max = 60; dv_limit = 0.5 }
+(* Newton limits: converged once no unknown moves by [newton_tol] volts,
+   at most [newton_max] iterations per solve, each unknown's update
+   clamped to [dv_limit] volts per iteration. *)
+let newton_tol = 1e-9
+let newton_max = 60
+let dv_limit = 0.5
 
 (* Linear-system abstraction: banded when the netlist numbering keeps the
    bandwidth small (uniform ladders are tridiagonal), dense otherwise. *)
@@ -95,8 +88,8 @@ type forced_src = { fnode : int; mutable fsrc : float -> float }
 type isource = { sn1 : int; sn2 : int; mutable samps : float -> float }
 
 (* Magnetically coupled group: branch currents depend on all branch
-   voltages through G = alpha * L^{-1} (alpha = h/2 for trapezoidal, h for
-   backward Euler), which stays purely nodal.  [k_lmat] keeps a copy of the
+   voltages through G = alpha * L^{-1} (alpha = h/2, the trapezoidal
+   rule), which stays purely nodal.  [k_lmat] keeps a copy of the
    inductance matrix so a restamp can detect a value change cheaply before
    paying for a re-inversion. *)
 type coupled_state = {
@@ -220,31 +213,20 @@ let compile netlist =
     bandwidth = !bw;
   }
 
-(* Companion conductances for a fixed (integration, dt): time-invariant, so
+(* Trapezoidal companion conductances for a fixed dt: time-invariant, so
    the fast path computes them once per transient. *)
-let cap_g integration dt (cc : companion) =
-  match integration with
-  | Trapezoidal -> 2. *. cc.value /. dt
-  | Backward_euler -> cc.value /. dt
-
-let ind_g integration dt (cc : companion) =
-  match integration with
-  | Trapezoidal -> dt /. (2. *. cc.value)
-  | Backward_euler -> dt /. cc.value
+let cap_g dt (cc : companion) = 2. *. cc.value /. dt
+let ind_g dt (cc : companion) = dt /. (2. *. cc.value)
 
 (* History current (flowing n1 -> n2 through the companion source) for the
    current step, given the element's per-transient conductance. *)
-let cap_ieq integration g (cc : companion) =
+let cap_ieq g (cc : companion) =
   let h = cc.hist in
-  match integration with
-  | Trapezoidal -> -.((g *. h.v_prev) +. h.i_prev)
-  | Backward_euler -> -.(g *. h.v_prev)
+  -.((g *. h.v_prev) +. h.i_prev)
 
-let ind_ieq integration g (cc : companion) =
+let ind_ieq g (cc : companion) =
   let h = cc.hist in
-  match integration with
-  | Trapezoidal -> h.i_prev +. (g *. h.v_prev)
-  | Backward_euler -> h.i_prev
+  h.i_prev +. (g *. h.v_prev)
 
 (* Stamp conductance [g] and constant element current [j] (flowing n1 -> n2)
    into system/rhs given the full node-voltage vector for known nodes. *)
@@ -283,22 +265,18 @@ let stamp_mat c sys n1 n2 g =
 
 (* Companion coefficients of a coupled group for the current step:
    [g = alpha L^{-1}] and per-branch history sources. *)
-let coupled_galpha (k : coupled_state) integration dt =
-  let alpha = match integration with Trapezoidal -> dt /. 2. | Backward_euler -> dt in
+let coupled_galpha (k : coupled_state) dt =
+  let alpha = dt /. 2. in
   Array.init (Array.length k.k_branches) (fun p -> Array.map (fun v -> alpha *. v) k.linv.(p))
 
-let coupled_ieq_into (k : coupled_state) integration g ieq =
+let coupled_ieq_into (k : coupled_state) g ieq =
   let nb = Array.length k.k_branches in
   for p = 0 to nb - 1 do
-    ieq.(p) <-
-      (match integration with
-      | Backward_euler -> k.i_prev_k.(p)
-      | Trapezoidal ->
-          let acc = ref k.i_prev_k.(p) in
-          for q = 0 to nb - 1 do
-            acc := !acc +. (g.(p).(q) *. k.v_prev_k.(q))
-          done;
-          !acc)
+    let acc = ref k.i_prev_k.(p) in
+    for q = 0 to nb - 1 do
+      acc := !acc +. (g.(p).(q) *. k.v_prev_k.(q))
+    done;
+    ieq.(p) <- !acc
   done
 
 (* Stamp a coupled group: branch p carries
@@ -425,7 +403,7 @@ let diverged t = raise (Newton_diverged { t; within = [] })
 (* Newton loop on top of a base (linear part) assembly function — the
    rebuild-everything path, used for the DC operating point (once per
    transient) and as the [reassemble_per_step] reference stepper. *)
-let newton ~opts ~c ~assemble_base ~vnode ~t =
+let newton ~c ~assemble_base ~vnode ~t =
   if Array.length c.nonlinears = 0 && c.n_unknown > 0 then begin
     let sys, rhs = assemble_base () in
     sys_solve_in_place sys rhs;
@@ -438,7 +416,7 @@ let newton ~opts ~c ~assemble_base ~vnode ~t =
   else if c.n_unknown = 0 then 0
   else begin
     let iter = ref 0 and converged = ref false in
-    while (not !converged) && !iter < opts.newton_max do
+    while (not !converged) && !iter < newton_max do
       incr iter;
       let base_sys, base_rhs = assemble_base () in
       let sys = sys_copy base_sys and rhs = Array.copy base_rhs in
@@ -450,11 +428,11 @@ let newton ~opts ~c ~assemble_base ~vnode ~t =
         if u >= 0 then begin
           let dv = rhs.(u) -. vnode.(n) in
           worst := Float.max !worst (Float.abs dv);
-          let dv = Float.max (-.opts.dv_limit) (Float.min opts.dv_limit dv) in
+          let dv = Float.max (-.dv_limit) (Float.min dv_limit dv) in
           vnode.(n) <- vnode.(n) +. dv
         end
       done;
-      if !worst < opts.newton_tol then converged := true
+      if !worst < newton_tol then converged := true
     done;
     if not !converged then
       diverged t;
@@ -473,7 +451,7 @@ type result = {
 
 let g_short = 1e3
 
-let dc_solve ?(t = 0.) ?(leak = 1e-12) c opts =
+let dc_solve ?(leak = 1e-12) c t =
   let vnode = Array.make c.n_nodes 0. in
   update_forced c vnode t;
   let assemble_base () =
@@ -493,16 +471,13 @@ let dc_solve ?(t = 0.) ?(leak = 1e-12) c opts =
     Array.iter (fun (s : isource) -> stamp c sys rhs vnode s.sn1 s.sn2 0. (s.samps t)) c.isources;
     (sys, rhs)
   in
-  let _ = newton ~opts ~c ~assemble_base ~vnode ~t in
+  let _ = newton ~c ~assemble_base ~vnode ~t in
   vnode
 
-let dc_operating_point ?(t = 0.) netlist =
-  let c = compile netlist in
-  let opts = default_options ~dt:1e-12 ~t_stop:0. in
-  dc_solve ~t c opts
+let dc_operating_point netlist = dc_solve (compile netlist) 0.
 
 (* Per-transient solver state for the fast path: everything that is
-   time-invariant for a fixed (integration, dt) is computed once here —
+   time-invariant for a fixed dt is computed once here —
    companion conductances, the assembled linear system matrix (factored
    outright when the circuit has no nonlinear devices), the coupled-group
    alpha*L^-1 matrices, and all solver scratch. *)
@@ -521,11 +496,10 @@ type transient_state = {
   newton_sys : sys;
 }
 
-let make_transient_state c opts =
-  let dt = opts.dt in
-  let caps_g = Array.map (cap_g opts.integration dt) c.caps in
-  let inds_g = Array.map (ind_g opts.integration dt) c.inds in
-  let galpha = Array.map (fun k -> coupled_galpha k opts.integration dt) c.coupled in
+let make_transient_state c dt =
+  let caps_g = Array.map (cap_g dt) c.caps in
+  let inds_g = Array.map (ind_g dt) c.inds in
+  let galpha = Array.map (fun k -> coupled_galpha k dt) c.coupled in
   let ieq_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
   let vnew_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
   let base = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
@@ -553,11 +527,6 @@ let make_transient_state c opts =
     newton_sys = sys_copy base;
   }
 
-(* Linear-part right-hand side for the step at time [t]: history currents
-   plus injections from forced-node neighbours, in rebuild-path order.
-   Plain [for] loops with the integration match hoisted out — this runs
-   once per step (the whole point of the factor-once split), so closure
-   allocation here would dominate small circuits. *)
 (* Independent-source contribution to the RHS — split out so the linear
    fast path can skip the call entirely (and the float [t] boxing that
    comes with it) when the circuit has no current sources. *)
@@ -571,7 +540,12 @@ let add_isources_rhs c rhs t =
     if u2 >= 0 then rhs.(u2) <- rhs.(u2) +. j
   done
 
-let assemble_rhs_hist c st opts rhs vnode =
+(* Linear-part right-hand side for the step: history currents plus
+   injections from forced-node neighbours, in rebuild-path order.  Plain
+   [for] loops — this runs once per step (the whole point of the
+   factor-once split), so closure allocation here would dominate small
+   circuits. *)
+let assemble_rhs_hist c st rhs vnode =
   (* Monomorphic clear: [Array.fill] goes through the generic set primitive
      (runtime float-array dispatch per element); this loop compiles to
      direct unboxed stores. *)
@@ -591,76 +565,42 @@ let assemble_rhs_hist c st opts rhs vnode =
     if u1 >= 0 && g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(r.rn2));
     if u2 >= 0 && g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(r.rn1))
   done;
-  (match opts.integration with
-  | Trapezoidal ->
-      for i = 0 to Array.length c.caps - 1 do
-        let cc = c.caps.(i) in
-        let g = st.caps_g.(i) in
-        let h = cc.hist in
-        let j = -.((g *. h.v_prev) +. h.i_prev) in
-        let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-        if u1 >= 0 then begin
-          if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-          rhs.(u1) <- rhs.(u1) -. j
-        end;
-        if u2 >= 0 then begin
-          if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-          rhs.(u2) <- rhs.(u2) +. j
-        end
-      done
-  | Backward_euler ->
-      for i = 0 to Array.length c.caps - 1 do
-        let cc = c.caps.(i) in
-        let g = st.caps_g.(i) in
-        let j = -.(g *. cc.hist.v_prev) in
-        let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-        if u1 >= 0 then begin
-          if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-          rhs.(u1) <- rhs.(u1) -. j
-        end;
-        if u2 >= 0 then begin
-          if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-          rhs.(u2) <- rhs.(u2) +. j
-        end
-      done);
-  (match opts.integration with
-  | Trapezoidal ->
-      for i = 0 to Array.length c.inds - 1 do
-        let cc = c.inds.(i) in
-        let g = st.inds_g.(i) in
-        let h = cc.hist in
-        let j = h.i_prev +. (g *. h.v_prev) in
-        let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-        if u1 >= 0 then begin
-          if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-          rhs.(u1) <- rhs.(u1) -. j
-        end;
-        if u2 >= 0 then begin
-          if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-          rhs.(u2) <- rhs.(u2) +. j
-        end
-      done
-  | Backward_euler ->
-      for i = 0 to Array.length c.inds - 1 do
-        let cc = c.inds.(i) in
-        let g = st.inds_g.(i) in
-        let j = cc.hist.i_prev in
-        let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-        if u1 >= 0 then begin
-          if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-          rhs.(u1) <- rhs.(u1) -. j
-        end;
-        if u2 >= 0 then begin
-          if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-          rhs.(u2) <- rhs.(u2) +. j
-        end
-      done);
+  for i = 0 to Array.length c.caps - 1 do
+    let cc = c.caps.(i) in
+    let g = st.caps_g.(i) in
+    let h = cc.hist in
+    let j = -.((g *. h.v_prev) +. h.i_prev) in
+    let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
+    if u1 >= 0 then begin
+      if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
+      rhs.(u1) <- rhs.(u1) -. j
+    end;
+    if u2 >= 0 then begin
+      if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
+      rhs.(u2) <- rhs.(u2) +. j
+    end
+  done;
+  for i = 0 to Array.length c.inds - 1 do
+    let cc = c.inds.(i) in
+    let g = st.inds_g.(i) in
+    let h = cc.hist in
+    let j = h.i_prev +. (g *. h.v_prev) in
+    let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
+    if u1 >= 0 then begin
+      if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
+      rhs.(u1) <- rhs.(u1) -. j
+    end;
+    if u2 >= 0 then begin
+      if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
+      rhs.(u2) <- rhs.(u2) +. j
+    end
+  done;
   for i = 0 to Array.length c.coupled - 1 do
     stamp_coupled_rhs c rhs vnode c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
   done
 
-let assemble_rhs c st opts rhs vnode t =
-  assemble_rhs_hist c st opts rhs vnode;
+let assemble_rhs c st rhs vnode t =
+  assemble_rhs_hist c st rhs vnode;
   add_isources_rhs c rhs t
 
 (* The annotations keep both arrays monomorphic: left to inference they
@@ -675,19 +615,19 @@ let scatter_solution c (vnode : float array) (x : float array) =
 (* One fast-path timestep: factored solve for linear circuits; for nonlinear
    circuits, copy the pre-stamped linear system per Newton iteration instead
    of re-walking every element.  Returns the Newton iteration count. *)
-let fast_step c st opts vnode t =
+let fast_step c st vnode t =
   if c.n_unknown = 0 then 0
   else
     match st.linear_fact with
     | Some f ->
-        assemble_rhs c st opts st.rhs vnode t;
+        assemble_rhs c st st.rhs vnode t;
         factored_solve f st.rhs st.xsol;
         scatter_solution c vnode st.rhs;
         1
     | None ->
-        assemble_rhs c st opts st.base_rhs vnode t;
+        assemble_rhs c st st.base_rhs vnode t;
         let iter = ref 0 and converged = ref false in
-        while (not !converged) && !iter < opts.newton_max do
+        while (not !converged) && !iter < newton_max do
           incr iter;
           sys_blit ~src:st.base ~dst:st.newton_sys;
           Array.blit st.base_rhs 0 st.rhs 0 c.n_unknown;
@@ -704,11 +644,11 @@ let fast_step c st opts vnode t =
             if u >= 0 then begin
               let dv = st.rhs.(u) -. vnode.(n) in
               worst := Float.max !worst (Float.abs dv);
-              let dv = Float.max (-.opts.dv_limit) (Float.min opts.dv_limit dv) in
+              let dv = Float.max (-.dv_limit) (Float.min dv_limit dv) in
               vnode.(n) <- vnode.(n) +. dv
             end
           done;
-          if !worst < opts.newton_tol then converged := true
+          if !worst < newton_tol then converged := true
         done;
         if not !converged then
           diverged t;
@@ -717,9 +657,8 @@ let fast_step c st opts vnode t =
 (* The pre-factorization stepper: rebuild and refactor the whole system at
    every step (and every Newton iteration), exactly as the engine did before
    the compile/factor/step split.  Kept as the golden reference for
-   equivalence tests and speedup measurement. *)
-let rebuild_step c st opts vnode t =
-  let dt = opts.dt in
+   equivalence tests. *)
+let rebuild_step ~dt c st vnode t =
   let assemble_base () =
     let sys = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
     sys_clear sys;
@@ -727,13 +666,13 @@ let rebuild_step c st opts vnode t =
     Array.iter (fun (r : resistor) -> stamp c sys rhs vnode r.rn1 r.rn2 r.rg 0.) c.resistors;
     Array.iter
       (fun (cc : companion) ->
-        let g = cap_g opts.integration dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (cap_ieq opts.integration g cc))
+        let g = cap_g dt cc in
+        stamp c sys rhs vnode cc.n1 cc.n2 g (cap_ieq g cc))
       c.caps;
     Array.iter
       (fun (cc : companion) ->
-        let g = ind_g opts.integration dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (ind_ieq opts.integration g cc))
+        let g = ind_g dt cc in
+        stamp c sys rhs vnode cc.n1 cc.n2 g (ind_ieq g cc))
       c.inds;
     Array.iteri
       (fun i k ->
@@ -742,54 +681,32 @@ let rebuild_step c st opts vnode t =
     Array.iter (fun (s : isource) -> stamp c sys rhs vnode s.sn1 s.sn2 0. (s.samps t)) c.isources;
     (sys, rhs)
   in
-  newton ~opts ~c ~assemble_base ~vnode ~t
+  newton ~c ~assemble_base ~vnode ~t
 
 (* Commit companion states after a converged step.  Coupled groups reuse the
    step's alpha*L^-1 and pre-step history sources.  The companion
    conductances come from [st] rather than being re-divided per element per
    step — [make_transient_state] computed them with the exact same
    expressions, so the substitution is bit-identical. *)
-let commit_step c st opts vnode =
-  (match opts.integration with
-  | Trapezoidal ->
-      for i = 0 to Array.length c.caps - 1 do
-        let cc = c.caps.(i) in
-        let h = cc.hist in
-        let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-        let g = st.caps_g.(i) in
-        let icur = (g *. v) -. ((g *. h.v_prev) +. h.i_prev) in
-        h.v_prev <- v;
-        h.i_prev <- icur
-      done
-  | Backward_euler ->
-      for i = 0 to Array.length c.caps - 1 do
-        let cc = c.caps.(i) in
-        let h = cc.hist in
-        let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-        let icur = st.caps_g.(i) *. (v -. h.v_prev) in
-        h.v_prev <- v;
-        h.i_prev <- icur
-      done);
-  (match opts.integration with
-  | Trapezoidal ->
-      for i = 0 to Array.length c.inds - 1 do
-        let cc = c.inds.(i) in
-        let h = cc.hist in
-        let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-        let g = st.inds_g.(i) in
-        let icur = (g *. v) +. h.i_prev +. (g *. h.v_prev) in
-        h.v_prev <- v;
-        h.i_prev <- icur
-      done
-  | Backward_euler ->
-      for i = 0 to Array.length c.inds - 1 do
-        let cc = c.inds.(i) in
-        let h = cc.hist in
-        let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-        let icur = (st.inds_g.(i) *. v) +. h.i_prev in
-        h.v_prev <- v;
-        h.i_prev <- icur
-      done);
+let commit_step c st vnode =
+  for i = 0 to Array.length c.caps - 1 do
+    let cc = c.caps.(i) in
+    let h = cc.hist in
+    let v = vnode.(cc.n1) -. vnode.(cc.n2) in
+    let g = st.caps_g.(i) in
+    let icur = (g *. v) -. ((g *. h.v_prev) +. h.i_prev) in
+    h.v_prev <- v;
+    h.i_prev <- icur
+  done;
+  for i = 0 to Array.length c.inds - 1 do
+    let cc = c.inds.(i) in
+    let h = cc.hist in
+    let v = vnode.(cc.n1) -. vnode.(cc.n2) in
+    let g = st.inds_g.(i) in
+    let icur = (g *. v) +. h.i_prev +. (g *. h.v_prev) in
+    h.v_prev <- v;
+    h.i_prev <- icur
+  done;
   for gi = 0 to Array.length c.coupled - 1 do
     let k = c.coupled.(gi) in
     (* galpha/ieq still reference the pre-step state; commit currents
@@ -980,14 +897,13 @@ let watch_done watch (vnode : float array) =
 
      W = 1/2 sum C (v - v^)^2 + 1/2 sum L i^2      (no inductor current at x^)
 
-   cannot rise from one step to the next.  Trapezoidal: a capacitor's or
-   inductor's energy change over a step is h times its step-averaged
-   voltage times current; KCL holds at both ends of the step, so by
-   Tellegen's theorem those terms sum to -h sum G avg(v)^2 <= 0 over the
-   resistors (forced nodes contribute nothing: their deviation is zero).
-   Backward Euler dissipates an extra 1/2 C dv^2 + 1/2 L di^2 per step.
-   The node's capacitance to ground or to forced nodes, C_g, alone holds
-   1/2 C_g (v - v^)^2 of W, so every later sample sits at or below
+   cannot rise from one step to the next: under the trapezoidal rule a
+   capacitor's or inductor's energy change over a step is h times its
+   step-averaged voltage times current; KCL holds at both ends of the
+   step, so by Tellegen's theorem those terms sum to -h sum G avg(v)^2 <= 0
+   over the resistors (forced nodes contribute nothing: their deviation is
+   zero).  The node's capacitance to ground or to forced nodes, C_g, alone
+   holds 1/2 C_g (v - v^)^2 of W, so every later sample sits at or below
    v^ + sqrt (2 W / C_g).  When that bound clears the running maximum by a
    margin -- [peak_margin] of the peak's excursion above v^ plus a rounding
    floor -- the maximum so far is the maximum of the whole run.  The margin
@@ -1008,11 +924,12 @@ type peak = {
   pk_node : int;
   pk_cg : float;  (* capacitance from the node to ground or forced nodes *)
   pk_flat : float;  (* every source holds its final value from here on *)
+  pk_dt : float;  (* the run's step: sample [k] sits at [k * pk_dt] *)
   pk_max : float array;  (* [| running maximum |], kept unboxed *)
   mutable pk_state : peak_state;
 }
 
-let peak_create c ~flat_after until_peak (vnode : float array) =
+let peak_create c ~flat_after ~dt until_peak (vnode : float array) =
   match until_peak with
   | None -> None
   | Some n ->
@@ -1038,6 +955,7 @@ let peak_create c ~flat_after until_peak (vnode : float array) =
           pk_node = n;
           pk_cg = cg;
           pk_flat = flat_after;
+          pk_dt = dt;
           pk_max = [| vnode.(n) |];
           pk_state = (if certifiable then Waiting else Off);
         }
@@ -1046,8 +964,8 @@ let peak_create c ~flat_after until_peak (vnode : float array) =
    when it cannot anchor the bound: a capacitor-only node (singular with
    capacitors open), or an inductor carrying DC current, whose 1 mOhm
    short would misplace v^ (the drop test allows only rounding). *)
-let final_point c opts t =
-  match dc_solve ~t ~leak:0. c opts with
+let final_point c t =
+  match dc_solve ~leak:0. c t with
   | exception (Banded.Singular _ | Linalg.Singular _) -> None
   | v ->
       let scale = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. v in
@@ -1085,7 +1003,7 @@ let deviation_energy2 c (vhat : float array) =
 
 (* Advance the peak watch past the sample just committed at [step]; [true]
    once the running maximum is certified final (and from then on). *)
-let rec peak_final c opts pk (vnode : float array) step =
+let rec peak_final c pk (vnode : float array) step =
   let v = vnode.(pk.pk_node) in
   if v > pk.pk_max.(0) then pk.pk_max.(0) <- v;
   match pk.pk_state with
@@ -1093,14 +1011,14 @@ let rec peak_final c opts pk (vnode : float array) step =
   | Final -> true
   | (Waiting | Live _) when step land (peak_stride - 1) <> 0 -> false
   | Waiting ->
-      let t = opts.dt *. float_of_int step in
+      let t = pk.pk_dt *. float_of_int step in
       if t < pk.pk_flat then false
       else begin
         pk.pk_state <-
-          (match final_point c opts t with
+          (match final_point c t with
           | Some (vhat, scale) -> Live { vhat; scale }
           | None -> Off);
-        peak_final c opts pk vnode step
+        peak_final c pk vnode step
       end
   | Live { vhat; scale } ->
       let vmax = pk.pk_max.(0) in
@@ -1112,10 +1030,60 @@ let rec peak_final c opts pk (vnode : float array) step =
 
 (* The fixed-step stop: once every requested condition holds -- each
    [until] crossing seen, the [until_peak] maximum final. *)
-let stop_now c opts watch peak vnode step =
+let stop_now c watch peak vnode step =
   let crossed = Option.is_none watch || watch_done watch vnode in
-  let final = match peak with None -> true | Some pk -> peak_final c opts pk vnode step in
+  let final = match peak with None -> true | Some pk -> peak_final c pk vnode step in
   (Option.is_some watch || Option.is_some peak) && crossed && final
+
+(* -------------------------------------------------------------- handles *)
+
+(* Every transient runs on a handle: a compiled netlist, every solver state
+   built on it (one [transient_state] per step size -- fixed-step states
+   and adaptive rung/offcut states share the table, since a state depends
+   on nothing else), and the last DC operating point.  [transient] compiles
+   a fresh one per call; [Compiled.cached] keeps them across a sweep. *)
+type dc_entry = {
+  dc_f0 : int64 array;  (* forced-source values at t = 0, bit patterns *)
+  dc_i0 : int64 array;  (* current-source values at t = 0, bit patterns *)
+  dc_v : float array;
+}
+
+type handle = {
+  h_c : compiled;
+  mutable h_nl : Netlist.t;  (* latest restamp target: breakpoints live here *)
+  h_states : (float, transient_state) Hashtbl.t;
+  mutable h_dc : dc_entry option;
+}
+
+(* The solver state for step [dt], and whether it was just built (what the
+   adaptive refactor counter counts): this is where a sweep stops paying
+   [make_transient_state] + factorization per run. *)
+let state_for h dt =
+  match Hashtbl.find_opt h.h_states dt with
+  | Some st -> (st, false)
+  | None ->
+      if Hashtbl.length h.h_states >= 128 then Hashtbl.reset h.h_states;
+      let st = make_transient_state h.h_c dt in
+      Hashtbl.add h.h_states dt st;
+      (st, true)
+
+(* The DC operating point depends only on element values and the source
+   values at t = 0; cache it keyed by the latter (bit patterns, so any
+   behavioural difference at 0 forces a fresh solve).  Nonlinear circuits
+   always re-solve — their Newton iteration isn't worth fingerprinting. *)
+let dc_for h =
+  let c = h.h_c in
+  if Array.length c.nonlinears > 0 then dc_solve c 0.
+  else begin
+    let f0 = Array.map (fun fs -> Int64.bits_of_float (fs.fsrc 0.)) c.forced in
+    let i0 = Array.map (fun (s : isource) -> Int64.bits_of_float (s.samps 0.)) c.isources in
+    match h.h_dc with
+    | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
+    | _ ->
+        let v = dc_solve c 0. in
+        h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
+        v
+  end
 
 (* ------------------------------------------------------------- adaptive *)
 
@@ -1131,10 +1099,10 @@ let grow_after = 2
 let grow_margin = 0.25
 
 (* LTE-controlled stepper.  Step sizes live on the quantized ladder
-   [h = dt_min * 2^k] so the per-(integration, h) factorization from
-   [make_transient_state] is built at most once per rung and reused across
-   every step taken at that rung; only breakpoint-clamped "offcut" steps
-   (one per arrival at a source kink) assemble a fresh system.
+   [h = dt_min * 2^k] so the per-h factorization from [make_transient_state]
+   is built at most once per rung and reused across every step taken at
+   that rung; only breakpoint-clamped "offcut" steps (one per arrival at a
+   source kink) may need a system of their own.
 
    The local truncation error of each attempted step is estimated as the
    gap between the corrector solution and a quadratic extrapolation through
@@ -1150,20 +1118,11 @@ let grow_margin = 0.25
    landed on exactly; landing resets the predictor history and drops back
    to rung 0, since the waveform is not smooth across a kink.
 
-   The stepper is parameterized over where its per-rung and offcut states
-   come from ([rung_state]/[offcut_state] return the state plus whether it
-   was freshly built, which is what the refactor counter counts) and over
-   the DC solve, so the plain [transient] path and the [Compiled] handle
-   path (which caches states and the DC point across runs) share this loop
-   verbatim — that sharing is what makes their results bit-identical. *)
-let validate_adaptive (a : adaptive) =
-  if a.dt_min <= 0. || a.dt_max < a.dt_min || a.ltol <= 0. then
-    invalid_arg "Engine.transient: adaptive wants 0 < dt_min <= dt_max and ltol > 0"
-
-let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpoints
-    ~rung_state ~offcut_state =
-  let t_stop = opts.t_stop in
-  let vnode = Obs.time obs "engine.dc_solve" dc in
+   Rung and offcut states alike come from the handle's table, keyed by
+   step size; the refactor counter counts the ones built during the run. *)
+let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
+  let c = h.h_c in
+  let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h) in
   init_companions c vnode;
   let n_nodes = c.n_nodes in
   let kmax =
@@ -1174,7 +1133,7 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
     !k
   in
   let bps =
-    let l = List.filter (fun b -> b > 0. && b < t_stop) breakpoints in
+    let l = List.filter (fun b -> b > 0. && b < t_stop) (Netlist.breakpoints h.h_nl) in
     Array.of_list (l @ [ t_stop ])
   in
   let col_of_node, rec_nodes = record_plan c record_nodes in
@@ -1227,11 +1186,6 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
     !worst
   in
   let refactors = ref 0 in
-  let state_for k =
-    let st, fresh = rung_state k in
-    if fresh then incr refactors;
-    st
-  in
   let total_newton = ref 0 and worst_newton = ref 0 in
   let rejected = ref 0 in
   let k = ref 0 and consec = ref 0 and bpi = ref 0 in
@@ -1250,21 +1204,15 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
     let clamped = !t +. rung_h >= bp -. slack in
     let h_eff = if clamped then bp -. !t else rung_h in
     let t_new = if clamped then bp else !t +. rung_h in
-    let st =
-      if clamped then begin
-        let st, fresh = offcut_state h_eff in
-        if fresh then incr refactors;
-        st
-      end
-      else state_for !k
-    in
+    let st, fresh = state_for h h_eff in
+    if fresh then incr refactors;
     Array.blit vnode 0 v_save 0 n_nodes;
     update_forced c vnode t_new;
     for i = 0 to Array.length c.coupled - 1 do
-      coupled_ieq_into c.coupled.(i) opts.integration st.galpha.(i) st.ieq_k.(i)
+      coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
     done;
     let verdict =
-      match fast_step c st opts vnode t_new with
+      match fast_step c st vnode t_new with
       | iters ->
           (* err < 0 means "no estimate yet" (fewer than three accepted
              points since the start or the last kink). *)
@@ -1281,7 +1229,7 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
     | Some (iters, err) ->
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
-        commit_step c st opts vnode;
+        commit_step c st vnode;
         t := t_new;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t_new;
@@ -1336,37 +1284,18 @@ let adaptive_core ~obs ~opts ~record_nodes ~until (a : adaptive) ~c ~dc ~breakpo
     refactors_ = !refactors;
   }
 
-let transient_adaptive ~obs ~opts ~record_nodes ~until (a : adaptive) netlist =
-  validate_adaptive a;
-  if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-  let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-  let rungs : (int, transient_state) Hashtbl.t = Hashtbl.create 8 in
-  adaptive_core ~obs ~opts ~record_nodes ~until a ~c
-    ~dc:(fun () -> dc_solve ~t:0. c opts)
-    ~breakpoints:(Netlist.breakpoints netlist)
-    ~rung_state:(fun k ->
-      match Hashtbl.find_opt rungs k with
-      | Some st -> (st, false)
-      | None ->
-          let st = make_transient_state c { opts with dt = ldexp a.dt_min k } in
-          Hashtbl.add rungs k st;
-          (st, true))
-    ~offcut_state:(fun h_eff -> (make_transient_state c { opts with dt = h_eff }, true))
-
-(* Fixed-step stepping shared by [transient] and [Compiled.run]; like
-   [adaptive_core] it is parameterized over the DC solve and the solver
-   state so the compiled-handle path can substitute cached ones. *)
-let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemble_per_step ~c
-    ~dc ~state =
-  let dt = opts.dt and t_stop = opts.t_stop in
+(* Fixed-step stepping; like [adaptive_core] it takes its DC point and
+   solver state from the handle. *)
+let fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h =
+  let c = h.h_c in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
-  let vnode = Obs.time obs "engine.dc_solve" dc in
+  let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h) in
   init_companions c vnode;
   let col_of_node, rec_nodes = record_plan c record_nodes in
   let watch = watch_create c until vnode in
-  let peak = peak_create c ~flat_after until_peak vnode in
+  let peak = peak_create c ~flat_after:(Netlist.flat_after h.h_nl) ~dt until_peak vnode in
   (* A run that cannot stop early records into buffers of its exact length;
      one that may stop starts small and grows. *)
   let tr =
@@ -1377,7 +1306,7 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemb
   in
   let i0 = trace_push tr vnode in
   tr.tr_times.(i0) <- 0.;
-  let st = Obs.time obs "engine.factor" state in
+  let st = Obs.time obs "engine.factor" (fun () -> fst (state_for h dt)) in
   let total_newton = ref 0 and worst_newton = ref 0 in
   let step = ref 0 and stopped = ref false in
   let step_t0 = Obs.start obs in
@@ -1400,21 +1329,21 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemb
           vnode.(fs.fnode) <- fs.fsrc t
         done;
         for i = 0 to n_coupled - 1 do
-          coupled_ieq_into c.coupled.(i) opts.integration st.galpha.(i) st.ieq_k.(i)
+          coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
         done;
-        assemble_rhs_hist c st opts st.rhs vnode;
+        assemble_rhs_hist c st st.rhs vnode;
         if has_isources then add_isources_rhs c st.rhs t;
         factored_solve f st.rhs st.xsol;
         scatter_solution c vnode st.rhs;
-        commit_step c st opts vnode;
+        commit_step c st vnode;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t;
-        stopped := stop_now c opts watch peak vnode step
+        stopped := stop_now c watch peak vnode step
       done;
       total_newton := !step;
       worst_newton := 1
   | _ ->
-      let step_fn = if reassemble_per_step then rebuild_step else fast_step in
+      let step_fn = if reassemble_per_step then rebuild_step ~dt else fast_step in
       while (not !stopped) && !step < n_steps do
         incr step;
         let step = !step in
@@ -1424,15 +1353,15 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemb
         (* Coupled-group history sources for this step (pre-step state),
            shared by assembly and commit. *)
         for i = 0 to Array.length c.coupled - 1 do
-          coupled_ieq_into c.coupled.(i) opts.integration st.galpha.(i) st.ieq_k.(i)
+          coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
         done;
-        let iters = step_fn c st opts vnode t in
+        let iters = step_fn c st vnode t in
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
-        commit_step c st opts vnode;
+        commit_step c st vnode;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t;
-        stopped := stop_now c opts watch peak vnode step
+        stopped := stop_now c watch peak vnode step
       done);
   let n_steps = !step in
   if Obs.enabled obs then begin
@@ -1465,23 +1394,6 @@ let fixed_core ~obs ~opts ~record_nodes ~until ~until_peak ~flat_after ~reassemb
     refactors_ = 0;
   }
 
-let transient ?(obs = Obs.null) ?options ?record_nodes ?until ?until_peak
-    ?(reassemble_per_step = false) ?adaptive ~dt ~t_stop netlist =
-  let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
-  match adaptive with
-  | Some a ->
-      if reassemble_per_step then
-        invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
-      transient_adaptive ~obs ~opts ~record_nodes ~until a netlist
-  | None ->
-      if opts.dt <= 0. || opts.t_stop <= 0. then
-        invalid_arg "Engine.transient: dt and t_stop must be positive";
-      let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-      fixed_core ~obs ~opts ~record_nodes ~until ~until_peak
-        ~flat_after:(Netlist.flat_after netlist) ~reassemble_per_step ~c
-        ~dc:(fun () -> dc_solve ~t:0. c opts)
-        ~state:(fun () -> make_transient_state c opts)
-
 let times r = Array.copy r.times_
 
 let is_recorded r n = n >= 0 && n < Array.length r.col_of_node && r.col_of_node.(n) >= 0
@@ -1502,39 +1414,19 @@ let steps r = Array.length r.times_ - 1
 let steps_rejected r = r.rejected_
 let refactors r = r.refactors_
 
-(* Compile-once transient handles for candidate sweeps.
-
-   A handle owns the topology analysis ([compile]), every solver state built
-   on it (one [transient_state] per (integration, step size) — fixed-step
-   states and adaptive rung/offcut states share the table, since a state
-   depends on nothing else), and the last DC operating point.  [restamp]
-   writes new element values into the existing structure without
-   reallocating; only a matrix-affecting value change (R/C/L/L-matrix)
-   invalidates the cached states and DC point, so a sweep that only swaps
-   the input source pays zero re-factorization.  Results are bit-identical
-   to fresh [transient] calls: the shared step cores consume the same floats
-   computed by the same expressions in the same order. *)
+(* Compile-once transient handles for candidate sweeps.  [restamp] writes
+   new element values into the existing structure without reallocating;
+   only a matrix-affecting value change (R/C/L/L-matrix) invalidates the
+   cached states and DC point, so a sweep that only swaps the input source
+   pays zero re-factorization.  A reused handle is bit-identical to a fresh
+   one: its cached states and DC point hold the same floats, computed by
+   the same expressions in the same order. *)
 module Compiled = struct
-  type dc_entry = {
-    dc_f0 : int64 array;  (* forced-source values at t = 0, bit patterns *)
-    dc_i0 : int64 array;  (* current-source values at t = 0, bit patterns *)
-    dc_v : float array;
-  }
-
-  type handle = {
-    h_c : compiled;
-    mutable h_nl : Netlist.t;  (* latest restamp target: breakpoints live here *)
-    h_states : (int * float, transient_state) Hashtbl.t;
-    mutable h_dc : dc_entry option;
-  }
-
-  let int_tag = function Trapezoidal -> 0 | Backward_euler -> 1
+  type nonrec handle = handle
 
   let compile ?(obs = Obs.null) netlist =
     let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
     { h_c = c; h_nl = netlist; h_states = Hashtbl.create 8; h_dc = None }
-
-  let node_count h = h.h_c.n_nodes
 
   let structure_err () =
     invalid_arg
@@ -1640,57 +1532,23 @@ module Compiled = struct
       h.h_dc <- None
     end
 
-  (* One solver state per (integration, step size), shared between the
-     fixed-step path and the adaptive rung/offcut ladder — this is where
-     a sweep stops paying [make_transient_state] + factorization per run. *)
-  let state_for h opts =
-    let key = (int_tag opts.integration, opts.dt) in
-    match Hashtbl.find_opt h.h_states key with
-    | Some st -> (st, false)
-    | None ->
-        if Hashtbl.length h.h_states >= 128 then Hashtbl.reset h.h_states;
-        let st = make_transient_state h.h_c opts in
-        Hashtbl.add h.h_states key st;
-        (st, true)
-
-  (* The DC operating point depends only on element values and the source
-     values at t = 0; cache it keyed by the latter (bit patterns, so any
-     behavioural difference at 0 forces a fresh solve).  Nonlinear circuits
-     always re-solve — their Newton iteration isn't worth fingerprinting. *)
-  let dc_for h opts () =
-    let c = h.h_c in
-    if Array.length c.nonlinears > 0 then dc_solve ~t:0. c opts
-    else begin
-      let f0 = Array.map (fun fs -> Int64.bits_of_float (fs.fsrc 0.)) c.forced in
-      let i0 = Array.map (fun (s : isource) -> Int64.bits_of_float (s.samps 0.)) c.isources in
-      match h.h_dc with
-      | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
-      | _ ->
-          let v = dc_solve ~t:0. c opts in
-          h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
-          v
-    end
-
-  let run ?(obs = Obs.null) ?options ?record_nodes ?until ?until_peak
-      ?(reassemble_per_step = false) ?adaptive ~dt ~t_stop h =
-    let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
+  (* The engine's one argument check comes first.  Each test is written so
+     that NaN fails it; [dt] is unused under [adaptive]. *)
+  let run ?(obs = Obs.null) ?record_nodes ?until ?until_peak ?(reassemble_per_step = false)
+      ?adaptive ~dt ~t_stop h =
+    let finite_positive x = x > 0. && x < Float.infinity in
+    let bad what = invalid_arg ("Engine.transient: " ^ what) in
+    if not (finite_positive t_stop) then bad "t_stop must be positive and finite";
     match adaptive with
     | Some a ->
-        if reassemble_per_step then
-          invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
-        validate_adaptive a;
-        if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-        adaptive_core ~obs ~opts ~record_nodes ~until a ~c:h.h_c ~dc:(dc_for h opts)
-          ~breakpoints:(Netlist.breakpoints h.h_nl)
-          ~rung_state:(fun k -> state_for h { opts with dt = ldexp a.dt_min k })
-          ~offcut_state:(fun h_eff -> state_for h { opts with dt = h_eff })
+        if reassemble_per_step then bad "adaptive and reassemble_per_step are exclusive";
+        if not (finite_positive a.dt_min) then bad "adaptive dt_min must be positive and finite";
+        if not (a.dt_max >= a.dt_min) then bad "adaptive dt_max must be at least dt_min";
+        if not (a.ltol > 0.) then bad "adaptive ltol must be positive";
+        adaptive_core ~obs ~record_nodes ~until ~t_stop a h
     | None ->
-        if opts.dt <= 0. || opts.t_stop <= 0. then
-          invalid_arg "Engine.transient: dt and t_stop must be positive";
-        fixed_core ~obs ~opts ~record_nodes ~until ~until_peak
-          ~flat_after:(Netlist.flat_after h.h_nl) ~reassemble_per_step ~c:h.h_c
-          ~dc:(dc_for h opts)
-          ~state:(fun () -> fst (state_for h opts))
+        if not (finite_positive dt) then bad "dt must be positive and finite";
+        fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h
 
   (* Structure-keyed handle cache, domain-local so handles (whose scratch
      is freely mutated during a run) are never shared across domains.  The
@@ -1771,3 +1629,8 @@ module Compiled = struct
         Hashtbl.replace tbl key h;
         h
 end
+
+let transient ?obs ?record_nodes ?until ?until_peak ?reassemble_per_step ?adaptive ~dt ~t_stop
+    netlist =
+  Compiled.run ?obs ?record_nodes ?until ?until_peak ?reassemble_per_step ?adaptive ~dt ~t_stop
+    (Compiled.compile ?obs netlist)

@@ -1,46 +1,37 @@
 (** Transient and DC analysis.
 
-    Pure nodal formulation: reactive elements become conductance + history
-    current-source companion models (trapezoidal by default, backward Euler
-    available for damping comparisons), nonlinear devices are handled with
-    Newton iteration inside every timestep, and the linear solve uses a
-    banded factorization sized to the netlist's natural bandwidth (dense LU
-    fallback), so uniform-ladder transients cost O(nodes) per step.
+    Pure nodal formulation: reactive elements become trapezoidal
+    conductance + history current-source companion models, nonlinear
+    devices are handled with Newton iteration inside every timestep, and
+    the linear solve uses a banded factorization sized to the netlist's
+    natural bandwidth (dense LU fallback), so uniform-ladder transients
+    cost O(nodes) per step.
 
     The transient solver is split compile → factor → step: for a fixed
-    [(integration, dt)] the companion conductance stamps are time-invariant,
-    so linear circuits assemble and factor the system matrix once per
-    transient and each step only rebuilds the right-hand side
-    (O(n·bw) instead of O(n·bw²) per step).  Nonlinear circuits pre-stamp
-    the constant linear part once and copy it per Newton iteration.  The
-    fast path produces bit-identical waveforms to per-step reassembly,
-    which remains available via [~reassemble_per_step:true]. *)
+    step size the companion conductance stamps are time-invariant, so
+    linear circuits assemble and factor the system matrix once per step
+    size and each step only rebuilds the right-hand side (O(n·bw) instead
+    of O(n·bw²) per step).  Nonlinear circuits pre-stamp the constant
+    linear part once and copy it per Newton iteration.  The fast path
+    produces bit-identical waveforms to per-step reassembly, which remains
+    available via [~reassemble_per_step:true].
+
+    Every transient runs on a {!Compiled.handle}: {!Compiled.run} is the
+    one transient path, and {!transient} runs it on a freshly compiled
+    handle. *)
 
 module Waveform = Rlc_waveform.Waveform
 
-type integration = Trapezoidal | Backward_euler
-
-type options = {
-  dt : float;  (** fixed timestep, seconds *)
-  t_stop : float;
-  integration : integration;
-  newton_tol : float;  (** max |dV| (volts) for Newton convergence *)
-  newton_max : int;
-  dv_limit : float;  (** per-iteration Newton voltage step clamp, volts *)
-}
-
-val default_options : dt:float -> t_stop:float -> options
-(** Trapezoidal, [newton_tol = 1e-9] V, [newton_max = 60],
-    [dv_limit = 0.5] V. *)
-
 exception Newton_diverged of { t : float; within : string list }
-(** Newton iteration did not converge within [newton_max] iterations at
-    time [t] (seconds; [0.] is the DC operating point).  [within] names
-    what was being simulated, outermost first, as callers add it with
-    {!within} (a net, a driver size); the engine itself leaves it empty.
-    A registered printer renders it as ["Engine: Newton failed to converge
-    at t=... s (...)"], the text [Printexc.to_string] and the service's
-    [internal] error message show. *)
+(** Newton iteration did not converge at time [t] (seconds; [0.] is the
+    DC operating point).  Newton converges once no unknown moves by 1e-9 V
+    or more, clamps each unknown's update to 0.5 V per iteration, and gives
+    up after 60 iterations.  [within] names what was being simulated,
+    outermost first, as callers add it with {!within} (a net, a driver
+    size); the engine itself leaves it empty.  A registered printer renders
+    it as ["Engine: Newton failed to converge at t=... s (...)"], the text
+    [Printexc.to_string] and the service's [internal] error message
+    show. *)
 
 val within : string -> (unit -> 'a) -> 'a
 (** [within what f] is [f ()], with [what] prepended to the [within] of a
@@ -76,7 +67,6 @@ type crossing = Netlist.node * float * Waveform.direction
 
 val transient :
   ?obs:Rlc_obs.Obs.t ->
-  ?options:options ->
   ?record_nodes:Netlist.node list ->
   ?until:crossing list ->
   ?until_peak:Netlist.node ->
@@ -86,81 +76,9 @@ val transient :
   t_stop:float ->
   Netlist.t ->
   result
-(** Runs DC operating point at [t = 0] then steps to [t_stop].  Either pass
-    a full [options] record or just [dt]/[t_stop].  Raises
-    {!Newton_diverged} if Newton fails to converge at any timestep.
-
-    [obs] (default disabled) records ["engine.compile"] /
-    ["engine.dc_solve"] / ["engine.factor"] / ["engine.step_loop"] spans
-    (the step-loop span carries [steps], [newton_total], and the solver
-    [path] as args) plus ["engine.transients"] / ["engine.steps"] /
-    ["engine.newton_iters"] counters.  Only phase boundaries are
-    instrumented — the per-step inner loops are untouched, so results and
-    speed are identical when disabled.
-
-    [record_nodes] restricts waveform storage to the listed nodes (default:
-    every node).  Recording all nodes costs O(nodes × steps) memory, which
-    dominates for long ladders whose observers only ever read input/near/far;
-    {!voltage} on an unrecorded node raises [Invalid_argument].
-
-    [until] stops the run after the first step (under [adaptive], the first
-    accepted step) at which every listed crossing has happened, and returns
-    that prefix: its times and samples are bit-identical to the first
-    samples of the run without [until], and it contains each listed
-    crossing's {e first} occurrence.  The contract is valid only for callers
-    that read first crossings — {!Rlc_waveform.Measure}'s [t_frac], [slew]
-    and [delay_50] — and list every (node, level, direction) they read;
-    anything else (later crossings, overshoot, settled values) may lie past
-    the stop.  When a listed crossing never happens, or [until] is omitted
-    or empty, the run is exactly the full one, failure messages included.
-    The step-loop span's [steps] arg and the ["engine.steps"] counter count
-    the steps actually taken.  A node out of range raises
-    [Invalid_argument].
-
-    [until_peak] stops the run once the node's running maximum is provably
-    the maximum of the whole run, and returns that prefix: bit-identical
-    to the start of the full run, with a {!Waveform.v_max} whose bits equal
-    the full run's.  The proof is an energy bound.  Once every source holds
-    its final value (from {!Netlist.flat_after}), the circuit's stored
-    energy W = 1/2 sum C (v - v^)^2 + 1/2 sum L i^2 about its final DC point
-    v^ cannot rise, for trapezoidal and backward-Euler steps alike, so no
-    later sample exceeds v^ + sqrt (2 W / C_g), where C_g is the node's
-    capacitance to ground or to forced nodes.  About every 16 steps the
-    bound is formed from the companion histories, and the run stops when
-    it clears the running maximum by a margin of 1e-3 of the peak's
-    excursion above v^ plus a 1e-9 relative rounding floor.  The margin
-    dwarfs the rounding of the steps and of v^, solved with capacitors open
-    and inductors as the DC model's 1 mOhm shorts.  The run keeps its full
-    window (the contract still holds, trivially) whenever a precondition
-    fails: a nonlinear device or a current source is present, a forced
-    source is a {!Netlist.force_voltage} closure rather than a
-    {!Netlist.force_pwl}, an inductor carries DC current at v^ (its short
-    would misplace v^), a node is reachable only through capacitors (v^ is
-    then singular with capacitors open), the watched node is forced or has
-    no capacitance to ground or to a forced node, or the run is [adaptive]
-    (which ignores [until_peak]).  With [until] as well, the run
-    stops once both conditions hold.  A fixed-step node out of range raises
-    [Invalid_argument].
-
-    [reassemble_per_step] (default [false]) disables the factor-once fast
-    path and rebuilds + refactors the full system at every step (and every
-    Newton iteration), as the engine did before the compile/factor/step
-    split.  The two paths produce bit-identical waveforms; the slow path is
-    kept as the golden reference for equivalence tests and speedup
-    measurement.
-
-    [adaptive] switches to LTE-controlled variable time steps (see
-    {!adaptive}); [dt] is then unused and the recorded waveforms sit on the
-    adaptive (non-uniform) grid.  Every breakpoint declared on the netlist's
-    forced sources ({!Netlist.force_voltage} / {!Netlist.force_pwl}) that
-    falls inside [(0, t_stop)] is landed on exactly, as is [t_stop] itself,
-    so source kinks are never stepped over; landing on a kink restarts the
-    stepper at [dt_min].  Incompatible with [reassemble_per_step].  With
-    [obs] enabled the step-loop span additionally carries [rejected] and
-    [refactors] args, accepted step sizes feed the ["engine.step_size_ns"]
-    histogram (values in nanoseconds), and ["engine.steps_rejected"] /
-    ["engine.refactors"] counters accumulate.  The fixed-step path is
-    completely untouched by this option. *)
+(** [transient ... netlist] is {!Compiled.run} [...] on
+    [Compiled.compile ?obs netlist]: one run on a fresh handle, with the
+    same arguments, results and exceptions. *)
 
 val times : result -> float array
 val voltage : result -> Netlist.node -> Waveform.t
@@ -177,15 +95,15 @@ val steps_rejected : result -> int
     fixed-step runs). *)
 
 val refactors : result -> int
-(** Adaptive mode: companion-system assemblies/factorizations performed —
-    one per ladder rung visited plus one per breakpoint-clamped offcut step
-    (0 for fixed-step runs).  Ladder reuse working means this stays far
-    below {!steps}. *)
+(** Adaptive mode: companion-system assemblies/factorizations the run
+    performed — one per ladder rung or breakpoint-clamped offcut step size
+    the handle held no solver state for (0 for fixed-step runs).  Ladder
+    reuse working means this stays far below {!steps}. *)
 
-val dc_operating_point : ?t:float -> Netlist.t -> float array
+val dc_operating_point : Netlist.t -> float array
 (** Newton DC solution (capacitors open, inductors shorted through 1 mOhm)
-    with sources evaluated at time [t] (default 0).  Returns the voltage of
-    every node, indexed by node id. *)
+    with sources evaluated at [t = 0].  Returns the voltage of every node,
+    indexed by node id. *)
 
 (** Compile-once transient handles for candidate sweeps.
 
@@ -193,12 +111,12 @@ val dc_operating_point : ?t:float -> Netlist.t -> float array
     iteration) run thousands of transients over the {e same} circuit
     topology with different element values or input sources.  A handle
     amortizes everything that depends only on topology: compile (node
-    ordering, bandwidth analysis, element slots), per-(integration, step
-    size) solver states with their factorizations, and the DC operating
-    point.  {!run} on a handle is bit-identical to a fresh {!transient}
-    call on the equivalent netlist — same floats through the same step
-    cores in the same order — so callers can adopt it without moving any
-    accuracy goalposts. *)
+    ordering, bandwidth analysis, element slots), per-step-size solver
+    states with their factorizations, and the DC operating point.  {!run}
+    on a reused handle is bit-identical to a run on a fresh one (as
+    {!transient} makes) for the equivalent netlist — same floats through
+    the same step cores in the same order — so callers can adopt it
+    without moving any accuracy goalposts. *)
 module Compiled : sig
   type handle
 
@@ -221,7 +139,6 @@ module Compiled : sig
 
   val run :
     ?obs:Rlc_obs.Obs.t ->
-    ?options:options ->
     ?record_nodes:Netlist.node list ->
     ?until:crossing list ->
     ?until_peak:Netlist.node ->
@@ -231,18 +148,97 @@ module Compiled : sig
     t_stop:float ->
     handle ->
     result
-  (** Exactly {!transient} on the handle's current element values, minus
-      the per-call compile: solver states are cached per
-      [(integration, step size)] (fixed-step states and adaptive
-      rung/offcut states share the cache), and the DC operating point is
-      reused whenever the circuit is linear and every source's value at
-      [t = 0] is bit-identical to the cached solve's.  [until_peak] reads
-      the sources' flat time from the netlist of the latest {!restamp}.  A
+  (** Runs the DC operating point at [t = 0], then steps the handle's
+      current element values to [t_stop] with the trapezoidal rule.
+      Raises {!Newton_diverged} if Newton fails to converge at any
+      timestep.  This is the engine's one argument check: [t_stop], and
+      [dt] for fixed-step runs, must be positive and finite, else
+      [Invalid_argument].
+
+      Solver states are cached on the handle per step size (fixed-step
+      states and adaptive rung/offcut states share the cache), and the DC
+      operating point is reused whenever the circuit is linear and every
+      source's value at [t = 0] is bit-identical to the cached solve's.  A
       run stopped early by [until] or [until_peak] leaves the handle fully
       reusable: every run restarts its companion history from the DC
-      point. *)
+      point.
 
-  val node_count : handle -> int
+      [obs] (default disabled) records ["engine.dc_solve"] /
+      ["engine.factor"] / ["engine.step_loop"] spans (the step-loop span
+      carries [steps], [newton_total], and the solver [path] as args) plus
+      ["engine.transients"] / ["engine.steps"] / ["engine.newton_iters"]
+      counters.  Only phase boundaries are instrumented — the per-step
+      inner loops are untouched, so results and speed are identical when
+      disabled.
+
+      [record_nodes] restricts waveform storage to the listed nodes
+      (default: every node).  Recording all nodes costs O(nodes × steps)
+      memory, which dominates for long ladders whose observers only ever
+      read input/near/far; {!voltage} on an unrecorded node raises
+      [Invalid_argument].
+
+      [until] stops the run after the first step (under [adaptive], the
+      first accepted step) at which every listed crossing has happened,
+      and returns that prefix: its times and samples are bit-identical to
+      the first samples of the run without [until], and it contains each
+      listed crossing's {e first} occurrence.  The contract is valid only
+      for callers that read first crossings — {!Rlc_waveform.Measure}'s
+      [t_frac], [slew] and [delay_50] — and list every (node, level,
+      direction) they read; anything else (later crossings, overshoot,
+      settled values) may lie past the stop.  When a listed crossing never
+      happens, or [until] is omitted or empty, the run is exactly the full
+      one, failure messages included.  The step-loop span's [steps] arg
+      and the ["engine.steps"] counter count the steps actually taken.  A
+      node out of range raises [Invalid_argument].
+
+      [until_peak] stops the run once the node's running maximum is
+      provably the maximum of the whole run, and returns that prefix:
+      bit-identical to the start of the full run, with a {!Waveform.v_max}
+      whose bits equal the full run's.  The proof is an energy bound.  Once
+      every source holds its final value (from {!Netlist.flat_after}, read
+      from the netlist of the latest {!restamp}), the circuit's stored
+      energy W = 1/2 sum C (v - v^)^2 + 1/2 sum L i^2 about its final DC
+      point v^ cannot rise under trapezoidal steps, so no later sample
+      exceeds v^ + sqrt (2 W / C_g), where C_g is the node's capacitance
+      to ground or to forced nodes.  About every 16 steps the bound is
+      formed from the companion histories, and the run stops when it
+      clears the running maximum by a margin of 1e-3 of the peak's
+      excursion above v^ plus a 1e-9 relative rounding floor.  The margin
+      dwarfs the rounding of the steps and of v^, solved with capacitors
+      open and inductors as the DC model's 1 mOhm shorts.  The run keeps
+      its full window (the contract still holds, trivially) whenever a
+      precondition fails: a nonlinear device or a current source is
+      present, a forced source is a {!Netlist.force_voltage} closure
+      rather than a {!Netlist.force_pwl}, an inductor carries DC current
+      at v^ (its short would misplace v^), a node is reachable only
+      through capacitors (v^ is then singular with capacitors open), the
+      watched node is forced or has no capacitance to ground or to a
+      forced node, or the run is [adaptive] (which ignores [until_peak]).
+      With [until] as well, the run stops once both conditions hold.  A
+      fixed-step node out of range raises [Invalid_argument].
+
+      [reassemble_per_step] (default [false]) disables the factor-once
+      fast path and rebuilds + refactors the full system at every step
+      (and every Newton iteration), as the engine did before the
+      compile/factor/step split.  The two paths produce bit-identical
+      waveforms; the slow path is kept as the golden reference for
+      equivalence tests.
+
+      [adaptive] switches to LTE-controlled variable time steps (see
+      {!adaptive}); [dt] is then unused and the recorded waveforms sit on
+      the adaptive (non-uniform) grid.  Every breakpoint declared on the
+      netlist's forced sources ({!Netlist.force_voltage} /
+      {!Netlist.force_pwl}) that falls inside [(0, t_stop)] is landed on
+      exactly, as is [t_stop] itself, so source kinks are never stepped
+      over; landing on a kink restarts the stepper at [dt_min].  It needs
+      a positive, finite [dt_min], [dt_max >= dt_min] and [ltol > 0] (NaN
+      fails each) and excludes [reassemble_per_step]; otherwise
+      [Invalid_argument].  With [obs] enabled the step-loop span
+      additionally carries [rejected] and [refactors] args, accepted step
+      sizes feed the ["engine.step_size_ns"] histogram (values in
+      nanoseconds), and ["engine.steps_rejected"] / ["engine.refactors"]
+      counters accumulate.  The fixed-step path is completely untouched
+      by this option. *)
 
   val cached : ?obs:Rlc_obs.Obs.t -> Netlist.t -> handle
   (** Domain-local structure-keyed handle cache: returns an existing

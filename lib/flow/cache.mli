@@ -56,16 +56,16 @@ val clear : 'a t -> unit
 
 (** {2 Canonicalization helpers} *)
 
-val quantize : ?digits:int -> float -> float
-(** Round to [digits] significant decimal digits (default 9) by a
-    [%.*e] round-trip; total order preserved, NaN/inf pass through.  Nine
-    digits comfortably exceeds extraction noise while collapsing
-    bit-identical bus parasitics emitted with different float garbage. *)
+val quantize : float -> float
+(** Round to 9 significant decimal digits by a [%.8e] round-trip; total
+    order preserved, NaN/inf pass through.  Nine digits comfortably
+    exceeds extraction noise while collapsing bit-identical bus parasitics
+    emitted with different float garbage. *)
 
-val quantize_slew : ?grid:float -> float -> float
-(** Snap a slew to a time grid (default 0.1 ps): slews arriving from
-    upstream stages differ in the last ulps even for symmetric bus bits, so
-    a coarser deterministic grid is what makes their cache keys collide. *)
+val quantize_slew : float -> float
+(** Snap a slew to a 0.1 ps grid: slews arriving from upstream stages
+    differ in the last ulps even for symmetric bus bits, so a coarser
+    deterministic grid is what makes their cache keys collide. *)
 
 val same_bits : float -> float -> bool
 (** Bit-pattern equality: tells [-0.] from [0.] and matches a NaN only

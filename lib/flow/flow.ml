@@ -61,8 +61,6 @@ module Config = struct
     jobs : int option;
     use_cache : bool;
     cache : solve Cache.t option;
-    quantize_digits : int;
-    slew_grid : float;
     obs : Obs.t;
     progress : Progress.t option;
     pool : Pool.t option;
@@ -81,18 +79,12 @@ module Config = struct
       jobs = None;
       use_cache = true;
       cache = None;
-      quantize_digits = 9;
-      slew_grid = 0.1e-12;
       obs = Obs.null;
       progress = None;
       pool = None;
       deadline = None;
       trace = None;
     }
-
-  let with_jobs jobs t = { t with jobs = Some jobs }
-  let with_cache cache t = { t with cache = Some cache }
-  let with_adaptive a t = { t with adaptive = Some a }
 end
 
 (* Canonicalize the per-net electrical inputs so that (a) repeated bus bits
@@ -133,11 +125,11 @@ let pack_key ~tech_name ~edge ?adaptive fields =
   Bytes.blit_string tech_name 0 b o (String.length tech_name);
   Bytes.unsafe_to_string b
 
-let canonical_slew ~grid input_slew = Cache.quantize_slew ~grid (Sta.clamp_slew input_slew)
+let canonical_slew input_slew = Cache.quantize_slew (Sta.clamp_slew input_slew)
 
-let canonicalize ~digits ~grid ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
-  let q = Cache.quantize ~digits in
-  let q_slew = canonical_slew ~grid input_slew in
+let canonicalize ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
+  let q = Cache.quantize in
+  let q_slew = canonical_slew input_slew in
   let p = net.Design.pade in
   let q_pade =
     { Pade.a1 = q p.Pade.a1; a2 = q p.Pade.a2; a3 = q p.Pade.a3; b1 = q p.Pade.b1; b2 = q p.Pade.b2 }
@@ -196,10 +188,7 @@ type outcome = Reused | Hit | Miss | Uncached
    on a miss.  [insert] keeps a miss's solve in the cache. *)
 let lookup_or_solve (cfg : Config.t) ~tech ~insert (net : Design.net) ~edge ~input_slew =
   let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
-  let c =
-    canonicalize ~digits:cfg.Config.quantize_digits ~grid:cfg.Config.slew_grid ~tech ~dt
-      ?adaptive net ~edge ~input_slew
-  in
+  let c = canonicalize ~tech ~dt ?adaptive net ~edge ~input_slew in
   let compute () =
     solve_net ~obs:cfg.Config.obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c
   in
@@ -279,13 +268,15 @@ end
    cache's counters, so a run counts none of a concurrent run's lookups. *)
 let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
   let cold = Option.is_none prev in
-  let obs = cfg.Config.obs and slew_grid = cfg.Config.slew_grid in
+  let obs = cfg.Config.obs in
   (* A borrowed pool (the service daemon's) is used as-is; otherwise the run
      uses the process-wide resident pool of the requested size, clamped to
      the core count. *)
   let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
   let cfg =
-    match cfg.Config.cache with Some _ -> cfg | None -> Config.with_cache (create_cache ()) cfg
+    match cfg.Config.cache with
+    | Some _ -> cfg
+    | None -> { cfg with Config.cache = Some (create_cache ()) }
   in
   let ch0, cm0, cs0 = Characterize.stats () in
   let tech = design.Design.tech in
@@ -320,7 +311,7 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
         if
           (not dirty.(id))
           && net == p.net && edge = p.edge
-          && Cache.same_bits (canonical_slew ~grid:slew_grid input_slew) p.input_slew
+          && Cache.same_bits (canonical_slew input_slew) p.input_slew
         then Some ({ p with arrival = 0. }, old.Timed.keys.(id))
         else None
   in

@@ -70,7 +70,7 @@ val create_cache : unit -> solve Cache.t
 
 (** The whole knob surface of a flow run as one record, replacing the old
     eight-optional-argument {!run} convention.  Build configurations with
-    [{ Config.default with dt = ... }] or the [with_*] helpers. *)
+    [{ Config.default with dt = ... }]. *)
 module Config : sig
   type flow_config = {
     dt : float;  (** replay timestep, seconds; default 0.5 ps *)
@@ -88,8 +88,6 @@ module Config : sig
     use_cache : bool;  (** default true *)
     cache : solve Cache.t option;
         (** share a cache across runs; [None] creates a fresh one per run *)
-    quantize_digits : int;  (** cache-key significant digits; default 9 *)
-    slew_grid : float;  (** cache-key slew grid, seconds; default 0.1 ps *)
     obs : Rlc_obs.Obs.t;  (** default {!Rlc_obs.Obs.null} (disabled) *)
     progress : Rlc_obs.Progress.t option;
     pool : Rlc_parallel.Pool.t option;
@@ -117,9 +115,6 @@ module Config : sig
   type t = flow_config
 
   val default : t
-  val with_jobs : int -> t -> t
-  val with_cache : solve Cache.t -> t -> t
-  val with_adaptive : Rlc_circuit.Engine.adaptive -> t -> t
 end
 
 val solve_sized :

@@ -86,6 +86,13 @@ let positive name = function
   | Some x when x <= 0. -> bad "field %S must be positive" name
   | v -> Ok v
 
+(* A time step: positive and finite (JSON has no NaN, but 1e400 parses as
+   infinity, which would step the engine once at t = infinity). *)
+let step name = function
+  | Some x when not (x > 0. && Float.is_finite x) ->
+      bad "field %S must be a finite positive number" name
+  | v -> Ok v
+
 let num_req_pos name fields =
   let* v = num_req name fields in
   if v <= 0. then bad "field %S must be positive" name else Ok v
@@ -113,7 +120,7 @@ let parse_flow fields =
   let* f_slew_ps = Result.bind (num_opt "slew_ps" fields) (positive "slew_ps") in
   let* f_required_ps = num_opt "required_ps" fields in
   let* f_use_cache = bool_opt "use_cache" fields in
-  let* f_dt_ps = Result.bind (num_opt "dt_ps" fields) (positive "dt_ps") in
+  let* f_dt_ps = Result.bind (num_opt "dt_ps" fields) (step "dt_ps") in
   Ok (Flow { f_spef; f_spec; f_size; f_slew_ps; f_required_ps; f_use_cache; f_dt_ps })
 
 let parse_flow_req fields =
@@ -195,7 +202,7 @@ let parse_case fields =
   let* c_size = num_req_pos "size" fields in
   let* c_slew_ps = Result.bind (num_opt "slew_ps" fields) (positive "slew_ps") in
   let* c_cl_ff = num_opt "cl_ff" fields in
-  let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (positive "dt_ps") in
+  let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (step "dt_ps") in
   Ok { c_length_mm; c_width_um; c_size; c_slew_ps; c_cl_ff; c_dt_ps }
 
 let parse_request ?(max_bytes = default_max_bytes) line =

@@ -32,14 +32,15 @@
     - ["flow"]: time a full design.  Exactly one of ["spef"] (inline text)
       or ["spef_file"] (path the {e server} reads); at most one of ["spec"]
       / ["spec_file"]; optional ["size"], ["slew_ps"] (spec defaults),
-      ["required_ps"], ["use_cache"], ["dt_ps"].
+      ["required_ps"], ["use_cache"], ["dt_ps"] (the replay step, finite
+      and [> 0]).
     - ["xtalk"]: a ["flow"] request that also runs the coupled-net
       crosstalk analysis; same fields plus optional ["threshold"] and
       ["budget"] (fractions of VDD, finite and [>= 0]) and ["alignments"]
       (grid size, an integer in [1 .. Rlc_xtalk.Xtalk.max_alignments]).
     - ["sweep_case"] / ["screen"]: one geometric case; required
       ["length_mm"], ["width_um"], ["size"]; optional ["slew_ps"],
-      ["cl_ff"], ["dt_ps"] (sweep only).
+      ["cl_ff"], ["dt_ps"] (sweep only; finite and [> 0]).
     - ["ping"], ["stats"], ["metrics"], ["health"], ["shutdown"]: no
       parameters. *)
 

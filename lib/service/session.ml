@@ -16,8 +16,6 @@ module Config = struct
     jobs : int;
     dt : float;
     use_cache : bool;
-    quantize_digits : int;
-    slew_grid : float;
     default_size : float;
     default_slew : float;
     design_capacity : int;
@@ -30,8 +28,6 @@ module Config = struct
       jobs = 1;
       dt = 0.5e-12;
       use_cache = true;
-      quantize_digits = 9;
-      slew_grid = 0.1e-12;
       default_size = 75.;
       default_slew = 100e-12;
       design_capacity = 8;
@@ -223,8 +219,6 @@ let flow_cfg t (req : Request.t) =
     jobs = None;
     use_cache = Option.value req.Request.use_cache ~default:t.config.Config.use_cache;
     cache = Some t.cache;
-    quantize_digits = t.config.Config.quantize_digits;
-    slew_grid = t.config.Config.slew_grid;
     obs = t.config.Config.obs;
     progress = req.Request.progress;
     pool = Some t.pool;

@@ -24,8 +24,6 @@ module Config : sig
             pool propagates the ambient deadline into its batches. *)
     dt : float;  (** default replay timestep, 0.5 ps *)
     use_cache : bool;  (** default true *)
-    quantize_digits : int;  (** cache-key significant digits, default 9 *)
-    slew_grid : float;  (** cache-key slew grid, default 0.1 ps *)
     default_size : float;  (** spec-less flow driver size, default 75X *)
     default_slew : float;  (** spec-less primary slew, default 100 ps *)
     design_capacity : int;

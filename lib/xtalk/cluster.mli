@@ -51,7 +51,7 @@ val simulate :
 
     [until] lists [(level, direction)] crossings of the {e victim's far
     end} and stops the run once each has happened, under the prefix
-    contract of {!Rlc_circuit.Engine.transient}'s [until]: the returned
+    contract of {!Rlc_circuit.Engine.Compiled.run}'s [until]: the returned
     waveform is bit-identical to the start of the full run and holds each
     listed crossing's first occurrence, and a crossing that never happens
     gives the full run.  Pass only the first crossings the caller reads
@@ -61,7 +61,7 @@ val simulate :
 
     [until_peak] (default [false]) stops the run once the victim far end's
     running maximum is proved final, under the energy-bound contract of
-    {!Rlc_circuit.Engine.transient}'s [until_peak]: the returned waveform
+    {!Rlc_circuit.Engine.Compiled.run}'s [until_peak]: the returned waveform
     is a bit-identical prefix of the full run and its [Waveform.v_max] has
     the full run's bits.  A noise-peak reader passes it; a cluster whose
     drives are all PWLs and whose members are linear meets the engine's

@@ -491,20 +491,30 @@ let test_adaptive_matches_fixed_on_table1 () =
      engine takes at least 3x fewer steps (exact counts at jobs 1).  Two
      inputs: a Table-1 case at the default dt_min, and every 70th case of
      the Figure 7 grid with dt_min pinned to the fixed dt.  Sizes are
-     characterized first, so neither count includes characterization. *)
+     characterized first, so neither count includes characterization.
+     The adaptive run's steps, refactors and rejected steps are pinned
+     exactly ([expect]), so a change to how the transistor-level benches
+     step or reuse their solver states shows up here. *)
   let dt = 0.5e-12 in
-  let check name ~adaptive cases =
+  let check name ~adaptive ~expect:(steps, refactors, rejected) cases =
     List.iter
       (fun (c : Evaluate.case) -> ignore (cell_exn c.Evaluate.tech ~size:c.Evaluate.size))
       cases;
     let sweep adaptive =
       let obs = Rlc_obs.Obs.create () in
       let s = Experiments.run_sweep ~obs ~dt ?adaptive ~jobs:1 cases in
-      (s.Experiments.points, Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs) "engine.steps")
+      (s.Experiments.points, Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs))
     in
-    let fixed, fixed_steps = sweep None in
-    let adapt, adaptive_steps = sweep (Some adaptive) in
+    let fixed, fixed_counter = sweep None in
+    let adapt, adaptive_counter = sweep (Some adaptive) in
+    let fixed_steps = fixed_counter "engine.steps" in
+    let adaptive_steps = adaptive_counter "engine.steps" in
     Alcotest.(check bool) (name ^ ": some case scored") true (fixed <> []);
+    Alcotest.(check int) (name ^ ": adaptive engine.steps") steps adaptive_steps;
+    Alcotest.(check int) (name ^ ": adaptive engine.refactors") refactors
+      (adaptive_counter "engine.refactors");
+    Alcotest.(check int) (name ^ ": adaptive engine.steps_rejected") rejected
+      (adaptive_counter "engine.steps_rejected");
     Alcotest.(check bool)
       (Printf.sprintf "%s: 3x fewer steps (%d adaptive vs %d fixed)" name adaptive_steps
          fixed_steps)
@@ -521,10 +531,11 @@ let test_adaptive_matches_fixed_on_table1 () =
         rel (label ^ " reference slew") a.Experiments.ref_slew f.Experiments.ref_slew)
       fixed adapt
   in
-  check "table 1" ~adaptive:(Rlc_circuit.Engine.default_adaptive ())
+  check "table 1" ~adaptive:(Rlc_circuit.Engine.default_adaptive ()) ~expect:(234, 12, 8)
     [ Experiments.case_of_row (List.nth Experiments.table1 11) ];
   check "sweep"
     ~adaptive:(Rlc_circuit.Engine.default_adaptive ~dt_min:dt ())
+    ~expect:(805, 45, 8)
     (List.filteri (fun i _ -> i mod 70 = 0) (Experiments.sweep_cases ()))
 
 (* --------------------------------------------------------------- sweep *)

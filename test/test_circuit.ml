@@ -61,29 +61,6 @@ let test_series_rlc_underdamped () =
   (* Underdamped response must overshoot the supply. *)
   Alcotest.(check bool) "overshoots" true (Waveform.v_max w > 1.2)
 
-let test_backward_euler_damps () =
-  (* BE is more dissipative than trapezoidal: peak overshoot must be lower. *)
-  let build () =
-    let nl = Netlist.create () in
-    let src = Netlist.node nl "src" and mid = Netlist.node nl "mid" and out = Netlist.node nl "out" in
-    Netlist.force_voltage nl src (step 1.);
-    Netlist.resistor nl src mid 10.;
-    Netlist.inductor nl mid out 5e-9;
-    Netlist.capacitor nl out Netlist.ground 1e-12;
-    (nl, out)
-  in
-  let run integration =
-    let nl, out = build () in
-    let options =
-      { (Engine.default_options ~dt:2e-12 ~t_stop:2e-9) with Engine.integration } in
-    let r = Engine.transient ~options ~dt:2e-12 ~t_stop:2e-9 nl in
-    Waveform.v_max (Engine.voltage r out)
-  in
-  let peak_trap = run Engine.Trapezoidal and peak_be = run Engine.Backward_euler in
-  Alcotest.(check bool)
-    (Printf.sprintf "BE peak (%.3f) < trap peak (%.3f)" peak_be peak_trap)
-    true (peak_be < peak_trap)
-
 let test_current_source_into_rc () =
   (* 1 mA into 1 kOhm || cap: settles to 1 V. *)
   let nl = Netlist.create () in
@@ -195,32 +172,28 @@ let test_diode_clamp_dc () =
   Alcotest.(check bool) "forward drop plausible" true (v.(out) > 0.4 && v.(out) < 0.75)
 
 (* Newton non-convergence is a typed error: the engine says when, callers
-   say what (a net, a driver size), and the printed message carries both. *)
+   say what (a net, a driver size), and the printed message carries both.
+   A device whose current is NaN can never converge. *)
 let test_newton_diverged_typed () =
-  let is_ = 1e-14 and vt = 0.02585 in
   let nl = Netlist.create () in
   let src = Netlist.node nl "src" and out = Netlist.node nl "out" in
   Netlist.force_voltage nl src (fun _ -> 1.);
   Netlist.resistor nl src out 1e3;
   Netlist.nonlinear nl
     {
-      Netlist.nl_name = "diode";
+      Netlist.nl_name = "nan";
       nl_nodes = [| out |];
-      nl_eval =
-        (fun v ->
-          let e = Float.exp (Float.min (v.(0) /. vt) 60.) in
-          ([| is_ *. (e -. 1.) |], [| [| is_ *. e /. vt |] |]));
+      nl_eval = (fun _ -> ([| Float.nan |], [| [| 1e-3 |] |]));
     };
   let dt = 1e-12 and t_stop = 10e-12 in
-  let options = { (Engine.default_options ~dt ~t_stop) with Engine.newton_max = 1 } in
-  (match Engine.transient ~options ~dt ~t_stop nl with
-  | _ -> Alcotest.fail "one Newton iteration cannot clamp the diode"
+  (match Engine.transient ~dt ~t_stop nl with
+  | _ -> Alcotest.fail "a NaN device current cannot converge"
   | exception Engine.Newton_diverged { t; within } ->
       check_float ~eps:0. "at the operating point" 0. t;
       Alcotest.(check (list string)) "the engine names no context" [] within);
   match
     Engine.within "net b1" (fun () ->
-        Engine.within "size 75X" (fun () -> Engine.transient ~options ~dt ~t_stop nl))
+        Engine.within "size 75X" (fun () -> Engine.transient ~dt ~t_stop nl))
   with
   | _ -> Alcotest.fail "expected Newton_diverged"
   | exception (Engine.Newton_diverged { within; _ } as e) ->
@@ -232,8 +205,7 @@ let test_newton_diverged_typed () =
 
 (* The factor-once fast path (assemble + factor the linear system once, then
    only rebuild the RHS) must reproduce the per-step reassembly path sample
-   for sample.  One builder per stamp class, checked under both
-   integrators. *)
+   for sample.  One builder per stamp class. *)
 
 let build_rc_ladder () =
   let nl = Netlist.create () in
@@ -304,27 +276,23 @@ let build_nonlinear_clamp () =
   (nl, [ src; out ])
 
 let check_factored_equivalence name build ~dt ~t_stop () =
+  let nl, probes = build () in
+  let fast = Engine.transient ~dt ~t_stop nl in
+  let naive = Engine.transient ~reassemble_per_step:true ~dt ~t_stop nl in
+  Alcotest.(check int)
+    (Printf.sprintf "%s newton total" name)
+    (Engine.newton_total naive) (Engine.newton_total fast);
   List.iter
-    (fun (tag, integration) ->
-      let nl, probes = build () in
-      let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
-      let fast = Engine.transient ~options ~dt ~t_stop nl in
-      let naive = Engine.transient ~options ~reassemble_per_step:true ~dt ~t_stop nl in
-      Alcotest.(check int)
-        (Printf.sprintf "%s/%s newton total" name tag)
-        (Engine.newton_total naive) (Engine.newton_total fast);
-      List.iter
-        (fun node ->
-          let vf = Waveform.values (Engine.voltage fast node) in
-          let vn = Waveform.values (Engine.voltage naive node) in
-          Array.iteri
-            (fun i v ->
-              if v <> vn.(i) then
-                Alcotest.failf "%s/%s: node %s step %d: fast %.17g <> naive %.17g" name tag
-                  (Netlist.node_name nl node) i v vn.(i))
-            vf)
-        probes)
-    [ ("trap", Engine.Trapezoidal); ("be", Engine.Backward_euler) ]
+    (fun node ->
+      let vf = Waveform.values (Engine.voltage fast node) in
+      let vn = Waveform.values (Engine.voltage naive node) in
+      Array.iteri
+        (fun i v ->
+          if v <> vn.(i) then
+            Alcotest.failf "%s: node %s step %d: fast %.17g <> naive %.17g" name
+              (Netlist.node_name nl node) i v vn.(i))
+        vf)
+    probes
 
 let test_equiv_rc () = check_factored_equivalence "rc-ladder" build_rc_ladder ~dt:1e-12 ~t_stop:0.5e-9 ()
 let test_equiv_rlc () = check_factored_equivalence "rlc-ladder" build_rlc_ladder ~dt:0.5e-12 ~t_stop:0.5e-9 ()
@@ -580,10 +548,36 @@ let test_engine_stats_and_options () =
   (* Linear circuit: exactly one solve per step. *)
   Alcotest.(check int) "newton total" 100 (Engine.newton_total r);
   Alcotest.(check int) "newton worst" 1 (Engine.newton_worst r);
-  Alcotest.(check bool) "invalid dt rejected" true
-    (match Engine.transient ~dt:0. ~t_stop:1e-9 nl with
+  let rejected ?adaptive ~dt ~t_stop () =
+    match Engine.transient ?adaptive ~dt ~t_stop nl with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "invalid dt rejected" true (rejected ~dt:0. ~t_stop:1e-9 ());
+  List.iter
+    (fun (what, dt, t_stop) ->
+      Alcotest.(check bool) ("invalid dt rejected: " ^ what) true (rejected ~dt ~t_stop ()))
+    [
+      ("NaN dt", Float.nan, 1e-9);
+      ("infinite dt", Float.infinity, 1e-9);
+      ("NaN t_stop", 10e-12, Float.nan);
+      ("infinite t_stop", 10e-12, Float.infinity);
+    ];
+  let ad = Engine.default_adaptive () in
+  List.iter
+    (fun (what, adaptive) ->
+      Alcotest.(check bool) ("invalid dt rejected: " ^ what) true
+        (rejected ~adaptive ~dt:10e-12 ~t_stop:1e-9 ()))
+    [
+      ("NaN dt_max", { ad with Engine.dt_max = Float.nan });
+      ("NaN ltol", { ad with Engine.ltol = Float.nan });
+      ("infinite dt_min", { ad with Engine.dt_min = Float.infinity; dt_max = Float.infinity });
+    ];
+  (* A NaN dt_min once made the stepper spin without ever landing on a
+     breakpoint; the deadline turns such a regression into a failure. *)
+  Alcotest.(check bool) "invalid dt rejected: NaN dt_min" true
+    (Rlc_errors.Deadline.with_ambient (Rlc_errors.Deadline.start 1.) (fun () ->
+         rejected ~adaptive:{ ad with Engine.dt_min = Float.nan } ~dt:10e-12 ~t_stop:1e-9 ()))
 
 let test_nonlinear_newton_counts () =
   let nl = Netlist.create () in
@@ -631,42 +625,37 @@ let prop_rc_charge_conservation =
 
 (* ------------------------------------------------------------ compiled *)
 
-(* Bit-identity: a compiled handle must consume exactly the floats a fresh
-   Engine.transient consumes — waveforms compare with (<>), never with a
-   tolerance — across circuit kinds, integration methods, and stepping
-   modes.  Each handle runs twice so the second run exercises the cached DC
-   entry and the per-(integration, dt) transient-state reuse. *)
+(* Bit-identity: a reused compiled handle must consume exactly the floats a
+   fresh Engine.transient consumes — waveforms compare with (<>), never
+   with a tolerance — across circuit kinds and stepping modes.  Each handle
+   runs twice so the second run exercises the cached DC entry and the
+   per-step-size transient-state reuse. *)
 let check_compiled_identity name build ~dt ~t_stop () =
   List.iter
-    (fun (tag, integration) ->
-      List.iter
-        (fun (mode, adaptive) ->
-          let nl, probes = build () in
-          let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
-          let fresh = Engine.transient ~options ?adaptive ~dt ~t_stop nl in
-          let h = Engine.Compiled.compile nl in
-          List.iteri
-            (fun k r ->
-              if Engine.times fresh <> Engine.times r then
-                Alcotest.failf "%s/%s/%s run %d: time grids differ" name tag mode k;
-              List.iter
-                (fun node ->
-                  let vf = Waveform.values (Engine.voltage fresh node) in
-                  let vr = Waveform.values (Engine.voltage r node) in
-                  Array.iteri
-                    (fun i v ->
-                      if v <> vr.(i) then
-                        Alcotest.failf
-                          "%s/%s/%s run %d: node %s step %d: fresh %.17g <> compiled %.17g"
-                          name tag mode k (Netlist.node_name nl node) i v vr.(i))
-                    vf)
-                probes)
-            [
-              Engine.Compiled.run ~options ?adaptive ~dt ~t_stop h;
-              Engine.Compiled.run ~options ?adaptive ~dt ~t_stop h;
-            ])
-        [ ("fixed", None); ("adaptive", Some (Engine.default_adaptive ~dt_min:dt ())) ])
-    [ ("trap", Engine.Trapezoidal); ("be", Engine.Backward_euler) ]
+    (fun (mode, adaptive) ->
+      let nl, probes = build () in
+      let fresh = Engine.transient ?adaptive ~dt ~t_stop nl in
+      let h = Engine.Compiled.compile nl in
+      List.iteri
+        (fun k r ->
+          if Engine.times fresh <> Engine.times r then
+            Alcotest.failf "%s/%s run %d: time grids differ" name mode k;
+          List.iter
+            (fun node ->
+              let vf = Waveform.values (Engine.voltage fresh node) in
+              let vr = Waveform.values (Engine.voltage r node) in
+              Array.iteri
+                (fun i v ->
+                  if v <> vr.(i) then
+                    Alcotest.failf "%s/%s run %d: node %s step %d: fresh %.17g <> compiled %.17g"
+                      name mode k (Netlist.node_name nl node) i v vr.(i))
+                vf)
+            probes)
+        [
+          Engine.Compiled.run ?adaptive ~dt ~t_stop h;
+          Engine.Compiled.run ?adaptive ~dt ~t_stop h;
+        ])
+    [ ("fixed", None); ("adaptive", Some (Engine.default_adaptive ~dt_min:dt ())) ]
 
 let test_compiled_rc () =
   check_compiled_identity "rc-ladder" build_rc_ladder ~dt:1e-12 ~t_stop:0.5e-9 ()
@@ -1015,7 +1004,6 @@ type peak_case = {
   t0 : float;
   tr : float;
   probe : int;  (** picks the watched node among the first member's capacitor nodes *)
-  trap : bool;
   compiled : bool;
 }
 
@@ -1040,7 +1028,7 @@ let arb_peak_case =
     let* t0 = float_range 0. 40e-12 in
     let* tr = oneof [ float_range 2e-12 20e-12; float_range 20e-12 150e-12 ] in
     let* probe = int_range 0 1000 in
-    let* trap = bool and* compiled = bool in
+    let* compiled = bool in
     return
       {
         members;
@@ -1055,18 +1043,16 @@ let arb_peak_case =
         t0;
         tr;
         probe;
-        trap;
         compiled;
       }
   in
   QCheck.make gen ~print:(fun u ->
       Printf.sprintf
         "%d member(s) x %d segs, R %g L %g C %g, cc %.2f, k %.2f, rs %g, %s t0 %g tr %g, \
-         probe %d, %s, %s"
+         probe %d, %s"
         u.members u.segs u.pr_tot u.pl_tot u.pc_tot u.cc_frac u.k_mutual u.rs
         (match u.drive with Rise -> "rise" | Fall -> "fall" | Two_ramp -> "two-ramp")
         u.t0 u.tr u.probe
-        (if u.trap then "trap" else "be")
         (if u.compiled then "compiled" else "fresh"))
 
 (* A driven ladder, or a coupled cluster whose first member is held quiet
@@ -1124,25 +1110,19 @@ let peak_late = ref 0
 
 (* Random linear circuits -- RC-like and underdamped RLC ladders, coupled
    clusters with a quiet victim, separate or mutually coupled inductors --
-   under rising, falling and two-ramp PWL drives, trapezoidal and backward
-   Euler, fresh and compiled: a run stopped by [until_peak] is a bit-exact
-   prefix of the full run whose maximum has the full run's bits. *)
+   under rising, falling and two-ramp PWL drives, fresh and compiled: a run
+   stopped by [until_peak] is a bit-exact prefix of the full run whose
+   maximum has the full run's bits. *)
 let prop_until_peak =
   QCheck.Test.make ~name:"until_peak: prefix keeps the full run's maximum" ~count:300
     arb_peak_case (fun u ->
       let nl, probe, record_nodes, t_stop = build_peak_case u in
       let dt = 0.5e-12 in
-      let options =
-        {
-          (Engine.default_options ~dt ~t_stop) with
-          Engine.integration = (if u.trap then Engine.Trapezoidal else Engine.Backward_euler);
-        }
-      in
       let handle = lazy (Engine.Compiled.compile nl) in
       let run ?until_peak () =
         if u.compiled then
-          Engine.Compiled.run ~options ?until_peak ~record_nodes ~dt ~t_stop (Lazy.force handle)
-        else Engine.transient ~options ?until_peak ~record_nodes ~dt ~t_stop nl
+          Engine.Compiled.run ?until_peak ~record_nodes ~dt ~t_stop (Lazy.force handle)
+        else Engine.transient ?until_peak ~record_nodes ~dt ~t_stop nl
       in
       (* The stopped run goes first so a compiled handle is reused after it. *)
       let pre = run ~until_peak:probe () in
@@ -1241,7 +1221,6 @@ let () =
           Alcotest.test_case "RC step response" `Quick test_rc_step;
           Alcotest.test_case "DC divider" `Quick test_rc_divider_dc;
           Alcotest.test_case "series RLC underdamped" `Quick test_series_rlc_underdamped;
-          Alcotest.test_case "BE damps vs trapezoidal" `Quick test_backward_euler_damps;
           Alcotest.test_case "current source" `Quick test_current_source_into_rc;
           Alcotest.test_case "LC ladder time of flight" `Quick test_lc_ladder_time_of_flight;
           Alcotest.test_case "PWL replay" `Quick test_pwl_replay;

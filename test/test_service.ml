@@ -212,6 +212,31 @@ let test_protocol_rejections () =
   check_code "bad_request"
     (Protocol.parse_request ~max_bytes:16 {|{"schema":"rlc-service/1","kind":"ping"}|})
 
+(* A time step must be finite: 1e400 parses as infinity, and the engine
+   would take its one step at t = infinity.  Every kind that takes [dt_ps]
+   refuses it up front, naming the field. *)
+let test_protocol_dt_finite () =
+  List.iter
+    (fun (kind, schema, extra) ->
+      List.iter
+        (fun dt ->
+          let line =
+            Printf.sprintf {|{"schema":"%s","kind":"%s",%s"dt_ps":%s}|} schema kind extra dt
+          in
+          match parse_req line with
+          | Ok _ -> Alcotest.failf "%s dt_ps %s accepted" kind dt
+          | Error e ->
+              Alcotest.(check string) (kind ^ " " ^ dt ^ " code") "bad_request" (Error.code e);
+              Alcotest.(check string) (kind ^ " " ^ dt ^ " message")
+                {|field "dt_ps" must be a finite positive number|} (Error.message e))
+        [ "1e400"; "-1e400"; "0" ])
+    [
+      ("flow", Protocol.schema, {|"spef":"x",|});
+      ("xtalk", Protocol.schema, {|"spef":"x",|});
+      ("design_load", Protocol.schema_v2, {|"spef":"x",|});
+      ("sweep_case", Protocol.schema, {|"length_mm":5,"width_um":1.2,"size":75,|});
+    ]
+
 let test_protocol_responses () =
   let ok = Protocol.ok_response ~id:(Json.Int 3) [ ("pong", Json.Bool true) ] in
   let j = json_of ok in
@@ -1773,6 +1798,7 @@ let () =
           Alcotest.test_case "kinds" `Quick test_protocol_kinds;
           Alcotest.test_case "v2 kinds" `Quick test_protocol_v2_kinds;
           Alcotest.test_case "rejections" `Quick test_protocol_rejections;
+          Alcotest.test_case "dt_ps must be finite" `Quick test_protocol_dt_finite;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
         ] );
       ( "errors",
