@@ -1550,11 +1550,10 @@ module Compiled = struct
         if not (finite_positive dt) then bad "dt must be positive and finite";
         fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h
 
-  (* Structure-keyed handle cache, domain-local so handles (whose scratch
-     is freely mutated during a run) are never shared across domains.  The
-     key hashes topology only — node count plus two independent polynomial
-     hashes over (kind, nodes) in insertion order; a collision is caught by
-     [restamp]'s structural validation and falls back to a rebuild. *)
+  (* The handle cache's structure key hashes topology only — node count
+     plus two independent polynomial hashes over (kind, nodes) in
+     insertion order; a collision is caught by [restamp]'s structural
+     validation and falls back to a rebuild. *)
   let structure_key netlist =
     let a = ref (Netlist.node_count netlist) and b = ref 17 in
     let add x =
@@ -1594,40 +1593,33 @@ module Compiled = struct
       (Netlist.elements netlist);
     (Netlist.node_count netlist, !a, !b)
 
-  let cache_hits = Atomic.make 0
-  let cache_misses = Atomic.make 0
-  let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
+  (* Every run mutates a handle's scratch, so the key also names the
+     domain that built it, and handles are never shared across domains.  A
+     crosstalk flow uses at most five structures a domain. *)
+  let handles : (Domain.id * (int * int * int), handle) Rlc_obs.Memo.t =
+    Rlc_obs.Memo.create ~capacity:256 ()
 
-  let cache_key : (int * int * int, handle) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-  let clear_cache () = Hashtbl.reset (Domain.DLS.get cache_key)
+  let cache_stats () = Rlc_obs.Memo.stats handles
+  let clear_cache () = Rlc_obs.Memo.clear handles
 
   let cached ?(obs = Obs.null) netlist =
-    let tbl = Domain.DLS.get cache_key in
-    let key = structure_key netlist in
-    match Hashtbl.find_opt tbl key with
-    | Some h -> (
+    let key = (Domain.self (), structure_key netlist) in
+    match Rlc_obs.Memo.find_or_add handles key (fun () -> compile ~obs netlist) with
+    | h, false ->
+        Obs.incr obs "engine.handle.misses";
+        h
+    | h, true -> (
         match restamp h netlist with
         | () ->
-            Atomic.incr cache_hits;
             Obs.incr obs "engine.handle.hits";
             h
         | exception Invalid_argument _ ->
             (* Key collision (or a half-restamped handle from a previous
                collision): rebuild and let the new handle own the slot. *)
-            Atomic.incr cache_misses;
             Obs.incr obs "engine.handle.misses";
             let h = compile ~obs netlist in
-            Hashtbl.replace tbl key h;
+            Rlc_obs.Memo.replace handles key h;
             h)
-    | None ->
-        Atomic.incr cache_misses;
-        Obs.incr obs "engine.handle.misses";
-        if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
-        let h = compile ~obs netlist in
-        Hashtbl.replace tbl key h;
-        h
 end
 
 let transient ?obs ?record_nodes ?until ?until_peak ?reassemble_per_step ?adaptive ~dt ~t_stop

@@ -124,7 +124,7 @@ module Compiled : sig
   (** Compile the netlist into a reusable handle (records the usual
       ["engine.compile"] span).  The handle is not thread-safe: its solver
       scratch is mutated by every {!run}; keep one per domain (or use
-      {!cached}, which is domain-local). *)
+      {!cached}, which hands a handle only to the domain that built it). *)
 
   val restamp : handle -> Netlist.t -> unit
   (** Write the netlist's element values into the handle's existing
@@ -241,17 +241,18 @@ module Compiled : sig
       by this option. *)
 
   val cached : ?obs:Rlc_obs.Obs.t -> Netlist.t -> handle
-  (** Domain-local structure-keyed handle cache: returns an existing
-      handle for this topology restamped to the netlist's values, or
-      compiles and caches a new one.  Increments the global {!cache_stats}
-      counters and, with [obs], ["engine.handle.hits"] /
+  (** A handle for this topology from one process-wide {!Rlc_obs.Memo} of
+      256, keyed by the calling domain and the structure, so a handle goes
+      back only to the domain that built it: an existing one restamped to
+      the netlist's values, or a new one compiled and cached.  Counts in
+      {!cache_stats} and, with [obs], in ["engine.handle.hits"] /
       ["engine.handle.misses"].  Key collisions are caught by {!restamp}'s
       structural validation and fall back to a rebuild, so a hit is always
       structurally sound. *)
 
-  val cache_stats : unit -> int * int
-  (** [(hits, misses)] of {!cached} across all domains since start. *)
+  val cache_stats : unit -> Rlc_obs.Memo.stats
+  (** Of {!cached}, across all domains since start. *)
 
   val clear_cache : unit -> unit
-  (** Drop this domain's cached handles (counters are left running). *)
+  (** Drop every domain's cached handles; the counters keep running. *)
 end

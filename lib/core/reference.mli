@@ -58,7 +58,7 @@ val replay_pwl :
     the input PWL} (for a {!Driver_model} waveform: t = 0 at the input 50 %
     crossing), so model far-end measurements compare directly against
     {!far_delay} of a transistor-level run.  The replay runs through the
-    domain-local {!Rlc_circuit.Engine.Compiled.cached} handle cache:
+    {!Rlc_circuit.Engine.Compiled.cached} handle cache:
     same-shape ladder replays after the first restamp values into the
     compiled structure instead of recompiling. *)
 

@@ -7,6 +7,7 @@ module Pade = Rlc_moments.Pade
 module Sta = Rlc_sta.Sta
 module Pool = Rlc_parallel.Pool
 module Obs = Rlc_obs.Obs
+module Memo = Rlc_obs.Memo
 module Progress = Rlc_obs.Progress
 module Deadline = Rlc_errors.Deadline
 
@@ -49,7 +50,11 @@ type stats = {
 
 type result = { design : Design.t; results : net_result array; stats : stats }
 
-let create_cache () : solve Cache.t = Cache.create ()
+type cache = (string, solve) Memo.t
+
+(* A cold 512-net bus fills 512 entries; at about 0.9 KB each, the bound
+   is about 15 MB. *)
+let create_cache () : cache = Memo.create ~shards:16 ~capacity:1024 ()
 
 (* The whole knob surface of a flow run as one value, so embedders (CLI,
    bench, the service daemon's [Session]) pass configuration around and
@@ -60,7 +65,7 @@ module Config = struct
     adaptive : Rlc_circuit.Engine.adaptive option;
     jobs : int option;
     use_cache : bool;
-    cache : solve Cache.t option;
+    cache : cache option;
     obs : Obs.t;
     progress : Progress.t option;
     pool : Pool.t option;
@@ -196,10 +201,10 @@ let lookup_or_solve (cfg : Config.t) ~tech ~insert (net : Design.net) ~edge ~inp
     match cfg.Config.cache with
     | Some cache when cfg.Config.use_cache -> (
         if insert then
-          let s, hit = Cache.find_or_add cache c.key compute in
+          let s, hit = Memo.find_or_add cache c.key compute in
           (s, if hit then Hit else Miss)
         else
-          match Cache.find cache c.key with Some s -> (s, Hit) | None -> (compute (), Miss))
+          match Memo.find cache c.key with Some s -> (s, Hit) | None -> (compute (), Miss))
     | _ -> (compute (), Uncached)
   in
   (c, solve, outcome)
@@ -278,7 +283,7 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
     | Some _ -> cfg
     | None -> { cfg with Config.cache = Some (create_cache ()) }
   in
-  let ch0, cm0, cs0 = Characterize.stats () in
+  let char0 = Characterize.stats () in
   let tech = design.Design.tech in
   let n = Array.length design.Design.nets in
   let phases = ref [] in
@@ -427,6 +432,7 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
         out)
   in
   let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
+  let char1 = Characterize.stats () in
   let stats =
     {
       n_nets = n;
@@ -443,9 +449,9 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
         Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
       cache_hits = !hits;
       cache_misses = !misses;
-      char_hits = (let h, _, _ = Characterize.stats () in h - ch0);
-      char_misses = (let _, m, _ = Characterize.stats () in m - cm0);
-      char_stores = (let _, _, s = Characterize.stats () in s - cs0);
+      char_hits = char1.Memo.hits - char0.Memo.hits;
+      char_misses = char1.Memo.misses - char0.Memo.misses;
+      char_stores = char1.Memo.entries - char0.Memo.entries;
       iterations_spent = !spent;
       jobs_used = Pool.jobs pool;
       phases = List.rev !phases;

@@ -47,12 +47,12 @@ type stats = {
           scheduling-dependent, never reported in JSON/CSV *)
   cache_misses : int;
   char_hits : int;
-      (** characterization-memo hits/misses/stores: process-wide
+      (** characterization-store hits and misses: process-wide
           {!Rlc_liberty.Characterize.stats} deltas over the run, so unlike
           the Ceff counts they include any concurrent request's; they stay
           out of report payloads *)
   char_misses : int;
-  char_stores : int;
+  char_stores : int;  (** the store's [entries] delta over the run *)
   iterations_spent : int;  (** iterations this run actually ran = sum over its solves *)
   jobs_used : int;
       (** worker domains actually used, after clamping the request to the
@@ -62,11 +62,12 @@ type stats = {
 
 type result = { design : Design.t; results : net_result array; stats : stats }
 
-val create_cache : unit -> solve Cache.t
+type cache = (string, solve) Rlc_obs.Memo.t
+
+val create_cache : unit -> cache
 (** A cache that can be shared across {!run_cfg} invocations (warm
     re-timing), including across {e concurrent} requests of a resident
-    [Rlc_service.Session] — it is sharded ({!Cache.create}) so parallel
-    requests contend per shard, not on one global lock. *)
+    [Rlc_service.Session]: 16 shards of at most 1,024 solves each. *)
 
 (** The whole knob surface of a flow run as one record, replacing the old
     eight-optional-argument {!run} convention.  Build configurations with
@@ -86,7 +87,7 @@ module Config : sig
             count are clamped (see [stats.jobs_used]).  Ignored when
             [pool] is given. *)
     use_cache : bool;  (** default true *)
-    cache : solve Cache.t option;
+    cache : cache option;
         (** share a cache across runs; [None] creates a fresh one per run *)
     obs : Rlc_obs.Obs.t;  (** default {!Rlc_obs.Obs.null} (disabled) *)
     progress : Rlc_obs.Progress.t option;
@@ -222,7 +223,7 @@ val retime :
     run would hand them off.
 
     Re-solves take {!run_cfg}'s per-net step, but look the configured
-    cache up ({!Cache.find}) without inserting: the returned handle holds
+    cache up ({!Rlc_obs.Memo.find}) without inserting: the returned handle holds
     what they computed, so a stream of deltas leaves a shared cache at the
     size the cold load left it, while an edit that restores a loaded value
     is still answered from it.  With the cache on, the result's

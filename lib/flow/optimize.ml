@@ -20,6 +20,7 @@ module Pool = Rlc_parallel.Pool
 module Obs = Rlc_obs.Obs
 module Deadline = Rlc_errors.Deadline
 module Engine = Rlc_circuit.Engine
+module Memo = Rlc_obs.Memo
 
 let src = Logs.Src.create "rlc.optimize" ~doc:"sweep-scale timing optimization"
 
@@ -260,8 +261,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
     | None -> { cfg with Flow.Config.cache = Some (Flow.create_cache ()) }
   in
   let t_start = Unix.gettimeofday () in
-  let ch0, cm0, _ = Characterize.stats () in
-  let hh0, hm0 = Engine.Compiled.cache_stats () in
+  let char0 = Characterize.stats () and handles0 = Engine.Compiled.cache_stats () in
   match Flow.time ?tech cfg ~spef ~spec () with
   | Error _ as e -> e
   | Ok handle -> (
@@ -303,6 +303,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
          repeater recommendations and unfixable nets contribute nothing —
          the bookkeeping mirrors exactly the delta that will be applied. *)
       let improve = Array.make n 0. in
+      let ladder = List.sort_uniq Float.compare sizes in
       let body () =
         Array.iter
           (fun ids ->
@@ -322,6 +323,22 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
                      if residual <= 0. then None else Some (id, residual))
               |> Array.of_list
             in
+            (* Every search prices the ladder above its net's size in the
+               same ascending order, so concurrent searches would all miss
+               a size at once and each characterize it.  Characterize the
+               sizes this level prices first, one size per job. *)
+            let priced =
+              List.filter
+                (fun size ->
+                  Array.exists
+                    (fun (id, _) -> size > before.Flow.results.(id).Flow.net.Design.size)
+                    jobs)
+                ladder
+              |> Array.of_list
+            in
+            ignore
+              (Pool.map ~obs pool (Array.length priced) (fun k ->
+                   Characterize.cell_res ~obs tech ~size:priced.(k)));
             let found =
               Pool.map ~obs pool (Array.length jobs) (fun k ->
                   Deadline.check_ambient ();
@@ -392,8 +409,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
               in
               let count p = Array.fold_left (fun a f -> if p f then a + 1 else a) 0 fixes in
               let sum p = Array.fold_left (fun a f -> a + p f) 0 fixes in
-              let ch1, cm1, _ = Characterize.stats () in
-              let hh1, hm1 = Engine.Compiled.cache_stats () in
+              let char1 = Characterize.stats () and handles1 = Engine.Compiled.cache_stats () in
               let stats =
                 {
                   o_nets = n;
@@ -408,10 +424,10 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
                   o_candidates = sum (fun f -> f.f_candidates);
                   o_screened = sum (fun f -> f.f_screened);
                   o_escalations = sum (fun f -> f.f_escalations);
-                  o_char_hits = ch1 - ch0;
-                  o_char_misses = cm1 - cm0;
-                  o_handle_hits = hh1 - hh0;
-                  o_handle_misses = hm1 - hm0;
+                  o_char_hits = char1.Memo.hits - char0.Memo.hits;
+                  o_char_misses = char1.Memo.misses - char0.Memo.misses;
+                  o_handle_hits = handles1.Memo.hits - handles0.Memo.hits;
+                  o_handle_misses = handles1.Memo.misses - handles0.Memo.misses;
                   o_jobs_used = jobs_used;
                   o_seconds = Unix.gettimeofday () -. t_start;
                 }

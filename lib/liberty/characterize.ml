@@ -90,80 +90,27 @@ let characterize_arc tech ~size ~edge grid =
     tail_50_90 = lut t59;
   }
 
-(* Per-tech size-indexed store.  One [store] per (technology, grid) holds a
-   size-sorted array of characterized cells, so a sizing sweep over N
-   candidate sizes characterizes each size exactly once across all nets,
-   domains, and repeats — and callers (the optimizer, the dashboard) can ask
-   which sizes are already paid for.  The store is shared by every domain of
-   a parallel flow; guard it so concurrent lookups are safe.
-   Characterization itself runs outside the lock (it is deterministic, so a
-   rare duplicated run is only wasted work, never a wrong table — the first
-   insert wins). *)
-type store = { mutable entries : (float * Table.cell) array  (* sorted by size *) }
+(* One process-wide store of characterized cells, shared by every domain,
+   so a sizing sweep characterizes each size once across all nets and
+   repeats.  The key holds the grid's values, compared structurally:
+   characterizing the same cell on a different grid never returns its
+   tables.  The key keeps copies, so a caller mutating its grid afterwards
+   cannot re-key a cell.  Size goes first because [Hashtbl.hash] reads
+   only ten values and the grid holds fifteen: with size last, every size
+   of a grid would hash alike.  A cell is about 5 KB, so the 1,024-cell
+   bound is about 5 MB; a sizing ladder uses nine. *)
+let store : (float * string * float array * float array, Table.cell) Rlc_obs.Memo.t =
+  Rlc_obs.Memo.create ~capacity:1024 ()
 
-let stores : (string * float array * float array, store) Hashtbl.t = Hashtbl.create 4
-let cache_mutex = Mutex.create ()
-
-(* Global visibility counters: sweep-scale loops live or die on this memo,
-   so hit/miss/store totals are first-class (surfaced in flow/optimize
-   stats and the daemon's metrics exposition). *)
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let stored = Atomic.make 0
-
-let stats () = (Atomic.get hits, Atomic.get misses, Atomic.get stored)
-
-let with_cache f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-let clear_cache () = with_cache (fun () -> Hashtbl.reset stores)
-
-(* The grid's values are the store key, compared structurally: characterizing
-   the same cell on a different grid must never return its tables, however
-   the two grids hash.  The key keeps copies, so a caller mutating its grid
-   afterwards cannot re-key a store. *)
-let store_for ~grid tech =
-  match Hashtbl.find_opt stores (tech.Tech.name, grid.slews, grid.caps) with
-  | Some s -> s
-  | None ->
-      let s = { entries = [||] } in
-      Hashtbl.add stores (tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) s;
-      s
-
-let find_size entries size =
-  let lo = ref 0 and hi = ref (Array.length entries - 1) and found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let s, c = entries.(mid) in
-    if s = size then begin
-      found := Some c;
-      lo := !hi + 1
-    end
-    else if s < size then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let sizes ?(grid = default_grid) tech =
-  with_cache (fun () ->
-      let st = store_for ~grid tech in
-      Array.to_list (Array.map fst st.entries))
+let stats () = Rlc_obs.Memo.stats store
+let clear_cache () = Rlc_obs.Memo.clear store
 
 let cell ?(obs = Rlc_obs.Obs.null) ?(grid = default_grid) tech ~size =
-  let module Obs = Rlc_obs.Obs in
-  let st = with_cache (fun () -> store_for ~grid tech) in
-  match with_cache (fun () -> find_size st.entries size) with
-  | Some c ->
-      Atomic.incr hits;
-      Obs.incr obs "char.hits";
-      c
-  | None ->
-      Atomic.incr misses;
-      Obs.incr obs "char.misses";
-      let rise = characterize_arc tech ~size ~edge:Testbench.Rise grid in
-      let fall = characterize_arc tech ~size ~edge:Testbench.Fall grid in
-      let c =
+  let key = (size, tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) in
+  let c, hit =
+    Rlc_obs.Memo.find_or_add store key (fun () ->
+        let rise = characterize_arc tech ~size ~edge:Testbench.Rise grid in
+        let fall = characterize_arc tech ~size ~edge:Testbench.Fall grid in
         {
           Table.name = Printf.sprintf "inv_%gx" size;
           drive_size = size;
@@ -171,19 +118,10 @@ let cell ?(obs = Rlc_obs.Obs.null) ?(grid = default_grid) tech ~size =
           input_cap = Inverter.input_cap (Inverter.make tech ~size);
           rise;
           fall;
-        }
-      in
-      with_cache (fun () ->
-          (* First insert wins so concurrent domains agree on the table. *)
-          match find_size st.entries size with
-          | Some existing -> existing
-          | None ->
-              let arr = Array.append st.entries [| (size, c) |] in
-              Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
-              st.entries <- arr;
-              Atomic.incr stored;
-              Obs.incr obs "char.stores";
-              c)
+        })
+  in
+  Rlc_obs.Obs.incr obs (if hit then "char.hits" else "char.misses");
+  c
 
 (* Result-returning variants for embedders (the service daemon, the CLI)
    that must answer with a typed error instead of dying on a bad driver

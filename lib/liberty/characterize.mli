@@ -3,7 +3,7 @@
     This plays the role of the foundry's SPICE characterization runs — each
     grid point is one transient of (ramp input -> inverter -> pure
     capacitance), measured with the shared {!Rlc_waveform.Measure}
-    conventions.  Results are memoized per (technology, size, grid) because
+    conventions.  Results are memoized per (size, technology, grid) because
     the effective-capacitance iterations hit the same cell repeatedly. *)
 
 type grid = {
@@ -22,26 +22,24 @@ val cell_res :
   size:float ->
   (Table.cell, Rlc_errors.Error.t) result
 (** Characterize both output arcs of an inverter of the given size.
-    Results are memoized in a per-(technology, grid) size-indexed store
-    shared across domains; repeated calls are free, and a sizing sweep over
-    N candidate sizes pays for each size exactly once.  [obs] bumps
-    ["char.hits"] / ["char.misses"] / ["char.stores"] counters (the same
-    totals are always available via {!stats}).  The user-reachable exits
-    are typed: a non-positive size is {!Rlc_errors.Error.Bad_request},
-    a grid point whose waveform never completes is
+    Results are memoized in one process-wide store keyed by (size,
+    technology, grid values) and shared across domains; repeated calls are
+    free, and a sizing sweep over N candidate sizes pays for each size
+    once.  [obs] bumps ["char.hits"] / ["char.misses"] (the same totals
+    are always available via {!stats}).  The user-reachable exits are
+    typed: a non-positive size is {!Rlc_errors.Error.Bad_request}, a grid
+    point whose waveform never completes is
     {!Rlc_errors.Error.Internal}. *)
 
-val stats : unit -> int * int * int
-(** [(hits, misses, stores)] of the characterization memo since start,
-    summed over every technology, grid, and domain.  [stores <= misses];
-    the gap is concurrent domains racing to characterize the same cell
-    (first insert wins). *)
-
-val sizes : ?grid:grid -> Rlc_devices.Tech.t -> float list
-(** The driver sizes already characterized for this (technology, grid),
-    ascending.  Lets a sweep report its table-reuse footprint. *)
+val stats : unit -> Rlc_obs.Memo.stats
+(** The store's counters since start, over every technology, grid and
+    domain.  The store is a one-shard {!Rlc_obs.Memo} of 1,024 cells
+    (about 5 KB each), least recently used evicted first.  Two domains
+    that miss the same cell at once both characterize it and both count
+    a miss; the first to finish stores it. *)
 
 val clear_cache : unit -> unit
+(** Drop every stored cell; the counters keep running. *)
 
 val characterize_point_res :
   Rlc_devices.Tech.t -> size:float -> edge:Rlc_devices.Testbench.edge ->

@@ -86,12 +86,18 @@ let positive name = function
   | Some x when x <= 0. -> bad "field %S must be positive" name
   | v -> Ok v
 
-(* A time step: positive and finite (JSON has no NaN, but 1e400 parses as
-   infinity, which would step the engine once at t = infinity). *)
-let step name = function
+(* JSON has no NaN, but 1e400 parses as infinity: a time step of it would
+   step the engine once at t = infinity, and a case geometry of it fails
+   deep in the library under an internal function's name. *)
+let finite_pos name = function
   | Some x when not (x > 0. && Float.is_finite x) ->
       bad "field %S must be a finite positive number" name
   | v -> Ok v
+
+let num_req_finite_pos name fields =
+  let* v = num_req name fields in
+  let* _ = finite_pos name (Some v) in
+  Ok v
 
 let num_req_pos name fields =
   let* v = num_req name fields in
@@ -120,7 +126,7 @@ let parse_flow fields =
   let* f_slew_ps = Result.bind (num_opt "slew_ps" fields) (positive "slew_ps") in
   let* f_required_ps = num_opt "required_ps" fields in
   let* f_use_cache = bool_opt "use_cache" fields in
-  let* f_dt_ps = Result.bind (num_opt "dt_ps" fields) (step "dt_ps") in
+  let* f_dt_ps = Result.bind (num_opt "dt_ps" fields) (finite_pos "dt_ps") in
   Ok (Flow { f_spef; f_spec; f_size; f_slew_ps; f_required_ps; f_use_cache; f_dt_ps })
 
 let parse_flow_req fields =
@@ -197,12 +203,12 @@ let parse_design_unload fields =
   Ok (Design_unload handle)
 
 let parse_case fields =
-  let* c_length_mm = num_req_pos "length_mm" fields in
-  let* c_width_um = num_req_pos "width_um" fields in
+  let* c_length_mm = num_req_finite_pos "length_mm" fields in
+  let* c_width_um = num_req_finite_pos "width_um" fields in
   let* c_size = num_req_pos "size" fields in
-  let* c_slew_ps = Result.bind (num_opt "slew_ps" fields) (positive "slew_ps") in
-  let* c_cl_ff = num_opt "cl_ff" fields in
-  let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (step "dt_ps") in
+  let* c_slew_ps = Result.bind (num_opt "slew_ps" fields) (finite_pos "slew_ps") in
+  let* c_cl_ff = Result.bind (num_opt "cl_ff" fields) (level "cl_ff") in
+  let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (finite_pos "dt_ps") in
   Ok { c_length_mm; c_width_um; c_size; c_slew_ps; c_cl_ff; c_dt_ps }
 
 let parse_request ?(max_bytes = default_max_bytes) line =

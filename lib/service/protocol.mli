@@ -39,8 +39,9 @@
       ["budget"] (fractions of VDD, finite and [>= 0]) and ["alignments"]
       (grid size, an integer in [1 .. Rlc_xtalk.Xtalk.max_alignments]).
     - ["sweep_case"] / ["screen"]: one geometric case; required
-      ["length_mm"], ["width_um"], ["size"]; optional ["slew_ps"],
-      ["cl_ff"], ["dt_ps"] (sweep only; finite and [> 0]).
+      ["length_mm"] and ["width_um"] (finite and [> 0]) and ["size"]
+      ([> 0]); optional ["slew_ps"] (finite and [> 0]), ["cl_ff"] (finite
+      and [>= 0]) and ["dt_ps"] (sweep only; finite and [> 0]).
     - ["ping"], ["stats"], ["metrics"], ["health"], ["shutdown"]: no
       parameters. *)
 

@@ -304,28 +304,13 @@ let dispatch t ~deadline ~trace (kind : Protocol.kind) :
   | Protocol.Ping -> (Ok [ ("pong", Json.Bool true) ], `Continue)
   | Protocol.Stats ->
       let s = Session.stats t.session in
-      let d = Session.design_stats t.session in
       ( Ok
           [
             ("uptime_s", Json.Float s.Session.uptime_s);
             ("requests_served", Json.Int s.Session.requests_served);
             ("requests_failed", Json.Int s.Session.requests_failed);
-            ( "cache",
-              Json.Obj
-                [
-                  ("entries", Json.Int s.Session.cache_entries);
-                  ("hits", Json.Int s.Session.cache_hits);
-                  ("misses", Json.Int s.Session.cache_misses);
-                  ("shards", Telemetry.shards_json (Session.shard_stats t.session));
-                ] );
-            ( "designs",
-              Json.Obj
-                [
-                  ("handles", Json.Int d.Session.ds_handles);
-                  ("capacity", Json.Int d.Session.ds_capacity);
-                  ("nets", Json.Int d.Session.ds_nets);
-                  ("evictions", Json.Int d.Session.ds_evictions);
-                ] );
+            ("cache", Telemetry.cache_json s (Session.shard_stats t.session));
+            ("designs", Telemetry.designs_json (Session.design_stats t.session));
             ( "server",
               Json.Obj
                 [

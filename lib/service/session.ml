@@ -9,6 +9,7 @@ module Report = Rlc_flow.Report
 module Evaluate = Rlc_ceff.Evaluate
 module Units = Rlc_num.Units
 module Pool = Rlc_parallel.Pool
+module Memo = Rlc_obs.Memo
 
 module Config = struct
   type t = {
@@ -74,34 +75,28 @@ module Request = struct
 end
 
 (* A resident incrementally timed design.  [timed] is replaced wholesale on
-   each applied delta under [lock]; [last_used] is a logical-clock stamp
-   driving LRU eviction.  [req] is the load-time request with the
+   each applied delta under [lock].  [req] is the load-time request with the
    per-request fields (deadline, trace, progress) stripped — deltas rebuild
    those per call.  [entries] holds the last report's per-net entries,
    which the next delta's report copies where their inputs are unchanged
    (also only under [lock]). *)
 type design_entry = {
-  handle : string;
   req : Request.t;
   mutable timed : Flow.Timed.t;
   entries : Report.entries;
   lock : Mutex.t;
-  last_used : int Atomic.t;
 }
 
 type t = {
   config : Config.t;
   pool : Pool.t;
-  cache : Flow.solve Rlc_flow.Cache.t;
+  cache : Flow.cache;
   started_at : float;
   (* counted from concurrent server worker domains *)
   served : int Atomic.t;
   failed : int Atomic.t;
-  designs : (string, design_entry) Hashtbl.t;
-  designs_lock : Mutex.t;
+  designs : (string, design_entry) Memo.t;  (* one shard: LRU over every handle *)
   design_seq : int Atomic.t;
-  design_clock : int Atomic.t;
-  design_evictions : int Atomic.t;
   mutable closed : bool;
 }
 
@@ -109,17 +104,10 @@ type stats = {
   uptime_s : float;
   requests_served : int;
   requests_failed : int;
-  cache_entries : int;
-  cache_hits : int;
-  cache_misses : int;
+  cache : Memo.stats;
 }
 
-type design_store_stats = {
-  ds_handles : int;
-  ds_capacity : int;
-  ds_nets : int;
-  ds_evictions : int;
-}
+type design_store_stats = { ds_store : Memo.stats; ds_nets : int }
 
 let create ?(config = Config.default) () =
   {
@@ -129,11 +117,8 @@ let create ?(config = Config.default) () =
     started_at = Unix.gettimeofday ();
     served = Atomic.make 0;
     failed = Atomic.make 0;
-    designs = Hashtbl.create 8;
-    designs_lock = Mutex.create ();
+    designs = Memo.create ~capacity:(Int.max 1 config.Config.design_capacity) ();
     design_seq = Atomic.make 0;
-    design_clock = Atomic.make 0;
-    design_evictions = Atomic.make 0;
     closed = false;
   }
 
@@ -153,21 +138,15 @@ let note t ~ok = Atomic.incr (if ok then t.served else t.failed)
 
 let is_closed t = t.closed
 
-let shard_stats t = Rlc_flow.Cache.shard_stats t.cache
+let shard_stats (t : t) = Memo.shard_stats t.cache
 
-let stats t =
+let stats (t : t) =
   {
     uptime_s = Unix.gettimeofday () -. t.started_at;
     requests_served = Atomic.get t.served;
     requests_failed = Atomic.get t.failed;
-    cache_entries = Rlc_flow.Cache.length t.cache;
-    cache_hits = Rlc_flow.Cache.hits t.cache;
-    cache_misses = Rlc_flow.Cache.misses t.cache;
+    cache = Memo.stats t.cache;
   }
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* Map the raising conventions of the numeric layers to typed errors.
    Deliberately NOT a catch-all: unknown exceptions (including
@@ -267,47 +246,15 @@ let flow t (req : Request.t) design =
 
 (* ------------------------------------------------------- design store *)
 
-let touch t entry = Atomic.set entry.last_used (Atomic.fetch_and_add t.design_clock 1)
-
-let find_entry t handle =
-  with_lock t.designs_lock (fun () -> Hashtbl.find_opt t.designs handle)
-
 let unknown_handle handle =
   Error.Bad_request (Printf.sprintf "unknown design handle %S" handle)
 
-let capacity t = Int.max 1 t.config.Config.design_capacity
-
+(* Inserting beyond the store's capacity evicts the least recently used
+   handle.  An in-flight delta on it finishes on its own reference; only
+   the store entry goes away. *)
 let register t ~req ~entries timed =
   let handle = "d" ^ string_of_int (1 + Atomic.fetch_and_add t.design_seq 1) in
-  let entry =
-    {
-      handle;
-      req;
-      timed;
-      entries;
-      lock = Mutex.create ();
-      last_used = Atomic.make (Atomic.fetch_and_add t.design_clock 1);
-    }
-  in
-  with_lock t.designs_lock (fun () ->
-      Hashtbl.replace t.designs handle entry;
-      while Hashtbl.length t.designs > capacity t do
-        let victim =
-          Hashtbl.fold
-            (fun _ e acc ->
-              match acc with
-              | None -> Some e
-              | Some b -> if Atomic.get e.last_used < Atomic.get b.last_used then Some e else acc)
-            t.designs None
-        in
-        match victim with
-        | Some e ->
-            (* An in-flight delta on the evicted handle finishes on its own
-               reference; only the table entry goes away. *)
-            Hashtbl.remove t.designs e.handle;
-            Atomic.incr t.design_evictions
-        | None -> ()
-      done);
+  Memo.replace t.designs handle { req; timed; entries; lock = Mutex.create () };
   handle
 
 let design_load t ?spef_name ?spec ?spec_name ?size ?slew ~req ~spef () =
@@ -325,13 +272,12 @@ let design_load t ?spef_name ?spec ?spec_name ?size ?slew ~req ~spef () =
   Ok (handle, outcome)
 
 let flow_delta t ?deadline ?trace ~handle delta =
-  match find_entry t handle with
+  match Memo.find t.designs handle with
   | None -> Error (unknown_handle handle)
   | Some entry ->
-      touch t entry;
       (* The entry lock serializes deltas per handle: each one re-times
          against the state its predecessor left. *)
-      with_lock entry.lock (fun () ->
+      Mutex.protect entry.lock (fun () ->
           let ( let* ) = Result.bind in
           let req = entry.req in
           let* timed, delta_stats =
@@ -350,24 +296,16 @@ let flow_delta t ?deadline ?trace ~handle delta =
           Ok (outcome, delta_stats))
 
 let design_unload t handle =
-  with_lock t.designs_lock (fun () ->
-      if Hashtbl.mem t.designs handle then begin
-        Hashtbl.remove t.designs handle;
-        Ok ()
-      end
-      else Error (unknown_handle handle))
+  if Memo.remove t.designs handle then Ok () else Error (unknown_handle handle)
 
 let design_stats t =
-  with_lock t.designs_lock (fun () ->
-      {
-        ds_handles = Hashtbl.length t.designs;
-        ds_capacity = capacity t;
-        ds_nets =
-          Hashtbl.fold
-            (fun _ e acc -> acc + Rlc_flow.Design.n_nets (Flow.Timed.design e.timed))
-            t.designs 0;
-        ds_evictions = Atomic.get t.design_evictions;
-      })
+  {
+    ds_store = Memo.stats t.designs;
+    ds_nets =
+      Memo.fold
+        (fun _ e acc -> acc + Rlc_flow.Design.n_nets (Flow.Timed.design e.timed))
+        t.designs 0;
+  }
 
 (* --------------------------------------------------------------- case *)
 

@@ -1,12 +1,13 @@
 (** A resident timing session — the redesigned embedding API.
 
     One value of type {!t} owns everything that is worth keeping warm
-    between requests: the technology, the characterization memo tables
+    between requests: the technology, the characterization store
     (populated on first use, shared process-wide), the cross-request Ceff
-    result {!Rlc_flow.Cache}, a running {!Rlc_parallel.Pool} of worker
-    domains, and a bounded store of resident incrementally timed designs
-    ({!design_load} / {!flow_delta}).  The CLI's one-shot [flow] command
-    and the {!Server} both drive this module — the same ingest, the same
+    result cache ({!Rlc_flow.Flow.create_cache}), a running
+    {!Rlc_parallel.Pool} of worker domains, and a bounded store of
+    resident incrementally timed designs ({!design_load} /
+    {!flow_delta}), each store an {!Rlc_obs.Memo}.  The CLI's one-shot
+    [flow] command and the {!Server} both drive this module — the same ingest, the same
     {!Request.t}, the same {!Rlc_flow.Report.json_string} — which is what
     guarantees the daemon's report payloads are byte-identical to the
     CLI's.
@@ -29,7 +30,7 @@ module Config : sig
     design_capacity : int;
         (** resident designs kept by the store, default 8 (clamped to at
             least 1); loading beyond it evicts the least-recently-used
-            handle *)
+            handle (a use is a load or a delta) *)
     obs : Rlc_obs.Obs.t;  (** default disabled *)
   }
 
@@ -164,7 +165,7 @@ val flow_delta :
     rest keep their ingest records, cache keys and solves wherever those
     inputs are provably the previous ones.  Re-solves are looked up in the
     session's Ceff cache but never inserted, so deltas leave
-    [stats.cache_entries] where {!design_load} left it.  The report copies
+    [stats.cache.entries] where {!design_load} left it.  The report copies
     each net entry from the handle's previous report when the entry's
     inputs are unchanged ({!Rlc_flow.Report.entries}); the summary is
     recomputed.  The returned report is byte-identical to a cold run of
@@ -204,16 +205,12 @@ type stats = {
   uptime_s : float;
   requests_served : int;
   requests_failed : int;
-  cache_entries : int;  (** Ceff cache population *)
-  cache_hits : int;  (** cumulative since [create] *)
-  cache_misses : int;
+  cache : Rlc_obs.Memo.stats;  (** the session's Ceff cache *)
 }
 
 type design_store_stats = {
-  ds_handles : int;  (** designs currently resident *)
-  ds_capacity : int;
+  ds_store : Rlc_obs.Memo.stats;  (** [entries] are the resident handles *)
   ds_nets : int;  (** nets held across all resident designs *)
-  ds_evictions : int;  (** LRU evictions since [create] *)
 }
 
 val note : t -> ok:bool -> unit
@@ -225,7 +222,7 @@ val design_stats : t -> design_store_stats
 (** Design-store pressure, surfaced by the [stats]/[metrics] responses so
     [top] can show a v2 daemon's resident-design footprint. *)
 
-val shard_stats : t -> Rlc_flow.Cache.shard_stat array
-(** Per-shard population and hit/miss counters of the session's Ceff
-    cache, index-ordered — the telemetry layer surfaces these in the
-    [stats] and [metrics] responses. *)
+val shard_stats : t -> Rlc_obs.Memo.stats array
+(** Per-shard stats of the session's Ceff cache, index-ordered — the
+    telemetry layer surfaces these in the [stats] and [metrics]
+    responses. *)

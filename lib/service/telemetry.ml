@@ -11,7 +11,7 @@
 
 module Obs = Rlc_obs.Obs
 module Window = Rlc_obs.Window
-module Cache = Rlc_flow.Cache
+module Memo = Rlc_obs.Memo
 
 type server_info = { workers : int; queue_capacity : int; queue_depth : int }
 
@@ -21,15 +21,38 @@ let high_water capacity = Int.max 1 (((4 * capacity) + 4) / 5)
 
 (* ------------------------------------------------------------- helpers *)
 
-let shard_json (s : Cache.shard_stat) =
+let memo_json ?(extra = []) (s : Memo.stats) =
+  Json.Obj
+    ([
+       ("entries", Json.Int s.Memo.entries);
+       ("capacity", Json.Int s.Memo.capacity);
+       ("hits", Json.Int s.Memo.hits);
+       ("misses", Json.Int s.Memo.misses);
+       ("evictions", Json.Int s.Memo.evictions);
+     ]
+    @ extra)
+
+let shard_json (s : Memo.stats) =
   Json.Obj
     [
-      ("entries", Json.Int s.Cache.s_length);
-      ("hits", Json.Int s.Cache.s_hits);
-      ("misses", Json.Int s.Cache.s_misses);
+      ("entries", Json.Int s.Memo.entries);
+      ("hits", Json.Int s.Memo.hits);
+      ("misses", Json.Int s.Memo.misses);
     ]
 
 let shards_json shards = Json.List (Array.to_list (Array.map shard_json shards))
+
+let cache_json (stats : Session.stats) shards =
+  memo_json ~extra:[ ("shards", shards_json shards) ] stats.Session.cache
+
+let designs_json (d : Session.design_store_stats) =
+  memo_json
+    ~extra:
+      [
+        ("handles", Json.Int d.Session.ds_store.Memo.entries);
+        ("nets", Json.Int d.Session.ds_nets);
+      ]
+    d.Session.ds_store
 
 let latest_counter window name =
   match Window.latest window with
@@ -168,53 +191,49 @@ let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store
     (float_of_int server.queue_capacity);
   gauge "service_queue_depth" "Requests currently queued."
     (float_of_int server.queue_depth);
-  gauge "service_cache_entries" "Ceff cache population."
-    (float_of_int stats.Session.cache_entries);
-  counter "service_cache_hits_total" "Ceff cache hits since start."
-    stats.Session.cache_hits;
-  counter "service_cache_misses_total" "Ceff cache misses since start."
-    stats.Session.cache_misses;
-  let ch, cm, cs = Rlc_liberty.Characterize.stats () in
-  counter "service_char_hits_total" "Characterization-memo hits since start." ch;
-  counter "service_char_misses_total" "Characterization-memo misses since start." cm;
-  counter "service_char_stores_total" "Characterized cells stored since start." cs;
-  let hh, hm = Rlc_circuit.Engine.Compiled.cache_stats () in
-  counter "service_handle_hits_total"
-    "Compiled transient-handle cache hits since start." hh;
-  counter "service_handle_misses_total"
-    "Compiled transient-handle cache misses since start." hm;
+  let memo prefix what (m : Memo.stats) =
+    gauge (prefix ^ "_entries") (what ^ " entries.") (float_of_int m.Memo.entries);
+    gauge (prefix ^ "_capacity") (what ^ " bound on entries.") (float_of_int m.Memo.capacity);
+    counter (prefix ^ "_hits_total") (what ^ " hits since start.") m.Memo.hits;
+    counter (prefix ^ "_misses_total") (what ^ " misses since start.") m.Memo.misses;
+    counter (prefix ^ "_evictions_total") (what ^ " LRU evictions since start.")
+      m.Memo.evictions
+  in
+  memo "service_cache" "Ceff cache" stats.Session.cache;
+  let cells = Rlc_liberty.Characterize.stats () in
+  memo "service_char" "Characterization store" cells;
+  counter "service_char_stores_total" "Characterized cells resident." cells.Memo.entries;
+  memo "service_handle" "Compiled transient-handle cache"
+    (Rlc_circuit.Engine.Compiled.cache_stats ());
+  memo "service_designs" "ECO design store" designs.Session.ds_store;
   gauge "service_designs_resident" "Designs resident in the ECO store."
-    (float_of_int designs.Session.ds_handles);
-  gauge "service_designs_capacity" "ECO design store capacity."
-    (float_of_int designs.Session.ds_capacity);
+    (float_of_int designs.Session.ds_store.Memo.entries);
   gauge "service_designs_nets" "Nets held across resident designs."
     (float_of_int designs.Session.ds_nets);
-  counter "service_designs_evictions_total" "LRU design evictions since start."
-    designs.Session.ds_evictions;
   if Array.length shards > 0 then begin
     meta "service_cache_shard_entries" "gauge"
       "Ceff cache population, by shard.";
     Array.iteri
-      (fun i (s : Cache.shard_stat) ->
+      (fun i (s : Memo.stats) ->
         sample "service_cache_shard_entries"
           ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_length))
+          (string_of_int s.Memo.entries))
       shards;
     meta "service_cache_shard_hits_total" "counter"
       "Ceff cache hits since start, by shard.";
     Array.iteri
-      (fun i (s : Cache.shard_stat) ->
+      (fun i (s : Memo.stats) ->
         sample "service_cache_shard_hits_total"
           ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_hits))
+          (string_of_int s.Memo.hits))
       shards;
     meta "service_cache_shard_misses_total" "counter"
       "Ceff cache misses since start, by shard.";
     Array.iteri
-      (fun i (s : Cache.shard_stat) ->
+      (fun i (s : Memo.stats) ->
         sample "service_cache_shard_misses_total"
           ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_misses))
+          (string_of_int s.Memo.misses))
       shards
   end;
   let histogram name help (st : Obs.stat_summary) =
@@ -291,31 +310,14 @@ let metrics_fields ~session ~server ~window () =
           ("queue_depth", Json.Int server.queue_depth);
           ("queue_high_water", Json.Int (high_water server.queue_capacity));
         ] );
-    ( "cache",
-      Json.Obj
-        [
-          ("entries", Json.Int stats.Session.cache_entries);
-          ("hits", Json.Int stats.Session.cache_hits);
-          ("misses", Json.Int stats.Session.cache_misses);
-          ("shards", shards_json shards);
-        ] );
+    ("cache", cache_json stats shards);
     ( "characterization",
-      (* Process-global memo counters (the table is shared by every session
-         and one-shot flow in the process), exact like the cache atomics. *)
-      let ch, cm, cs = Rlc_liberty.Characterize.stats () in
-      Json.Obj
-        [ ("hits", Json.Int ch); ("misses", Json.Int cm); ("stores", Json.Int cs) ] );
-    ( "handles",
-      let hh, hm = Rlc_circuit.Engine.Compiled.cache_stats () in
-      Json.Obj [ ("hits", Json.Int hh); ("misses", Json.Int hm) ] );
-    ( "designs",
-      Json.Obj
-        [
-          ("handles", Json.Int designs.Session.ds_handles);
-          ("capacity", Json.Int designs.Session.ds_capacity);
-          ("nets", Json.Int designs.Session.ds_nets);
-          ("evictions", Json.Int designs.Session.ds_evictions);
-        ] );
+      (* The process-wide store, shared by every session and one-shot flow
+         in the process.  [stores] is its resident entries. *)
+      let c = Rlc_liberty.Characterize.stats () in
+      memo_json ~extra:[ ("stores", Json.Int c.Memo.entries) ] c );
+    ("handles", memo_json (Rlc_circuit.Engine.Compiled.cache_stats ()));
+    ("designs", designs_json designs);
     ("prometheus", Json.Str (prometheus ~stats ~shards ~designs ~server ~window ()));
   ]
 

@@ -14,9 +14,17 @@ val high_water : int -> int
 (** Readiness threshold for the admission queue: [ceil(0.8 * capacity)],
     at least 1.  [health] reports not-ready once the depth reaches it. *)
 
-val shards_json : Rlc_flow.Cache.shard_stat array -> Json.t
-(** Per-shard cache stats as a JSON list of [{entries, hits, misses}] —
-    shared by the [stats] and [metrics] responses. *)
+(** Every cache block of the [stats] and [metrics] responses ([cache],
+    [characterization], [handles], [designs]) starts with the same five
+    fields, [{entries, capacity, hits, misses, evictions}], written by one
+    helper over {!Rlc_obs.Memo.stats}. *)
+
+val cache_json : Session.stats -> Rlc_obs.Memo.stats array -> Json.t
+(** The Ceff cache block, plus [shards]: a list of per-shard
+    [{entries, hits, misses}]. *)
+
+val designs_json : Session.design_store_stats -> Json.t
+(** The design-store block, plus [handles] (= [entries]) and [nets]. *)
 
 val metrics_fields :
   session:Session.t ->
@@ -27,10 +35,10 @@ val metrics_fields :
 (** The [metrics] response body: [uptime_s], exact [totals], per-kind
     counters, a [window] block (req/s, timeout/rejection rates, cache hit
     ratio, p50/p95/p99 ms via {!Rlc_obs.Obs.Histogram.quantile}, worker
-    utilization), [server] gauges, [cache] aggregate + per-shard stats, a
-    [designs] block ({!Session.design_stats} — ECO store pressure for
-    [top]), and the full Prometheus text exposition under ["prometheus"].
-    Window-derived floats are [nan] (rendered as JSON [null]) when the
+    utilization), [server] gauges, the four cache blocks ([cache] with
+    per-shard stats, [characterization] with [stores], [handles], and
+    [designs] — ECO store pressure for [top]), and the full Prometheus
+    text exposition under ["prometheus"].  Window-derived floats are [nan] (rendered as JSON [null]) when the
     window lacks data — fewer than two samples, or no traffic.  The
     window's req/s and latency quantiles exclude [metrics]/[health]
     scrapes (the server never feeds them into ["service.requests"] or
@@ -50,7 +58,7 @@ val health_fields :
 
 val prometheus :
   stats:Session.stats ->
-  shards:Rlc_flow.Cache.shard_stat array ->
+  shards:Rlc_obs.Memo.stats array ->
   designs:Session.design_store_stats ->
   server:server_info ->
   window:Rlc_obs.Window.t ->
@@ -58,4 +66,7 @@ val prometheus :
   string
 (** The Prometheus text exposition alone ([# HELP]/[# TYPE] metadata,
     counters, gauges, and log2-bucketed histograms with cumulative [le]
-    buckets, [_sum], [_count] and [+Inf]). *)
+    buckets, [_sum], [_count] and [+Inf]).  Each cache [c] in [cache],
+    [char], [handle] and [designs] has [service_c_entries] and
+    [service_c_capacity] gauges and [service_c_hits_total],
+    [service_c_misses_total] and [service_c_evictions_total] counters. *)

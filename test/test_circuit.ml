@@ -3,6 +3,7 @@
    before any effective-capacitance experiment can be trusted. *)
 open Rlc_circuit
 open Rlc_waveform
+module Memo = Rlc_obs.Memo
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -712,16 +713,16 @@ let test_compiled_restamp () =
 
 let test_compiled_cache_keying () =
   Engine.Compiled.clear_cache ();
-  let h0, m0 = Engine.Compiled.cache_stats () in
+  let s0 = Engine.Compiled.cache_stats () in
   let nl1, _ = build_rc_pair 1e3 1e-12 in
   let ha = Engine.Compiled.cached nl1 in
   (* Same structure, different values: must hit and restamp, not rebuild. *)
   let nl2, out2 = build_rc_pair 2e3 2e-12 in
   let hb = Engine.Compiled.cached nl2 in
   Alcotest.(check bool) "same-structure netlists share the handle" true (ha == hb);
-  let h1, m1 = Engine.Compiled.cache_stats () in
-  Alcotest.(check int) "first lookup missed" 1 (m1 - m0);
-  Alcotest.(check int) "second lookup hit" 1 (h1 - h0);
+  let s1 = Engine.Compiled.cache_stats () in
+  Alcotest.(check int) "first lookup missed" 1 (s1.Memo.misses - s0.Memo.misses);
+  Alcotest.(check int) "second lookup hit" 1 (s1.Memo.hits - s0.Memo.hits);
   (* The restamped hit must still be exact. *)
   let r = Engine.Compiled.run ~dt:5e-12 ~t_stop:2e-9 hb in
   let fresh = Engine.transient ~dt:5e-12 ~t_stop:2e-9 nl2 in
@@ -731,9 +732,33 @@ let test_compiled_cache_keying () =
   Netlist.capacitor nl3 out3 Netlist.ground 5e-15;
   let hc = Engine.Compiled.cached nl3 in
   Alcotest.(check bool) "different structure gets its own handle" true (hc != ha);
-  let _, m2 = Engine.Compiled.cache_stats () in
-  Alcotest.(check int) "topology change missed" 1 (m2 - m1);
+  let s2 = Engine.Compiled.cache_stats () in
+  Alcotest.(check int) "topology change missed" 1 (s2.Memo.misses - s1.Memo.misses);
   Engine.Compiled.clear_cache ()
+
+(* Two domains each cache a handle: one entry per domain, and a
+   [clear_cache] from the calling domain drops the worker's handle too.
+   Each job waits for the other to start, so both domains run one. *)
+let test_compiled_cache_clear_all_domains () =
+  Engine.Compiled.clear_cache ();
+  let arrived = Atomic.make 0 in
+  let ran =
+    Rlc_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Rlc_parallel.Pool.map pool 2 (fun _ ->
+            Atomic.incr arrived;
+            let t0 = Unix.gettimeofday () in
+            while Atomic.get arrived < 2 && Unix.gettimeofday () -. t0 < 10. do
+              Domain.cpu_relax ()
+            done;
+            let nl, _ = build_rc_pair 1e3 1e-12 in
+            ignore (Engine.Compiled.cached nl);
+            Domain.self ()))
+  in
+  Alcotest.(check bool) "two domains ran" true (ran.(0) <> ran.(1));
+  Alcotest.(check int) "one handle per domain" 2 (Engine.Compiled.cache_stats ()).Memo.entries;
+  Engine.Compiled.clear_cache ();
+  Alcotest.(check int) "clear drops every domain's handles" 0
+    (Engine.Compiled.cache_stats ()).Memo.entries
 
 (* A candidate sweep's unit of work: one coupled bus replayed at several
    aggressor alignments.  Bit 0 is the quiet victim; the other bits ramp at
@@ -776,7 +801,7 @@ let test_compiled_candidate_sweep () =
   let adaptive = Engine.default_adaptive ~dt_min:dt () in
   let offsets = [ 10e-12; 15e-12; 20e-12; 25e-12 ] in
   Engine.Compiled.clear_cache ();
-  let _, m0 = Engine.Compiled.cache_stats () in
+  let m0 = (Engine.Compiled.cache_stats ()).Memo.misses in
   let pass k =
     List.iter
       (fun off ->
@@ -798,7 +823,7 @@ let test_compiled_candidate_sweep () =
   in
   pass 1;
   pass 2;
-  let _, m1 = Engine.Compiled.cache_stats () in
+  let m1 = (Engine.Compiled.cache_stats ()).Memo.misses in
   Alcotest.(check int) "one handle for every candidate" 1 (m1 - m0);
   Engine.Compiled.clear_cache ()
 
@@ -1264,6 +1289,8 @@ let () =
             test_compiled_restamp;
           Alcotest.test_case "handle cache keys on structure" `Quick
             test_compiled_cache_keying;
+          Alcotest.test_case "clear_cache drops every domain's handles" `Quick
+            test_compiled_cache_clear_all_domains;
           Alcotest.test_case "candidate sweep reruns without refactoring" `Quick
             test_compiled_candidate_sweep;
         ] );

@@ -4,6 +4,7 @@
 module Spec = Rlc_flow.Spec
 module Design = Rlc_flow.Design
 module Cache = Rlc_flow.Cache
+module Memo = Rlc_obs.Memo
 module Pool = Rlc_parallel.Pool
 module Flow = Rlc_flow.Flow
 module Report = Rlc_flow.Report
@@ -254,27 +255,29 @@ let test_pool_parallelism () =
 (* ------------------------------------------------------------- cache *)
 
 let test_cache_basics () =
-  let c : int Cache.t = Cache.create () in
+  let c : (string, int) Memo.t = Memo.create ~capacity:8 () in
   let calls = ref 0 in
   let compute () = incr calls; 42 in
-  let v, hit = Cache.find_or_add c "k" compute in
+  let v, hit = Memo.find_or_add c "k" compute in
   Alcotest.(check bool) "miss" false hit;
   Alcotest.(check int) "value" 42 v;
-  let v', hit' = Cache.find_or_add c "k" compute in
+  let v', hit' = Memo.find_or_add c "k" compute in
   Alcotest.(check bool) "hit" true hit';
   Alcotest.(check int) "same value" 42 v';
   Alcotest.(check int) "computed once" 1 !calls;
-  Alcotest.(check int) "hits" 1 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c);
-  Alcotest.(check int) "length" 1 (Cache.length c);
-  Cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Cache.length c)
+  Alcotest.(check int) "hits" 1 (Memo.stats c).Memo.hits;
+  Alcotest.(check int) "misses" 1 (Memo.stats c).Memo.misses;
+  Alcotest.(check int) "length" 1 (Memo.stats c).Memo.entries;
+  Memo.clear c;
+  Alcotest.(check int) "cleared" 0 (Memo.stats c).Memo.entries
 
 let test_cache_sharded_concurrent () =
-  let c : int Cache.t = Cache.create ~shards:4 () in
-  Alcotest.(check int) "power-of-two count kept" 4 (Cache.shards c);
-  Alcotest.(check int) "odd count rounds up" 8 (Cache.shards (Cache.create ~shards:5 () : int Cache.t));
-  Alcotest.(check int) "zero clamps to one shard" 1 (Cache.shards (Cache.create ~shards:0 () : int Cache.t));
+  let create shards : (string, int) Memo.t = Memo.create ~shards ~capacity:64 () in
+  let shards c = Array.length (Memo.shard_stats c) in
+  let c = create 4 in
+  Alcotest.(check int) "power-of-two count kept" 4 (shards c);
+  Alcotest.(check int) "odd count rounds up" 8 (shards (create 5));
+  Alcotest.(check int) "zero clamps to one shard" 1 (shards (create 0));
   (* Hammer one cache from several domains.  Every find_or_add counts
      exactly one hit or one miss, values are first-insert-wins, and the
      per-shard stats must reconcile with the aggregate view. *)
@@ -284,28 +287,29 @@ let test_cache_sharded_concurrent () =
     for _ = 1 to rounds do
       Array.iter
         (fun k ->
-          let v, _hit = Cache.find_or_add c k (fun () -> String.length k) in
+          let v, _hit = Memo.find_or_add c k (fun () -> String.length k) in
           assert (v = String.length k))
         keys
     done
   in
   let domains = List.init writers (fun _ -> Domain.spawn worker) in
   List.iter Domain.join domains;
-  Alcotest.(check int) "one entry per distinct key" (Array.length keys) (Cache.length c);
+  let total = Memo.stats c in
+  Alcotest.(check int) "one entry per distinct key" (Array.length keys) total.Memo.entries;
   Alcotest.(check int) "hits + misses = lookups" (writers * rounds * Array.length keys)
-    (Cache.hits c + Cache.misses c);
+    (total.Memo.hits + total.Memo.misses);
   Alcotest.(check bool) "each key missed at least once" true
-    (Cache.misses c >= Array.length keys);
-  let stats = Cache.shard_stats c in
-  Alcotest.(check int) "one stat per shard" (Cache.shards c) (Array.length stats);
+    (total.Memo.misses >= Array.length keys);
+  let stats = Memo.shard_stats c in
+  Alcotest.(check int) "one stat per shard" 4 (Array.length stats);
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  Alcotest.(check int) "shard lengths sum to length" (Cache.length c)
-    (sum (fun s -> s.Cache.s_length));
-  Alcotest.(check int) "shard hits sum to hits" (Cache.hits c) (sum (fun s -> s.Cache.s_hits));
-  Alcotest.(check int) "shard misses sum to misses" (Cache.misses c)
-    (sum (fun s -> s.Cache.s_misses));
-  Cache.clear c;
-  Alcotest.(check int) "clear empties every shard" 0 (Cache.length c)
+  Alcotest.(check int) "shard lengths sum to length" total.Memo.entries
+    (sum (fun s -> s.Memo.entries));
+  Alcotest.(check int) "shard hits sum to hits" total.Memo.hits (sum (fun s -> s.Memo.hits));
+  Alcotest.(check int) "shard misses sum to misses" total.Memo.misses
+    (sum (fun s -> s.Memo.misses));
+  Memo.clear c;
+  Alcotest.(check int) "clear empties every shard" 0 (Memo.stats c).Memo.entries
 
 let test_cache_quantize () =
   let q = Cache.quantize in

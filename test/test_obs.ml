@@ -345,6 +345,124 @@ let test_window_capacity () =
   Alcotest.(check int) "cleared" 0 (Window.samples w);
   Alcotest.(check int) "no delta after clear" 0 (Window.counter_delta w "c")
 
+(* ------------------------------------------------------------- memo *)
+
+module Memo = Rlc_obs.Memo
+
+type memo_op =
+  | Find_or_add of int * int
+  | Find of int
+  | Replace of int * int
+  | Remove of int
+  | Clear
+
+let show_memo_op = function
+  | Find_or_add (k, v) -> Printf.sprintf "find_or_add %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+let arb_memo_case =
+  let open QCheck.Gen in
+  let key = int_bound 11 and value = int_bound 99 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun k v -> Find_or_add (k, v)) key value);
+        (3, map (fun k -> Find k) key);
+        (2, map2 (fun k v -> Replace (k, v)) key value);
+        (1, map (fun k -> Remove k) key);
+        (1, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show_memo_op ops)))
+    (pair (int_range 1 8) (list_size (int_range 0 60) op))
+
+(* A one-shard memo against a list-based LRU model (most recent first):
+   every result, hit flag and counter agrees after every operation. *)
+let prop_memo_lru =
+  QCheck.Test.make ~name:"one-shard memo = list LRU model" ~count:500 arb_memo_case
+    (fun (cap, ops) ->
+      let t : (int, int) Memo.t = Memo.create ~capacity:cap () in
+      let items = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let use k v =
+        items := (k, v) :: List.remove_assoc k !items;
+        if List.length !items > cap then begin
+          items := List.filteri (fun i _ -> i < cap) !items;
+          incr evictions
+        end
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Find_or_add (k, v) ->
+                let expected =
+                  match List.assoc_opt k !items with
+                  | Some x ->
+                      incr hits;
+                      use k x;
+                      (x, true)
+                  | None ->
+                      incr misses;
+                      use k v;
+                      (v, false)
+                in
+                Memo.find_or_add t k (fun () -> v) = expected
+            | Find k ->
+                let expected = List.assoc_opt k !items in
+                (match expected with
+                | Some x ->
+                    incr hits;
+                    use k x
+                | None -> incr misses);
+                Memo.find t k = expected
+            | Replace (k, v) ->
+                use k v;
+                Memo.replace t k v;
+                true
+            | Remove k ->
+                let expected = List.mem_assoc k !items in
+                items := List.remove_assoc k !items;
+                Memo.remove t k = expected
+            | Clear ->
+                items := [];
+                Memo.clear t;
+                true
+          in
+          agree
+          && Memo.stats t
+             = {
+                 Memo.entries = List.length !items;
+                 capacity = cap;
+                 hits = !hits;
+                 misses = !misses;
+                 evictions = !evictions;
+               })
+        ops)
+
+(* The bound holds per shard: 200 distinct keys through 4 shards of 3
+   leave each shard full, and every insert past a full shard evicted. *)
+let test_memo_shard_bound () =
+  let t : (string, int) Memo.t = Memo.create ~shards:4 ~capacity:3 () in
+  for i = 1 to 200 do
+    ignore (Memo.find_or_add t (Printf.sprintf "key-%d" i) (fun () -> i))
+  done;
+  Array.iteri
+    (fun i (s : Memo.stats) ->
+      Alcotest.(check int) (Printf.sprintf "shard %d full" i) 3 s.Memo.entries;
+      Alcotest.(check int) (Printf.sprintf "shard %d bound" i) 3 s.Memo.capacity)
+    (Memo.shard_stats t);
+  let s = Memo.stats t in
+  Alcotest.(check int) "capacity sums the shards" 12 s.Memo.capacity;
+  Alcotest.(check int) "every extra insert evicted" (200 - 12) s.Memo.evictions;
+  Alcotest.(check int) "misses" 200 s.Memo.misses;
+  (* The most recent key of its shard is still resident. *)
+  Alcotest.(check (option int)) "latest key kept" (Some 200) (Memo.find t "key-200")
+
 let test_window_tick_independence () =
   (* The same instrumented run sampled every tick vs only at the endpoints
      yields the same window delta — cumulative samples make the digest
@@ -769,6 +887,11 @@ let () =
           Alcotest.test_case "window delta" `Quick test_window_delta;
           Alcotest.test_case "window capacity" `Quick test_window_capacity;
           Alcotest.test_case "window tick independence" `Quick test_window_tick_independence;
+        ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest prop_memo_lru;
+          Alcotest.test_case "bound per shard" `Quick test_memo_shard_bound;
         ] );
       ( "export",
         [

@@ -75,6 +75,15 @@ let test_jobs_deterministic () =
   Alcotest.(check string) "csv identical across jobs" (Report.optimize_csv_string o1)
     (Report.optimize_csv_string o4)
 
+(* Concurrent searches price the same ladder in the same order; each size
+   must still be characterized once, not once per domain that reaches it
+   first.  The seeded search prices all nine ladder sizes. *)
+let test_ladder_characterized_once () =
+  Rlc_liberty.Characterize.clear_cache ();
+  let o = run_optimize ~jobs:2 ~spec:sizing_spec ~required:(ps 150.) () in
+  Alcotest.(check int) "one characterization per ladder size" 9
+    o.Optimize.stats.Optimize.o_char_misses
+
 (* A design that already meets timing must come through untouched: no
    searches, no delta, and a post-"optimization" flow byte-identical to the
    base one. *)
@@ -94,6 +103,8 @@ let () =
         [
           Alcotest.test_case "recovers slack on seeded bus8" `Quick test_recovers_slack;
           Alcotest.test_case "reports identical for jobs 1 vs 4" `Quick test_jobs_deterministic;
+          Alcotest.test_case "jobs 2 characterizes each size once" `Quick
+            test_ladder_characterized_once;
           Alcotest.test_case "no-op when timing already met" `Quick test_noop_when_timing_met;
         ] );
     ]

@@ -7,6 +7,7 @@ module Protocol = Rlc_service.Protocol
 module Session = Rlc_service.Session
 module Server = Rlc_service.Server
 module Error = Rlc_service.Error
+module Memo = Rlc_obs.Memo
 
 let ok_or_fail = function
   | Ok v -> v
@@ -237,6 +238,38 @@ let test_protocol_dt_finite () =
       ("sweep_case", Protocol.schema, {|"length_mm":5,"width_um":1.2,"size":75,|});
     ]
 
+(* Case geometry beyond what the library accepts is refused at the
+   protocol, naming the field, instead of failing deep in the library
+   under an internal function's name. *)
+let test_protocol_case_finite () =
+  List.iter
+    (fun (kind, extra, message) ->
+      let line =
+        Printf.sprintf {|{"schema":"%s","kind":"%s",%s}|} Protocol.schema kind extra
+      in
+      match parse_req line with
+      | Ok _ -> Alcotest.failf "%s %s accepted" kind extra
+      | Error e ->
+          Alcotest.(check string) (extra ^ " code") "bad_request" (Error.code e);
+          Alcotest.(check string) (extra ^ " message") message (Error.message e))
+    [
+      ( "sweep_case",
+        {|"length_mm":1e400,"width_um":1.2,"size":75|},
+        {|field "length_mm" must be a finite positive number|} );
+      ( "screen",
+        {|"length_mm":5,"width_um":1e400,"size":75|},
+        {|field "width_um" must be a finite positive number|} );
+      ( "sweep_case",
+        {|"length_mm":5,"width_um":1.2,"size":75,"slew_ps":1e400|},
+        {|field "slew_ps" must be a finite positive number|} );
+      ( "screen",
+        {|"length_mm":5,"width_um":1.2,"size":75,"cl_ff":1e400|},
+        {|field "cl_ff" must be a finite number >= 0|} );
+      ( "screen",
+        {|"length_mm":5,"width_um":1.2,"size":75,"cl_ff":-5|},
+        {|field "cl_ff" must be a finite number >= 0|} );
+    ]
+
 let test_protocol_responses () =
   let ok = Protocol.ok_response ~id:(Json.Int 3) [ ("pong", Json.Bool true) ] in
   let j = json_of ok in
@@ -322,7 +355,7 @@ let test_session_flow_and_cache () =
         (stats second).Rlc_flow.Flow.iterations_spent;
       Alcotest.(check string) "identical reports" first.Session.report second.Session.report;
       let s = Session.stats session in
-      Alcotest.(check bool) "cache populated" true (s.Session.cache_entries > 0))
+      Alcotest.(check bool) "cache populated" true (s.Session.cache.Memo.entries > 0))
 
 let test_session_ingest_errors () =
   with_default_session (fun session ->
@@ -378,22 +411,22 @@ let test_session_design_store () =
       Alcotest.(check int) "retimed + reused = nets" 8
         (st.Rlc_flow.Flow.retimed + st.Rlc_flow.Flow.reused);
       let s = Session.design_stats session in
-      Alcotest.(check int) "one handle resident" 1 s.Session.ds_handles;
-      Alcotest.(check int) "capacity surfaced" 2 s.Session.ds_capacity;
+      Alcotest.(check int) "one handle resident" 1 s.Session.ds_store.Memo.entries;
+      Alcotest.(check int) "capacity surfaced" 2 s.Session.ds_store.Memo.capacity;
       Alcotest.(check int) "nets held" 8 s.Session.ds_nets;
       (* Fill the store, then overflow it: h1 is the LRU victim. *)
       let _h2, _ = load () in
       let h3, _ = load () in
       let s = Session.design_stats session in
-      Alcotest.(check int) "capacity bounds residency" 2 s.Session.ds_handles;
-      Alcotest.(check int) "one eviction" 1 s.Session.ds_evictions;
+      Alcotest.(check int) "capacity bounds residency" 2 s.Session.ds_store.Memo.entries;
+      Alcotest.(check int) "one eviction" 1 s.Session.ds_store.Memo.evictions;
       (match Session.flow_delta session ~handle:h1 delta with
       | Error (Error.Bad_request _) -> ()
       | Error e -> Alcotest.fail ("wrong error: " ^ Error.to_string e)
       | Ok _ -> Alcotest.fail "evicted handle accepted");
       ok_or_fail (Session.design_unload session h3);
       Alcotest.(check int) "unload drops the handle" 1
-        (Session.design_stats session).Session.ds_handles;
+        (Session.design_stats session).Session.ds_store.Memo.entries;
       match Session.design_unload session h3 with
       | Error (Error.Bad_request _) -> ()
       | Error e -> Alcotest.fail ("wrong error: " ^ Error.to_string e)
@@ -409,7 +442,7 @@ let test_session_delta_cache () =
           (Session.design_load session ~req:Session.Request.default ~spef:(read_file bus8_spef)
              ~spec:(read_file bus8_spec) ())
       in
-      let entries = (Session.stats session).Session.cache_entries in
+      let entries = (Session.stats session).Session.cache.Memo.entries in
       Alcotest.(check int) "one entry per load miss"
         loaded.Session.result.Rlc_flow.Flow.stats.Rlc_flow.Flow.cache_misses entries;
       let delta ?(drivers = []) ?(slews = []) () =
@@ -419,7 +452,7 @@ let test_session_delta_cache () =
                { Rlc_flow.Delta.empty with Rlc_flow.Delta.drivers; slews })
         in
         Alcotest.(check int) "cache size unchanged" entries
-          (Session.stats session).Session.cache_entries;
+          (Session.stats session).Session.cache.Memo.entries;
         (out, st)
       in
       for k = 1 to 4 do
@@ -1564,6 +1597,36 @@ let test_server_metrics_prometheus () =
       Alcotest.(check (float 0.)) "prom up" 1. (prom_sample samples "service_up");
       Alcotest.(check (float 0.)) "prom kind flow" 2.
         (prom_sample samples {|service_requests_kind_total{kind="flow"}|});
+      (* Every cache block carries the same five fields, and each matches
+         its Prometheus series. *)
+      let five = [ "entries"; "capacity"; "hits"; "misses"; "evictions" ] in
+      List.iter
+        (fun (block, prom) ->
+          let b = member block m in
+          List.iter
+            (fun f ->
+              let v =
+                match Json.get_int (member f b) with
+                | Some v -> v
+                | None -> Alcotest.failf "%s.%s is not an integer" block f
+              in
+              let series =
+                Printf.sprintf "service_%s_%s%s" prom f
+                  (if f = "entries" || f = "capacity" then "" else "_total")
+              in
+              Alcotest.(check (float 0.)) (series ^ " = " ^ block ^ "." ^ f) (float_of_int v)
+                (prom_sample samples series))
+            five)
+        [ ("cache", "cache"); ("characterization", "char"); ("handles", "handle");
+          ("designs", "designs") ];
+      List.iter
+        (fun block ->
+          List.iter
+            (fun f ->
+              Alcotest.(check bool) ("stats " ^ block ^ "." ^ f) true
+                (Json.get_int (member f (member block stats)) <> None))
+            five)
+        [ "cache"; "designs" ];
       (* Histogram buckets are cumulative and capped by +Inf == _count. *)
       let buckets =
         List.filter
@@ -1799,6 +1862,7 @@ let () =
           Alcotest.test_case "v2 kinds" `Quick test_protocol_v2_kinds;
           Alcotest.test_case "rejections" `Quick test_protocol_rejections;
           Alcotest.test_case "dt_ps must be finite" `Quick test_protocol_dt_finite;
+          Alcotest.test_case "case geometry must be finite" `Quick test_protocol_case_finite;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
         ] );
       ( "errors",
