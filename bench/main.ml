@@ -193,12 +193,18 @@ let table1 ?(jobs = 1) () =
   let acc = Array.make 6 0. in
   let n = List.length Experiments.table1 in
   (* Evaluate the rows on the pool; print (and accumulate) sequentially in
-     row order afterwards so the output is identical for every [jobs]. *)
-  let rows = Array.of_list Experiments.table1 in
+     row order afterwards so the output is identical for every [jobs].
+     The rows' cells are characterized on the same pool first, one after
+     another, so the rows find them stored. *)
+  let cases = Array.of_list (List.map Experiments.case_of_row Experiments.table1) in
   let cmps =
     Rlc_parallel.Pool.with_pool ~jobs (fun pool ->
-        Rlc_parallel.Pool.map pool (Array.length rows) (fun i ->
-            Evaluate.run ~dt:dt_sweep (Experiments.case_of_row rows.(i))))
+        Array.iter
+          (fun (c : Evaluate.case) ->
+            ignore (Characterize.cell_res ~pool c.Evaluate.tech ~size:c.Evaluate.size))
+          cases;
+        Rlc_parallel.Pool.map pool (Array.length cases) (fun i ->
+            Evaluate.run ~dt:dt_sweep cases.(i)))
   in
   List.iteri
     (fun idx row ->

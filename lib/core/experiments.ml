@@ -127,9 +127,11 @@ let stats_of_points ~delay ~slew points =
     slew_within_10 = frac_within 10. slew;
   }
 
-let model_only (case : Evaluate.case) =
+let model_only ~pool (case : Evaluate.case) =
   let cell =
-    match Rlc_liberty.Characterize.cell_res case.Evaluate.tech ~size:case.Evaluate.size with
+    match
+      Rlc_liberty.Characterize.cell_res ~pool case.Evaluate.tech ~size:case.Evaluate.size
+    with
     | Ok c -> c
     | Error e -> failwith (Rlc_errors.Error.message e)
   in
@@ -147,17 +149,26 @@ let run_sweep ?(obs = Rlc_obs.Obs.null) ?(dt = 0.5e-12) ?adaptive ?(jobs = 1)
      recommendation.  Results are order-stable either way. *)
   let pool = Pool.borrow ~jobs () in
   let case_arr = Array.of_list cases in
+  (* Look every case's cell up first, one after another, so each distinct
+     cell is characterized once, as a batch of its grid points on the
+     sweep's pool: the screen pass's concurrent jobs would otherwise miss
+     the same cell at once and each characterize it.  A cell that fails is
+     left to its cases, which screen out. *)
+  List.iter
+    (fun (c : Evaluate.case) ->
+      ignore
+        (Rlc_liberty.Characterize.cell_res ~obs ~pool c.Evaluate.tech ~size:c.Evaluate.size))
+    cases;
   (* Cheap pass: model + screen only; expensive reference runs are reserved
      for the inductive survivors, as in the paper's 165-case figure.  Both
      passes go through [Pool.map], whose result array is in submission
      order, so the sweep's points (and hence its statistics) are identical
-     for every [jobs] value.  Cell characterization behind [model_only] is
-     memoized under a mutex, so the workers share one table. *)
+     for every [jobs] value. *)
   let screen_t0 = Obs.start obs in
   let screened =
     Pool.map ~obs pool (Array.length case_arr) (fun i ->
         let c = case_arr.(i) in
-        match model_only c with
+        match model_only ~pool c with
         | m -> m.Driver_model.screen.Screen.significant
         | exception _ -> false)
   in

@@ -100,7 +100,9 @@ val run_sweep :
   sweep_stats
 (** Model every case (cheap), keep those the screen marks inductive, then
     reference-simulate and score only those — mirroring the paper's "165
-    inductive cases".
+    inductive cases".  Each distinct (technology, size) cell is
+    characterized first, one after another on the sweep's pool, so a
+    cold store counts one characterization miss per distinct cell.
 
     [adaptive] switches the reference transients to LTE-controlled stepping
     ([dt] is then unused by the engine).

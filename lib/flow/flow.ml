@@ -164,8 +164,8 @@ let canonicalize ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
   in
   { q_slew; q_pade; q_line; q_cl; key }
 
-let cell_exn ?obs tech ~size =
-  match Characterize.cell_res ?obs tech ~size with
+let cell_exn ?obs ?pool tech ~size =
+  match Characterize.cell_res ?obs ?pool tech ~size with
   | Ok c -> c
   | Error e -> failwith (Rlc_errors.Error.message e)
 
@@ -298,11 +298,12 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
       v
     end
   in
-  (* Characterize every driver size once, in the calling domain, so the
-     worker domains only ever read the (mutex-guarded) memo table.  A delta
-     can introduce a driver size the cold run never saw. *)
+  (* Characterize every driver size once, before the solves, so the solve
+     jobs only ever read the store.  Each miss fans its grid points out
+     over the run's pool, one size after another.  A delta can introduce a
+     driver size the cold run never saw. *)
   timed "characterize" (fun () ->
-      List.iter (fun size -> ignore (cell_exn ~obs tech ~size)) design.Design.sizes);
+      List.iter (fun size -> ignore (cell_exn ~obs ~pool tech ~size)) design.Design.sizes);
   let results : net_result option array = Array.make n None in
   let keys = Array.make n "" in
   (* The run's own cache and work counts, folded from its outcomes. *)

@@ -142,8 +142,9 @@ val with_run : Config.t -> (unit -> 'a) -> 'a
 val run_cfg : Config.t -> Design.t -> result
 (** Run the flow cold under a {!Config.t}: the solve pass with nothing to
     reuse, inserting every miss into the cache.  Cells for every driver
-    size are characterized up front in the calling domain (the memo table
-    is shared, read-only during fan-out).
+    size are characterized up front, one size after another, each as one
+    batch of its grid points on the run's pool (the store is shared and
+    only read during the solve fan-out).
 
     [Config.obs] (default disabled) records a ["flow.net"] span (args: net
     name, level, [cache] hit/miss, Ceff iteration count, waveform shape)

@@ -92,8 +92,8 @@ type search = {
    deterministically — so the margin trades sweep time, not soundness. *)
 let screen_margin = 1.3
 
-let estimate_delay ~obs ~tech ~(net : Design.net) ~size ~edge ~input_slew =
-  match Characterize.cell_res ~obs tech ~size with
+let estimate_delay ~obs ~pool ~tech ~(net : Design.net) ~size ~edge ~input_slew =
+  match Characterize.cell_res ~obs ~pool tech ~size with
   | Error e -> failwith (Rlc_errors.Error.message e)
   | Ok cell ->
       let model =
@@ -115,7 +115,7 @@ let escalation_band = 0.05
    driver for noise-level gains over a 150X one. *)
 let partial_band = 0.02
 
-let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residual
+let search_net (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
     (r : Flow.net_result) =
   let net = r.Flow.net in
   let obs = cfg.Flow.Config.obs in
@@ -127,7 +127,9 @@ let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residu
     List.filter (fun s -> s > net.Design.size) (List.sort_uniq Float.compare sizes)
   in
   let tried = ref 0 and screened = ref 0 and escal = ref 0 in
-  let est_base = estimate_delay ~obs ~tech ~net ~size:net.Design.size ~edge ~input_slew in
+  let est_base =
+    estimate_delay ~obs ~pool ~tech ~net ~size:net.Design.size ~edge ~input_slew
+  in
   (* Model-only predictions for the whole ladder first (no replay): they
      set the screen level.  When even the best prediction misses the
      target — a deficit larger than any resize can recover — the screen
@@ -137,7 +139,7 @@ let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residu
     List.map
       (fun size ->
         Deadline.check_ambient ();
-        let est = estimate_delay ~obs ~tech ~net ~size ~edge ~input_slew in
+        let est = estimate_delay ~obs ~pool ~tech ~net ~size ~edge ~input_slew in
         (size, if est_base > 0. then base *. (est /. est_base) else est))
       candidates
   in
@@ -210,7 +212,8 @@ let search_net (cfg : Flow.Config.t) ~tech ~repeaters ~max_stages ~sizes ~residu
               incr tried;
               Obs.incr obs "optimize.candidates";
               match
-                Sta.analyze_res ~dt:cfg.Flow.Config.dt ~tech ~input_slew ~sink_cl:cl stages
+                Sta.analyze_res ~dt:cfg.Flow.Config.dt ~tech ~pool ~input_slew ~sink_cl:cl
+                  stages
               with
               | Error _ -> ()
               | Ok pr -> (
@@ -326,24 +329,21 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
             (* Every search prices the ladder above its net's size in the
                same ascending order, so concurrent searches would all miss
                a size at once and each characterize it.  Characterize the
-               sizes this level prices first, one size per job. *)
-            let priced =
-              List.filter
-                (fun size ->
+               sizes this level prices first, one after another, each a
+               batch of its grid points on the run's pool. *)
+            List.iter
+              (fun size ->
+                if
                   Array.exists
                     (fun (id, _) -> size > before.Flow.results.(id).Flow.net.Design.size)
-                    jobs)
-                ladder
-              |> Array.of_list
-            in
-            ignore
-              (Pool.map ~obs pool (Array.length priced) (fun k ->
-                   Characterize.cell_res ~obs tech ~size:priced.(k)));
+                    jobs
+                then ignore (Characterize.cell_res ~obs ~pool tech ~size))
+              ladder;
             let found =
               Pool.map ~obs pool (Array.length jobs) (fun k ->
                   Deadline.check_ambient ();
                   let id, residual = jobs.(k) in
-                  search_net cfg ~tech ~repeaters ~max_stages ~sizes ~residual
+                  search_net cfg ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
                     before.Flow.results.(id))
             in
             Array.iteri

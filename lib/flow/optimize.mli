@@ -25,8 +25,10 @@
     The chosen resizes are applied as one {!Delta.t} and verified with an
     incremental {!Flow.retime} — [after] is byte-identical to a cold run of
     the edited sources.  Candidate searches fan out over the domain pool
-    per level; every search is a pure function of the base results and the
-    candidate, so fixes and reports are byte-identical for any jobs count.
+    per level, after the ladder sizes the level prices are characterized
+    one after another, each as one batch on the same pool; every search
+    is a pure function of the base results and the candidate, so fixes
+    and reports are byte-identical for any jobs count.
     The candidate loop polls {!Rlc_errors.Deadline.check_ambient} between
     candidates, so a served/budgeted optimize times out as a wire-stable
     [timeout]. *)

@@ -64,31 +64,36 @@ let characterize_point tech ~size ~edge ~input_slew ~cap =
   in
   (delay, slew_10_90, slew_20_80, tail_50_90)
 
-let characterize_arc tech ~size ~edge grid =
-  let point i j =
-    characterize_point tech ~size ~edge ~input_slew:grid.slews.(i) ~cap:grid.caps.(j)
-  in
+(* Both arcs' grid points as one batch, indexed in the order a serial loop
+   would run them -- rise before fall, then slews, then caps -- so the
+   pool's lowest-index error is the point a serial run fails on first.
+   Every point is its own fresh transient, so the tables are the same bits
+   on any pool. *)
+let characterize_arcs ?obs ~pool tech ~size grid =
   let n_s = Array.length grid.slews and n_c = Array.length grid.caps in
-  let delay = Array.make_matrix n_s n_c 0.
-  and s19 = Array.make_matrix n_s n_c 0.
-  and s28 = Array.make_matrix n_s n_c 0.
-  and t59 = Array.make_matrix n_s n_c 0. in
-  for i = 0 to n_s - 1 do
-    for j = 0 to n_c - 1 do
-      let d, a, b, t = point i j in
-      delay.(i).(j) <- d;
-      s19.(i).(j) <- a;
-      s28.(i).(j) <- b;
-      t59.(i).(j) <- t
-    done
-  done;
-  let lut values = Table.make_lut ~slews:grid.slews ~caps:grid.caps ~values in
-  {
-    Table.delay = lut delay;
-    slew_10_90 = lut s19;
-    slew_20_80 = lut s28;
-    tail_50_90 = lut t59;
-  }
+  let per_arc = n_s * n_c in
+  let edges = [| Testbench.Rise; Testbench.Fall |] in
+  let points =
+    Rlc_parallel.Pool.map ?obs pool (2 * per_arc) (fun k ->
+        characterize_point tech ~size ~edge:edges.(k / per_arc)
+          ~input_slew:grid.slews.(k mod per_arc / n_c)
+          ~cap:grid.caps.(k mod n_c))
+  in
+  let arc a =
+    let lut f =
+      Table.make_lut ~slews:grid.slews ~caps:grid.caps
+        ~values:
+          (Array.init n_s (fun i ->
+               Array.init n_c (fun j -> f points.((a * per_arc) + (i * n_c) + j))))
+    in
+    {
+      Table.delay = lut (fun (d, _, _, _) -> d);
+      slew_10_90 = lut (fun (_, s, _, _) -> s);
+      slew_20_80 = lut (fun (_, _, s, _) -> s);
+      tail_50_90 = lut (fun (_, _, _, t) -> t);
+    }
+  in
+  (arc 0, arc 1)
 
 (* One process-wide store of characterized cells, shared by every domain,
    so a sizing sweep characterizes each size once across all nets and
@@ -105,12 +110,12 @@ let store : (float * string * float array * float array, Table.cell) Rlc_obs.Mem
 let stats () = Rlc_obs.Memo.stats store
 let clear_cache () = Rlc_obs.Memo.clear store
 
-let cell ?(obs = Rlc_obs.Obs.null) ?(grid = default_grid) tech ~size =
+let cell ?(obs = Rlc_obs.Obs.null) ?pool ?(grid = default_grid) tech ~size =
   let key = (size, tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) in
   let c, hit =
     Rlc_obs.Memo.find_or_add store key (fun () ->
-        let rise = characterize_arc tech ~size ~edge:Testbench.Rise grid in
-        let fall = characterize_arc tech ~size ~edge:Testbench.Fall grid in
+        let pool = Rlc_parallel.Pool.borrow ?pool () in
+        let rise, fall = characterize_arcs ~obs ~pool tech ~size grid in
         {
           Table.name = Printf.sprintf "inv_%gx" size;
           drive_size = size;
@@ -135,8 +140,8 @@ let characterize_point_res tech ~size ~edge ~input_slew ~cap =
   | exception (Rlc_circuit.Engine.Newton_diverged _ as e) ->
       Error (Rlc_errors.Error.Internal (Printexc.to_string e))
 
-let cell_res ?obs ?grid tech ~size =
-  match cell ?obs ?grid tech ~size with
+let cell_res ?obs ?pool ?grid tech ~size =
+  match cell ?obs ?pool ?grid tech ~size with
   | c -> Ok c
   | exception Invalid_argument msg -> Error (Rlc_errors.Error.Bad_request msg)
   | exception Failure msg -> Error (Rlc_errors.Error.Internal msg)

@@ -17,6 +17,7 @@ val default_grid : grid
 
 val cell_res :
   ?obs:Rlc_obs.Obs.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   ?grid:grid ->
   Rlc_devices.Tech.t ->
   size:float ->
@@ -26,10 +27,26 @@ val cell_res :
     technology, grid values) and shared across domains; repeated calls are
     free, and a sizing sweep over N candidate sizes pays for each size
     once.  [obs] bumps ["char.hits"] / ["char.misses"] (the same totals
-    are always available via {!stats}).  The user-reachable exits are
-    typed: a non-positive size is {!Rlc_errors.Error.Bad_request}, a grid
-    point whose waveform never completes is
-    {!Rlc_errors.Error.Internal}. *)
+    are always available via {!stats}).
+
+    A miss runs both arcs' grid points (2 x 7 slews x 8 caps = 112 on the
+    default grid) as one {!Rlc_parallel.Pool.map} batch on [pool], which
+    records its ["pool.batch"] span into [obs].  [pool] defaults to
+    [Rlc_parallel.Pool.borrow ()], the process-wide resident pool of the
+    machine's recommended size; a caller that already holds a pool should
+    pass it, so characterization never runs on a second pool beside the
+    run's (a one-domain pool runs the points inline).  A hit costs a
+    lookup whatever the pool.  Every point is an independent fresh
+    transient, so the tables are bit-identical on any pool.
+
+    The user-reachable exits are typed: a non-positive size is
+    {!Rlc_errors.Error.Bad_request}, a grid point whose waveform never
+    completes or whose Newton iteration diverges is
+    {!Rlc_errors.Error.Internal}.  When several points fail, the error is
+    the one of the point a serial run would reach first (rise before
+    fall, then slews, then caps, each in grid order): the pool
+    re-raises its lowest-index failure.  The batch still runs every
+    point, so a size whose every point fails pays for all of them. *)
 
 val stats : unit -> Rlc_obs.Memo.stats
 (** The store's counters since start, over every technology, grid and

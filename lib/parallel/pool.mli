@@ -4,8 +4,9 @@
     service daemon's), otherwise the process-wide resident pool for the
     requested jobs count, so back-to-back runs reuse the same
     worker domains instead of spawning and retiring their own.  A flow run
-    feeds its pool one batch per timing level, the experiment sweep one
-    batch per pass; workers pull job indices from an atomic counter, so
+    feeds its pool one batch per driver size it characterizes (the size's
+    grid points) and one per timing level, the experiment sweep one batch
+    per pass; workers pull job indices from an atomic counter, so
     scheduling is work-stealing-flat and the result array is always in
     submission order regardless of completion order (determinism of the
     flow reports does not depend on the pool).  The calling domain
@@ -48,7 +49,14 @@ val map : ?obs:Rlc_obs.Obs.t -> t -> int -> (int -> 'a) -> 'a array
     re-raised (deterministic error reporting under parallel execution).
     When [obs] is an enabled sink (default {!Rlc_obs.Obs.null}), the batch
     records a ["pool.batch"] span and every worker that picks it up a
-    ["pool.queue_wait_s"] histogram sample, both into [obs]. *)
+    ["pool.queue_wait_s"] histogram sample, both into [obs].
+
+    A [map] issued from inside a job of the same pool (a job that
+    characterizes a driver size, say) is safe: its master drains only its
+    own batch, then waits only for jobs that other domains have claimed
+    and are running, so a nested batch never waits on the batch that
+    contains it.  At worst the calling domain runs the nested batch alone
+    while the other domains finish the outer one. *)
 
 val run : ?obs:Rlc_obs.Obs.t -> t -> (unit -> unit) list -> unit
 (** Convenience: run thunks as one batch. *)

@@ -82,13 +82,11 @@ let num_opt name = opt_field name Json.get_float "a number"
 let bool_opt name = opt_field name Json.get_bool "a boolean"
 let num_req name = req_field name Json.get_float "a number"
 
-let positive name = function
-  | Some x when x <= 0. -> bad "field %S must be positive" name
-  | v -> Ok v
-
 (* JSON has no NaN, but 1e400 parses as infinity: a time step of it would
-   step the engine once at t = infinity, and a case geometry of it fails
-   deep in the library under an internal function's name. *)
+   step the engine once at t = infinity, a case geometry of it fails deep
+   in the library under an internal function's name, an infinite driver
+   size fails every characterization point, and an infinite slew is
+   silently clamped to the table's edge. *)
 let finite_pos name = function
   | Some x when not (x > 0. && Float.is_finite x) ->
       bad "field %S must be a finite positive number" name
@@ -98,10 +96,6 @@ let num_req_finite_pos name fields =
   let* v = num_req name fields in
   let* _ = finite_pos name (Some v) in
   Ok v
-
-let num_req_pos name fields =
-  let* v = num_req name fields in
-  if v <= 0. then bad "field %S must be positive" name else Ok v
 
 (* ------------------------------------------------------------ requests *)
 
@@ -122,8 +116,8 @@ let parse_flow fields =
     | None -> bad "a flow request needs %S or %S" "spef" "spef_file"
   in
   let* f_spec = parse_source ~inline_key:"spec" ~file_key:"spec_file" fields in
-  let* f_size = Result.bind (num_opt "size" fields) (positive "size") in
-  let* f_slew_ps = Result.bind (num_opt "slew_ps" fields) (positive "slew_ps") in
+  let* f_size = Result.bind (num_opt "size" fields) (finite_pos "size") in
+  let* f_slew_ps = Result.bind (num_opt "slew_ps" fields) (finite_pos "slew_ps") in
   let* f_required_ps = num_opt "required_ps" fields in
   let* f_use_cache = bool_opt "use_cache" fields in
   let* f_dt_ps = Result.bind (num_opt "dt_ps" fields) (finite_pos "dt_ps") in
@@ -186,14 +180,16 @@ let edit_map name conv what fields =
       |> Result.map List.rev
   | Some _ -> bad "field %S must be an object" name
 
-let get_pos_float v =
-  match Json.get_float v with Some x when x > 0. -> Some x | Some _ | None -> None
+let get_finite_pos v =
+  match Json.get_float v with
+  | Some x when x > 0. && Float.is_finite x -> Some x
+  | Some _ | None -> None
 
 let parse_flow_delta fields =
   let* d_handle = req_field "handle" Json.get_string "a string" fields in
   let* d_nets = edit_map "nets" Json.get_string "a string (*D_NET block)" fields in
-  let* d_drivers = edit_map "drivers" get_pos_float "a positive number" fields in
-  let* d_slews_ps = edit_map "slews_ps" get_pos_float "a positive number" fields in
+  let* d_drivers = edit_map "drivers" get_finite_pos "a finite positive number" fields in
+  let* d_slews_ps = edit_map "slews_ps" get_finite_pos "a finite positive number" fields in
   if d_nets = [] && d_drivers = [] && d_slews_ps = [] then
     bad "a flow_delta needs at least one edit (%S, %S or %S)" "nets" "drivers" "slews_ps"
   else Ok (Flow_delta { d_handle; d_nets; d_drivers; d_slews_ps })
@@ -205,7 +201,7 @@ let parse_design_unload fields =
 let parse_case fields =
   let* c_length_mm = num_req_finite_pos "length_mm" fields in
   let* c_width_um = num_req_finite_pos "width_um" fields in
-  let* c_size = num_req_pos "size" fields in
+  let* c_size = num_req_finite_pos "size" fields in
   let* c_slew_ps = Result.bind (num_opt "slew_ps" fields) (finite_pos "slew_ps") in
   let* c_cl_ff = Result.bind (num_opt "cl_ff" fields) (level "cl_ff") in
   let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (finite_pos "dt_ps") in

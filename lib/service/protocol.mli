@@ -23,7 +23,8 @@
     - ["flow_delta"]: required ["handle"]; edit maps ["nets"] (net name ->
       replacement [*D_NET ... *END] block text), ["drivers"] (net name ->
       new driver size) and ["slews_ps"] (primary-input net name -> new
-      slew in ps) — at least one edit across the three.  Re-times
+      slew in ps), sizes and slews finite and [> 0] — at least one edit
+      across the three.  Re-times
       incrementally and answers with the flow fields plus ["retimed_nets"]
       / ["reused_nets"].
     - ["design_unload"]: required ["handle"]; drops the resident design.
@@ -31,16 +32,16 @@
     Request kinds (v1, unchanged):
     - ["flow"]: time a full design.  Exactly one of ["spef"] (inline text)
       or ["spef_file"] (path the {e server} reads); at most one of ["spec"]
-      / ["spec_file"]; optional ["size"], ["slew_ps"] (spec defaults),
-      ["required_ps"], ["use_cache"], ["dt_ps"] (the replay step, finite
-      and [> 0]).
+      / ["spec_file"]; optional ["size"], ["slew_ps"] (spec defaults,
+      finite and [> 0]), ["required_ps"], ["use_cache"], ["dt_ps"] (the
+      replay step, finite and [> 0]).
     - ["xtalk"]: a ["flow"] request that also runs the coupled-net
       crosstalk analysis; same fields plus optional ["threshold"] and
       ["budget"] (fractions of VDD, finite and [>= 0]) and ["alignments"]
       (grid size, an integer in [1 .. Rlc_xtalk.Xtalk.max_alignments]).
     - ["sweep_case"] / ["screen"]: one geometric case; required
-      ["length_mm"] and ["width_um"] (finite and [> 0]) and ["size"]
-      ([> 0]); optional ["slew_ps"] (finite and [> 0]), ["cl_ff"] (finite
+      ["length_mm"], ["width_um"] and ["size"] (finite and [> 0]);
+      optional ["slew_ps"] (finite and [> 0]), ["cl_ff"] (finite
       and [>= 0]) and ["dt_ps"] (sweep only; finite and [> 0]).
     - ["ping"], ["stats"], ["metrics"], ["health"], ["shutdown"]: no
       parameters. *)

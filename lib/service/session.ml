@@ -324,23 +324,25 @@ let case t ?slew_ps ?cl_ff ~length_mm ~width_um ~size () =
         ?cl:(Option.map Units.ff cl_ff)
         ~label:"service" ~length_mm ~width_um ~size ~input_slew_ps ())
 
-let sweep_case t ?dt case =
+(* Characterization runs on the session's pool, so a [--jobs 1] daemon
+   keeps it on the domain serving the request. *)
+let cell t tech size =
+  Rlc_liberty.Characterize.cell_res ~obs:t.config.Config.obs ~pool:t.pool tech ~size
+
+(* The case's cell first, so [Evaluate.run] finds it in the store. *)
+let sweep_case t ?dt (case : Evaluate.case) =
+  let ( let* ) = Result.bind in
+  let* _ = cell t case.Evaluate.tech case.Evaluate.size in
   guard (fun () ->
       Evaluate.run ~obs:t.config.Config.obs ~dt:(Option.value dt ~default:t.config.Config.dt) case)
 
 let screen t (case : Evaluate.case) =
   let ( let* ) = Result.bind in
-  let* cell = Rlc_liberty.Characterize.cell_res t.config.Config.tech ~size:case.Evaluate.size in
+  let* cell = cell t t.config.Config.tech case.Evaluate.size in
   guard (fun () ->
       Rlc_ceff.Driver_model.model ~obs:t.config.Config.obs ~cell ~edge:Rlc_waveform.Measure.Rising
         ~input_slew:case.Evaluate.input_slew ~line:case.Evaluate.line ~cl:case.Evaluate.cl ())
 
-let warm t sizes =
-  let rec go = function
-    | [] -> Ok ()
-    | size :: rest -> (
-        match Rlc_liberty.Characterize.cell_res t.config.Config.tech ~size with
-        | Ok _ -> go rest
-        | Error e -> Error e)
-  in
-  go sizes
+let rec warm t = function
+  | [] -> Ok ()
+  | size :: rest -> Result.bind (cell t t.config.Config.tech size) (fun _ -> warm t rest)

@@ -197,7 +197,10 @@ val screen : t -> Rlc_ceff.Evaluate.case -> (Rlc_ceff.Driver_model.t, Error.t) r
 
 val warm : t -> float list -> (unit, Error.t) result
 (** Pre-characterize driver sizes into the memo table, so the first
-    request doesn't pay the characterization transient. *)
+    request doesn't pay the characterization transient.  Like
+    {!screen}, {!sweep_case} and every flow, it characterizes on the
+    session's own pool (a [jobs = 1] session inline), and records its
+    counters and ["pool.batch"] spans into [config.obs]. *)
 
 (** {2 Accounting} *)
 

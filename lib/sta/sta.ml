@@ -30,7 +30,7 @@ let clamp_slew s = Float.max (Units.ps 10.) (Float.min (Units.ps 400.) s)
    full swing and clamped into the characterized table range. *)
 let handoff_slew ~far_slew = clamp_slew (far_slew /. 0.8)
 
-let analyze ?(dt = 0.5e-12) ?(tech = Rlc_devices.Tech.c018) ~input_slew ~sink_cl stages =
+let analyze ?(dt = 0.5e-12) ?(tech = Rlc_devices.Tech.c018) ?pool ~input_slew ~sink_cl stages =
   if stages = [] then invalid_arg "Sta.analyze: empty path";
   let vdd = tech.Rlc_devices.Tech.vdd in
   let rec go acc arrival slew edge = function
@@ -42,7 +42,7 @@ let analyze ?(dt = 0.5e-12) ?(tech = Rlc_devices.Tech.c018) ~input_slew ~sink_cl
           | [] -> sink_cl
         in
         let cell =
-          match Characterize.cell_res tech ~size:stage.size with
+          match Characterize.cell_res ?pool tech ~size:stage.size with
           | Ok c -> c
           | Error e -> failwith (Rlc_errors.Error.message e)
         in
@@ -71,8 +71,8 @@ let analyze ?(dt = 0.5e-12) ?(tech = Rlc_devices.Tech.c018) ~input_slew ~sink_cl
   let total_delay = (List.nth stages (List.length stages - 1)).arrival in
   { stages; total_delay }
 
-let analyze_res ?dt ?tech ~input_slew ~sink_cl stages =
-  match analyze ?dt ?tech ~input_slew ~sink_cl stages with
+let analyze_res ?dt ?tech ?pool ~input_slew ~sink_cl stages =
+  match analyze ?dt ?tech ?pool ~input_slew ~sink_cl stages with
   | r -> Ok r
   | exception Invalid_argument msg -> Error (Rlc_errors.Error.Bad_request msg)
   | exception Failure msg -> Error (Rlc_errors.Error.Internal msg)

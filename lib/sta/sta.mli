@@ -40,18 +40,22 @@ type path_result = {
 val analyze :
   ?dt:float ->
   ?tech:Rlc_devices.Tech.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   input_slew:float ->
   sink_cl:float ->
   stage list ->
   path_result
 (** Requires at least one stage.  Intermediate stage loads are the input
     capacitance of the next stage's driver; the final stage sees
-    [sink_cl].  Raises on bad inputs ([Invalid_argument]) or an engine
-    failure; embedders that must not die should use {!analyze_res}. *)
+    [sink_cl].  A stage size not yet characterized is characterized on
+    [pool] (see {!Rlc_liberty.Characterize.cell_res}).  Raises on bad
+    inputs ([Invalid_argument]) or an engine failure; embedders that must
+    not die should use {!analyze_res}. *)
 
 val analyze_res :
   ?dt:float ->
   ?tech:Rlc_devices.Tech.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   input_slew:float ->
   sink_cl:float ->
   stage list ->

@@ -579,6 +579,27 @@ let test_sweep_jobs_deterministic () =
   Alcotest.(check (list int)) "progress counts each completion once" expected
     (List.sort compare !seen)
 
+(* The sweep characterizes its distinct sizes before the screen pass, so
+   the screen's concurrent jobs never miss the same cell at once: k sizes
+   cost exactly k misses. *)
+let test_sweep_characterizes_each_size_once () =
+  let sizes = [ 30.; 45.; 90. ] in
+  let cases =
+    List.concat_map
+      (fun size ->
+        List.map
+          (fun length_mm ->
+            Evaluate.case ~label:"short" ~length_mm ~width_um:0.8 ~size ~input_slew_ps:200. ())
+          [ 0.25; 0.5; 0.75; 1. ])
+      sizes
+  in
+  Rlc_liberty.Characterize.clear_cache ();
+  let before = Rlc_liberty.Characterize.stats () in
+  ignore (Experiments.run_sweep ~dt:1e-12 ~jobs:2 cases);
+  let after = Rlc_liberty.Characterize.stats () in
+  Alcotest.(check int) "one miss per distinct size" (List.length sizes)
+    (after.Rlc_obs.Memo.misses - before.Rlc_obs.Memo.misses)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_ceff"
@@ -638,5 +659,9 @@ let () =
             test_adaptive_matches_fixed_on_table1;
         ] );
       ( "sweep",
-        [ Alcotest.test_case "jobs-parallel sweep deterministic" `Slow test_sweep_jobs_deterministic ] );
+        [
+          Alcotest.test_case "jobs-parallel sweep deterministic" `Slow test_sweep_jobs_deterministic;
+          Alcotest.test_case "sweep characterizes each size once" `Quick
+            test_sweep_characterizes_each_size_once;
+        ] );
     ]

@@ -122,6 +122,73 @@ let test_store_keys_on_grid_values () =
   Alcotest.(check (array (float 0.))) "first grid's tables" g1.Characterize.caps (axis g1);
   Alcotest.(check (array (float 0.))) "second grid's tables" g2.Characterize.caps (axis g2)
 
+(* Characterization fans both arcs' grid points out over the pool; every
+   point is its own fresh transient, so a one-domain and a two-domain pool
+   must give the same bits in every entry of every table. *)
+let test_pooled_tables_bit_identical () =
+  let on jobs =
+    Characterize.clear_cache ();
+    Rlc_parallel.Pool.with_pool ~jobs (fun pool ->
+        match Characterize.cell_res ~pool tech ~size:60. with
+        | Ok c -> c
+        | Error e -> Alcotest.fail (Rlc_errors.Error.to_string e))
+  in
+  let c1 = on 1 and c2 = on 2 in
+  let bits (c : Table.cell) =
+    List.concat_map
+      (fun (arc : Table.timing) ->
+        List.concat_map
+          (fun (lut : Table.lut) ->
+            List.concat_map
+              (fun row -> Array.to_list (Array.map Int64.bits_of_float row))
+              (Array.to_list lut.Table.values))
+          [ arc.Table.delay; arc.Table.slew_10_90; arc.Table.slew_20_80; arc.Table.tail_50_90 ])
+      [ c.Table.rise; c.Table.fall ]
+  in
+  Alcotest.(check int) "2 arcs x 4 tables x 56 entries" 448 (List.length (bits c1));
+  Alcotest.(check (list int64)) "jobs 1 = jobs 2, bit for bit" (bits c1) (bits c2);
+  (* Each entry sits where its own point belongs: off-diagonal points of
+     both arcs equal a direct simulation of that point. *)
+  let g = Characterize.default_grid in
+  List.iter
+    (fun (edge, (arc : Table.timing), i, j) ->
+      let direct =
+        match
+          Characterize.characterize_point_res tech ~size:60. ~edge
+            ~input_slew:g.Characterize.slews.(i) ~cap:g.Characterize.caps.(j)
+        with
+        | Ok (d, s19, s28, t59) -> [ d; s19; s28; t59 ]
+        | Error e -> Alcotest.fail (Rlc_errors.Error.to_string e)
+      in
+      let tabled =
+        List.map
+          (fun (lut : Table.lut) -> lut.Table.values.(i).(j))
+          [ arc.Table.delay; arc.Table.slew_10_90; arc.Table.slew_20_80; arc.Table.tail_50_90 ]
+      in
+      Alcotest.(check (list int64))
+        (Printf.sprintf "point (%d, %d) in place" i j)
+        (List.map Int64.bits_of_float direct)
+        (List.map Int64.bits_of_float tabled))
+    [ (Testbench.Rise, c2.Table.rise, 6, 0); (Testbench.Fall, c2.Table.fall, 2, 5) ]
+
+(* The pool re-raises the lowest-index failure, which is the point a
+   serial run reaches first: the rise arc's smallest slew and cap. *)
+let test_pooled_error_is_first_point () =
+  List.iter
+    (fun jobs ->
+      Rlc_parallel.Pool.with_pool ~jobs (fun pool ->
+          match Characterize.cell_res ~pool tech ~size:infinity with
+          | Ok _ -> Alcotest.failf "jobs %d: an infinite size characterized" jobs
+          | Error e ->
+              Alcotest.(check string) (Printf.sprintf "jobs %d code" jobs) "internal"
+                (Rlc_errors.Error.code e);
+              Alcotest.(check string)
+                (Printf.sprintf "jobs %d message" jobs)
+                "Engine: Newton failed to converge at t=0 s (Characterize: size=inf, slew=20 \
+                 ps, cap=20 fF)"
+                (Rlc_errors.Error.message e)))
+    [ 1; 2 ]
+
 let test_fall_arc_differs () =
   let c = Lazy.force cell75 in
   let dr = Table.delay c ~edge:Rlc_waveform.Measure.Rising ~slew:(Units.ps 100.) ~cap:(Units.ff 200.) in
@@ -304,6 +371,10 @@ let () =
           Alcotest.test_case "cache" `Quick test_cache_hit;
           Alcotest.test_case "store keyed on grid values" `Quick test_store_keys_on_grid_values;
           Alcotest.test_case "fall arc" `Quick test_fall_arc_differs;
+          Alcotest.test_case "pooled tables bit-identical" `Quick
+            test_pooled_tables_bit_identical;
+          Alcotest.test_case "pooled error is the first point" `Quick
+            test_pooled_error_is_first_point;
           q prop_lookup_inside_grid_is_bounded;
         ] );
       ( "liberty",

@@ -270,6 +270,47 @@ let test_protocol_case_finite () =
         {|field "cl_ff" must be a finite number >= 0|} );
     ]
 
+(* Driver sizes and slews must be finite: an infinite size would fail
+   every characterization point, and an infinite slew would be clamped to
+   the table's edge without a word.  Every field that takes one refuses
+   it up front, naming the field (and the net, in an edit map). *)
+let test_protocol_sizes_finite () =
+  List.iter
+    (fun (line, message) ->
+      match parse_req line with
+      | Ok _ -> Alcotest.failf "%s accepted" line
+      | Error e ->
+          Alcotest.(check string) (line ^ " code") "bad_request" (Error.code e);
+          Alcotest.(check string) (line ^ " message") message (Error.message e))
+    (List.concat_map
+       (fun v ->
+         [
+           ( Printf.sprintf {|{"schema":"rlc-service/1","kind":"flow","spef":"x","size":%s}|} v,
+             {|field "size" must be a finite positive number|} );
+           ( Printf.sprintf {|{"schema":"rlc-service/1","kind":"flow","spef":"x","slew_ps":%s}|} v,
+             {|field "slew_ps" must be a finite positive number|} );
+           ( Printf.sprintf
+               {|{"schema":"rlc-service/2","kind":"design_load","spef":"x","size":%s}|} v,
+             {|field "size" must be a finite positive number|} );
+           ( Printf.sprintf
+               {|{"schema":"rlc-service/1","kind":"screen","length_mm":5,"width_um":1.2,"size":%s}|}
+               v,
+             {|field "size" must be a finite positive number|} );
+           ( Printf.sprintf
+               {|{"schema":"rlc-service/1","kind":"sweep_case","length_mm":5,"width_um":1.2,"size":%s}|}
+               v,
+             {|field "size" must be a finite positive number|} );
+           ( Printf.sprintf
+               {|{"schema":"rlc-service/2","kind":"flow_delta","handle":"d0","drivers":{"b0":%s}}|}
+               v,
+             {|field "drivers": entry "b0" must be a finite positive number|} );
+           ( Printf.sprintf
+               {|{"schema":"rlc-service/2","kind":"flow_delta","handle":"d0","slews_ps":{"b0":%s}}|}
+               v,
+             {|field "slews_ps": entry "b0" must be a finite positive number|} );
+         ])
+       [ "1e999"; "-1e999"; "0"; "-2" ])
+
 let test_protocol_responses () =
   let ok = Protocol.ok_response ~id:(Json.Int 3) [ ("pong", Json.Bool true) ] in
   let j = json_of ok in
@@ -382,6 +423,27 @@ let test_session_case_ops () =
       match Session.case session ~length_mm:5. ~width_um:1.0 ~size:(-3.) () with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "accepted negative size")
+
+(* A session characterizes on its own pool: a jobs-1 session's grid-point
+   batches run on its one domain, never on the process's resident pool
+   beside it.  62.5X is a size no other test here characterizes. *)
+let test_session_characterizes_on_own_pool () =
+  let obs = Rlc_obs.Obs.create () in
+  let config = { Session.Config.default with Session.Config.jobs = 1; obs } in
+  Session.with_session ~config (fun session -> ok_or_fail (Session.warm session [ 62.5 ]));
+  let batches =
+    List.filter
+      (fun (sp : Rlc_obs.Obs.span) ->
+        sp.Rlc_obs.Obs.sp_name = "pool.batch"
+        && List.assoc_opt "n" sp.Rlc_obs.Obs.sp_args = Some "112")
+      (Rlc_obs.Obs.snapshot obs).Rlc_obs.Obs.m_spans
+  in
+  Alcotest.(check int) "one 112-point batch" 1 (List.length batches);
+  List.iter
+    (fun (sp : Rlc_obs.Obs.span) ->
+      Alcotest.(check (option string)) "on the session's one domain" (Some "1")
+        (List.assoc_opt "jobs" sp.Rlc_obs.Obs.sp_args))
+    batches
 
 let test_session_design_store () =
   (* The bounded LRU design store: handles live across requests, deltas
@@ -1208,18 +1270,18 @@ let test_server_design_lifecycle () =
       Alcotest.(check (option int)) "nets held" (Some 8) (Json.get_int (member "nets" designs));
       Alcotest.(check (option int)) "no evictions" (Some 0)
         (Json.get_int (member "evictions" designs));
-      (* A driver size the transistor-level characterization cannot
-         converge on is a typed [internal] error naming the size. *)
-      let diverged, _ =
+      (* An infinite driver size (1e999 parses as infinity) is refused
+         before it reaches characterization, naming the field and net. *)
+      let infinite, _ =
         send server
           ({|{"schema":"rlc-service/2","kind":"flow_delta","handle":"|} ^ handle
          ^ {|","drivers":{"o1":1e999}}|})
       in
-      Alcotest.(check (option string)) "non-convergence code" (Some "internal")
-        (Json.get_string (member "code" (member "error" diverged)));
-      Alcotest.(check (option string)) "non-convergence names the size"
-        (Some "Engine: Newton failed to converge at t=0 s (Characterize: size=inf, slew=20 ps, cap=20 fF)")
-        (Json.get_string (member "message" (member "error" diverged)));
+      Alcotest.(check (option string)) "infinite size code" (Some "bad_request")
+        (Json.get_string (member "code" (member "error" infinite)));
+      Alcotest.(check (option string)) "infinite size names the field"
+        (Some {|field "drivers": entry "o1" must be a finite positive number|})
+        (Json.get_string (member "message" (member "error" infinite)));
       (* Unknown handles are typed rejections; unload frees the handle. *)
       let bad, _ =
         send server
@@ -1863,6 +1925,7 @@ let () =
           Alcotest.test_case "rejections" `Quick test_protocol_rejections;
           Alcotest.test_case "dt_ps must be finite" `Quick test_protocol_dt_finite;
           Alcotest.test_case "case geometry must be finite" `Quick test_protocol_case_finite;
+          Alcotest.test_case "sizes and slews must be finite" `Quick test_protocol_sizes_finite;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
         ] );
       ( "errors",
@@ -1875,6 +1938,8 @@ let () =
           Alcotest.test_case "flow and cache" `Quick test_session_flow_and_cache;
           Alcotest.test_case "ingest errors" `Quick test_session_ingest_errors;
           Alcotest.test_case "case ops" `Quick test_session_case_ops;
+          Alcotest.test_case "characterizes on its own pool" `Quick
+            test_session_characterizes_on_own_pool;
           Alcotest.test_case "design store" `Quick test_session_design_store;
           Alcotest.test_case "deltas keep the cache size" `Quick test_session_delta_cache;
         ] );
