@@ -393,7 +393,7 @@ let ablation () =
           in
           let input_based =
             Screen.evaluate_input_slew ~line:case.Evaluate.line ~cl:case.Evaluate.cl
-              ~rs:m.Driver_model.rs ~input_slew:case.Evaluate.input_slew ()
+              ~rs:m.Driver_model.rs ~input_slew:case.Evaluate.input_slew
           in
           (case, m.Driver_model.screen.Screen.significant, input_based.Screen.significant)
         with

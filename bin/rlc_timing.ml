@@ -506,10 +506,7 @@ let optimize_cmd =
     setup_logs verbose;
     let obs = obs_of ~trace ~metrics_json in
     let adaptive = adaptive_of ~adaptive ~dt_min ~dt_max ~ltol in
-    let deadline =
-      if timeout_ms <= 0 then None
-      else Some (Rlc_errors.Deadline.start (float_of_int timeout_ms /. 1000.))
-    in
+    let deadline = Rlc_errors.Deadline.start (float_of_int timeout_ms /. 1000.) in
     let _, jobs = resolve_jobs jobs in
     let cfg =
       {
@@ -519,7 +516,6 @@ let optimize_cmd =
         adaptive;
         use_cache = not no_cache;
         obs;
-        deadline;
       }
     in
     (* Exit codes match flow: 2 for errors (including budget expiry), 1 when
@@ -536,8 +532,9 @@ let optimize_cmd =
         | Ok spec -> (
             let result =
               try
-                Rlc_flow.Optimize.run ?sizes ~repeaters:(not no_repeaters) ~max_stages
-                  ~required:(Rlc_num.Units.ps required) cfg ~spef ~spec ()
+                Rlc_errors.Deadline.with_ambient deadline (fun () ->
+                    Rlc_flow.Optimize.run ?sizes ~repeaters:(not no_repeaters) ~max_stages
+                      ~required:(Rlc_num.Units.ps required) cfg ~spef ~spec ())
               with Rlc_errors.Deadline.Expired budget ->
                 Error (Rlc_errors.Error.Timeout budget)
             in
@@ -765,7 +762,8 @@ let serve_cmd =
   in
   let tick_ms_arg =
     Arg.(
-      value & opt int 1000
+      value
+      & opt int (int_of_float (Rlc_service.Server.default_tick_period_s *. 1000.))
       & info [ "tick-ms" ] ~docv:"MS"
           ~doc:
             "Telemetry ticker period: how often the serve loop samples counters into the \

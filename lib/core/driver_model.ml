@@ -109,7 +109,7 @@ let tail_pwl ~t0 ~vdd ~tail =
   Pwl.of_points (base @ exp_pts @ [ final ])
 
 let model_pade ?(obs = Obs.null) ?(mode = Auto) ?(plateau = Stretch_tr2) ?(rc_tail = false)
-    ?thresholds ~cell ~edge ~input_slew ~pade ~line ~cl () =
+    ~cell ~edge ~input_slew ~pade ~line ~cl () =
   if input_slew <= 0. then invalid_arg "Driver_model.model: input_slew must be positive";
   if cl < 0. then invalid_arg "Driver_model.model: cl must be non-negative";
   let vdd = cell.Table.vdd in
@@ -119,7 +119,7 @@ let model_pade ?(obs = Obs.null) ?(mode = Auto) ?(plateau = Stretch_tr2) ?(rc_ta
   (* Eq. 1; the clamp only guards pathological near-zero fitted Rs. *)
   let f = Float.min 0.98 (z0 /. (z0 +. rs)) in
   let ceff1 = single_ceff ~obs ~stage:"ceff1" ~cell ~edge ~input_slew ~pade ~f () in
-  let screen = Screen.evaluate ?thresholds ~line ~cl ~rs ~tr1:ceff1.ramp () in
+  let screen = Screen.evaluate ~line ~cl ~rs ~tr1:ceff1.ramp in
   let use_two_ramp =
     match mode with
     | Auto -> screen.Screen.significant
@@ -183,10 +183,9 @@ let model_pade ?(obs = Obs.null) ?(mode = Auto) ?(plateau = Stretch_tr2) ?(rc_ta
     { shape = One_ramp { ceff; tail }; f = 1.0; rs; z0; tf; pade; screen; delay_50; vdd; pwl }
   end
 
-let model ?obs ?mode ?plateau ?rc_tail ?thresholds ~cell ~edge ~input_slew ~line ~cl () =
+let model ?obs ?mode ?plateau ?rc_tail ~cell ~edge ~input_slew ~line ~cl () =
   let pade = Pade.fit (Moments.of_line ~order:5 line ~cl) in
-  model_pade ?obs ?mode ?plateau ?rc_tail ?thresholds ~cell ~edge ~input_slew ~pade ~line ~cl
-    ()
+  model_pade ?obs ?mode ?plateau ?rc_tail ~cell ~edge ~input_slew ~pade ~line ~cl ()
 
 let total_iterations t =
   match t.shape with

@@ -83,7 +83,6 @@ val model :
   ?mode:mode ->
   ?plateau:plateau_mode ->
   ?rc_tail:bool ->
-  ?thresholds:Screen.thresholds ->
   cell:Table.cell ->
   edge:Rlc_waveform.Measure.edge ->
   input_slew:float ->
@@ -109,7 +108,6 @@ val model_pade :
   ?mode:mode ->
   ?plateau:plateau_mode ->
   ?rc_tail:bool ->
-  ?thresholds:Screen.thresholds ->
   cell:Table.cell ->
   edge:Rlc_waveform.Measure.edge ->
   input_slew:float ->

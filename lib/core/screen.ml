@@ -1,12 +1,8 @@
-type thresholds = {
-  cl_ratio_max : float;
-  rl_z0_max : float;
-  rs_z0_max : float;
-  tr_tf_max : float;
-}
-
-let default_thresholds =
-  { cl_ratio_max = 0.3; rl_z0_max = 2.0; rs_z0_max = 1.0; tr_tf_max = 2.0 }
+(* Eq. 9's thresholds. *)
+let cl_ratio_max = 0.3
+let rl_z0_max = 2.0
+let rs_z0_max = 1.0
+let tr_tf_max = 2.0
 
 type verdict = {
   cl_ok : bool;
@@ -20,16 +16,16 @@ type verdict = {
   tr1_over_tf : float;
 }
 
-let evaluate ?(thresholds = default_thresholds) ~line ~cl ~rs ~tr1 () =
+let evaluate ~line ~cl ~rs ~tr1 =
   let z0 = Rlc_tline.Line.z0 line in
   let cl_ratio = cl /. Rlc_tline.Line.total_c line in
   let rl_over_z0 = Rlc_tline.Line.total_r line /. z0 in
   let rs_over_z0 = rs /. z0 in
   let tr1_over_tf = tr1 /. Rlc_tline.Line.time_of_flight line in
-  let cl_ok = cl_ratio <= thresholds.cl_ratio_max in
-  let rl_ok = rl_over_z0 <= thresholds.rl_z0_max in
-  let rs_ok = rs_over_z0 < thresholds.rs_z0_max in
-  let tr_ok = tr1_over_tf < thresholds.tr_tf_max in
+  let cl_ok = cl_ratio <= cl_ratio_max in
+  let rl_ok = rl_over_z0 <= rl_z0_max in
+  let rs_ok = rs_over_z0 < rs_z0_max in
+  let tr_ok = tr1_over_tf < tr_tf_max in
   {
     cl_ok;
     rl_ok;
@@ -50,5 +46,4 @@ let pp fmt v =
     (mark v.tr_ok)
     (if v.significant then "inductive" else "RC-like")
 
-let evaluate_input_slew ?thresholds ~line ~cl ~rs ~input_slew () =
-  evaluate ?thresholds ~line ~cl ~rs ~tr1:input_slew ()
+let evaluate_input_slew ~line ~cl ~rs ~input_slew = evaluate ~line ~cl ~rs ~tr1:input_slew

@@ -11,16 +11,10 @@
     The paper's refinement over Ismail et al. is the last criterion: it uses
     the output initial-ramp time obtained from the Ceff1 iteration rather
     than the input transition time, because inductive behaviour tracks the
-    driver's output edge rate. *)
+    driver's output edge rate.
 
-type thresholds = {
-  cl_ratio_max : float;  (** [CL <= cl_ratio_max * C·l]; default 0.3 *)
-  rl_z0_max : float;  (** [R·l <= rl_z0_max * Z0]; default 2.0 *)
-  rs_z0_max : float;  (** [Rs < rs_z0_max * Z0]; default 1.0 *)
-  tr_tf_max : float;  (** [Tr1 < tr_tf_max * tf]; default 2.0 *)
-}
-
-val default_thresholds : thresholds
+    The thresholds are fixed: [CL <= 0.3 C·l], [R·l <= 2 Z0],
+    [Rs < Z0] and [Tr1 < 2 tf]. *)
 
 type verdict = {
   cl_ok : bool;
@@ -34,13 +28,10 @@ type verdict = {
   tr1_over_tf : float;
 }
 
-val evaluate :
-  ?thresholds:thresholds ->
-  line:Rlc_tline.Line.t -> cl:float -> rs:float -> tr1:float -> unit -> verdict
+val evaluate : line:Rlc_tline.Line.t -> cl:float -> rs:float -> tr1:float -> verdict
 
 val evaluate_input_slew :
-  ?thresholds:thresholds ->
-  line:Rlc_tline.Line.t -> cl:float -> rs:float -> input_slew:float -> unit -> verdict
+  line:Rlc_tline.Line.t -> cl:float -> rs:float -> input_slew:float -> verdict
 (** The Ismail/Friedman/Neves criterion the paper argues against: same
     checks, but the time-of-flight condition compares the {e input}
     transition time instead of the driver-output initial ramp.  Exposed for

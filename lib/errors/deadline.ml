@@ -1,6 +1,6 @@
-(* Per-request wall-clock deadlines: an absolute expiry instant checked
-   explicitly (passed down APIs) or ambiently (domain-local storage set
-   for the dynamic extent of a request).  Replaces the old
+(* Per-request wall-clock deadlines: an absolute expiry instant, installed
+   ambiently (domain-local storage set for the dynamic extent of a
+   request) and checked there, or tested by whoever holds it.  Replaces the old
    ITIMER_REAL+SIGALRM budget, which was process-global and therefore
    incompatible with concurrent requests. *)
 

@@ -8,15 +8,14 @@
     request, and safe to check at arbitrary observation points deep in
     the engine.
 
-    Two propagation styles compose:
-
-    - {e explicit}: pass the [t] down an API (e.g.
-      [Rlc_flow.Flow.Config.deadline]);
-    - {e ambient}: {!with_ambient} installs the [t] in domain-local
-      storage for the dynamic extent of a callback, and long loops call
-      the near-free {!check_ambient} every few hundred iterations.  The
-      worker pool snapshots the publisher's ambient deadline into each
-      batch, so fan-out inherits the request budget across domains.
+    A [t] reaches the code it bounds only ambiently: {!with_ambient}
+    installs it in domain-local storage for the dynamic extent of a
+    callback, and long loops call the near-free {!check_ambient} every
+    few hundred iterations.  The worker pool snapshots the publisher's
+    ambient deadline into each batch, so fan-out inherits the request
+    budget across domains.  The holder of a [t] may also test it
+    directly ({!expired}, {!check}), as the daemon's admission queue
+    does.
 
     The clock is [Unix.gettimeofday], matching [Rlc_obs.Obs.now] — the
     repo deliberately has no extra monotonic-clock dependency.  A

@@ -69,10 +69,6 @@ module Config = struct
     obs : Obs.t;
     progress : Progress.t option;
     pool : Pool.t option;
-    deadline : Deadline.t option;
-    trace : string option;
-        (** request trace id, installed as the ambient {!Obs.with_trace}
-            for the whole run so every span it records tags to it *)
   }
 
   type t = flow_config
@@ -87,8 +83,6 @@ module Config = struct
       obs = Obs.null;
       progress = None;
       pool = None;
-      deadline = None;
-      trace = None;
     }
 end
 
@@ -219,20 +213,6 @@ let solve_sized (cfg : Config.t) ~tech ~(net : Design.net) ~size ~edge ~input_sl
     lookup_or_solve cfg ~tech ~insert:true { net with Design.size } ~edge ~input_slew
   in
   solve
-
-(* The request deadline (when any) is installed ambiently for the whole
-   run: the serial phases check it at level boundaries, worker domains
-   inherit it through the pool's batch snapshot, and the replay engine
-   polls it inside its step loops.  The trace id rides the same mechanism:
-   installed here for the master domain, snapshotted into pool batches for
-   the workers, stamped onto every span by [Obs.record_span]. *)
-let with_run (cfg : Config.t) f =
-  let body () =
-    match cfg.Config.deadline with None -> f () | Some d -> Deadline.with_ambient d f
-  in
-  match cfg.Config.trace with
-  | None -> body ()
-  | Some _ as trace -> Obs.with_trace trace body
 
 module Timed = struct
   type timed = {
@@ -465,7 +445,7 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
   ({ design; results; stats }, keys, !reused)
 
 let run_cfg (cfg : Config.t) (design : Design.t) =
-  let result, _, _ = with_run cfg (fun () -> solve_pass cfg design) in
+  let result, _, _ = solve_pass cfg design in
   result
 
 (* ---------------------------------------------------- incremental (ECO) *)
@@ -474,12 +454,12 @@ let time ?tech (cfg : Config.t) ~spef ~spec () =
   match Design.ingest_resident ?tech ~obs:cfg.Config.obs ~spef ~spec () with
   | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
   | Ok (design, index) ->
-      let result, keys, _ = with_run cfg (fun () -> solve_pass cfg design) in
+      let result, keys, _ = solve_pass cfg design in
       Ok { Timed.cfg; spef; spec; result; keys; index }
 
 type delta_stats = { retimed : int; reused : int }
 
-let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
+let retime ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
   match Delta.apply ~spef:t.Timed.spef ~spec:t.Timed.spec delta with
   | Error _ as e -> e
   | Ok { Delta.spef; spec; changed } -> (
@@ -536,23 +516,19 @@ let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delt
             in
             Array.iteri (fun i d -> if d then mark i) direct;
             List.iter mark partners;
-            let cfg = { t.Timed.cfg with Config.deadline; trace } in
+            let cfg = t.Timed.cfg in
             let obs = cfg.Config.obs in
-            let result, keys, reused =
-              with_run cfg (fun () ->
-                  let t0 = Obs.start obs in
-                  let ((_, _, reused) as v) = solve_pass ~prev:(t, dirty) cfg design in
-                  Obs.finish obs
-                    ~args:
-                      [
-                        ("nets", string_of_int n);
-                        ("changed", string_of_int (List.length changed));
-                        ("retimed", string_of_int (n - reused));
-                        ("reused", string_of_int reused);
-                      ]
-                    "flow.delta" t0;
-                  v)
-            in
+            let t0 = Obs.start obs in
+            let result, keys, reused = solve_pass ~prev:(t, dirty) cfg design in
+            Obs.finish obs
+              ~args:
+                [
+                  ("nets", string_of_int n);
+                  ("changed", string_of_int (List.length changed));
+                  ("retimed", string_of_int (n - reused));
+                  ("reused", string_of_int reused);
+                ]
+              "flow.delta" t0;
             Log.info (fun m ->
                 m "delta: %d/%d nets retimed (%d reused) for %d changed" (n - reused) n reused
                   (List.length changed));

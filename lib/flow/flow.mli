@@ -17,7 +17,16 @@
     of the canonicalized inputs, and results are stored by net id — so
     reports are byte-identical for any [jobs] count.  Cache hit/miss
     counters and wall times {e do} depend on scheduling and are only
-    surfaced through {!stats} / logs, never through report payloads. *)
+    surfaced through {!stats} / logs, never through report payloads.
+
+    Request scope: {!run_cfg}, {!time} and {!retime} take no deadline or
+    trace id.  They run under the caller's ambient deadline
+    ({!Rlc_errors.Deadline.ambient}) and trace id
+    ({!Rlc_obs.Obs.current_trace}), which the pool carries into its
+    worker domains; the serial phases poll the deadline at level
+    boundaries and the replay engine inside its step loops.  Expiry
+    raises {!Rlc_errors.Deadline.Expired}.  With nothing installed,
+    nothing expires and spans carry no trace. *)
 
 type solve = {
   model : Rlc_ceff.Driver_model.t;
@@ -95,22 +104,6 @@ module Config : sig
         (** borrow a caller-owned pool: the run uses it as-is and leaves it
             running (the service daemon's warm pool).  [None] (default)
             uses the process-wide resident pool of [jobs] domains. *)
-    deadline : Rlc_errors.Deadline.t option;
-        (** per-request wall-clock budget; when set, the run installs it
-            as the ambient deadline for its whole extent — serial phases
-            check it at level boundaries, pooled jobs inherit it across
-            domains (the pool snapshots the publisher's ambient deadline
-            per batch), and the replay engine polls it inside its step
-            loops.  Expiry raises {!Rlc_errors.Deadline.Expired}; the
-            service maps that onto the wire-stable [Timeout] error.
-            [None] (default) disables all checks. *)
-    trace : string option;
-        (** request trace id; when set, the run installs it as the ambient
-            {!Rlc_obs.Obs.with_trace} for its whole extent, so every span
-            recorded during the run — including those from pool worker
-            domains, which inherit it through the batch snapshot — carries
-            a [("trace", id)] arg.  Purely observational: never appears in
-            reports.  [None] (default) leaves spans untagged. *)
   }
 
   type t = flow_config
@@ -134,10 +127,6 @@ val solve_sized :
     subsequent full flow at the chosen size hits the same cache entries.
     Same per-net step as the flow, without its per-net telemetry.
     May raise as {!run_cfg} does (engine failures, deadline expiry). *)
-
-val with_run : Config.t -> (unit -> 'a) -> 'a
-(** Run [f] under [cfg]'s [deadline] and [trace], installed ambiently as
-    every flow run installs them. *)
 
 val run_cfg : Config.t -> Design.t -> result
 (** Run the flow cold under a {!Config.t}: the solve pass with nothing to
@@ -188,9 +177,8 @@ val time :
     does standalone: {!Rlc_errors.Deadline.Expired} on budget expiry,
     [Invalid_argument]/[Failure] from the engine), and capture the state
     {!retime} needs.  Ingest failures are {!Rlc_errors.Error.Bad_request}.
-    The configuration (including any [deadline]/[trace]) is stored and
-    reused by every subsequent {!retime} of this handle, except that each
-    retime call supplies its own deadline and trace. *)
+    The configuration is stored and reused by every subsequent {!retime}
+    of this handle. *)
 
 type delta_stats = { retimed : int; reused : int }
 (** Per-delta accounting: [retimed] nets were re-solved (dirty cone plus
@@ -198,8 +186,6 @@ type delta_stats = { retimed : int; reused : int }
     [retimed + reused] always equals the design's net count. *)
 
 val retime :
-  ?deadline:Rlc_errors.Deadline.t ->
-  ?trace:string ->
   ?xtalk_victims:bool ->
   Timed.t ->
   Delta.t ->
@@ -232,9 +218,8 @@ val retime :
 
     The returned {!Timed.t} replaces the old handle; its {!Timed.result}
     — and hence any {!Report} rendered from it — is byte-identical to a
-    cold run of the edited sources under the same configuration.
-    [deadline]/[trace] scope this call only (installed ambiently, exactly
-    as {!run_cfg} installs its own).
+    cold run of the edited sources under the same configuration.  Like
+    {!run_cfg}, it runs under the caller's ambient deadline and trace id.
 
     Obs: one ["flow.delta"] span (args: net/changed/retimed/reused
     counts), ["flow.retimed"] / ["flow.reused"] counters, and {!run_cfg}'s

@@ -307,136 +307,130 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
          the bookkeeping mirrors exactly the delta that will be applied. *)
       let improve = Array.make n 0. in
       let ladder = List.sort_uniq Float.compare sizes in
-      let body () =
-        Array.iter
-          (fun ids ->
-            Deadline.check_ambient ();
-            let t0 = Obs.start obs in
-            let jobs =
-              Array.to_list ids
-              |> List.filter_map (fun id ->
-                     let r = before.Flow.results.(id) in
-                     let inherited =
-                       match r.Flow.net.Design.fanin with
-                       | Some p -> improve.(p)
-                       | None -> 0.
-                     in
-                     improve.(id) <- inherited;
-                     let residual = deficit.(id) -. inherited in
-                     if residual <= 0. then None else Some (id, residual))
-              |> Array.of_list
-            in
-            (* Every search prices the ladder above its net's size in the
-               same ascending order, so concurrent searches would all miss
-               a size at once and each characterize it.  Characterize the
-               sizes this level prices first, one after another, each a
-               batch of its grid points on the run's pool. *)
-            List.iter
-              (fun size ->
-                if
-                  Array.exists
-                    (fun (id, _) -> size > before.Flow.results.(id).Flow.net.Design.size)
-                    jobs
-                then ignore (Characterize.cell_res ~obs ~pool tech ~size))
-              ladder;
-            let found =
-              Pool.map ~obs pool (Array.length jobs) (fun k ->
-                  Deadline.check_ambient ();
-                  let id, residual = jobs.(k) in
-                  search_net cfg ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
-                    before.Flow.results.(id))
-            in
-            Array.iteri
-              (fun k s ->
-                let id, residual = jobs.(k) in
-                let r = before.Flow.results.(id) in
-                (match s.s_fix with
-                | Resize _ ->
-                    improve.(id) <-
-                      improve.(id) +. (r.Flow.solve.Flow.stage_delay -. s.s_stage_after)
-                | Repeaters _ | Unfixable -> ());
-                searches := (id, residual, s) :: !searches)
-              found;
-            Obs.finish obs
-              ~args:[ ("searched", string_of_int (Array.length jobs)) ]
-              "optimize.level" t0)
-          design.Design.levels
-      in
-      match Flow.with_run cfg body with
-      | () ->
-          let searches = List.rev !searches in
-          (* The applied fix set: driver resizes only (repeaters are
-             topology edits, reported as recommendations). *)
-          let drivers =
-            List.filter_map
-              (fun (id, _, s) ->
-                match s.s_fix with
-                | Resize { to_size } ->
-                    Some (design.Design.nets.(id).Design.name, to_size)
-                | Repeaters _ | Unfixable -> None)
-              searches
+      Array.iter
+        (fun ids ->
+          Deadline.check_ambient ();
+          let t0 = Obs.start obs in
+          let jobs =
+            Array.to_list ids
+            |> List.filter_map (fun id ->
+                   let r = before.Flow.results.(id) in
+                   let inherited =
+                     match r.Flow.net.Design.fanin with
+                     | Some p -> improve.(p)
+                     | None -> 0.
+                   in
+                   improve.(id) <- inherited;
+                   let residual = deficit.(id) -. inherited in
+                   if residual <= 0. then None else Some (id, residual))
+            |> Array.of_list
           in
-          let delta = { Delta.nets = []; drivers; slews = [] } in
-          (match
-             if drivers = [] then Ok (handle, { Flow.retimed = 0; reused = n })
-             else
-               Flow.retime ?deadline:cfg.Flow.Config.deadline ?trace:cfg.Flow.Config.trace
-                 handle delta
-           with
-          | Error _ as e -> e
-          | Ok (handle', _) ->
-              let after = Flow.Timed.result handle' in
-              let fixes =
-                Array.of_list
-                  (List.map
-                     (fun (id, residual, s) ->
-                       let r = before.Flow.results.(id) in
-                       {
-                         f_net = r.Flow.net;
-                         f_edge = r.Flow.edge;
-                         f_slack_before = required -. r.Flow.arrival;
-                         f_slack_after =
-                           required -. after.Flow.results.(id).Flow.arrival;
-                         f_residual = residual;
-                         f_stage_before = r.Flow.solve.Flow.stage_delay;
-                         f_stage_after = s.s_stage_after;
-                         f_candidates = s.s_candidates;
-                         f_screened = s.s_screened;
-                         f_escalations = s.s_escalations;
-                         f_fix = s.s_fix;
-                       })
-                     searches)
-              in
-              let count p = Array.fold_left (fun a f -> if p f then a + 1 else a) 0 fixes in
-              let sum p = Array.fold_left (fun a f -> a + p f) 0 fixes in
-              let char1 = Characterize.stats () and handles1 = Engine.Compiled.cache_stats () in
-              let stats =
-                {
-                  o_nets = n;
-                  o_violations_before = count_violations ~required before;
-                  o_violations_after = count_violations ~required after;
-                  o_resized =
-                    count (fun f -> match f.f_fix with Resize _ -> true | _ -> false);
-                  o_repeaters =
-                    count (fun f -> match f.f_fix with Repeaters _ -> true | _ -> false);
-                  o_unfixable =
-                    count (fun f -> match f.f_fix with Unfixable -> true | _ -> false);
-                  o_candidates = sum (fun f -> f.f_candidates);
-                  o_screened = sum (fun f -> f.f_screened);
-                  o_escalations = sum (fun f -> f.f_escalations);
-                  o_char_hits = char1.Memo.hits - char0.Memo.hits;
-                  o_char_misses = char1.Memo.misses - char0.Memo.misses;
-                  o_handle_hits = handles1.Memo.hits - handles0.Memo.hits;
-                  o_handle_misses = handles1.Memo.misses - handles0.Memo.misses;
-                  o_jobs_used = jobs_used;
-                  o_seconds = Unix.gettimeofday () -. t_start;
-                }
-              in
-              Log.info (fun m ->
-                  m
-                    "optimize: %d/%d nets violating -> %d after; %d resized, %d repeater \
-                     recs, %d unfixable (%d candidates, %d screened, %d escalations)"
-                    stats.o_violations_before n stats.o_violations_after stats.o_resized
-                    stats.o_repeaters stats.o_unfixable stats.o_candidates stats.o_screened
-                    stats.o_escalations);
-              Ok { required; before; after; fixes; delta; stats }))
+          (* Every search prices the ladder above its net's size in the
+             same ascending order, so concurrent searches would all miss
+             a size at once and each characterize it.  Characterize the
+             sizes this level prices first, one after another, each a
+             batch of its grid points on the run's pool. *)
+          List.iter
+            (fun size ->
+              if
+                Array.exists
+                  (fun (id, _) -> size > before.Flow.results.(id).Flow.net.Design.size)
+                  jobs
+              then ignore (Characterize.cell_res ~obs ~pool tech ~size))
+            ladder;
+          let found =
+            Pool.map ~obs pool (Array.length jobs) (fun k ->
+                Deadline.check_ambient ();
+                let id, residual = jobs.(k) in
+                search_net cfg ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
+                  before.Flow.results.(id))
+          in
+          Array.iteri
+            (fun k s ->
+              let id, residual = jobs.(k) in
+              let r = before.Flow.results.(id) in
+              (match s.s_fix with
+              | Resize _ ->
+                  improve.(id) <-
+                    improve.(id) +. (r.Flow.solve.Flow.stage_delay -. s.s_stage_after)
+              | Repeaters _ | Unfixable -> ());
+              searches := (id, residual, s) :: !searches)
+            found;
+          Obs.finish obs
+            ~args:[ ("searched", string_of_int (Array.length jobs)) ]
+            "optimize.level" t0)
+        design.Design.levels;
+      let searches = List.rev !searches in
+      (* The applied fix set: driver resizes only (repeaters are
+         topology edits, reported as recommendations). *)
+      let drivers =
+        List.filter_map
+          (fun (id, _, s) ->
+            match s.s_fix with
+            | Resize { to_size } ->
+                Some (design.Design.nets.(id).Design.name, to_size)
+            | Repeaters _ | Unfixable -> None)
+          searches
+      in
+      let delta = { Delta.nets = []; drivers; slews = [] } in
+      (match
+         if drivers = [] then Ok (handle, { Flow.retimed = 0; reused = n })
+         else Flow.retime handle delta
+       with
+      | Error _ as e -> e
+      | Ok (handle', _) ->
+          let after = Flow.Timed.result handle' in
+          let fixes =
+            Array.of_list
+              (List.map
+                 (fun (id, residual, s) ->
+                   let r = before.Flow.results.(id) in
+                   {
+                     f_net = r.Flow.net;
+                     f_edge = r.Flow.edge;
+                     f_slack_before = required -. r.Flow.arrival;
+                     f_slack_after =
+                       required -. after.Flow.results.(id).Flow.arrival;
+                     f_residual = residual;
+                     f_stage_before = r.Flow.solve.Flow.stage_delay;
+                     f_stage_after = s.s_stage_after;
+                     f_candidates = s.s_candidates;
+                     f_screened = s.s_screened;
+                     f_escalations = s.s_escalations;
+                     f_fix = s.s_fix;
+                   })
+                 searches)
+          in
+          let count p = Array.fold_left (fun a f -> if p f then a + 1 else a) 0 fixes in
+          let sum p = Array.fold_left (fun a f -> a + p f) 0 fixes in
+          let char1 = Characterize.stats () and handles1 = Engine.Compiled.cache_stats () in
+          let stats =
+            {
+              o_nets = n;
+              o_violations_before = count_violations ~required before;
+              o_violations_after = count_violations ~required after;
+              o_resized =
+                count (fun f -> match f.f_fix with Resize _ -> true | _ -> false);
+              o_repeaters =
+                count (fun f -> match f.f_fix with Repeaters _ -> true | _ -> false);
+              o_unfixable =
+                count (fun f -> match f.f_fix with Unfixable -> true | _ -> false);
+              o_candidates = sum (fun f -> f.f_candidates);
+              o_screened = sum (fun f -> f.f_screened);
+              o_escalations = sum (fun f -> f.f_escalations);
+              o_char_hits = char1.Memo.hits - char0.Memo.hits;
+              o_char_misses = char1.Memo.misses - char0.Memo.misses;
+              o_handle_hits = handles1.Memo.hits - handles0.Memo.hits;
+              o_handle_misses = handles1.Memo.misses - handles0.Memo.misses;
+              o_jobs_used = jobs_used;
+              o_seconds = Unix.gettimeofday () -. t_start;
+            }
+          in
+          Log.info (fun m ->
+              m
+                "optimize: %d/%d nets violating -> %d after; %d resized, %d repeater \
+                 recs, %d unfixable (%d candidates, %d screened, %d escalations)"
+                stats.o_violations_before n stats.o_violations_after stats.o_resized
+                stats.o_repeaters stats.o_unfixable stats.o_candidates stats.o_screened
+                stats.o_escalations);
+          Ok { required; before; after; fixes; delta; stats }))

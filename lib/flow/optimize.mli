@@ -109,5 +109,6 @@ val run :
     (default true) enables the insertion fallback with up to [max_stages]
     (default 4) repeater stages.  A [Config.cache] is installed when absent
     so the sweep and the verification retime share solves.  Errors are the
-    flow's own (ingest, delta application); deadline expiry raises
-    {!Rlc_errors.Deadline.Expired} exactly like {!Flow.run_cfg}. *)
+    flow's own (ingest, delta application).  The run takes no deadline:
+    like {!Flow.run_cfg} it runs under the caller's ambient one, whose
+    expiry raises {!Rlc_errors.Deadline.Expired}. *)

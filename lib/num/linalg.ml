@@ -23,7 +23,10 @@ let transpose m =
   let r, c = dim m in
   Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
 
-let lu_factor_in_place ?(pivot_tol = 1e-13) m =
+(* The smallest acceptable absolute pivot. *)
+let pivot_tol = 1e-13
+
+let lu_factor_in_place m =
   let n, c = dim m in
   if n <> c then invalid_arg "Linalg.lu_factor: non-square matrix";
   let perm = Array.init n Fun.id in
@@ -55,7 +58,7 @@ let lu_factor_in_place ?(pivot_tol = 1e-13) m =
   done;
   { lu = m; perm; sign = !sign }
 
-let lu_factor ?pivot_tol a = lu_factor_in_place ?pivot_tol (copy_mat a)
+let lu_factor a = lu_factor_in_place (copy_mat a)
 
 let lu_solve_into { lu; perm; _ } b x =
   let n = Array.length lu in

@@ -1,7 +1,8 @@
 (** Dense linear algebra: LU factorization with partial pivoting.
 
     Used by the general nodal-analysis path of the circuit engine (arbitrary
-    topologies, small systems).  Ladder networks use {!Tridiag} instead. *)
+    topologies, small systems).  Banded networks such as ladders use
+    {!Banded} instead. *)
 
 type mat = float array array
 (** Row-major dense matrix; rows must share one length. *)
@@ -17,13 +18,13 @@ val mat_vec : mat -> float array -> float array
 val transpose : mat -> mat
 
 exception Singular of int
-(** Raised (with the offending pivot column) when a pivot underflows. *)
+(** Raised (with the offending pivot column) when a pivot's magnitude is
+    below [1e-13]. *)
 
-val lu_factor : ?pivot_tol:float -> mat -> lu
-(** Factor a copy of the matrix; [pivot_tol] (default [1e-13]) is the
-    smallest acceptable absolute pivot. *)
+val lu_factor : mat -> lu
+(** Factor a copy of the matrix. *)
 
-val lu_factor_in_place : ?pivot_tol:float -> mat -> lu
+val lu_factor_in_place : mat -> lu
 (** Like {!lu_factor} but destroys (and shares storage with) its argument —
     for callers that already hold a scratch copy, e.g. the engine's Newton
     iteration matrix. *)

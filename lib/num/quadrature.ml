@@ -2,7 +2,11 @@ let simpson_once f a b =
   let m = 0.5 *. (a +. b) in
   ((b -. a) /. 6.) *. (f a +. (4. *. f m) +. f b)
 
-let simpson_adaptive ?(rel_tol = 1e-10) ?(abs_tol = 1e-300) ?(max_depth = 30) f ~a ~b =
+(* The absolute floor on a sub-interval's error, and the deepest bisection. *)
+let abs_tol = 1e-300
+let max_depth = 30
+
+let simpson_adaptive ?(rel_tol = 1e-10) f ~a ~b =
   if a = b then 0.
   else begin
     (* Oscillatory integrands produce sub-interval sums near zero, which

@@ -5,10 +5,10 @@
     closed forms (Eqs. 4-7); the waveform layer uses the trapezoid rule on
     sampled data. *)
 
-val simpson_adaptive : ?rel_tol:float -> ?abs_tol:float -> ?max_depth:int ->
-  (float -> float) -> a:float -> b:float -> float
-(** Adaptive Simpson integration of [f] over [\[a, b\]].  Defaults:
-    [rel_tol = 1e-10], [abs_tol = 1e-300], [max_depth = 40]. *)
+val simpson_adaptive : ?rel_tol:float -> (float -> float) -> a:float -> b:float -> float
+(** Adaptive Simpson integration of [f] over [\[a, b\]] to [rel_tol]
+    (default [1e-10]), with an absolute error floor of [1e-300] and at
+    most 30 levels of bisection. *)
 
 val trapezoid_sampled : float array -> float array -> float
 (** [trapezoid_sampled ts ys] integrates samples [(ts.(i), ys.(i))]; times

@@ -54,7 +54,12 @@ type kind =
   | Health
   | Shutdown
 
-type request = { id : Json.t option; timeout_ms : int option; schema : string; kind : kind }
+type request = { timeout_ms : int option; kind : kind }
+
+(* What every response to a line echoes: the request's schema tag and id. *)
+type envelope = { schema : string; id : Json.t option }
+
+let no_envelope = { schema; id = None }
 
 (* -------------------------------------------------------- field access *)
 
@@ -207,68 +212,78 @@ let parse_case fields =
   let* c_dt_ps = Result.bind (num_opt "dt_ps" fields) (finite_pos "dt_ps") in
   Ok { c_length_mm; c_width_um; c_size; c_slew_ps; c_cl_ff; c_dt_ps }
 
+(* The request behind an envelope: a tag this server speaks (the envelope
+   reads any other as v1), then the budget, the kind and its fields. *)
+let parse_fields envelope fields =
+  let* () =
+    match List.assoc_opt "schema" fields with
+    | Some (Json.Str v) when v = schema || v = schema_v2 -> Ok ()
+    | Some (Json.Str v) -> Error (Error.Unsupported_version v)
+    | Some _ -> bad "field %S must be a string" "schema"
+    | None -> Error (Error.Unsupported_version "(missing schema field)")
+  in
+  let* timeout_ms =
+    match List.assoc_opt "timeout_ms" fields with
+    | None -> Ok None
+    | Some (Json.Int ms) when ms > 0 -> Ok (Some ms)
+    | Some _ -> bad "field %S must be a positive integer" "timeout_ms"
+  in
+  let* kind_name = req_field "kind" Json.get_string "a string" fields in
+  let* kind =
+    match kind_name with
+    | "flow" -> parse_flow fields
+    | "xtalk" -> parse_xtalk fields
+    | "sweep_case" -> Result.map (fun c -> Sweep_case c) (parse_case fields)
+    | "screen" -> Result.map (fun c -> Screen c) (parse_case fields)
+    | ("design_load" | "flow_delta" | "design_unload") when envelope.schema <> schema_v2 ->
+        bad "kind %S requires schema %S" kind_name schema_v2
+    | "design_load" -> parse_design_load fields
+    | "flow_delta" -> parse_flow_delta fields
+    | "design_unload" -> parse_design_unload fields
+    | "ping" -> Ok Ping
+    | "stats" -> Ok Stats
+    | "metrics" -> Ok Metrics
+    | "health" -> Ok Health
+    | "shutdown" -> Ok Shutdown
+    | other -> bad "unknown request kind %S" other
+  in
+  Ok { timeout_ms; kind }
+
 let parse_request ?(max_bytes = default_max_bytes) line =
   if String.length line > max_bytes then
-    bad "request is %d bytes; the limit is %d" (String.length line) max_bytes
+    (no_envelope, bad "request is %d bytes; the limit is %d" (String.length line) max_bytes)
   else
-    let* json =
-      match Json.parse line with
-      | Ok j -> Ok j
-      | Error (pos, msg) -> Error (Error.parse (Printf.sprintf "at byte %d: %s" pos msg))
-    in
-    let* fields =
-      match Json.get_obj json with
-      | Some fields -> Ok fields
-      | None -> bad "a request must be a JSON object"
-    in
-    let* req_schema =
-      match List.assoc_opt "schema" fields with
-      | Some (Json.Str v) when v = schema || v = schema_v2 -> Ok v
-      | Some (Json.Str v) -> Error (Error.Unsupported_version v)
-      | Some _ -> bad "field %S must be a string" "schema"
-      | None -> Error (Error.Unsupported_version "(missing schema field)")
-    in
-    let id = List.assoc_opt "id" fields in
-    let* timeout_ms =
-      match List.assoc_opt "timeout_ms" fields with
-      | None -> Ok None
-      | Some (Json.Int ms) when ms > 0 -> Ok (Some ms)
-      | Some _ -> bad "field %S must be a positive integer" "timeout_ms"
-    in
-    let* kind_name = req_field "kind" Json.get_string "a string" fields in
-    let* kind =
-      match kind_name with
-      | "flow" -> parse_flow fields
-      | "xtalk" -> parse_xtalk fields
-      | "sweep_case" -> Result.map (fun c -> Sweep_case c) (parse_case fields)
-      | "screen" -> Result.map (fun c -> Screen c) (parse_case fields)
-      | ("design_load" | "flow_delta" | "design_unload") when req_schema <> schema_v2 ->
-          bad "kind %S requires schema %S" kind_name schema_v2
-      | "design_load" -> parse_design_load fields
-      | "flow_delta" -> parse_flow_delta fields
-      | "design_unload" -> parse_design_unload fields
-      | "ping" -> Ok Ping
-      | "stats" -> Ok Stats
-      | "metrics" -> Ok Metrics
-      | "health" -> Ok Health
-      | "shutdown" -> Ok Shutdown
-      | other -> bad "unknown request kind %S" other
-    in
-    Ok { id; timeout_ms; schema = req_schema; kind }
+    match Json.parse line with
+    | Error (pos, msg) ->
+        (no_envelope, Error (Error.parse (Printf.sprintf "at byte %d: %s" pos msg)))
+    | Ok json -> (
+        match Json.get_obj json with
+        | None -> (no_envelope, bad "a request must be a JSON object")
+        | Some fields ->
+            let envelope =
+              {
+                schema =
+                  (match List.assoc_opt "schema" fields with
+                  | Some (Json.Str v) when v = schema_v2 -> schema_v2
+                  | _ -> schema);
+                id = List.assoc_opt "id" fields;
+              }
+            in
+            (envelope, parse_fields envelope fields))
 
 (* ----------------------------------------------------------- responses *)
 
-let response ?(schema = schema) ?id ~ok fields =
+let response envelope ~ok fields =
   let base =
-    ("schema", Json.Str schema)
-    :: (match id with Some id -> [ ("id", id) ] | None -> [])
+    ("schema", Json.Str envelope.schema)
+    :: (match envelope.id with Some id -> [ ("id", id) ] | None -> [])
   in
   Json.to_string (Json.Obj (base @ (("ok", Json.Bool ok) :: fields)))
 
-let ok_response ?schema ?id fields = response ?schema ?id ~ok:true fields
+let ok_response envelope fields = response envelope ~ok:true fields
 
-let error_response ?schema ?id err =
-  response ?schema ?id ~ok:false
+let error_response envelope err =
+  response envelope ~ok:false
     [
       ( "error",
         Json.Obj

@@ -11,6 +11,15 @@
     {!Error.code}.  Responses carry the schema of the request they answer,
     so a v1 client never sees ["rlc-service/2"] on the wire.
 
+    Every response to a line that parses as a JSON object, failures
+    included, echoes that line's {!envelope}: its ["id"] when it has one,
+    and ["rlc-service/2"] when it is tagged so, else ["rlc-service/1"].  A
+    request that fails validation (an unknown kind, a v2-only kind under
+    the v1 tag, an unsupported tag, a bad field) is therefore answered
+    with its own id.  Only a line that is malformed JSON, not an object,
+    or over the size limit is answered with {!no_envelope}: no id, and
+    ["rlc-service/1"].
+
     v2 is a strict superset of v1: every v1 kind parses identically under
     either tag, and v1 responses are byte-for-byte what a v1-only server
     produced.  The three v2-only kinds drive the incremental (ECO) store:
@@ -121,27 +130,34 @@ type kind =
           Served inline like [Metrics]. *)
   | Shutdown
 
-type request = {
-  id : Json.t option;  (** echoed verbatim into the response *)
-  timeout_ms : int option;
-  schema : string;  (** the accepted tag — {!schema} or {!schema_v2};
-                        responses echo it *)
-  kind : kind;
-}
+type request = { timeout_ms : int option; kind : kind }
 
-val parse_request : ?max_bytes:int -> string -> (request, Error.t) result
-(** Validate one request line.  Errors, in checking order: over
+type envelope = {
+  schema : string;
+      (** {!schema_v2} when the line is tagged so, else {!schema} (also for
+          a missing or unsupported tag) *)
+  id : Json.t option;  (** the line's ["id"], echoed verbatim *)
+}
+(** What every response to a line echoes. *)
+
+val no_envelope : envelope
+(** [{schema = "rlc-service/1"; id = None}]: the envelope of a line that
+    is not a JSON object. *)
+
+val parse_request : ?max_bytes:int -> string -> envelope * (request, Error.t) result
+(** Validate one request line, reading its envelope once, as soon as the
+    line parses as a JSON object.  Errors, in checking order: over
     [max_bytes] (default {!default_max_bytes}) → [Bad_request]; malformed
-    JSON → [Parse] with the byte position; wrong/missing schema →
+    JSON → [Parse] with the byte position; not an object → [Bad_request]
+    (these three with {!no_envelope}); wrong/missing schema →
     [Unsupported_version]; a v2-only kind under the v1 tag, an unknown
     kind, a missing required field, or a type/positivity violation →
     [Bad_request]. *)
 
-val ok_response : ?schema:string -> ?id:Json.t -> (string * Json.t) list -> string
-(** Success line (no trailing newline): the standard envelope with the
-    given extra fields appended after ["ok"].  [schema] defaults to
-    {!schema} (v1); pass the request's tag to echo it. *)
+val ok_response : envelope -> (string * Json.t) list -> string
+(** Success line (no trailing newline): the envelope with the given
+    extra fields appended after ["ok"]. *)
 
-val error_response : ?schema:string -> ?id:Json.t -> Error.t -> string
+val error_response : envelope -> Error.t -> string
 (** Failure line carrying [{"code";"message"}] from {!Error.code} /
     {!Error.message}. *)

@@ -17,10 +17,14 @@
 
    Request budgets are per-request [Rlc_errors.Deadline] values — checked
    on queue exit (entries that expired while waiting are answered without
-   burning a worker), installed ambiently around dispatch, threaded into
-   [Flow.Config.deadline], and polled by the engine's step loops.  The
+   burning a worker), installed ambiently around dispatch with the
+   request's trace id, carried across domains by the pool, and polled by
+   the engine's step loops; nothing below takes them as an argument.  The
    old ITIMER_REAL+SIGALRM mechanism was process-global (one timer, one
-   signal) and could not have coexisted with concurrent requests. *)
+   signal) and could not have coexisted with concurrent requests.
+
+   Every failure line, whichever stage refuses the request, is built by
+   [failure] and echoes the request's envelope. *)
 
 module Evaluate = Rlc_ceff.Evaluate
 module Units = Rlc_num.Units
@@ -65,7 +69,7 @@ let default_tick_period_s = 1.
 
 let create ?(timeout_s = default_timeout_s) ?(max_request_bytes = Protocol.default_max_bytes)
     ?(workers = default_workers) ?(queue_capacity = default_queue_capacity) ?backlog ?slow_ms
-    ?(slow_channel = stderr) ?(tick_period_s = default_tick_period_s) ?window_capacity session =
+    ?(slow_channel = stderr) ?(tick_period_s = default_tick_period_s) session =
   let queue_capacity = Int.max 1 queue_capacity in
   {
     session;
@@ -80,7 +84,7 @@ let create ?(timeout_s = default_timeout_s) ?(max_request_bytes = Protocol.defau
     stop = Atomic.make false;
     wake = Atomic.make None;
     queue_depth = Atomic.make 0;
-    window = Rlc_obs.Window.create ?capacity:window_capacity ();
+    window = Rlc_obs.Window.create ();
     trace_seq = Atomic.make 0;
     (* Best-effort distinctness across daemon runs: the pid verbatim plus
        30 bits of a start-time hash, so merged logs from different runs
@@ -212,17 +216,14 @@ let case_of t (c : Protocol.case_req) =
   Session.case t.session ?slew_ps:c.Protocol.c_slew_ps ?cl_ff:c.Protocol.c_cl_ff
     ~length_mm:c.Protocol.c_length_mm ~width_um:c.Protocol.c_width_um ~size:c.Protocol.c_size ()
 
-(* A Session request from the wire fields; [deadline]/[trace] scope this
-   call (design_load strips them before storing the request). *)
-let request_of ~deadline ~trace ?xtalk (f : Protocol.flow_req) =
+(* A Session request from the wire fields. *)
+let request_of ?xtalk (f : Protocol.flow_req) =
   {
     Session.Request.default with
     Session.Request.required = Option.map Units.ps f.Protocol.f_required_ps;
     use_cache = f.Protocol.f_use_cache;
     dt = Option.map Units.ps f.Protocol.f_dt_ps;
     xtalk;
-    deadline = Some deadline;
-    trace;
   }
 
 let xtalk_of (x : Protocol.xtalk_req) =
@@ -249,7 +250,7 @@ let resolve_sources (f : Protocol.flow_req) =
 (* Shared by the "flow" and "xtalk" kinds — one code path, so an xtalk
    request's report embeds the fragment and everything else stays
    byte-identical to a plain flow. *)
-let run_flow t ~deadline ~trace ?xtalk (f : Protocol.flow_req) =
+let run_flow t ?xtalk (f : Protocol.flow_req) =
   let ( let* ) = Result.bind in
   let* spef, spef_name, spec, spec_name = resolve_sources f in
   let* design =
@@ -257,15 +258,15 @@ let run_flow t ~deadline ~trace ?xtalk (f : Protocol.flow_req) =
       ?slew:(Option.map Units.ps f.Protocol.f_slew_ps)
       ~spef ()
   in
-  let* outcome = Session.flow t.session (request_of ~deadline ~trace ?xtalk f) design in
+  let* outcome = Session.flow t.session (request_of ?xtalk f) design in
   Ok (flow_fields outcome)
 
 (* "design_load": same resolution and knobs as "flow", but the timed design
    stays resident under the returned handle. *)
-let run_design_load t ~deadline ~trace (f : Protocol.flow_req) xtalk =
+let run_design_load t (f : Protocol.flow_req) xtalk =
   let ( let* ) = Result.bind in
   let* spef, spef_name, spec, spec_name = resolve_sources f in
-  let req = request_of ~deadline ~trace ?xtalk:(Option.map xtalk_of xtalk) f in
+  let req = request_of ?xtalk:(Option.map xtalk_of xtalk) f in
   let* handle, outcome =
     Session.design_load t.session ?spef_name ?spec ?spec_name ?size:f.Protocol.f_size
       ?slew:(Option.map Units.ps f.Protocol.f_slew_ps)
@@ -273,7 +274,7 @@ let run_design_load t ~deadline ~trace (f : Protocol.flow_req) xtalk =
   in
   Ok (("handle", Json.Str handle) :: flow_fields outcome)
 
-let run_flow_delta t ~deadline ~trace (d : Protocol.delta_req) =
+let run_flow_delta t (d : Protocol.delta_req) =
   let ( let* ) = Result.bind in
   let delta =
     {
@@ -282,7 +283,7 @@ let run_flow_delta t ~deadline ~trace (d : Protocol.delta_req) =
       slews = List.map (fun (net, ps) -> (net, Units.ps ps)) d.Protocol.d_slews_ps;
     }
   in
-  let* outcome, stats = Session.flow_delta t.session ~deadline ?trace ~handle:d.Protocol.d_handle delta in
+  let* outcome, stats = Session.flow_delta t.session ~handle:d.Protocol.d_handle delta in
   Ok
     (flow_fields outcome
     @ [
@@ -297,7 +298,7 @@ let server_info t =
     queue_depth = Atomic.get t.queue_depth;
   }
 
-let dispatch t ~deadline ~trace (kind : Protocol.kind) :
+let dispatch t (kind : Protocol.kind) :
     ((string * Json.t) list, Error.t) result * [ `Continue | `Stop ] =
   let ( let* ) = Result.bind in
   match kind with
@@ -331,10 +332,10 @@ let dispatch t ~deadline ~trace (kind : Protocol.kind) :
              ~window:t.window ()),
         `Continue )
   | Protocol.Shutdown -> (Ok [ ("stopping", Json.Bool true) ], `Stop)
-  | Protocol.Flow f -> (run_flow t ~deadline ~trace f, `Continue)
-  | Protocol.Xtalk (f, x) -> (run_flow t ~deadline ~trace ~xtalk:(xtalk_of x) f, `Continue)
-  | Protocol.Design_load (f, x) -> (run_design_load t ~deadline ~trace f x, `Continue)
-  | Protocol.Flow_delta d -> (run_flow_delta t ~deadline ~trace d, `Continue)
+  | Protocol.Flow f -> (run_flow t f, `Continue)
+  | Protocol.Xtalk (f, x) -> (run_flow t ~xtalk:(xtalk_of x) f, `Continue)
+  | Protocol.Design_load (f, x) -> (run_design_load t f x, `Continue)
+  | Protocol.Flow_delta d -> (run_flow_delta t d, `Continue)
   | Protocol.Design_unload handle ->
       ( (let* () = Session.design_unload t.session handle in
          Ok [ ("unloaded", Json.Bool true) ]),
@@ -380,40 +381,39 @@ let kind_name = function
   | Protocol.Health -> "health"
   | Protocol.Shutdown -> "shutdown"
 
-(* Serve one decoded request under its deadline, with the minted trace id
-   installed ambiently so every span recorded below carries it.
-   Per-request isolation: whatever escapes — an expired deadline from any
-   depth of the stack, an unexpected exception — becomes a typed error
-   response and the caller keeps serving.  Never raises. *)
-let respond t ~deadline ~trace (req : Protocol.request) =
-  let id = req.Protocol.id in
-  let outcome, control =
-    match
-      Obs.with_trace (Some trace) (fun () ->
-          Deadline.with_ambient deadline (fun () ->
-              dispatch t ~deadline ~trace:(Some trace) req.Protocol.kind))
-    with
-    | v -> v
-    | exception Deadline.Expired budget -> (Error (Error.Timeout budget), `Continue)
-    | exception Fun.Finally_raised (Deadline.Expired budget) ->
-        (Error (Error.Timeout budget), `Continue)
-    | exception e -> (Error (Error.of_exn e), `Continue)
-  in
-  (* Encoding belongs to the request too: its span carries the trace. *)
-  let encode f = Obs.with_trace (Some trace) (fun () -> Obs.layer (obs t) "service.encode" f) in
-  match outcome with
-  | Ok fields ->
-      Session.note t.session ~ok:true;
-      ( encode (fun () -> Protocol.ok_response ~schema:req.Protocol.schema ?id fields),
-        control,
-        Ok fields )
-  | Error e ->
-      Session.note t.session ~ok:false;
-      (match e with Error.Timeout _ -> Obs.incr (obs t) "service.timeouts" | _ -> ());
-      Log.info (fun m -> m "request failed: %s" (Error.to_string e));
-      ( encode (fun () -> Protocol.error_response ~schema:req.Protocol.schema ?id e),
-        `Continue,
-        Error e )
+(* Every failure line the daemon writes, from whichever stage refused the
+   request: counted in the session totals, logged, and answered in the
+   request's own envelope. *)
+let failure t envelope e =
+  Session.note t.session ~ok:false;
+  Log.info (fun m -> m "request failed: %s" (Error.to_string e));
+  Protocol.error_response envelope e
+
+(* Serve one decoded request.  Its trace id is installed around dispatch
+   and encoding, its deadline around dispatch: this is the one place
+   either is installed for a request, and every span recorded below, on
+   any pool domain, carries the trace.  Per-request isolation: whatever
+   escapes — an expired deadline from any depth of the stack, an
+   unexpected exception — becomes a typed error response and the caller
+   keeps serving.  Never raises. *)
+let respond t ~deadline ~trace envelope (req : Protocol.request) =
+  Obs.with_trace (Some trace) (fun () ->
+      let outcome, control =
+        match Deadline.with_ambient deadline (fun () -> dispatch t req.Protocol.kind) with
+        | v -> v
+        | exception Deadline.Expired budget -> (Error (Error.Timeout budget), `Continue)
+        | exception Fun.Finally_raised (Deadline.Expired budget) ->
+            (Error (Error.Timeout budget), `Continue)
+        | exception e -> (Error (Error.of_exn e), `Continue)
+      in
+      let encode f = Obs.layer (obs t) "service.encode" f in
+      match outcome with
+      | Ok fields ->
+          Session.note t.session ~ok:true;
+          (encode (fun () -> Protocol.ok_response envelope fields), control, Ok fields)
+      | Error e ->
+          (match e with Error.Timeout _ -> Obs.incr (obs t) "service.timeouts" | _ -> ());
+          (encode (fun () -> failure t envelope e), `Continue, Error e))
 
 (* The slow-log keys of a request's split: the daemon's own layers. *)
 let split_keys =
@@ -466,12 +466,12 @@ let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome =
    built from, the ["service.request"] span, and the slow-request log.
    [worker] is the executor domain index, or [-1] for requests served on
    the serving loop itself (pipe mode and inline [metrics]/[health]). *)
-let serve_request t ~deadline ~trace ~queue_wait_s ~worker (req : Protocol.request) =
+let serve_request t ~deadline ~trace ~queue_wait_s ~worker envelope (req : Protocol.request) =
   let o = obs t in
   let kind = kind_name req.Protocol.kind in
   let t0 = Unix.gettimeofday () in
   let (response, control, outcome), split =
-    Obs.with_split (fun () -> respond t ~deadline ~trace req)
+    Obs.with_split (fun () -> respond t ~deadline ~trace envelope req)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   if Obs.enabled o then begin
@@ -496,14 +496,11 @@ let serve_request t ~deadline ~trace ~queue_wait_s ~worker (req : Protocol.reque
 let handle_line t line =
   tick t;
   match Protocol.parse_request ~max_bytes:t.max_request_bytes line with
-  | Error e ->
-      Session.note t.session ~ok:false;
-      Log.info (fun m -> m "request failed: %s" (Error.to_string e));
-      (Protocol.error_response e, `Continue)
-  | Ok req ->
+  | envelope, Error e -> (failure t envelope e, `Continue)
+  | envelope, Ok req ->
       serve_request t
         ~deadline:(Deadline.start (budget_of t req))
-        ~trace:(mint_trace t) ~queue_wait_s:0. ~worker:(-1) req
+        ~trace:(mint_trace t) ~queue_wait_s:0. ~worker:(-1) envelope req
 
 (* ---------------------------------------------------------- pipe mode *)
 
@@ -592,6 +589,7 @@ type conn = {
 
 type job = {
   j_conn : conn;
+  j_envelope : Protocol.envelope;
   j_req : Protocol.request;
   j_deadline : Deadline.t;
   j_budget : float;
@@ -659,9 +657,8 @@ let rec advance t rt conn =
       (* An unterminated line already over the limit: reject it now, then
          skip the rest of it as it streams in — the connection stays
          usable and the server never buffers an unbounded line. *)
-      Session.note t.session ~ok:false;
       write_response conn
-        (Protocol.error_response
+        (failure t Protocol.no_envelope
            (Error.Bad_request
               (Printf.sprintf "request is over %d bytes; the limit is %d" (Buffer.length conn.buf)
                  t.max_request_bytes)));
@@ -674,12 +671,10 @@ let rec advance t rt conn =
       | Some line when String.trim line = "" -> advance t rt conn
       | Some line -> (
           match Protocol.parse_request ~max_bytes:t.max_request_bytes line with
-          | Error e ->
-              Session.note t.session ~ok:false;
-              Log.info (fun m -> m "request failed: %s" (Error.to_string e));
-              write_response conn (Protocol.error_response e);
+          | envelope, Error e ->
+              write_response conn (failure t envelope e);
               advance t rt conn
-          | Ok ({ Protocol.kind = Protocol.Metrics | Protocol.Health; _ } as req) ->
+          | envelope, Ok ({ Protocol.kind = Protocol.Metrics | Protocol.Health; _ } as req) ->
               (* Telemetry must answer even when the admission queue is
                  saturated: the listener serves these two kinds inline —
                  they read atomics and the window, never the engine — so a
@@ -688,15 +683,16 @@ let rec advance t rt conn =
               tick t;
               let response, _ =
                 serve_request t ~deadline:Deadline.never ~trace:(mint_trace t)
-                  ~queue_wait_s:0. ~worker:(-1) req
+                  ~queue_wait_s:0. ~worker:(-1) envelope req
               in
               write_response conn response;
               advance t rt conn
-          | Ok req -> (
+          | envelope, Ok req -> (
               let budget = budget_of t req in
               let job =
                 {
                   j_conn = conn;
+                  j_envelope = envelope;
                   j_req = req;
                   j_deadline = Deadline.start budget;
                   j_budget = budget;
@@ -716,11 +712,8 @@ let rec advance t rt conn =
               | `Full | `Closed ->
                   (* Admission control: overload is a fast, typed rejection
                      on the existing wire code, not unbounded latency. *)
-                  Session.note t.session ~ok:false;
                   Obs.incr (obs t) "service.rejected_queue_full";
-                  write_response conn
-                    (Protocol.error_response ~schema:req.Protocol.schema ?id:req.Protocol.id
-                       (Error.Timeout budget));
+                  write_response conn (failure t envelope (Error.Timeout budget));
                   advance t rt conn))
 
 let worker_loop t rt wid =
@@ -735,23 +728,16 @@ let worker_loop t rt wid =
         let response, control =
           if Deadline.expired job.j_deadline then begin
             (* Expired while queued: answer without burning a worker. *)
-            Session.note t.session ~ok:false;
             Obs.incr o "service.rejected_expired";
-            ( Protocol.error_response ~schema:job.j_req.Protocol.schema ?id:job.j_req.Protocol.id
-                (Error.Timeout job.j_budget),
-              `Continue )
+            (failure t job.j_envelope (Error.Timeout job.j_budget), `Continue)
           end
-          else if stopped t then begin
+          else if stopped t then
             (* Shutdown drain: queued-but-unstarted requests get a typed
                timeout instead of a silently closed connection. *)
-            Session.note t.session ~ok:false;
-            ( Protocol.error_response ~schema:job.j_req.Protocol.schema ?id:job.j_req.Protocol.id
-                (Error.Timeout job.j_budget),
-              `Continue )
-          end
+            (failure t job.j_envelope (Error.Timeout job.j_budget), `Continue)
           else
             serve_request t ~deadline:job.j_deadline ~trace:job.j_trace ~queue_wait_s
-              ~worker:wid job.j_req
+              ~worker:wid job.j_envelope job.j_req
         in
         write_response job.j_conn response;
         (match control with `Stop -> stop t | `Continue -> ());

@@ -16,15 +16,25 @@
     error code — overload is a fast typed rejection, not unbounded
     latency.  Pipe mode ({!serve_channels}) stays strictly serial.
 
-    {b Budgets.}  The per-request wall-clock budget (default
+    {b Request scope.}  The per-request wall-clock budget (default
     {!default_timeout_s}, overridable per request with ["timeout_ms"]) is
-    a per-request {!Rlc_errors.Deadline}: checked when a queued request
+    a per-request {!Rlc_errors.Deadline}, checked when a queued request
     reaches a worker (entries that expired while waiting are answered
-    without running), installed ambiently around dispatch, threaded into
-    [Flow.Config.deadline], propagated across pool domains, and polled by
-    the engine's step loops.  Expiry surfaces as the same [timeout] error
-    the old ITIMER_REAL/SIGALRM mechanism produced, but works with any
-    [jobs] count and any number of concurrent requests. *)
+    without running).  The server installs it with
+    {!Rlc_errors.Deadline.with_ambient} around dispatch, and the request's
+    trace id with {!Rlc_obs.Obs.with_trace} around dispatch and encoding;
+    the pool carries both into its worker domains, and the engine's step
+    loops poll the deadline.  Nothing between takes either as an
+    argument.  Expiry surfaces as the same [timeout] error the old
+    ITIMER_REAL/SIGALRM mechanism produced, but works with any [jobs]
+    count and any number of concurrent requests.
+
+    {b Failures.}  One function builds every failure line — a line that
+    does not decode, an oversized line, a full queue, expiry while queued,
+    the shutdown drain, and a request that fails while running.  It counts
+    the failure in the session totals, logs it, and echoes the request's
+    {!Protocol.envelope}: its ["id"] and schema tag whenever the line
+    parsed as a JSON object, {!Protocol.no_envelope} otherwise. *)
 
 (** {b Incremental designs.}  Under the ["rlc-service/2"] schema the
     daemon is a long-lived incremental timer: [design_load] times a design
@@ -59,7 +69,6 @@ val create :
   ?slow_ms:float ->
   ?slow_channel:out_channel ->
   ?tick_period_s:float ->
-  ?window_capacity:int ->
   Session.t ->
   t
 (** Wrap a session.  [timeout_s <= 0] or [infinity] disables the request
@@ -84,9 +93,8 @@ val create :
     inside ["service.request"] when the session's sink records spans.
 
     [tick_period_s] (default {!default_tick_period_s}) is the telemetry
-    ticker period and [window_capacity] (default 60 samples) the rolling
-    window length; both only matter when the session's obs sink is
-    enabled.  The session is borrowed: closing it after the serve loop
+    ticker period of the 60-sample rolling window; it only matters when
+    the session's obs sink is enabled.  The session is borrowed: closing it after the serve loop
     returns is the caller's job. *)
 
 val window : t -> Rlc_obs.Window.t

@@ -57,8 +57,6 @@ module Request = struct
     adaptive : Rlc_circuit.Engine.adaptive option;
     progress : Rlc_obs.Progress.t option;
     xtalk : xtalk_request option;
-    deadline : Rlc_errors.Deadline.t option;
-    trace : string option;
   }
 
   let default =
@@ -69,15 +67,12 @@ module Request = struct
       adaptive = None;
       progress = None;
       xtalk = None;
-      deadline = None;
-      trace = None;
     }
 end
 
 (* A resident incrementally timed design.  [timed] is replaced wholesale on
-   each applied delta under [lock].  [req] is the load-time request with the
-   per-request fields (deadline, trace, progress) stripped — deltas rebuild
-   those per call.  [entries] holds the last report's per-net entries,
+   each applied delta under [lock].  [req] is the load-time request without
+   its [progress] sink.  [entries] holds the last report's per-net entries,
    which the next delta's report copies where their inputs are unchanged
    (also only under [lock]). *)
 type design_entry = {
@@ -201,8 +196,6 @@ let flow_cfg t (req : Request.t) =
     obs = t.config.Config.obs;
     progress = req.Request.progress;
     pool = Some t.pool;
-    deadline = req.Request.deadline;
-    trace = req.Request.trace;
   }
 
 (* Crosstalk analysis + report rendering over a finished flow result —
@@ -267,11 +260,11 @@ let design_load t ?spef_name ?spec ?spec_name ?size ?slew ~req ~spef () =
   in
   let entries = Report.entries ~escape:Json.escape () in
   let* outcome = guard (fun () -> outcome_of ~entries t req (Flow.Timed.result timed)) in
-  let stored = { req with Request.deadline = None; trace = None; progress = None } in
+  let stored = { req with Request.progress = None } in
   let handle = register t ~req:stored ~entries timed in
   Ok (handle, outcome)
 
-let flow_delta t ?deadline ?trace ~handle delta =
+let flow_delta t ~handle delta =
   match Memo.find t.designs handle with
   | None -> Error (unknown_handle handle)
   | Some entry ->
@@ -283,14 +276,11 @@ let flow_delta t ?deadline ?trace ~handle delta =
           let* timed, delta_stats =
             Result.join
               (guard (fun () ->
-                   Flow.retime ?deadline ?trace
-                     ~xtalk_victims:(req.Request.xtalk <> None)
-                     entry.timed delta))
+                   Flow.retime ~xtalk_victims:(req.Request.xtalk <> None) entry.timed delta))
           in
           let* outcome =
             guard (fun () ->
-                outcome_of ~entries:entry.entries t { req with Request.deadline; trace }
-                  (Flow.Timed.result timed))
+                outcome_of ~entries:entry.entries t req (Flow.Timed.result timed))
           in
           entry.timed <- timed;
           Ok (outcome, delta_stats))

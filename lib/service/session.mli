@@ -13,7 +13,14 @@
     CLI's.
 
     Every operation returns [(_, Error.t) result]; the raising entry points
-    of the lower layers are confined behind it. *)
+    of the lower layers are confined behind it.
+
+    No operation takes a deadline or a trace id: each runs under the
+    caller's ambient ones.  An embedder bounds a call by running it inside
+    [with_ambient] of an {!Rlc_errors.Deadline.t}, and expiry escapes as
+    {!Rlc_errors.Deadline.Expired}.  The {!Server} installs a deadline
+    and a trace id around each request and answers expiry as
+    [timeout]. *)
 
 module Config : sig
   type t = {
@@ -85,7 +92,8 @@ val default_xtalk : xtalk_request
 (** The whole per-request knob surface of a flow as one typed record —
     what used to be eight optional arguments.  The CLI one-shot path, the
     v1 [flow] kind and the v2 [design_load] kind all decode into this, so
-    byte-identity of their reports is structural.  Build requests with
+    byte-identity of their reports is structural.  Every field but
+    [progress] is an input the answer depends on.  Build requests with
     [{ Request.default with required = Some ... }]. *)
 module Request : sig
   type t = {
@@ -96,11 +104,6 @@ module Request : sig
         (** LTE-controlled stepping; part of the cache key *)
     progress : Rlc_obs.Progress.t option;
     xtalk : xtalk_request option;  (** run crosstalk analysis when set *)
-    deadline : Rlc_errors.Deadline.t option;
-        (** per-request budget; expiry escapes as
-            {!Rlc_errors.Deadline.Expired} (the server owns the wire
-            [Timeout] conversion) *)
-    trace : string option;  (** request trace id for obs spans *)
   }
 
   val default : t
@@ -146,16 +149,14 @@ val design_load :
   (string * flow_outcome, Error.t) result
 (** Parse, ingest, and cold-time a design ({!Rlc_flow.Flow.time}), keep it
     resident, and return its handle (["d1"], ["d2"], ...) plus the full
-    cold outcome.  The request — minus its per-call [deadline], [trace]
-    and [progress] — is stored with the handle and governs every
-    subsequent {!flow_delta}, so a handle's reports always come from one
-    consistent configuration.  Loading beyond [Config.design_capacity]
-    evicts the least-recently-used handle. *)
+    cold outcome.  The request — minus its [progress] sink — is stored
+    with the handle and governs every subsequent {!flow_delta}, so a
+    handle's reports always come from one consistent configuration.
+    Loading beyond [Config.design_capacity] evicts the least-recently-used
+    handle. *)
 
 val flow_delta :
   t ->
-  ?deadline:Rlc_errors.Deadline.t ->
-  ?trace:string ->
   handle:string ->
   Rlc_flow.Delta.t ->
   (flow_outcome * Rlc_flow.Flow.delta_stats, Error.t) result

@@ -10,10 +10,9 @@
 
 type t
 
-val create : ?gamma_far:float -> vs:float -> rs:float -> z0:float -> tf:float -> unit -> t
-(** [gamma_far] is the far-end reflection coefficient (default [1.] = open
-    end, the on-chip case with a small receiver).  [rs >= 0], [z0 > 0],
-    [tf > 0]. *)
+val create : vs:float -> rs:float -> z0:float -> tf:float -> t
+(** A line with an open far end (reflection coefficient 1, the on-chip
+    case with a small receiver).  [rs >= 0], [z0 > 0], [tf > 0]. *)
 
 val gamma_source : t -> float
 val initial_step : t -> float

@@ -216,11 +216,11 @@ let prop_closed_form_equals_quadrature =
 let line5 = Line.of_totals ~r:72.44 ~l:5.14e-9 ~c:1.10e-12 ~length:5e-3
 
 let test_screen_all_pass () =
-  let v = Screen.evaluate ~line:line5 ~cl:20e-15 ~rs:40. ~tr1:70e-12 () in
+  let v = Screen.evaluate ~line:line5 ~cl:20e-15 ~rs:40. ~tr1:70e-12 in
   Alcotest.(check bool) "significant" true v.Screen.significant
 
 let test_screen_individual_criteria () =
-  let base ~cl ~rs ~tr1 = Screen.evaluate ~line:line5 ~cl ~rs ~tr1 () in
+  let base ~cl ~rs ~tr1 = Screen.evaluate ~line:line5 ~cl ~rs ~tr1 in
   let v = base ~cl:(0.5 *. Line.total_c line5) ~rs:40. ~tr1:70e-12 in
   Alcotest.(check bool) "big CL fails" false v.Screen.significant;
   Alcotest.(check bool) "cl flag" false v.Screen.cl_ok;
@@ -233,7 +233,7 @@ let test_screen_individual_criteria () =
 
 let test_screen_resistive_line () =
   let lossy = Line.of_totals ~r:400. ~l:5e-9 ~c:1.1e-12 ~length:5e-3 in
-  let v = Screen.evaluate ~line:lossy ~cl:20e-15 ~rs:40. ~tr1:70e-12 () in
+  let v = Screen.evaluate ~line:lossy ~cl:20e-15 ~rs:40. ~tr1:70e-12 in
   Alcotest.(check bool) "overdamped line fails Rl <= 2 Z0" false v.Screen.rl_ok
 
 (* -------------------------------------------------- end-to-end model *)

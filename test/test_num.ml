@@ -141,38 +141,6 @@ let prop_lu_random_spd =
       let x = Linalg.solve a b in
       Linalg.residual_norm a x b < 1e-8)
 
-(* ------------------------------------------------------------- Tridiag *)
-
-let test_tridiag_vs_dense () =
-  let n = 8 in
-  let t = Tridiag.create n in
-  for i = 0 to n - 1 do
-    t.diag.(i) <- 4. +. float_of_int i;
-    if i > 0 then t.lower.(i) <- -1.;
-    if i < n - 1 then t.upper.(i) <- -1.5
-  done;
-  let b = Array.init n (fun i -> float_of_int (i + 1)) in
-  let x = Tridiag.solve t b in
-  let dense = Tridiag.to_dense t in
-  check_float ~eps:1e-10 "matches dense solve" 0. (Linalg.residual_norm dense x b)
-
-let prop_tridiag_residual =
-  QCheck.Test.make ~name:"Thomas solver residual on dominant systems" ~count:200
-    QCheck.(pair (int_range 2 50) (list_of_size (Gen.return 160) (float_range 0.1 2.)))
-    (fun (n, vals) ->
-      QCheck.assume (List.length vals >= 3 * n);
-      let v = Array.of_list vals in
-      let t = Tridiag.create n in
-      for i = 0 to n - 1 do
-        t.diag.(i) <- 5. +. v.(i);
-        if i > 0 then t.lower.(i) <- -.v.(n + i);
-        if i < n - 1 then t.upper.(i) <- -.v.((2 * n) + i)
-      done;
-      let b = Array.init n (fun i -> v.(i) -. 1.) in
-      let x = Tridiag.solve t b in
-      let ax = Tridiag.mat_vec t x in
-      Array.for_all2 (fun u w -> Float.abs (u -. w) < 1e-9) ax b)
-
 (* -------------------------------------------------------------- Banded *)
 
 let test_banded_vs_dense () =
@@ -331,8 +299,6 @@ let () =
           Alcotest.test_case "determinant" `Quick test_determinant;
           q prop_lu_random_spd;
         ] );
-      ( "tridiag",
-        [ Alcotest.test_case "vs dense" `Quick test_tridiag_vs_dense; q prop_tridiag_residual ] );
       ( "banded",
         [
           Alcotest.test_case "vs dense" `Quick test_banded_vs_dense;

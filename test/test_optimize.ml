@@ -96,6 +96,18 @@ let test_noop_when_timing_met () =
   Alcotest.(check string) "flow result untouched" (Report.json_string o.Optimize.before)
     (Report.json_string o.Optimize.after)
 
+(* The run's budget reaches the optimizer only ambiently, as
+   [rlc_timing optimize --timeout-ms] installs it: a 1 ms deadline around
+   the run expires in it. *)
+let test_ambient_deadline_expires () =
+  match
+    Rlc_errors.Deadline.with_ambient (Rlc_errors.Deadline.start 1e-3) (fun () ->
+        run_optimize ~spec:sizing_spec ~required:(ps 150.) ())
+  with
+  | _ -> Alcotest.fail "the run outlived a 1 ms budget"
+  | exception Rlc_errors.Deadline.Expired budget ->
+      Alcotest.(check (float 0.)) "the budget it ran out of" 1e-3 budget
+
 let () =
   Alcotest.run "rlc_optimize"
     [
@@ -106,5 +118,6 @@ let () =
           Alcotest.test_case "jobs 2 characterizes each size once" `Quick
             test_ladder_characterized_once;
           Alcotest.test_case "no-op when timing already met" `Quick test_noop_when_timing_met;
+          Alcotest.test_case "ambient deadline expires" `Quick test_ambient_deadline_expires;
         ] );
     ]

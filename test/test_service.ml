@@ -102,18 +102,20 @@ let test_json_floats () =
 
 (* ------------------------------------------------------------ protocol *)
 
-let parse_req line = Protocol.parse_request line
+let parse_req line = snd (Protocol.parse_request line)
 
 let test_protocol_kinds () =
   (* Every kind parses; ids and timeouts are carried through. *)
-  (match parse_req {|{"schema":"rlc-service/1","kind":"ping","id":7,"timeout_ms":500}|} with
-  | Ok { Protocol.id = Some (Json.Int 7); timeout_ms = Some 500; kind = Protocol.Ping; schema }
-    ->
+  (match
+     Protocol.parse_request {|{"schema":"rlc-service/1","kind":"ping","id":7,"timeout_ms":500}|}
+   with
+  | ( { Protocol.id = Some (Json.Int 7); schema },
+      Ok { Protocol.timeout_ms = Some 500; kind = Protocol.Ping } ) ->
       Alcotest.(check string) "schema recorded" Protocol.schema schema
-  | Ok _ -> Alcotest.fail "ping fields"
-  | Error e -> Alcotest.fail (Error.to_string e));
-  (match parse_req {|{"schema":"rlc-service/1","kind":"stats"}|} with
-  | Ok { Protocol.kind = Protocol.Stats; id = None; timeout_ms = None; _ } -> ()
+  | _, Ok _ -> Alcotest.fail "ping fields"
+  | _, Error e -> Alcotest.fail (Error.to_string e));
+  (match Protocol.parse_request {|{"schema":"rlc-service/1","kind":"stats"}|} with
+  | { Protocol.id = None; _ }, Ok { Protocol.kind = Protocol.Stats; timeout_ms = None } -> ()
   | _ -> Alcotest.fail "stats");
   (match parse_req {|{"schema":"rlc-service/1","kind":"shutdown"}|} with
   | Ok { Protocol.kind = Protocol.Shutdown; _ } -> ()
@@ -145,8 +147,8 @@ let test_protocol_kinds () =
 
 let test_protocol_v2_kinds () =
   (* v1 kinds parse under the v2 tag, and the tag is recorded. *)
-  (match parse_req {|{"schema":"rlc-service/2","kind":"ping"}|} with
-  | Ok { Protocol.kind = Protocol.Ping; schema; _ } ->
+  (match Protocol.parse_request {|{"schema":"rlc-service/2","kind":"ping"}|} with
+  | { Protocol.schema; _ }, Ok { Protocol.kind = Protocol.Ping; _ } ->
       Alcotest.(check string) "v2 tag recorded" Protocol.schema_v2 schema
   | _ -> Alcotest.fail "v2 ping");
   (match
@@ -211,7 +213,7 @@ let test_protocol_rejections () =
   check_code "bad_request" (parse_req {|{"schema":"rlc-service/2","kind":"design_unload"}|});
   (* Size limit. *)
   check_code "bad_request"
-    (Protocol.parse_request ~max_bytes:16 {|{"schema":"rlc-service/1","kind":"ping"}|})
+    (snd (Protocol.parse_request ~max_bytes:16 {|{"schema":"rlc-service/1","kind":"ping"}|}))
 
 (* A time step must be finite: 1e400 parses as infinity, and the engine
    would take its one step at t = infinity.  Every kind that takes [dt_ps]
@@ -312,13 +314,17 @@ let test_protocol_sizes_finite () =
        [ "1e999"; "-1e999"; "0"; "-2" ])
 
 let test_protocol_responses () =
-  let ok = Protocol.ok_response ~id:(Json.Int 3) [ ("pong", Json.Bool true) ] in
+  let ok =
+    Protocol.ok_response
+      { Protocol.schema = Protocol.schema; id = Some (Json.Int 3) }
+      [ ("pong", Json.Bool true) ]
+  in
   let j = json_of ok in
   Alcotest.(check string) "schema" Protocol.schema (Option.get (Json.get_string (member "schema" j)));
   Alcotest.(check (option int)) "id echoed" (Some 3) (Json.get_int (member "id" j));
   Alcotest.(check (option bool)) "ok" (Some true) (Json.get_bool (member "ok" j));
   Alcotest.(check bool) "one line" false (String.contains ok '\n');
-  let err = Protocol.error_response (Error.Timeout 1.5) in
+  let err = Protocol.error_response Protocol.no_envelope (Error.Timeout 1.5) in
   let j = json_of err in
   Alcotest.(check (option bool)) "not ok" (Some false) (Json.get_bool (member "ok" j));
   let e = member "error" j in
@@ -326,7 +332,11 @@ let test_protocol_responses () =
   Alcotest.(check bool) "message mentions budget" true
     (Option.get (Json.get_string (member "message" e)) <> "");
   (* Responses carry whichever schema tag the builder is given. *)
-  let v2 = Protocol.ok_response ~schema:Protocol.schema_v2 [ ("pong", Json.Bool true) ] in
+  let v2 =
+    Protocol.ok_response
+      { Protocol.schema = Protocol.schema_v2; id = None }
+      [ ("pong", Json.Bool true) ]
+  in
   Alcotest.(check (option string)) "v2 tag echoed" (Some Protocol.schema_v2)
     (Json.get_string (member "schema" (json_of v2)))
 
@@ -845,9 +855,32 @@ let design_diff (a : Design.t) (b : Design.t) =
    jobs-independent in both of its modes), its escaped pieces splice to
    the escaped report, retimed + reused covers every net, and the
    resident design equals the cold-ingested one in every record, level,
-   size and coupling. *)
+   size and coupling.  Before the load, the initial sources go inline in
+   a v1 [flow] (or [xtalk]) request to a server wrapping the same
+   session, whose report must be the cold run's too: served = one-shot. *)
 let reuse_matches_cold c =
   let spef_src, spec_src = sources c in
+  let served_line =
+    let kind, knobs =
+      if c.xtalk then
+        ( "xtalk",
+          [
+            ("threshold", Json.Float xtalk_knobs.Session.threshold);
+            ("budget", Json.Float xtalk_knobs.Session.budget);
+            ("alignments", Json.Int xtalk_knobs.Session.alignments);
+          ] )
+      else ("flow", [])
+    in
+    Json.to_string
+      (Json.Obj
+         ([
+            ("schema", Json.Str Protocol.schema);
+            ("kind", Json.Str kind);
+            ("spef", Json.Str spef_src);
+            ("spec", Json.Str spec_src);
+          ]
+         @ knobs))
+  in
   let req =
     {
       Session.Request.default with
@@ -864,12 +897,23 @@ let reuse_matches_cold c =
     | None -> QCheck.Test.fail_reportf "delta %d: no escaped pieces" k
   in
   Session.with_session ~config (fun session ->
+      let spef = ref (ok_or_fail (Rlc_spef.Spef.parse_res spef_src)) in
+      let spec = ref (ok_or_fail (Rlc_flow.Spec.parse_res spec_src)) in
+      (let cold =
+         match Design.ingest ~spef:!spef ~spec:!spec () with
+         | Ok design -> cold_report ~xtalk:c.xtalk design
+         | Error msg -> QCheck.Test.fail_reportf "initial sources: %s" msg
+       in
+       let raw, _ = Server.handle_line (Server.create session) served_line in
+       match Json.member "report" (json_of raw) with
+       | Some (Json.Str report) ->
+           if not (String.equal report cold) then
+             QCheck.Test.fail_reportf "served flow: report differs from a cold run"
+       | _ -> QCheck.Test.fail_reportf "served flow failed: %s" raw);
       let handle, loaded =
         ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
       in
       spliced 0 loaded;
-      let spef = ref (ok_or_fail (Rlc_spef.Spef.parse_res spef_src)) in
-      let spec = ref (ok_or_fail (Rlc_flow.Spec.parse_res spec_src)) in
       let prev = ref loaded.Session.result.Flow.design in
       List.iteri
         (fun k edits ->
@@ -1182,6 +1226,117 @@ let test_server_timeout () =
       Alcotest.(check (option bool)) "alive after timeout" (Some true)
         (Json.get_bool (member "ok" resp)))
 
+(* A flow-kind request stops on its own budget too.  The server installs
+   the deadline around dispatch; the session, the flow, the pool and the
+   engine read it only ambiently.  A 64-net bus solved without the cache
+   on one domain replays for tens of milliseconds, far beyond 1 ms; a
+   flow_delta naming a size nothing has characterized (43.7X, used by no
+   other test here) runs out in the 112 characterization transients. *)
+let test_server_flow_kinds_timeout () =
+  let bus =
+    {
+      bits = 32;
+      segs = 3;
+      tails = false;
+      coupled = false;
+      xtalk = false;
+      jobs = 1;
+      jitter = Array.make 64 1.;
+      deltas = [];
+    }
+  in
+  let spef, spec = sources bus in
+  let request ?timeout_ms schema kind fields =
+    Json.to_string
+      (Json.Obj
+         ([ ("schema", Json.Str schema); ("kind", Json.Str kind); ("id", Json.Int 21) ]
+         @ (match timeout_ms with Some ms -> [ ("timeout_ms", Json.Int ms) ] | None -> [])
+         @ fields))
+  in
+  let flow ?timeout_ms () =
+    request ?timeout_ms Protocol.schema "flow"
+      [ ("spef", Json.Str spef); ("spec", Json.Str spec); ("use_cache", Json.Bool false) ]
+  in
+  let expect what code resp =
+    Alcotest.(check (option bool)) (what ^ ": ok") (Some (code = None))
+      (Json.get_bool (member "ok" resp));
+    Option.iter
+      (fun code ->
+        Alcotest.(check (option string)) (what ^ ": code") (Some code)
+          (Json.get_string (member "code" (member "error" resp))))
+      code;
+    Alcotest.(check (option int)) (what ^ ": id") (Some 21) (Json.get_int (member "id" resp))
+  in
+  with_server (fun server ->
+      (* Untimed first, so the timed run's cells are characterized and its
+         budget runs out in the replays. *)
+      expect "warm flow" None (fst (send server (flow ())));
+      expect "flow, 1 ms" (Some "timeout") (fst (send server (flow ~timeout_ms:1 ())));
+      let loaded, _ =
+        send server
+          (request Protocol.schema_v2 "design_load"
+             [ ("spef", Json.Str spef); ("spec", Json.Str spec) ])
+      in
+      expect "design_load" None loaded;
+      let handle = Option.get (Json.get_string (member "handle" loaded)) in
+      let delta ?timeout_ms edit =
+        request ?timeout_ms Protocol.schema_v2 "flow_delta"
+          [ ("handle", Json.Str handle); edit ]
+      in
+      expect "flow_delta to a new size, 1 ms" (Some "timeout")
+        (fst
+           (send server
+              (delta ~timeout_ms:1 ("drivers", Json.Obj [ ("o0", Json.Float 43.7) ]))));
+      (* The daemon, and the handle, keep serving. *)
+      expect "next request" None
+        (fst (send server (delta ("slews_ps", Json.Obj [ ("b0", Json.Float 120.) ])))))
+
+(* Every failure of a line that parses as a JSON object echoes that line's
+   id and schema tag, whichever check refuses it; a line that is malformed
+   JSON or over the size limit is answered without an id under
+   rlc-service/1.  [serve] sends one line and returns the raw response. *)
+let check_failure_envelopes serve =
+  let check ?prefix line ~code ~id ~schema =
+    let raw = serve line in
+    let j = json_of raw in
+    Alcotest.(check (option bool)) (line ^ ": not ok") (Some false)
+      (Json.get_bool (member "ok" j));
+    Alcotest.(check (option string)) (line ^ ": code") (Some code)
+      (Json.get_string (member "code" (member "error" j)));
+    Alcotest.(check (option string)) (line ^ ": schema") (Some schema)
+      (Json.get_string (member "schema" j));
+    Alcotest.(check (option string)) (line ^ ": id")
+      (Option.map Json.to_string id)
+      (Option.map Json.to_string (Json.member "id" j));
+    Option.iter
+      (fun p ->
+        Alcotest.(check string) (line ^ ": bytes") p
+          (String.sub raw 0 (Int.min (String.length raw) (String.length p))))
+      prefix
+  in
+  check
+    {|{"schema":"rlc-service/2","id":7,"kind":"flow_delta","handle":"d1","drivers":{"b0":-1}}|}
+    ~prefix:{|{"schema":"rlc-service/2","id":7,"ok":false,"error":{"code":"bad_request",|}
+    ~code:"bad_request" ~id:(Some (Json.Int 7)) ~schema:Protocol.schema_v2;
+  check {|{"schema":"rlc-service/1","id":"x","kind":"warp"}|} ~code:"bad_request"
+    ~id:(Some (Json.Str "x")) ~schema:Protocol.schema;
+  check {|{"schema":"rlc-service/1","id":{"n":[1,2]},"kind":"design_load","spef":"x"}|}
+    ~code:"bad_request"
+    ~id:(Some (Json.Obj [ ("n", Json.List [ Json.Int 1; Json.Int 2 ]) ]))
+    ~schema:Protocol.schema;
+  check {|{"schema":"rlc-service/9","id":4,"kind":"ping"}|} ~code:"unsupported_version"
+    ~id:(Some (Json.Int 4)) ~schema:Protocol.schema;
+  check {|{"schema":"rlc-service/2","id":5,}|} ~code:"parse_error" ~id:None
+    ~schema:Protocol.schema;
+  check
+    ({|{"schema":"rlc-service/2","id":6,"kind":"ping","pad":"|} ^ String.make 300 'x' ^ {|"}|})
+    ~code:"bad_request" ~id:None ~schema:Protocol.schema
+
+let test_server_failure_envelopes () =
+  with_default_session (fun session ->
+      let server = Server.create ~max_request_bytes:256 session in
+      check_failure_envelopes (fun line -> fst (Server.handle_line server line)))
+
 let test_server_shutdown_control () =
   with_server (fun server ->
       let resp, control = send server {|{"schema":"rlc-service/1","kind":"shutdown","id":1}|} in
@@ -1398,10 +1553,11 @@ let client_channels path =
   let fd = connect_client path in
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let close_client (ic, oc) =
-  (* Both channels share the fd; the second close is a harmless EBADF. *)
-  close_out_noerr oc;
-  close_in_noerr ic
+(* Both channels share one descriptor, so it is closed once, through the
+   output channel.  A second close could hit the same number just handed
+   to another domain (a served [spef_file] read), failing that request
+   with EBADF. *)
+let close_client (_, oc) = close_out_noerr oc
 
 let send_line oc line =
   output_string oc line;
@@ -1431,31 +1587,36 @@ let test_server_unix_concurrent () =
       let path = temp_socket_path () in
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
       let clients = 3 and per_client = 3 in
+      (* Client domains only collect their replies: Alcotest's checks are
+         not domain-safe, so they run here after the joins. *)
       let run_client cid =
         let ic, oc = client_channels path in
-        let reports =
+        let replies =
           List.init per_client (fun i ->
               let id = (cid * 100) + i in
-              let resp = json_of (roundtrip ic oc (bus8_flow_request ~id ())) in
-              Alcotest.(check (option bool))
-                (Printf.sprintf "client %d request %d ok" cid i)
-                (Some true)
-                (Json.get_bool (member "ok" resp));
-              (* One request in flight per connection: replies come back
-                 in request order, so the echoed id must match. *)
-              Alcotest.(check (option int)) "id echoed in order" (Some id)
-                (Json.get_int (member "id" resp));
-              Option.get (Json.get_string (member "report" resp)))
+              (cid, i, id, roundtrip ic oc (bus8_flow_request ~id ())))
         in
         close_client (ic, oc);
-        reports
+        replies
       in
       let domains = List.init clients (fun cid -> Domain.spawn (fun () -> run_client cid)) in
       let all = List.concat_map Domain.join domains in
       Alcotest.(check int) "all requests answered" (clients * per_client) (List.length all);
       List.iteri
-        (fun i r ->
-          Alcotest.(check string) (Printf.sprintf "report %d byte-identical" i) expected r)
+        (fun k (cid, i, id, raw) ->
+          let resp = json_of raw in
+          Alcotest.(check (option bool))
+            (Printf.sprintf "client %d request %d ok" cid i)
+            (Some true)
+            (Json.get_bool (member "ok" resp));
+          (* One request in flight per connection: replies come back in
+             request order, so the echoed id must match. *)
+          Alcotest.(check (option int)) "id echoed in order" (Some id)
+            (Json.get_int (member "id" resp));
+          Alcotest.(check string)
+            (Printf.sprintf "report %d byte-identical" k)
+            expected
+            (Option.get (Json.get_string (member "report" resp))))
         all;
       (* A shutdown request over the socket stops the whole loop. *)
       let ic, oc = client_channels path in
@@ -1521,6 +1682,22 @@ let test_server_unix_overload () =
       Alcotest.(check (option int)) "stats: queue capacity" (Some 1)
         (Json.get_int (member "queue_capacity" srv));
       List.iter close_client [ a; b; c ];
+      Server.stop server;
+      Domain.join serving)
+
+(* The same envelopes from the listener, which decodes socket lines
+   itself. *)
+let test_server_unix_failure_envelopes () =
+  with_default_session (fun session ->
+      let server = Server.create ~max_request_bytes:256 session in
+      let path = temp_socket_path () in
+      let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      let ic, oc = client_channels path in
+      check_failure_envelopes (roundtrip ic oc);
+      let resp = json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"ping","id":8}|}) in
+      Alcotest.(check (option bool)) "alive after the failures" (Some true)
+        (Json.get_bool (member "ok" resp));
+      close_client (ic, oc);
       Server.stop server;
       Domain.join serving)
 
@@ -1742,10 +1919,21 @@ let test_server_unix_telemetry () =
       in
       let path = temp_socket_path () in
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      (* Client domains only collect their replies: Alcotest's checks are
+         not domain-safe, so they run here after the joins. *)
       let run_client cid =
         let ((ic, oc) as cl) = client_channels path in
-        for i = 0 to 1 do
-          let resp = json_of (roundtrip ic oc (bus8_flow_request ~id:((cid * 10) + i) ())) in
+        let replies =
+          List.init 2 (fun i ->
+              (cid, i, roundtrip ic oc (bus8_flow_request ~id:((cid * 10) + i) ())))
+        in
+        close_client cl;
+        replies
+      in
+      let domains = List.init 2 (fun cid -> Domain.spawn (fun () -> run_client cid)) in
+      List.iter
+        (fun (cid, i, raw) ->
+          let resp = json_of raw in
           let ok = Json.get_bool (member "ok" resp) in
           (* A failed response carries its id and error: keep them in the
              failure message. *)
@@ -1760,12 +1948,8 @@ let test_server_unix_telemetry () =
           in
           Alcotest.(check (option bool))
             (Printf.sprintf "client %d flow %d ok%s" cid i why)
-            (Some true) ok
-        done;
-        close_client cl
-      in
-      let domains = List.init 2 (fun cid -> Domain.spawn (fun () -> run_client cid)) in
-      List.iter Domain.join domains;
+            (Some true) ok)
+        (List.concat_map Domain.join domains);
       let ((ic, oc) as cl) = client_channels path in
       let h = json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"health","id":50}|}) in
       Alcotest.(check (option bool)) "healthy after traffic" (Some true)
@@ -1956,6 +2140,9 @@ let () =
           Alcotest.test_case "isolation" `Quick test_server_isolation;
           Alcotest.test_case "oversized" `Quick test_server_oversized;
           Alcotest.test_case "timeout" `Quick test_server_timeout;
+          Alcotest.test_case "flow kinds stop on their budget" `Quick
+            test_server_flow_kinds_timeout;
+          Alcotest.test_case "failures echo the envelope" `Quick test_server_failure_envelopes;
           Alcotest.test_case "shutdown control" `Quick test_server_shutdown_control;
           Alcotest.test_case "design lifecycle" `Quick test_server_design_lifecycle;
           Alcotest.test_case "schema echo" `Quick test_server_schema_echo;
@@ -1966,6 +2153,8 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick test_server_unix_concurrent;
           Alcotest.test_case "overload rejection" `Quick test_server_unix_overload;
           Alcotest.test_case "cross-connection isolation" `Quick test_server_unix_isolation;
+          Alcotest.test_case "failures echo the envelope" `Quick
+            test_server_unix_failure_envelopes;
         ] );
       ( "telemetry",
         [

@@ -136,7 +136,7 @@ let test_delay_estimate_bounded_by_tf () =
 
 let test_lattice_matched_source () =
   let z0 = Line.z0 line5 and tf = Line.time_of_flight line5 in
-  let lat = Lattice.create ~vs:1.8 ~rs:z0 ~z0 ~tf () in
+  let lat = Lattice.create ~vs:1.8 ~rs:z0 ~z0 ~tf in
   check_float ~eps:1e-9 "initial step is half swing" 0.9 (Lattice.initial_step lat);
   check_float ~eps:1e-9 "source reflection zero" 0. (Lattice.gamma_source lat);
   check_float ~eps:1e-9 "plateau before round trip" 0.9
@@ -148,7 +148,7 @@ let test_lattice_matched_source () =
 
 let test_lattice_weak_source () =
   (* Rs = 3 Z0: f = 0.25, multiple reflections needed. *)
-  let lat = Lattice.create ~vs:1. ~rs:300. ~z0:100. ~tf:10e-12 () in
+  let lat = Lattice.create ~vs:1. ~rs:300. ~z0:100. ~tf:10e-12 in
   check_float ~eps:1e-9 "initial step f=0.25" 0.25 (Lattice.initial_step lat);
   let gs = Lattice.gamma_source lat in
   check_float ~eps:1e-9 "gamma_s = 0.5" 0.5 gs;
@@ -158,7 +158,7 @@ let test_lattice_weak_source () =
   check_float ~eps:1e-3 "late time converges" 1. (Lattice.near_end_voltage lat 2e-9)
 
 let test_lattice_steps_list () =
-  let lat = Lattice.create ~vs:1. ~rs:100. ~z0:100. ~tf:5e-12 () in
+  let lat = Lattice.create ~vs:1. ~rs:100. ~z0:100. ~tf:5e-12 in
   match Lattice.near_end_steps lat ~n:2 with
   | [ (t0, v0); (t1, v1) ] ->
       check_float "t0" 0. t0;
@@ -184,7 +184,7 @@ let test_ladder_reproduces_reflections () =
   Netlist.capacitor nl built.Ladder.far Netlist.ground 1e-15;
   let r = Engine.transient ~dt:0.2e-12 ~t_stop:(8. *. tf) nl in
   let near = Engine.voltage r drive in
-  let lat = Lattice.create ~vs:1. ~rs ~z0 ~tf () in
+  let lat = Lattice.create ~vs:1. ~rs ~z0 ~tf in
   (* Mid-plateau samples avoid the lumped ladder's finite edge rates. *)
   List.iter
     (fun k ->
@@ -223,7 +223,7 @@ let prop_lattice_levels_bounded =
   QCheck.Test.make ~name:"near-end lattice levels respect physical bounds" ~count:200
     QCheck.(pair (float_range 1. 500.) (float_range 10. 200.))
     (fun (rs, z0) ->
-      let lat = Lattice.create ~vs:1. ~rs ~z0 ~tf:10e-12 () in
+      let lat = Lattice.create ~vs:1. ~rs ~z0 ~tf:10e-12 in
       let steps = Lattice.near_end_steps lat ~n:30 in
       let bounded = List.for_all (fun (_, v) -> v > 0. && v < 2.) steps in
       let monotone_if_weak =

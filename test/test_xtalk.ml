@@ -629,7 +629,7 @@ let test_alignments_bounded () =
 (* -------------------------------------------------------------- misc *)
 
 let test_protocol_xtalk_request () =
-  let parse line = Rlc_service.Protocol.parse_request line in
+  let parse line = snd (Rlc_service.Protocol.parse_request line) in
   (match
      parse
        {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","threshold":0.1,"alignments":5}|}
@@ -722,8 +722,10 @@ let test_nonfinite_levels_rejected () =
     (rejects (fun () -> analyze_with ~threshold:Float.infinity ()));
   Alcotest.(check bool) "NaN budget" true (rejects (fun () -> analyze_with ~budget:Float.nan ()));
   let wire knob value =
-    Rlc_service.Protocol.parse_request
-      (Printf.sprintf {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","%s":%s}|} knob value)
+    snd
+      (Rlc_service.Protocol.parse_request
+         (Printf.sprintf {|{"schema":"rlc-service/1","kind":"xtalk","spef":"x","%s":%s}|} knob
+            value))
   in
   List.iter
     (fun (knob, value, accepted) ->
