@@ -1,22 +1,38 @@
-(* Each shard owns a table, a mutex, a logical clock and its counters.  An
-   entry carries the tick of its last use; a full shard evicts the entry
-   with the oldest tick, found by one scan of at most [bound] entries. *)
+(* Each shard owns a table, a mutex, a logical clock, its total weight and
+   its counters.  An entry carries the tick of its last use; a full shard
+   evicts the entry with the oldest tick, found by one scan of at most
+   [bound] entries, and repeats until the new entry fits. *)
 
-type stats = { entries : int; capacity : int; hits : int; misses : int; evictions : int }
-type 'v entry = { value : 'v; mutable used : int }
+type stats = {
+  entries : int;
+  capacity : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+  weight : int;
+}
+
+type 'v entry = { value : 'v; mutable used : int; weight : int }
 
 type ('k, 'v) shard = {
   table : ('k, 'v entry) Hashtbl.t;
   lock : Mutex.t;
   mutable clock : int;
+  mutable weight : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-type ('k, 'v) t = { shards : ('k, 'v) shard array; shift : int; bound : int }
+type ('k, 'v) t = {
+  shards : ('k, 'v) shard array;
+  shift : int;
+  bound : int;
+  weigh : 'k -> 'v -> int;
+  max_weight : int;
+}
 
-let create ?(shards = 1) ~capacity () =
+let create ?(shards = 1) ?weight ?(max_weight = max_int) ~capacity () =
   let bits = ref 0 in
   while 1 lsl !bits < Int.min shards 65536 do
     incr bits
@@ -24,11 +40,17 @@ let create ?(shards = 1) ~capacity () =
   let bound = Int.max 1 capacity in
   let shard _ =
     let table = Hashtbl.create (Int.min bound 64) in
-    { table; lock = Mutex.create (); clock = 0; hits = 0; misses = 0; evictions = 0 }
+    { table; lock = Mutex.create (); clock = 0; weight = 0; hits = 0; misses = 0; evictions = 0 }
   in
   (* [Hashtbl.hash] is 30 bits wide and a shard's table indexes its buckets
      by the low bits, so the shard index takes the high ones. *)
-  { shards = Array.init (1 lsl !bits) shard; shift = 30 - !bits; bound }
+  {
+    shards = Array.init (1 lsl !bits) shard;
+    shift = 30 - !bits;
+    bound;
+    weigh = Option.value weight ~default:(fun _ _ -> 0);
+    max_weight;
+  }
 
 let shard_of t key = t.shards.(Hashtbl.hash key lsr t.shift)
 
@@ -36,17 +58,38 @@ let touch s e =
   s.clock <- s.clock + 1;
   e.used <- s.clock
 
+let drop s key (e : _ entry) =
+  Hashtbl.remove s.table key;
+  s.weight <- s.weight - e.weight
+
+let evict_oldest s =
+  let older k e acc =
+    match acc with Some (_, e') when e'.used <= e.used -> acc | _ -> Some (k, e)
+  in
+  Option.iter
+    (fun (k, e) ->
+      drop s k e;
+      s.evictions <- s.evictions + 1)
+    (Hashtbl.fold older s.table None)
+
+(* Binds [key], first evicting least recently used entries until the new
+   one fits both bounds.  A value heavier than the whole weight bound is
+   not stored, and the key's old binding goes with it. *)
 let insert t s key value =
-  if Hashtbl.length s.table >= t.bound && not (Hashtbl.mem s.table key) then begin
-    let older k e acc =
-      match acc with Some (_, u) when u <= e.used -> acc | _ -> Some (k, e.used)
-    in
-    Option.iter (fun (k, _) -> Hashtbl.remove s.table k) (Hashtbl.fold older s.table None);
-    s.evictions <- s.evictions + 1
-  end;
-  let e = { value; used = 0 } in
-  touch s e;
-  Hashtbl.replace s.table key e
+  let weight = t.weigh key value in
+  Option.iter (drop s key) (Hashtbl.find_opt s.table key);
+  if weight <= t.max_weight then begin
+    while
+      Hashtbl.length s.table > 0
+      && (Hashtbl.length s.table >= t.bound || s.weight + weight > t.max_weight)
+    do
+      evict_oldest s
+    done;
+    let e = { value; used = 0; weight } in
+    touch s e;
+    Hashtbl.replace s.table key e;
+    s.weight <- s.weight + weight
+  end
 
 (* A hit touches the entry and counts; a miss is the caller's to count. *)
 let lookup s key =
@@ -74,12 +117,23 @@ let find_or_add t key compute =
               insert t s key v;
               (v, false))
 
-let find t key =
+(* [valid] runs outside the lock; the entry is touched only if it passes
+   and is still the key's binding. *)
+let find ?(valid = fun _ -> true) t key =
   let s = shard_of t key in
+  let found = Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.table key) in
+  let hit = match found with Some e -> valid e.value | None -> false in
   Mutex.protect s.lock (fun () ->
-      let v = lookup s key in
-      if Option.is_none v then s.misses <- s.misses + 1;
-      v)
+      match found with
+      | Some e when hit ->
+          (match Hashtbl.find_opt s.table key with
+          | Some current when current == e -> touch s e
+          | _ -> ());
+          s.hits <- s.hits + 1;
+          Some e.value
+      | _ ->
+          s.misses <- s.misses + 1;
+          None)
 
 let replace t key value =
   let s = shard_of t key in
@@ -88,9 +142,11 @@ let replace t key value =
 let remove t key =
   let s = shard_of t key in
   Mutex.protect s.lock (fun () ->
-      let present = Hashtbl.mem s.table key in
-      Hashtbl.remove s.table key;
-      present)
+      match Hashtbl.find_opt s.table key with
+      | Some e ->
+          drop s key e;
+          true
+      | None -> false)
 
 let fold f t init =
   Array.fold_left
@@ -100,14 +156,25 @@ let fold f t init =
     init t.shards
 
 let clear t =
-  Array.iter (fun s -> Mutex.protect s.lock (fun () -> Hashtbl.reset s.table)) t.shards
+  Array.iter
+    (fun s ->
+      Mutex.protect s.lock (fun () ->
+          Hashtbl.reset s.table;
+          s.weight <- 0))
+    t.shards
 
 let shard_stats t =
   Array.map
     (fun s ->
       Mutex.protect s.lock (fun () ->
-          let entries = Hashtbl.length s.table and capacity = t.bound in
-          { entries; capacity; hits = s.hits; misses = s.misses; evictions = s.evictions }))
+          {
+            entries = Hashtbl.length s.table;
+            capacity = t.bound;
+            hits = s.hits;
+            misses = s.misses;
+            evictions = s.evictions;
+            weight = s.weight;
+          }))
     t.shards
 
 let stats t =
@@ -119,4 +186,5 @@ let stats t =
     hits = sum (fun s -> s.hits);
     misses = sum (fun s -> s.misses);
     evictions = sum (fun s -> s.evictions);
+    weight = sum (fun s -> s.weight);
   }

@@ -11,6 +11,11 @@
     a full shard first evicts that shard's least recently used entry.  A
     use is an insert, a {!replace}, or a hit.
 
+    A memo created with a [weight] also bounds each shard's total weight:
+    an insert evicts least recently used entries until the new one fits
+    under [max_weight], and an entry heavier than [max_weight] on its own
+    is not stored at all (the caller still has its value).
+
     First insert wins: {!find_or_add} computes a missing value outside the
     lock, so two callers that miss one key at once both compute, and the
     later one gets the earlier one's value.  The memo is meant for pure
@@ -25,24 +30,32 @@ type stats = {
   capacity : int;  (** the bound on [entries] *)
   hits : int;
   misses : int;
-  evictions : int;  (** entries dropped to keep a shard within its bound *)
+  evictions : int;  (** entries dropped to keep a shard within its bounds *)
+  weight : int;  (** the entries' total weight; [0] for a memo without one *)
 }
 
-val create : ?shards:int -> capacity:int -> unit -> ('k, 'v) t
+val create :
+  ?shards:int -> ?weight:('k -> 'v -> int) -> ?max_weight:int -> capacity:int -> unit -> ('k, 'v) t
 (** [shards] (default 1) is rounded up to a power of two, within
-    [\[1, 65536\]]; [capacity] bounds each shard and is at least 1. *)
+    [\[1, 65536\]]; [capacity] bounds each shard and is at least 1.
+    [weight] (default: every entry weighs 0) is taken once, when an entry
+    is stored; [max_weight] (default [max_int]) bounds each shard's sum of
+    it. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
 (** [(value, hit)].  On a miss, [compute] runs outside the lock and one
     miss is counted when it returns, also for a caller that lost the race
     to insert.  If [compute] raises, nothing is counted or stored. *)
 
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Counts a hit or a miss; a miss stores nothing. *)
+val find : ?valid:('v -> bool) -> ('k, 'v) t -> 'k -> 'v option
+(** Counts a hit or a miss; a miss stores nothing.  With [valid], a value
+    is a hit only if [valid] accepts it: [valid] runs outside the lock, and
+    a value it refuses counts as a miss and stays stored until a {!replace}
+    or an eviction drops it. *)
 
 val replace : ('k, 'v) t -> 'k -> 'v -> unit
-(** Binds the key, evicting if it is new and its shard is full.  Counts
-    no hit or miss. *)
+(** Binds the key, evicting until it fits.  A value over [max_weight]
+    leaves the key unbound.  Counts no hit or miss. *)
 
 val remove : ('k, 'v) t -> 'k -> bool
 (** [true] when the key was present.  Not an eviction. *)

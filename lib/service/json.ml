@@ -281,47 +281,13 @@ let escape s =
   end
 
 (* The line's pieces in order, then one exactly sized copy: a payload
-   carried as [Escaped] pieces is copied once, straight into the line. *)
-let to_string v =
+   carried as [Escaped] pieces is copied once, straight into the line.
+   [emit add] hands [add] the pieces. *)
+let concat_pieces emit =
   let pieces = ref [] and len = ref 0 in
-  let add s =
-    pieces := s :: !pieces;
-    len := !len + String.length s
-  in
-  let rec go = function
-    | Null -> add "null"
-    | Bool b -> add (if b then "true" else "false")
-    | Int i -> add (string_of_int i)
-    | Float f -> add (float_repr f)
-    | Str s ->
-        add "\"";
-        add (escape s);
-        add "\""
-    | Escaped parts ->
-        add "\"";
-        List.iter add parts;
-        add "\""
-    | List l ->
-        add "[";
-        List.iteri
-          (fun i v ->
-            if i > 0 then add ",";
-            go v)
-          l;
-        add "]"
-    | Obj fields ->
-        add "{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then add ",";
-            add "\"";
-            add (escape k);
-            add "\":";
-            go v)
-          fields;
-        add "}"
-  in
-  go v;
+  emit (fun s ->
+      pieces := s :: !pieces;
+      len := !len + String.length s);
   let b = Bytes.create !len in
   let pos = ref !len in
   List.iter
@@ -330,6 +296,51 @@ let to_string v =
       Bytes.blit_string s 0 b !pos (String.length s))
     !pieces;
   Bytes.unsafe_to_string b
+
+let rec emit add = function
+  | Null -> add "null"
+  | Bool b -> add (if b then "true" else "false")
+  | Int i -> add (string_of_int i)
+  | Float f -> add (float_repr f)
+  | Str s ->
+      add "\"";
+      add (escape s);
+      add "\""
+  | Escaped parts ->
+      add "\"";
+      List.iter add parts;
+      add "\""
+  | List l ->
+      add "[";
+      List.iteri
+        (fun i v ->
+          if i > 0 then add ",";
+          emit add v)
+        l;
+      add "]"
+  | Obj fields ->
+      add "{";
+      emit_members add ~first:true fields;
+      add "}"
+
+(* Each member after the first, or every member when [first] is false,
+   follows a comma. *)
+and emit_members add ~first fields =
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 || not first then add ",";
+      add "\"";
+      add (escape k);
+      add "\":";
+      emit add v)
+    fields
+
+let to_string v = concat_pieces (fun add -> emit add v)
+
+let to_string_tail fields =
+  concat_pieces (fun add ->
+      emit_members add ~first:false fields;
+      add "}")
 
 (* ---------------------------------------------------------- accessors *)
 

@@ -34,6 +34,12 @@ val to_string : t -> string
     NaN/inf); float formatting is the shortest [%g] that round-trips, so
     values survive a parse/print cycle bit-exactly. *)
 
+val to_string_tail : (string * t) list -> string
+(** The rest of an object whose first members are already printed: each
+    member with a comma before it, then the closing brace.  So
+    [to_string (Obj (m :: ms))] is [to_string (Obj [m])] without its
+    closing brace, followed by [to_string_tail ms]. *)
+
 val escape : string -> string
 (** The bytes {!to_string} prints between the quotes of a {!Str}.  Works
     byte by byte: [escape (a ^ b) = escape a ^ escape b]. *)

@@ -282,6 +282,23 @@ let response envelope ~ok fields =
 
 let ok_response envelope fields = response envelope ~ok:true fields
 
+(* [ok_response envelope []] without its closing brace. *)
+let prefix_of envelope =
+  let line = ok_response envelope [] in
+  String.sub line 0 (String.length line - 1)
+
+(* The id-less prefixes, built once: most clients send no id. *)
+let prefix_v1 = prefix_of no_envelope
+let prefix_v2 = prefix_of { schema = schema_v2; id = None }
+
+let ok_prefix envelope =
+  match envelope.id with
+  | None when String.equal envelope.schema schema -> prefix_v1
+  | None when String.equal envelope.schema schema_v2 -> prefix_v2
+  | _ -> prefix_of envelope
+
+let ok_body fields = Json.to_string_tail fields
+
 let error_response envelope err =
   response envelope ~ok:false
     [

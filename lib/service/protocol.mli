@@ -158,6 +158,16 @@ val ok_response : envelope -> (string * Json.t) list -> string
 (** Success line (no trailing newline): the envelope with the given
     extra fields appended after ["ok"]. *)
 
+val ok_prefix : envelope -> string
+(** The start of a success line, through ["ok":true]: what the envelope
+    contributes.  The two id-less prefixes are built once. *)
+
+val ok_body : (string * Json.t) list -> string
+(** The rest of a success line: the fields, then the closing brace.
+    [ok_prefix e ^ ok_body fields = ok_response e fields], so a body
+    encoded once answers any envelope: the server's read memo stores
+    bodies and writes each hit as the two pieces. *)
+
 val error_response : envelope -> Error.t -> string
 (** Failure line carrying [{"code";"message"}] from {!Error.code} /
     {!Error.message}. *)

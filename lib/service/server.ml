@@ -24,19 +24,62 @@
    signal) and could not have coexisted with concurrent requests.
 
    Every failure line, whichever stage refuses the request, is built by
-   [failure] and echoes the request's envelope. *)
+   [failure] and echoes the request's envelope.
+
+   A served [flow] or [xtalk] is a pure function of its source bytes, its
+   fields and the session's config, so each server keeps a read memo: the
+   bytes a computation used and the response body it encoded.  A repeated
+   read compares each named file with the stored bytes through a reusable
+   per-domain buffer and writes the stored body after the request's own
+   envelope, without parsing, timing, rendering or copying anything. *)
 
 module Evaluate = Rlc_ceff.Evaluate
 module Units = Rlc_num.Units
 module Deadline = Rlc_errors.Deadline
 module Obs = Rlc_obs.Obs
+module Memo = Rlc_obs.Memo
 
 let src = Logs.Src.create "rlc.service" ~doc:"timing daemon"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* ---------------------------------------------------------- read memo *)
+
+(* Everything a served read's answer depends on besides the session's
+   config: each source (its text, or the path the server reads) and every
+   number the request names, by its bits, so that 0 and -0 (which print
+   differently) are different keys.  The envelope and [timeout_ms] are
+   not part of it, and neither is [use_cache]: a read that does not use
+   the Ceff cache skips the memo. *)
+type read_key = {
+  k_spef : Protocol.source;
+  k_spec : Protocol.source option;
+  k_size : int64 option;
+  k_slew_ps : int64 option;
+  k_required_ps : int64 option;
+  k_dt_ps : int64 option;
+  k_xtalk : (int64 * int64 * int) option;  (* threshold, budget, alignments *)
+}
+
+(* A read's answer with the bytes it was computed from: a hit needs each
+   named file to hold exactly these bytes (inline text is compared as part
+   of the key).  [body] is a warm run's answer: every one of its [nets]
+   a Ceff-cache hit. *)
+type read = { spef_bytes : string; spec_bytes : string option; body : string; nets : int }
+
+(* The bounds, stated in DESIGN.md §3: one entry on the benchmark's
+   512-net design weighs about 0.4 MB. *)
+let read_capacity = 64
+let read_max_bytes = 8 * 1024 * 1024
+
+let read_weight _ r =
+  String.length r.spef_bytes
+  + Option.fold ~none:0 ~some:String.length r.spec_bytes
+  + String.length r.body
+
 type t = {
   session : Session.t;
+  reads : (read_key, read) Memo.t;
   timeout_s : float;
   max_request_bytes : int;
   workers : int;
@@ -73,6 +116,7 @@ let create ?(timeout_s = default_timeout_s) ?(max_request_bytes = Protocol.defau
   let queue_capacity = Int.max 1 queue_capacity in
   {
     session;
+    reads = Memo.create ~capacity:read_capacity ~weight:read_weight ~max_weight:read_max_bytes ();
     timeout_s;
     max_request_bytes;
     workers = Int.max 1 workers;
@@ -247,10 +291,29 @@ let resolve_sources (f : Protocol.flow_req) =
   in
   Ok (spef, spef_name, spec, spec_name)
 
+(* A successful request's answer: the response body after the envelope,
+   encoded once ({!Protocol.ok_body}), and what the slow log reports of
+   it. *)
+type reply = {
+  body : string;
+  cache_hits : int option;  (* the Ceff cache hits the body reports *)
+  memo : bool option;  (* flow and xtalk: whether the read memo answered *)
+}
+
+let encode t f = Obs.layer (obs t) "service.encode" f
+
+let reply_of t fields =
+  {
+    body = encode t (fun () -> Protocol.ok_body fields);
+    cache_hits =
+      (match List.assoc_opt "cache_hits" fields with Some (Json.Int n) -> Some n | _ -> None);
+    memo = None;
+  }
+
 (* Shared by the "flow" and "xtalk" kinds — one code path, so an xtalk
    request's report embeds the fragment and everything else stays
-   byte-identical to a plain flow. *)
-let run_flow t ?xtalk (f : Protocol.flow_req) =
+   byte-identical to a plain flow.  Returns the source bytes it timed. *)
+let run_flow t req (f : Protocol.flow_req) =
   let ( let* ) = Result.bind in
   let* spef, spef_name, spec, spec_name = resolve_sources f in
   let* design =
@@ -258,8 +321,82 @@ let run_flow t ?xtalk (f : Protocol.flow_req) =
       ?slew:(Option.map Units.ps f.Protocol.f_slew_ps)
       ~spef ()
   in
-  let* outcome = Session.flow t.session (request_of ?xtalk f) design in
-  Ok (flow_fields outcome)
+  let* outcome = Session.flow t.session req design in
+  Ok (spef, spec, outcome)
+
+let read_key ?xtalk (f : Protocol.flow_req) =
+  let bits = Option.map Int64.bits_of_float in
+  {
+    k_spef = f.Protocol.f_spef;
+    k_spec = f.Protocol.f_spec;
+    k_size = bits f.Protocol.f_size;
+    k_slew_ps = bits f.Protocol.f_slew_ps;
+    k_required_ps = bits f.Protocol.f_required_ps;
+    k_dt_ps = bits f.Protocol.f_dt_ps;
+    k_xtalk =
+      Option.map
+        (fun (x : Session.xtalk_request) ->
+          ( Int64.bits_of_float x.Session.threshold,
+            Int64.bits_of_float x.Session.budget,
+            x.Session.alignments ))
+        xtalk;
+  }
+
+(* One read buffer per domain, reused by every hit that domain serves. *)
+let read_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+(* Whether the file at [path] holds exactly [bytes], streamed through the
+   domain's buffer.  A file that cannot be opened or read does not. *)
+let file_holds path bytes =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      let buf = Domain.DLS.get read_buffer and n = String.length bytes in
+      let same_run off k =
+        let i = ref 0 in
+        while !i < k && Bytes.unsafe_get buf !i = String.unsafe_get bytes (off + !i) do
+          incr i
+        done;
+        !i = k
+      in
+      let rec go off =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> off = n
+        | k -> off + k <= n && same_run off k && go (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error _ -> false
+      in
+      let same = go 0 in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      same
+
+let holds src bytes =
+  match src with Protocol.Inline _ -> true | Protocol.File path -> file_holds path bytes
+
+let holds_sources key r =
+  holds key.k_spef r.spef_bytes
+  && match (key.k_spec, r.spec_bytes) with Some src, Some bytes -> holds src bytes | _ -> true
+
+(* A served read.  When it uses the Ceff cache, a stored answer whose
+   files still hold the bytes it was computed from is written as it is; a
+   miss reads each file once and times exactly those bytes.  Only a warm
+   run's answer is stored, every net a Ceff-cache hit, so a hit answers
+   what a run on the warm cache would.  Errors are never stored. *)
+let read t ?xtalk (f : Protocol.flow_req) =
+  let ( let* ) = Result.bind in
+  let req = request_of ?xtalk f in
+  let use_cache = Session.uses_cache t.session req in
+  let key = read_key ?xtalk f in
+  match if use_cache then Memo.find ~valid:(holds_sources key) t.reads key else None with
+  | Some r -> Ok { body = r.body; cache_hits = Some r.nets; memo = Some true }
+  | None ->
+      let* spef_bytes, spec_bytes, outcome = run_flow t req f in
+      let s = outcome.Session.result.Rlc_flow.Flow.stats in
+      let nets = s.Rlc_flow.Flow.n_nets in
+      let body = encode t (fun () -> Protocol.ok_body (flow_fields outcome)) in
+      if use_cache && s.Rlc_flow.Flow.cache_hits = nets then
+        Memo.replace t.reads key { spef_bytes; spec_bytes; body; nets };
+      Ok { body; cache_hits = Some s.Rlc_flow.Flow.cache_hits; memo = Some false }
 
 (* "design_load": same resolution and knobs as "flow", but the timed design
    stays resident under the returned handle. *)
@@ -296,22 +433,28 @@ let server_info t =
     Telemetry.workers = t.workers;
     queue_capacity = t.queue_capacity;
     queue_depth = Atomic.get t.queue_depth;
+    reads = Memo.stats t.reads;
   }
 
-let dispatch t (kind : Protocol.kind) :
-    ((string * Json.t) list, Error.t) result * [ `Continue | `Stop ] =
+(* Every kind but the reads answers fields, encoded here. *)
+let dispatch t (kind : Protocol.kind) : (reply, Error.t) result * [ `Continue | `Stop ] =
   let ( let* ) = Result.bind in
+  let fields ?(control = `Continue) outcome = (Result.map (reply_of t) outcome, control) in
   match kind with
-  | Protocol.Ping -> (Ok [ ("pong", Json.Bool true) ], `Continue)
+  | Protocol.Flow f -> (read t f, `Continue)
+  | Protocol.Xtalk (f, x) -> (read t ~xtalk:(xtalk_of x) f, `Continue)
+  | Protocol.Ping -> fields (Ok [ ("pong", Json.Bool true) ])
   | Protocol.Stats ->
       let s = Session.stats t.session in
-      ( Ok
+      fields
+        (Ok
           [
             ("uptime_s", Json.Float s.Session.uptime_s);
             ("requests_served", Json.Int s.Session.requests_served);
             ("requests_failed", Json.Int s.Session.requests_failed);
             ("cache", Telemetry.cache_json s (Session.shard_stats t.session));
             ("designs", Telemetry.designs_json (Session.design_stats t.session));
+            ("reads", Telemetry.reads_json (Memo.stats t.reads));
             ( "server",
               Json.Obj
                 [
@@ -319,29 +462,27 @@ let dispatch t (kind : Protocol.kind) :
                   ("queue_capacity", Json.Int t.queue_capacity);
                   ("queue_depth", Json.Int (Atomic.get t.queue_depth));
                 ] );
-          ],
-        `Continue )
+          ])
   | Protocol.Metrics ->
-      ( Ok
-          (Telemetry.metrics_fields ~session:t.session ~server:(server_info t)
-             ~window:t.window ()),
-        `Continue )
+      fields
+        (Ok
+           (Telemetry.metrics_fields ~session:t.session ~server:(server_info t)
+              ~window:t.window ()))
   | Protocol.Health ->
-      ( Ok
-          (Telemetry.health_fields ~session:t.session ~server:(server_info t)
-             ~window:t.window ()),
-        `Continue )
-  | Protocol.Shutdown -> (Ok [ ("stopping", Json.Bool true) ], `Stop)
-  | Protocol.Flow f -> (run_flow t f, `Continue)
-  | Protocol.Xtalk (f, x) -> (run_flow t ~xtalk:(xtalk_of x) f, `Continue)
-  | Protocol.Design_load (f, x) -> (run_design_load t f x, `Continue)
-  | Protocol.Flow_delta d -> (run_flow_delta t d, `Continue)
+      fields
+        (Ok
+           (Telemetry.health_fields ~session:t.session ~server:(server_info t)
+              ~window:t.window ()))
+  | Protocol.Shutdown -> fields ~control:`Stop (Ok [ ("stopping", Json.Bool true) ])
+  | Protocol.Design_load (f, x) -> fields (run_design_load t f x)
+  | Protocol.Flow_delta d -> fields (run_flow_delta t d)
   | Protocol.Design_unload handle ->
-      ( (let* () = Session.design_unload t.session handle in
-         Ok [ ("unloaded", Json.Bool true) ]),
-        `Continue )
+      fields
+        (let* () = Session.design_unload t.session handle in
+         Ok [ ("unloaded", Json.Bool true) ])
   | Protocol.Sweep_case c ->
-      ( (let* case = case_of t c in
+      fields
+        (let* case = case_of t c in
          let* cmp = Session.sweep_case t.session ?dt:(Option.map Units.ps c.Protocol.c_dt_ps) case in
          Ok
            [
@@ -352,15 +493,14 @@ let dispatch t (kind : Protocol.kind) :
              ("auto_shape", Json.Str (shape_name cmp.Evaluate.auto_model));
              ("delay_err_pct", Json.Float (Evaluate.delay_err_pct cmp cmp.Evaluate.auto));
              ("slew_err_pct", Json.Float (Evaluate.slew_err_pct cmp cmp.Evaluate.auto));
-           ]),
-        `Continue )
+           ])
   | Protocol.Screen c ->
-      ( (let* case = case_of t c in
+      fields
+        (let* case = case_of t c in
          let* model = Session.screen t.session case in
          Ok
            (screen_fields model.Rlc_ceff.Driver_model.screen
-           @ [ ("shape", Json.Str (shape_name model)) ])),
-        `Continue )
+           @ [ ("shape", Json.Str (shape_name model)) ]))
 
 let budget_of t (req : Protocol.request) =
   match req.Protocol.timeout_ms with
@@ -390,12 +530,14 @@ let failure t envelope e =
   Protocol.error_response envelope e
 
 (* Serve one decoded request.  Its trace id is installed around dispatch
-   and encoding, its deadline around dispatch: this is the one place
-   either is installed for a request, and every span recorded below, on
-   any pool domain, carries the trace.  Per-request isolation: whatever
-   escapes — an expired deadline from any depth of the stack, an
-   unexpected exception — becomes a typed error response and the caller
-   keeps serving.  Never raises. *)
+   and encoding, its deadline around dispatch (which encodes a success):
+   this is the one place either is installed for a request, and every
+   span recorded below, on any pool domain, carries the trace.
+   Per-request isolation: whatever escapes — an expired deadline from any
+   depth of the stack, an unexpected exception — becomes a typed error
+   response and the caller keeps serving.  Never raises.  The response is
+   its pieces in order, without the newline: a success is the envelope's
+   prefix and the reply's body, never joined. *)
 let respond t ~deadline ~trace envelope (req : Protocol.request) =
   Obs.with_trace (Some trace) (fun () ->
       let outcome, control =
@@ -406,14 +548,13 @@ let respond t ~deadline ~trace envelope (req : Protocol.request) =
             (Error (Error.Timeout budget), `Continue)
         | exception e -> (Error (Error.of_exn e), `Continue)
       in
-      let encode f = Obs.layer (obs t) "service.encode" f in
       match outcome with
-      | Ok fields ->
+      | Ok reply ->
           Session.note t.session ~ok:true;
-          (encode (fun () -> Protocol.ok_response envelope fields), control, Ok fields)
+          ([ Protocol.ok_prefix envelope; reply.body ], control, Ok reply)
       | Error e ->
           (match e with Error.Timeout _ -> Obs.incr (obs t) "service.timeouts" | _ -> ());
-          (encode (fun () -> failure t envelope e), `Continue, Error e))
+          ([ encode t (fun () -> failure t envelope e) ], `Continue, Error e))
 
 (* The slow-log keys of a request's split: the daemon's own layers. *)
 let split_keys =
@@ -426,14 +567,10 @@ let split_keys =
 let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome =
   match t.slow_ms with
   | Some threshold when wall_s *. 1e3 >= threshold ->
-      let ok, cache_hits =
+      let ok, cache_hits, memo =
         match outcome with
-        | Error _ -> (false, None)
-        | Ok fields -> (
-            ( true,
-              match List.assoc_opt "cache_hits" fields with
-              | Some (Json.Int n) -> Some n
-              | _ -> None ))
+        | Error _ -> (false, None, None)
+        | Ok r -> (true, r.cache_hits, r.memo)
       in
       let line =
         Json.to_string
@@ -448,6 +585,7 @@ let slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome =
                 ("worker", Json.Int worker);
               ]
              @ (match cache_hits with Some n -> [ ("cache_hits", Json.Int n) ] | None -> [])
+             @ (match memo with Some b -> [ ("memo", Json.Bool b) ] | None -> [])
              @ List.map
                  (fun (key, layer) ->
                    ( key,
@@ -493,14 +631,19 @@ let serve_request t ~deadline ~trace ~queue_wait_s ~worker envelope (req : Proto
   slow_log t ~trace ~kind ~queue_wait_s ~wall_s ~worker ~split outcome;
   (response, control)
 
-let handle_line t line =
+(* One line served on the serving loop: the response's pieces. *)
+let handle_pieces t line =
   tick t;
   match Protocol.parse_request ~max_bytes:t.max_request_bytes line with
-  | envelope, Error e -> (failure t envelope e, `Continue)
+  | envelope, Error e -> ([ failure t envelope e ], `Continue)
   | envelope, Ok req ->
       serve_request t
         ~deadline:(Deadline.start (budget_of t req))
         ~trace:(mint_trace t) ~queue_wait_s:0. ~worker:(-1) envelope req
+
+let handle_line t line =
+  let pieces, control = handle_pieces t line in
+  (String.concat "" pieces, control)
 
 (* ---------------------------------------------------------- pipe mode *)
 
@@ -513,8 +656,8 @@ let serve_channels t ic oc =
       | exception End_of_file -> ()
       | line when String.trim line = "" -> loop ()
       | line -> (
-          let response, control = handle_line t line in
-          output_string oc response;
+          let pieces, control = handle_pieces t line in
+          List.iter (output_string oc) pieces;
           output_char oc '\n';
           flush oc;
           match control with
@@ -606,10 +749,10 @@ type runtime = {
       (* responded by a worker; the listener re-arms their reads *)
 }
 
-(* Blocking write of one response line — the payload, then its newline,
-   each straight from its string — restarted on EINTR; a vanished client
+(* Blocking write of one response line — each piece, then the newline,
+   straight from its string — restarted on EINTR; a vanished client
    (EPIPE with SIGPIPE ignored) just marks the connection dead. *)
-let write_response conn s =
+let write_response conn pieces =
   let write_all s =
     let n = String.length s in
     let rec go off =
@@ -622,7 +765,7 @@ let write_response conn s =
     in
     go 0
   in
-  write_all s;
+  List.iter write_all pieces;
   write_all "\n"
 
 let take_line conn =
@@ -658,10 +801,12 @@ let rec advance t rt conn =
          skip the rest of it as it streams in — the connection stays
          usable and the server never buffers an unbounded line. *)
       write_response conn
-        (failure t Protocol.no_envelope
-           (Error.Bad_request
-              (Printf.sprintf "request is over %d bytes; the limit is %d" (Buffer.length conn.buf)
-                 t.max_request_bytes)));
+        [
+          failure t Protocol.no_envelope
+            (Error.Bad_request
+               (Printf.sprintf "request is over %d bytes; the limit is %d" (Buffer.length conn.buf)
+                  t.max_request_bytes));
+        ];
       conn.discarding <- true;
       Buffer.clear conn.buf
     end
@@ -672,7 +817,7 @@ let rec advance t rt conn =
       | Some line -> (
           match Protocol.parse_request ~max_bytes:t.max_request_bytes line with
           | envelope, Error e ->
-              write_response conn (failure t envelope e);
+              write_response conn [ failure t envelope e ];
               advance t rt conn
           | envelope, Ok ({ Protocol.kind = Protocol.Metrics | Protocol.Health; _ } as req) ->
               (* Telemetry must answer even when the admission queue is
@@ -713,7 +858,7 @@ let rec advance t rt conn =
                   (* Admission control: overload is a fast, typed rejection
                      on the existing wire code, not unbounded latency. *)
                   Obs.incr (obs t) "service.rejected_queue_full";
-                  write_response conn (failure t envelope (Error.Timeout budget));
+                  write_response conn [ failure t envelope (Error.Timeout budget) ];
                   advance t rt conn))
 
 let worker_loop t rt wid =
@@ -729,12 +874,12 @@ let worker_loop t rt wid =
           if Deadline.expired job.j_deadline then begin
             (* Expired while queued: answer without burning a worker. *)
             Obs.incr o "service.rejected_expired";
-            (failure t job.j_envelope (Error.Timeout job.j_budget), `Continue)
+            ([ failure t job.j_envelope (Error.Timeout job.j_budget) ], `Continue)
           end
           else if stopped t then
             (* Shutdown drain: queued-but-unstarted requests get a typed
                timeout instead of a silently closed connection. *)
-            (failure t job.j_envelope (Error.Timeout job.j_budget), `Continue)
+            ([ failure t job.j_envelope (Error.Timeout job.j_budget) ], `Continue)
           else
             serve_request t ~deadline:job.j_deadline ~trace:job.j_trace ~queue_wait_s
               ~worker:wid job.j_envelope job.j_req

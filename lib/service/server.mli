@@ -36,6 +36,32 @@
     {!Protocol.envelope}: its ["id"] and schema tag whenever the line
     parsed as a JSON object, {!Protocol.no_envelope} otherwise. *)
 
+(** {b Served reads.}  A [flow] or [xtalk] answer is a pure function of
+    its source bytes, its fields and the session's config, so each server
+    keeps a read memo (an {!Rlc_obs.Memo}, per server, never shared): the
+    key is every source (inline text, or a file path) with [size],
+    [slew_ps], [required_ps], [dt_ps] and the xtalk knobs — not the
+    envelope, not [timeout_ms]; the value is the exact bytes the answer
+    was computed from and the encoded response body
+    ({!Protocol.ok_body}).  A repeat streams each named file through a
+    reusable per-domain buffer and compares it byte for byte with the
+    stored bytes; only if every file matches (one that cannot be opened,
+    or differs in any byte, is a miss) does it write {!Protocol.ok_prefix}
+    of its own envelope, the stored body and the newline, as separate
+    pieces, allocating nothing that grows with the answer.  A miss reads
+    each file once and times exactly those bytes.  Only a warm run is
+    stored, one whose every net was a Ceff-cache hit, with exactly the
+    bytes it timed; so a hit answers what a run on the warm cache
+    answers ([cache_hits] = [nets], [cache_misses] = 0,
+    [iterations_spent] = 0); on a fresh session with no other traffic a
+    read's second send is its first warm run.  Errors are never stored.  A
+    request that does not use the Ceff cache ({!Session.uses_cache})
+    neither looks the memo up nor fills it.
+    The memo's bounds are constants (DESIGN.md §3): 64 entries and 8 MiB
+    of stored bytes; an answer heavier than 8 MiB is answered but not
+    stored.  The [stats] and [metrics] responses carry its [reads] block
+    ({!Telemetry.reads_json}). *)
+
 (** {b Incremental designs.}  Under the ["rlc-service/2"] schema the
     daemon is a long-lived incremental timer: [design_load] times a design
     cold and keeps it resident in the session's bounded LRU store,
@@ -84,11 +110,14 @@ val create :
     emits one JSON line on [slow_channel] (default [stderr]) with fields
     [slow_request], [trace], [kind], [queue_wait_ms], [wall_ms], [ok],
     [worker] (executor domain index, [-1] for requests served on the
-    serving loop itself), [cache_hits] when the response carries it, and
-    the request's split of [wall_ms] over the daemon's own layers:
+    serving loop itself), [cache_hits] when the response carries it,
+    [memo] on a [flow] or [xtalk] line ([true] when the read memo
+    answered it), and the request's split of [wall_ms] over the daemon's
+    own layers:
     [ingest_ms] ({!Rlc_flow.Design.ingest}), [render_ms] (the report,
-    {!Rlc_flow.Report.json_string}) and [encode_ms] (the response line),
-    each [0] when the request did not run that layer.  The same three run
+    {!Rlc_flow.Report.json_string}) and [encode_ms] (the response body),
+    each [0] when the request did not run that layer (a read-memo hit runs
+    none of them).  The same three run
     as ["design.ingest"], ["report.render"] and ["service.encode"] spans
     inside ["service.request"] when the session's sink records spans.
 
@@ -113,7 +142,9 @@ val handle_line : t -> string -> string * [ `Continue | `Stop ]
 (** Serve exactly one request line and return the one-line response
     (without the trailing newline) plus whether the caller should keep
     serving ([`Stop] after a [shutdown] request).  Never raises; this is
-    the transport-free core the tests and the bench drive directly. *)
+    the transport-free core the tests and the bench drive directly.  It
+    joins the response's pieces into one string; the two transports write
+    them one after another. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Pipe mode: read request lines until EOF, a [shutdown] request, or

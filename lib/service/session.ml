@@ -186,12 +186,15 @@ type flow_outcome = {
   report_escaped : string list option;
 }
 
+let uses_cache t (req : Request.t) =
+  Option.value req.Request.use_cache ~default:t.config.Config.use_cache
+
 let flow_cfg t (req : Request.t) =
   {
     Flow.Config.dt = Option.value req.Request.dt ~default:t.config.Config.dt;
     adaptive = req.Request.adaptive;
     jobs = None;
-    use_cache = Option.value req.Request.use_cache ~default:t.config.Config.use_cache;
+    use_cache = uses_cache t req;
     cache = Some t.cache;
     obs = t.config.Config.obs;
     progress = req.Request.progress;

@@ -126,6 +126,11 @@ type flow_outcome = {
           escapes only the entries it re-rendered; [None] for {!flow}. *)
 }
 
+val uses_cache : t -> Request.t -> bool
+(** Whether a flow of [req] looks up and fills the session's Ceff cache:
+    [req.use_cache], or the session's [Config.use_cache] when it is
+    absent. *)
+
 val flow : t -> Request.t -> Rlc_flow.Design.t -> (flow_outcome, Error.t) result
 (** Run the full-design flow on the session's pool against the session's
     shared cache (so a repeated design is all cache hits; the per-run

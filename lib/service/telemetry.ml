@@ -13,7 +13,12 @@ module Obs = Rlc_obs.Obs
 module Window = Rlc_obs.Window
 module Memo = Rlc_obs.Memo
 
-type server_info = { workers : int; queue_capacity : int; queue_depth : int }
+type server_info = {
+  workers : int;
+  queue_capacity : int;
+  queue_depth : int;
+  reads : Memo.stats;
+}
 
 (* ceil(0.8 * capacity), >= 1: readiness flips before the queue is
    actually full, giving load balancers a margin to drain. *)
@@ -53,6 +58,8 @@ let designs_json (d : Session.design_store_stats) =
         ("nets", Json.Int d.Session.ds_nets);
       ]
     d.Session.ds_store
+
+let reads_json (s : Memo.stats) = memo_json ~extra:[ ("bytes", Json.Int s.Memo.weight) ] s
 
 let latest_counter window name =
   match Window.latest window with
@@ -210,6 +217,9 @@ let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store
     (float_of_int designs.Session.ds_store.Memo.entries);
   gauge "service_designs_nets" "Nets held across resident designs."
     (float_of_int designs.Session.ds_nets);
+  memo "service_reads" "Served-read memo" server.reads;
+  gauge "service_reads_bytes" "Bytes held by the served-read memo."
+    (float_of_int server.reads.Memo.weight);
   if Array.length shards > 0 then begin
     meta "service_cache_shard_entries" "gauge"
       "Ceff cache population, by shard.";
@@ -318,6 +328,7 @@ let metrics_fields ~session ~server ~window () =
       memo_json ~extra:[ ("stores", Json.Int c.Memo.entries) ] c );
     ("handles", memo_json (Rlc_circuit.Engine.Compiled.cache_stats ()));
     ("designs", designs_json designs);
+    ("reads", reads_json server.reads);
     ("prometheus", Json.Str (prometheus ~stats ~shards ~designs ~server ~window ()));
   ]
 

@@ -352,6 +352,7 @@ module Memo = Rlc_obs.Memo
 type memo_op =
   | Find_or_add of int * int
   | Find of int
+  | Find_valid of int * bool
   | Replace of int * int
   | Remove of int
   | Clear
@@ -359,10 +360,13 @@ type memo_op =
 let show_memo_op = function
   | Find_or_add (k, v) -> Printf.sprintf "find_or_add %d %d" k v
   | Find k -> Printf.sprintf "find %d" k
+  | Find_valid (k, ok) -> Printf.sprintf "find ~valid:%b %d" ok k
   | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
   | Remove k -> Printf.sprintf "remove %d" k
   | Clear -> "clear"
 
+(* A case is a capacity, a weight bound and the operations; an entry
+   weighs its value, so a value over the bound is never stored. *)
 let arb_memo_case =
   let open QCheck.Gen in
   let key = int_bound 11 and value = int_bound 99 in
@@ -371,29 +375,49 @@ let arb_memo_case =
       [
         (4, map2 (fun k v -> Find_or_add (k, v)) key value);
         (3, map (fun k -> Find k) key);
+        (1, map2 (fun k ok -> Find_valid (k, ok)) key bool);
         (2, map2 (fun k v -> Replace (k, v)) key value);
         (1, map (fun k -> Remove k) key);
         (1, return Clear);
       ]
   in
   QCheck.make
-    ~print:(fun (cap, ops) ->
-      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show_memo_op ops)))
-    (pair (int_range 1 8) (list_size (int_range 0 60) op))
+    ~print:(fun (cap, max_weight, ops) ->
+      Printf.sprintf "capacity %d, max weight %d: %s" cap max_weight
+        (String.concat "; " (List.map show_memo_op ops)))
+    (triple (int_range 1 8) (int_range 1 400) (list_size (int_range 0 60) op))
 
-(* A one-shard memo against a list-based LRU model (most recent first):
-   every result, hit flag and counter agrees after every operation. *)
+(* A one-shard weighted memo against a list-based LRU model (most recent
+   first): every result, hit flag and counter, the total weight included,
+   agrees after every operation. *)
 let prop_memo_lru =
-  QCheck.Test.make ~name:"one-shard memo = list LRU model" ~count:500 arb_memo_case
-    (fun (cap, ops) ->
-      let t : (int, int) Memo.t = Memo.create ~capacity:cap () in
+  QCheck.Test.make ~name:"one-shard memo = list LRU model" ~count:500
+    arb_memo_case (fun (cap, max_weight, ops) ->
+      let t : (int, int) Memo.t =
+        Memo.create ~weight:(fun _ v -> v) ~max_weight ~capacity:cap ()
+      in
       let items = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-      let use k v =
-        items := (k, v) :: List.remove_assoc k !items;
-        if List.length !items > cap then begin
-          items := List.filteri (fun i _ -> i < cap) !items;
-          incr evictions
+      let weight () = List.fold_left (fun acc (_, v) -> acc + v) 0 !items in
+      let touch k v = items := (k, v) :: List.remove_assoc k !items in
+      let insert k v =
+        items := List.remove_assoc k !items;
+        if v <= max_weight then begin
+          while !items <> [] && (List.length !items >= cap || weight () + v > max_weight) do
+            items := List.filteri (fun i _ -> i < List.length !items - 1) !items;
+            incr evictions
+          done;
+          items := (k, v) :: !items
         end
+      in
+      let find ok k =
+        match List.assoc_opt k !items with
+        | Some x when ok ->
+            incr hits;
+            touch k x;
+            Some x
+        | Some _ | None ->
+            incr misses;
+            None
       in
       List.for_all
         (fun op ->
@@ -404,24 +428,18 @@ let prop_memo_lru =
                   match List.assoc_opt k !items with
                   | Some x ->
                       incr hits;
-                      use k x;
+                      touch k x;
                       (x, true)
                   | None ->
                       incr misses;
-                      use k v;
+                      insert k v;
                       (v, false)
                 in
                 Memo.find_or_add t k (fun () -> v) = expected
-            | Find k ->
-                let expected = List.assoc_opt k !items in
-                (match expected with
-                | Some x ->
-                    incr hits;
-                    use k x
-                | None -> incr misses);
-                Memo.find t k = expected
+            | Find k -> Memo.find t k = find true k
+            | Find_valid (k, ok) -> Memo.find ~valid:(fun _ -> ok) t k = find ok k
             | Replace (k, v) ->
-                use k v;
+                insert k v;
                 Memo.replace t k v;
                 true
             | Remove k ->
@@ -441,6 +459,7 @@ let prop_memo_lru =
                  hits = !hits;
                  misses = !misses;
                  evictions = !evictions;
+                 weight = weight ();
                })
         ops)
 

@@ -340,6 +340,55 @@ let test_protocol_responses () =
   Alcotest.(check (option string)) "v2 tag echoed" (Some Protocol.schema_v2)
     (Json.get_string (member "schema" (json_of v2)))
 
+(* A success line is its envelope's prefix and its fields' body, so a body
+   encoded once answers any envelope: random envelopes (either tag; no
+   id, or an id of any JSON shape) and random field lists, strings
+   escaped or spliced as [Escaped] pieces. *)
+let arb_ok_split =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\001'; 'z'; ' ' ]) (int_bound 6) in
+  let json =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) small_signed_int;
+                 map (fun f -> Json.Float f) (oneofl [ 0.; -0.; 1.5; -2e-12; 1e300 ]);
+                 map (fun s -> Json.Str s) text;
+                 map (fun s -> Json.Escaped [ Json.escape s; "" ]) text;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 3) (self (n - 1))));
+                 ( 1,
+                   map (fun l -> Json.Obj l) (list_size (int_bound 3) (pair text (self (n - 1)))) );
+               ])
+  in
+  let envelope =
+    map2
+      (fun schema id -> { Protocol.schema; id })
+      (oneofl [ Protocol.schema; Protocol.schema_v2 ])
+      (option json)
+  in
+  QCheck.make
+    ~print:(fun (e, fields) ->
+      Printf.sprintf "envelope %s, fields %s"
+        (Protocol.ok_response e [])
+        (Json.to_string (Json.Obj fields)))
+    (pair envelope (list_size (int_bound 4) (pair text json)))
+
+let prop_ok_split =
+  QCheck.Test.make ~name:"ok_prefix e ^ ok_body f = ok_response e f" ~count:500 arb_ok_split
+    (fun (e, fields) ->
+      String.equal (Protocol.ok_prefix e ^ Protocol.ok_body fields) (Protocol.ok_response e fields))
+
 (* ------------------------------------------------------- typed errors *)
 
 let test_parse_res_positions () =
@@ -857,7 +906,10 @@ let design_diff (a : Design.t) (b : Design.t) =
    resident design equals the cold-ingested one in every record, level,
    size and coupling.  Before the load, the initial sources go inline in
    a v1 [flow] (or [xtalk]) request to a server wrapping the same
-   session, whose report must be the cold run's too: served = one-shot. *)
+   session, whose report must be the cold run's too: served = one-shot.
+   The request goes three times: the first runs on the session's cold Ceff
+   cache, the second runs warm and is stored in the read memo, and the
+   third is a read-memo hit. *)
 let reuse_matches_cold c =
   let spef_src, spec_src = sources c in
   let served_line =
@@ -904,12 +956,20 @@ let reuse_matches_cold c =
          | Ok design -> cold_report ~xtalk:c.xtalk design
          | Error msg -> QCheck.Test.fail_reportf "initial sources: %s" msg
        in
-       let raw, _ = Server.handle_line (Server.create session) served_line in
-       match Json.member "report" (json_of raw) with
-       | Some (Json.Str report) ->
-           if not (String.equal report cold) then
-             QCheck.Test.fail_reportf "served flow: report differs from a cold run"
-       | _ -> QCheck.Test.fail_reportf "served flow failed: %s" raw);
+       let server = Server.create session in
+       List.iter
+         (fun what ->
+           let raw, _ = Server.handle_line server served_line in
+           match Json.member "report" (json_of raw) with
+           | Some (Json.Str report) ->
+               if not (String.equal report cold) then
+                 QCheck.Test.fail_reportf "%s: report differs from a cold run" what
+           | _ -> QCheck.Test.fail_reportf "%s failed: %s" what raw)
+         [ "served flow"; "served flow, warm"; "served flow, a third time" ];
+       let stats, _ = Server.handle_line server {|{"schema":"rlc-service/1","kind":"stats"}|} in
+       match Json.member "reads" (json_of stats) with
+       | Some reads when Json.member "hits" reads = Some (Json.Int 1) -> ()
+       | _ -> QCheck.Test.fail_reportf "served flow, a third time: not a read-memo hit: %s" stats);
       let handle, loaded =
         ok_or_fail (Session.design_load session ~req ~spef:spef_src ~spec:spec_src ())
       in
@@ -1344,6 +1404,206 @@ let test_server_shutdown_control () =
       Alcotest.(check (option bool)) "acknowledged" (Some true)
         (Json.get_bool (member "stopping" resp)))
 
+(* ---------------------------------------------- server, read memo *)
+
+let read_request ?(schema = Protocol.schema) ?id ?(kind = "flow") fields =
+  Json.to_string
+    (Json.Obj
+       ([ ("schema", Json.Str schema); ("kind", Json.Str kind) ]
+       @ (match id with Some id -> [ ("id", id) ] | None -> [])
+       @ fields))
+
+let report_of resp = Option.get (Json.get_string (member "report" resp))
+
+(* The server's read-memo counters: hits, misses, entries. *)
+let reads_of server =
+  let stats, _ = send server {|{"schema":"rlc-service/1","kind":"stats"}|} in
+  let reads = member "reads" stats in
+  let get f = Option.get (Json.get_int (member f reads)) in
+  (get "hits", get "misses", get "entries")
+
+let check_reads what expected server =
+  Alcotest.(check (triple int int int)) (what ^ ": reads hits, misses, entries") expected
+    (reads_of server)
+
+let write_file path content =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
+
+(* A copy of bus8.spec that a test may rewrite or delete. *)
+let with_spec_copy ?(content = read_file bus8_spec) f =
+  let path = Filename.temp_file "rlc_memo" ".spec" in
+  write_file path content;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+(* A repeated v1 flow or xtalk is answered from the read memo, in the
+   repeat's own envelope (no id, an int or a string id, under either
+   tag).  Each kind runs on a fresh session: its first read runs on a cold
+   Ceff cache and is not stored, its second runs warm and is.  A fresh
+   server on the same session has an empty memo and a warm Ceff cache, so
+   the answer it computes is the warm run a hit must equal byte for byte:
+   the same report, every net a cache hit, no iteration spent. *)
+let test_server_read_hits () =
+  let reads =
+    [
+      ("flow", [ ("spef_file", Json.Str bus8_spef); ("spec_file", Json.Str bus8_spec) ]);
+      ( "xtalk",
+        [
+          ("spef_file", Json.Str (fixture "bus8_coupled.spef"));
+          ("spec_file", Json.Str bus8_spec);
+          ("alignments", Json.Int 3);
+        ] );
+    ]
+  and envelopes =
+    [
+      (Protocol.schema, None);
+      (Protocol.schema, Some (Json.Int 7));
+      (Protocol.schema, Some (Json.Str "r7"));
+      (Protocol.schema_v2, None);
+      (Protocol.schema_v2, Some (Json.Int 8));
+      (Protocol.schema_v2, Some (Json.Str "r8"));
+    ]
+  in
+  List.iter
+    (fun (kind, fields) ->
+      with_default_session (fun session ->
+          let server = Server.create session in
+          let first, _ = send server (read_request ~kind fields) in
+          Alcotest.(check bool) (kind ^ ": the first read runs cold") true
+            (Option.get (Json.get_int (member "cache_misses" first)) > 0);
+          check_reads (kind ^ ": a cold read is not stored") (0, 1, 0) server;
+          ignore (send server (read_request ~kind fields));
+          check_reads (kind ^ ": a warm read is stored") (0, 2, 1) server;
+          List.iter
+            (fun (schema, id) ->
+              let what =
+                Printf.sprintf "%s %s id %s" kind schema
+                  (Option.fold ~none:"-" ~some:Json.to_string id)
+              in
+              let line = read_request ~schema ?id ~kind fields in
+              let raw, _ = Server.handle_line server line in
+              let warm, _ = Server.handle_line (Server.create session) line in
+              Alcotest.(check string) (what ^ ": hit = a warm run") warm raw;
+              let hit = json_of raw in
+              Alcotest.(check (option string)) (what ^ ": schema") (Some schema)
+                (Json.get_string (member "schema" hit));
+              Alcotest.(check (option string)) (what ^ ": id")
+                (Option.map Json.to_string id)
+                (Option.map Json.to_string (Json.member "id" hit));
+              Alcotest.(check string) (what ^ ": report") (report_of first) (report_of hit);
+              let count f = Json.get_int (member f hit) in
+              Alcotest.(check (option int)) (what ^ ": every net a hit") (count "nets")
+                (count "cache_hits");
+              Alcotest.(check (option int)) (what ^ ": no miss") (Some 0) (count "cache_misses");
+              Alcotest.(check (option int)) (what ^ ": no iteration") (Some 0)
+                (count "iterations_spent"))
+            envelopes;
+          check_reads (kind ^ ": after 2 reads and 6 repeats") (6, 2, 1) server))
+    reads
+
+(* A read that does not use the Ceff cache neither looks the memo up nor
+   fills it, and reports uncached counters every time, also once the same
+   read is stored. *)
+let test_server_read_no_cache () =
+  with_server (fun server ->
+      let uncached = bus8_flow_request ~extra:[ ("use_cache", Json.Bool false) ] () in
+      let check_uncached what =
+        let resp, _ = send server uncached in
+        Alcotest.(check (option int)) (what ^ ": no hit") (Some 0)
+          (Json.get_int (member "cache_hits" resp));
+        Alcotest.(check (option int)) (what ^ ": no miss") (Some 0)
+          (Json.get_int (member "cache_misses" resp))
+      in
+      check_uncached "first";
+      check_uncached "second";
+      check_reads "uncached reads" (0, 0, 0) server;
+      ignore (send server (bus8_flow_request ()));
+      ignore (send server (bus8_flow_request ()));
+      check_reads "a cold and a warm cached read" (0, 2, 1) server;
+      check_uncached "with the read stored";
+      check_reads "the uncached read skipped the memo" (0, 2, 1) server)
+
+(* A spec file rewritten in place between two reads is timed again, and
+   the answer is a cold run of the new bytes; once a warm run of them is
+   stored, the next read is a hit on them.  The edit keeps the file's
+   length. *)
+let test_server_read_rewrite () =
+  with_spec_copy (fun spec ->
+      with_server (fun server ->
+          let line =
+            read_request [ ("spef_file", Json.Str bus8_spef); ("spec_file", Json.Str spec) ]
+          in
+          let report () = report_of (fst (send server line)) in
+          let before = report () in
+          Alcotest.(check string) "warm before the rewrite" before (report ());
+          Alcotest.(check string) "hit before the rewrite" before (report ());
+          check_reads "before the rewrite" (1, 2, 1) server;
+          let edited =
+            String.concat "\n"
+              (List.map
+                 (fun l -> if String.equal l "input b0 100" then "input b0 120" else l)
+                 (String.split_on_char '\n' (read_file bus8_spec)))
+          in
+          Alcotest.(check int) "same length" (String.length (read_file bus8_spec))
+            (String.length edited);
+          write_file spec edited;
+          let after = report () in
+          check_reads "after the rewrite" (1, 3, 1) server;
+          let cold =
+            with_default_session (fun fresh ->
+                let design =
+                  ok_or_fail (Session.ingest fresh ~spef:(read_file bus8_spef) ~spec:edited ())
+                in
+                (ok_or_fail (Session.flow fresh Session.Request.default design)).Session.report)
+          in
+          Alcotest.(check string) "rewritten = a cold run of the new bytes" cold after;
+          Alcotest.(check bool) "the edit shows" false (String.equal before after);
+          Alcotest.(check string) "warm on the new bytes" after (report ());
+          Alcotest.(check string) "hit on the new bytes" after (report ());
+          check_reads "hit on the new bytes" (2, 4, 1) server))
+
+(* A stored read whose file is then deleted answers exactly what a server
+   that never stored it answers: the same bad_request line. *)
+let test_server_read_deleted () =
+  with_spec_copy (fun spec ->
+      with_default_session (fun session ->
+          let server = Server.create session in
+          let line =
+            read_request ~id:(Json.Int 4)
+              [ ("spef_file", Json.Str bus8_spef); ("spec_file", Json.Str spec) ]
+          in
+          ignore (send server line);
+          ignore (send server line);
+          check_reads "stored" (0, 2, 1) server;
+          Sys.remove spec;
+          let raw, _ = Server.handle_line server line in
+          let fresh, _ = Server.handle_line (Server.create session) line in
+          Alcotest.(check string) "the answer of a server without the entry" fresh raw;
+          Alcotest.(check (option string)) "bad_request" (Some "bad_request")
+            (Json.get_string (member "code" (member "error" (json_of raw))));
+          check_reads "a missing file is a miss" (0, 3, 1) server))
+
+(* An answer heavier than the memo's byte bound (8 MiB) is answered, and
+   answered again, but never stored: a spec file with a 9 MB comment. *)
+let test_server_read_over_bound () =
+  let content = read_file bus8_spec ^ "# " ^ String.make (9 * 1024 * 1024) 'x' ^ "\n" in
+  with_spec_copy ~content (fun spec ->
+      with_server (fun server ->
+          let expected = report_of (fst (send server (bus8_flow_request ()))) in
+          ignore (send server (bus8_flow_request ()));
+          let line =
+            read_request [ ("spef_file", Json.Str bus8_spef); ("spec_file", Json.Str spec) ]
+          in
+          Alcotest.(check string) "answered" expected (report_of (fst (send server line)));
+          Alcotest.(check string) "answered again" expected (report_of (fst (send server line)));
+          check_reads "never stored" (0, 4, 1) server;
+          let stats, _ = send server {|{"schema":"rlc-service/1","kind":"stats"}|} in
+          let reads = member "reads" stats in
+          Alcotest.(check (option int)) "no eviction" (Some 0)
+            (Json.get_int (member "evictions" reads));
+          Alcotest.(check bool) "only bus8's answer held" true
+            (Option.get (Json.get_int (member "bytes" reads)) < 64 * 1024)))
+
 (* ------------------------------------------------- server, v2 kinds *)
 
 let design_load_request ?id ?(extra = []) () =
@@ -1572,21 +1832,30 @@ let test_server_unix_concurrent () =
   (* jobs = 2 makes every served flow publish a batch to a shared pool
      that other requests are publishing to at the same time: concurrent
      masters, concurrent cache access, and per-connection ordering all in
-     one test.  The reports must still be byte-identical to the one-shot
-     session path. *)
+     one test.  Each request names its own required time, so none is
+     answered from the read memo and every one is timed.  The reports must
+     still be byte-identical to the one-shot session path. *)
   let config = { Session.Config.default with Session.Config.jobs = 2 } in
   Session.with_session ~config (fun session ->
+      let clients = 3 and per_client = 3 in
+      let required id = float_of_int (100 + id) in
       let expected =
         let design =
           ok_or_fail
             (Session.ingest session ~spef:(read_file bus8_spef) ~spec:(read_file bus8_spec) ())
         in
-        (ok_or_fail (Session.flow session Session.Request.default design)).Session.report
+        let report id =
+          let req =
+            { Session.Request.default with required = Some (Rlc_num.Units.ps (required id)) }
+          in
+          (id, (ok_or_fail (Session.flow session req design)).Session.report)
+        in
+        List.concat
+          (List.init clients (fun cid -> List.init per_client (fun i -> report ((cid * 100) + i))))
       in
       let server = Server.create ~workers:2 ~queue_capacity:16 session in
       let path = temp_socket_path () in
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
-      let clients = 3 and per_client = 3 in
       (* Client domains only collect their replies: Alcotest's checks are
          not domain-safe, so they run here after the joins. *)
       let run_client cid =
@@ -1594,7 +1863,8 @@ let test_server_unix_concurrent () =
         let replies =
           List.init per_client (fun i ->
               let id = (cid * 100) + i in
-              (cid, i, id, roundtrip ic oc (bus8_flow_request ~id ())))
+              let extra = [ ("required_ps", Json.Float (required id)) ] in
+              (cid, i, id, roundtrip ic oc (bus8_flow_request ~id ~extra ())))
         in
         close_client (ic, oc);
         replies
@@ -1615,11 +1885,17 @@ let test_server_unix_concurrent () =
             (Json.get_int (member "id" resp));
           Alcotest.(check string)
             (Printf.sprintf "report %d byte-identical" k)
-            expected
+            (List.assoc id expected)
             (Option.get (Json.get_string (member "report" resp))))
         all;
-      (* A shutdown request over the socket stops the whole loop. *)
       let ic, oc = client_channels path in
+      let reads =
+        member "reads" (json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"stats"}|}))
+      in
+      Alcotest.(check (list (option int))) "no read answered from the memo"
+        [ Some 0; Some (clients * per_client) ]
+        (List.map (fun f -> Json.get_int (member f reads)) [ "hits"; "misses" ]);
+      (* A shutdown request over the socket stops the whole loop. *)
       let resp = json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"shutdown","id":99}|}) in
       Alcotest.(check (option bool)) "shutdown acked" (Some true)
         (Json.get_bool (member "stopping" resp));
@@ -1732,6 +2008,154 @@ let test_server_unix_isolation () =
       close_client good;
       Server.stop server;
       Domain.join serving)
+
+(* Robustness of the multi-piece write.  A client that closes right after
+   sending a flow costs only its own connection: its answer, a read-memo
+   hit written piece by piece, meets a closed peer, and the next client
+   is answered. *)
+let test_server_unix_close_after_send () =
+  with_default_session (fun session ->
+      let server = Server.create ~workers:1 session in
+      let path = temp_socket_path () in
+      let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      let first = client_channels path in
+      let expected = report_of (json_of (roundtrip (fst first) (snd first) (bus8_flow_request ()))) in
+      (* Cold, then warm and stored. *)
+      ignore (roundtrip (fst first) (snd first) (bus8_flow_request ()));
+      close_client first;
+      for _ = 1 to 3 do
+        let gone = client_channels path in
+        send_line (snd gone) (bus8_flow_request ());
+        close_client gone
+      done;
+      let next = client_channels path in
+      let resp = json_of (roundtrip (fst next) (snd next) (bus8_flow_request ~id:5 ())) in
+      Alcotest.(check (option int)) "next client answered" (Some 5)
+        (Json.get_int (member "id" resp));
+      Alcotest.(check string) "with the report" expected (report_of resp);
+      close_client next;
+      Server.stop server;
+      Domain.join serving)
+
+(* A client that trickles its request one byte at a time is answered once
+   its newline arrives, and not before. *)
+let test_server_unix_trickle () =
+  with_default_session (fun session ->
+      let server = Server.create ~workers:1 session in
+      let path = temp_socket_path () in
+      let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      let warm = client_channels path in
+      let expected = report_of (json_of (roundtrip (fst warm) (snd warm) (bus8_flow_request ()))) in
+      close_client warm;
+      let fd = connect_client path in
+      let line = bus8_flow_request ~id:9 () in
+      String.iter
+        (fun c ->
+          ignore (Unix.write_substring fd (String.make 1 c) 0 1);
+          Unix.sleepf 0.001)
+        line;
+      let answered, _, _ = Unix.select [ fd ] [] [] 0.2 in
+      Alcotest.(check int) "no answer before the newline" 0 (List.length answered);
+      ignore (Unix.write_substring fd "\n" 0 1);
+      let ic = Unix.in_channel_of_descr fd in
+      let resp = json_of (input_line ic) in
+      Alcotest.(check (option int)) "answered" (Some 9) (Json.get_int (member "id" resp));
+      Alcotest.(check string) "with the report" expected (report_of resp);
+      close_in_noerr ic;
+      Server.stop server;
+      Domain.join serving)
+
+(* Bytes allocated in the whole process per read-memo hit on the socket
+   path, and the answer's report size: the sources go in two fresh files,
+   a client that allocates nothing itself sends batches of 100 hits, and a
+   stop-the-world minor collection before and after each batch makes the
+   Gc counters cover every domain. *)
+let hit_alloc (spef_src, spec_src) =
+  let spef = Filename.temp_file "rlc_memo" ".spef" and spec = Filename.temp_file "rlc_memo" ".spec" in
+  write_file spef spef_src;
+  write_file spec spec_src;
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ spef; spec ]) @@ fun () ->
+  with_default_session (fun session ->
+      let server = Server.create ~workers:1 session in
+      let path = temp_socket_path () in
+      let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      let fd = connect_client path in
+      let line =
+        Bytes.of_string
+          (read_request [ ("spef_file", Json.Str spef); ("spec_file", Json.Str spec) ] ^ "\n")
+      in
+      let buf = Bytes.create (1 lsl 20) in
+      (* One round trip; the answer's length, newline included. *)
+      let roundtrip () =
+        let sent = ref 0 in
+        while !sent < Bytes.length line do
+          sent := !sent + Unix.write fd line !sent (Bytes.length line - !sent)
+        done;
+        let len = ref 0 and complete = ref false in
+        while not !complete do
+          let n = Unix.read fd buf !len (Bytes.length buf - !len) in
+          if n = 0 then failwith "the daemon closed the connection";
+          len := !len + n;
+          complete := Bytes.get buf (!len - 1) = '\n'
+        done;
+        !len
+      in
+      (* The first round trip runs cold; the second runs warm and is
+         stored, and every later one is a hit. *)
+      let first = roundtrip () in
+      let report = String.length (report_of (json_of (Bytes.sub_string buf 0 (first - 1)))) in
+      let hit = roundtrip () in
+      let words () =
+        Gc.minor ();
+        let s = Gc.quick_stat () in
+        s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+      in
+      (* The fewest words of three batches: the select loop's own
+         allocation varies with how each round trip interleaves, and that
+         only ever adds. *)
+      let hits = 100 and batches = 3 in
+      let batch () =
+        let before = words () in
+        for _ = 1 to hits do
+          if roundtrip () <> hit then Alcotest.fail "a hit's answer changed length"
+        done;
+        (words () -. before) /. float_of_int hits
+      in
+      let per_hit = List.fold_left Float.min infinity (List.init batches (fun _ -> batch ())) in
+      Unix.close fd;
+      Server.stop server;
+      Domain.join serving;
+      check_reads "the hits" (batches * hits, 2, 1) server;
+      (per_hit *. float_of_int (Sys.word_size / 8), report))
+
+(* A hit on the socket workers' path allocates nothing that grows with
+   its answer: the files stream through the worker's buffer and the
+   stored body is written as it is.  A 512-net bus's hits allocate, over
+   bus8's, less than 1 % of the 512-net report.  Both request lines have
+   the same length, so the transport's own work per request (the
+   listener's decode of the line, the queue, the select loop) is the same
+   in both and cancels. *)
+let test_server_unix_hit_alloc () =
+  let bus =
+    {
+      bits = 256;
+      segs = 8;
+      tails = false;
+      coupled = false;
+      xtalk = false;
+      jobs = 1;
+      jitter = Array.make 512 1.;
+      deltas = [];
+    }
+  in
+  let small, small_report = hit_alloc (read_file bus8_spef, read_file bus8_spec) in
+  let large, report = hit_alloc (sources bus) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "a hit allocates %.0f bytes on the %d-byte report, %.0f on bus8's %d: the difference is under 1 %%"
+       large report small small_report)
+    true
+    (large -. small < 0.01 *. float_of_int report)
 
 (* --------------------------------------------------------- telemetry *)
 
@@ -1857,7 +2281,19 @@ let test_server_metrics_prometheus () =
                 (prom_sample samples series))
             five)
         [ ("cache", "cache"); ("characterization", "char"); ("handles", "handle");
-          ("designs", "designs") ];
+          ("designs", "designs"); ("reads", "reads") ];
+      (* The first flow ran on a cold Ceff cache and was not stored in the
+         read memo; the second ran warm and was.  The block adds the bytes
+         it holds. *)
+      let reads = member "reads" m in
+      Alcotest.(check (list (option int))) "reads hits, misses, entries"
+        [ Some 0; Some 2; Some 1 ]
+        (List.map (fun f -> Json.get_int (member f reads)) [ "hits"; "misses"; "entries" ]);
+      Alcotest.(check bool) "reads hold bytes" true
+        (Option.get (Json.get_int (member "bytes" reads)) > 0);
+      Alcotest.(check (float 0.)) "service_reads_bytes = reads.bytes"
+        (float_of_int (Option.get (Json.get_int (member "bytes" reads))))
+        (prom_sample samples "service_reads_bytes");
       List.iter
         (fun block ->
           List.iter
@@ -1865,7 +2301,7 @@ let test_server_metrics_prometheus () =
               Alcotest.(check bool) ("stats " ^ block ^ "." ^ f) true
                 (Json.get_int (member f (member block stats)) <> None))
             five)
-        [ "cache"; "designs" ];
+        [ "cache"; "designs"; "reads" ];
       (* Histogram buckets are cumulative and capped by +Inf == _count. *)
       let buckets =
         List.filter
@@ -1921,12 +2357,16 @@ let test_server_unix_telemetry () =
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
       (* Client domains only collect their replies: Alcotest's checks are
          not domain-safe, so they run here after the joins. *)
+      (* Each of the four flows names its own required time, so each is
+         timed (and traced) rather than answered from the read memo. *)
+      let flow cid i =
+        bus8_flow_request ~id:((cid * 10) + i)
+          ~extra:[ ("required_ps", Json.Float (float_of_int (100 + (cid * 10) + i))) ]
+          ()
+      in
       let run_client cid =
         let ((ic, oc) as cl) = client_channels path in
-        let replies =
-          List.init 2 (fun i ->
-              (cid, i, roundtrip ic oc (bus8_flow_request ~id:((cid * 10) + i) ())))
-        in
+        let replies = List.init 2 (fun i -> (cid, i, roundtrip ic oc (flow cid i))) in
         close_client cl;
         replies
       in
@@ -1951,12 +2391,20 @@ let test_server_unix_telemetry () =
             (Some true) ok)
         (List.concat_map Domain.join domains);
       let ((ic, oc) as cl) = client_channels path in
+      (* A fifth flow with a required time of its own runs on the warm
+         Ceff cache, so the read memo stores it; a sixth repeats it and is
+         a read-memo hit. *)
+      List.iter
+        (fun what ->
+          Alcotest.(check (option bool)) (what ^ " ok") (Some true)
+            (Json.get_bool (member "ok" (json_of (roundtrip ic oc (flow 2 0))))))
+        [ "fifth flow"; "repeated fifth flow" ];
       let h = json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"health","id":50}|}) in
       Alcotest.(check (option bool)) "healthy after traffic" (Some true)
         (Json.get_bool (member "ready" h));
       let m = json_of (roundtrip ic oc {|{"schema":"rlc-service/1","kind":"metrics","id":51}|}) in
-      (* 4 flows + the health request have finished; exact reconciliation. *)
-      Alcotest.(check (option int)) "served over socket reconciles" (Some 5)
+      (* 6 flows + the health request have finished; exact reconciliation. *)
+      Alcotest.(check (option int)) "served over socket reconciles" (Some 7)
         (Json.get_int (member "served" (member "totals" m)));
       Alcotest.(check (option int)) "no failures" (Some 0)
         (Json.get_int (member "failed" (member "totals" m)));
@@ -1975,7 +2423,7 @@ let test_server_unix_telemetry () =
     lines
   in
   Sys.remove slow_path;
-  Alcotest.(check bool) "slow log covers all requests" true (List.length slow_lines >= 6);
+  Alcotest.(check bool) "slow log covers all requests" true (List.length slow_lines >= 8);
   let slow_traces =
     List.map
       (fun line ->
@@ -2000,13 +2448,30 @@ let test_server_unix_telemetry () =
         let ms f = Option.get (Json.get_float (member f j)) in
         Alcotest.(check bool) "split within wall time" true
           (ms "ingest_ms" +. ms "render_ms" +. ms "encode_ms" <= ms "wall_ms");
-        if Json.get_string (member "kind" j) = Some "flow" then
+        (* A timed flow ingests, renders and encodes; a read-memo hit does
+           none of them. *)
+        if Json.get_string (member "kind" j) = Some "flow" then begin
+          let memo = Option.get (Json.get_bool (member "memo" j)) in
           List.iter
-            (fun f -> Alcotest.(check bool) ("flow " ^ f ^ " > 0") true (ms f > 0.))
-            [ "ingest_ms"; "render_ms"; "encode_ms" ];
+            (fun f ->
+              Alcotest.(check bool)
+                (Printf.sprintf "flow %s %s" f (if memo then "= 0 on a hit" else "> 0"))
+                true
+                (if memo then ms f = 0. else ms f > 0.))
+            [ "ingest_ms"; "render_ms"; "encode_ms" ]
+        end;
         Option.get (Json.get_string (member "trace" j)))
       slow_lines
   in
+  let hit_traces =
+    List.filter_map
+      (fun line ->
+        let j = json_of line in
+        if Json.member "memo" j = Some (Json.Bool true) then Json.get_string (member "trace" j)
+        else None)
+      slow_lines
+  in
+  Alcotest.(check int) "one read-memo hit" 1 (List.length hit_traces);
   Alcotest.(check int) "slow-log trace ids distinct"
     (List.length slow_traces)
     (List.length (List.sort_uniq compare slow_traces));
@@ -2023,12 +2488,17 @@ let test_server_unix_telemetry () =
       spans
   in
   let request_traces = traces_of "service.request" in
-  Alcotest.(check bool) "request spans recorded" true (List.length request_traces >= 6);
+  Alcotest.(check bool) "request spans recorded" true (List.length request_traces >= 8);
   Alcotest.(check int) "request traces distinct"
     (List.length request_traces)
     (List.length (List.sort_uniq compare request_traces));
   let net_traces = List.sort_uniq compare (traces_of "flow.net") in
-  Alcotest.(check int) "one trace per flow request" 4 (List.length net_traces);
+  Alcotest.(check int) "one trace per timed flow request" 5 (List.length net_traces);
+  List.iter
+    (fun tr ->
+      Alcotest.(check bool) ("the hit is a request: " ^ tr) true (List.mem tr request_traces);
+      Alcotest.(check bool) ("the hit times no net: " ^ tr) false (List.mem tr net_traces))
+    hit_traces;
   (* Each flow request's own layers run as spans under its trace. *)
   List.iter
     (fun layer ->
@@ -2111,6 +2581,7 @@ let () =
           Alcotest.test_case "case geometry must be finite" `Quick test_protocol_case_finite;
           Alcotest.test_case "sizes and slews must be finite" `Quick test_protocol_sizes_finite;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
+          QCheck_alcotest.to_alcotest prop_ok_split;
         ] );
       ( "errors",
         [
@@ -2144,6 +2615,13 @@ let () =
             test_server_flow_kinds_timeout;
           Alcotest.test_case "failures echo the envelope" `Quick test_server_failure_envelopes;
           Alcotest.test_case "shutdown control" `Quick test_server_shutdown_control;
+          Alcotest.test_case "repeated reads are hits" `Quick test_server_read_hits;
+          Alcotest.test_case "use_cache false bypasses the read memo" `Quick
+            test_server_read_no_cache;
+          Alcotest.test_case "a rewritten file is read again" `Quick test_server_read_rewrite;
+          Alcotest.test_case "a deleted file answers as before" `Quick test_server_read_deleted;
+          Alcotest.test_case "an answer over the byte bound is not stored" `Quick
+            test_server_read_over_bound;
           Alcotest.test_case "design lifecycle" `Quick test_server_design_lifecycle;
           Alcotest.test_case "schema echo" `Quick test_server_schema_echo;
           Alcotest.test_case "pipe mode" `Quick test_server_pipe_mode;
@@ -2153,6 +2631,11 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick test_server_unix_concurrent;
           Alcotest.test_case "overload rejection" `Quick test_server_unix_overload;
           Alcotest.test_case "cross-connection isolation" `Quick test_server_unix_isolation;
+          Alcotest.test_case "a client gone after sending" `Quick
+            test_server_unix_close_after_send;
+          Alcotest.test_case "a trickled request" `Quick test_server_unix_trickle;
+          Alcotest.test_case "a hit allocates under 1 % of its report" `Quick
+            test_server_unix_hit_alloc;
           Alcotest.test_case "failures echo the envelope" `Quick
             test_server_unix_failure_envelopes;
         ] );
