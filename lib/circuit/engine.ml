@@ -68,21 +68,21 @@ let factored_solve f rhs scratch =
       Linalg.lu_solve_into lu rhs scratch;
       Array.blit scratch 0 rhs 0 (Array.length rhs)
 
-(* Per-step companion history.  Kept as its own all-float record so it is a
-   flat float block: updating [v_prev]/[i_prev] is a direct unboxed store.
-   Inside the mixed int/float [companion] record the same mutable float
-   fields would be boxed, costing an allocation plus a write barrier per
-   element per step in [commit_step]. *)
-type comp_hist = { mutable v_prev : float; mutable i_prev : float }
-
-(* Compiled two-terminal element with per-step companion state.  [value] is
-   mutable so [Compiled.restamp] can write new element values into the
-   existing structure without rebuilding it. *)
-type companion = { n1 : int; n2 : int; mutable value : float; hist : comp_hist }
-
-(* Resistor / forced-source / current-source slots are records with mutable
-   value fields for the same reason: a restamp writes in place. *)
-type resistor = { rn1 : int; rn2 : int; mutable rg : float  (* conductance *) }
+(* The two-terminal elements of one class -- resistors, capacitors or
+   inductors -- as parallel arrays in insertion order: end nodes, their
+   unknowns (-1 for ground and forced nodes), values (conductance for
+   resistors, farads, henries; [restamp] writes them in place) and, for
+   capacitors and inductors, the companion history of the last accepted
+   step.  Float arrays are flat, so a history update is an unboxed store. *)
+type branches = {
+  n1 : int array;
+  n2 : int array;
+  u1 : int array;
+  u2 : int array;
+  value : float array;
+  v_prev : float array;
+  i_prev : float array;
+}
 
 type forced_src = { fnode : int; mutable fsrc : float -> float }
 type isource = { sn1 : int; sn2 : int; mutable samps : float -> float }
@@ -100,15 +100,26 @@ type coupled_state = {
   v_prev_k : float array;
 }
 
+(* [forced_res] lists, in insertion order, the resistors with exactly one
+   unknown end (the other forced or ground): a resistor between two
+   unknowns puts nothing on the right-hand side.  [scatter_node] /
+   [scatter_unk] pair every non-ground, non-forced node with its unknown.
+   Every index in these arrays and in [res]/[caps]/[inds] is checked by
+   [compile]: a node is below [n_nodes], an unknown below [n_unknown], a
+   resistor index below the resistor count.  The per-step element passes
+   index with them unchecked on that invariant, into node vectors of
+   length [n_nodes] and right-hand sides of length [n_unknown]. *)
 type compiled = {
-  nl : Netlist.t;
   n_nodes : int;
   n_unknown : int;
   unknown_of_node : int array;  (* -1 for ground and forced nodes *)
   forced : forced_src array;
-  resistors : resistor array;
-  caps : companion array;
-  inds : companion array;
+  res : branches;
+  caps : branches;
+  inds : branches;
+  forced_res : int array;
+  scatter_node : int array;
+  scatter_unk : int array;
   coupled : coupled_state array;
   isources : isource array;
   nonlinears : Netlist.nonlinear array;  (* slots replaced by restamp *)
@@ -129,12 +140,29 @@ let invert m =
   done;
   inv
 
+let branches_of unknown_of_node l =
+  let l = Array.of_list (List.rev l) in
+  let n1 = Array.map (fun (a, _, _) -> a) l and n2 = Array.map (fun (_, b, _) -> b) l in
+  {
+    n1;
+    n2;
+    u1 = Array.map (fun n -> unknown_of_node.(n)) n1;
+    u2 = Array.map (fun n -> unknown_of_node.(n)) n2;
+    value = Array.map (fun (_, _, v) -> v) l;
+    v_prev = Array.make (Array.length l) 0.;
+    i_prev = Array.make (Array.length l) 0.;
+  }
+
 let compile netlist =
   Netlist.validate netlist;
   let n_nodes = Netlist.node_count netlist in
+  let node n =
+    if n < 0 || n >= n_nodes then invalid_arg "Engine.compile: node out of range";
+    n
+  in
   let forced =
     Array.of_list
-      (List.map (fun (n, f) -> { fnode = n; fsrc = f }) (Netlist.forced netlist))
+      (List.map (fun (n, f) -> { fnode = node n; fsrc = f }) (Netlist.forced netlist))
   in
   let unknown_of_node = Array.make n_nodes (-1) in
   let is_forced = Array.make n_nodes false in
@@ -152,34 +180,37 @@ let compile netlist =
   List.iter
     (fun (e : Netlist.element) ->
       match e with
-      | Resistor { n1; n2; ohms; _ } -> rs := { rn1 = n1; rn2 = n2; rg = 1. /. ohms } :: !rs
-      | Capacitor { n1; n2; farads; _ } ->
-          cs := { n1; n2; value = farads; hist = { v_prev = 0.; i_prev = 0. } } :: !cs
-      | Inductor { n1; n2; henries; _ } ->
-          ls := { n1; n2; value = henries; hist = { v_prev = 0.; i_prev = 0. } } :: !ls
+      | Resistor { n1; n2; ohms; _ } -> rs := (node n1, node n2, 1. /. ohms) :: !rs
+      | Capacitor { n1; n2; farads; _ } -> cs := (node n1, node n2, farads) :: !cs
+      | Inductor { n1; n2; henries; _ } -> ls := (node n1, node n2, henries) :: !ls
       | Current_source { n1; n2; amps; _ } ->
-          is_ := { sn1 = n1; sn2 = n2; samps = amps } :: !is_
+          is_ := { sn1 = node n1; sn2 = node n2; samps = amps } :: !is_
       | Coupled_inductors { cp_branches; cp_lmat; _ } ->
           let k = Array.length cp_branches in
           ks :=
             {
-              k_branches = Array.copy cp_branches;
+              k_branches = Array.map (fun (a, b) -> (node a, node b)) cp_branches;
               k_lmat = Array.map Array.copy cp_lmat;
               linv = invert cp_lmat;
               i_prev_k = Array.make k 0.;
               v_prev_k = Array.make k 0.;
             }
             :: !ks
-      | Nonlinear nl -> nls := nl :: !nls)
+      | Nonlinear nl ->
+          Array.iter (fun n -> ignore (node n)) nl.nl_nodes;
+          nls := nl :: !nls)
     (Netlist.elements netlist);
+  let res = branches_of unknown_of_node !rs in
+  let caps = branches_of unknown_of_node !cs in
+  let inds = branches_of unknown_of_node !ls in
   let pair_band n1 n2 =
     let u1 = unknown_of_node.(n1) and u2 = unknown_of_node.(n2) in
     if u1 >= 0 && u2 >= 0 then abs (u1 - u2) else 0
   in
   let bw = ref 1 in
-  List.iter (fun (r : resistor) -> bw := Int.max !bw (pair_band r.rn1 r.rn2)) !rs;
-  List.iter (fun (c : companion) -> bw := Int.max !bw (pair_band c.n1 c.n2)) !cs;
-  List.iter (fun (c : companion) -> bw := Int.max !bw (pair_band c.n1 c.n2)) !ls;
+  List.iter
+    (fun (b : branches) -> Array.iteri (fun i a -> bw := Int.max !bw (pair_band a b.n2.(i))) b.n1)
+    [ res; caps; inds ];
   List.iter
     (fun (nl : Netlist.nonlinear) ->
       Array.iter
@@ -198,15 +229,20 @@ let compile netlist =
             k.k_branches)
         k.k_branches)
     !ks;
+  let one_unknown_end i = (res.u1.(i) >= 0) <> (res.u2.(i) >= 0) in
+  let scatter = List.filter (fun n -> unknown_of_node.(n) >= 0) (List.init n_nodes Fun.id) in
   {
-    nl = netlist;
     n_nodes;
     n_unknown;
     unknown_of_node;
     forced;
-    resistors = Array.of_list (List.rev !rs);
-    caps = Array.of_list (List.rev !cs);
-    inds = Array.of_list (List.rev !ls);
+    res;
+    caps;
+    inds;
+    forced_res =
+      Array.of_list (List.filter one_unknown_end (List.init (Array.length res.value) Fun.id));
+    scatter_node = Array.of_list scatter;
+    scatter_unk = Array.of_list (List.map (fun n -> unknown_of_node.(n)) scatter);
     coupled = Array.of_list (List.rev !ks);
     isources = Array.of_list (List.rev !is_);
     nonlinears = Array.of_list (List.rev !nls);
@@ -215,18 +251,8 @@ let compile netlist =
 
 (* Trapezoidal companion conductances for a fixed dt: time-invariant, so
    the fast path computes them once per transient. *)
-let cap_g dt (cc : companion) = 2. *. cc.value /. dt
-let ind_g dt (cc : companion) = dt /. (2. *. cc.value)
-
-(* History current (flowing n1 -> n2 through the companion source) for the
-   current step, given the element's per-transient conductance. *)
-let cap_ieq g (cc : companion) =
-  let h = cc.hist in
-  -.((g *. h.v_prev) +. h.i_prev)
-
-let ind_ieq g (cc : companion) =
-  let h = cc.hist in
-  h.i_prev +. (g *. h.v_prev)
+let cap_g dt farads = 2. *. farads /. dt
+let ind_g dt henries = dt /. (2. *. henries)
 
 (* Stamp conductance [g] and constant element current [j] (flowing n1 -> n2)
    into system/rhs given the full node-voltage vector for known nodes. *)
@@ -263,12 +289,8 @@ let stamp_mat c sys n1 n2 g =
     end
   end
 
-(* Companion coefficients of a coupled group for the current step:
-   [g = alpha L^{-1}] and per-branch history sources. *)
-let coupled_galpha (k : coupled_state) dt =
-  let alpha = dt /. 2. in
-  Array.init (Array.length k.k_branches) (fun p -> Array.map (fun v -> alpha *. v) k.linv.(p))
-
+(* Per-branch history sources of a coupled group for the current step,
+   from its [g = alpha L^{-1}]. *)
 let coupled_ieq_into (k : coupled_state) g ieq =
   let nb = Array.length k.k_branches in
   for p = 0 to nb - 1 do
@@ -458,8 +480,13 @@ let dc_solve ?(leak = 1e-12) c t =
     let sys = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
     sys_clear sys;
     let rhs = Array.make c.n_unknown 0. in
-    Array.iter (fun (r : resistor) -> stamp c sys rhs vnode r.rn1 r.rn2 r.rg 0.) c.resistors;
-    Array.iter (fun (cc : companion) -> stamp c sys rhs vnode cc.n1 cc.n2 g_short 0.) c.inds;
+    let each (b : branches) g =
+      for i = 0 to Array.length b.value - 1 do
+        stamp c sys rhs vnode b.n1.(i) b.n2.(i) (g i) 0.
+      done
+    in
+    each c.res (fun i -> c.res.value.(i));
+    each c.inds (fun _ -> g_short);
     Array.iter
       (fun (k : coupled_state) ->
         Array.iter (fun (a, b) -> stamp c sys rhs vnode a b g_short 0.) k.k_branches)
@@ -467,7 +494,7 @@ let dc_solve ?(leak = 1e-12) c t =
     (* Capacitors are open at DC, but a node connected only through
        capacitors would make the matrix singular; a tiny leak conductance
        pins such nodes without perturbing the solution elsewhere. *)
-    Array.iter (fun (cc : companion) -> stamp c sys rhs vnode cc.n1 cc.n2 leak 0.) c.caps;
+    each c.caps (fun _ -> leak);
     Array.iter (fun (s : isource) -> stamp c sys rhs vnode s.sn1 s.sn2 0. (s.samps t)) c.isources;
     (sys, rhs)
   in
@@ -487,6 +514,7 @@ type transient_state = {
   galpha : float array array array;  (* per coupled group *)
   ieq_k : float array array;  (* per-group history scratch, refreshed per step *)
   vnew_k : float array array;  (* per-group commit scratch (post-step branch voltages) *)
+  isrc : float array;  (* current-source values at the step being taken *)
   rhs : float array;
   xsol : float array;  (* dense-solve unpermute scratch *)
   linear_fact : factored option;  (* Some iff no nonlinear devices *)
@@ -497,28 +525,34 @@ type transient_state = {
 }
 
 let make_transient_state c dt =
-  let caps_g = Array.map (cap_g dt) c.caps in
-  let inds_g = Array.map (ind_g dt) c.inds in
-  let galpha = Array.map (fun k -> coupled_galpha k dt) c.coupled in
-  let ieq_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
-  let vnew_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
+  let caps_g = Array.map (cap_g dt) c.caps.value in
+  let inds_g = Array.map (ind_g dt) c.inds.value in
+  let alpha = dt /. 2. in
+  let galpha =
+    Array.map (fun (k : coupled_state) -> Array.map (Array.map (fun v -> alpha *. v)) k.linv) c.coupled
+  in
+  let per_group f =
+    Array.map (fun (k : coupled_state) -> f (Array.length k.k_branches)) c.coupled
+  in
   let base = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
   (* Assembly order mirrors the rebuild path: resistors, caps, inductors,
      coupled groups (current sources carry no conductance). *)
-  Array.iter (fun (r : resistor) -> stamp_mat c base r.rn1 r.rn2 r.rg) c.resistors;
-  Array.iteri (fun i (cc : companion) -> stamp_mat c base cc.n1 cc.n2 caps_g.(i)) c.caps;
-  Array.iteri (fun i (cc : companion) -> stamp_mat c base cc.n1 cc.n2 inds_g.(i)) c.inds;
+  let mat (b : branches) g = Array.iteri (fun i a -> stamp_mat c base a b.n2.(i) g.(i)) b.n1 in
+  mat c.res c.res.value;
+  mat c.caps caps_g;
+  mat c.inds inds_g;
   Array.iteri (fun i k -> stamp_coupled_mat c base k galpha.(i)) c.coupled;
-  let linear = Array.length c.nonlinears = 0 in
   let linear_fact =
-    if linear && c.n_unknown > 0 then Some (factorize (sys_copy base)) else None
+    if Array.length c.nonlinears = 0 && c.n_unknown > 0 then Some (factorize (sys_copy base))
+    else None
   in
   {
     caps_g;
     inds_g;
     galpha;
-    ieq_k;
-    vnew_k;
+    ieq_k = per_group (fun nb -> Array.make nb 0.);
+    vnew_k = per_group (fun nb -> Array.make nb 0.);
+    isrc = Array.make (Array.length c.isources) 0.;
     rhs = Array.make c.n_unknown 0.;
     xsol = Array.make c.n_unknown 0.;
     linear_fact;
@@ -527,105 +561,160 @@ let make_transient_state c dt =
     newton_sys = sys_copy base;
   }
 
-(* Independent-source contribution to the RHS — split out so the linear
-   fast path can skip the call entirely (and the float [t] boxing that
-   comes with it) when the circuit has no current sources. *)
-let add_isources_rhs c rhs t =
-  let uon = c.unknown_of_node in
+(* ------------------------------------------------------- element passes *)
+
+(* The per-step element passes every stepper shares: set the sources,
+   assemble the right-hand side, scatter the solution, commit the
+   companion histories.  Without flambda a per-element helper call boxes
+   its float arguments, so each pass is one plain loop per element class.
+   They index unchecked only with [compiled]'s index arrays, whose bounds
+   [compile] checked (see [compiled]), into a node vector of [n_nodes]
+   entries, right-hand sides of [n_unknown] and the [transient_state]
+   built on the same [compiled]; [Array.unsafe_get] is called directly,
+   since a local alias of it is a polymorphic closure that boxes every
+   float. *)
+
+(* Write the forced nodes' values at [t] into [vnode] and the current
+   sources' into [st.isrc]. *)
+let set_sources c st (vnode : float array) t =
+  let forced = c.forced in
+  for i = 0 to Array.length forced - 1 do
+    let fs = Array.unsafe_get forced i in
+    Array.unsafe_set vnode fs.fnode (fs.fsrc t)
+  done;
+  let isrc : float array = st.isrc in
   for i = 0 to Array.length c.isources - 1 do
-    let s = c.isources.(i) in
-    let j = s.samps t in
+    isrc.(i) <- c.isources.(i).samps t
+  done
+
+(* A capacitor's or inductor's part of the right-hand side, per element
+   in [stamp]'s order: the forced-neighbour injection, then the -j/+j
+   history pair. *)
+let companion_rhs ~cap (b : branches) (g : float array) (rhs : float array) (vnode : float array)
+    =
+  let n1 = b.n1 and n2 = b.n2 and u1 = b.u1 and u2 = b.u2 in
+  let vp = b.v_prev and ip = b.i_prev in
+  for i = 0 to Array.length g - 1 do
+    let gi = Array.unsafe_get g i in
+    let j =
+      if cap then -.((gi *. Array.unsafe_get vp i) +. Array.unsafe_get ip i)
+      else Array.unsafe_get ip i +. (gi *. Array.unsafe_get vp i)
+    in
+    let a = Array.unsafe_get u1 i and c = Array.unsafe_get u2 i in
+    if a >= 0 then begin
+      if gi <> 0. && c < 0 then
+        Array.unsafe_set rhs a
+          (Array.unsafe_get rhs a +. (gi *. Array.unsafe_get vnode (Array.unsafe_get n2 i)));
+      Array.unsafe_set rhs a (Array.unsafe_get rhs a -. j)
+    end;
+    if c >= 0 then begin
+      if gi <> 0. && a < 0 then
+        Array.unsafe_set rhs c
+          (Array.unsafe_get rhs c +. (gi *. Array.unsafe_get vnode (Array.unsafe_get n1 i)));
+      Array.unsafe_set rhs c (Array.unsafe_get rhs c +. j)
+    end
+  done
+
+(* The step's right-hand side, element class by element class in the
+   rebuild path's order (resistors, capacitors, inductors, coupled groups,
+   current sources), so its sums are bit for bit the rebuild's.  The
+   sources must already be set. *)
+let assemble_rhs c st (rhs : float array) (vnode : float array) =
+  for k = 0 to Array.length rhs - 1 do
+    Array.unsafe_set rhs k 0.
+  done;
+  let r = c.res and fr = c.forced_res in
+  let rg = r.value and ru1 = r.u1 and ru2 = r.u2 and rn1 = r.n1 and rn2 = r.n2 in
+  for k = 0 to Array.length fr - 1 do
+    let i = Array.unsafe_get fr k in
+    let g = Array.unsafe_get rg i in
+    if g <> 0. then begin
+      let a = Array.unsafe_get ru1 i in
+      if a >= 0 then
+        Array.unsafe_set rhs a
+          (Array.unsafe_get rhs a +. (g *. Array.unsafe_get vnode (Array.unsafe_get rn2 i)))
+      else
+        let b = Array.unsafe_get ru2 i in
+        Array.unsafe_set rhs b
+          (Array.unsafe_get rhs b +. (g *. Array.unsafe_get vnode (Array.unsafe_get rn1 i)))
+    end
+  done;
+  companion_rhs ~cap:true c.caps st.caps_g rhs vnode;
+  companion_rhs ~cap:false c.inds st.inds_g rhs vnode;
+  for i = 0 to Array.length c.coupled - 1 do
+    stamp_coupled_rhs c rhs vnode c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+  done;
+  let uon = c.unknown_of_node and isrc : float array = st.isrc in
+  for i = 0 to Array.length c.isources - 1 do
+    let s = c.isources.(i) and j = isrc.(i) in
     let u1 = uon.(s.sn1) and u2 = uon.(s.sn2) in
     if u1 >= 0 then rhs.(u1) <- rhs.(u1) -. j;
     if u2 >= 0 then rhs.(u2) <- rhs.(u2) +. j
   done
 
-(* Linear-part right-hand side for the step: history currents plus
-   injections from forced-node neighbours, in rebuild-path order.  Plain
-   [for] loops — this runs once per step (the whole point of the
-   factor-once split), so closure allocation here would dominate small
-   circuits. *)
-let assemble_rhs_hist c st rhs vnode =
-  (* Monomorphic clear: [Array.fill] goes through the generic set primitive
-     (runtime float-array dispatch per element); this loop compiles to
-     direct unboxed stores. *)
-  for k = 0 to Array.length rhs - 1 do
-    rhs.(k) <- 0.
-  done;
-  let uon = c.unknown_of_node in
-  (* The right-hand-side half of [stamp] is open-coded per element type:
-     without flambda a per-element helper call boxes its float arguments,
-     and at one call per element per step that boxing rivals the factored
-     solve itself.  Contribution order per element — forced-neighbour
-     injection, then the -j/+j history pair — matches [stamp] exactly. *)
-  for i = 0 to Array.length c.resistors - 1 do
-    let r = c.resistors.(i) in
-    let g = r.rg in
-    let u1 = uon.(r.rn1) and u2 = uon.(r.rn2) in
-    if u1 >= 0 && g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(r.rn2));
-    if u2 >= 0 && g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(r.rn1))
-  done;
-  for i = 0 to Array.length c.caps - 1 do
-    let cc = c.caps.(i) in
-    let g = st.caps_g.(i) in
-    let h = cc.hist in
-    let j = -.((g *. h.v_prev) +. h.i_prev) in
-    let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-    if u1 >= 0 then begin
-      if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-      rhs.(u1) <- rhs.(u1) -. j
-    end;
-    if u2 >= 0 then begin
-      if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-      rhs.(u2) <- rhs.(u2) +. j
-    end
-  done;
-  for i = 0 to Array.length c.inds - 1 do
-    let cc = c.inds.(i) in
-    let g = st.inds_g.(i) in
-    let h = cc.hist in
-    let j = h.i_prev +. (g *. h.v_prev) in
-    let u1 = uon.(cc.n1) and u2 = uon.(cc.n2) in
-    if u1 >= 0 then begin
-      if g <> 0. && u2 < 0 then rhs.(u1) <- rhs.(u1) +. (g *. vnode.(cc.n2));
-      rhs.(u1) <- rhs.(u1) -. j
-    end;
-    if u2 >= 0 then begin
-      if g <> 0. && u1 < 0 then rhs.(u2) <- rhs.(u2) +. (g *. vnode.(cc.n1));
-      rhs.(u2) <- rhs.(u2) +. j
-    end
-  done;
-  for i = 0 to Array.length c.coupled - 1 do
-    stamp_coupled_rhs c rhs vnode c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+(* Write the solution [x] into the node vector. *)
+let scatter c (vnode : float array) (x : float array) =
+  let sn = c.scatter_node and su = c.scatter_unk in
+  for k = 0 to Array.length sn - 1 do
+    Array.unsafe_set vnode (Array.unsafe_get sn k) (Array.unsafe_get x (Array.unsafe_get su k))
   done
 
-let assemble_rhs c st rhs vnode t =
-  assemble_rhs_hist c st rhs vnode;
-  add_isources_rhs c rhs t
-
-(* The annotations keep both arrays monomorphic: left to inference they
-   generalize to ['a array], and every element access then goes through the
-   generic primitive and boxes the float it moves. *)
-let scatter_solution c (vnode : float array) (x : float array) =
-  for n = 1 to c.n_nodes - 1 do
-    let u = c.unknown_of_node.(n) in
-    if u >= 0 then vnode.(n) <- x.(u)
+let companion_commit ~cap (b : branches) (g : float array) (vnode : float array) =
+  let n1 = b.n1 and n2 = b.n2 and vp = b.v_prev and ip = b.i_prev in
+  for i = 0 to Array.length g - 1 do
+    let v =
+      Array.unsafe_get vnode (Array.unsafe_get n1 i)
+      -. Array.unsafe_get vnode (Array.unsafe_get n2 i)
+    in
+    let gi = Array.unsafe_get g i and v0 = Array.unsafe_get vp i and i0 = Array.unsafe_get ip i in
+    let icur = if cap then (gi *. v) -. ((gi *. v0) +. i0) else (gi *. v) +. i0 +. (gi *. v0) in
+    Array.unsafe_set vp i v;
+    Array.unsafe_set ip i icur
   done
 
-(* One fast-path timestep: factored solve for linear circuits; for nonlinear
-   circuits, copy the pre-stamped linear system per Newton iteration instead
-   of re-walking every element.  Returns the Newton iteration count. *)
+(* Commit companion states after a converged step.  Coupled groups reuse the step's alpha*L^-1 and
+   pre-step history sources.  The companion conductances come from [st],
+   computed by [make_transient_state] with the same expressions a rebuild
+   uses. *)
+let commit c st (vnode : float array) =
+  companion_commit ~cap:true c.caps st.caps_g vnode;
+  companion_commit ~cap:false c.inds st.inds_g vnode;
+  for gi = 0 to Array.length c.coupled - 1 do
+    let k = c.coupled.(gi) in
+    (* galpha/ieq still reference the pre-step state; commit currents
+       first, voltages after. *)
+    let g = st.galpha.(gi) and ieq = st.ieq_k.(gi) and v_new = st.vnew_k.(gi) in
+    let nb = Array.length k.k_branches in
+    for p = 0 to nb - 1 do
+      let a, b = k.k_branches.(p) in
+      v_new.(p) <- vnode.(a) -. vnode.(b)
+    done;
+    for p = 0 to nb - 1 do
+      let acc = ref ieq.(p) in
+      for q = 0 to nb - 1 do
+        acc := !acc +. (g.(p).(q) *. v_new.(q))
+      done;
+      k.i_prev_k.(p) <- !acc
+    done;
+    Array.blit v_new 0 k.v_prev_k 0 nb
+  done
+
+(* One step of a Newton circuit, or of a linear one under adaptive
+   stepping, with the sources set and the coupled-group history formed:
+   a factored solve for linear circuits; for nonlinear circuits, a copy of
+   the pre-stamped linear system per Newton iteration instead of
+   re-walking every element.  Returns the Newton iteration count. *)
 let fast_step c st vnode t =
   if c.n_unknown = 0 then 0
   else
     match st.linear_fact with
     | Some f ->
-        assemble_rhs c st st.rhs vnode t;
+        assemble_rhs c st st.rhs vnode;
         factored_solve f st.rhs st.xsol;
-        scatter_solution c vnode st.rhs;
+        scatter c vnode st.rhs;
         1
     | None ->
-        assemble_rhs c st st.base_rhs vnode t;
+        assemble_rhs c st st.base_rhs vnode;
         let iter = ref 0 and converged = ref false in
         while (not !converged) && !iter < newton_max do
           incr iter;
@@ -663,17 +752,18 @@ let rebuild_step ~dt c st vnode t =
     let sys = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
     sys_clear sys;
     let rhs = Array.make c.n_unknown 0. in
-    Array.iter (fun (r : resistor) -> stamp c sys rhs vnode r.rn1 r.rn2 r.rg 0.) c.resistors;
-    Array.iter
-      (fun (cc : companion) ->
-        let g = cap_g dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (cap_ieq g cc))
-      c.caps;
-    Array.iter
-      (fun (cc : companion) ->
-        let g = ind_g dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (ind_ieq g cc))
-      c.inds;
+    let r = c.res in
+    for i = 0 to Array.length r.value - 1 do
+      stamp c sys rhs vnode r.n1.(i) r.n2.(i) r.value.(i) 0.
+    done;
+    let companions (b : branches) g_of ieq =
+      for i = 0 to Array.length b.value - 1 do
+        let g = g_of dt b.value.(i) in
+        stamp c sys rhs vnode b.n1.(i) b.n2.(i) g (ieq g b.v_prev.(i) b.i_prev.(i))
+      done
+    in
+    companions c.caps cap_g (fun g vp ip -> -.((g *. vp) +. ip));
+    companions c.inds ind_g (fun g vp ip -> ip +. (g *. vp));
     Array.iteri
       (fun i k ->
         stamp_coupled c sys rhs vnode k st.galpha.(i) st.ieq_k.(i))
@@ -683,64 +773,20 @@ let rebuild_step ~dt c st vnode t =
   in
   newton ~c ~assemble_base ~vnode ~t
 
-(* Commit companion states after a converged step.  Coupled groups reuse the
-   step's alpha*L^-1 and pre-step history sources.  The companion
-   conductances come from [st] rather than being re-divided per element per
-   step — [make_transient_state] computed them with the exact same
-   expressions, so the substitution is bit-identical. *)
-let commit_step c st vnode =
-  for i = 0 to Array.length c.caps - 1 do
-    let cc = c.caps.(i) in
-    let h = cc.hist in
-    let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-    let g = st.caps_g.(i) in
-    let icur = (g *. v) -. ((g *. h.v_prev) +. h.i_prev) in
-    h.v_prev <- v;
-    h.i_prev <- icur
-  done;
-  for i = 0 to Array.length c.inds - 1 do
-    let cc = c.inds.(i) in
-    let h = cc.hist in
-    let v = vnode.(cc.n1) -. vnode.(cc.n2) in
-    let g = st.inds_g.(i) in
-    let icur = (g *. v) +. h.i_prev +. (g *. h.v_prev) in
-    h.v_prev <- v;
-    h.i_prev <- icur
-  done;
-  for gi = 0 to Array.length c.coupled - 1 do
-    let k = c.coupled.(gi) in
-    (* galpha/ieq still reference the pre-step state; commit currents
-       first, voltages after. *)
-    let g = st.galpha.(gi) and ieq = st.ieq_k.(gi) and v_new = st.vnew_k.(gi) in
-    let nb = Array.length k.k_branches in
-    for p = 0 to nb - 1 do
-      let a, b = k.k_branches.(p) in
-      v_new.(p) <- vnode.(a) -. vnode.(b)
-    done;
-    for p = 0 to nb - 1 do
-      let acc = ref ieq.(p) in
-      for q = 0 to nb - 1 do
-        acc := !acc +. (g.(p).(q) *. v_new.(q))
-      done;
-      k.i_prev_k.(p) <- !acc
-    done;
-    Array.blit v_new 0 k.v_prev_k 0 nb
-  done
-
 (* Companion states from the DC point (inductor/coupled history currents
    through the DC solve's 1 kS short, matching [dc_solve]'s [g_short]). *)
-let init_companions c vnode =
-  Array.iter
-    (fun (cc : companion) ->
-      cc.hist.v_prev <- vnode.(cc.n1) -. vnode.(cc.n2);
-      cc.hist.i_prev <- 0.)
-    c.caps;
-  Array.iter
-    (fun (cc : companion) ->
-      let dv = vnode.(cc.n1) -. vnode.(cc.n2) in
-      cc.hist.v_prev <- dv;
-      cc.hist.i_prev <- g_short *. dv)
-    c.inds;
+let init_companions c (vnode : float array) =
+  let dv (b : branches) i = vnode.(b.n1.(i)) -. vnode.(b.n2.(i)) in
+  let caps = c.caps and inds = c.inds in
+  for i = 0 to Array.length caps.value - 1 do
+    caps.v_prev.(i) <- dv caps i;
+    caps.i_prev.(i) <- 0.
+  done;
+  for i = 0 to Array.length inds.value - 1 do
+    let d = dv inds i in
+    inds.v_prev.(i) <- d;
+    inds.i_prev.(i) <- g_short *. d
+  done;
   Array.iter
     (fun (k : coupled_state) ->
       Array.iteri
@@ -936,13 +982,13 @@ let peak_create c ~flat_after ~dt until_peak (vnode : float array) =
       if n < 0 || n >= c.n_nodes then
         invalid_arg "Engine.transient: until_peak node out of range";
       let anchored m = m = Netlist.ground || c.unknown_of_node.(m) < 0 in
-      let cg =
-        Array.fold_left
-          (fun acc (cc : companion) ->
-            if (cc.n1 = n && anchored cc.n2) || (cc.n2 = n && anchored cc.n1) then acc +. cc.value
-            else acc)
-          0. c.caps
-      in
+      let cg = ref 0. in
+      Array.iteri
+        (fun i farads ->
+          let a = c.caps.n1.(i) and b = c.caps.n2.(i) in
+          if (a = n && anchored b) || (b = n && anchored a) then cg := !cg +. farads)
+        c.caps.value;
+      let cg = !cg in
       let certifiable =
         Array.length c.nonlinears = 0
         && Array.length c.isources = 0
@@ -972,7 +1018,8 @@ let final_point c t =
       let tol = 1e-12 *. scale in
       let carries a b = not (Float.abs (v.(a) -. v.(b)) <= tol) in
       if
-        Array.exists (fun (cc : companion) -> carries cc.n1 cc.n2) c.inds
+        Array.exists (fun i -> carries c.inds.n1.(i) c.inds.n2.(i))
+          (Array.init (Array.length c.inds.value) Fun.id)
         || Array.exists (fun k -> Array.exists (fun (a, b) -> carries a b) k.k_branches) c.coupled
       then None
       else Some (v, scale)
@@ -980,15 +1027,14 @@ let final_point c t =
 (* 2 W from the committed companion histories. *)
 let deviation_energy2 c (vhat : float array) =
   let w = ref 0. in
-  for i = 0 to Array.length c.caps - 1 do
-    let cc = c.caps.(i) in
-    let dv = cc.hist.v_prev -. (vhat.(cc.n1) -. vhat.(cc.n2)) in
-    w := !w +. (cc.value *. dv *. dv)
+  let caps = c.caps and inds = c.inds in
+  for i = 0 to Array.length caps.value - 1 do
+    let dv = caps.v_prev.(i) -. (vhat.(caps.n1.(i)) -. vhat.(caps.n2.(i))) in
+    w := !w +. (caps.value.(i) *. dv *. dv)
   done;
-  for i = 0 to Array.length c.inds - 1 do
-    let cc = c.inds.(i) in
-    let di = cc.hist.i_prev in
-    w := !w +. (cc.value *. di *. di)
+  for i = 0 to Array.length inds.value - 1 do
+    let di = inds.i_prev.(i) in
+    w := !w +. (inds.value.(i) *. di *. di)
   done;
   Array.iter
     (fun k ->
@@ -1050,7 +1096,10 @@ type dc_entry = {
 
 type handle = {
   h_c : compiled;
-  mutable h_nl : Netlist.t;  (* latest restamp target: breakpoints live here *)
+  (* Of the latest restamp's netlist, which the handle does not keep: a
+     replay's netlist is garbage once its values are in. *)
+  mutable h_breakpoints : float list;
+  mutable h_flat_after : float;
   h_states : (float, transient_state) Hashtbl.t;
   mutable h_dc : dc_entry option;
 }
@@ -1110,7 +1159,7 @@ let grow_margin = 0.25
    history is handled); both scale with h^3 * v''', so the gap tracks the
    trapezoidal LTE.  A step whose estimate exceeds [ltol] is rolled back —
    the solve only mutates [vnode], and companion history is only advanced
-   by [commit_step] after acceptance, so rejection is a single vector
+   by [commit] after acceptance, so rejection is a single vector
    restore — and retried one rung down.  Rung-0 steps are always accepted:
    [dt_min] is the accuracy floor.
 
@@ -1133,7 +1182,7 @@ let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
     !k
   in
   let bps =
-    let l = List.filter (fun b -> b > 0. && b < t_stop) (Netlist.breakpoints h.h_nl) in
+    let l = List.filter (fun b -> b > 0. && b < t_stop) h.h_breakpoints in
     Array.of_list (l @ [ t_stop ])
   in
   let col_of_node, rec_nodes = record_plan c record_nodes in
@@ -1207,7 +1256,7 @@ let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
     let st, fresh = state_for h h_eff in
     if fresh then incr refactors;
     Array.blit vnode 0 v_save 0 n_nodes;
-    update_forced c vnode t_new;
+    set_sources c st vnode t_new;
     for i = 0 to Array.length c.coupled - 1 do
       coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
     done;
@@ -1229,7 +1278,7 @@ let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
     | Some (iters, err) ->
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
-        commit_step c st vnode;
+        commit c st vnode;
         t := t_new;
         let i = trace_push tr vnode in
         tr.tr_times.(i) <- t_new;
@@ -1284,9 +1333,32 @@ let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
     refactors_ = !refactors;
   }
 
-(* Fixed-step stepping; like [adaptive_core] it takes its DC point and
-   solver state from the handle. *)
-let fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h =
+(* ----------------------------------------------------------- fixed step *)
+
+(* The most runs the linear kernel interleaves.  Past eight lanes the
+   substitutions of a tridiagonal ladder stop overlapping any further. *)
+let max_lanes = 8
+
+(* One fixed-step run, set up by [lane_setup] -- DC point, companion
+   histories, record plan, watches, trace, solver state, in the order a
+   single run has always taken them -- and advanced by [step_lanes] or
+   [step_generic]. *)
+type lane = {
+  l_c : compiled;
+  l_st : transient_state;
+  l_vnode : float array;
+  l_n_steps : int;
+  l_col_of_node : int array;
+  l_tr : trace;
+  l_watch : watch option;
+  l_peak : peak option;
+  l_rebuild : bool;  (* [reassemble_per_step] *)
+  mutable l_steps : int;  (* steps taken *)
+  mutable l_newton : int;
+  mutable l_worst : int;
+}
+
+let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h =
   let c = h.h_c in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
@@ -1295,7 +1367,7 @@ let fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
   init_companions c vnode;
   let col_of_node, rec_nodes = record_plan c record_nodes in
   let watch = watch_create c until vnode in
-  let peak = peak_create c ~flat_after:(Netlist.flat_after h.h_nl) ~dt until_peak vnode in
+  let peak = peak_create c ~flat_after:h.h_flat_after ~dt until_peak vnode in
   (* A run that cannot stop early records into buffers of its exact length;
      one that may stop starts small and grows. *)
   let tr =
@@ -1307,92 +1379,174 @@ let fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
   let i0 = trace_push tr vnode in
   tr.tr_times.(i0) <- 0.;
   let st = Obs.time obs "engine.factor" (fun () -> fst (state_for h dt)) in
-  let total_newton = ref 0 and worst_newton = ref 0 in
-  let step = ref 0 and stopped = ref false in
-  let step_t0 = Obs.start obs in
-  (match (st.linear_fact, reassemble_per_step) with
-  | Some f, false ->
-      (* Linear fast path, fully specialized: one factored solve per step,
-         no per-step dispatch.  The forced-source update is open-coded and
-         the isource term split off so that (for the common forced-input
-         circuit) no float crosses a non-inlined call boundary per step. *)
-      let n_forced = Array.length c.forced in
-      let n_coupled = Array.length c.coupled in
-      let has_isources = Array.length c.isources > 0 in
-      while (not !stopped) && !step < n_steps do
-        incr step;
-        let step = !step in
-        if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = dt *. float_of_int step in
-        for i = 0 to n_forced - 1 do
-          let fs = c.forced.(i) in
-          vnode.(fs.fnode) <- fs.fsrc t
-        done;
-        for i = 0 to n_coupled - 1 do
-          coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
-        done;
-        assemble_rhs_hist c st st.rhs vnode;
-        if has_isources then add_isources_rhs c st.rhs t;
-        factored_solve f st.rhs st.xsol;
-        scatter_solution c vnode st.rhs;
-        commit_step c st vnode;
-        let i = trace_push tr vnode in
-        tr.tr_times.(i) <- t;
-        stopped := stop_now c watch peak vnode step
-      done;
-      total_newton := !step;
-      worst_newton := 1
-  | _ ->
-      let step_fn = if reassemble_per_step then rebuild_step ~dt else fast_step in
-      while (not !stopped) && !step < n_steps do
-        incr step;
-        let step = !step in
-        if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = dt *. float_of_int step in
-        update_forced c vnode t;
-        (* Coupled-group history sources for this step (pre-step state),
-           shared by assembly and commit. *)
-        for i = 0 to Array.length c.coupled - 1 do
-          coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
-        done;
-        let iters = step_fn c st vnode t in
-        total_newton := !total_newton + iters;
-        worst_newton := Int.max !worst_newton iters;
-        commit_step c st vnode;
-        let i = trace_push tr vnode in
-        tr.tr_times.(i) <- t;
-        stopped := stop_now c watch peak vnode step
-      done);
-  let n_steps = !step in
-  if Obs.enabled obs then begin
-    let path =
-      match (st.linear_fact, reassemble_per_step) with
-      | Some _, false -> "linear-fast"
-      | None, false -> "newton-fast"
-      | _, true -> "rebuild"
-    in
-    Obs.finish obs
-      ~args:
-        [
-          ("steps", string_of_int n_steps);
-          ("newton_total", string_of_int !total_newton);
-          ("path", path);
-        ]
-      "engine.step_loop" step_t0;
-    Obs.incr obs "engine.transients";
-    Obs.add obs "engine.steps" n_steps;
-    Obs.add obs "engine.newton_iters" !total_newton
-  end;
-  let times_, cols = trace_finish tr in
   {
-    times_;
-    col_of_node;
-    cols;
-    total_newton = !total_newton;
-    worst_newton = !worst_newton;
-    rejected_ = 0;
-    refactors_ = 0;
+    l_c = c;
+    l_st = st;
+    l_vnode = vnode;
+    l_n_steps = n_steps;
+    l_col_of_node = col_of_node;
+    l_tr = tr;
+    l_watch = watch;
+    l_peak = peak;
+    l_rebuild = reassemble_per_step;
+    l_steps = 0;
+    l_newton = 0;
+    l_worst = 0;
   }
+
+(* The linear fixed-step kernel: advances lanes that each hold a factored
+   linear system, one step at a time.  Per lane a step does the one-lane
+   step's floating-point operations in its order -- sources, coupled
+   history, right-hand side, solve, scatter, commit -- so each lane's
+   samples are bit for bit those of its run alone.  When every lane is
+   banded ([run_fixed] groups only lanes of one size and bandwidth), their
+   substitutions run interleaved row by row, so the latency-bound chain
+   of one lane overlaps the others'; a lane leaves the interleaving once it
+   stops. *)
+let step_lanes ~dt (lanes : lane array) =
+  let m = Array.length lanes in
+  let facts = Array.map (fun l -> Option.get l.l_st.linear_fact) lanes in
+  let banded =
+    Array.of_list (List.filter_map (function FB b -> Some b | FD _ -> None) (Array.to_list facts))
+  in
+  let interleave = Array.length banded = m in
+  (* The lanes solved at this step, gathered for the interleaved solve. *)
+  let solve_b = Array.copy banded and solve_x = Array.make m [||] in
+  let active = Array.init m Fun.id and n_active = ref m in
+  let step = ref 0 in
+  while !n_active > 0 do
+    incr step;
+    let step = !step in
+    if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
+    let t = dt *. float_of_int step in
+    let k = ref 0 in
+    for a = 0 to !n_active - 1 do
+      let li = active.(a) in
+      let l = lanes.(li) in
+      let c = l.l_c and st = l.l_st in
+      set_sources c st l.l_vnode t;
+      for i = 0 to Array.length c.coupled - 1 do
+        coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+      done;
+      assemble_rhs c st st.rhs l.l_vnode;
+      if interleave then begin
+        solve_b.(!k) <- banded.(li);
+        solve_x.(!k) <- st.rhs;
+        incr k
+      end
+      else factored_solve facts.(li) st.rhs st.xsol
+    done;
+    if !k > 0 then Banded.solve_factored_lanes solve_b solve_x !k;
+    let kept = ref 0 in
+    for a = 0 to !n_active - 1 do
+      let li = active.(a) in
+      let l = lanes.(li) in
+      let c = l.l_c and vnode = l.l_vnode in
+      scatter c vnode l.l_st.rhs;
+      commit c l.l_st vnode;
+      l.l_steps <- step;
+      let i = trace_push l.l_tr vnode in
+      l.l_tr.tr_times.(i) <- t;
+      if not (stop_now c l.l_watch l.l_peak vnode step || step = l.l_n_steps) then begin
+        active.(!kept) <- li;
+        incr kept
+      end
+    done;
+    n_active := !kept
+  done;
+  Array.iter
+    (fun l ->
+      l.l_newton <- l.l_steps;
+      l.l_worst <- 1)
+    lanes
+
+(* One Newton run, or one [reassemble_per_step] reference run. *)
+let step_generic ~dt l =
+  let c = l.l_c and st = l.l_st and vnode = l.l_vnode in
+  let step_fn = if l.l_rebuild then rebuild_step ~dt else fast_step in
+  let step = ref 0 and stopped = ref false in
+  while (not !stopped) && !step < l.l_n_steps do
+    incr step;
+    let step = !step in
+    if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
+    let t = dt *. float_of_int step in
+    set_sources c st vnode t;
+    (* Coupled-group history sources for this step (pre-step state),
+       shared by assembly and commit. *)
+    for i = 0 to Array.length c.coupled - 1 do
+      coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+    done;
+    let iters = step_fn c st vnode t in
+    l.l_newton <- l.l_newton + iters;
+    l.l_worst <- Int.max l.l_worst iters;
+    commit c st vnode;
+    let i = trace_push l.l_tr vnode in
+    l.l_tr.tr_times.(i) <- t;
+    stopped := stop_now c l.l_watch l.l_peak vnode step
+  done;
+  l.l_steps <- !step
+
+(* Fixed-step runs of set-up lanes.  Linear runs go through the kernel:
+   banded ones of one system size and bandwidth share a pass, up to
+   [max_lanes] at a time, in order of appearance; a dense one steps
+   alone.  Newton and reference runs step alone on [step_generic].  Each
+   pass records one step-loop span; the counters count lanes. *)
+let run_fixed ~obs ~dt (lanes : lane array) =
+  let kernel l = (not l.l_rebuild) && Option.is_some l.l_st.linear_fact in
+  let shape l =
+    match l.l_st.linear_fact with
+    | Some (FB b) when kernel l -> Some (Banded.dim b, Banded.bandwidth b)
+    | _ -> None
+  in
+  let passes = ref [] in
+  Array.iteri
+    (fun i l ->
+      let fits (sh, members) =
+        Option.is_some sh && sh = shape l && List.length !members < max_lanes
+      in
+      match List.find_opt fits !passes with
+      | Some (_, members) -> members := i :: !members
+      | None -> passes := !passes @ [ (shape l, ref [ i ]) ])
+    lanes;
+  List.iter
+    (fun (_, members) ->
+      let pass = Array.of_list (List.rev_map (fun i -> lanes.(i)) !members) in
+      let step_t0 = Obs.start obs in
+      let l0 = pass.(0) in
+      if kernel l0 then step_lanes ~dt pass else step_generic ~dt l0;
+      if Obs.enabled obs then begin
+        let sum f = Array.fold_left (fun acc l -> acc + f l) 0 pass in
+        let steps = sum (fun l -> l.l_steps) and newton = sum (fun l -> l.l_newton) in
+        let path =
+          if l0.l_rebuild then "rebuild" else if kernel l0 then "linear-fast" else "newton-fast"
+        in
+        Obs.finish obs
+          ~args:
+            [
+              ("steps", string_of_int steps);
+              ("newton_total", string_of_int newton);
+              ("path", path);
+              ("lanes", string_of_int (Array.length pass));
+            ]
+          "engine.step_loop" step_t0;
+        Obs.add obs "engine.transients" (Array.length pass);
+        Obs.add obs "engine.steps" steps;
+        Obs.add obs "engine.newton_iters" newton
+      end)
+    !passes;
+  Array.map
+    (fun l ->
+      let times_, cols = trace_finish l.l_tr in
+      {
+        times_;
+        col_of_node = l.l_col_of_node;
+        cols;
+        total_newton = l.l_newton;
+        worst_newton = l.l_worst;
+        rejected_ = 0;
+        refactors_ = 0;
+      })
+    lanes
 
 let times r = Array.copy r.times_
 
@@ -1417,8 +1571,8 @@ let refactors r = r.refactors_
 (* Compile-once transient handles for candidate sweeps.  [restamp] writes
    new element values into the existing structure without reallocating;
    only a matrix-affecting value change (R/C/L/L-matrix) invalidates the
-   cached states and DC point, so a sweep that only swaps the input source
-   pays zero re-factorization.  A reused handle is bit-identical to a fresh
+   cached states and the DC point, so a sweep that only swaps the input source pays zero
+   re-factorization.  A reused handle is bit-identical to a fresh
    one: its cached states and DC point hold the same floats, computed by
    the same expressions in the same order. *)
 module Compiled = struct
@@ -1426,7 +1580,13 @@ module Compiled = struct
 
   let compile ?(obs = Obs.null) netlist =
     let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-    { h_c = c; h_nl = netlist; h_states = Hashtbl.create 8; h_dc = None }
+    {
+      h_c = c;
+      h_breakpoints = Netlist.breakpoints netlist;
+      h_flat_after = Netlist.flat_after netlist;
+      h_states = Hashtbl.create 8;
+      h_dc = None;
+    }
 
   let structure_err () =
     invalid_arg
@@ -1454,37 +1614,22 @@ module Compiled = struct
     if !nf <> Array.length c.forced then structure_err ();
     let dirty = ref false in
     let ri = ref 0 and ci = ref 0 and li = ref 0 and si = ref 0 and ki = ref 0 and ni = ref 0 in
+    let write (b : branches) next n1 n2 v =
+      let i = !next in
+      if i >= Array.length b.value then structure_err ();
+      incr next;
+      if b.n1.(i) <> n1 || b.n2.(i) <> n2 then structure_err ();
+      if b.value.(i) <> v then begin
+        b.value.(i) <- v;
+        dirty := true
+      end
+    in
     List.iter
       (fun (e : Netlist.element) ->
         match e with
-        | Resistor { n1; n2; ohms; _ } ->
-            if !ri >= Array.length c.resistors then structure_err ();
-            let r = c.resistors.(!ri) in
-            incr ri;
-            if r.rn1 <> n1 || r.rn2 <> n2 then structure_err ();
-            let g = 1. /. ohms in
-            if r.rg <> g then begin
-              r.rg <- g;
-              dirty := true
-            end
-        | Capacitor { n1; n2; farads; _ } ->
-            if !ci >= Array.length c.caps then structure_err ();
-            let cc = c.caps.(!ci) in
-            incr ci;
-            if cc.n1 <> n1 || cc.n2 <> n2 then structure_err ();
-            if cc.value <> farads then begin
-              cc.value <- farads;
-              dirty := true
-            end
-        | Inductor { n1; n2; henries; _ } ->
-            if !li >= Array.length c.inds then structure_err ();
-            let cc = c.inds.(!li) in
-            incr li;
-            if cc.n1 <> n1 || cc.n2 <> n2 then structure_err ();
-            if cc.value <> henries then begin
-              cc.value <- henries;
-              dirty := true
-            end
+        | Resistor { n1; n2; ohms; _ } -> write c.res ri n1 n2 (1. /. ohms)
+        | Capacitor { n1; n2; farads; _ } -> write c.caps ci n1 n2 farads
+        | Inductor { n1; n2; henries; _ } -> write c.inds li n1 n2 henries
         | Current_source { n1; n2; amps; _ } ->
             if !si >= Array.length c.isources then structure_err ();
             let s = c.isources.(!si) in
@@ -1519,14 +1664,15 @@ module Compiled = struct
             incr ni)
       (Netlist.elements newnl);
     if
-      !ri <> Array.length c.resistors
-      || !ci <> Array.length c.caps
-      || !li <> Array.length c.inds
+      !ri <> Array.length c.res.value
+      || !ci <> Array.length c.caps.value
+      || !li <> Array.length c.inds.value
       || !si <> Array.length c.isources
       || !ki <> Array.length c.coupled
       || !ni <> Array.length c.nonlinears
     then structure_err ();
-    h.h_nl <- newnl;
+    h.h_breakpoints <- Netlist.breakpoints newnl;
+    h.h_flat_after <- Netlist.flat_after newnl;
     if !dirty then begin
       Hashtbl.reset h.h_states;
       h.h_dc <- None
@@ -1534,21 +1680,65 @@ module Compiled = struct
 
   (* The engine's one argument check comes first.  Each test is written so
      that NaN fails it; [dt] is unused under [adaptive]. *)
-  let run ?(obs = Obs.null) ?record_nodes ?until ?until_peak ?(reassemble_per_step = false)
-      ?adaptive ~dt ~t_stop h =
+  let check ~reassemble_per_step ~adaptive ~dt t_stops =
     let finite_positive x = x > 0. && x < Float.infinity in
     let bad what = invalid_arg ("Engine.transient: " ^ what) in
-    if not (finite_positive t_stop) then bad "t_stop must be positive and finite";
+    let positive_stop t_stop =
+      if not (finite_positive t_stop) then bad "t_stop must be positive and finite"
+    in
+    List.iter positive_stop t_stops;
     match adaptive with
     | Some a ->
         if reassemble_per_step then bad "adaptive and reassemble_per_step are exclusive";
         if not (finite_positive a.dt_min) then bad "adaptive dt_min must be positive and finite";
         if not (a.dt_max >= a.dt_min) then bad "adaptive dt_max must be at least dt_min";
-        if not (a.ltol > 0.) then bad "adaptive ltol must be positive";
-        adaptive_core ~obs ~record_nodes ~until ~t_stop a h
+        if not (a.ltol > 0.) then bad "adaptive ltol must be positive"
+    | None -> if not (finite_positive dt) then bad "dt must be positive and finite"
+
+  let run ?(obs = Obs.null) ?record_nodes ?until ?until_peak ?(reassemble_per_step = false)
+      ?adaptive ~dt ~t_stop h =
+    check ~reassemble_per_step ~adaptive ~dt [ t_stop ];
+    match adaptive with
+    | Some a -> adaptive_core ~obs ~record_nodes ~until ~t_stop a h
     | None ->
-        if not (finite_positive dt) then bad "dt must be positive and finite";
-        fixed_core ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h
+        let lane =
+          lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h
+        in
+        (run_fixed ~obs ~dt [| lane |]).(0)
+
+  type nonrec lane = {
+    handle : handle;
+    t_stop : float;
+    record_nodes : Netlist.node list;
+    until : crossing list;
+  }
+
+  let max_lanes = max_lanes
+
+  let run_lanes ?(obs = Obs.null) ?adaptive ~dt lanes =
+    check ~reassemble_per_step:false ~adaptive ~dt
+      (Array.to_list (Array.map (fun l -> l.t_stop) lanes));
+    Array.iteri
+      (fun i l ->
+        for j = 0 to i - 1 do
+          if lanes.(j).handle == l.handle then
+            invalid_arg "Engine.Compiled.run_lanes: a handle appears in two lanes"
+        done)
+      lanes;
+    match adaptive with
+    | Some a ->
+        Array.map
+          (fun l ->
+            adaptive_core ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
+              ~t_stop:l.t_stop a l.handle)
+          lanes
+    | None ->
+        run_fixed ~obs ~dt
+          (Array.map
+             (fun l ->
+               lane_setup ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
+                 ~until_peak:None ~reassemble_per_step:false ~dt ~t_stop:l.t_stop l.handle)
+             lanes)
 
   (* The handle cache's structure key hashes topology only — node count
      plus two independent polynomial hashes over (kind, nodes) in
@@ -1594,16 +1784,19 @@ module Compiled = struct
     (Netlist.node_count netlist, !a, !b)
 
   (* Every run mutates a handle's scratch, so the key also names the
-     domain that built it, and handles are never shared across domains.  A
-     crosstalk flow uses at most five structures a domain. *)
-  let handles : (Domain.id * (int * int * int), handle) Rlc_obs.Memo.t =
+     domain that built it, and handles are never shared across domains;
+     the lane index keeps a batch's same-structure runs on distinct
+     handles.  A domain holds at most [max_lanes] handles of a replay
+     ladder and five structures of a crosstalk flow. *)
+  let handles : (Domain.id * int * (int * int * int), handle) Rlc_obs.Memo.t =
     Rlc_obs.Memo.create ~capacity:256 ()
 
   let cache_stats () = Rlc_obs.Memo.stats handles
   let clear_cache () = Rlc_obs.Memo.clear handles
 
-  let cached ?(obs = Obs.null) netlist =
-    let key = (Domain.self (), structure_key netlist) in
+  let cached ?(obs = Obs.null) ?(lane = 0) netlist =
+    if lane < 0 || lane >= max_lanes then invalid_arg "Engine.Compiled.cached: lane out of range";
+    let key = (Domain.self (), lane, structure_key netlist) in
     match Rlc_obs.Memo.find_or_add handles key (fun () -> compile ~obs netlist) with
     | h, false ->
         Obs.incr obs "engine.handle.misses";

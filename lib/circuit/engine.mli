@@ -18,7 +18,14 @@
 
     Every transient runs on a {!Compiled.handle}: {!Compiled.run} is the
     one transient path, and {!transient} runs it on a freshly compiled
-    handle. *)
+    handle.  Linear fixed-step runs go through one step kernel, which
+    {!Compiled.run_lanes} feeds several handles at once; {!Compiled.run}
+    is its one-lane case.
+
+    Unchecked array access is confined to the per-step passes (sources,
+    right-hand side, scatter, commit) and {!Rlc_num.Banded}'s solves, and
+    indexes only with arrays that compiling a handle built and
+    bounds-checked. *)
 
 module Waveform = Rlc_waveform.Waveform
 
@@ -97,7 +104,7 @@ val steps_rejected : result -> int
 val refactors : result -> int
 (** Adaptive mode: companion-system assemblies/factorizations the run
     performed — one per ladder rung or breakpoint-clamped offcut step size
-    the handle held no solver state for (0 for fixed-step runs).  Ladder
+    the handle held no current solver state for (0 for fixed-step runs).  Ladder
     reuse working means this stays far below {!steps}. *)
 
 val dc_operating_point : Netlist.t -> float array
@@ -135,7 +142,7 @@ module Compiled : sig
       (or rebuild) before reuse.  Source and nonlinear closures are always
       swapped in; a change to a matrix-affecting value (resistance,
       capacitance, inductance, coupling matrix) drops the cached solver
-      states and DC point, while source-only restamps keep them all. *)
+      states and the DC point, while source-only restamps keep them all. *)
 
   val run :
     ?obs:Rlc_obs.Obs.t ->
@@ -165,11 +172,10 @@ module Compiled : sig
 
       [obs] (default disabled) records ["engine.dc_solve"] /
       ["engine.factor"] / ["engine.step_loop"] spans (the step-loop span
-      carries [steps], [newton_total], and the solver [path] as args) plus
-      ["engine.transients"] / ["engine.steps"] / ["engine.newton_iters"]
-      counters.  Only phase boundaries are instrumented — the per-step
-      inner loops are untouched, so results and speed are identical when
-      disabled.
+      carries [steps], [newton_total], the solver [path] and [lanes] as
+      args) plus ["engine.transients"] / ["engine.steps"] /
+      ["engine.newton_iters"] counters.  Only phase boundaries are instrumented — the per-step inner loops are
+      untouched, so results and speed are identical when disabled.
 
       [record_nodes] restricts waveform storage to the listed nodes
       (default: every node).  Recording all nodes costs O(nodes × steps)
@@ -240,15 +246,47 @@ module Compiled : sig
       counters accumulate.  The fixed-step path is completely untouched
       by this option. *)
 
-  val cached : ?obs:Rlc_obs.Obs.t -> Netlist.t -> handle
+  type lane = {
+    handle : handle;
+    t_stop : float;
+    record_nodes : Netlist.node list;
+    until : crossing list;  (** [[]]: run to [t_stop] *)
+  }
+  (** One run of a {!run_lanes} batch: {!run}'s arguments of the same
+      names, on its own handle. *)
+
+  val max_lanes : int
+  (** 8: the most runs the kernel interleaves, and the number of {!cached}
+      lanes. *)
+
+  val run_lanes :
+    ?obs:Rlc_obs.Obs.t -> ?adaptive:adaptive -> dt:float -> lane array -> result array
+  (** The lanes' runs, in lane order: each result is bit for bit
+      [run ?obs ?adaptive ~dt ~t_stop ~record_nodes ~until handle] on its
+      own (times, samples, step and Newton counts, exceptions), and raises
+      what that run would; the first failure aborts the batch.  Each lane
+      keeps its own element values, sources, DC point, factorization,
+      [until] watch and trace, and stops at its own crossing or [t_stop].
+
+      Fixed-step linear lanes whose systems are banded with the same size
+      and bandwidth -- runs of one netlist structure -- step together,
+      [max_lanes] at a time in lane order, interleaving their banded
+      substitutions row by row; a lane that stops leaves the interleaving.
+      Dense systems, Newton circuits and [adaptive] runs step one lane at a
+      time.  Each pass records one ["engine.step_loop"] span, its [steps]
+      the sum over its lanes and [lanes] their number; the counters count
+      lanes.  No handle may appear in two lanes ([Invalid_argument]). *)
+
+  val cached : ?obs:Rlc_obs.Obs.t -> ?lane:int -> Netlist.t -> handle
   (** A handle for this topology from one process-wide {!Rlc_obs.Memo} of
-      256, keyed by the calling domain and the structure, so a handle goes
-      back only to the domain that built it: an existing one restamped to
-      the netlist's values, or a new one compiled and cached.  Counts in
-      {!cache_stats} and, with [obs], in ["engine.handle.hits"] /
-      ["engine.handle.misses"].  Key collisions are caught by {!restamp}'s
-      structural validation and fall back to a rebuild, so a hit is always
-      structurally sound. *)
+      256, keyed by the calling domain, [lane] (default 0, below
+      {!max_lanes}, else [Invalid_argument]) and the structure, so a handle
+      goes back only to the domain that built it and a batch's lanes each
+      get their own: an existing one restamped to the netlist's values, or
+      a new one compiled and cached.  Counts in {!cache_stats} and, with
+      [obs], in ["engine.handle.hits"] / ["engine.handle.misses"].  Key
+      collisions are caught by {!restamp}'s structural validation and fall
+      back to a rebuild, so a hit is always structurally sound. *)
 
   val cache_stats : unit -> Rlc_obs.Memo.stats
   (** Of {!cached}, across all domains since start. *)

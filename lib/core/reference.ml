@@ -52,12 +52,10 @@ let bench ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~far_50 ~tech ~siz
 let simulate ?obs ?dt ?t_stop ?adaptive ?n_segments ~tech ~size ~input_slew ~line ~cl () =
   bench ?obs ?dt ?t_stop ?adaptive ?n_segments ~far_50:false ~tech ~size ~input_slew ~line ~cl ()
 
-(* [replay_pwl]'s circuit; [far_until] lists (level, direction) crossings of
-   the far node to stop at. *)
-let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(far_until = []) ~pwl ~line ~cl
-    () =
-  (* Shift so the source starts after t = 0 (the engine's DC point must see
-     the quiescent low state). *)
+(* [replay_pwl]'s circuit: the ladder, its near and far nodes, the window
+   and the time shift that starts the source after t = 0 (the engine's DC
+   point must see the quiescent low state). *)
+let replay_circuit ?t_stop ?n_segments ~pwl ~line ~cl () =
   let start = fst (List.hd (Pwl.points pwl)) in
   let shift = 10e-12 -. start in
   let pwl = Pwl.shift_time shift pwl in
@@ -73,30 +71,68 @@ let replay ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(far_until = [])
   Netlist.force_pwl nl near pwl;
   let far_ref = ref Netlist.ground in
   Ladder.attach_load ?n_segments line ~cl nl near far_ref;
-  let until = List.map (fun (level, dir) -> (!far_ref, level, dir)) far_until in
-  (* Ceff-model replays sweep many π/ladder loads of identical shape; the
-     structure-keyed handle cache makes each after the first a restamp
-     (values in, no compile/alloc) with bit-identical results. *)
+  (nl, near, !far_ref, t_stop, shift)
+
+(* Ceff-model replays sweep many π/ladder loads of identical shape; the
+   structure-keyed handle cache makes each after the first a restamp
+   (values in, no compile/alloc) with bit-identical results. *)
+let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~pwl ~line ~cl () =
+  let nl, near, far, t_stop, shift = replay_circuit ?t_stop ?n_segments ~pwl ~line ~cl () in
   let r =
-    Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ~until ?adaptive ~dt ~t_stop
+    Engine.Compiled.run ?obs ~record_nodes:[ near; far ] ?adaptive ~dt ~t_stop
       (Engine.Compiled.cached ?obs nl)
   in
   (* Undo the shift: return waveforms on the caller's PWL time axis. *)
   ( Waveform.shift_time (-.shift) (Engine.voltage r near),
-    Waveform.shift_time (-.shift) (Engine.voltage r !far_ref) )
+    Waveform.shift_time (-.shift) (Engine.voltage r far) )
 
-let replay_pwl ?obs ?dt ?t_stop ?adaptive ?n_segments ~pwl ~line ~cl () =
-  replay ?obs ?dt ?t_stop ?adaptive ?n_segments ~pwl ~line ~cl ()
+type replay = { vdd : float; pwl : Pwl.t; line : Line.t; cl : float }
+
+(* Each batch of up to [max_lanes] replays takes lane [i]'s handle for its
+   [i]-th member, so same-structure members hold distinct handles and the
+   engine steps them in lock-step.  Only the far node is recorded: it is
+   all the timing reads. *)
+let far_timings ?obs ?(dt = 0.25e-12) ?adaptive replays =
+  let rising vdd frac = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac in
+  let timing (rp : replay) far shift r =
+    let far = Waveform.shift_time (-.shift) (Engine.voltage r far) in
+    let t50 = Measure.t_frac_exn far ~vdd:rp.vdd ~edge:Measure.Rising ~frac:0.5 in
+    match Measure.slew_10_90 far ~vdd:rp.vdd ~edge:Measure.Rising with
+    | Some s -> (t50, s)
+    | None -> invalid_arg "Reference.far_timing: far end never completed 10-90"
+  in
+  let n = Array.length replays and width = Engine.Compiled.max_lanes in
+  Array.concat
+    (List.init ((n + width - 1) / width) (fun b ->
+         let batch = Array.sub replays (b * width) (Int.min width (n - (b * width))) in
+         (* Each netlist is garbage once [cached] has its values: a batch
+            holds only the handles while it steps. *)
+         let fars = Array.make (Array.length batch) Netlist.ground in
+         let shifts = Array.make (Array.length batch) 0. in
+         let lanes =
+           Array.mapi
+             (fun i (rp : replay) ->
+               let nl, _, far, t_stop, shift =
+                 replay_circuit ~pwl:rp.pwl ~line:rp.line ~cl:rp.cl ()
+               in
+               fars.(i) <- far;
+               shifts.(i) <- shift;
+               {
+                 Engine.Compiled.handle = Engine.Compiled.cached ?obs ~lane:i nl;
+                 t_stop;
+                 record_nodes = [ far ];
+                 until =
+                   List.map
+                     (fun frac -> (far, rising rp.vdd frac, Measure.Rising))
+                     [ 0.1; 0.5; 0.9 ];
+               })
+             batch
+         in
+         let results = Engine.Compiled.run_lanes ?obs ?adaptive ~dt lanes in
+         Array.mapi (fun i r -> timing batch.(i) fars.(i) shifts.(i) r) results))
 
 let far_timing ?obs ?dt ?adaptive ~vdd ~pwl ~line ~cl () =
-  let rising frac = (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac, Measure.Rising) in
-  let _, far =
-    replay ?obs ?dt ?adaptive ~far_until:(List.map rising [ 0.1; 0.5; 0.9 ]) ~pwl ~line ~cl ()
-  in
-  let t50 = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-  match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
-  | Some s -> (t50, s)
-  | None -> invalid_arg "Reference.far_timing: far end never completed 10-90"
+  (far_timings ?obs ?dt ?adaptive [| { vdd; pwl; line; cl } |]).(0)
 
 let near_delay t =
   match

@@ -62,6 +62,24 @@ val replay_pwl :
     same-shape ladder replays after the first restamp values into the
     compiled structure instead of recompiling. *)
 
+type replay = { vdd : float; pwl : Rlc_waveform.Pwl.t; line : Line.t; cl : float }
+(** One far-end replay: {!far_timing}'s arguments of the same names. *)
+
+val far_timings :
+  ?obs:Rlc_obs.Obs.t ->
+  ?dt:float ->
+  ?adaptive:Rlc_circuit.Engine.adaptive ->
+  replay array ->
+  (float * float) array
+(** {!far_timing} of every replay, in order, each bit for bit what the
+    single call gives.  The replays run in batches of
+    {!Rlc_circuit.Engine.Compiled.max_lanes} through
+    {!Rlc_circuit.Engine.Compiled.run_lanes}, each member on its own lane's
+    {!Rlc_circuit.Engine.Compiled.cached} handle, so replays whose ladders
+    share a structure step in lock-step; each stops at its own 90 %
+    crossing, and only the far node is recorded.  Raises what the first
+    failing replay would. *)
+
 val far_timing :
   ?obs:Rlc_obs.Obs.t ->
   ?dt:float ->
@@ -77,9 +95,9 @@ val far_timing :
     stage delay) and its 10–90 slew — bit for bit what measuring the full
     replay gives — with the replay stopped as soon as the far end has
     crossed 10, 50 and 90 % of [vdd].  The far-end step 5 of the paper's
-    flow, shared by {!Rlc_sta} and the full-design flow.  Raises
-    [Invalid_argument] when the far end never completes 10–90 inside the
-    window. *)
+    flow, shared by {!Rlc_sta} and the full-design flow; {!far_timings} of
+    a batch of one.  Raises [Invalid_argument] when the far end never
+    completes 10–90 inside the window. *)
 
 (* Measurements (conventions of DESIGN.md §4, all on the rising edge). *)
 

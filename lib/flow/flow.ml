@@ -163,45 +163,42 @@ let cell_exn ?obs ?pool tech ~size =
   | Ok c -> c
   | Error e -> failwith (Rlc_errors.Error.message e)
 
-let solve_net ?obs ?adaptive ~tech ~dt ~edge ~size c =
-  let cell = cell_exn ?obs tech ~size in
-  let model =
-    Driver_model.model_pade ?obs ~cell ~edge ~input_slew:c.q_slew ~pade:c.q_pade ~line:c.q_line
-      ~cl:c.q_cl ()
-  in
-  (* The model waveform lives in the normalized rising domain; t = 0 is the
-     driver-input 50 % crossing, so the far-end 50 % time IS the stage
-     delay (same convention as Rlc_sta.analyze). *)
-  let stage_delay, far_slew =
-    Reference.far_timing ?obs ~dt ?adaptive ~vdd:model.Driver_model.vdd
-      ~pwl:model.Driver_model.pwl ~line:c.q_line ~cl:c.q_cl ()
-  in
-  { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model }
+(* A canonicalized net's driver model (the paper's steps 1-4). *)
+let model_net (cfg : Config.t) ~tech c ~edge ~size =
+  let obs = cfg.Config.obs in
+  Driver_model.model_pade ~obs ~cell:(cell_exn ~obs tech ~size) ~edge ~input_slew:c.q_slew
+    ~pade:c.q_pade ~line:c.q_line ~cl:c.q_cl ()
 
-(* Where a net's solve came from: kept from the previous run ([Reused],
-   retime only), answered by the Ceff cache, or solved -- on a cache miss
-   or with the cache off. *)
-type outcome = Reused | Hit | Miss | Uncached
+(* The solves of modeled nets: every far-end replay (step 5) as one batch,
+   so replays of one ladder structure step in lock-step.  The model
+   waveform lives in the normalized rising domain; t = 0 is the
+   driver-input 50 % crossing, so the far-end 50 % time IS the stage delay
+   (same convention as Rlc_sta.analyze). *)
+let time_models (cfg : Config.t) modeled =
+  let timings =
+    Reference.far_timings ~obs:cfg.Config.obs ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive
+      (Array.map
+         (fun (c, (m : Driver_model.t)) ->
+           {
+             Reference.vdd = m.Driver_model.vdd;
+             pwl = m.Driver_model.pwl;
+             line = c.q_line;
+             cl = c.q_cl;
+           })
+         modeled)
+  in
+  Array.mapi
+    (fun i (_, model) ->
+      let stage_delay, far_slew = timings.(i) in
+      { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model })
+    modeled
 
-(* The per-net step of every solve: canonicalize, look the cache up, solve
-   on a miss.  [insert] keeps a miss's solve in the cache. *)
-let lookup_or_solve (cfg : Config.t) ~tech ~insert (net : Design.net) ~edge ~input_slew =
-  let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
-  let c = canonicalize ~tech ~dt ?adaptive net ~edge ~input_slew in
-  let compute () =
-    solve_net ~obs:cfg.Config.obs ?adaptive ~tech ~dt ~edge ~size:net.Design.size c
-  in
-  let solve, outcome =
-    match cfg.Config.cache with
-    | Some cache when cfg.Config.use_cache -> (
-        if insert then
-          let s, hit = Memo.find_or_add cache c.key compute in
-          (s, if hit then Hit else Miss)
-        else
-          match Memo.find cache c.key with Some s -> (s, Hit) | None -> (compute (), Miss))
-    | _ -> (compute (), Uncached)
-  in
-  (c, solve, outcome)
+let solve_one cfg ~tech c ~edge ~size =
+  (time_models cfg [| (c, model_net cfg ~tech c ~edge ~size) |]).(0)
+
+(* Where a looked-up net's solve came from: the Ceff cache, or solved --
+   on a cache miss or with the cache off. *)
+type outcome = Hit | Miss | Uncached
 
 (* One candidate evaluation for the optimizer: the net's interconnect with a
    caller-chosen driver size, canonicalized and cached exactly as the flow
@@ -209,10 +206,14 @@ let lookup_or_solve (cfg : Config.t) ~tech ~insert (net : Design.net) ~edge ~inp
    verification flow agree on every shared (net, size, slew) key, and the
    solve stays a pure function of the quantized inputs (jobs-independent). *)
 let solve_sized (cfg : Config.t) ~tech ~(net : Design.net) ~size ~edge ~input_slew =
-  let _, solve, _ =
-    lookup_or_solve cfg ~tech ~insert:true { net with Design.size } ~edge ~input_slew
+  let c =
+    canonicalize ~tech ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive { net with Design.size }
+      ~edge ~input_slew
   in
-  solve
+  let compute () = solve_one cfg ~tech c ~edge ~size in
+  match cfg.Config.cache with
+  | Some cache when cfg.Config.use_cache -> fst (Memo.find_or_add cache c.key compute)
+  | _ -> compute ()
 
 module Timed = struct
   type timed = {
@@ -301,51 +302,101 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
         then Some ({ p with arrival = 0. }, old.Timed.keys.(id))
         else None
   in
-  let solve_one lvl ((net : Design.net), edge, input_slew) =
-    (* Observation point: a flow whose budget expired stops before the next
-       solve, even when every remaining net would be a cheap cache hit. *)
+  let record_net lvl (net : Design.net) net_t0 hit (model : Driver_model.t) =
+    if Obs.enabled obs then begin
+      let iterations = Driver_model.total_iterations model in
+      Obs.finish obs
+        ~args:
+          [
+            ("net", net.Design.name);
+            ("level", string_of_int lvl);
+            ("cache", if hit then "hit" else "miss");
+            ("ceff_iterations", string_of_int iterations);
+            ( "shape",
+              match model.Driver_model.shape with
+              | Driver_model.Two_ramp _ -> "two-ramp"
+              | Driver_model.One_ramp _ -> "one-ramp" );
+          ]
+        "flow.net" net_t0;
+      Obs.incr obs "flow.nets";
+      Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
+      (* Per-net iterations regardless of cache outcome: sums to
+         [stats.iterations_total] on a cold run.  The separate *_run
+         counter tracks iterations actually executed. *)
+      Obs.add obs "flow.ceff_iterations" iterations;
+      if not hit then Obs.add obs "flow.ceff_iterations_run" iterations
+    end
+  in
+  let cache =
+    match cfg.Config.cache with Some m when cfg.Config.use_cache -> Some m | _ -> None
+  in
+  (* One pool job: a chunk of a level's nets that are not reused.  Each net
+     is canonicalized and looked up once, in order, and a miss's driver
+     model computed (one ["flow.net"] span each); the misses' replays then
+     run as one batch, and a cold run inserts them.  A net whose key an
+     earlier net of the chunk holds is looked up only after those inserts,
+     so it hits as it would after a solve of its own. *)
+  let solve_chunk lvl (chunk : (Design.net * Measure.edge * float) array) =
     Deadline.check_ambient ();
-    match reusable net edge input_slew with
-    | Some (r, key) ->
-        Obs.incr obs "flow.reused";
-        (r, key, Reused)
-    | None ->
+    let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
+    let n = Array.length chunk in
+    let canon = Array.make n None and solves = Array.make n None in
+    let outcomes = Array.make n Uncached in
+    let modeled = ref [] and deferred = ref [] and earlier = ref [] in
+    Array.iteri
+      (fun k ((net : Design.net), edge, input_slew) ->
         if not cold then Obs.incr obs "flow.retimed";
         let net_t0 = Obs.start obs in
-        let c, solve, outcome = lookup_or_solve cfg ~tech ~insert:cold net ~edge ~input_slew in
-        let hit = outcome = Hit in
-        if Obs.enabled obs then begin
-          Obs.finish obs
-            ~args:
-              [
-                ("net", net.Design.name);
-                ("level", string_of_int lvl);
-                ("cache", if hit then "hit" else "miss");
-                ("ceff_iterations", string_of_int solve.iterations);
-                ( "shape",
-                  match solve.model.Driver_model.shape with
-                  | Driver_model.Two_ramp _ -> "two-ramp"
-                  | Driver_model.One_ramp _ -> "one-ramp" );
-              ]
-            "flow.net" net_t0;
-          Obs.incr obs "flow.nets";
-          Obs.incr obs (if hit then "flow.cache.hits" else "flow.cache.misses");
-          (* Per-net iterations regardless of cache outcome: sums to
-             [stats.iterations_total] on a cold run.  The separate *_run
-             counter tracks iterations actually executed. *)
-          Obs.add obs "flow.ceff_iterations" solve.iterations;
-          if not hit then Obs.add obs "flow.ceff_iterations_run" solve.iterations
-        end;
+        let c = canonicalize ~tech ~dt ?adaptive net ~edge ~input_slew in
+        canon.(k) <- Some c;
+        let seen = List.mem c.key !earlier in
+        earlier := c.key :: !earlier;
+        if cold && Option.is_some cache && seen then deferred := k :: !deferred
+        else
+          match Option.bind cache (fun m -> Memo.find m c.key) with
+          | Some s ->
+              solves.(k) <- Some s;
+              outcomes.(k) <- Hit;
+              record_net lvl net net_t0 true s.model
+          | None ->
+              let model = model_net cfg ~tech c ~edge ~size:net.Design.size in
+              outcomes.(k) <- (if Option.is_some cache then Miss else Uncached);
+              record_net lvl net net_t0 false model;
+              modeled := (k, (c, model)) :: !modeled)
+      chunk;
+    let modeled = Array.of_list (List.rev !modeled) in
+    let timed = time_models cfg (Array.map snd modeled) in
+    Array.iteri
+      (fun i (k, (c, _)) ->
+        solves.(k) <- Some timed.(i);
+        match cache with Some m when cold -> Memo.replace m c.key timed.(i) | _ -> ())
+      modeled;
+    List.iter
+      (fun k ->
+        let net, edge, _ = chunk.(k) and c = Option.get canon.(k) in
+        let net_t0 = Obs.start obs in
+        let s, hit =
+          Memo.find_or_add (Option.get cache) c.key (fun () ->
+              solve_one cfg ~tech c ~edge ~size:net.Design.size)
+        in
+        solves.(k) <- Some s;
+        outcomes.(k) <- (if hit then Hit else Miss);
+        record_net lvl net net_t0 hit s.model)
+      (List.rev !deferred);
+    Array.mapi
+      (fun k ((net : Design.net), edge, _) ->
+        let solve = Option.get solves.(k) and c = Option.get canon.(k) in
         Log.debug (fun m ->
-            m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)" net.Design.name
-              lvl
+            m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)" net.Design.name lvl
               (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
               (Rlc_num.Units.in_ps solve.stage_delay)
               (Rlc_num.Units.in_ps solve.far_slew)
               solve.iterations
-              (if hit then ", cached" else ""));
-        ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key, outcome)
+              (if outcomes.(k) = Hit then ", cached" else ""));
+        ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key, outcomes.(k)))
+      chunk
   in
+  let jobs = Pool.jobs pool in
   let nets_done = ref 0 in
   timed "solve" (fun () ->
       Array.iteri
@@ -353,9 +404,10 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
           Deadline.check_ambient ();
           let level_t0 = Obs.start obs in
           (* Input slew and edge for this level are fixed by the
-             previous level (or the spec), so prepare them serially. *)
-          let jobs_for_level =
-            Array.map
+             previous level (or the spec), so prepare them serially, and
+             keep what a retime may reuse. *)
+          let todo =
+            List.filter_map
               (fun id ->
                 let net = design.Design.nets.(id) in
                 let edge, input_slew =
@@ -366,23 +418,44 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
                       ( Sta.other_edge pr.edge,
                         Sta.handoff_slew ~far_slew:pr.solve.far_slew )
                 in
-                (net, edge, input_slew))
-              ids
+                match reusable net edge input_slew with
+                | Some (r, key) ->
+                    Obs.incr obs "flow.reused";
+                    results.(id) <- Some r;
+                    keys.(id) <- key;
+                    incr reused;
+                    None
+                | None -> Some (id, (net, edge, input_slew)))
+              (Array.to_list ids)
+            |> Array.of_list
           in
+          (* Chunks as wide as the lanes a replay batch can fill with every
+             domain busy: min(max_lanes, nets to solve / jobs). *)
+          let r = Array.length todo in
+          let width =
+            Int.max 1 (Int.min Rlc_circuit.Engine.Compiled.max_lanes ((r + jobs - 1) / jobs))
+          in
+          let chunk ci = Array.sub todo (ci * width) (Int.min width (r - (ci * width))) in
           let solved =
-            Pool.map ~obs pool (Array.length ids) (fun k -> solve_one lvl jobs_for_level.(k))
+            if r = 0 then [||]
+            else
+              Pool.map ~obs pool ((r + width - 1) / width) (fun ci ->
+                  solve_chunk lvl (Array.map snd (chunk ci)))
           in
           Array.iteri
-            (fun k (r, key, outcome) ->
-              results.(ids.(k)) <- Some r;
-              keys.(ids.(k)) <- key;
-              match outcome with
-              | Reused -> incr reused
-              | Hit -> incr hits
-              | Miss ->
-                  incr misses;
-                  spent := !spent + r.solve.iterations
-              | Uncached -> spent := !spent + r.solve.iterations)
+            (fun ci out ->
+              Array.iteri
+                (fun k (res, key, outcome) ->
+                  let id = fst (chunk ci).(k) in
+                  results.(id) <- Some res;
+                  keys.(id) <- key;
+                  match outcome with
+                  | Hit -> incr hits
+                  | Miss ->
+                      incr misses;
+                      spent := !spent + res.solve.iterations
+                  | Uncached -> spent := !spent + res.solve.iterations)
+                out)
             solved;
           if cold then begin
             Obs.finish obs

@@ -1,14 +1,19 @@
 (** The parallel full-design timing flow.
 
-    Levels run in order; within a level every net is an independent job
-    fanned out over a {!Rlc_parallel.Pool} of OCaml domains.  Each job canonicalizes its
-    inputs ({!Cache.quantize} on the admittance fit and line constants,
-    {!Cache.quantize_slew} on the input slew), consults the Ceff result
-    cache, and on a miss runs the paper's model
-    ({!Rlc_ceff.Driver_model.model_pade}) followed by the far-end replay of
-    the modeled waveform through the net.  Far-end slews hand off to the
-    next level exactly as {!Rlc_sta.analyze} hands off between stages of a
-    path ({!Rlc_sta.handoff_slew}, edge alternation included).
+    Levels run in order; within a level the nets are independent, fanned
+    out over a {!Rlc_parallel.Pool} of OCaml domains in chunks of
+    min(8, ⌈nets / jobs⌉), one job each, so every domain gets work.  A job
+    canonicalizes each net's inputs ({!Cache.quantize} on the admittance
+    fit and line constants, {!Cache.quantize_slew} on the input slew),
+    consults the Ceff result cache once per net, and runs the paper's model
+    ({!Rlc_ceff.Driver_model.model_pade}) for each miss; it then replays
+    the misses' modeled waveforms through their nets as one batch
+    ({!Rlc_ceff.Reference.far_timings}, so same-structure replays step in
+    lock-step lanes) and inserts them.  A net whose key an earlier net of
+    the chunk holds is looked up after those inserts.  Far-end slews hand
+    off to the next level exactly as {!Rlc_sta.analyze} hands off between
+    stages of a path ({!Rlc_sta.handoff_slew}, edge alternation
+    included).
 
     A cold run and a {!retime} are one pass; a retime adds a previous
     state to reuse from.
@@ -24,7 +29,8 @@
     ({!Rlc_errors.Deadline.ambient}) and trace id
     ({!Rlc_obs.Obs.current_trace}), which the pool carries into its
     worker domains; the serial phases poll the deadline at level
-    boundaries and the replay engine inside its step loops.  Expiry
+    boundaries and before each chunk, and the replay engine inside its
+    step loops.  Expiry
     raises {!Rlc_errors.Deadline.Expired}.  With nothing installed,
     nothing expires and spans carry no trace. *)
 
@@ -136,7 +142,9 @@ val run_cfg : Config.t -> Design.t -> result
     only read during the solve fan-out).
 
     [Config.obs] (default disabled) records a ["flow.net"] span (args: net
-    name, level, [cache] hit/miss, Ceff iteration count, waveform shape)
+    name, level, [cache] hit/miss, Ceff iteration count, waveform shape;
+    it covers the lookup and, on a miss, the model, while the chunk's
+    replay batch runs after every such span of the chunk)
     and the counters ["flow.nets"], ["flow.cache.hits"]/["flow.cache.misses"],
     ["flow.ceff_iterations"] (per-net solve iterations, cached or not —
     on a cold run sums to [stats.iterations_total]) and

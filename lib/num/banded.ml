@@ -72,27 +72,81 @@ let factor t =
     done
   done
 
-let solve_factored t b =
-  let n = t.n and bw = t.bw in
-  if Array.length b <> n then invalid_arg "Banded.solve_factored: size mismatch";
-  let w = (2 * bw) + 1 in
-  let data = t.data in
-  (* Forward: apply the stored multipliers (unit lower triangle). *)
-  for k = 0 to n - 1 do
-    let bk = Array.unsafe_get b k in
-    for i = k + 1 to Int.min (n - 1) (k + bw) do
-      let f = Array.unsafe_get data ((i * w) + bw - i + k) in
-      if f <> 0. then Array.unsafe_set b i (Array.unsafe_get b i -. (f *. bk))
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let irow = (i * w) + bw - i in
-    let acc = ref (Array.unsafe_get b i) in
-    for j = i + 1 to Int.min (n - 1) (i + bw) do
-      acc := !acc -. (Array.unsafe_get data (irow + j) *. Array.unsafe_get b j)
+(* Forward and back substitution on lanes [0, k), interleaved row by row:
+   each lane runs the loops of a solve on its own in the same order, so its
+   result is bit for bit its own solve, while the division chains of
+   independent lanes overlap.  The unchecked accesses keep [factor]'s
+   invariant on every lane, which the checks up front establish: all share
+   [n] and [bw], and each right-hand side has [n] entries. *)
+let solve_factored_lanes ts (bs : float array array) k =
+  if k < 0 || k > Array.length ts || k > Array.length bs then
+    invalid_arg "Banded.solve_factored_lanes: lane count";
+  if k > 0 then begin
+    let n = ts.(0).n and bw = ts.(0).bw in
+    for l = 0 to k - 1 do
+      if ts.(l).n <> n || ts.(l).bw <> bw || Array.length bs.(l) <> n then
+        invalid_arg "Banded.solve_factored_lanes: size mismatch"
     done;
-    Array.unsafe_set b i (!acc /. Array.unsafe_get data (irow + i))
-  done
+    if bw = 1 && n > 0 then begin
+      (* Tridiagonal (every uniform ladder): the general loops below with
+         their one-entry inner loops unrolled, the same operations in the
+         same order; row i's entries (i, i-1), (i, i) and (i, i+1) sit at
+         3i, 3i + 1 and 3i + 2.  [cold_flow] measured it faster than the
+         general loops (EXPERIMENTS.md). *)
+      for r = 0 to n - 2 do
+        let i3 = 3 * (r + 1) in
+        for l = 0 to k - 1 do
+          let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+          let f = Array.unsafe_get data i3 in
+          if f <> 0. then
+            Array.unsafe_set b (r + 1) (Array.unsafe_get b (r + 1) -. (f *. Array.unsafe_get b r))
+        done
+      done;
+      for l = 0 to k - 1 do
+        let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+        Array.unsafe_set b (n - 1)
+          (Array.unsafe_get b (n - 1) /. Array.unsafe_get data ((3 * n) - 2))
+      done;
+      for i = n - 2 downto 0 do
+        for l = 0 to k - 1 do
+          let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+          let acc =
+            Array.unsafe_get b i
+            -. (Array.unsafe_get data ((3 * i) + 2) *. Array.unsafe_get b (i + 1))
+          in
+          Array.unsafe_set b i (acc /. Array.unsafe_get data ((3 * i) + 1))
+        done
+      done
+    end
+    else begin
+      let w = (2 * bw) + 1 in
+      (* Forward: apply the stored multipliers (unit lower triangle). *)
+      for r = 0 to n - 1 do
+        let hi = Int.min (n - 1) (r + bw) in
+        for l = 0 to k - 1 do
+          let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+          let br = Array.unsafe_get b r in
+          for i = r + 1 to hi do
+            let f = Array.unsafe_get data ((i * w) + bw - i + r) in
+            if f <> 0. then Array.unsafe_set b i (Array.unsafe_get b i -. (f *. br))
+          done
+        done
+      done;
+      for i = n - 1 downto 0 do
+        let irow = (i * w) + bw - i and hi = Int.min (n - 1) (i + bw) in
+        for l = 0 to k - 1 do
+          let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+          let acc = ref (Array.unsafe_get b i) in
+          for j = i + 1 to hi do
+            acc := !acc -. (Array.unsafe_get data (irow + j) *. Array.unsafe_get b j)
+          done;
+          Array.unsafe_set b i (!acc /. Array.unsafe_get data (irow + i))
+        done
+      done
+    end
+  end
+
+let solve_factored t b = solve_factored_lanes [| t |] [| b |] 1
 
 let solve_in_place t b =
   if Array.length b <> t.n then invalid_arg "Banded.solve: size mismatch";

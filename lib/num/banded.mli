@@ -42,7 +42,19 @@ val factor : t -> unit
 val solve_factored : t -> float array -> unit
 (** Overwrite the right-hand side with the solution, using a matrix already
     processed by {!factor}.  O(n·bw) per call versus O(n·bw²) for a fresh
-    factorization — the transient engine's factor-once fast path. *)
+    factorization — the transient engine's factor-once fast path.  It is
+    the one-lane case of {!solve_factored_lanes}. *)
+
+val solve_factored_lanes : t array -> float array array -> int -> unit
+(** [solve_factored_lanes ts bs k] overwrites [bs.(l)] with the solution
+    for [ts.(l)] on every lane [l < k], each bit for bit what
+    [solve_factored ts.(l) bs.(l)] gives alone: every lane runs the same
+    forward and back loops in the same order, interleaved row by row so
+    that the division chains of independent lanes overlap.  The [k]
+    matrices must share dimension and bandwidth, each right-hand side must
+    match that dimension, and no two lanes may share a right-hand side;
+    otherwise [Invalid_argument] (sharing is not checked).  Entries of [ts]
+    and [bs] past [k] are ignored. *)
 
 val solve_in_place : t -> float array -> unit
 (** Factor destructively and overwrite the right-hand side with the

@@ -1237,6 +1237,175 @@ let test_until_peak_preconditions () =
   | _ -> Alcotest.fail "an out-of-range until_peak node must raise"
   | exception Invalid_argument _ -> ()
 
+(* ---------------------------------------------------------------- lanes *)
+
+(* One lane of a same-structure batch: its element values, the PWL of its
+   driven members (1 to 3 points), its window and the far-end crossings it
+   stops at. *)
+type lane_vals = {
+  lv_r : float;
+  lv_l : float;
+  lv_c : float;
+  lv_cl : float;
+  lv_cc : float;  (** coupling, fraction of the segment cap *)
+  lv_rs : float;  (** the quiet victim's hold resistance *)
+  lv_pwl : (float * float) list;
+  lv_t_stop : float;
+  lv_until : (float * bool) list;  (** level, rising *)
+}
+
+type lanes_case = {
+  lc_members : int;  (** 1: a driven ladder; 2-4: a cluster with a quiet first member *)
+  lc_segs : int;
+  lc_mutual : bool;  (** one coupled-inductor group per segment *)
+  lc_lanes : lane_vals list;
+}
+
+let arb_lanes_case =
+  let open QCheck.Gen in
+  let lane =
+    let* lv_r = float_range 2. 300.
+    and* lv_l = float_range 0.2e-9 6e-9
+    and* lv_c = float_range 50e-15 1.2e-12
+    and* lv_cl = float_range 0. 200e-15
+    and* lv_cc = float_range 0.05 1.
+    and* lv_rs = float_range 20. 400.
+    and* n_pts = int_range 1 3
+    and* t0 = float_range 0. 40e-12
+    and* gaps = list_repeat 2 (float_range 2e-12 120e-12)
+    and* v0 = oneof [ return 0.; float_range 0. 1.8 ]
+    and* vs = list_repeat 2 (float_range 0. 1.8)
+    and* lv_t_stop = float_range 150e-12 600e-12
+    and* lv_until = list_size (int_range 0 2) (pair (float_range 0.05 1.75) bool) in
+    let times = List.rev (List.fold_left (fun acc g -> (List.hd acc +. g) :: acc) [ t0 ] gaps) in
+    let pts = List.filteri (fun i _ -> i < n_pts) (List.combine times (v0 :: vs)) in
+    return { lv_r; lv_l; lv_c; lv_cl; lv_cc; lv_rs; lv_pwl = pts; lv_t_stop; lv_until }
+  in
+  let gen =
+    let* lc_members = frequencyl [ (2, 1); (1, 2); (1, 3); (1, 4) ] in
+    let* lc_segs = int_range 1 8 in
+    let* lc_mutual = if lc_members > 1 then bool else return false in
+    let* lc_lanes = list_size (int_range 1 10) lane in
+    return { lc_members; lc_segs; lc_mutual; lc_lanes }
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf "%d member(s) x %d segs%s, %d lane(s): %s" u.lc_members u.lc_segs
+        (if u.lc_mutual then " (mutual L)" else "")
+        (List.length u.lc_lanes)
+        (String.concat "; "
+           (List.map
+              (fun v ->
+                Printf.sprintf "R %g L %g C %g cl %g pwl [%s] t_stop %g until [%s]" v.lv_r v.lv_l v.lv_c
+                  v.lv_cl
+                  (String.concat ", " (List.map (fun (t, x) -> Printf.sprintf "%g:%g" t x) v.lv_pwl))
+                  v.lv_t_stop
+                  (String.concat ", "
+                     (List.map (fun (x, up) -> Printf.sprintf "%g%s" x (if up then "^" else "v")) v.lv_until)))
+              u.lc_lanes)))
+
+(* A lane's netlist: every lane of a case has the same structure.  Returns
+   it with the nodes to record (each member's far end) and the crossings
+   of the last member's far end to stop at. *)
+let build_lane u v =
+  let nl = Netlist.create () in
+  let m = u.lc_members in
+  let pwl = Pwl.of_points v.lv_pwl in
+  let nears =
+    Array.init m (fun j ->
+        let nd = Netlist.node nl "near" in
+        if j = 0 && m > 1 then Netlist.resistor nl nd Netlist.ground v.lv_rs
+        else Netlist.force_pwl nl nd pwl;
+        nd)
+  in
+  let fn = float_of_int u.lc_segs in
+  let dr = v.lv_r /. fn and dl = v.lv_l /. fn and dc = v.lv_c /. fn in
+  let prev = ref nears in
+  for _ = 1 to u.lc_segs do
+    let mids = Array.map (fun _ -> Netlist.node nl "mid") nears in
+    let nexts = Array.map (fun _ -> Netlist.node nl "next") nears in
+    Array.iteri (fun j mid -> Netlist.resistor nl !prev.(j) mid dr) mids;
+    if u.lc_mutual then
+      Netlist.coupled_inductors nl
+        (Array.mapi (fun j mid -> (mid, nexts.(j))) mids)
+        ~lmat:(Array.init m (fun p -> Array.init m (fun q -> if p = q then dl else 0.25 *. dl)))
+    else Array.iteri (fun j mid -> Netlist.inductor nl mid nexts.(j) dl) mids;
+    Array.iter (fun nd -> Netlist.capacitor nl nd Netlist.ground dc) nexts;
+    for j = 1 to m - 1 do
+      Netlist.capacitor nl nexts.(0) nexts.(j) (v.lv_cc *. dc)
+    done;
+    prev := nexts
+  done;
+  Array.iter (fun nd -> Netlist.capacitor nl nd Netlist.ground (v.lv_cl +. 1e-15)) !prev;
+  let far = !prev.(m - 1) in
+  let until =
+    List.map
+      (fun (level, up) -> (far, level, if up then Waveform.Rising else Waveform.Falling))
+      v.lv_until
+  in
+  (nl, Array.to_list !prev, until)
+
+let same_run ~what a b nodes =
+  let bits_of r n = bits (Engine.voltage r n) in
+  if Array.map Int64.bits_of_float (Engine.times a) <> Array.map Int64.bits_of_float (Engine.times b)
+  then QCheck.Test.fail_reportf "%s: time grids differ (%d vs %d steps)" what (Engine.steps a)
+      (Engine.steps b);
+  List.iter
+    (fun n -> if bits_of a n <> bits_of b n then QCheck.Test.fail_reportf "%s: samples differ" what)
+    nodes
+
+(* Random same-structure batches of 1 to 10 lanes -- ladders and 2- to
+   4-member clusters, random element values, PWLs and windows, and far-end
+   crossings that stop the lanes at different steps (past [max_lanes] a
+   batch steps in two passes): each lane's times and samples are bit for
+   bit those of its netlist run alone and run with per-step reassembly. *)
+let prop_lanes =
+  QCheck.Test.make ~name:"lanes: each lane = its run alone = per-step reassembly" ~count:60
+    arb_lanes_case (fun u ->
+      let dt = 1e-12 in
+      let built = List.map (build_lane u) u.lc_lanes in
+      let lanes =
+        Array.of_list
+          (List.map2
+             (fun (nl, record_nodes, until) v ->
+               {
+                 Engine.Compiled.handle = Engine.Compiled.compile nl;
+                 t_stop = v.lv_t_stop;
+                 record_nodes;
+                 until;
+               })
+             built u.lc_lanes)
+      in
+      let obs = Rlc_obs.Obs.create () in
+      let results = Engine.Compiled.run_lanes ~obs ~dt lanes in
+      List.iteri
+        (fun i (nl, record_nodes, until) ->
+          let t_stop = lanes.(i).Engine.Compiled.t_stop in
+          let alone = Engine.transient ~record_nodes ~until ~dt ~t_stop nl in
+          let oracle =
+            Engine.transient ~reassemble_per_step:true ~record_nodes ~until ~dt ~t_stop nl
+          in
+          same_run ~what:(Printf.sprintf "lane %d vs alone" i) results.(i) alone record_nodes;
+          same_run ~what:(Printf.sprintf "lane %d vs reassembly" i) results.(i) oracle record_nodes)
+        built;
+      let m = Rlc_obs.Obs.snapshot obs in
+      let passes =
+        List.filter (fun sp -> sp.Rlc_obs.Obs.sp_name = "engine.step_loop") m.Rlc_obs.Obs.m_spans
+      in
+      let k = Array.length lanes in
+      if List.length passes <> (k + Engine.Compiled.max_lanes - 1) / Engine.Compiled.max_lanes then
+        QCheck.Test.fail_reportf "%d lanes stepped in %d passes" k (List.length passes);
+      if List.assoc_opt "engine.transients" m.Rlc_obs.Obs.m_counters <> Some k then
+        QCheck.Test.fail_report "engine.transients does not count lanes";
+      true)
+
+let test_lanes_reject_shared_handle () =
+  let nl, out = build_rc_pair 1e3 1e-12 in
+  let h = Engine.Compiled.compile nl in
+  let lane = { Engine.Compiled.handle = h; t_stop = 1e-10; record_nodes = [ out ]; until = [] } in
+  match Engine.Compiled.run_lanes ~dt:1e-12 [| lane; lane |] with
+  | _ -> Alcotest.fail "a handle in two lanes must raise"
+  | exception Invalid_argument _ -> ()
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_circuit"
@@ -1300,6 +1469,11 @@ let () =
             test_linear_step_allocation;
           q prop_until_linear;
           q prop_until_testbench;
+        ] );
+      ( "lanes",
+        [
+          q prop_lanes;
+          Alcotest.test_case "a handle in two lanes" `Quick test_lanes_reject_shared_handle;
         ] );
       ( "until_peak",
         [

@@ -604,6 +604,137 @@ let test_delta_errors () =
   check_bad "slew on a non-primary net" { Delta.empty with Delta.slews = [ ("o0", 80e-12) ] };
   check_bad "unparsable block" { Delta.empty with Delta.nets = [ ("b0", "*D_NET b0 garbage") ] }
 
+(* ------------------------------------------------- jobs independence *)
+
+(* A small random bus: bit [i] is a primary-input global [b<i>] (an RLC
+   ladder of [segs] segments) driving a 2-segment RC local [o<i>], which
+   with [tails] drives a third-level [t<i>].  Every net's parasitics are
+   jittered, so each level's nets are distinct solves that its pool jobs
+   replay in lane batches; [coupled] adds coupling caps between adjacent
+   globals. *)
+type bus_case = {
+  bits : int;
+  segs : int;
+  tails : bool;
+  coupled : bool;
+  jitter : float array;  (** per net: b, o, t of bit 0, then bit 1, ... *)
+  slews : float array;  (** per bit, ps *)
+}
+
+let arb_bus ~coupled =
+  let open QCheck.Gen in
+  let gen =
+    let* bits = int_range 2 6 and* segs = int_range 2 4 and* tails = bool in
+    let* jitter = array_repeat (3 * bits) (float_range 0.9 1.1) in
+    let* slews = array_repeat bits (float_range 60. 140.) in
+    return { bits; segs; tails; coupled; jitter; slews }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "%d bits x %d segs%s%s, jitter [%s], slews [%s]" c.bits c.segs
+        (if c.tails then ", tails" else "")
+        (if c.coupled then ", coupled" else "")
+        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.3f") c.jitter)))
+        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.1f") c.slews))))
+
+let bus_sources ?(gsize = 75.) ?(lsize = 50.) c =
+  let spef = Buffer.create 4096 and spec = Buffer.create 512 in
+  Buffer.add_string spef
+    "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"jobs\"\n*T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n*L_UNIT 1 PH\n";
+  let node name segs k =
+    if k = 0 then name ^ "_drv" else if k = segs then name ^ "_rcv" else Printf.sprintf "%s_%d" name k
+  in
+  let block name i kind =
+    let global = kind = 0 in
+    let segs = if global then c.segs else 2 in
+    let seg total = c.jitter.((3 * i) + kind) *. total /. float_of_int segs in
+    let r = seg (if global then 72. else 120.) and l = seg 4500. in
+    let cap = seg (if global then 600. else 90.) in
+    Printf.bprintf spef "*D_NET %s %.6g\n*CONN\n*P %s_drv O\n*P %s_rcv I\n*CAP\n" name
+      (cap *. float_of_int segs) name name;
+    for k = 1 to segs do
+      Printf.bprintf spef "%d %s %.6g\n" k (node name segs k) cap
+    done;
+    if global && c.coupled && i < c.bits - 1 then
+      for k = 1 to segs do
+        Printf.bprintf spef "%d %s %s %.6g\n" (segs + k) (node name segs k)
+          (node (Printf.sprintf "b%d" (i + 1)) segs k)
+          30.
+      done;
+    let section title v =
+      Printf.bprintf spef "*%s\n" title;
+      for k = 0 to segs - 1 do
+        Printf.bprintf spef "%d %s %s %.6g\n" (k + 1) (node name segs k) (node name segs (k + 1)) v
+      done
+    in
+    section "RES" r;
+    if global then section "INDUC" l;
+    Buffer.add_string spef "*END\n"
+  in
+  for i = 0 to c.bits - 1 do
+    block (Printf.sprintf "b%d" i) i 0;
+    block (Printf.sprintf "o%d" i) i 1;
+    if c.tails then block (Printf.sprintf "t%d" i) i 2;
+    Printf.bprintf spec "driver b%d %g\ninput b%d %.3f\ndriver o%d %g\nedge b%d b%d_rcv o%d\n" i gsize
+      i c.slews.(i) i lsize i i i;
+    if c.tails then
+      Printf.bprintf spec "driver t%d %g\nedge o%d o%d_rcv t%d\nload t%d t%d_rcv 5\n" i lsize i i i i i
+    else Printf.bprintf spec "load o%d o%d_rcv 5\n" i i
+  done;
+  let ok = function Ok v -> v | Error _ -> failwith "bus_sources: parse" in
+  ( ok (Rlc_spef.Spef.parse_res (Buffer.contents spef)),
+    ok (Spec.parse_res (Buffer.contents spec)) )
+
+let bus_design c =
+  let spef, spec = bus_sources c in
+  match Design.ingest ~spef ~spec () with Ok d -> d | Error e -> failwith e
+
+(* The report of a random bus, with a fresh cache and without one, is
+   byte-identical at jobs 1 and 2: the lane width of the replay batches
+   follows the jobs count, the numbers must not. *)
+let prop_flow_jobs =
+  QCheck.Test.make ~name:"Flow.run_cfg report = at jobs 1 and 2, cached or not" ~count:10
+    (arb_bus ~coupled:false) (fun c ->
+      let d = bus_design c in
+      let report ~jobs ~use_cache = Report.json_string (run ~jobs ~use_cache d) in
+      let base = report ~jobs:1 ~use_cache:true in
+      List.for_all
+        (fun (jobs, use_cache) -> String.equal base (report ~jobs ~use_cache))
+        [ (2, true); (1, false); (2, false) ])
+
+(* [Optimize.run] on an under-driven random bus: the same JSON at jobs 1
+   and 2. *)
+let prop_optimize_jobs =
+  QCheck.Test.make ~name:"Optimize.run JSON = at jobs 1 and 2" ~count:4
+    QCheck.(pair (arb_bus ~coupled:false) (float_range 90. 200.))
+    (fun (c, required_ps) ->
+      let spef, spec = bus_sources ~gsize:25. ~lsize:25. c in
+      let json jobs =
+        match
+          Rlc_flow.Optimize.run ~sizes:[ 25.; 50.; 75.; 100. ] ~required:(required_ps *. 1e-12)
+            { Flow.Config.default with Flow.Config.jobs = Some jobs }
+            ~spef ~spec ()
+        with
+        | Ok o -> Report.optimize_json_string o
+        | Error e -> "error: " ^ Rlc_errors.Error.message e
+      in
+      String.equal (json 1) (json 2))
+
+(* [Xtalk.analyze] on a coupled random bus: the same fragment at jobs 1
+   and 2. *)
+let prop_xtalk_jobs =
+  QCheck.Test.make ~name:"Xtalk.analyze fragment = at jobs 1 and 2" ~count:4
+    QCheck.(pair (arb_bus ~coupled:true) (int_range 1 5))
+    (fun (c, alignments) ->
+      let d = bus_design c in
+      let fragment jobs =
+        let r = run ~jobs d in
+        Rlc_xtalk.Xtalk.json_fragment d
+          (Rlc_xtalk.Xtalk.analyze
+             ~config:{ Rlc_xtalk.Xtalk.Config.default with threshold = 0.01; alignments; jobs = Some jobs }
+             r)
+      in
+      String.equal (fragment 1) (fragment 2))
+
 let () =
   Alcotest.run "rlc_flow"
     [
@@ -643,6 +774,9 @@ let () =
           Alcotest.test_case "config defaults" `Quick test_flow_config_defaults;
           Alcotest.test_case "borrowed pool" `Quick test_flow_borrowed_pool;
         ] );
+      ( "jobs independence",
+        List.map QCheck_alcotest.to_alcotest [ prop_flow_jobs; prop_optimize_jobs; prop_xtalk_jobs ]
+      );
       ( "delta",
         [
           Alcotest.test_case "cap edit retimes the cone" `Quick test_delta_cap_edit;

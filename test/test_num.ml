@@ -165,6 +165,39 @@ let test_banded_out_of_band () =
     | exception Invalid_argument _ -> true);
   check_float "get outside band is 0" 0. (Banded.get m 0 3)
 
+(* Lanes of one shape solve their systems, each bit for bit as alone,
+   whatever the bandwidth (1 takes the tridiagonal branch), and an empty
+   system solves to nothing. *)
+let test_banded_lanes () =
+  let system n bw seed =
+    let m = Banded.create ~n ~bw in
+    for i = 0 to n - 1 do
+      Banded.set m i i (6. +. float_of_int ((i * seed) mod 5));
+      for j = Int.max 0 (i - bw) to Int.min (n - 1) (i + bw) do
+        if j <> i then Banded.set m i j ((0.3 *. float_of_int ((i + j + seed) mod 3)) -. 0.2)
+      done
+    done;
+    let dense = Banded.to_dense m in
+    Banded.factor m;
+    (dense, m)
+  in
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun (n, bw) ->
+      let systems = Array.init 3 (fun l -> system n bw (l + 1)) in
+      let rhs l = Array.init n (fun i -> float_of_int ((i * 3) + l) /. 7.) in
+      let bs = Array.init 3 rhs in
+      Banded.solve_factored_lanes (Array.map snd systems) bs 3;
+      Array.iteri
+        (fun l (dense, t) ->
+          let what = Printf.sprintf "n %d bw %d lane %d" n bw l in
+          let b = rhs l in
+          Banded.solve_factored t b;
+          Alcotest.(check (array int64)) what (bits b) (bits bs.(l));
+          if n > 0 then check_float ~eps:1e-10 what 0. (Linalg.residual_norm dense b (rhs l)))
+        systems)
+    [ (0, 0); (0, 1); (0, 3); (1, 1); (7, 1); (9, 2); (6, 5) ]
+
 (* ---------------------------------------------------------- Quadrature *)
 
 let test_simpson_poly () =
@@ -303,6 +336,7 @@ let () =
         [
           Alcotest.test_case "vs dense" `Quick test_banded_vs_dense;
           Alcotest.test_case "band limits" `Quick test_banded_out_of_band;
+          Alcotest.test_case "lanes = each alone" `Quick test_banded_lanes;
         ] );
       ( "quadrature",
         [

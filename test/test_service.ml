@@ -74,6 +74,27 @@ let test_json_escapes () =
   let astral = json_of {|"\ud83d\ude00"|} in
   Alcotest.(check string) "astral" "\xf0\x9f\x98\x80" (Option.get (Json.get_string astral))
 
+(* Strings built from the pieces a decoder can get wrong: quotes,
+   backslashes, slashes, every control character, DEL, multi-byte UTF-8
+   (two, three and four bytes) and plain ASCII runs, as object keys and
+   values: printing and parsing gives back the same object. *)
+let prop_json_strings =
+  let piece =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ "\""; "\\"; "/"; "\\u"; "\x7f"; "\xc3\xa9"; "\xe4\xb8\xad"; "\xf0\x9f\x98\x80" ];
+          map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+          string_size ~gen:printable (int_range 0 12);
+        ])
+  in
+  let str = QCheck.Gen.(map (String.concat "") (list_size (int_range 0 8) piece)) in
+  QCheck.Test.make ~name:"string decoding round-trips" ~count:500
+    (QCheck.make ~print:(fun (k, v) -> Printf.sprintf "%S: %S" k v) (QCheck.Gen.pair str str))
+    (fun (k, v) ->
+      let j = Json.Obj [ (k, Json.Str v) ] in
+      Json.parse (Json.to_string j) = Ok j)
+
 let test_json_errors () =
   let bad src =
     match Json.parse src with
@@ -84,7 +105,21 @@ let test_json_errors () =
         Alcotest.(check bool) ("message non-empty: " ^ src) true (String.length msg > 0)
   in
   List.iter bad
-    [ ""; "{"; "[1,"; "nul"; "1."; "-"; "\"abc"; "{\"a\" 1}"; "[1] trailing"; "01x"; "\"\\q\"" ]
+    [
+      "";
+      "{";
+      "[1,";
+      "nul";
+      "1.";
+      "-";
+      "\"abc";
+      "{\"a\" 1}";
+      "[1] trailing";
+      "01x";
+      "\"\\q\"";
+      "\"a\nb\"";
+      "\"a\\nb\x01\"";
+    ]
 
 let test_json_floats () =
   (* Shortest round-tripping representation, and no NaN/inf in the output. *)
@@ -2037,6 +2072,59 @@ let test_server_unix_close_after_send () =
       Server.stop server;
       Domain.join serving)
 
+(* A client that sends a flow and then half-closes its connection
+   ([SHUTDOWN_SEND]) reads exactly one complete answer and then end of
+   file; the request counts as served, and the next client is answered. *)
+let test_server_unix_half_close () =
+  with_default_session (fun session ->
+      let server = Server.create ~workers:1 session in
+      let path = temp_socket_path () in
+      let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      let other = client_channels path in
+      let served () =
+        let stats =
+          json_of (roundtrip (fst other) (snd other) {|{"schema":"rlc-service/1","kind":"stats"}|})
+        in
+        Option.get (Json.get_int (member "requests_served" stats))
+      in
+      let served0 = served () in
+      let fd = connect_client path in
+      let line = bus8_flow_request ~id:7 () ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let received = Buffer.create 65536 and chunk = Bytes.create 65536 in
+      let rec drain () =
+        match Unix.select [ fd ] [] [] 60. with
+        | [], _, _ -> Alcotest.fail "no end of file within 60 s"
+        | _ ->
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n > 0 then begin
+              Buffer.add_subbytes received chunk 0 n;
+              drain ()
+            end
+      in
+      drain ();
+      Unix.close fd;
+      let text = Buffer.contents received in
+      (match String.index_opt text '\n' with
+      | Some i when i = String.length text - 1 ->
+          let resp = json_of (String.sub text 0 i) in
+          Alcotest.(check (option int)) "its answer" (Some 7) (Json.get_int (member "id" resp));
+          Alcotest.(check (option bool)) "ok" (Some true) (Json.get_bool (member "ok" resp));
+          ignore (report_of resp)
+      | _ -> Alcotest.failf "expected one complete line before end of file, got %S" text);
+      Alcotest.(check int) "the flow and the first stats counted as served" (served0 + 2)
+        (served ());
+      let next = client_channels path in
+      let resp =
+        json_of (roundtrip (fst next) (snd next) {|{"schema":"rlc-service/1","kind":"ping","id":8}|})
+      in
+      Alcotest.(check (option int)) "next client answered" (Some 8) (Json.get_int (member "id" resp));
+      close_client next;
+      close_client other;
+      Server.stop server;
+      Domain.join serving)
+
 (* A client that trickles its request one byte at a time is answered once
    its newline arrives, and not before. *)
 let test_server_unix_trickle () =
@@ -2571,6 +2659,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "floats" `Quick test_json_floats;
+          QCheck_alcotest.to_alcotest prop_json_strings;
         ] );
       ( "protocol",
         [
@@ -2638,6 +2727,7 @@ let () =
             test_server_unix_hit_alloc;
           Alcotest.test_case "failures echo the envelope" `Quick
             test_server_unix_failure_envelopes;
+          Alcotest.test_case "a half-closed client" `Quick test_server_unix_half_close;
         ] );
       ( "telemetry",
         [
