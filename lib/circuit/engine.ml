@@ -503,11 +503,19 @@ let dc_solve ?(leak = 1e-12) c t =
 
 let dc_operating_point netlist = dc_solve (compile netlist) 0.
 
+(* How a step solves its system: a linear circuit's matrix, factored once in
+   place; a nonlinear circuit's pre-stamped linear part with its right-hand
+   side, copied into Newton scratch per iteration.  A circuit without
+   unknowns solves nothing. *)
+type solver =
+  | Factored of factored
+  | Newton of { base : sys; base_rhs : float array; newton_sys : sys }
+  | Nothing
+
 (* Per-transient solver state for the fast path: everything that is
-   time-invariant for a fixed dt is computed once here —
-   companion conductances, the assembled linear system matrix (factored
-   outright when the circuit has no nonlinear devices), the coupled-group
-   alpha*L^-1 matrices, and all solver scratch. *)
+   time-invariant for a fixed dt is computed once here --
+   companion conductances, the assembled linear system matrix, the
+   coupled-group alpha*L^-1 matrices, and all solver scratch. *)
 type transient_state = {
   caps_g : float array;
   inds_g : float array;
@@ -517,11 +525,7 @@ type transient_state = {
   isrc : float array;  (* current-source values at the step being taken *)
   rhs : float array;
   xsol : float array;  (* dense-solve unpermute scratch *)
-  linear_fact : factored option;  (* Some iff no nonlinear devices *)
-  (* Nonlinear path: pre-stamped linear matrix, per-iteration scratch. *)
-  base : sys;
-  base_rhs : float array;
-  newton_sys : sys;
+  solver : solver;
 }
 
 let make_transient_state c dt =
@@ -542,9 +546,10 @@ let make_transient_state c dt =
   mat c.caps caps_g;
   mat c.inds inds_g;
   Array.iteri (fun i k -> stamp_coupled_mat c base k galpha.(i)) c.coupled;
-  let linear_fact =
-    if Array.length c.nonlinears = 0 && c.n_unknown > 0 then Some (factorize (sys_copy base))
-    else None
+  let solver =
+    if c.n_unknown = 0 then Nothing
+    else if Array.length c.nonlinears = 0 then Factored (factorize base)
+    else Newton { base; base_rhs = Array.make c.n_unknown 0.; newton_sys = sys_copy base }
   in
   {
     caps_g;
@@ -555,10 +560,7 @@ let make_transient_state c dt =
     isrc = Array.make (Array.length c.isources) 0.;
     rhs = Array.make c.n_unknown 0.;
     xsol = Array.make c.n_unknown 0.;
-    linear_fact;
-    base;
-    base_rhs = Array.make c.n_unknown 0.;
-    newton_sys = sys_copy base;
+    solver;
   }
 
 (* ------------------------------------------------------- element passes *)
@@ -705,43 +707,42 @@ let commit c st (vnode : float array) =
    the pre-stamped linear system per Newton iteration instead of
    re-walking every element.  Returns the Newton iteration count. *)
 let fast_step c st vnode t =
-  if c.n_unknown = 0 then 0
-  else
-    match st.linear_fact with
-    | Some f ->
-        assemble_rhs c st st.rhs vnode;
-        factored_solve f st.rhs st.xsol;
-        scatter c vnode st.rhs;
-        1
-    | None ->
-        assemble_rhs c st st.base_rhs vnode;
-        let iter = ref 0 and converged = ref false in
-        while (not !converged) && !iter < newton_max do
-          incr iter;
-          sys_blit ~src:st.base ~dst:st.newton_sys;
-          Array.blit st.base_rhs 0 st.rhs 0 c.n_unknown;
-          Array.iter (fun dev -> stamp_nonlinear c st.newton_sys st.rhs vnode dev) c.nonlinears;
-          (match st.newton_sys with
-          | B b -> Banded.solve_in_place b st.rhs
-          | D m ->
-              let lu = Linalg.lu_factor_in_place m in
-              Linalg.lu_solve_into lu st.rhs st.xsol;
-              Array.blit st.xsol 0 st.rhs 0 c.n_unknown);
-          let worst = ref 0. in
-          for n = 1 to c.n_nodes - 1 do
-            let u = c.unknown_of_node.(n) in
-            if u >= 0 then begin
-              let dv = st.rhs.(u) -. vnode.(n) in
-              worst := Float.max !worst (Float.abs dv);
-              let dv = Float.max (-.dv_limit) (Float.min dv_limit dv) in
-              vnode.(n) <- vnode.(n) +. dv
-            end
-          done;
-          if !worst < newton_tol then converged := true
+  match st.solver with
+  | Nothing -> 0
+  | Factored f ->
+      assemble_rhs c st st.rhs vnode;
+      factored_solve f st.rhs st.xsol;
+      scatter c vnode st.rhs;
+      1
+  | Newton { base; base_rhs; newton_sys } ->
+      assemble_rhs c st base_rhs vnode;
+      let iter = ref 0 and converged = ref false in
+      while (not !converged) && !iter < newton_max do
+        incr iter;
+        sys_blit ~src:base ~dst:newton_sys;
+        Array.blit base_rhs 0 st.rhs 0 c.n_unknown;
+        Array.iter (fun dev -> stamp_nonlinear c newton_sys st.rhs vnode dev) c.nonlinears;
+        (match newton_sys with
+        | B b -> Banded.solve_in_place b st.rhs
+        | D m ->
+            let lu = Linalg.lu_factor_in_place m in
+            Linalg.lu_solve_into lu st.rhs st.xsol;
+            Array.blit st.xsol 0 st.rhs 0 c.n_unknown);
+        let worst = ref 0. in
+        for n = 1 to c.n_nodes - 1 do
+          let u = c.unknown_of_node.(n) in
+          if u >= 0 then begin
+            let dv = st.rhs.(u) -. vnode.(n) in
+            worst := Float.max !worst (Float.abs dv);
+            let dv = Float.max (-.dv_limit) (Float.min dv_limit dv) in
+            vnode.(n) <- vnode.(n) +. dv
+          end
         done;
-        if not !converged then
-          diverged t;
-        !iter
+        if !worst < newton_tol then converged := true
+      done;
+      if not !converged then
+        diverged t;
+      !iter
 
 (* The pre-factorization stepper: rebuild and refactor the whole system at
    every step (and every Newton iteration), exactly as the engine did before
@@ -1036,15 +1037,17 @@ let deviation_energy2 c (vhat : float array) =
     let di = inds.i_prev.(i) in
     w := !w +. (inds.value.(i) *. di *. di)
   done;
-  Array.iter
-    (fun k ->
-      let nb = Array.length k.k_branches in
-      for p = 0 to nb - 1 do
-        for q = 0 to nb - 1 do
-          w := !w +. (k.i_prev_k.(p) *. k.k_lmat.(p).(q) *. k.i_prev_k.(q))
-        done
-      done)
-    c.coupled;
+  (* A plain loop: a closure over the groups would capture [w] and box
+     every term. *)
+  for g = 0 to Array.length c.coupled - 1 do
+    let k = c.coupled.(g) in
+    let nb = Array.length k.k_branches in
+    for p = 0 to nb - 1 do
+      for q = 0 to nb - 1 do
+        w := !w +. (k.i_prev_k.(p) *. k.k_lmat.(p).(q) *. k.i_prev_k.(q))
+      done
+    done
+  done;
   !w
 
 (* Advance the peak watch past the sample just committed at [step]; [true]
@@ -1405,7 +1408,11 @@ let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
    stops. *)
 let step_lanes ~dt (lanes : lane array) =
   let m = Array.length lanes in
-  let facts = Array.map (fun l -> Option.get l.l_st.linear_fact) lanes in
+  let facts =
+    Array.map
+      (fun l -> match l.l_st.solver with Factored f -> f | Newton _ | Nothing -> assert false)
+      lanes
+  in
   let banded =
     Array.of_list (List.filter_map (function FB b -> Some b | FD _ -> None) (Array.to_list facts))
   in
@@ -1492,10 +1499,12 @@ let step_generic ~dt l =
    alone.  Newton and reference runs step alone on [step_generic].  Each
    pass records one step-loop span; the counters count lanes. *)
 let run_fixed ~obs ~dt (lanes : lane array) =
-  let kernel l = (not l.l_rebuild) && Option.is_some l.l_st.linear_fact in
+  let kernel l =
+    (not l.l_rebuild) && match l.l_st.solver with Factored _ -> true | Newton _ | Nothing -> false
+  in
   let shape l =
-    match l.l_st.linear_fact with
-    | Some (FB b) when kernel l -> Some (Banded.dim b, Banded.bandwidth b)
+    match l.l_st.solver with
+    | Factored (FB b) when kernel l -> Some (Banded.dim b, Banded.bandwidth b)
     | _ -> None
   in
   let passes = ref [] in
@@ -1711,6 +1720,7 @@ module Compiled = struct
     t_stop : float;
     record_nodes : Netlist.node list;
     until : crossing list;
+    until_peak : Netlist.node option;
   }
 
   let max_lanes = max_lanes
@@ -1737,7 +1747,8 @@ module Compiled = struct
           (Array.map
              (fun l ->
                lane_setup ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
-                 ~until_peak:None ~reassemble_per_step:false ~dt ~t_stop:l.t_stop l.handle)
+                 ~until_peak:l.until_peak ~reassemble_per_step:false ~dt ~t_stop:l.t_stop
+                 l.handle)
              lanes)
 
   (* The handle cache's structure key hashes topology only — node count
@@ -1787,7 +1798,10 @@ module Compiled = struct
      domain that built it, and handles are never shared across domains;
      the lane index keeps a batch's same-structure runs on distinct
      handles.  A domain holds at most [max_lanes] handles of a replay
-     ladder and five structures of a crosstalk flow. *)
+     ladder and, for a crosstalk flow, one per lane of each cluster
+     structure it steps: a noise and a driven structure per cluster shape,
+     each on as many lanes as its batches hold (eight handles on
+     [xtalk_bus]). *)
   let handles : (Domain.id * int * (int * int * int), handle) Rlc_obs.Memo.t =
     Rlc_obs.Memo.create ~capacity:256 ()
 

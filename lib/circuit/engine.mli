@@ -251,22 +251,31 @@ module Compiled : sig
     t_stop : float;
     record_nodes : Netlist.node list;
     until : crossing list;  (** [[]]: run to [t_stop] *)
+    until_peak : Netlist.node option;  (** [None]: no peak watch *)
   }
   (** One run of a {!run_lanes} batch: {!run}'s arguments of the same
       names, on its own handle. *)
 
   val max_lanes : int
   (** 8: the most runs the kernel interleaves, and the number of {!cached}
-      lanes. *)
+      lanes.  Each lane of a batch keeps its handle alive while the batch
+      steps, so callers size their batches by system size: the flow's
+      80-unknown replay ladders go eight to a batch, crosstalk clusters
+      (160 unknowns and up) two ([Rlc_xtalk.Xtalk.analyze]). *)
 
   val run_lanes :
     ?obs:Rlc_obs.Obs.t -> ?adaptive:adaptive -> dt:float -> lane array -> result array
   (** The lanes' runs, in lane order: each result is bit for bit
-      [run ?obs ?adaptive ~dt ~t_stop ~record_nodes ~until handle] on its
-      own (times, samples, step and Newton counts, exceptions), and raises
+      [run ?obs ?adaptive ~dt ~t_stop ~record_nodes ~until ?until_peak
+      handle] on its own (times, samples, step and Newton counts,
+      exceptions), and raises
       what that run would; the first failure aborts the batch.  Each lane
       keeps its own element values, sources, DC point, factorization,
-      [until] watch and trace, and stops at its own crossing or [t_stop].
+      [until] and [until_peak] watches and trace, and stops once its own
+      conditions hold or at [t_stop].
+
+      A lane's [until_peak] watch is {!run}'s: the noise runs of a
+      crosstalk analysis batch with it.
 
       Fixed-step linear lanes whose systems are banded with the same size
       and bandwidth -- runs of one netlist structure -- step together,

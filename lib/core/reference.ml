@@ -125,6 +125,7 @@ let far_timings ?obs ?(dt = 0.25e-12) ?adaptive replays =
                    List.map
                      (fun frac -> (far, rising rp.vdd frac, Measure.Rising))
                      [ 0.1; 0.5; 0.9 ];
+                 until_peak = None;
                })
              batch
          in

@@ -14,6 +14,16 @@ let float_of lineno s =
 
 let parse_res ?file src =
   let drivers = ref [] and inputs = ref [] and edges = ref [] and loads = ref [] in
+  (* Names seen on driver and input lines: a list lookup would make a
+     parse quadratic in nets. *)
+  let seen_drivers = Hashtbl.create 64 and seen_inputs = Hashtbl.create 64 in
+  let first seen net =
+    if Hashtbl.mem seen net then false
+    else begin
+      Hashtbl.add seen net ();
+      true
+    end
+  in
   let lines = String.split_on_char '\n' src in
   try
     List.iteri
@@ -35,13 +45,13 @@ let parse_res ?file src =
         match toks with
         | [] -> ()
         | [ "driver"; net; size ] ->
-            if List.mem_assoc net !drivers then
+            if not (first seen_drivers net) then
               raise (Err (lineno, "duplicate driver line for net " ^ net));
             let size = float_of lineno size in
             if size <= 0. then raise (Err (lineno, "driver size must be positive"));
             drivers := (net, size) :: !drivers
         | [ "input"; net; slew_ps ] ->
-            if List.mem_assoc net !inputs then
+            if not (first seen_inputs net) then
               raise (Err (lineno, "duplicate input line for net " ^ net));
             let slew_ps = float_of lineno slew_ps in
             if slew_ps <= 0. then raise (Err (lineno, "input slew must be positive"));

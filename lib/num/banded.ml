@@ -73,11 +73,46 @@ let factor t =
   done
 
 (* Forward and back substitution on lanes [0, k), interleaved row by row:
-   each lane runs the loops of a solve on its own in the same order, so its
-   result is bit for bit its own solve, while the division chains of
-   independent lanes overlap.  The unchecked accesses keep [factor]'s
-   invariant on every lane, which the checks up front establish: all share
-   [n] and [bw], and each right-hand side has [n] entries. *)
+   each lane runs the operations of a solve on its own in the same order, so
+   its result is bit for bit its own solve, while the division chains of
+   independent lanes overlap.  Forward substitution goes by rows: row i
+   subtracts f(i, r) b(r) for r from i - bw up to i - 1, skipping a zero
+   multiplier, which is the sequence a column-by-column elimination applies
+   to b(i) (the skip keeps the sign of a zero b(i)).  Back substitution
+   subtracts its row's terms in column order, then divides by the pivot.
+   The unchecked accesses keep [factor]'s invariant on every lane, which the
+   checks of [solve_factored_lanes] establish: all share [n] and [bw], and
+   each right-hand side has [n] entries. *)
+
+(* Forward substitution of rows [1, hi). *)
+let general_forward ts bs k ~bw ~w ~hi =
+  for i = 1 to hi - 1 do
+    let irow = (i * w) + bw - i in
+    for l = 0 to k - 1 do
+      let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+      let acc = ref (Array.unsafe_get b i) in
+      for r = Int.max 0 (i - bw) to i - 1 do
+        let f = Array.unsafe_get data (irow + r) in
+        if f <> 0. then acc := !acc -. (f *. Array.unsafe_get b r)
+      done;
+      Array.unsafe_set b i !acc
+    done
+  done
+
+(* Back substitution of rows [lo, n), last row first. *)
+let general_back ts bs k ~n ~bw ~w ~lo =
+  for i = n - 1 downto lo do
+    let irow = (i * w) + bw - i and hi = Int.min (n - 1) (i + bw) in
+    for l = 0 to k - 1 do
+      let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
+      let acc = ref (Array.unsafe_get b i) in
+      for j = i + 1 to hi do
+        acc := !acc -. (Array.unsafe_get data (irow + j) *. Array.unsafe_get b j)
+      done;
+      Array.unsafe_set b i (!acc /. Array.unsafe_get data (irow + i))
+    done
+  done
+
 let solve_factored_lanes ts (bs : float array array) k =
   if k < 0 || k > Array.length ts || k > Array.length bs then
     invalid_arg "Banded.solve_factored_lanes: lane count";
@@ -87,12 +122,12 @@ let solve_factored_lanes ts (bs : float array array) k =
       if ts.(l).n <> n || ts.(l).bw <> bw || Array.length bs.(l) <> n then
         invalid_arg "Banded.solve_factored_lanes: size mismatch"
     done;
+    let w = (2 * bw) + 1 in
     if bw = 1 && n > 0 then begin
-      (* Tridiagonal (every uniform ladder): the general loops below with
-         their one-entry inner loops unrolled, the same operations in the
-         same order; row i's entries (i, i-1), (i, i) and (i, i+1) sit at
-         3i, 3i + 1 and 3i + 2.  [cold_flow] measured it faster than the
-         general loops (EXPERIMENTS.md). *)
+      (* Tridiagonal (every uniform ladder): the general loops with their
+         one-entry inner loops unrolled; row i's entries (i, i-1), (i, i)
+         and (i, i+1) sit at 3i, 3i + 1 and 3i + 2.  [cold_flow] measured
+         it faster than the general loops (EXPERIMENTS.md). *)
       for r = 0 to n - 2 do
         let i3 = 3 * (r + 1) in
         for l = 0 to k - 1 do
@@ -102,11 +137,7 @@ let solve_factored_lanes ts (bs : float array array) k =
             Array.unsafe_set b (r + 1) (Array.unsafe_get b (r + 1) -. (f *. Array.unsafe_get b r))
         done
       done;
-      for l = 0 to k - 1 do
-        let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
-        Array.unsafe_set b (n - 1)
-          (Array.unsafe_get b (n - 1) /. Array.unsafe_get data ((3 * n) - 2))
-      done;
+      general_back ts bs k ~n ~bw ~w ~lo:(n - 1);
       for i = n - 2 downto 0 do
         for l = 0 to k - 1 do
           let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
@@ -118,31 +149,53 @@ let solve_factored_lanes ts (bs : float array array) k =
         done
       done
     end
-    else begin
-      let w = (2 * bw) + 1 in
-      (* Forward: apply the stored multipliers (unit lower triangle). *)
-      for r = 0 to n - 1 do
-        let hi = Int.min (n - 1) (r + bw) in
+    else if (bw = 2 || bw = 3) && n > bw then begin
+      (* Bandwidths 2 and 3 (coupled clusters): the general loops with their
+         inner loops unrolled, past the first and last [bw] rows, which have
+         fewer terms and keep the general loops.  Row i's entry (i, j) sits
+         at [i*w + bw + j - i].  [xtalk_bus] measured it faster than the
+         general loops (EXPERIMENTS.md). *)
+      let three = bw = 3 in
+      general_forward ts bs k ~bw ~w ~hi:bw;
+      for i = bw to n - 1 do
+        let irow = i * w in
         for l = 0 to k - 1 do
           let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
-          let br = Array.unsafe_get b r in
-          for i = r + 1 to hi do
-            let f = Array.unsafe_get data ((i * w) + bw - i + r) in
-            if f <> 0. then Array.unsafe_set b i (Array.unsafe_get b i -. (f *. br))
-          done
+          let acc = Array.unsafe_get b i in
+          let acc =
+            if three then
+              let f = Array.unsafe_get data irow in
+              if f <> 0. then acc -. (f *. Array.unsafe_get b (i - 3)) else acc
+            else acc
+          in
+          let f = Array.unsafe_get data (irow + bw - 2) in
+          let acc = if f <> 0. then acc -. (f *. Array.unsafe_get b (i - 2)) else acc in
+          let f = Array.unsafe_get data (irow + bw - 1) in
+          let acc = if f <> 0. then acc -. (f *. Array.unsafe_get b (i - 1)) else acc in
+          Array.unsafe_set b i acc
         done
       done;
-      for i = n - 1 downto 0 do
-        let irow = (i * w) + bw - i and hi = Int.min (n - 1) (i + bw) in
+      general_back ts bs k ~n ~bw ~w ~lo:(n - bw);
+      for i = n - bw - 1 downto 0 do
+        let d = (i * w) + bw in
         for l = 0 to k - 1 do
           let data = (Array.unsafe_get ts l).data and b = Array.unsafe_get bs l in
-          let acc = ref (Array.unsafe_get b i) in
-          for j = i + 1 to hi do
-            acc := !acc -. (Array.unsafe_get data (irow + j) *. Array.unsafe_get b j)
-          done;
-          Array.unsafe_set b i (!acc /. Array.unsafe_get data (irow + i))
+          let acc =
+            Array.unsafe_get b i
+            -. (Array.unsafe_get data (d + 1) *. Array.unsafe_get b (i + 1))
+            -. (Array.unsafe_get data (d + 2) *. Array.unsafe_get b (i + 2))
+          in
+          let acc =
+            if three then acc -. (Array.unsafe_get data (d + 3) *. Array.unsafe_get b (i + 3))
+            else acc
+          in
+          Array.unsafe_set b i (acc /. Array.unsafe_get data d)
         done
       done
+    end
+    else begin
+      general_forward ts bs k ~bw ~w ~hi:n;
+      general_back ts bs k ~n ~bw ~w ~lo:0
     end
   end
 

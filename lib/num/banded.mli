@@ -48,9 +48,17 @@ val solve_factored : t -> float array -> unit
 val solve_factored_lanes : t array -> float array array -> int -> unit
 (** [solve_factored_lanes ts bs k] overwrites [bs.(l)] with the solution
     for [ts.(l)] on every lane [l < k], each bit for bit what
-    [solve_factored ts.(l) bs.(l)] gives alone: every lane runs the same
-    forward and back loops in the same order, interleaved row by row so
-    that the division chains of independent lanes overlap.  The [k]
+    [solve_factored ts.(l) bs.(l)] gives alone: every lane does the same
+    floating-point operations in the same order, interleaved row by row so
+    that the division chains of independent lanes overlap.  Forward
+    substitution subtracts row i's terms f(i, r) b(r) for r from i - bw up
+    to i - 1 and skips a zero multiplier, the sequence a column-by-column
+    elimination applies to b(i), signs of zero included; back substitution
+    subtracts row i's terms in column order, then divides by the pivot.
+    Bandwidth 1 and, on systems larger than their band, bandwidths 2 and 3
+    run those loops unrolled (the ladders of a flow and the coupled
+    clusters of a crosstalk analysis), with the same operations in the
+    same order, so every width gives the general loops' bits.  The [k]
     matrices must share dimension and bandwidth, each right-hand side must
     match that dimension, and no two lanes may share a right-hand side;
     otherwise [Invalid_argument] (sharing is not checked).  Entries of [ts]

@@ -49,39 +49,38 @@ let falling ~vdd t = Array.map (fun (x, v) -> (x, vdd -. v)) t
 let end_time t = fst t.(Array.length t - 1)
 
 let to_waveform ?(n = 256) ?t_end t =
+  if n < 2 then invalid_arg "Pwl.to_waveform: n must be at least 2";
   let t0 = fst t.(0) in
   let t1 = match t_end with Some te -> Float.max te (end_time t) | None -> end_time t in
   let t1 = if t1 > t0 then t1 else t0 +. 1e-15 in
-  (* Uniform sampling plus exact breakpoints so kinks are preserved.  This
-     sits in the Ceff replay path, so build the time axis with monomorphic
-     float sorting over one array and dedupe in place — no polymorphic
-     [compare] dispatch, no intermediate lists. *)
-  let nb = Array.length t in
-  let all = Array.make (n + nb) t1 in
+  (* Uniform sampling plus exact breakpoints so kinks are preserved.  The
+     grid and the breakpoints up to [t1] are each sorted, so the axis is
+     their merge with repeats dropped, built without a sort (a generic
+     sort would box both floats of every comparison). *)
   let span = t1 -. t0 and nf = float_of_int (n - 1) in
-  for i = 0 to n - 1 do
-    all.(i) <- t0 +. (span *. float_of_int i /. nf)
-  done;
-  let kept = ref n in
-  for i = 0 to nb - 1 do
-    let x = fst t.(i) in
-    if x <= t1 then begin
-      all.(!kept) <- x;
-      incr kept
+  let nb = ref 0 in
+  while !nb < Array.length t && fst t.(!nb) <= t1 do incr nb done;
+  let nb = !nb in
+  let all = Array.make (n + nb) 0. in
+  let m = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < n || !j < nb do
+    let g = if !i < n then t0 +. (span *. float_of_int !i /. nf) else Float.infinity in
+    let x =
+      if !j < nb && not (g <= fst t.(!j)) then begin
+        incr j;
+        fst t.(!j - 1)
+      end
+      else begin
+        incr i;
+        g
+      end
+    in
+    if !m = 0 || x <> all.(!m - 1) then begin
+      all.(!m) <- x;
+      incr m
     end
   done;
-  let m = !kept in
-  let all = if m = Array.length all then all else Array.sub all 0 m in
-  Array.sort Float.compare all;
-  (* In-place dedupe of the sorted axis. *)
-  let w = ref 1 in
-  for r = 1 to m - 1 do
-    if all.(r) <> all.(!w - 1) then begin
-      all.(!w) <- all.(r);
-      incr w
-    end
-  done;
-  let ts = Array.sub all 0 !w in
+  let ts = Array.sub all 0 !m in
   Waveform.create ~ts ~vs:(Array.map (eval t) ts)
 
 let pp fmt t =

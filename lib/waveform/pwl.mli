@@ -35,7 +35,10 @@ val falling : vdd:float -> t -> t
 (** Mirror a rising 0->vdd source into a falling vdd->0 one. *)
 
 val to_waveform : ?n:int -> ?t_end:float -> t -> Waveform.t
-(** Sample including all breakpoints; [t_end] extends the final hold value. *)
+(** Sample on [n] (default 256, at least 2, else [Invalid_argument])
+    uniform points from the first breakpoint to the end, plus every
+    breakpoint up to the end, repeats dropped; [t_end] extends the final
+    hold value past the last breakpoint. *)
 
 val end_time : t -> float
 val pp : Format.formatter -> t -> unit

@@ -25,15 +25,27 @@ let drive_start members =
       match m.drive with None -> acc | Some p -> Float.min acc (fst (List.hd (Pwl.points p))))
     Float.infinity members
 
-let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = false) ?horizon
-    ~dt ~victim ~aggressors () =
+type run = {
+  victim : member;
+  aggressors : (member * float) list;
+  until : (float * Waveform.direction) list;
+  until_peak : bool;
+  horizon : float option;
+}
+
+let check ~n_segments ~dt aggressors =
   if n_segments < 1 then invalid_arg "Rlc_xtalk.Cluster.simulate: need at least one segment";
   if dt <= 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: dt must be positive";
   List.iter
     (fun (_, cc) ->
       if cc < 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: negative coupling capacitance")
-    aggressors;
-  let members = victim :: List.map fst aggressors in
+    aggressors
+
+(* One run's engine lane on lane [lane] of the handle cache, its victim far
+   end and the shift of its drives.  The netlist is garbage once the handle
+   has its values: a batch holds only the handles while it steps. *)
+let prepare ?obs ~n_segments ~dt ~lane (r : run) =
+  let members = r.victim :: List.map fst r.aggressors in
   (* Shift all drives by a common offset so the earliest one starts after
      t = 0 (the DC point must see the quiescent state); the recorded
      waveform is shifted back before returning. *)
@@ -55,7 +67,7 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = 
         1e-9 members
     in
     let full = drive_end +. settle in
-    match horizon with None -> full | Some h -> Float.min full (Float.max dt (h +. shift))
+    match r.horizon with None -> full | Some h -> Float.min full (Float.max dt (h +. shift))
   in
   (* Node and element names are constant: a cluster is rebuilt for every
      transient, and nothing reads the names of a well-formed one. *)
@@ -77,7 +89,7 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = 
         (Line.total_r m.line /. fn, Line.total_l m.line /. fn, Line.total_c m.line /. fn))
       members
   in
-  let dccs = Array.of_list (List.map (fun (_, cc) -> cc /. fn) aggressors) in
+  let dccs = Array.of_list (List.map (fun (_, cc) -> cc /. fn) r.aggressors) in
   let prev = ref nears in
   for _ = 1 to n_segments do
     (* Interleave member nodes per segment so coupling caps connect nearby
@@ -100,17 +112,50 @@ let simulate ?obs ?(n_segments = default_segments) ?(until = []) ?(until_peak = 
   Array.iteri
     (fun j m -> if m.cl > 0. then Netlist.capacitor nl ~name:"CL" fars.(j) Netlist.ground m.cl)
     members;
+  let far = fars.(0) in
   (* Aligned worst-case sweeps re-simulate the same coupled cluster with
      shifted aggressor sources: same topology, new source closures — the
      cheapest possible restamp for the compiled-handle cache. *)
-  let r =
-    Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ]
-      ~until:(List.map (fun (level, dir) -> (fars.(0), level, dir)) until)
-      ?until_peak:(if until_peak then Some fars.(0) else None)
-      ~dt ~t_stop
-      (Engine.Compiled.cached ?obs nl)
+  ( {
+      Engine.Compiled.handle = Engine.Compiled.cached ?obs ~lane nl;
+      t_stop;
+      record_nodes = [ far ];
+      until = List.map (fun (level, dir) -> (far, level, dir)) r.until;
+      until_peak = (if r.until_peak then Some far else None);
+    },
+    far,
+    shift )
+
+(* The checked runs [(lane, run)], each on its own lane of the handle cache
+   (no two on one lane), stepped as one engine batch. *)
+let on_lanes ?obs ~n_segments ~dt (runs : (int * run) array) =
+  let prepared = Array.map (fun (lane, r) -> prepare ?obs ~n_segments ~dt ~lane r) runs in
+  let results =
+    Engine.Compiled.run_lanes ?obs ~dt (Array.map (fun (lane, _, _) -> lane) prepared)
   in
-  Waveform.shift_time (-.shift) (Engine.voltage r fars.(0))
+  Array.mapi
+    (fun i res ->
+      let _, far, shift = prepared.(i) in
+      Waveform.shift_time (-.shift) (Engine.voltage res far))
+    results
+
+(* [f] on consecutive groups of at most [max_lanes] cases, which fit on
+   distinct lanes. *)
+let in_groups f cases =
+  let n = Array.length cases and width = Engine.Compiled.max_lanes in
+  Array.concat
+    (List.init ((n + width - 1) / width) (fun g ->
+         f (Array.sub cases (g * width) (Int.min width (n - (g * width))))))
+
+let simulate_batch ?obs ?(n_segments = default_segments) ~dt runs =
+  Array.iter (fun (r : run) -> check ~n_segments ~dt r.aggressors) runs;
+  in_groups
+    (fun group -> on_lanes ?obs ~n_segments ~dt (Array.mapi (fun j r -> (j, r)) group))
+    runs
+
+let simulate ?obs ?n_segments ?(until = []) ?(until_peak = false) ?horizon ~dt ~victim
+    ~aggressors () =
+  (simulate_batch ?obs ?n_segments ~dt [| { victim; aggressors; until; until_peak; horizon } |]).(0)
 
 (* ------------------------------------------------------ alignment sweep *)
 
@@ -138,27 +183,36 @@ let hold m =
    holds the victim and switches the unshifted aggressors, and [a0] is the
    quiescent level both start from.  [v] stops at its 90 % crossing and [a]
    covers every shift of [v]'s window; an offset's screen window is where
-   both exist.
+   both exist. *)
+let v_run ~vdd ~victim ~aggressors =
+  {
+    victim;
+    aggressors = List.map (fun (m, cc) -> (hold m, cc)) aggressors;
+    until = [ (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.9, Measure.Rising) ];
+    until_peak = false;
+    horizon = None;
+  }
 
-   On a [dt] grid from the earliest real run's first sample, an offset's
+let a_run ~v ~victim ~aggressors offsets =
+  let off_lo = Array.fold_left Float.min Float.infinity offsets in
+  {
+    victim = hold victim;
+    aggressors;
+    until = [];
+    until_peak = false;
+    horizon = Some (Waveform.t_end v -. off_lo);
+  }
+
+(* On a [dt] grid from the earliest real run's first sample, an offset's
    bracket is the superposed far end's first crossings of level -/+ eps.
    While the real run stays within eps of it, its first crossing of the
    level lies inside the bracket, so an offset whose bracket ends before
    another's starts cannot be the worst.  Returns which offsets must run
    -- the others, plus every one whose bracket the window cannot resolve
    -- and the check of a real run's samples against the superposition. *)
-let screen ~run ~dt ~vdd ~level ~victim ~aggressors offsets =
+let screen ~dt ~vdd ~level ~victim ~aggressors ~v ~a offsets =
   let eps = screen_margin *. vdd in
   let off_lo = Array.fold_left Float.min Float.infinity offsets in
-  let v =
-    run
-      ~until:[ (Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.9, Measure.Rising) ]
-      ~horizon:None ~victim
-      ~aggressors:(List.map (fun (m, cc) -> (hold m, cc)) aggressors)
-  in
-  let a =
-    run ~until:[] ~horizon:(Some (Waveform.t_end v -. off_lo)) ~victim:(hold victim) ~aggressors
-  in
   let a0 = Waveform.value_at a (Waveform.t_start a) in
   let superposed off t = Waveform.value_at v t +. Waveform.value_at a (t -. off) -. a0 in
   let window off = Float.min (Waveform.t_end v) (Waveform.t_end a +. off) in
@@ -219,62 +273,152 @@ let screen ~run ~dt ~vdd ~level ~victim ~aggressors offsets =
   in
   (must, agrees)
 
-let worst_crossing ?obs ?n_segments ~dt ~vdd ~victim ~aggressors offsets =
-  let exception Unreached of int in
+type sweep = { victim : member; aggressors : (member * float) list; offsets : float array }
+
+(* A group of at most [max_lanes] sweeps, sweep [j] on lane [j] for every
+   run, so that its runs restamp only sources.  Phase by phase, each phase
+   one batch over the sweeps: every screened sweep's [v] run, then its [a]
+   run, then every offset its screen marks (all of them when there are
+   three or fewer), speculatively, one offset per sweep and pass.  Then
+   each sweep is walked in offset order as a lone sweep runs it: a run
+   that disagrees with the screen runs every offset not run yet (a
+   fallback), and the first offset in order that never reaches the level
+   is the error.  The speculative runs are those the walk would make; only
+   a walk that ends in an error may leave some of them unread. *)
+let sweep_group ?obs ~n_segments ~dt ~vdd (sweeps : sweep array) =
   let o = Option.value obs ~default:Obs.null in
-  let n = Array.length offsets in
+  let m = Array.length sweeps in
   let level = Measure.level_of_frac ~vdd ~edge:Measure.Rising ~frac:0.5 in
-  let crossed = Array.make n None in
-  let run k =
-    let far =
-      simulate ?obs ?n_segments ~until:[ (level, Measure.Rising) ] ~dt ~victim
-        ~aggressors:(at_offset offsets.(k) aggressors) ()
+  (* One batch of the runs [f j] returns, by sweep. *)
+  let phase f =
+    let runs =
+      List.init m (fun j -> Option.map (fun r -> (j, r)) (f j))
+      |> List.filter_map Fun.id |> Array.of_list
     in
-    Obs.incr o "xtalk.alignment_sweeps";
-    Obs.add o "xtalk.alignment_steps" (Waveform.length far - 1);
-    match Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 with
-    | Some d ->
-        crossed.(k) <- Some d;
-        far
-    | None -> raise (Unreached k)
+    let out = Array.make m None in
+    Array.iteri (fun i w -> out.(fst runs.(i)) <- Some w) (on_lanes ?obs ~n_segments ~dt runs);
+    out
   in
-  (* Every offset below [limit] that has not run yet, in order: the first
-     that never reaches the level is the one the plain loop would name. *)
-  let rest limit =
-    for k = 0 to limit - 1 do
-      if Option.is_none crossed.(k) then ignore (run k)
-    done
+  let counted ws =
+    Array.iter
+      (Option.iter (fun w ->
+           Obs.incr o "xtalk.screen_runs";
+           Obs.add o "xtalk.screen_steps" (Waveform.length w - 1)))
+      ws;
+    ws
   in
-  let sweep () =
-    (* Two screen runs cost more than a sweep this short. *)
-    if n <= 3 then rest n
-    else
-      let screen_run ~until ~horizon ~victim ~aggressors =
-        let w = simulate ?obs ?n_segments ~until ?horizon ~dt ~victim ~aggressors () in
-        Obs.incr o "xtalk.screen_runs";
-        Obs.add o "xtalk.screen_steps" (Waveform.length w - 1);
-        w
-      in
-      let must, agrees = screen ~run:screen_run ~dt ~vdd ~level ~victim ~aggressors offsets in
-      let rec confirm k =
-        if k < n then
-          if not must.(k) then confirm (k + 1)
-          else
-            match run k with
-            | far when agrees k far -> confirm (k + 1)
-            | _ ->
-                Obs.incr o "xtalk.screen_fallbacks";
-                rest n
-            | exception Unreached k ->
-                rest k;
-                raise (Unreached k)
-      in
-      confirm 0
+  (* Two screen runs cost more than a sweep of three offsets or fewer. *)
+  let vs =
+    counted
+      (phase (fun j ->
+           let sw = sweeps.(j) in
+           if Array.length sw.offsets <= 3 then None
+           else Some (v_run ~vdd ~victim:sw.victim ~aggressors:sw.aggressors)))
   in
-  match sweep () with
-  | () ->
-      Ok
-        (Array.fold_left
-           (fun acc c -> match c with Some d -> Float.max acc d | None -> acc)
-           Float.neg_infinity crossed)
-  | exception Unreached k -> Error offsets.(k)
+  let as_ =
+    counted
+      (phase (fun j ->
+           let sw = sweeps.(j) in
+           Option.map
+             (fun v -> a_run ~v ~victim:sw.victim ~aggressors:sw.aggressors sw.offsets)
+             vs.(j)))
+  in
+  let plans =
+    Array.mapi
+      (fun j sw ->
+        match (vs.(j), as_.(j)) with
+        | Some v, Some a ->
+            screen ~dt ~vdd ~level ~victim:sw.victim ~aggressors:sw.aggressors ~v ~a sw.offsets
+        | _ -> (Array.make (Array.length sw.offsets) true, fun _ _ -> true))
+      sweeps
+  in
+  (* Per offset: not run yet, or its first 50 % crossing ([None]: never
+     reached) and, for a marked offset, whether the run agrees with the
+     screen. *)
+  let outcomes = Array.map (fun sw -> Array.make (Array.length sw.offsets) None) sweeps in
+  (* One alignment run at offset [next j] per sweep that has one. *)
+  let align next =
+    let ks = Array.init m next in
+    let runs =
+      phase (fun j ->
+          Option.map
+            (fun k ->
+              let sw = sweeps.(j) in
+              {
+                victim = sw.victim;
+                aggressors = at_offset sw.offsets.(k) sw.aggressors;
+                until = [ (level, Measure.Rising) ];
+                until_peak = false;
+                horizon = None;
+              })
+            ks.(j))
+    in
+    Array.iteri
+      (fun j far ->
+        Option.iter
+          (fun far ->
+            let k = Option.get ks.(j) in
+            Obs.incr o "xtalk.alignment_sweeps";
+            Obs.add o "xtalk.alignment_steps" (Waveform.length far - 1);
+            let crossed = Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 in
+            let must, agrees = plans.(j) in
+            outcomes.(j).(k) <- Some (crossed, Option.is_some crossed && must.(k) && agrees k far))
+          far)
+      runs
+  in
+  (* The speculative passes: pass [p] runs each sweep's [p]-th marked
+     offset. *)
+  let marked =
+    Array.map
+      (fun (must, _) -> List.filter (fun k -> must.(k)) (List.init (Array.length must) Fun.id))
+      plans
+  in
+  while Array.exists (( <> ) []) marked do
+    align (fun j -> match marked.(j) with k :: _ -> Some k | [] -> None);
+    Array.iteri (fun j ks -> marked.(j) <- (match ks with [] -> [] | _ :: rest -> rest)) marked
+  done;
+  let walk j =
+    let exception Unreached of int in
+    let outcome = outcomes.(j) and must = fst plans.(j) in
+    let n = Array.length outcome in
+    (* Offset [k]'s run, alone if it has not run yet. *)
+    let run k =
+      if Option.is_none outcome.(k) then align (fun i -> if i = j then Some k else None);
+      match outcome.(k) with Some (Some _, agrees) -> agrees | _ -> raise (Unreached k)
+    in
+    (* Every offset below [limit], in order: the first that never reaches
+       the level is the one a loop over every offset would name. *)
+    let rest limit =
+      for k = 0 to limit - 1 do
+        ignore (run k)
+      done
+    in
+    let rec confirm k =
+      if k < n then
+        if not must.(k) then confirm (k + 1)
+        else
+          match run k with
+          | true -> confirm (k + 1)
+          | false ->
+              Obs.incr o "xtalk.screen_fallbacks";
+              rest n
+          | exception Unreached k ->
+              rest k;
+              raise (Unreached k)
+    in
+    match confirm 0 with
+    | () ->
+        Ok
+          (Array.fold_left
+             (fun acc c -> match c with Some (Some d, _) -> Float.max acc d | _ -> acc)
+             Float.neg_infinity outcome)
+    | exception Unreached k -> Error sweeps.(j).offsets.(k)
+  in
+  Array.init m walk
+
+let worst_crossings ?obs ?(n_segments = default_segments) ~dt ~vdd sweeps =
+  Array.iter (fun (sw : sweep) -> check ~n_segments ~dt sw.aggressors) sweeps;
+  in_groups (sweep_group ?obs ~n_segments ~dt ~vdd) sweeps
+
+let worst_crossing ?obs ?n_segments ~dt ~vdd ~victim ~aggressors offsets =
+  (worst_crossings ?obs ?n_segments ~dt ~vdd [| { victim; aggressors; offsets } |]).(0)

@@ -77,7 +77,31 @@ val simulate :
 
     A cluster is linear, so its far end is the sum of the responses to
     each drive's moves from its initial value; {!worst_crossing} screens
-    with that. *)
+    with that.
+
+    It is {!simulate_batch} of one run. *)
+
+type run = {
+  victim : member;
+  aggressors : (member * float) list;  (** [(aggressor, cc_total)] *)
+  until : (float * Rlc_waveform.Waveform.direction) list;
+  until_peak : bool;
+  horizon : float option;
+}
+(** One cluster transient: {!simulate}'s arguments of the same names. *)
+
+val simulate_batch :
+  ?obs:Rlc_obs.Obs.t -> ?n_segments:int -> dt:float -> run array -> Rlc_waveform.Waveform.t array
+(** The victim far ends of the runs, in order, each bit for bit
+    [simulate ?obs ?n_segments ~until ~until_peak ?horizon ~dt ~victim
+    ~aggressors ()] alone, with its exceptions (every run's arguments are
+    checked before any runs).  Runs go in consecutive groups of
+    {!Rlc_circuit.Engine.Compiled.max_lanes}, run [j] of a group on lane
+    [j] of the compiled-handle cache; the engine steps a group's runs of
+    one cluster structure in lock-step
+    ({!Rlc_circuit.Engine.Compiled.run_lanes}).  Each run's netlist is
+    dropped once its handle holds the values, so a group keeps only its
+    handles alive while it steps. *)
 
 val worst_crossing :
   ?obs:Rlc_obs.Obs.t ->
@@ -104,12 +128,55 @@ val worst_crossing :
     A margin of [1e-3 * vdd] around the 50 % level brackets each offset's
     crossing; an offset is run when its bracket reaches past the latest
     lower end of any bracket, or when the screen's windows cannot resolve
-    it.  Runs go in array order, and each one's samples are checked
-    against the superposition: a gap over half the margin runs every
-    remaining offset (a fallback).  Arrays of three offsets or fewer run
-    every offset, as two screen runs would cost more.
+    it.  Runs are checked in array order, each one's samples against the
+    superposition: a gap over half the margin runs every remaining offset
+    (a fallback).  Arrays of three offsets or fewer run every offset, as
+    two screen runs would cost more.
 
     [obs] counts ["xtalk.alignment_sweeps"] (runs at an offset) with their
     steps in ["xtalk.alignment_steps"], ["xtalk.screen_runs"] with their
     steps in ["xtalk.screen_steps"], and ["xtalk.screen_fallbacks"]; the
-    engine's own spans and counters cover every run. *)
+    engine's own spans and counters cover every run.
+
+    It is {!worst_crossings} of one sweep. *)
+
+type sweep = {
+  victim : member;
+  aggressors : (member * float) list;
+  offsets : float array;
+}
+(** One alignment sweep: {!worst_crossing}'s arguments of the same names. *)
+
+val worst_crossings :
+  ?obs:Rlc_obs.Obs.t ->
+  ?n_segments:int ->
+  dt:float ->
+  vdd:float ->
+  sweep array ->
+  (float, float) result array
+(** Each sweep's {!worst_crossing}, in order and bit for bit, stepping the
+    sweeps' transients together.  Sweeps go in consecutive groups of
+    {!Rlc_circuit.Engine.Compiled.max_lanes}, sweep [j] of a group on lane
+    [j] of the compiled-handle cache for every one of its runs, so they
+    restamp only sources and keep their factorization and DC point.  A
+    group runs in phases, each one batch over its sweeps
+    ({!simulate_batch}'s lock-step): every screened sweep's first screen
+    run; then its second, whose window comes from the first; then every
+    offset the screen marks, speculatively, one per sweep and pass (every
+    offset of a sweep of three or fewer).  Then each sweep is walked in
+    offset order, as {!worst_crossing} describes: a run that disagrees
+    with the screen runs that sweep's remaining offsets alone (the
+    fallback), and a run that never reaches 50 % first runs the unrun
+    offsets before it, so the error names the first such offset in array
+    order.
+
+    The runs are the ones each sweep alone would make, so every
+    ["xtalk.*"] counter, ["engine.transients"] and ["engine.steps"] read
+    what one {!worst_crossing} per sweep reads, except on a sweep that
+    ends in an [Error]: its speculative runs past the failing offset also
+    count in ["xtalk.alignment_sweeps"] and ["xtalk.alignment_steps"] and
+    the engine's counters.  ["engine.handle.hits"] and
+    ["engine.handle.misses"] do move: each lane of a group holds its own
+    handle.  Every sweep's arguments are checked first: a negative
+    coupling capacitance, [n_segments < 1] or [dt <= 0] raises
+    [Invalid_argument], as in {!simulate}. *)

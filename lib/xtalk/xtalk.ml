@@ -84,6 +84,13 @@ let offsets ~span n =
   if n <= 1 then [| 0. |]
   else Array.init n (fun k -> -.span +. (2. *. span *. float_of_int k /. float_of_int (n - 1)))
 
+(* Clusters a chunk steps as lanes of one batch.  Each lane keeps its
+   handle alive while the batch steps (a three-member, 40-segment cluster's
+   holds about 6.7K words): on [xtalk_bus] four lanes a chunk ran no faster
+   than two beyond the spread, at 10 % more peak RSS, and eight ran slower
+   (EXPERIMENTS.md). *)
+let chunk_width = 2
+
 (* The nested grid 9 -> 17 -> ... -> 257: a bound on the per-request cost
    and on the offsets array a client can make the analysis allocate. *)
 let max_alignments = 257
@@ -160,81 +167,127 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
     }
   in
   let jobs = Array.of_list screened_victims in
-  let sim_results =
-    Pool.map ~obs pool (Array.length jobs) (fun k ->
-        let v, pairs = jobs.(k) in
-        let survivors = List.filter (fun p -> not p.screened) pairs in
-        if survivors = [] then None
-        else begin
-          let t0 = Obs.start obs in
-          let vm = model_of v in
-          let isolated = (solve_of v).Flow.stage_delay in
-          (* Noise: quiet victim, every surviving aggressor rising on
-             its own model waveform, simultaneous starts (worst for a
-             same-polarity capacitive sum). *)
-          let rising =
-            List.map
-              (fun p ->
-                ( member_of ~drive:(model_of p.aggressor).Driver_model.pwl p.aggressor,
-                  p.cc ))
-              survivors
-          in
-          let far =
-            Cluster.simulate ~obs ~n_segments:config.Config.n_segments ~until_peak:true
-              ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
-          in
-          Obs.add obs "xtalk.noise_steps" (Waveform.length far - 1);
-          (* The run stopped once its peak was proved final, so this is
-             the full window's maximum, bit for bit. *)
-          let noise = Waveform.v_max far in
-          (* Delay: victim switches on its own model waveform, the
-             aggressors oppose it (Miller worst case); sweep their
-             common start over the alignment grid and keep the worst
-             far-end 50 % crossing. *)
+  let survivors_of k = List.filter (fun p -> not p.screened) (snd jobs.(k)) in
+  (* The victims that have survivors, in chunks of one cluster shape (its
+     member count) of [chunk_width] each: a chunk's clusters step as lanes
+     of one batch.  The chunks depend only on the design, not on the
+     pool. *)
+  let chunks =
+    let shape k = 1 + List.length (survivors_of k) in
+    let ids = List.init (Array.length jobs) Fun.id in
+    let rec split = function
+      | [] -> []
+      | ks ->
+          List.filteri (fun i _ -> i < chunk_width) ks
+          :: split (List.filteri (fun i _ -> i >= chunk_width) ks)
+    in
+    List.sort_uniq compare (List.map shape ids)
+    |> List.concat_map (fun members ->
+           if members = 1 then [] else split (List.filter (fun k -> shape k = members) ids))
+    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+    |> List.map Array.of_list |> Array.of_list
+  in
+  let simulate_chunk chunk =
+    let t0 = Obs.start obs in
+    let victims = Array.map (fun k -> fst jobs.(k)) chunk in
+    let survivors = Array.map survivors_of chunk in
+    (* Noise: quiet victim, every surviving aggressor rising on its own
+       model waveform, simultaneous starts (worst for a same-polarity
+       capacitive sum).  Each run stops once its peak is proved final, so
+       its maximum is the full window's, bit for bit. *)
+    let noise =
+      Cluster.simulate_batch ~obs ~n_segments:config.Config.n_segments ~dt:config.Config.dt
+        (Array.mapi
+           (fun i v ->
+             {
+               Cluster.victim = member_of v;
+               aggressors =
+                 List.map
+                   (fun p ->
+                     (member_of ~drive:(model_of p.aggressor).Driver_model.pwl p.aggressor, p.cc))
+                   survivors.(i);
+               until = [];
+               until_peak = true;
+               horizon = None;
+             })
+           victims)
+      |> Array.map (fun far ->
+             Obs.add obs "xtalk.noise_steps" (Waveform.length far - 1);
+             Waveform.v_max far)
+    in
+    (* Delay: victim switches on its own model waveform, the aggressors
+       oppose it (Miller worst case); sweep their common start over the
+       alignment grid and keep the worst far-end 50 % crossing. *)
+    let sweeps =
+      Array.mapi
+        (fun i v ->
+          let survivors = survivors.(i) in
           let span =
             List.fold_left
-              (fun acc p ->
-                Float.max acc (Driver_model.transition_end (model_of p.aggressor)))
+              (fun acc p -> Float.max acc (Driver_model.transition_end (model_of p.aggressor)))
               ((solve_of v).Flow.stage_delay +. (solve_of v).Flow.far_slew)
               survivors
           in
-          let falling =
-            List.map
-              (fun p ->
-                let m = model_of p.aggressor in
-                ( member_of ~drive:(Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl)
-                    p.aggressor,
-                  p.cc ))
-              survivors
-          in
-          let worst =
-            match
-              Cluster.worst_crossing ~obs ~n_segments:config.Config.n_segments
-                ~dt:config.Config.dt ~vdd ~victim:(member_of ~drive:vm.Driver_model.pwl v)
-                ~aggressors:falling
-                (offsets ~span config.Config.alignments)
-            with
-            | Ok d -> d
-            | Error off ->
-                failwith
-                  (Printf.sprintf
-                     "Rlc_xtalk.analyze: victim %s: far end never reaches 50%% of %g V \
-                      (aggressor offset %+.1f ps)"
-                     design.Design.nets.(v).Design.name vdd (Rlc_num.Units.in_ps off))
-          in
-          Obs.finish obs
-            ~args:
-              [
-                ("victim", design.Design.nets.(v).Design.name);
-                ("aggressors", string_of_int (List.length survivors));
-              ]
-            "xtalk.victim" t0;
-          Log.debug (fun m ->
-              m "victim %s: noise %.1f mV, delay %.1f -> %.1f ps"
-                design.Design.nets.(v).Design.name (1e3 *. noise)
-                (Rlc_num.Units.in_ps isolated) (Rlc_num.Units.in_ps worst));
-          Some (noise, worst)
-        end)
+          {
+            Cluster.victim = member_of ~drive:(model_of v).Driver_model.pwl v;
+            aggressors =
+              List.map
+                (fun p ->
+                  let m = model_of p.aggressor in
+                  ( member_of ~drive:(Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl)
+                      p.aggressor,
+                    p.cc ))
+                survivors;
+            offsets = offsets ~span config.Config.alignments;
+          })
+        victims
+    in
+    let worst =
+      Cluster.worst_crossings ~obs ~n_segments:config.Config.n_segments ~dt:config.Config.dt ~vdd
+        sweeps
+    in
+    let name v = design.Design.nets.(v).Design.name in
+    Obs.finish obs
+      ~args:
+        [
+          ("victims", String.concat "," (Array.to_list (Array.map name victims)));
+          ("aggressors", string_of_int (List.length survivors.(0)));
+        ]
+      "xtalk.victim" t0;
+    Array.mapi
+      (fun i v ->
+        match worst.(i) with
+        | Ok d ->
+            Log.debug (fun m ->
+                m "victim %s: noise %.1f mV, delay %.1f -> %.1f ps" (name v)
+                  (1e3 *. noise.(i))
+                  (Rlc_num.Units.in_ps (solve_of v).Flow.stage_delay)
+                  (Rlc_num.Units.in_ps d));
+            Ok (noise.(i), d)
+        | Error off ->
+            Error
+              (Failure
+                 (Printf.sprintf
+                    "Rlc_xtalk.analyze: victim %s: far end never reaches 50%% of %g V (aggressor \
+                     offset %+.1f ps)"
+                    (name v) vdd (Rlc_num.Units.in_ps off))))
+      victims
+  in
+  (* A chunk job returns each victim's outcome, an exception of its
+     batched runs being every one of its victims'. *)
+  let chunk_results =
+    Pool.map ~obs pool (Array.length chunks) (fun c ->
+        let chunk = chunks.(c) in
+        match simulate_chunk chunk with r -> r | exception e -> Array.map (fun _ -> Error e) chunk)
+  in
+  (* By victim; a failure is the first failing victim's in id order, the
+     one a pool job per victim reported. *)
+  let sim_results = Array.make (Array.length jobs) None in
+  Array.iteri
+    (fun c chunk -> Array.iteri (fun i k -> sim_results.(k) <- Some chunk_results.(c).(i)) chunk)
+    chunks;
+  let sim_results =
+    Array.map (Option.map (function Ok r -> r | Error e -> raise e)) sim_results
   in
   (* ------------------------------------------------------------ report *)
   let victims_arr =

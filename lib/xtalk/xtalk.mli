@@ -102,7 +102,15 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     remaining offset if a run disagrees with the screen.  The reported
     delay is always a real run's, with the bits of the maximum over one
     transient per offset.  Clusters are scheduled on the level-parallel
-    domain pool ({!Config.t} [pool]/[jobs]); the flow's Ceff cache is not
+    domain pool ({!Config.t} [pool]/[jobs]) in chunks: the victims with
+    survivors, grouped by cluster shape (member count) in victim order,
+    two to a chunk (a constant: each lane keeps its cluster's compiled
+    handle alive while the chunk steps, and wider chunks were not faster
+    beyond the spread).  The chunks depend only on the design and the
+    configuration, not on the pool.  A chunk is one pool job: its
+    noise runs step as lanes of one batch ({!Cluster.simulate_batch}), then
+    its alignment sweeps phase by phase ({!Cluster.worst_crossings}), each
+    victim on its own lane throughout.  The flow's Ceff cache is not
     consulted or touched.
 
     The noise run stops once an energy bound proves the victim far end's
@@ -117,14 +125,18 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     [1 .. max_alignments] or [threshold]/[budget] is negative, NaN or
     infinite (a NaN budget would otherwise pass every peak), and
     [Failure] naming the victim and the aggressor offset when a victim's
-    far end never reaches 50 % of VDD in an alignment run.
+    far end never reaches 50 % of VDD in an alignment run.  Every victim
+    gets an outcome before any is raised, an exception of a chunk's
+    batched runs counting as each of its victims', and the one raised is
+    the first failing victim's in id order, as with one job per victim.
 
     Worst-casing conventions: aggressor drives are the isolated driver-model
     PWLs regardless of the logical edge the flow assigned (noise assumes all
     aggressors rise together against a low victim; delay assumes they all
     fall against the rising victim — standard sign-off pessimism).
 
-    [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans, counters
+    [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans (one
+    ["xtalk.victim"] span a chunk, its [victims] arg naming them), counters
     ["xtalk.pairs_screened"], ["xtalk.pairs_simulated"],
     ["xtalk.alignment_sweeps"] (transients run at an offset),
     ["xtalk.screen_runs"] and ["xtalk.screen_fallbacks"] (victims whose

@@ -853,6 +853,50 @@ let test_linear_step_allocation () =
   if per_step > 40. then
     Alcotest.failf "linear fixed-step loop allocates %.1f minor words per step" per_step
 
+(* A noise run -- a quiet victim held through its driver resistance,
+   coupled to a PWL-driven aggressor, watched by [until_peak] -- must
+   allocate O(1) minor words per step too: the peak watch's energy sum runs
+   every 16 steps over every capacitor and inductor, and a boxed
+   accumulator would cost words per element.  Nearly lossless lines keep
+   the watch live (not yet final) over both windows measured, which end in
+   the same trace-buffer size. *)
+let test_peak_step_allocation () =
+  let segs = 40 in
+  let nl = Netlist.create () in
+  let vic = Netlist.node nl "v0" and agg = Netlist.node nl "a0" in
+  Netlist.resistor nl vic Netlist.ground 80.;
+  Netlist.force_pwl nl agg (Pwl.ramp ~t0:10e-12 ~v0:0. ~v1:1.8 ~transition:20e-12);
+  let prev = ref (vic, agg) in
+  for _ = 1 to segs do
+    let pv, pa = !prev in
+    let mv = Netlist.node nl "vm" and ma = Netlist.node nl "am" in
+    let nv = Netlist.node nl "vn" and na = Netlist.node nl "an" in
+    Netlist.resistor nl pv mv 0.01;
+    Netlist.resistor nl pa ma 0.01;
+    Netlist.inductor nl mv nv 0.1e-9;
+    Netlist.inductor nl ma na 0.1e-9;
+    Netlist.capacitor nl nv Netlist.ground 15e-15;
+    Netlist.capacitor nl na Netlist.ground 15e-15;
+    Netlist.capacitor nl nv na 5e-15;
+    prev := (nv, na)
+  done;
+  let far = fst !prev and dt = 0.5e-12 in
+  let run n =
+    Engine.transient ~record_nodes:[ far ] ~until_peak:far ~dt ~t_stop:(dt *. float_of_int n) nl
+  in
+  let words n =
+    let w0 = Gc.minor_words () in
+    let r = run n in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int)
+      (Printf.sprintf "%d steps, none cut by the peak watch" n)
+      n (Engine.steps r);
+    w
+  in
+  let per_step = (words 500 -. words 300) /. 200. in
+  if per_step > 8. then
+    Alcotest.failf "until_peak run allocates %.1f minor words per step" per_step
+
 let until_vdd = 1.8
 let until_fracs = [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
 let bits w = Array.map Int64.bits_of_float (Waveform.values w)
@@ -1252,6 +1296,7 @@ type lane_vals = {
   lv_pwl : (float * float) list;
   lv_t_stop : float;
   lv_until : (float * bool) list;  (** level, rising *)
+  lv_peak : bool;  (** watch the quiet victim's far-end peak ([until_peak]) *)
 }
 
 type lanes_case = {
@@ -1276,10 +1321,11 @@ let arb_lanes_case =
     and* v0 = oneof [ return 0.; float_range 0. 1.8 ]
     and* vs = list_repeat 2 (float_range 0. 1.8)
     and* lv_t_stop = float_range 150e-12 600e-12
-    and* lv_until = list_size (int_range 0 2) (pair (float_range 0.05 1.75) bool) in
+    and* lv_until = list_size (int_range 0 2) (pair (float_range 0.05 1.75) bool)
+    and* lv_peak = bool in
     let times = List.rev (List.fold_left (fun acc g -> (List.hd acc +. g) :: acc) [ t0 ] gaps) in
     let pts = List.filteri (fun i _ -> i < n_pts) (List.combine times (v0 :: vs)) in
-    return { lv_r; lv_l; lv_c; lv_cl; lv_cc; lv_rs; lv_pwl = pts; lv_t_stop; lv_until }
+    return { lv_r; lv_l; lv_c; lv_cl; lv_cc; lv_rs; lv_pwl = pts; lv_t_stop; lv_until; lv_peak }
   in
   let gen =
     let* lc_members = frequencyl [ (2, 1); (1, 2); (1, 3); (1, 4) ] in
@@ -1295,17 +1341,21 @@ let arb_lanes_case =
         (String.concat "; "
            (List.map
               (fun v ->
-                Printf.sprintf "R %g L %g C %g cl %g pwl [%s] t_stop %g until [%s]" v.lv_r v.lv_l v.lv_c
-                  v.lv_cl
+                Printf.sprintf "R %g L %g C %g cl %g pwl [%s] t_stop %g until [%s]%s" v.lv_r v.lv_l
+                  v.lv_c v.lv_cl
                   (String.concat ", " (List.map (fun (t, x) -> Printf.sprintf "%g:%g" t x) v.lv_pwl))
                   v.lv_t_stop
                   (String.concat ", "
-                     (List.map (fun (x, up) -> Printf.sprintf "%g%s" x (if up then "^" else "v")) v.lv_until)))
+                     (List.map
+                        (fun (x, up) -> Printf.sprintf "%g%s" x (if up then "^" else "v"))
+                        v.lv_until))
+                  (if v.lv_peak then " peak" else ""))
               u.lc_lanes)))
 
 (* A lane's netlist: every lane of a case has the same structure.  Returns
-   it with the nodes to record (each member's far end) and the crossings
-   of the last member's far end to stop at. *)
+   it with the nodes to record (each member's far end), the crossings of
+   the last member's far end to stop at, and in a cluster whose lane
+   watches its peak, the quiet victim's far end. *)
 let build_lane u v =
   let nl = Netlist.create () in
   let m = u.lc_members in
@@ -1342,7 +1392,8 @@ let build_lane u v =
       (fun (level, up) -> (far, level, if up then Waveform.Rising else Waveform.Falling))
       v.lv_until
   in
-  (nl, Array.to_list !prev, until)
+  let until_peak = if m > 1 && v.lv_peak then Some !prev.(0) else None in
+  (nl, Array.to_list !prev, until, until_peak)
 
 let same_run ~what a b nodes =
   let bits_of r n = bits (Engine.voltage r n) in
@@ -1354,10 +1405,13 @@ let same_run ~what a b nodes =
     nodes
 
 (* Random same-structure batches of 1 to 10 lanes -- ladders and 2- to
-   4-member clusters, random element values, PWLs and windows, and far-end
-   crossings that stop the lanes at different steps (past [max_lanes] a
-   batch steps in two passes): each lane's times and samples are bit for
-   bit those of its netlist run alone and run with per-step reassembly. *)
+   4-member clusters, random element values, PWLs and windows, far-end
+   crossings and, on about half a cluster's lanes, a watch of the quiet
+   victim's far-end peak, which stop the lanes at different steps (past
+   [max_lanes] a batch steps in two passes): each lane's times and samples
+   are bit for bit those of its netlist run alone and run with per-step
+   reassembly, and a peak-watching lane's [v_max] has its run alone's
+   bits. *)
 let prop_lanes =
   QCheck.Test.make ~name:"lanes: each lane = its run alone = per-step reassembly" ~count:60
     arb_lanes_case (fun u ->
@@ -1366,26 +1420,34 @@ let prop_lanes =
       let lanes =
         Array.of_list
           (List.map2
-             (fun (nl, record_nodes, until) v ->
+             (fun (nl, record_nodes, until, until_peak) v ->
                {
                  Engine.Compiled.handle = Engine.Compiled.compile nl;
                  t_stop = v.lv_t_stop;
                  record_nodes;
                  until;
+                 until_peak;
                })
              built u.lc_lanes)
       in
       let obs = Rlc_obs.Obs.create () in
       let results = Engine.Compiled.run_lanes ~obs ~dt lanes in
       List.iteri
-        (fun i (nl, record_nodes, until) ->
+        (fun i (nl, record_nodes, until, until_peak) ->
           let t_stop = lanes.(i).Engine.Compiled.t_stop in
-          let alone = Engine.transient ~record_nodes ~until ~dt ~t_stop nl in
+          let alone = Engine.transient ~record_nodes ~until ?until_peak ~dt ~t_stop nl in
           let oracle =
-            Engine.transient ~reassemble_per_step:true ~record_nodes ~until ~dt ~t_stop nl
+            Engine.transient ~reassemble_per_step:true ~record_nodes ~until ?until_peak ~dt
+              ~t_stop nl
           in
           same_run ~what:(Printf.sprintf "lane %d vs alone" i) results.(i) alone record_nodes;
-          same_run ~what:(Printf.sprintf "lane %d vs reassembly" i) results.(i) oracle record_nodes)
+          same_run ~what:(Printf.sprintf "lane %d vs reassembly" i) results.(i) oracle record_nodes;
+          Option.iter
+            (fun n ->
+              let v_max r = Int64.bits_of_float (Waveform.v_max (Engine.voltage r n)) in
+              if v_max results.(i) <> v_max alone then
+                QCheck.Test.fail_reportf "lane %d: peak differs from its run alone" i)
+            until_peak)
         built;
       let m = Rlc_obs.Obs.snapshot obs in
       let passes =
@@ -1401,7 +1463,15 @@ let prop_lanes =
 let test_lanes_reject_shared_handle () =
   let nl, out = build_rc_pair 1e3 1e-12 in
   let h = Engine.Compiled.compile nl in
-  let lane = { Engine.Compiled.handle = h; t_stop = 1e-10; record_nodes = [ out ]; until = [] } in
+  let lane =
+    {
+      Engine.Compiled.handle = h;
+      t_stop = 1e-10;
+      record_nodes = [ out ];
+      until = [];
+      until_peak = None;
+    }
+  in
   match Engine.Compiled.run_lanes ~dt:1e-12 [| lane; lane |] with
   | _ -> Alcotest.fail "a handle in two lanes must raise"
   | exception Invalid_argument _ -> ()
@@ -1467,6 +1537,8 @@ let () =
         [
           Alcotest.test_case "linear step allocates O(1) words" `Quick
             test_linear_step_allocation;
+          Alcotest.test_case "peak-watched step allocates O(1) words" `Quick
+            test_peak_step_allocation;
           q prop_until_linear;
           q prop_until_testbench;
         ] );

@@ -141,6 +141,24 @@ let test_spec_errors () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Rlc_errors.Error.to_string e)
   | Ok _ -> Alcotest.fail "duplicate accepted"
 
+(* A duplicate driver after 10,000 drivers and 10,000 inputs is named at
+   its own line, with the usual message. *)
+let test_spec_late_duplicate () =
+  let b = Buffer.create (1 lsl 20) in
+  for i = 0 to 9_999 do
+    Printf.bprintf b "driver n%d 75\n" i
+  done;
+  for i = 0 to 9_999 do
+    Printf.bprintf b "input n%d 100\n" i
+  done;
+  Buffer.add_string b "driver n4321 50\ninput n7 100\n";
+  match Spec.parse_res (Buffer.contents b) with
+  | Error (Rlc_errors.Error.Parse { line = Some 20_001; _ } as e) ->
+      Alcotest.(check string)
+        "message" "20001: duplicate driver line for net n4321" (Rlc_errors.Error.message e)
+  | Error e -> Alcotest.fail ("wrong error: " ^ Rlc_errors.Error.to_string e)
+  | Ok _ -> Alcotest.fail "duplicate accepted"
+
 let test_spec_comments () =
   let s = Result.get_ok (spec_parse "# comment\n  // also comment\ndriver a 75 # trailing\n") in
   Alcotest.(check int) "one driver" 1 (List.length s.Spec.drivers)
@@ -745,6 +763,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_spec_errors;
           Alcotest.test_case "comments" `Quick test_spec_comments;
           Alcotest.test_case "default from SPEF" `Quick test_spec_default;
+          Alcotest.test_case "duplicate on line 20,001" `Quick test_spec_late_duplicate;
         ] );
       ( "ingest",
         [

@@ -198,6 +198,95 @@ let test_banded_lanes () =
         systems)
     [ (0, 0); (0, 1); (0, 3); (1, 1); (7, 1); (9, 2); (6, 5) ]
 
+(* The substitutions a factored system stands for, in the order of the
+   original general loops: forward column by column, skipping a zero
+   multiplier, then back substitution row by row. *)
+let reference_solve t b =
+  let n = Banded.dim t and bw = Banded.bandwidth t in
+  for r = 0 to n - 1 do
+    for i = r + 1 to Int.min (n - 1) (r + bw) do
+      let f = Banded.get t i r in
+      if f <> 0. then b.(i) <- b.(i) -. (f *. b.(r))
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref b.(i) in
+    for j = i + 1 to Int.min (n - 1) (i + bw) do
+      acc := !acc -. (Banded.get t i j *. b.(j))
+    done;
+    b.(i) <- !acc /. Banded.get t i i
+  done
+
+(* A lane's factors, written as [factor] leaves them (multipliers in the
+   strict lower band, U above), and its right-hand side: entries are zero,
+   negative zero or random, mostly zeros in half the cases, so that a
+   multiplier's skip decides the sign of a zero. *)
+let arb_factored_lanes =
+  let open QCheck.Gen in
+  let entry ~zeros ~mag =
+    frequency [ (zeros, return 0.); (zeros, return (-0.)); (4, float_range (-.mag) mag) ]
+  in
+  let gen =
+    let* bw = int_range 0 5 in
+    let* n = oneof [ int_range 0 (bw + 1); int_range 0 14 ] in
+    let* k = int_range 1 5 in
+    let* zeros = oneofl [ 1; 8 ] in
+    let lane =
+      let* lower = list_repeat (n * bw) (entry ~zeros ~mag:1.) in
+      let* upper = list_repeat (n * bw) (entry ~zeros ~mag:1.) in
+      let* diag = list_repeat n (pair bool (float_range 0.5 2.)) in
+      let* rhs = list_repeat n (entry ~zeros ~mag:10.) in
+      return (lower, upper, diag, rhs)
+    in
+    let* lanes = list_repeat k lane in
+    return (n, bw, lanes)
+  in
+  QCheck.make gen ~print:(fun (n, bw, lanes) ->
+      Printf.sprintf "n %d bw %d, %d lane(s): %s" n bw (List.length lanes)
+        (String.concat " | "
+           (List.map
+              (fun (lower, upper, diag, rhs) ->
+                let fs l = String.concat "," (List.map (Printf.sprintf "%h") l) in
+                Printf.sprintf "L[%s] U[%s] D[%s] b[%s]" (fs lower) (fs upper)
+                  (fs (List.map (fun (neg, d) -> if neg then -.d else d) diag))
+                  (fs rhs))
+              lanes)))
+
+let factored_of n bw (lower, upper, diag, _) =
+  let t = Banded.create ~n ~bw in
+  let lower = Array.of_list lower and upper = Array.of_list upper in
+  List.iteri (fun i (neg, d) -> Banded.set t i i (if neg then -.d else d)) diag;
+  for i = 0 to n - 1 do
+    for d = 1 to bw do
+      if i - d >= 0 then Banded.set t i (i - d) lower.((i * bw) + d - 1);
+      if i + d < n then Banded.set t i (i + d) upper.((i * bw) + d - 1)
+    done
+  done;
+  t
+
+(* Every branch of the substitution -- general, tridiagonal and the
+   unrolled bandwidths 2 and 3, with systems no larger than their band --
+   on random factors with zero and negative-zero multipliers: each lane of
+   a batch, and each system alone, is bit for bit the reference loops'. *)
+let prop_banded_branches =
+  QCheck.Test.make ~name:"banded substitution = reference loops, lanes = alone" ~count:400
+    arb_factored_lanes (fun (n, bw, lanes) ->
+      let bits = Array.map Int64.bits_of_float in
+      let ts = Array.of_list (List.map (factored_of n bw) lanes) in
+      let rhs = Array.of_list (List.map (fun (_, _, _, b) -> Array.of_list b) lanes) in
+      let batch = Array.map Array.copy rhs in
+      Banded.solve_factored_lanes ts batch (Array.length ts);
+      Array.iteri
+        (fun l t ->
+          let alone = Array.copy rhs.(l) and want = Array.copy rhs.(l) in
+          Banded.solve_factored t alone;
+          reference_solve t want;
+          if bits alone <> bits want then QCheck.Test.fail_reportf "lane %d alone differs" l;
+          if bits batch.(l) <> bits want then
+            QCheck.Test.fail_reportf "lane %d in the batch differs" l)
+        ts;
+      true)
+
 (* ---------------------------------------------------------- Quadrature *)
 
 let test_simpson_poly () =
@@ -337,6 +426,7 @@ let () =
           Alcotest.test_case "vs dense" `Quick test_banded_vs_dense;
           Alcotest.test_case "band limits" `Quick test_banded_out_of_band;
           Alcotest.test_case "lanes = each alone" `Quick test_banded_lanes;
+          QCheck_alcotest.to_alcotest prop_banded_branches;
         ] );
       ( "quadrature",
         [

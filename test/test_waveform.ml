@@ -183,6 +183,73 @@ let prop_measured_slew_of_ideal_ramp =
       | Some s -> Float.abs (s -. (0.8 *. tr)) < 1e-3 *. tr
       | None -> false)
 
+(* The axis [Pwl.to_waveform] built before it merged: uniform grid and
+   breakpoints up to the end in one array, sorted, repeats dropped. *)
+let sorted_axis ~n ?t_end p =
+  let pts = Array.of_list (Pwl.points p) in
+  let t0 = fst pts.(0) and last = fst pts.(Array.length pts - 1) in
+  let t1 = match t_end with Some te -> Float.max te last | None -> last in
+  let t1 = if t1 > t0 then t1 else t0 +. 1e-15 in
+  let span = t1 -. t0 and nf = float_of_int (n - 1) in
+  let grid = List.init n (fun i -> t0 +. (span *. float_of_int i /. nf)) in
+  let bps = List.filter (fun x -> x <= t1) (Array.to_list (Array.map fst pts)) in
+  let all = Array.of_list (grid @ bps) in
+  Array.sort Float.compare all;
+  let kept = ref [] in
+  Array.iter (fun x -> match !kept with y :: _ when y = x -> () | _ -> kept := x :: !kept) all;
+  Array.of_list (List.rev !kept)
+
+type axis_case = {
+  pts : (float * float) list;
+  shift : float;
+  falling : bool;
+  end_at : [ `Before | `At | `Past ];
+  n : int;
+}
+
+let arb_axis_case =
+  let open QCheck.Gen in
+  let gen =
+    let* n_pts = int_range 1 6 in
+    let* t0 = float_range (-50e-12) 200e-12 in
+    let* gaps = list_repeat (n_pts - 1) (float_range 1e-15 150e-12) in
+    let* vs = list_repeat n_pts (float_range 0. vdd) in
+    let times = List.rev (List.fold_left (fun acc g -> (List.hd acc +. g) :: acc) [ t0 ] gaps) in
+    let* shift = oneof [ return 0.; float_range (-100e-12) 100e-12 ] in
+    let* falling = bool in
+    let* end_at = oneofl [ `Before; `At; `Past ] in
+    let* n = oneof [ int_range 2 40; oneofl [ 256; 512; 1024 ] ] in
+    return { pts = List.combine times vs; shift; falling; end_at; n }
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf "[%s] shift %g%s end %s n %d"
+        (String.concat "; " (List.map (fun (t, v) -> Printf.sprintf "%h:%g" t v) u.pts))
+        u.shift
+        (if u.falling then " falling" else "")
+        (match u.end_at with `Before -> "before" | `At -> "at" | `Past -> "past")
+        u.n)
+
+(* Random PWLs -- shifted, mirrored, with [t_end] before, at and past the
+   last breakpoint: the merged axis and its samples equal the sort-based
+   axis and [Pwl.eval] on it, bit for bit. *)
+let prop_to_waveform_axis =
+  QCheck.Test.make ~name:"to_waveform axis = sorted union of grid and breakpoints" ~count:500
+    arb_axis_case (fun u ->
+      let p = Pwl.shift_time u.shift (Pwl.of_points u.pts) in
+      let p = if u.falling then Pwl.falling ~vdd p else p in
+      let t_end =
+        let first = fst (List.hd (Pwl.points p)) and last = Pwl.end_time p in
+        match u.end_at with
+        | `Before -> first +. (0.5 *. (last -. first))
+        | `At -> last
+        | `Past -> last +. 80e-12
+      in
+      let w = Pwl.to_waveform ~n:u.n ~t_end p in
+      let axis = sorted_axis ~n:u.n ~t_end p in
+      let bits a = Array.map Int64.bits_of_float a in
+      bits (Waveform.times w) = bits axis
+      && bits (Waveform.values w) = bits (Array.map (Pwl.eval p) axis))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   ignore (Units.ps 1.);
@@ -207,6 +274,7 @@ let () =
           Alcotest.test_case "falling mirror" `Quick test_pwl_falling;
           Alcotest.test_case "breakpoints preserved" `Quick test_pwl_to_waveform_preserves_breakpoints;
           q prop_two_ramp_monotone;
+          q prop_to_waveform_axis;
         ] );
       ( "measure",
         [

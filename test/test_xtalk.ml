@@ -425,6 +425,135 @@ let prop_sweep_screen =
 
 let test_sweep_screen () = QCheck.Test.check_exn prop_sweep_screen
 
+(* A batch of 1 to 10 random sweeps ([max_lanes] is 8, so some take two
+   groups), each a random cluster and grid; about a third of the victims
+   stop at 20-60 % of the rail, so some sweeps never reach 50 % at any
+   offset or at some. *)
+let arb_batch =
+  let open QCheck.Gen in
+  let sweep =
+    triple (QCheck.gen arb_pair_case) (oneofa grid_sizes)
+      (frequency [ (2, return None); (1, map Option.some (float_range 0.2 0.6)) ])
+  in
+  let print_case = Option.get arb_pair_case.QCheck.print in
+  QCheck.make (list_size (int_range 1 10) sweep) ~print:(fun sweeps ->
+      String.concat "\n"
+        (List.map
+           (fun (u, n, cap) ->
+             Printf.sprintf "%s; %d offsets%s" (print_case u) n
+               (match cap with
+               | Some f -> Printf.sprintf "; victim stops at %.3f vdd" f
+               | None -> ""))
+           sweeps))
+
+let sweep_of (u, n, cap) =
+  let victim, aggressors = cluster_of u in
+  let victim =
+    match cap with
+    | None -> victim
+    | Some f ->
+        {
+          victim with
+          Cluster.drive = Some (Pwl.ramp ~t0:0. ~v0:0. ~v1:(f *. case_vdd) ~transition:u.tr);
+        }
+  in
+  { Cluster.victim; aggressors; offsets = sweep_offsets n }
+
+let counter m name =
+  Option.value (List.assoc_opt name m.Rlc_obs.Obs.m_counters) ~default:0
+
+(* Sweeps of a batch that fell back and that ended in an error, run
+   alone, since the last reset. *)
+let batch_fallbacks = ref 0
+let batch_errors = ref 0
+
+(* The sweeps run together give each sweep's result alone and the
+   brute-force one; the screen's counters equal the lone sweeps' sum, and
+   the alignment runs too unless a sweep ends in an error, which alone may
+   run more. *)
+let check_batch cases =
+  let dt = 0.5e-12 and vdd = case_vdd in
+  let sweeps = Array.of_list (List.map sweep_of cases) in
+  let batch_obs = Rlc_obs.Obs.create () in
+  let batch = Cluster.worst_crossings ~obs:batch_obs ~n_segments:10 ~dt ~vdd sweeps in
+  let alone_obs = Rlc_obs.Obs.create () in
+  Array.iteri
+    (fun j (sw : Cluster.sweep) ->
+      let before = counter (Rlc_obs.Obs.snapshot alone_obs) "xtalk.screen_fallbacks" in
+      let alone =
+        Cluster.worst_crossing ~obs:alone_obs ~n_segments:10 ~dt ~vdd ~victim:sw.victim
+          ~aggressors:sw.aggressors sw.offsets
+      in
+      if counter (Rlc_obs.Obs.snapshot alone_obs) "xtalk.screen_fallbacks" > before then
+        incr batch_fallbacks;
+      if Result.is_error alone then incr batch_errors;
+      let brute =
+        brute_force_sweep ~n_segments:10 ~dt ~vdd ~victim:sw.victim ~aggressors:sw.aggressors
+          sw.offsets
+      in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+        | Error a, Error b -> Float.equal a b
+        | _ -> false
+      in
+      if not (same batch.(j) alone && same alone brute) then
+        QCheck.Test.fail_reportf "sweep %d: batch, alone and brute force disagree" j)
+    sweeps;
+  let b = Rlc_obs.Obs.snapshot batch_obs and a = Rlc_obs.Obs.snapshot alone_obs in
+  let errors = Array.exists Result.is_error batch in
+  List.iter
+    (fun (name, at_least) ->
+      let nb = counter b name and na = counter a name in
+      if (if at_least && errors then nb < na else nb <> na) then
+        QCheck.Test.fail_reportf "%s: %d batched, %d alone" name nb na)
+    [
+      ("xtalk.screen_runs", false);
+      ("xtalk.screen_steps", false);
+      ("xtalk.screen_fallbacks", false);
+      ("xtalk.alignment_sweeps", true);
+      ("xtalk.alignment_steps", true);
+      ("engine.transients", true);
+      ("engine.steps", true);
+    ];
+  true
+
+let prop_sweep_batch =
+  QCheck.Test.make ~name:"worst_crossings = each sweep alone = brute force" ~count:30 arb_batch
+    check_batch
+
+(* A cluster whose 65-offset sweep falls back (found by a search over
+   [arb_pair_case]): one confirm run strays from the superposition by more
+   than half the screen's margin. *)
+let fallback_case =
+  {
+    r = 0x1.3e16d39fd1075p+5;
+    l = 0x1.77ede922e22cdp-28;
+    c = 0x1.deb165ffd2d53p-43;
+    cl = 0x1.4100a2f80ac48p-48;
+    tr = 0x1.a9289ac671b3ep-37;
+    aggs =
+      [
+        ( 0x1.04f0f2e51f21dp+0,
+          0x1.a4de7ffe14ebcp-1,
+          0x1.c3a1c7110e91fp-1,
+          0x1.5d9b0fa05d79dp-42,
+          0x1.762dda71250e4p-33 );
+      ];
+  }
+
+let test_sweep_batch () =
+  batch_fallbacks := 0;
+  batch_errors := 0;
+  QCheck.Test.check_exn prop_sweep_batch;
+  Alcotest.(check bool) "some sweep ended in an error" true (!batch_errors > 0);
+  (* The fallback between a sweep that errs at its first offset and one
+     that times. *)
+  batch_fallbacks := 0;
+  let plain = { fallback_case with r = 60.; aggs = [ (1., 1., 1., 100e-15, 0.) ] } in
+  ignore (check_batch [ (plain, 9, Some 0.2); (fallback_case, 65, None); (plain, 17, None) ]);
+  Alcotest.(check int) "the fallback sweep fell back" 1 !batch_fallbacks
+
 (* A damped victim whose drive stops at 20 % of the rail reaches 50 % at
    no offset: a screened grid fails at its first offset, like the plain
    loop. *)
@@ -617,6 +746,53 @@ let test_unreachable_victim_named () =
       let name = design.Design.nets.(v).Design.name in
       Alcotest.(check bool) ("names the victim: " ^ msg) true (contains msg ("victim " ^ name ^ ":"));
       Alcotest.(check bool) ("names the offset: " ^ msg) true (contains msg "offset")
+
+(* Two unreachable victims of different cluster shapes land in different
+   chunks, b3's (with b0) ahead of b1's (with b2): the failure must still
+   name the first in id order.  Each weak model is its own waveform scaled
+   to 40 % of the rail, so its edge rate, and with it the screen, is
+   unchanged. *)
+let test_unreachable_victims_in_id_order () =
+  let flow = Lazy.force flow and r = Lazy.force analyzed in
+  let design = flow.Flow.design in
+  let id name =
+    let rec go i = if design.Design.nets.(i).Design.name = name then i else go (i + 1) in
+    go 0
+  in
+  let shape name =
+    let v =
+      List.find
+        (fun (v : Xtalk.victim_result) -> v.Xtalk.victim = id name)
+        (Array.to_list r.Xtalk.victims)
+    in
+    Alcotest.(check bool) (name ^ " simulated") true v.Xtalk.simulated;
+    List.length (List.filter (fun (p : Xtalk.pair) -> not p.Xtalk.screened) v.Xtalk.pairs)
+  in
+  Alcotest.(check (list int)) "b0 b1 b2 b3 survivors" [ 1; 2; 2; 1 ]
+    (List.map shape [ "b0"; "b1"; "b2"; "b3" ]);
+  let weak = [ id "b1"; id "b3" ] in
+  let results =
+    Array.mapi
+      (fun i (nr : Flow.net_result) ->
+        if not (List.mem i weak) then nr
+        else
+          let m = nr.Flow.solve.Flow.model in
+          let pwl =
+            Pwl.of_points (List.map (fun (t, v) -> (t, 0.4 *. v)) (Pwl.points m.Driver_model.pwl))
+          in
+          let weak = { m with Driver_model.vdd = 0.4 *. m.Driver_model.vdd; pwl } in
+          { nr with Flow.solve = { nr.Flow.solve with Flow.model = weak } })
+      flow.Flow.results
+  in
+  List.iter
+    (fun jobs ->
+      match
+        Xtalk.analyze ~config:{ Xtalk.Config.default with Xtalk.Config.jobs } { flow with Flow.results }
+      with
+      | _ -> Alcotest.fail "a victim that never reaches 50 % was timed"
+      | exception Failure msg ->
+          Alcotest.(check bool) ("names b1: " ^ msg) true (contains msg "victim b1:"))
+    [ Some 1; Some 2 ]
 
 let test_alignments_bounded () =
   let rejects alignments =
@@ -813,6 +989,8 @@ let () =
           Alcotest.test_case "random coupled pairs" `Quick test_until_pair;
           Alcotest.test_case "= full-window runs" `Slow test_matches_full_window;
           Alcotest.test_case "unreachable victim named" `Slow test_unreachable_victim_named;
+          Alcotest.test_case "unreachable victims in id order" `Slow
+            test_unreachable_victims_in_id_order;
           Alcotest.test_case "alignments bounded" `Quick test_alignments_bounded;
         ] );
       ( "screened sweep",
@@ -820,6 +998,7 @@ let () =
           Alcotest.test_case "= brute force on random clusters" `Quick test_sweep_screen;
           Alcotest.test_case "unreachable victim names the first offset" `Quick
             test_sweep_unreachable;
+          Alcotest.test_case "batched sweeps = each alone" `Quick test_sweep_batch;
         ] );
       ( "protocol",
         [
