@@ -380,24 +380,95 @@ let stamp_coupled_rhs c rhs vnode (k : coupled_state) g ieq =
     row bp (-1.)
   done
 
-let stamp_nonlinear c sys rhs vnode (dev : Netlist.nonlinear) =
-  let nn = Array.length dev.nl_nodes in
-  let v = Array.map (fun n -> vnode.(n)) dev.nl_nodes in
-  let i, gm = dev.nl_eval v in
-  for k = 0 to nn - 1 do
-    let uk = c.unknown_of_node.(dev.nl_nodes.(k)) in
-    if uk >= 0 then begin
-      let acc = ref (-.i.(k)) in
-      for jn = 0 to nn - 1 do
-        let uj = c.unknown_of_node.(dev.nl_nodes.(jn)) in
-        if uj >= 0 then begin
-          sys_add sys uk uj gm.(k).(jn);
-          acc := !acc +. (gm.(k).(jn) *. v.(jn))
-        end
-      done;
-      rhs.(uk) <- rhs.(uk) +. !acc
-    end
+(* One nonlinear device's evaluation buffers ([Netlist.nonlinear]'s [v],
+   [i] and row-major [g], owned here so an evaluation allocates nothing)
+   and its stamp targets: each node's unknown (-1 for ground and forced
+   nodes) and, on a banded system, the data position of each (row,
+   column) pair of unknowns, row-major like [g] (-1 where either is
+   absent). *)
+type device = {
+  dv_v : float array;
+  dv_i : float array;
+  dv_g : float array;
+  dv_u : int array;
+  dv_at : int array;
+}
+
+(* Buffers for every device of [c], with positions in [sys]'s shape. *)
+let devices c sys =
+  Array.map
+    (fun (dev : Netlist.nonlinear) ->
+      let nn = Array.length dev.nl_nodes in
+      let u = Array.map (fun n -> c.unknown_of_node.(n)) dev.nl_nodes in
+      {
+        dv_v = Array.make nn 0.;
+        dv_i = Array.make nn 0.;
+        dv_g = Array.make (nn * nn) 0.;
+        dv_u = u;
+        dv_at =
+          Array.init (nn * nn) (fun kj ->
+              let uk = u.(kj / nn) and uj = u.(kj mod nn) in
+              match sys with B b when uk >= 0 && uj >= 0 -> Banded.index b uk uj | _ -> -1);
+      })
+    c.nonlinears
+
+(* Evaluate every device at [vnode] and stamp its linearization: the
+   Jacobian into [sys], the equivalent current into [rhs].  Per device,
+   row by row, the Jacobian's entries add in column order and the current
+   accumulates from -i(k) the same way, as [Banded.add] / a dense add
+   would; [devs] must come from [devices] on a system of [sys]'s shape. *)
+let stamp_devices c (devs : device array) sys (rhs : float array) (vnode : float array) =
+  for d = 0 to Array.length devs - 1 do
+    let dv = devs.(d) and dev = c.nonlinears.(d) in
+    let v = dv.dv_v and i = dv.dv_i and g = dv.dv_g and u = dv.dv_u and at = dv.dv_at in
+    let nn = Array.length u in
+    for k = 0 to nn - 1 do
+      v.(k) <- vnode.(dev.nl_nodes.(k))
+    done;
+    dev.nl_eval v i g;
+    for k = 0 to nn - 1 do
+      let uk = u.(k) in
+      if uk >= 0 then begin
+        let acc = ref (-.i.(k)) in
+        for j = 0 to nn - 1 do
+          let uj = u.(j) in
+          if uj >= 0 then begin
+            let gkj = g.((k * nn) + j) in
+            (match sys with
+            | B b ->
+                let data = Banded.data b and p = at.((k * nn) + j) in
+                data.(p) <- data.(p) +. gkj
+            | D m -> m.(uk).(uj) <- m.(uk).(uj) +. gkj);
+            acc := !acc +. (gkj *. v.(j))
+          end
+        done;
+        rhs.(uk) <- rhs.(uk) +. !acc
+      end
+    done
   done
+
+(* Move [vnode] toward the Newton solution [x] (indexed by unknown), node
+   by node in ascending order, each move clamped to [dv_limit]; [true]
+   once no unknown moved by [newton_tol] or more.  It is [newton]'s
+   [Float.max]/[Float.min] update written with plain comparisons: [worst]
+   is only compared, and it is below the tolerance exactly when every
+   |dv| is (a NaN fails both); the clamp returns [dv] itself inside the
+   limits, at a limit and when it is NaN, as the [Float] pair does.
+   Calling [Float.max] and [Float.min] cost more than the factorization.
+   The scatter arrays index unchecked on [compiled]'s invariant, [x] holds
+   [n_unknown] entries and [vnode] [n_nodes]. *)
+let newton_update c (vnode : float array) (x : float array) =
+  let sn = c.scatter_node and su = c.scatter_unk in
+  let converged = ref true in
+  for k = 0 to Array.length sn - 1 do
+    let n = Array.unsafe_get sn k in
+    let v = Array.unsafe_get vnode n in
+    let dv = Array.unsafe_get x (Array.unsafe_get su k) -. v in
+    if not (Float.abs dv < newton_tol) then converged := false;
+    let dv = if dv > dv_limit then dv_limit else if dv < -.dv_limit then -.dv_limit else dv in
+    Array.unsafe_set vnode n (v +. dv)
+  done;
+  !converged
 
 let update_forced c vnode t =
   for i = 0 to Array.length c.forced - 1 do
@@ -422,9 +493,33 @@ let within what f =
 
 let diverged t = raise (Newton_diverged { t; within = [] })
 
+(* [stamp_devices] for one device, the reference way: fresh evaluation
+   buffers and [sys_add] per entry, in the same order. *)
+let stamp_nonlinear c sys rhs vnode (dev : Netlist.nonlinear) =
+  let nn = Array.length dev.nl_nodes in
+  let v = Array.map (fun n -> vnode.(n)) dev.nl_nodes in
+  let i = Array.make nn 0. and g = Array.make (nn * nn) 0. in
+  dev.nl_eval v i g;
+  for k = 0 to nn - 1 do
+    let uk = c.unknown_of_node.(dev.nl_nodes.(k)) in
+    if uk >= 0 then begin
+      let acc = ref (-.i.(k)) in
+      for j = 0 to nn - 1 do
+        let uj = c.unknown_of_node.(dev.nl_nodes.(j)) in
+        if uj >= 0 then begin
+          sys_add sys uk uj g.((k * nn) + j);
+          acc := !acc +. (g.((k * nn) + j) *. v.(j))
+        end
+      done;
+      rhs.(uk) <- rhs.(uk) +. !acc
+    end
+  done
+
 (* Newton loop on top of a base (linear part) assembly function — the
    rebuild-everything path, used for the DC operating point (once per
-   transient) and as the [reassemble_per_step] reference stepper. *)
+   transient) and as the [reassemble_per_step] reference stepper.  It
+   keeps its own stamping and update, so the reference run checks the
+   step kernels' [stamp_devices] and [newton_update]. *)
 let newton ~c ~assemble_base ~vnode ~t =
   if Array.length c.nonlinears = 0 && c.n_unknown > 0 then begin
     let sys, rhs = assemble_base () in
@@ -507,10 +602,12 @@ let dc_operating_point netlist = dc_solve (compile netlist) 0.
    place; a nonlinear circuit's pre-stamped linear part with its right-hand
    side, copied into Newton scratch per iteration.  A circuit without
    unknowns solves nothing. *)
-type solver =
-  | Factored of factored
-  | Newton of { base : sys; base_rhs : float array; newton_sys : sys }
-  | Nothing
+type solver = Factored of factored | Newton of newton | Nothing
+
+(* [base] and [base_rhs]: the linear part, pre-stamped, and the step's
+   right-hand side; [newton_sys]: the iteration's copy, stamped with the
+   devices through [devs] and factored in place. *)
+and newton = { base : sys; base_rhs : float array; newton_sys : sys; devs : device array }
 
 (* Per-transient solver state for the fast path: everything that is
    time-invariant for a fixed dt is computed once here --
@@ -549,7 +646,10 @@ let make_transient_state c dt =
   let solver =
     if c.n_unknown = 0 then Nothing
     else if Array.length c.nonlinears = 0 then Factored (factorize base)
-    else Newton { base; base_rhs = Array.make c.n_unknown 0.; newton_sys = sys_copy base }
+    else
+      let newton_sys = sys_copy base in
+      Newton
+        { base; base_rhs = Array.make c.n_unknown 0.; newton_sys; devs = devices c newton_sys }
   in
   {
     caps_g;
@@ -701,11 +801,112 @@ let commit c st (vnode : float array) =
     Array.blit v_new 0 k.v_prev_k 0 nb
   done
 
+(* ------------------------------------------------------------ Newton *)
+
+(* A Newton run at the step being taken, as [newton_iterations] sees it:
+   its compiled circuit, solver state and node vector, the step's
+   iteration count once it has converged, and its failure. *)
+type nlane = {
+  nc : compiled;
+  nst : transient_state;  (* [nst.rhs]: each iteration's right-hand side, then solution *)
+  nw : newton;
+  nv : float array;
+  mutable n_iters : int;
+  mutable n_fail : exn option;
+}
+
+let nlane c st vnode =
+  match st.solver with
+  | Newton nw -> { nc = c; nst = st; nw; nv = vnode; n_iters = 0; n_fail = None }
+  | Factored _ | Nothing -> invalid_arg "Engine.nlane: not a Newton circuit"
+
+(* Scratch of [newton_iterations] for up to [lanes] lanes. *)
+type nscratch = { ns_it : int array; ns_b : Banded.t array; ns_x : float array array; ns_piv : int array }
+
+let nscratch lanes =
+  {
+    ns_it = Array.make lanes 0;
+    ns_b = Array.make lanes (Banded.create ~n:0 ~bw:0);
+    ns_x = Array.make lanes [||];
+    ns_piv = Array.make lanes 0;
+  }
+
+(* The engine's one Newton iteration: the Newton steps at [t] of the lanes
+   [ls.(act.(0 .. n_act - 1))], whose step right-hand sides [nw.base_rhs]
+   are assembled, iterated in lock-step.  Per iteration each lane copies
+   its base system and right-hand side, stamps its devices, solves, and
+   moves its node vector ([newton_update]); a lane leaves the iteration
+   once it converges ([n_iters] set) or fails ([n_fail]: a vanishing
+   pivot's [Singular], or [Newton_diverged] after [newton_max]
+   iterations), so every lane does the operations of its run alone.
+   Banded lanes -- all of one size and bandwidth -- factor and substitute
+   interleaved ([Banded.factor_lanes] and [solve_factored_lanes]); a dense
+   lane comes alone and takes the pivoted LU. *)
+let newton_iterations ~t (ls : nlane array) (act : int array) n_act (s : nscratch) =
+  let it = s.ns_it and sb = s.ns_b and sx = s.ns_x and piv = s.ns_piv in
+  Array.blit act 0 it 0 n_act;
+  let n_it = ref n_act and iter = ref 0 in
+  while !n_it > 0 do
+    incr iter;
+    for a = 0 to !n_it - 1 do
+      let l = ls.(it.(a)) in
+      let w = l.nw and rhs = l.nst.rhs in
+      sys_blit ~src:w.base ~dst:w.newton_sys;
+      Array.blit w.base_rhs 0 rhs 0 l.nc.n_unknown;
+      stamp_devices l.nc w.devs w.newton_sys rhs l.nv
+    done;
+    let solved =
+      match ls.(it.(0)).nw.newton_sys with
+      | B _ ->
+          for a = 0 to !n_it - 1 do
+            let l = ls.(it.(a)) in
+            (match l.nw.newton_sys with B b -> sb.(a) <- b | D _ -> assert false);
+            sx.(a) <- l.nst.rhs
+          done;
+          Banded.factor_lanes sb !n_it piv;
+          let k = ref 0 in
+          for a = 0 to !n_it - 1 do
+            let li = it.(a) in
+            if piv.(a) >= 0 then ls.(li).n_fail <- Some (Banded.Singular piv.(a))
+            else begin
+              it.(!k) <- li;
+              sb.(!k) <- sb.(a);
+              sx.(!k) <- sx.(a);
+              incr k
+            end
+          done;
+          Banded.solve_factored_lanes sb sx !k;
+          !k
+      | D m -> (
+          let l = ls.(it.(0)) in
+          match Linalg.lu_factor_in_place m with
+          | lu ->
+              Linalg.lu_solve_into lu l.nst.rhs l.nst.xsol;
+              Array.blit l.nst.xsol 0 l.nst.rhs 0 l.nc.n_unknown;
+              1
+          | exception (Linalg.Singular _ as e) ->
+              l.n_fail <- Some e;
+              0)
+    in
+    let kept = ref 0 in
+    for a = 0 to solved - 1 do
+      let li = it.(a) in
+      let l = ls.(li) in
+      if newton_update l.nc l.nv l.nst.rhs then l.n_iters <- !iter
+      else if !iter = newton_max then l.n_fail <- Some (Newton_diverged { t; within = [] })
+      else begin
+        it.(!kept) <- li;
+        incr kept
+      end
+    done;
+    n_it := !kept
+  done
+
 (* One step of a Newton circuit, or of a linear one under adaptive
    stepping, with the sources set and the coupled-group history formed:
-   a factored solve for linear circuits; for nonlinear circuits, a copy of
-   the pre-stamped linear system per Newton iteration instead of
-   re-walking every element.  Returns the Newton iteration count. *)
+   a factored solve for linear circuits; for nonlinear circuits, the
+   right-hand side's linear part, then [newton_iterations] on this run
+   alone.  Returns the Newton iteration count. *)
 let fast_step c st vnode t =
   match st.solver with
   | Nothing -> 0
@@ -714,35 +915,11 @@ let fast_step c st vnode t =
       factored_solve f st.rhs st.xsol;
       scatter c vnode st.rhs;
       1
-  | Newton { base; base_rhs; newton_sys } ->
-      assemble_rhs c st base_rhs vnode;
-      let iter = ref 0 and converged = ref false in
-      while (not !converged) && !iter < newton_max do
-        incr iter;
-        sys_blit ~src:base ~dst:newton_sys;
-        Array.blit base_rhs 0 st.rhs 0 c.n_unknown;
-        Array.iter (fun dev -> stamp_nonlinear c newton_sys st.rhs vnode dev) c.nonlinears;
-        (match newton_sys with
-        | B b -> Banded.solve_in_place b st.rhs
-        | D m ->
-            let lu = Linalg.lu_factor_in_place m in
-            Linalg.lu_solve_into lu st.rhs st.xsol;
-            Array.blit st.xsol 0 st.rhs 0 c.n_unknown);
-        let worst = ref 0. in
-        for n = 1 to c.n_nodes - 1 do
-          let u = c.unknown_of_node.(n) in
-          if u >= 0 then begin
-            let dv = st.rhs.(u) -. vnode.(n) in
-            worst := Float.max !worst (Float.abs dv);
-            let dv = Float.max (-.dv_limit) (Float.min dv_limit dv) in
-            vnode.(n) <- vnode.(n) +. dv
-          end
-        done;
-        if !worst < newton_tol then converged := true
-      done;
-      if not !converged then
-        diverged t;
-      !iter
+  | Newton w -> (
+      assemble_rhs c st w.base_rhs vnode;
+      let l = nlane c st vnode in
+      newton_iterations ~t [| l |] [| 0 |] 1 (nscratch 1);
+      match l.n_fail with Some e -> raise e | None -> l.n_iters)
 
 (* The pre-factorization stepper: rebuild and refactor the whole system at
    every step (and every Newton iteration), exactly as the engine did before
@@ -1338,14 +1515,15 @@ let adaptive_core ~obs ~record_nodes ~until ~t_stop (a : adaptive) h =
 
 (* ----------------------------------------------------------- fixed step *)
 
-(* The most runs the linear kernel interleaves.  Past eight lanes the
-   substitutions of a tridiagonal ladder stop overlapping any further. *)
+(* The most runs a kernel interleaves.  Past eight lanes the
+   substitutions of a tridiagonal ladder stop overlapping any further, and
+   a Newton bench's whole steps gain little past four (EXPERIMENTS.md). *)
 let max_lanes = 8
 
 (* One fixed-step run, set up by [lane_setup] -- DC point, companion
    histories, record plan, watches, trace, solver state, in the order a
-   single run has always taken them -- and advanced by [step_lanes] or
-   [step_generic]. *)
+   single run has always taken them -- and advanced by [step_lanes],
+   [step_newton_lanes] or [step_generic]. *)
 type lane = {
   l_c : compiled;
   l_st : transient_state;
@@ -1359,6 +1537,7 @@ type lane = {
   mutable l_steps : int;  (* steps taken *)
   mutable l_newton : int;
   mutable l_worst : int;
+  mutable l_fail : exn option;  (* a Newton failure or a vanishing pivot *)
 }
 
 let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h =
@@ -1395,6 +1574,7 @@ let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
     l_steps = 0;
     l_newton = 0;
     l_worst = 0;
+    l_fail = None;
   }
 
 (* The linear fixed-step kernel: advances lanes that each hold a factored
@@ -1467,7 +1647,64 @@ let step_lanes ~dt (lanes : lane array) =
       l.l_worst <- 1)
     lanes
 
-(* One Newton run, or one [reassemble_per_step] reference run. *)
+(* The Newton fixed-step kernel: advances banded Newton lanes of one
+   size and bandwidth one step at a time.  Per step each lane sets its
+   sources, forms its coupled history and assembles its right-hand side;
+   [newton_iterations] then iterates the lanes still iterating in
+   lock-step, their factorizations and substitutions interleaved; then
+   each lane commits, traces and tests its stop.  Every lane does the
+   one-lane step's floating-point operations in its order, so its samples,
+   iteration counts and failure are bit for bit its run alone's.  A lane
+   that fails leaves with its exception, and the others carry on.  The
+   passes index unchecked only as [step_lanes] does, and the banded solves
+   keep [Rlc_num.Banded]'s invariant: [run_fixed] puts only lanes of one
+   banded shape in a pass, so every lane's system and right-hand side
+   have the same dimension. *)
+let step_newton_lanes ~dt (lanes : lane array) =
+  let m = Array.length lanes in
+  let nls = Array.map (fun l -> nlane l.l_c l.l_st l.l_vnode) lanes in
+  let scratch = nscratch m in
+  let active = Array.init m Fun.id and n_active = ref m in
+  let step = ref 0 in
+  while !n_active > 0 do
+    incr step;
+    let step = !step in
+    if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
+    let t = dt *. float_of_int step in
+    for a = 0 to !n_active - 1 do
+      let nl = nls.(active.(a)) in
+      let c = nl.nc and st = nl.nst in
+      set_sources c st nl.nv t;
+      for i = 0 to Array.length c.coupled - 1 do
+        coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+      done;
+      assemble_rhs c st nl.nw.base_rhs nl.nv
+    done;
+    newton_iterations ~t nls active !n_active scratch;
+    let kept = ref 0 in
+    for a = 0 to !n_active - 1 do
+      let li = active.(a) in
+      let l = lanes.(li) and nl = nls.(li) in
+      match nl.n_fail with
+      | Some e -> l.l_fail <- Some e
+      | None ->
+          let c = l.l_c and vnode = l.l_vnode in
+          l.l_newton <- l.l_newton + nl.n_iters;
+          l.l_worst <- Int.max l.l_worst nl.n_iters;
+          commit c l.l_st vnode;
+          l.l_steps <- step;
+          let i = trace_push l.l_tr vnode in
+          l.l_tr.tr_times.(i) <- t;
+          if not (stop_now c l.l_watch l.l_peak vnode step || step = l.l_n_steps) then begin
+            active.(!kept) <- li;
+            incr kept
+          end
+    done;
+    n_active := !kept
+  done
+
+(* A dense Newton run, a run without unknowns, or one
+   [reassemble_per_step] reference run. *)
 let step_generic ~dt l =
   let c = l.l_c and st = l.l_st and vnode = l.l_vnode in
   let step_fn = if l.l_rebuild then rebuild_step ~dt else fast_step in
@@ -1493,18 +1730,32 @@ let step_generic ~dt l =
   done;
   l.l_steps <- !step
 
-(* Fixed-step runs of set-up lanes.  Linear runs go through the kernel:
-   banded ones of one system size and bandwidth share a pass, up to
-   [max_lanes] at a time, in order of appearance; a dense one steps
-   alone.  Newton and reference runs step alone on [step_generic].  Each
-   pass records one step-loop span; the counters count lanes. *)
+(* A failure that belongs to one run of a batch: Newton's, or a vanishing
+   pivot's.  Anything else (an expired deadline, a bad argument, a source
+   that raises) aborts the batch. *)
+let lane_failure = function
+  | Newton_diverged _ | Banded.Singular _ | Linalg.Singular _ -> true
+  | _ -> false
+
+(* Fixed-step runs of set-up lanes, each to its own outcome.  Banded runs
+   go through the kernels: linear ones of one system size and bandwidth
+   share a [step_lanes] pass, Newton ones a [step_newton_lanes] pass, up
+   to [max_lanes] at a time, in order of appearance.  Dense linear runs
+   take [step_lanes] alone; dense Newton runs, runs without unknowns and
+   reference runs step alone on [step_generic].  Each pass records one
+   step-loop span; the counters count lanes. *)
 let run_fixed ~obs ~dt (lanes : lane array) =
-  let kernel l =
-    (not l.l_rebuild) && match l.l_st.solver with Factored _ -> true | Newton _ | Nothing -> false
+  let kind l =
+    if l.l_rebuild then `Generic
+    else match l.l_st.solver with
+      | Factored _ -> `Linear
+      | Newton { newton_sys = B _; _ } -> `Newton
+      | Newton { newton_sys = D _; _ } | Nothing -> `Generic
   in
   let shape l =
-    match l.l_st.solver with
-    | Factored (FB b) when kernel l -> Some (Banded.dim b, Banded.bandwidth b)
+    match (kind l, l.l_st.solver) with
+    | `Linear, Factored (FB b) -> Some (false, Banded.dim b, Banded.bandwidth b)
+    | `Newton, Newton { newton_sys = B b; _ } -> Some (true, Banded.dim b, Banded.bandwidth b)
     | _ -> None
   in
   let passes = ref [] in
@@ -1522,12 +1773,19 @@ let run_fixed ~obs ~dt (lanes : lane array) =
       let pass = Array.of_list (List.rev_map (fun i -> lanes.(i)) !members) in
       let step_t0 = Obs.start obs in
       let l0 = pass.(0) in
-      if kernel l0 then step_lanes ~dt pass else step_generic ~dt l0;
+      (match kind l0 with
+      | `Linear -> step_lanes ~dt pass
+      | `Newton -> step_newton_lanes ~dt pass
+      | `Generic -> (
+          try step_generic ~dt l0 with e when lane_failure e -> l0.l_fail <- Some e));
       if Obs.enabled obs then begin
         let sum f = Array.fold_left (fun acc l -> acc + f l) 0 pass in
         let steps = sum (fun l -> l.l_steps) and newton = sum (fun l -> l.l_newton) in
         let path =
-          if l0.l_rebuild then "rebuild" else if kernel l0 then "linear-fast" else "newton-fast"
+          match kind l0 with
+          | `Linear -> "linear-fast"
+          | `Generic when l0.l_rebuild -> "rebuild"
+          | `Newton | `Generic -> "newton-fast"
         in
         Obs.finish obs
           ~args:
@@ -1545,16 +1803,20 @@ let run_fixed ~obs ~dt (lanes : lane array) =
     !passes;
   Array.map
     (fun l ->
-      let times_, cols = trace_finish l.l_tr in
-      {
-        times_;
-        col_of_node = l.l_col_of_node;
-        cols;
-        total_newton = l.l_newton;
-        worst_newton = l.l_worst;
-        rejected_ = 0;
-        refactors_ = 0;
-      })
+      match l.l_fail with
+      | Some e -> Error e
+      | None ->
+          let times_, cols = trace_finish l.l_tr in
+          Ok
+            {
+              times_;
+              col_of_node = l.l_col_of_node;
+              cols;
+              total_newton = l.l_newton;
+              worst_newton = l.l_worst;
+              rejected_ = 0;
+              refactors_ = 0;
+            })
     lanes
 
 let times r = Array.copy r.times_
@@ -1713,7 +1975,7 @@ module Compiled = struct
         let lane =
           lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t_stop h
         in
-        (run_fixed ~obs ~dt [| lane |]).(0)
+        Result.fold ~ok:Fun.id ~error:raise (run_fixed ~obs ~dt [| lane |]).(0)
 
   type nonrec lane = {
     handle : handle;
@@ -1735,21 +1997,36 @@ module Compiled = struct
             invalid_arg "Engine.Compiled.run_lanes: a handle appears in two lanes"
         done)
       lanes;
+    let outcome f = match f () with v -> Ok v | exception e when lane_failure e -> Error e in
     match adaptive with
     | Some a ->
         Array.map
           (fun l ->
-            adaptive_core ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
-              ~t_stop:l.t_stop a l.handle)
+            outcome (fun () ->
+                adaptive_core ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
+                  ~t_stop:l.t_stop a l.handle))
           lanes
     | None ->
-        run_fixed ~obs ~dt
-          (Array.map
-             (fun l ->
-               lane_setup ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
-                 ~until_peak:l.until_peak ~reassemble_per_step:false ~dt ~t_stop:l.t_stop
-                 l.handle)
-             lanes)
+        let set =
+          Array.map
+            (fun l ->
+              outcome (fun () ->
+                  lane_setup ~obs ~record_nodes:(Some l.record_nodes) ~until:(Some l.until)
+                    ~until_peak:l.until_peak ~reassemble_per_step:false ~dt ~t_stop:l.t_stop
+                    l.handle))
+            lanes
+        in
+        let stepped =
+          run_fixed ~obs ~dt (Array.of_list (List.filter_map Result.to_option (Array.to_list set)))
+        in
+        let next = ref 0 in
+        Array.map
+          (function
+            | Error e -> Error e
+            | Ok _ ->
+                incr next;
+                stepped.(!next - 1))
+          set
 
   (* The handle cache's structure key hashes topology only — node count
      plus two independent polynomial hashes over (kind, nodes) in

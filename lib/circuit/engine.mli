@@ -12,20 +12,23 @@
     linear circuits assemble and factor the system matrix once per step
     size and each step only rebuilds the right-hand side (O(n·bw) instead
     of O(n·bw²) per step).  Nonlinear circuits pre-stamp the constant
-    linear part once and copy it per Newton iteration.  The fast path
+    linear part once and copy it per Newton iteration; their devices
+    evaluate into buffers the solver state owns ({!Netlist.nonlinear}),
+    so a Newton iteration allocates nothing.  The fast path
     produces bit-identical waveforms to per-step reassembly, which remains
     available via [~reassemble_per_step:true].
 
     Every transient runs on a {!Compiled.handle}: {!Compiled.run} is the
     one transient path, and {!transient} runs it on a freshly compiled
-    handle.  Linear fixed-step runs go through one step kernel, which
-    {!Compiled.run_lanes} feeds several handles at once; {!Compiled.run}
-    is its one-lane case.
+    handle.  Banded fixed-step runs go through two step kernels, one for
+    linear and one for Newton circuits, which {!Compiled.run_lanes} feeds
+    several handles at once; {!Compiled.run} is their one-lane case.  The
+    Newton kernel's iteration is also the adaptive stepper's.
 
     Unchecked array access is confined to the per-step passes (sources,
-    right-hand side, scatter, commit) and {!Rlc_num.Banded}'s solves, and
-    indexes only with arrays that compiling a handle built and
-    bounds-checked. *)
+    right-hand side, scatter, commit, the Newton update) and
+    {!Rlc_num.Banded}'s factorization and solves, and indexes only with
+    arrays that compiling a handle built and bounds-checked. *)
 
 module Waveform = Rlc_waveform.Waveform
 
@@ -228,7 +231,9 @@ module Compiled : sig
       (and every Newton iteration), as the engine did before the
       compile/factor/step split.  The two paths produce bit-identical
       waveforms; the slow path is kept as the golden reference for
-      equivalence tests.
+      equivalence tests, with its own device stamping and Newton update
+      (the [Float.max]/[Float.min] form the step kernels' comparisons
+      replace), so it checks theirs.
 
       [adaptive] switches to LTE-controlled variable time steps (see
       {!adaptive}); [dt] is then unused and the recorded waveforms sit on
@@ -264,27 +269,43 @@ module Compiled : sig
       (160 unknowns and up) two ([Rlc_xtalk.Xtalk.analyze]). *)
 
   val run_lanes :
-    ?obs:Rlc_obs.Obs.t -> ?adaptive:adaptive -> dt:float -> lane array -> result array
-  (** The lanes' runs, in lane order: each result is bit for bit
+    ?obs:Rlc_obs.Obs.t ->
+    ?adaptive:adaptive ->
+    dt:float ->
+    lane array ->
+    (result, exn) Stdlib.result array
+  (** The lanes' outcomes, in lane order: each is bit for bit what
       [run ?obs ?adaptive ~dt ~t_stop ~record_nodes ~until ?until_peak
-      handle] on its own (times, samples, step and Newton counts,
-      exceptions), and raises
-      what that run would; the first failure aborts the batch.  Each lane
-      keeps its own element values, sources, DC point, factorization,
-      [until] and [until_peak] watches and trace, and stops once its own
-      conditions hold or at [t_stop].
+      handle] gives on its own (times, samples, step and Newton counts),
+      [Ok] its result, or [Error] the {!Newton_diverged} or
+      [Rlc_num.Banded.Singular] / [Rlc_num.Linalg.Singular] that run would
+      raise, with that run's own [t] and an empty [within] for the caller
+      to extend.  A failing lane leaves the batch alone; the others run to
+      their ends.  Any other exception (an expired deadline, a bad
+      argument) aborts the batch.  Each lane keeps its own element values,
+      sources, DC point, factorization, [until] and [until_peak] watches
+      and trace, and stops once its own conditions hold or at [t_stop].
 
       A lane's [until_peak] watch is {!run}'s: the noise runs of a
       crosstalk analysis batch with it.
 
-      Fixed-step linear lanes whose systems are banded with the same size
-      and bandwidth -- runs of one netlist structure -- step together,
-      [max_lanes] at a time in lane order, interleaving their banded
-      substitutions row by row; a lane that stops leaves the interleaving.
-      Dense systems, Newton circuits and [adaptive] runs step one lane at a
-      time.  Each pass records one ["engine.step_loop"] span, its [steps]
-      the sum over its lanes and [lanes] their number; the counters count
-      lanes.  No handle may appear in two lanes ([Invalid_argument]). *)
+      Fixed-step lanes whose systems are banded with the same size and
+      bandwidth -- runs of one netlist structure -- step together,
+      [max_lanes] at a time in lane order, linear lanes with linear lanes
+      and Newton lanes with Newton lanes.  Linear lanes interleave their
+      banded substitutions row by row.  Newton lanes set their sources and
+      right-hand sides, then iterate in lock-step: each iteration copies
+      every still-iterating lane's base system, stamps its devices,
+      factors and substitutes the lanes interleaved
+      ({!Rlc_num.Banded.factor_lanes},
+      {!Rlc_num.Banded.solve_factored_lanes}) and moves each lane's nodes;
+      a lane that has converged leaves the iteration and commits its
+      step.  A lane that stops leaves the interleaving.  Dense systems and
+      [adaptive] runs step one lane at a time.  Each pass records one
+      ["engine.step_loop"] span, its [steps] the sum over its lanes, its
+      [path] ["linear-fast"] or ["newton-fast"] and [lanes] their number;
+      the counters count lanes.  No handle may appear in two lanes
+      ([Invalid_argument]). *)
 
   val cached : ?obs:Rlc_obs.Obs.t -> ?lane:int -> Netlist.t -> handle
   (** A handle for this topology from one process-wide {!Rlc_obs.Memo} of

@@ -7,7 +7,7 @@ let ground = 0
 type nonlinear = {
   nl_name : string;
   nl_nodes : node array;
-  nl_eval : float array -> float array * float array array;
+  nl_eval : float array -> float array -> float array -> unit;
 }
 
 type coupled = {

@@ -16,10 +16,15 @@ val ground : node
 type nonlinear = {
   nl_name : string;
   nl_nodes : node array;
-  nl_eval : float array -> float array * float array array;
-      (** [nl_eval v] takes the voltages at [nl_nodes] and returns
-          [(i, g)] where [i.(k)] is the current flowing {e out of} node [k]
-          into the device and [g.(k).(j) = d i.(k) / d v.(j)]. *)
+  nl_eval : float array -> float array -> float array -> unit;
+      (** [nl_eval v i g] reads the voltages at [nl_nodes] from [v] and
+          writes, for the [nn] nodes, [i.(k)], the current flowing {e out
+          of} node [k] into the device, and the row-major Jacobian
+          [g.((k * nn) + j) = d i.(k) / d v.(j)].  The engine owns the
+          three buffers ([nn], [nn] and [nn * nn] floats, one set per
+          device and solver state) and reuses them every Newton iteration,
+          so an evaluation allocates nothing; it must write every entry of
+          [i] and [g] and may use them as scratch before it does. *)
 }
 
 type coupled = {

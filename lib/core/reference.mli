@@ -41,7 +41,9 @@ val simulate :
     ladder, load cap.  Defaults: [dt = 0.25 ps],
     [t_stop = 30 ps + slew + max(2 ns, 20 tf)].  [adaptive] switches the
     engine to LTE-controlled stepping ([dt] is then unused); the returned
-    waveforms sit on the adaptive grid. *)
+    waveforms sit on the adaptive grid.  Fixed-step, its transient is a
+    one-lane pass of the engine's Newton kernel, as each characterization
+    point's is. *)
 
 val replay_pwl :
   ?obs:Rlc_obs.Obs.t ->
@@ -70,15 +72,15 @@ val far_timings :
   ?dt:float ->
   ?adaptive:Rlc_circuit.Engine.adaptive ->
   replay array ->
-  (float * float) array
-(** {!far_timing} of every replay, in order, each bit for bit what the
-    single call gives.  The replays run in batches of
-    {!Rlc_circuit.Engine.Compiled.max_lanes} through
-    {!Rlc_circuit.Engine.Compiled.run_lanes}, each member on its own lane's
-    {!Rlc_circuit.Engine.Compiled.cached} handle, so replays whose ladders
-    share a structure step in lock-step; each stops at its own 90 %
-    crossing, and only the far node is recorded.  Raises what the first
-    failing replay would. *)
+  (float * float, exn) result array
+(** {!far_timing} of every replay, in order, each [Ok] bit for bit what
+    the single call gives, or [Error] what it would raise.  The replays
+    run in batches of {!Rlc_circuit.Engine.Compiled.max_lanes} through
+    {!Rlc_circuit.Engine.Compiled.run_lanes}, each member on its own
+    lane's {!Rlc_circuit.Engine.Compiled.cached} handle, so replays whose
+    ladders share a structure step in lock-step; each stops at its own
+    90 % crossing, and only the far node is recorded.  A failing replay
+    fails alone. *)
 
 val far_timing :
   ?obs:Rlc_obs.Obs.t ->
@@ -96,7 +98,7 @@ val far_timing :
     replay gives — with the replay stopped as soon as the far end has
     crossed 10, 50 and 90 % of [vdd].  The far-end step 5 of the paper's
     flow, shared by {!Rlc_sta} and the full-design flow; {!far_timings} of
-    a batch of one.  Raises [Invalid_argument] when the far end never
+    a batch of one, raising its [Error].  Raises [Invalid_argument] when the far end never
     completes 10–90 inside the window. *)
 
 (* Measurements (conventions of DESIGN.md §4, all on the rising edge). *)
@@ -110,18 +112,32 @@ val near_slew : t -> float
 val far_delay : t -> float
 val far_slew : t -> float
 
-val simulated_far_delay :
+type bench_case = {
+  size : float;  (** driver size, X *)
+  input_slew : float;
+  line : Line.t;
+  cl : float;
+}
+(** One transistor-level bench of {!simulated_far_delays}: {!simulate}'s
+    arguments of the same names. *)
+
+val simulated_far_delays :
   ?obs:Rlc_obs.Obs.t ->
   ?dt:float ->
   ?adaptive:Rlc_circuit.Engine.adaptive ->
-  ?n_segments:int ->
   tech:Rlc_devices.Tech.t ->
-  size:float ->
-  input_slew:float ->
-  line:Line.t ->
-  cl:float ->
-  unit ->
-  float
-(** [far_delay (simulate ...)], bit for bit, with the transistor-level
+  bench_case array ->
+  (float, exn) result array
+(** [far_delay (simulate ...)] of every bench, in order, each [Ok] bit for
+    bit what the run alone gives, or [Error] what it would raise (a
+    {!Rlc_circuit.Engine.Newton_diverged} with an empty [within], or a
+    far end that never crossed 50 %), with each transistor-level
     transient stopped once the input and the far end have both crossed
-    50 % — the check a sizing search needs, at a fraction of the window. *)
+    50 % -- the check a sizing search needs, at a fraction of the window.
+    The benches run in batches of {!Rlc_circuit.Engine.Compiled.max_lanes}
+    through {!Rlc_circuit.Engine.Compiled.run_lanes}, each on its own
+    lane's {!Rlc_circuit.Engine.Compiled.cached} handle, so benches of one
+    ladder structure step as Newton lanes in lock-step.  Each netlist is
+    dropped once its handle holds its values.  [obs] records the engine's
+    spans and counters, as for any run. *)
+

@@ -35,4 +35,7 @@ val device :
   Tech.mosfet_params -> polarity:polarity -> w_um:float ->
   d:Rlc_circuit.Netlist.node -> g:Rlc_circuit.Netlist.node -> s:Rlc_circuit.Netlist.node ->
   name:string -> Rlc_circuit.Netlist.nonlinear
-(** Package as a circuit-engine nonlinear element over nodes [d; g; s]. *)
+(** Package as a circuit-engine nonlinear element over nodes [d; g; s].
+    Its evaluation is {!eval_nmos} / {!eval_pmos}'s, float expression for
+    float expression, written into the engine's buffers without
+    allocating. *)

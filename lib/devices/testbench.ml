@@ -25,8 +25,17 @@ type edge = Rise | Fall
 let cap_load farads nl node =
   if farads > 0. then Netlist.capacitor nl ~name:"Cload" node Netlist.ground farads
 
-let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) ?record ?until
-    ~tech ~size ~input_slew ~load () =
+type bench = {
+  netlist : Netlist.t;
+  input : Netlist.node;
+  output : Netlist.node;
+  vdd_node : Netlist.node;
+  record_nodes : Netlist.node list option;
+  until : Engine.crossing list option;
+  t_stop : float;
+}
+
+let build ?t_stop ?(t0 = 10e-12) ?(edge = Rise) ?record ?until ~tech ~size ~input_slew ~load () =
   if input_slew <= 0. then invalid_arg "Testbench.drive: input_slew must be positive";
   let t_stop =
     match t_stop with Some t -> t | None -> t0 +. (4. *. input_slew) +. 1e-9
@@ -55,11 +64,19 @@ let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) 
     | Some extra -> Some (input :: output :: vdd_node :: extra ())
   in
   let until = Option.map (fun f -> f ~input ~output) until in
-  let engine = Engine.transient ?obs ?record_nodes ?until ?adaptive ~dt ~t_stop nl in
+  { netlist = nl; input; output; vdd_node; record_nodes; until; t_stop }
+
+let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?t0 ?edge ?record ?until ~tech ~size
+    ~input_slew ~load () =
+  let b = build ?t_stop ?t0 ?edge ?record ?until ~tech ~size ~input_slew ~load () in
+  let engine =
+    Engine.transient ?obs ?record_nodes:b.record_nodes ?until:b.until ?adaptive ~dt
+      ~t_stop:b.t_stop b.netlist
+  in
   {
-    input = Engine.voltage engine input;
-    output = Engine.voltage engine output;
+    input = Engine.voltage engine b.input;
+    output = Engine.voltage engine b.output;
     engine;
-    out_node = output;
-    vdd_node;
+    out_node = b.output;
+    vdd_node = b.vdd_node;
   }

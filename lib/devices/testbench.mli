@@ -27,6 +27,34 @@ val rising_input : Tech.t -> t0:float -> slew:float -> float -> float
 type edge = Rise | Fall
 (** Direction of the {e driver output} transition. *)
 
+type bench = {
+  netlist : Netlist.t;
+  input : Netlist.node;
+  output : Netlist.node;
+  vdd_node : Netlist.node;
+  record_nodes : Netlist.node list option;  (** [None]: every node *)
+  until : Rlc_circuit.Engine.crossing list option;
+  t_stop : float;
+}
+(** A built bench, not yet run: its netlist, its observation nodes and
+    what a run of it records, stops at and runs to.  A caller that steps
+    it on a compiled handle keeps only the nodes and lets the netlist go
+    once the handle holds its values. *)
+
+val build :
+  ?t_stop:float ->
+  ?t0:float ->
+  ?edge:edge ->
+  ?record:(unit -> Netlist.node list) ->
+  ?until:(input:Netlist.node -> output:Netlist.node -> Rlc_circuit.Engine.crossing list) ->
+  tech:Tech.t ->
+  size:float ->
+  input_slew:float ->
+  load:(Netlist.t -> Netlist.node -> unit) ->
+  unit ->
+  bench
+(** Build [input ramp -> inverter -> load], as {!drive} describes. *)
+
 val drive :
   ?obs:Rlc_obs.Obs.t ->
   ?dt:float ->
@@ -42,7 +70,8 @@ val drive :
   load:(Netlist.t -> Netlist.node -> unit) ->
   unit ->
   result
-(** Build [input ramp -> inverter -> load] and simulate.  Defaults:
+(** {!build}, then simulate the bench with
+    {!Rlc_circuit.Engine.transient}.  Defaults:
     [dt = 0.25 ps], [t0 = 10 ps], [edge = Rise],
     [t_stop = t0 + 4 * input_slew + 1 ns].  The [load] callback attaches
     arbitrary elements to the driver output node (pure capacitance, RLC

@@ -158,9 +158,12 @@ let canonicalize ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
   in
   { q_slew; q_pade; q_line; q_cl; key }
 
+(* A refused size stays a bad request ([Invalid_argument]) for the
+   callers that type exceptions (the service's [guard], [Error.of_exn]). *)
 let cell_exn ?obs ?pool tech ~size =
   match Characterize.cell_res ?obs ?pool tech ~size with
   | Ok c -> c
+  | Error (Rlc_errors.Error.Bad_request msg) -> invalid_arg msg
   | Error e -> failwith (Rlc_errors.Error.message e)
 
 (* A canonicalized net's driver model (the paper's steps 1-4). *)
@@ -170,10 +173,10 @@ let model_net (cfg : Config.t) ~tech c ~edge ~size =
     ~pade:c.q_pade ~line:c.q_line ~cl:c.q_cl ()
 
 (* The solves of modeled nets: every far-end replay (step 5) as one batch,
-   so replays of one ladder structure step in lock-step.  The model
-   waveform lives in the normalized rising domain; t = 0 is the
-   driver-input 50 % crossing, so the far-end 50 % time IS the stage delay
-   (same convention as Rlc_sta.analyze). *)
+   so replays of one ladder structure step in lock-step, each to its own
+   outcome.  The model waveform lives in the normalized rising domain;
+   t = 0 is the driver-input 50 % crossing, so the far-end 50 % time IS the
+   stage delay (same convention as Rlc_sta.analyze). *)
 let time_models (cfg : Config.t) modeled =
   let timings =
     Reference.far_timings ~obs:cfg.Config.obs ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive
@@ -189,31 +192,120 @@ let time_models (cfg : Config.t) modeled =
   in
   Array.mapi
     (fun i (_, model) ->
-      let stage_delay, far_slew = timings.(i) in
-      { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model })
+      Result.map
+        (fun (stage_delay, far_slew) ->
+          { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model })
+        timings.(i))
     modeled
 
 let solve_one cfg ~tech c ~edge ~size =
-  (time_models cfg [| (c, model_net cfg ~tech c ~edge ~size) |]).(0)
+  Result.fold ~ok:Fun.id ~error:raise (time_models cfg [| (c, model_net cfg ~tech c ~edge ~size) |]).(0)
 
 (* Where a looked-up net's solve came from: the Ceff cache, or solved --
    on a cache miss or with the cache off. *)
 type outcome = Hit | Miss | Uncached
 
-(* One candidate evaluation for the optimizer: the net's interconnect with a
-   caller-chosen driver size, canonicalized and cached exactly as the flow
-   canonicalizes its own solves — so an optimize sweep and the final
-   verification flow agree on every shared (net, size, slew) key, and the
-   solve stays a pure function of the quantized inputs (jobs-independent). *)
-let solve_sized (cfg : Config.t) ~tech ~(net : Design.net) ~size ~edge ~input_slew =
-  let c =
-    canonicalize ~tech ~dt:cfg.Config.dt ?adaptive:cfg.Config.adaptive { net with Design.size }
-      ~edge ~input_slew
-  in
-  let compute () = solve_one cfg ~tech c ~edge ~size in
-  match cfg.Config.cache with
-  | Some cache when cfg.Config.use_cache -> fst (Memo.find_or_add cache c.key compute)
-  | _ -> compute ()
+(* A failure that belongs to one net's solve: anything but an expired
+   deadline, which ends the whole run. *)
+let fails_alone = function Deadline.Expired _ -> false | _ -> true
+
+(* One chunk of solves, one pool job.  Each net is canonicalized and
+   looked up once, in order, and a miss's driver model computed ([record]
+   is told of each, with the time it started); the misses' replays then
+   run as one batch, inserted into [cache] when [insert].  A net whose key
+   an earlier net of the chunk holds is looked up only after those
+   inserts, so it hits as it would after a solve of its own.  Each net's
+   solve is its own outcome: a net whose model or replay raises fails
+   alone. *)
+let solve_chunk (cfg : Config.t) ~tech ~cache ~insert ~record
+    (chunk : (Design.net * Measure.edge * float) array) =
+  Deadline.check_ambient ();
+  let obs = cfg.Config.obs in
+  let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
+  let n = Array.length chunk in
+  let canon = Array.make n None and solves = Array.make n None in
+  let outcomes = Array.make n Uncached in
+  let modeled = ref [] and deferred = ref [] and earlier = ref [] in
+  Array.iteri
+    (fun k ((net : Design.net), edge, input_slew) ->
+      let net_t0 = Obs.start obs in
+      let c = canonicalize ~tech ~dt ?adaptive net ~edge ~input_slew in
+      canon.(k) <- Some c;
+      let seen = List.mem c.key !earlier in
+      earlier := c.key :: !earlier;
+      if insert && Option.is_some cache && seen then deferred := k :: !deferred
+      else
+        match Option.bind cache (fun m -> Memo.find m c.key) with
+        | Some s ->
+            solves.(k) <- Some (Ok s);
+            outcomes.(k) <- Hit;
+            record net net_t0 true s.model
+        | None -> (
+            match model_net cfg ~tech c ~edge ~size:net.Design.size with
+            | model ->
+                outcomes.(k) <- (if Option.is_some cache then Miss else Uncached);
+                record net net_t0 false model;
+                modeled := (k, (c, model)) :: !modeled
+            | exception e when fails_alone e -> solves.(k) <- Some (Error e)))
+    chunk;
+  let modeled = Array.of_list (List.rev !modeled) in
+  let timed = time_models cfg (Array.map snd modeled) in
+  Array.iteri
+    (fun i (k, (c, _)) ->
+      solves.(k) <- Some timed.(i);
+      match (cache, timed.(i)) with
+      | Some m, Ok s when insert -> Memo.replace m c.key s
+      | _ -> ())
+    modeled;
+  List.iter
+    (fun k ->
+      let net, edge, _ = chunk.(k) and c = Option.get canon.(k) in
+      let net_t0 = Obs.start obs in
+      match
+        Memo.find_or_add (Option.get cache) c.key (fun () ->
+            solve_one cfg ~tech c ~edge ~size:net.Design.size)
+      with
+      | s, hit ->
+          solves.(k) <- Some (Ok s);
+          outcomes.(k) <- (if hit then Hit else Miss);
+          record net net_t0 hit s.model
+      | exception e when fails_alone e -> solves.(k) <- Some (Error e))
+    (List.rev !deferred);
+  Array.init n (fun k -> (Option.get canon.(k), Option.get solves.(k), outcomes.(k)))
+
+(* [f] on consecutive chunks of [items], one pool job a chunk, each as
+   wide as the lanes a replay batch can fill with every domain busy:
+   min(max_lanes, items / jobs, rounded up).  [f] returns one result per
+   item; the results come back in item order. *)
+let map_lanes ?obs pool items f =
+  let r = Array.length items and jobs = Pool.jobs pool in
+  if r = 0 then [||]
+  else begin
+    let width =
+      Int.max 1 (Int.min Rlc_circuit.Engine.Compiled.max_lanes ((r + jobs - 1) / jobs))
+    in
+    Array.concat
+      (Array.to_list
+         (Pool.map ?obs pool ((r + width - 1) / width) (fun ci ->
+              f (Array.sub items (ci * width) (Int.min width (r - (ci * width)))))))
+  end
+
+let cache_of (cfg : Config.t) =
+  match cfg.Config.cache with Some m when cfg.Config.use_cache -> Some m | _ -> None
+
+(* Driver-size candidates for the optimizer: each net (carrying its
+   candidate size) canonicalized and cached exactly as the flow
+   canonicalizes its own solves, through the flow's chunk solver with
+   inserts and without per-net telemetry -- so an optimize sweep and the
+   final verification flow agree on every shared (net, size, slew) key,
+   and each solve stays a pure function of the quantized inputs
+   (jobs-independent). *)
+let solve_batch (cfg : Config.t) ~pool ~tech reqs =
+  let cache = cache_of cfg in
+  map_lanes ~obs:cfg.Config.obs pool reqs (fun chunk ->
+      Array.map
+        (fun (_, s, _) -> s)
+        (solve_chunk cfg ~tech ~cache ~insert:true ~record:(fun _ _ _ _ -> ()) chunk))
 
 module Timed = struct
   type timed = {
@@ -327,76 +419,26 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
       if not hit then Obs.add obs "flow.ceff_iterations_run" iterations
     end
   in
-  let cache =
-    match cfg.Config.cache with Some m when cfg.Config.use_cache -> Some m | _ -> None
-  in
-  (* One pool job: a chunk of a level's nets that are not reused.  Each net
-     is canonicalized and looked up once, in order, and a miss's driver
-     model computed (one ["flow.net"] span each); the misses' replays then
-     run as one batch, and a cold run inserts them.  A net whose key an
-     earlier net of the chunk holds is looked up only after those inserts,
-     so it hits as it would after a solve of its own. *)
-  let solve_chunk lvl (chunk : (Design.net * Measure.edge * float) array) =
-    Deadline.check_ambient ();
-    let dt = cfg.Config.dt and adaptive = cfg.Config.adaptive in
-    let n = Array.length chunk in
-    let canon = Array.make n None and solves = Array.make n None in
-    let outcomes = Array.make n Uncached in
-    let modeled = ref [] and deferred = ref [] and earlier = ref [] in
-    Array.iteri
-      (fun k ((net : Design.net), edge, input_slew) ->
-        if not cold then Obs.incr obs "flow.retimed";
-        let net_t0 = Obs.start obs in
-        let c = canonicalize ~tech ~dt ?adaptive net ~edge ~input_slew in
-        canon.(k) <- Some c;
-        let seen = List.mem c.key !earlier in
-        earlier := c.key :: !earlier;
-        if cold && Option.is_some cache && seen then deferred := k :: !deferred
-        else
-          match Option.bind cache (fun m -> Memo.find m c.key) with
-          | Some s ->
-              solves.(k) <- Some s;
-              outcomes.(k) <- Hit;
-              record_net lvl net net_t0 true s.model
-          | None ->
-              let model = model_net cfg ~tech c ~edge ~size:net.Design.size in
-              outcomes.(k) <- (if Option.is_some cache then Miss else Uncached);
-              record_net lvl net net_t0 false model;
-              modeled := (k, (c, model)) :: !modeled)
-      chunk;
-    let modeled = Array.of_list (List.rev !modeled) in
-    let timed = time_models cfg (Array.map snd modeled) in
-    Array.iteri
-      (fun i (k, (c, _)) ->
-        solves.(k) <- Some timed.(i);
-        match cache with Some m when cold -> Memo.replace m c.key timed.(i) | _ -> ())
-      modeled;
-    List.iter
-      (fun k ->
-        let net, edge, _ = chunk.(k) and c = Option.get canon.(k) in
-        let net_t0 = Obs.start obs in
-        let s, hit =
-          Memo.find_or_add (Option.get cache) c.key (fun () ->
-              solve_one cfg ~tech c ~edge ~size:net.Design.size)
-        in
-        solves.(k) <- Some s;
-        outcomes.(k) <- (if hit then Hit else Miss);
-        record_net lvl net net_t0 hit s.model)
-      (List.rev !deferred);
-    Array.mapi
-      (fun k ((net : Design.net), edge, _) ->
-        let solve = Option.get solves.(k) and c = Option.get canon.(k) in
+  let cache = cache_of cfg in
+  (* One pool job: a chunk of a level's nets that are not reused, solved
+     by [solve_chunk]; a cold run inserts its solves.  A chunk raises its
+     first failing net's exception. *)
+  let solve_level_chunk lvl (chunk : (Design.net * Measure.edge * float) array) =
+    if not cold then Obs.add obs "flow.retimed" (Array.length chunk);
+    Array.map2
+      (fun ((net : Design.net), edge, _) (c, solve, outcome) ->
+        let solve = Result.fold ~ok:Fun.id ~error:raise solve in
         Log.debug (fun m ->
             m "net %-16s level %d %s: delay %.1f ps slew %.1f ps (%d iters%s)" net.Design.name lvl
               (match edge with Measure.Rising -> "rise" | Measure.Falling -> "fall")
               (Rlc_num.Units.in_ps solve.stage_delay)
               (Rlc_num.Units.in_ps solve.far_slew)
               solve.iterations
-              (if outcomes.(k) = Hit then ", cached" else ""));
-        ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key, outcomes.(k)))
+              (if outcome = Hit then ", cached" else ""));
+        ({ net; edge; input_slew = c.q_slew; solve; arrival = 0. }, c.key, outcome))
       chunk
+      (solve_chunk cfg ~tech ~cache ~insert:cold ~record:(record_net lvl) chunk)
   in
-  let jobs = Pool.jobs pool in
   let nets_done = ref 0 in
   timed "solve" (fun () ->
       Array.iteri
@@ -429,33 +471,20 @@ let solve_pass ?prev (cfg : Config.t) (design : Design.t) =
               (Array.to_list ids)
             |> Array.of_list
           in
-          (* Chunks as wide as the lanes a replay batch can fill with every
-             domain busy: min(max_lanes, nets to solve / jobs). *)
-          let r = Array.length todo in
-          let width =
-            Int.max 1 (Int.min Rlc_circuit.Engine.Compiled.max_lanes ((r + jobs - 1) / jobs))
-          in
-          let chunk ci = Array.sub todo (ci * width) (Int.min width (r - (ci * width))) in
           let solved =
-            if r = 0 then [||]
-            else
-              Pool.map ~obs pool ((r + width - 1) / width) (fun ci ->
-                  solve_chunk lvl (Array.map snd (chunk ci)))
+            map_lanes ~obs pool todo (fun chunk -> solve_level_chunk lvl (Array.map snd chunk))
           in
           Array.iteri
-            (fun ci out ->
-              Array.iteri
-                (fun k (res, key, outcome) ->
-                  let id = fst (chunk ci).(k) in
-                  results.(id) <- Some res;
-                  keys.(id) <- key;
-                  match outcome with
-                  | Hit -> incr hits
-                  | Miss ->
-                      incr misses;
-                      spent := !spent + res.solve.iterations
-                  | Uncached -> spent := !spent + res.solve.iterations)
-                out)
+            (fun i (res, key, outcome) ->
+              let id = fst todo.(i) in
+              results.(id) <- Some res;
+              keys.(id) <- key;
+              match outcome with
+              | Hit -> incr hits
+              | Miss ->
+                  incr misses;
+                  spent := !spent + res.solve.iterations
+              | Uncached -> spent := !spent + res.solve.iterations)
             solved;
           if cold then begin
             Obs.finish obs

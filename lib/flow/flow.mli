@@ -117,22 +117,40 @@ module Config : sig
   val default : t
 end
 
-val solve_sized :
+val fails_alone : exn -> bool
+(** Whether an exception belongs to one net's solve or search alone:
+    anything but {!Rlc_errors.Deadline.Expired}, which ends the whole
+    run.  The flow's chunk solver and [Optimize]'s rounds keep such a
+    failure as that net's outcome. *)
+
+val map_lanes :
+  ?obs:Rlc_obs.Obs.t -> Rlc_parallel.Pool.t -> 'a array -> ('a array -> 'b array) -> 'b array
+(** [map_lanes pool items f] applies [f] to consecutive chunks of
+    [items], one pool job a chunk, and returns its results (one per item)
+    in item order.  A chunk is as wide as the lanes a transient batch can
+    fill with every domain busy: [Engine.Compiled.max_lanes], or
+    [items / jobs] rounded up when that is fewer.  The flow's level
+    solves and {!solve_batch} chunk this way. *)
+
+val solve_batch :
   Config.t ->
+  pool:Rlc_parallel.Pool.t ->
   tech:Rlc_devices.Tech.t ->
-  net:Design.net ->
-  size:float ->
-  edge:Rlc_waveform.Measure.edge ->
-  input_slew:float ->
-  solve
-(** Evaluate one driver-size candidate on a net's interconnect: the net with
-    its driver resized to [size], canonicalized and solved exactly as the
-    flow solves its own nets (same quantization, same cache keys via
-    [Config.cache] when [use_cache]).  The result is a pure function of the
-    quantized inputs, so sweeps built on it are jobs-independent; a
-    subsequent full flow at the chosen size hits the same cache entries.
-    Same per-net step as the flow, without its per-net telemetry.
-    May raise as {!run_cfg} does (engine failures, deadline expiry). *)
+  (Design.net * Rlc_waveform.Measure.edge * float) array ->
+  (solve, exn) Stdlib.result array
+(** Evaluate driver-size candidates: each [(net, edge, input_slew)] is a
+    net's interconnect with its driver at [net.size] (the caller's
+    candidate), canonicalized and solved exactly as the flow solves its
+    own nets (same quantization, same cache keys via [Config.cache] when
+    [use_cache]), through the flow's chunk solver: look up, model the
+    misses, replay them as one lane batch, insert.  Chunks are one
+    [pool] job each, as wide as the flow's: [Engine.Compiled.max_lanes],
+    or fewer when that would leave a domain idle.  Each result is a pure
+    function of its quantized inputs, so sweeps built on it are
+    jobs-independent, and a later flow at the chosen size hits the same
+    cache entries.  No per-net telemetry.  Each outcome is the
+    candidate's own: [Error] carries what solving it alone would raise;
+    an expired deadline aborts the batch. *)
 
 val run_cfg : Config.t -> Design.t -> result
 (** Run the flow cold under a {!Config.t}: the solve pass with nothing to

@@ -102,11 +102,8 @@ let estimate_delay ~obs ~pool ~tech ~(net : Design.net) ~size ~edge ~input_slew 
       in
       Sta.estimate_far_delay model ~line:net.Design.eq_line ~cl:net.Design.cl
 
-(* Escalation: a marginal inductive winner (within 5 % of the target) is
-   re-verified at transistor level before being trusted; the simulated
-   delay must confirm the target within a 5 % model-vs-silicon tolerance.
-   Non-marginal or RC-like winners skip this — that is what keeps the
-   escalation rate low. *)
+(* How close to the target a winner must be to escalate, and the
+   tolerance its transistor-level delay must meet (see [rounds]). *)
 let escalation_band = 0.05
 
 (* Best-effort acceptance: when no candidate meets the target, the search
@@ -115,26 +112,45 @@ let escalation_band = 0.05
    driver for noise-level gains over a 150X one. *)
 let partial_band = 0.02
 
-let search_net (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
-    (r : Flow.net_result) =
+(* [e] as it escapes [Engine.within what]. *)
+let in_context what e = try Engine.within what (fun () -> raise e) with e -> e
+
+(* One net's search through the rounds of its level.  A round asks every
+   open search for its next candidate, solves them all as one batch,
+   escalates the marginal winners as one batch, and hands each search its
+   own outcomes: every search takes exactly the decisions a search of the
+   net alone would, in the same order. *)
+type net_search = {
+  ns_result : Flow.net_result;
+  ns_target : float;
+  ns_limit : float;  (* the screen: candidates predicted above it are not solved *)
+  mutable ns_todo : (float * float) list;  (* (size, predicted stage delay), ascending *)
+  mutable ns_tried : int;
+  mutable ns_screened : int;
+  mutable ns_escal : int;
+  mutable ns_evals : (float * float) list;  (* (size, solved stage delay), newest first *)
+  mutable ns_full : (float * float) option;  (* the winner: (size, stage delay) *)
+  mutable ns_open : bool;
+  mutable ns_fail : exn option;
+}
+
+(* Model-only predictions for the net's whole ladder (no replay): they set
+   the screen level.  When even the best prediction misses the target --
+   a deficit larger than any resize can recover -- the screen falls back
+   to 30 % of that best, so the best-effort pass still only replays
+   candidates near the achievable optimum. *)
+let price (cfg : Flow.Config.t) ~pool ~tech ~sizes ~residual (r : Flow.net_result) =
   let net = r.Flow.net in
   let obs = cfg.Flow.Config.obs in
   let base = r.Flow.solve.Flow.stage_delay in
   let target = base -. residual in
   let edge = r.Flow.edge and input_slew = r.Flow.input_slew in
-  let line = net.Design.eq_line and cl = net.Design.cl in
   let candidates =
     List.filter (fun s -> s > net.Design.size) (List.sort_uniq Float.compare sizes)
   in
-  let tried = ref 0 and screened = ref 0 and escal = ref 0 in
   let est_base =
     estimate_delay ~obs ~pool ~tech ~net ~size:net.Design.size ~edge ~input_slew
   in
-  (* Model-only predictions for the whole ladder first (no replay): they
-     set the screen level.  When even the best prediction misses the
-     target — a deficit larger than any resize can recover — the screen
-     falls back to 30 % of that best, so the best-effort pass still only
-     replays candidates near the achievable optimum. *)
   let preds =
     List.map
       (fun size ->
@@ -144,58 +160,143 @@ let search_net (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes ~
       candidates
   in
   let best_pred = List.fold_left (fun acc (_, p) -> Float.min acc p) infinity preds in
-  let screen_limit = screen_margin *. Float.max target best_pred in
-  let full = ref None in
-  let evals = ref [] in
-  List.iter
-    (fun (size, predicted) ->
-      if !full = None then begin
-        (* Observation point: a budgeted optimize stops between
-           candidates, not only between nets. *)
-        Deadline.check_ambient ();
-        if predicted > screen_limit then begin
-          incr screened;
-          Obs.incr obs "optimize.screened"
-        end
-        else begin
-          incr tried;
-          Obs.incr obs "optimize.candidates";
-          let s = Flow.solve_sized cfg ~tech ~net ~size ~edge ~input_slew in
-          evals := (size, s.Flow.stage_delay) :: !evals;
-          if s.Flow.stage_delay <= target then begin
-            let marginal =
-              s.Flow.stage_delay > target *. (1. -. escalation_band)
-              && s.Flow.model.Driver_model.screen.Screen.significant
-            in
-            let confirmed =
-              if not marginal then true
-              else begin
-                incr escal;
-                Obs.incr obs "optimize.escalations";
-                Engine.within
-                  (Printf.sprintf "escalation of net %s at %gX" net.Design.name size)
-                  (fun () ->
-                    Reference.simulated_far_delay ~dt:cfg.Flow.Config.dt
-                      ?adaptive:cfg.Flow.Config.adaptive ~tech ~size ~input_slew ~line ~cl ())
-                <= target *. (1. +. escalation_band)
-              end
-            in
-            if confirmed then full := Some (size, s.Flow.stage_delay)
-          end
-        end
-      end)
-    preds;
-  let finish fix stage_after =
+  {
+    ns_result = r;
+    ns_target = target;
+    ns_limit = screen_margin *. Float.max target best_pred;
+    ns_todo = preds;
+    ns_tried = 0;
+    ns_screened = 0;
+    ns_escal = 0;
+    ns_evals = [];
+    ns_full = None;
+    ns_open = true;
+    ns_fail = None;
+  }
+
+(* The next candidate to solve, past the screened ones; [None] closes a
+   search whose ladder is exhausted. *)
+let rec next_candidate obs st =
+  match st.ns_todo with
+  | [] ->
+      st.ns_open <- false;
+      None
+  | (size, predicted) :: rest ->
+      st.ns_todo <- rest;
+      if predicted > st.ns_limit then begin
+        st.ns_screened <- st.ns_screened + 1;
+        Obs.incr obs "optimize.screened";
+        next_candidate obs st
+      end
+      else Some size
+
+let close st ?fail full =
+  st.ns_open <- false;
+  st.ns_full <- full;
+  st.ns_fail <- fail
+
+(* The rounds of one level, over its priced searches.  Escalation: a
+   marginal inductive winner (within 5 % of the target) is re-verified at
+   transistor level before being trusted; the simulated delay must confirm
+   the target within a 5 % model-vs-silicon tolerance.  Non-marginal or
+   RC-like winners skip this -- that is what keeps the escalation rate
+   low. *)
+let rounds (cfg : Flow.Config.t) ~pool ~tech (searches : net_search array) =
+  let obs = cfg.Flow.Config.obs in
+  let rec round () =
+    (* Observation point: a budgeted optimize stops between rounds, and
+       inside the kernels. *)
+    Deadline.check_ambient ();
+    let asks =
+      Array.to_list searches
+      |> List.filter_map (fun st ->
+             if not st.ns_open then None
+             else Option.map (fun size -> (st, size)) (next_candidate obs st))
+      |> Array.of_list
+    in
+    if Array.length asks > 0 then begin
+      let solves =
+        Flow.solve_batch cfg ~pool ~tech
+          (Array.map
+             (fun (st, size) ->
+               let r = st.ns_result in
+               st.ns_tried <- st.ns_tried + 1;
+               Obs.incr obs "optimize.candidates";
+               ({ r.Flow.net with Design.size }, r.Flow.edge, r.Flow.input_slew))
+             asks)
+      in
+      let marginal = ref [] in
+      Array.iteri
+        (fun i (st, size) ->
+          match solves.(i) with
+          | Error e -> close st ~fail:e None
+          | Ok s ->
+              let stage = s.Flow.stage_delay and target = st.ns_target in
+              st.ns_evals <- (size, stage) :: st.ns_evals;
+              if stage <= target then
+                if
+                  stage > target *. (1. -. escalation_band)
+                  && s.Flow.model.Driver_model.screen.Screen.significant
+                then begin
+                  st.ns_escal <- st.ns_escal + 1;
+                  Obs.incr obs "optimize.escalations";
+                  marginal := (st, size, stage) :: !marginal
+                end
+                else close st (Some (size, stage)))
+        asks;
+      let marginal = Array.of_list (List.rev !marginal) in
+      let delays =
+        Flow.map_lanes ~obs pool marginal (fun chunk ->
+            Reference.simulated_far_delays ~obs ~dt:cfg.Flow.Config.dt
+              ?adaptive:cfg.Flow.Config.adaptive ~tech
+              (Array.map
+                 (fun (st, size, _) ->
+                   let r = st.ns_result in
+                   let net = r.Flow.net in
+                   {
+                     Reference.size;
+                     input_slew = r.Flow.input_slew;
+                     line = net.Design.eq_line;
+                     cl = net.Design.cl;
+                   })
+                 chunk))
+      in
+      Array.iteri
+        (fun i (st, size, stage) ->
+          match delays.(i) with
+          | Error e ->
+              let what =
+                Printf.sprintf "escalation of net %s at %gX" st.ns_result.Flow.net.Design.name
+                  size
+              in
+              close st ~fail:(in_context what e) None
+          | Ok d -> if d <= st.ns_target *. (1. +. escalation_band) then close st (Some (size, stage)))
+        marginal;
+      round ()
+    end
+  in
+  round ()
+
+(* A closed search's outcome: its winner, or else the repeater fallback
+   and the best-effort resize. *)
+let finish (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes st =
+  let r = st.ns_result in
+  let net = r.Flow.net in
+  let obs = cfg.Flow.Config.obs in
+  let base = r.Flow.solve.Flow.stage_delay and target = st.ns_target in
+  let input_slew = r.Flow.input_slew in
+  let line = net.Design.eq_line and cl = net.Design.cl in
+  let outcome fix stage_after =
     {
       s_fix = fix;
       s_stage_after = stage_after;
-      s_candidates = !tried;
-      s_screened = !screened;
-      s_escalations = !escal;
+      s_candidates = st.ns_tried;
+      s_screened = st.ns_screened;
+      s_escalations = st.ns_escal;
     }
   in
-  match !full with
-  | Some (size, stage) -> finish (Resize { to_size = size }) stage
+  match st.ns_full with
+  | Some (size, stage) -> outcome (Resize { to_size = size }) stage
   | None -> (
       (* Resize cannot meet the target.  Repeater insertion is the
          fallback that can (splitting the line attacks the quadratic
@@ -209,7 +310,7 @@ let search_net (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes ~
               Deadline.check_ambient ();
               let seg = Line.scale_length line (line.Line.length /. float_of_int n_stages) in
               let stages = List.init n_stages (fun _ -> { Sta.size; line = seg }) in
-              incr tried;
+              st.ns_tried <- st.ns_tried + 1;
               Obs.incr obs "optimize.candidates";
               match
                 Sta.analyze_res ~dt:cfg.Flow.Config.dt ~tech ~pool ~input_slew ~sink_cl:cl
@@ -225,28 +326,55 @@ let search_net (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes ~
         done;
       match !best with
       | Some (d, stages, size) when d <= target ->
-          finish (Repeaters { stages; size; est_delay = d }) d
+          outcome (Repeaters { stages; size; est_delay = d }) d
       | _ -> (
           (* Best-effort resize: recover what the ladder can and let the
              report carry the rest of the deficit. *)
+          let evals = st.ns_evals in
           let best_stage =
-            List.fold_left (fun acc (_, st) -> Float.min acc st) infinity !evals
+            List.fold_left (fun acc (_, stage) -> Float.min acc stage) infinity evals
           in
           let partial =
             if best_stage < base then
               List.fold_left
-                (fun acc (size, st) ->
-                  if st <= best_stage *. (1. +. partial_band) then
+                (fun acc (size, stage) ->
+                  if stage <= best_stage *. (1. +. partial_band) then
                     match acc with
                     | Some (s0, _) when s0 <= size -> acc
-                    | _ -> Some (size, st)
+                    | _ -> Some (size, stage)
                   else acc)
-                None !evals
+                None evals
             else None
           in
           match partial with
-          | Some (size, stage) -> finish (Resize { to_size = size }) stage
-          | None -> finish Unfixable base))
+          | Some (size, stage) -> outcome (Resize { to_size = size }) stage
+          | None -> outcome Unfixable base))
+
+(* The searches of one level's nets [(id, residual)], in order: each net's
+   ladder priced (one pool job a net), the rounds, then each closed search
+   finished (one pool job a net).  A net whose search raises ends with
+   that exception; after the level the first such net in order raises
+   it. *)
+let search_level (cfg : Flow.Config.t) ~pool ~tech ~repeaters ~max_stages ~sizes
+    (results : Flow.net_result array) (jobs : (int * float) array) =
+  let obs = cfg.Flow.Config.obs in
+  let alone f = match f () with v -> Ok v | exception e when Flow.fails_alone e -> Error e in
+  let priced =
+    Pool.map ~obs pool (Array.length jobs) (fun k ->
+        Deadline.check_ambient ();
+        let id, residual = jobs.(k) in
+        alone (fun () -> price cfg ~pool ~tech ~sizes ~residual results.(id)))
+  in
+  rounds cfg ~pool ~tech (Array.of_list (List.filter_map Result.to_option (Array.to_list priced)));
+  let found =
+    Pool.map ~obs pool (Array.length jobs) (fun k ->
+        Result.bind priced.(k) (fun st ->
+            match st.ns_fail with
+            | Some e -> Error e
+            | None ->
+                alone (fun () -> finish cfg ~pool ~tech ~repeaters ~max_stages ~sizes st)))
+  in
+  Array.map (Result.fold ~ok:Fun.id ~error:raise) found
 
 let count_violations ~required (res : Flow.result) =
   Array.fold_left
@@ -339,11 +467,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
               then ignore (Characterize.cell_res ~obs ~pool tech ~size))
             ladder;
           let found =
-            Pool.map ~obs pool (Array.length jobs) (fun k ->
-                Deadline.check_ambient ();
-                let id, residual = jobs.(k) in
-                search_net cfg ~pool ~tech ~repeaters ~max_stages ~sizes ~residual
-                  before.Flow.results.(id))
+            search_level cfg ~pool ~tech ~repeaters ~max_stages ~sizes before.Flow.results jobs
           in
           Array.iteri
             (fun k s ->

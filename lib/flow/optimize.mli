@@ -11,27 +11,40 @@
       through the same ladder the flow itself uses: a replay-free screen
       ({!Rlc_sta.Sta.estimate_far_delay}, self-calibrated against the net's
       known base delay) dismisses hopeless candidates, survivors get the
-      full Ceff-model solve ({!Flow.solve_sized}, shared cache), and
+      full Ceff-model solve ({!Flow.solve_batch}, shared cache), and
       marginal inductive winners escalate — rarely — to a transistor-level
-      transient ({!Rlc_ceff.Reference.simulate}) before being trusted.
-      When no size meets the target, the search still takes the best
-      recovery the ladder offers (smallest size within 2 % of the best
+      transient ({!Rlc_ceff.Reference.simulated_far_delays}) before being
+      trusted.  When no size meets the target, the search still takes the
+      best recovery the ladder offers (smallest size within 2 % of the best
       solved stage delay) rather than leaving the deficit untouched;
     - {b repeater insertion} as the fallback (the
       [examples/repeater_insertion.ml] grid over stage count x size via
       {!Rlc_sta.Sta.analyze}), reported as a recommendation since it edits
       topology, which a {!Delta.t} cannot apply.
 
+    A level's searches run in rounds.  The level first characterizes the
+    ladder sizes it prices, one after another, each as one batch on the
+    run's pool, and prices every net's ladder (one pool job a net).  Each
+    round then takes every open search's next candidate past its screened
+    ones, solves them all as one {!Flow.solve_batch} (lane batches of up
+    to [Engine.Compiled.max_lanes] replays, one pool job each), escalates
+    the marginal winners as one batch of Newton lanes, and hands each
+    search its outcomes; a search closes on a confirmed winner or an
+    exhausted ladder.  Every search takes exactly the decisions a search
+    of its net alone would take — it is a pure function of the base
+    results and its candidates — so fixes, counts and reports are
+    byte-identical for any jobs count.
+
     The chosen resizes are applied as one {!Delta.t} and verified with an
     incremental {!Flow.retime} — [after] is byte-identical to a cold run of
-    the edited sources.  Candidate searches fan out over the domain pool
-    per level, after the ladder sizes the level prices are characterized
-    one after another, each as one batch on the same pool; every search
-    is a pure function of the base results and the candidate, so fixes
-    and reports are byte-identical for any jobs count.
-    The candidate loop polls {!Rlc_errors.Deadline.check_ambient} between
-    candidates, so a served/budgeted optimize times out as a wire-stable
-    [timeout]. *)
+    the edited sources.  The search polls
+    {!Rlc_errors.Deadline.check_ambient} between rounds (and the engine
+    inside its step loops), so a served/budgeted optimize times out as a
+    wire-stable [timeout].  A net whose pricing, solve or escalation
+    raises ends its search with that exception (an escalation's
+    {!Rlc_circuit.Engine.Newton_diverged} names the net and size in its
+    [within]); once the level's rounds are done, the first failing net in
+    level order raises it, at any jobs count. *)
 
 type fix_kind =
   | Resize of { to_size : float }

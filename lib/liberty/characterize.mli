@@ -15,6 +15,14 @@ val default_grid : grid
 (** 7 slews (20–300 ps) x 8 caps (20 fF – 3.2 pF), covering the paper's
     sweep (input slews 50–200 ps, line caps 0.2–1.8 pF). *)
 
+val min_size : float
+val max_size : float
+(** The driver sizes {!cell_res} characterizes: 5.2X to 1,000X.  Every
+    size the flows, examples and benchmarks use lies in 10-300X; 5.2X is
+    the smallest size measured to characterize on {!default_grid} (at
+    5.1X the 3.2 pF point's output never completes its 10-90 % swing), so
+    a smaller cell could not be characterized anyway. *)
+
 val cell_res :
   ?obs:Rlc_obs.Obs.t ->
   ?pool:Rlc_parallel.Pool.t ->
@@ -39,9 +47,11 @@ val cell_res :
     lookup whatever the pool.  Every point is an independent fresh
     transient, so the tables are bit-identical on any pool.
 
-    The user-reachable exits are typed: a non-positive size is
-    {!Rlc_errors.Error.Bad_request}, a grid point whose waveform never
-    completes or whose Newton iteration diverges is
+    The user-reachable exits are typed: a size outside
+    [[min_size, max_size]] (NaN included) is
+    {!Rlc_errors.Error.Bad_request}, answered before the store is looked
+    up, so it costs no characterization and counts no miss; a grid point
+    whose waveform never completes or whose Newton iteration diverges is
     {!Rlc_errors.Error.Internal}.  When several points fail, the error is
     the one of the point a serial run would reach first (rise before
     fall, then slews, then caps, each in grid order): the pool

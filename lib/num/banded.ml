@@ -27,6 +27,10 @@ let add t i j v =
   | None -> invalid_arg "Banded.add: entry outside band"
   | Some k -> t.data.(k) <- t.data.(k) +. v
 
+let index t i j =
+  match slot t i j with None -> invalid_arg "Banded.index: entry outside band" | Some k -> k
+
+let data t = t.data
 let clear t = Array.fill t.data 0 (Array.length t.data) 0.
 let copy t = { t with data = Array.copy t.data }
 
@@ -46,31 +50,57 @@ let mat_vec t v =
    factorization can be replayed against many right-hand sides.  No pivoting:
    see the .mli for why companion-model matrices permit it.
 
-   Both hot loops index [data] directly — row i's entry (i, j) lives at
-   [i*w + j - i + bw] with [w = 2*bw + 1] — because going through
+   [factor_lanes] eliminates lanes [0, k) column by column, interleaved:
+   column c of every live lane, then column c + 1, so the division chains
+   of independent lanes overlap while each lane does [factor]'s operations
+   in [factor]'s order.  A lane whose pivot vanishes at column c records c
+   in [piv] and takes no further part; the others carry on.
+
+   The hot loops index [data] directly -- row i's entry (i, j) lives at
+   [i*w + j - i + bw] with [w = 2*bw + 1] -- because going through
    [get]/[set] costs a bounds check and an option allocation per entry,
    which dominates the per-step solve on small bandwidths.  The unchecked
-   accesses are safe: every loop keeps [|i - j| <= bw] and [i, j < n], so
-   the flat index stays inside row i's [w]-wide segment. *)
-let factor t =
-  let n = t.n and bw = t.bw in
-  let w = (2 * bw) + 1 in
-  let data = t.data in
-  for k = 0 to n - 1 do
-    let krow = (k * w) + bw - k in
-    let pivot = Array.unsafe_get data (krow + k) in
-    if Float.abs pivot < 1e-300 then raise (Singular k);
-    for i = k + 1 to Int.min (n - 1) (k + bw) do
-      let irow = (i * w) + bw - i in
-      let f = Array.unsafe_get data (irow + k) /. pivot in
-      Array.unsafe_set data (irow + k) f;
-      if f <> 0. then
-        for j = k + 1 to Int.min (n - 1) (k + bw) do
-          Array.unsafe_set data (irow + j)
-            (Array.unsafe_get data (irow + j) -. (f *. Array.unsafe_get data (krow + j)))
-        done
+   accesses are safe: the checks of [factor_lanes] give every lane the same
+   [n] and [bw], so its data has [n*w] entries, and every loop keeps
+   [|i - j| <= bw] and [i, j < n], so the flat index stays inside row i's
+   [w]-wide segment. *)
+let factor_lanes ts k (piv : int array) =
+  if k < 0 || k > Array.length ts || k > Array.length piv then
+    invalid_arg "Banded.factor_lanes: lane count";
+  if k > 0 then begin
+    let n = ts.(0).n and bw = ts.(0).bw in
+    for l = 0 to k - 1 do
+      if ts.(l).n <> n || ts.(l).bw <> bw then invalid_arg "Banded.factor_lanes: size mismatch";
+      piv.(l) <- -1
+    done;
+    let w = (2 * bw) + 1 in
+    for c = 0 to n - 1 do
+      let krow = (c * w) + bw - c and last = Int.min (n - 1) (c + bw) in
+      for l = 0 to k - 1 do
+        if Array.unsafe_get piv l < 0 then begin
+          let data = (Array.unsafe_get ts l).data in
+          let pivot = Array.unsafe_get data (krow + c) in
+          if Float.abs pivot < 1e-300 then Array.unsafe_set piv l c
+          else
+            for i = c + 1 to last do
+              let irow = (i * w) + bw - i in
+              let f = Array.unsafe_get data (irow + c) /. pivot in
+              Array.unsafe_set data (irow + c) f;
+              if f <> 0. then
+                for j = c + 1 to last do
+                  Array.unsafe_set data (irow + j)
+                    (Array.unsafe_get data (irow + j) -. (f *. Array.unsafe_get data (krow + j)))
+                done
+            done
+        end
+      done
     done
-  done
+  end
+
+let factor t =
+  let piv = [| -1 |] in
+  factor_lanes [| t |] 1 piv;
+  if piv.(0) >= 0 then raise (Singular piv.(0))
 
 (* Forward and back substitution on lanes [0, k), interleaved row by row:
    each lane runs the operations of a solve on its own in the same order, so
@@ -80,8 +110,8 @@ let factor t =
    multiplier, which is the sequence a column-by-column elimination applies
    to b(i) (the skip keeps the sign of a zero b(i)).  Back substitution
    subtracts its row's terms in column order, then divides by the pivot.
-   The unchecked accesses keep [factor]'s invariant on every lane, which the
-   checks of [solve_factored_lanes] establish: all share [n] and [bw], and
+   The unchecked accesses keep [factor_lanes]'s invariant on every lane,
+   which the checks of [solve_factored_lanes] establish: all share [n] and [bw], and
    each right-hand side has [n] entries. *)
 
 (* Forward substitution of rows [1, hi). *)

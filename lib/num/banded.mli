@@ -23,6 +23,16 @@ val set : t -> int -> int -> float -> unit
 val add : t -> int -> int -> float -> unit
 (** Accumulate [v] into entry [(i, j)]; the stamping primitive. *)
 
+val index : t -> int -> int -> int
+(** [index m i j] is where entry [(i, j)] lives in {!data}; an entry
+    outside the band raises [Invalid_argument].  Positions depend only on
+    the dimension and bandwidth. *)
+
+val data : t -> float array
+(** The band storage itself, shared, not copied: a stamper that adds into
+    the same entries many times finds their positions once with {!index}
+    and writes here, with no lookup or allocation per entry. *)
+
 val clear : t -> unit
 val copy : t -> t
 
@@ -37,7 +47,20 @@ val factor : t -> unit
     elimination multipliers so {!solve_factored} can replay the
     factorization against any number of right-hand sides (the matrix must
     not be re-stamped afterwards).  Raises {!Singular} on a vanishing
-    pivot. *)
+    pivot (absolute value below 1e-300), naming its row.  It is the
+    one-lane case of {!factor_lanes}. *)
+
+val factor_lanes : t array -> int -> int array -> unit
+(** [factor_lanes ts k piv] factors [ts.(l)] in place on every lane
+    [l < k], each bit for bit what [factor ts.(l)] does alone: every lane
+    does the same floating-point operations in the same order, column by
+    column, with the columns of independent lanes interleaved so that
+    their division chains overlap.  [piv.(l)] is set to [-1], or to the
+    row of lane [l]'s vanishing pivot, where [factor] would raise
+    {!Singular}; that lane stops there, partly eliminated, and the other
+    lanes are unaffected.  The [k] matrices must share dimension and
+    bandwidth and [piv] must hold [k] entries, otherwise
+    [Invalid_argument]; entries of [ts] and [piv] past [k] are ignored. *)
 
 val solve_factored : t -> float array -> unit
 (** Overwrite the right-hand side with the solution, using a matrix already

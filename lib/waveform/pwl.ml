@@ -81,7 +81,29 @@ let to_waveform ?(n = 256) ?t_end t =
     end
   done;
   let ts = Array.sub all 0 !m in
-  Waveform.create ~ts ~vs:(Array.map (eval t) ts)
+  (* [eval] at every sample, walking the segments along the sorted axis
+     instead of searching the breakpoints per sample: the segment found is
+     the one [eval]'s search finds (the last breakpoint at or before the
+     sample), and the end rules and the interpolation are [eval]'s
+     expressions, so every value has [eval]'s bits.  Writing into a float
+     array boxes no sample. *)
+  let last = Array.length t - 1 in
+  let x_first, v_first = t.(0) and x_last, v_last = t.(last) in
+  let vs = Array.make !m 0. in
+  let lo = ref 0 in
+  for k = 0 to !m - 1 do
+    let x = ts.(k) in
+    if x <= x_first then vs.(k) <- v_first
+    else if x >= x_last then vs.(k) <- v_last
+    else begin
+      while fst t.(!lo + 1) <= x do
+        incr lo
+      done;
+      let t0, v0 = t.(!lo) and t1, v1 = t.(!lo + 1) in
+      vs.(k) <- v0 +. ((x -. t0) /. (t1 -. t0) *. (v1 -. v0))
+    end
+  done;
+  Waveform.create ~ts ~vs
 
 let pp fmt t =
   Format.fprintf fmt "pwl[";

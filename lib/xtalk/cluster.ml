@@ -132,6 +132,7 @@ let on_lanes ?obs ~n_segments ~dt (runs : (int * run) array) =
   let prepared = Array.map (fun (lane, r) -> prepare ?obs ~n_segments ~dt ~lane r) runs in
   let results =
     Engine.Compiled.run_lanes ?obs ~dt (Array.map (fun (lane, _, _) -> lane) prepared)
+    |> Array.map (Result.fold ~ok:Fun.id ~error:raise)
   in
   Array.mapi
     (fun i res ->

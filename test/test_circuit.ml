@@ -129,9 +129,9 @@ let nonlinear_resistor node g =
     Netlist.nl_name = "gres";
     nl_nodes = [| node |];
     nl_eval =
-      (fun v ->
-        let i = g *. v.(0) in
-        ([| i |], [| [| g |] |]));
+      (fun v i gm ->
+        i.(0) <- g *. v.(0);
+        gm.(0) <- g);
   }
 
 let test_nonlinear_matches_linear () =
@@ -160,11 +160,12 @@ let test_diode_clamp_dc () =
       Netlist.nl_name = "diode";
       nl_nodes = [| out |];
       nl_eval =
-        (fun v ->
+        (fun v i g ->
           (* Exponent clamp keeps early Newton iterations finite. *)
           let x = Float.min (v.(0) /. vt) 60. in
           let e = Float.exp x in
-          ([| is_ *. (e -. 1.) |], [| [| is_ *. e /. vt |] |]));
+          i.(0) <- is_ *. (e -. 1.);
+          g.(0) <- is_ *. e /. vt);
     };
   let v = Engine.dc_operating_point nl in
   let i_r = (1. -. v.(out)) /. 1e3 in
@@ -184,7 +185,10 @@ let test_newton_diverged_typed () =
     {
       Netlist.nl_name = "nan";
       nl_nodes = [| out |];
-      nl_eval = (fun _ -> ([| Float.nan |], [| [| 1e-3 |] |]));
+      nl_eval =
+        (fun _ i g ->
+          i.(0) <- Float.nan;
+          g.(0) <- 1e-3);
     };
   let dt = 1e-12 and t_stop = 10e-12 in
   (match Engine.transient ~dt ~t_stop nl with
@@ -269,10 +273,11 @@ let build_nonlinear_clamp () =
       Netlist.nl_name = "diode";
       nl_nodes = [| out |];
       nl_eval =
-        (fun v ->
+        (fun v i g ->
           let x = Float.min (v.(0) /. vt) 60. in
           let e = Float.exp x in
-          ([| is_ *. (e -. 1.) |], [| [| is_ *. e /. vt |] |]));
+          i.(0) <- is_ *. (e -. 1.);
+          g.(0) <- is_ *. e /. vt);
     };
   (nl, [ src; out ])
 
@@ -897,6 +902,47 @@ let test_peak_step_allocation () =
   if per_step > 8. then
     Alcotest.failf "until_peak run allocates %.1f minor words per step" per_step
 
+(* A Newton run -- an inverter into a 200-node RC ladder -- must allocate
+   O(1) minor words per step: its devices evaluate into the solver's
+   buffers, stamp at precomputed band positions and update through the
+   scatter arrays, so an iteration allocates nothing.  What a step does
+   allocate is the boxed time its source closures take and the input
+   ramp's boxed value; a boxed device evaluation would cost more than the
+   bound on every one of a step's two or so iterations. *)
+let test_newton_step_allocation () =
+  let far = ref Netlist.ground in
+  let b =
+    Rlc_devices.Testbench.build ~t_stop:1e-9 ~tech:Rlc_devices.Tech.c018 ~size:50.
+      ~input_slew:50e-12
+      ~record:(fun () -> [ !far ])
+      ~load:(fun nl node ->
+        let prev = ref node in
+        for _ = 1 to 200 do
+          let nd = Netlist.node nl "n" in
+          Netlist.resistor nl !prev nd 1.;
+          Netlist.capacitor nl nd Netlist.ground 2e-15;
+          prev := nd
+        done;
+        far := !prev)
+      ()
+  in
+  let dt = 0.5e-12 in
+  let run n =
+    Engine.transient ?record_nodes:b.Rlc_devices.Testbench.record_nodes ~dt
+      ~t_stop:(dt *. float_of_int n) b.Rlc_devices.Testbench.netlist
+  in
+  let words n =
+    let w0 = Gc.minor_words () in
+    let r = run n in
+    let w = Gc.minor_words () -. w0 in
+    (w, Engine.newton_total r)
+  in
+  let w1, i1 = words 2000 and w2, i2 = words 4000 in
+  if i2 - i1 < 2000 then Alcotest.failf "only %d Newton iterations in 2000 steps" (i2 - i1);
+  let per_step = (w2 -. w1) /. 2000. in
+  if per_step > 8. then
+    Alcotest.failf "Newton fixed-step loop allocates %.1f minor words per step" per_step
+
 let until_vdd = 1.8
 let until_fracs = [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
 let bits w = Array.map Int64.bits_of_float (Waveform.values w)
@@ -1431,7 +1477,7 @@ let prop_lanes =
              built u.lc_lanes)
       in
       let obs = Rlc_obs.Obs.create () in
-      let results = Engine.Compiled.run_lanes ~obs ~dt lanes in
+      let results = Array.map Result.get_ok (Engine.Compiled.run_lanes ~obs ~dt lanes) in
       List.iteri
         (fun i (nl, record_nodes, until, until_peak) ->
           let t_stop = lanes.(i).Engine.Compiled.t_stop in
@@ -1458,6 +1504,201 @@ let prop_lanes =
         QCheck.Test.fail_reportf "%d lanes stepped in %d passes" k (List.length passes);
       if List.assoc_opt "engine.transients" m.Rlc_obs.Obs.m_counters <> Some k then
         QCheck.Test.fail_report "engine.transients does not count lanes";
+      true)
+
+(* ---------------------------------------------------------- Newton lanes *)
+
+(* One inverter bench of a Newton batch: driver size and input slew, the
+   load's element values, its window, whether it stops at the far end's
+   50 % crossing, and how its NMOS fails, if it does: a NaN current from
+   the start (at the operating point) or once the falling input passes
+   0.9 V (mid-run). *)
+type nlane_vals = {
+  nv_size : float;
+  nv_slew : float;
+  nv_r : float;
+  nv_l : float;
+  nv_c : float;
+  nv_t_stop : float;
+  nv_until : bool;
+  nv_fail : [ `No | `Dc | `Mid ];
+}
+
+type nlanes_case = {
+  nc_load : [ `Cap | `Rc | `Rlc ];
+  nc_segs : int;
+  nc_lanes : nlane_vals list;
+}
+
+let arb_nlanes_case =
+  let open QCheck.Gen in
+  let lane =
+    let* nv_size = float_range 10. 150.
+    and* nv_slew = float_range 20e-12 200e-12
+    and* nv_r = float_range 5. 150.
+    and* nv_l = float_range 0.2e-9 5e-9
+    and* nv_c = float_range 20e-15 800e-15
+    and* nv_t_stop = float_range 150e-12 400e-12
+    and* nv_until = bool
+    and* nv_fail = frequencyl [ (10, `No); (1, `Dc); (1, `Mid) ] in
+    return { nv_size; nv_slew; nv_r; nv_l; nv_c; nv_t_stop; nv_until; nv_fail }
+  in
+  let gen =
+    let* nc_load = oneofl [ `Cap; `Rc; `Rlc ] in
+    let* nc_segs = int_range 1 6 in
+    let* nc_lanes = list_size (int_range 1 10) lane in
+    return { nc_load; nc_segs; nc_lanes }
+  in
+  QCheck.make gen ~print:(fun u ->
+      Printf.sprintf "%s x %d segs, %d lane(s): %s"
+        (match u.nc_load with `Cap -> "cap" | `Rc -> "RC" | `Rlc -> "RLC")
+        u.nc_segs (List.length u.nc_lanes)
+        (String.concat "; "
+           (List.map
+              (fun v ->
+                Printf.sprintf "%gX slew %g R %g L %g C %g t_stop %g%s%s" v.nv_size v.nv_slew v.nv_r
+                  v.nv_l v.nv_c v.nv_t_stop
+                  (if v.nv_until then " until" else "")
+                  (match v.nv_fail with `No -> "" | `Dc -> " NaN" | `Mid -> " NaN mid-run"))
+              u.nc_lanes)))
+
+(* A lane's bench: input ramp, inverter, load; every lane of a case has
+   the same structure.  Returns it with the nodes to record and the
+   crossings to stop at. *)
+let build_newton_lane u v =
+  let module Tech = Rlc_devices.Tech in
+  let module Mosfet = Rlc_devices.Mosfet in
+  let module Inverter = Rlc_devices.Inverter in
+  let tech = Tech.c018 in
+  let nl = Netlist.create () in
+  let vdd = Netlist.node nl "vdd" in
+  Netlist.force_voltage nl vdd (fun _ -> tech.Tech.vdd);
+  let input = Netlist.node nl "in" in
+  Netlist.force_voltage nl input
+    (Rlc_devices.Testbench.falling_input tech ~t0:10e-12 ~slew:v.nv_slew);
+  let out = Netlist.node nl "out" in
+  let inv = Inverter.make tech ~size:v.nv_size in
+  let nmos =
+    Mosfet.device tech.Tech.nmos ~polarity:Mosfet.Nmos ~w_um:(Inverter.wn_um inv) ~d:out ~g:input
+      ~s:Netlist.ground ~name:"MN"
+  in
+  let eval = nmos.Netlist.nl_eval in
+  let nmos =
+    match v.nv_fail with
+    | `No -> nmos
+    | `Dc ->
+        { nmos with nl_eval = (fun vv i g -> eval vv i g; i.(0) <- Float.nan) }
+    | `Mid ->
+        { nmos with nl_eval = (fun vv i g -> eval vv i g; if vv.(1) < 0.9 then i.(0) <- Float.nan) }
+  in
+  Netlist.nonlinear nl nmos;
+  Netlist.nonlinear nl
+    (Mosfet.device tech.Tech.pmos ~polarity:Mosfet.Pmos ~w_um:(Inverter.wp_um inv) ~d:out ~g:input
+       ~s:vdd ~name:"MP");
+  Netlist.capacitor nl out Netlist.ground (Inverter.output_junction_cap inv);
+  let fn = float_of_int u.nc_segs in
+  let far =
+    match u.nc_load with
+    | `Cap ->
+        Netlist.capacitor nl out Netlist.ground v.nv_c;
+        out
+    | `Rc | `Rlc ->
+        let prev = ref out in
+        for _ = 1 to u.nc_segs do
+          let mid = Netlist.node nl "mid" in
+          Netlist.resistor nl !prev mid (v.nv_r /. fn);
+          let next =
+            match u.nc_load with
+            | `Rlc ->
+                let next = Netlist.node nl "next" in
+                Netlist.inductor nl mid next (v.nv_l /. fn);
+                next
+            | `Rc | `Cap -> mid
+          in
+          Netlist.capacitor nl next Netlist.ground (v.nv_c /. fn);
+          prev := next
+        done;
+        !prev
+  in
+  let until = if v.nv_until then [ (far, 0.5 *. tech.Tech.vdd, Waveform.Rising) ] else [] in
+  (nl, [ input; out; far ], until)
+
+(* Random same-structure batches of 1 to 10 inverter benches -- driver
+   sizes, slews, cap, RC-ladder and RLC-ladder loads, windows, far-end
+   50 % stops -- step as Newton lanes, eight to a pass: each lane's times
+   and samples are bit for bit its netlist run alone and run with
+   per-step reassembly, and its Newton count is theirs.  A lane whose
+   device current turns NaN, at the operating point or mid-run, fails
+   with the [Newton_diverged] its run alone raises (same time, no
+   context), and the other lanes are untouched by it. *)
+let prop_newton_lanes =
+  QCheck.Test.make ~name:"Newton lanes = each alone = per-step reassembly" ~count:25
+    arb_nlanes_case (fun u ->
+      let dt = 1e-12 in
+      let built = List.map (build_newton_lane u) u.nc_lanes in
+      let lanes =
+        Array.of_list
+          (List.map2
+             (fun (nl, record_nodes, until) v ->
+               {
+                 Engine.Compiled.handle = Engine.Compiled.compile nl;
+                 t_stop = v.nv_t_stop;
+                 record_nodes;
+                 until;
+                 until_peak = None;
+               })
+             built u.nc_lanes)
+      in
+      let obs = Rlc_obs.Obs.create () in
+      let outcomes = Engine.Compiled.run_lanes ~obs ~dt lanes in
+      let diverged_at f =
+        match f () with
+        | _ -> None
+        | exception Engine.Newton_diverged { t; within = [] } -> Some (Int64.bits_of_float t)
+      in
+      List.iteri
+        (fun i (nl, record_nodes, until) ->
+          let t_stop = lanes.(i).Engine.Compiled.t_stop in
+          let alone () = Engine.transient ~record_nodes ~until ~dt ~t_stop nl in
+          let oracle () =
+            Engine.transient ~reassemble_per_step:true ~record_nodes ~until ~dt ~t_stop nl
+          in
+          match outcomes.(i) with
+          | Ok r ->
+              let a = alone () and o = oracle () in
+              same_run ~what:(Printf.sprintf "lane %d vs alone" i) r a record_nodes;
+              same_run ~what:(Printf.sprintf "lane %d vs reassembly" i) r o record_nodes;
+              if Engine.newton_total r <> Engine.newton_total a then
+                QCheck.Test.fail_reportf "lane %d: %d Newton iterations, %d alone" i
+                  (Engine.newton_total r) (Engine.newton_total a);
+              if Engine.newton_total r <> Engine.newton_total o then
+                QCheck.Test.fail_reportf "lane %d: Newton count differs from reassembly" i
+          | Error (Engine.Newton_diverged { t; within = [] }) ->
+              let t = Some (Int64.bits_of_float t) in
+              if diverged_at alone <> t || diverged_at oracle <> t then
+                QCheck.Test.fail_reportf "lane %d diverged at %g, not where its run alone does" i
+                  (Int64.float_of_bits (Option.get t))
+          | Error e -> QCheck.Test.fail_reportf "lane %d: %s" i (Printexc.to_string e))
+        built;
+      List.iteri
+        (fun i v ->
+          match (v.nv_fail, outcomes.(i)) with
+          | `No, Error _ -> QCheck.Test.fail_reportf "healthy lane %d failed" i
+          | (`Dc | `Mid), Ok _ -> QCheck.Test.fail_reportf "NaN lane %d completed" i
+          | _ -> ())
+        u.nc_lanes;
+      let stepped = List.length (List.filter (fun v -> v.nv_fail <> `Dc) u.nc_lanes) in
+      let m = Rlc_obs.Obs.snapshot obs in
+      let passes =
+        List.filter
+          (fun sp ->
+            sp.Rlc_obs.Obs.sp_name = "engine.step_loop"
+            && List.assoc_opt "path" sp.Rlc_obs.Obs.sp_args = Some "newton-fast")
+          m.Rlc_obs.Obs.m_spans
+      in
+      let want = (stepped + Engine.Compiled.max_lanes - 1) / Engine.Compiled.max_lanes in
+      if List.length passes <> want then
+        QCheck.Test.fail_reportf "%d stepped lanes in %d passes" stepped (List.length passes);
       true)
 
 let test_lanes_reject_shared_handle () =
@@ -1539,6 +1780,8 @@ let () =
             test_linear_step_allocation;
           Alcotest.test_case "peak-watched step allocates O(1) words" `Quick
             test_peak_step_allocation;
+          Alcotest.test_case "Newton step allocates O(1) words" `Quick
+            test_newton_step_allocation;
           q prop_until_linear;
           q prop_until_testbench;
         ] );
@@ -1546,6 +1789,7 @@ let () =
         [
           q prop_lanes;
           Alcotest.test_case "a handle in two lanes" `Quick test_lanes_reject_shared_handle;
+          q prop_newton_lanes;
         ] );
       ( "until_peak",
         [

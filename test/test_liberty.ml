@@ -172,22 +172,70 @@ let test_pooled_tables_bit_identical () =
     [ (Testbench.Rise, c2.Table.rise, 6, 0); (Testbench.Fall, c2.Table.fall, 2, 5) ]
 
 (* The pool re-raises the lowest-index failure, which is the point a
-   serial run reaches first: the rise arc's smallest slew and cap. *)
+   serial run reaches first: the rise arc's smallest slew and cap.  A NaN
+   threshold makes every point's device current NaN, so every point's
+   Newton iteration diverges at the operating point.  (Sizes outside the
+   characterized range never reach the points: see "sizes outside the
+   range are refused".) *)
 let test_pooled_error_is_first_point () =
+  let broken =
+    { tech with Rlc_devices.Tech.name = "nan-vth"; nmos = { tech.Rlc_devices.Tech.nmos with vth = nan } }
+  in
   List.iter
     (fun jobs ->
       Rlc_parallel.Pool.with_pool ~jobs (fun pool ->
-          match Characterize.cell_res ~pool tech ~size:infinity with
-          | Ok _ -> Alcotest.failf "jobs %d: an infinite size characterized" jobs
+          match Characterize.cell_res ~pool broken ~size:75. with
+          | Ok _ -> Alcotest.failf "jobs %d: a NaN-threshold cell characterized" jobs
           | Error e ->
               Alcotest.(check string) (Printf.sprintf "jobs %d code" jobs) "internal"
                 (Rlc_errors.Error.code e);
               Alcotest.(check string)
                 (Printf.sprintf "jobs %d message" jobs)
-                "Engine: Newton failed to converge at t=0 s (Characterize: size=inf, slew=20 \
+                "Engine: Newton failed to converge at t=0 s (Characterize: size=75, slew=20 \
                  ps, cap=20 fF)"
                 (Rlc_errors.Error.message e)))
     [ 1; 2 ]
+
+(* Sizes outside [min_size, max_size] -- NaN, infinities, zero, negative,
+   just outside either end -- are bad requests answered before the store
+   is looked up: no characterization, no miss.  Both ends are inside, and
+   the lower end is where the default grid stops completing: at 5.1X its
+   largest load's output never completes 10-90 %. *)
+let test_size_range () =
+  (match
+     Characterize.characterize_point_res tech ~size:5.1 ~edge:Testbench.Rise
+       ~input_slew:(Units.ps 20.) ~cap:(Units.ff 3200.)
+   with
+  | Ok _ -> Alcotest.fail "5.1X completed the default grid's largest load"
+  | Error e ->
+      Alcotest.(check string) "5.1X at 3.2 pF" "internal" (Rlc_errors.Error.code e));
+  let misses () = (Characterize.stats ()).Rlc_obs.Memo.misses in
+  List.iter
+    (fun size ->
+      let m0 = misses () in
+      (match Characterize.cell_res tech ~size with
+      | Ok _ -> Alcotest.failf "size %g characterized" size
+      | Error e ->
+          Alcotest.(check string) (Printf.sprintf "size %g code" size) "bad_request"
+            (Rlc_errors.Error.code e));
+      Alcotest.(check int) (Printf.sprintf "size %g: no miss" size) m0 (misses ()))
+    [
+      nan;
+      infinity;
+      neg_infinity;
+      0.;
+      -75.;
+      Float.pred Characterize.min_size;
+      Float.succ Characterize.max_size;
+      1e6;
+      1e300;
+    ];
+  List.iter
+    (fun size ->
+      match Characterize.cell_res tech ~size with
+      | Ok c -> Alcotest.(check (float 0.)) "drive size" size c.Table.drive_size
+      | Error e -> Alcotest.failf "size %g refused: %s" size (Rlc_errors.Error.message e))
+    [ Characterize.min_size; Characterize.max_size ]
 
 let test_fall_arc_differs () =
   let c = Lazy.force cell75 in
@@ -373,6 +421,7 @@ let () =
           Alcotest.test_case "fall arc" `Quick test_fall_arc_differs;
           Alcotest.test_case "pooled tables bit-identical" `Quick
             test_pooled_tables_bit_identical;
+          Alcotest.test_case "sizes outside the range are refused" `Quick test_size_range;
           Alcotest.test_case "pooled error is the first point" `Quick
             test_pooled_error_is_first_point;
           q prop_lookup_inside_grid_is_bounded;

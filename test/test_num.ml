@@ -287,6 +287,63 @@ let prop_banded_branches =
         ts;
       true)
 
+(* [factor]'s elimination as the general loops write it, through the
+   checked accessors, raising at a vanishing pivot. *)
+let reference_factor t =
+  let n = Banded.dim t and bw = Banded.bandwidth t in
+  for k = 0 to n - 1 do
+    let pivot = Banded.get t k k in
+    if Float.abs pivot < 1e-300 then raise (Banded.Singular k);
+    for i = k + 1 to Int.min (n - 1) (k + bw) do
+      let f = Banded.get t i k /. pivot in
+      Banded.set t i k f;
+      if f <> 0. then
+        for j = k + 1 to Int.min (n - 1) (k + bw) do
+          Banded.set t i j (Banded.get t i j -. (f *. Banded.get t k j))
+        done
+    done
+  done
+
+(* Random matrices of bandwidth 0 to 5, with zero and negative-zero
+   entries so that multipliers vanish, in batches of 1 to 5 lanes; in
+   about a third of the cases one lane is made singular at a random row
+   (its strict lower band cleared, that pivot zeroed).  Each lane of
+   [factor_lanes] is bit for bit [factor] alone and the reference loops,
+   entry by entry; the singular lane reports its row, stops there with
+   the entries [factor] leaves before raising, and the others are
+   untouched by it. *)
+let prop_factor_lanes =
+  QCheck.Test.make ~name:"factor lanes = factor alone" ~count:400
+    QCheck.(pair arb_factored_lanes (int_range 0 1_000_000))
+    (fun ((n, bw, lanes), seed) ->
+      let k = List.length lanes in
+      let ts = Array.of_list (List.map (factored_of n bw) lanes) in
+      (if n > 0 && seed mod 3 = 0 then
+         let l = seed mod k and r = seed / 3 mod n in
+         let t = ts.(l) in
+         for i = 0 to n - 1 do
+           for j = Int.max 0 (i - bw) to i - 1 do
+             Banded.set t i j 0.
+           done
+         done;
+         Banded.set t r r (if seed mod 2 = 0 then 0. else -0.));
+      let dense t = Array.map (Array.map Int64.bits_of_float) (Banded.to_dense t) in
+      let run f t =
+        let t = Banded.copy t in
+        match f t with () -> (t, -1) | exception Banded.Singular r -> (t, r)
+      in
+      let batch = Array.map Banded.copy ts and piv = Array.make k 7 in
+      Banded.factor_lanes batch k piv;
+      Array.iteri
+        (fun l t ->
+          let alone, ra = run Banded.factor t and reference, rr = run reference_factor t in
+          if ra <> rr then QCheck.Test.fail_reportf "lane %d: singular at %d alone, %d in the loops" l ra rr;
+          if piv.(l) <> ra then QCheck.Test.fail_reportf "lane %d: piv %d, alone %d" l piv.(l) ra;
+          if dense alone <> dense reference then QCheck.Test.fail_reportf "lane %d alone differs" l;
+          if dense batch.(l) <> dense alone then QCheck.Test.fail_reportf "lane %d in the batch differs" l)
+        ts;
+      true)
+
 (* ---------------------------------------------------------- Quadrature *)
 
 let test_simpson_poly () =
@@ -427,6 +484,7 @@ let () =
           Alcotest.test_case "band limits" `Quick test_banded_out_of_band;
           Alcotest.test_case "lanes = each alone" `Quick test_banded_lanes;
           QCheck_alcotest.to_alcotest prop_banded_branches;
+          QCheck_alcotest.to_alcotest prop_factor_lanes;
         ] );
       ( "quadrature",
         [

@@ -108,6 +108,67 @@ let test_ambient_deadline_expires () =
   | exception Rlc_errors.Deadline.Expired budget ->
       Alcotest.(check (float 0.)) "the budget it ran out of" 1e-3 budget
 
+(* An escalation that fails ends its net's search with the transistor
+   run's own exception, named by its net; the run raises the first failing
+   net's in level order, as at any jobs count.  A technology that shares
+   [c018]'s name (so its cells come from the store a healthy run filled)
+   but has a NaN NMOS threshold fails every transistor-level run at its
+   operating point and nothing else: every seeded net (b0-b3 each escalate
+   once, in one level) fails, and b0 is named. *)
+let test_failing_escalation_names_first_net () =
+  let tech = Rlc_devices.Tech.c018 in
+  ignore (run_optimize ~spec:sizing_spec ~required:(ps 150.) ());
+  let broken =
+    { tech with Rlc_devices.Tech.nmos = { tech.Rlc_devices.Tech.nmos with vth = Float.nan } }
+  in
+  List.iter
+    (fun jobs ->
+      let cfg = { Flow.Config.default with Flow.Config.jobs = Some jobs } in
+      match
+        Optimize.run ~tech:broken ~required:(ps 150.) cfg ~spef:(load_spef ())
+          ~spec:(load_spec sizing_spec) ()
+      with
+      | _ -> Alcotest.failf "jobs %d: escalations with a NaN threshold succeeded" jobs
+      | exception Rlc_circuit.Engine.Newton_diverged { t; within } ->
+          Alcotest.(check (float 0.)) (Printf.sprintf "jobs %d: at the operating point" jobs) 0. t;
+          let prefix = "escalation of net b0 at " in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: names b0 (%s)" jobs (String.concat "; " within))
+            true
+            (match within with
+            | [ w ] -> String.length w > String.length prefix && String.sub w 0 (String.length prefix) = prefix
+            | _ -> false))
+    [ 1; 2 ]
+
+(* An escalation batch gives each bench the far delay of its transient
+   alone, bit for bit: the full-window [Reference.simulate] the stopped
+   lanes replace.  Two benches share a ladder structure and step as Newton
+   lanes; the third, on a longer line, has a shape of its own. *)
+let test_escalation_batch_is_each_alone () =
+  let tech = Rlc_devices.Tech.c018 and dt = 0.5e-12 in
+  let line mm = Rlc_tline.Line.of_totals ~r:72. ~l:4.5e-9 ~c:600e-15 ~length:(mm *. 1e-3) in
+  let cases =
+    [|
+      { Rlc_ceff.Reference.size = 50.; input_slew = ps 100.; line = line 3.; cl = 20e-15 };
+      { size = 75.; input_slew = ps 60.; line = line 3.; cl = 40e-15 };
+      { size = 50.; input_slew = ps 100.; line = line 6.; cl = 20e-15 };
+    |]
+  in
+  Array.iteri
+    (fun i outcome ->
+      let k = cases.(i) in
+      let alone =
+        Rlc_ceff.Reference.far_delay
+          (Rlc_ceff.Reference.simulate ~dt ~tech ~size:k.size ~input_slew:k.input_slew
+             ~line:k.line ~cl:k.cl ())
+      in
+      match outcome with
+      | Ok d ->
+          Alcotest.(check int64) (Printf.sprintf "bench %d bits" i) (Int64.bits_of_float alone)
+            (Int64.bits_of_float d)
+      | Error e -> Alcotest.failf "bench %d: %s" i (Printexc.to_string e))
+    (Rlc_ceff.Reference.simulated_far_delays ~dt ~tech cases)
+
 let () =
   Alcotest.run "rlc_optimize"
     [
@@ -119,5 +180,9 @@ let () =
             test_ladder_characterized_once;
           Alcotest.test_case "no-op when timing already met" `Quick test_noop_when_timing_met;
           Alcotest.test_case "ambient deadline expires" `Quick test_ambient_deadline_expires;
+          Alcotest.test_case "a failing escalation names the first net" `Quick
+            test_failing_escalation_names_first_net;
+          Alcotest.test_case "an escalation batch is each bench alone" `Quick
+            test_escalation_batch_is_each_alone;
         ] );
     ]

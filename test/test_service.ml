@@ -1755,6 +1755,46 @@ let test_server_design_lifecycle () =
       Alcotest.(check (option string)) "delta after unload rejected" (Some "bad_request")
         (Json.get_string (member "code" (member "error" gone))))
 
+(* A finite but absurd driver size is a bad request wherever a client
+   names one -- a [screen] case, a [flow_delta] [drivers] entry -- and is
+   refused before characterization: the characterization store counts no
+   miss for it. *)
+let test_server_absurd_sizes () =
+  with_server (fun server ->
+      let char_misses () =
+        let m, _ = send server {|{"schema":"rlc-service/1","kind":"metrics"}|} in
+        Option.get (Json.get_int (member "misses" (member "characterization" m)))
+      in
+      let loaded, _ = send server (design_load_request ()) in
+      let handle = Option.get (Json.get_string (member "handle" loaded)) in
+      let m0 = char_misses () in
+      let refused what line =
+        let resp, _ = send server line in
+        Alcotest.(check (option string)) (what ^ " code") (Some "bad_request")
+          (Json.get_string (member "code" (member "error" resp)))
+      in
+      List.iter
+        (fun size ->
+          refused ("screen at " ^ size)
+            (Printf.sprintf
+               {|{"schema":"rlc-service/1","kind":"screen","length_mm":5,"width_um":1.2,"size":%s}|}
+               size);
+          refused ("flow_delta drivers at " ^ size)
+            (Printf.sprintf
+               {|{"schema":"rlc-service/2","kind":"flow_delta","handle":"%s","drivers":{"o1":%s}}|}
+               handle size))
+        [ "1e6"; "1e300" ];
+      Alcotest.(check int) "no characterization miss" m0 (char_misses ());
+      (* The design is untouched: a valid edit still applies. *)
+      let ok, _ =
+        send server
+          (Printf.sprintf
+             {|{"schema":"rlc-service/2","kind":"flow_delta","handle":"%s","drivers":{"o1":75}}|}
+             handle)
+      in
+      Alcotest.(check (option bool)) "a valid edit applies" (Some true)
+        (Json.get_bool (member "ok" ok)))
+
 let test_server_schema_echo () =
   (* Every response carries its request's schema tag — a v1 client sees
      exactly the bytes a v1-only daemon produced. *)
@@ -2712,6 +2752,7 @@ let () =
           Alcotest.test_case "an answer over the byte bound is not stored" `Quick
             test_server_read_over_bound;
           Alcotest.test_case "design lifecycle" `Quick test_server_design_lifecycle;
+          Alcotest.test_case "absurd driver sizes are refused" `Quick test_server_absurd_sizes;
           Alcotest.test_case "schema echo" `Quick test_server_schema_echo;
           Alcotest.test_case "pipe mode" `Quick test_server_pipe_mode;
         ] );

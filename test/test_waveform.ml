@@ -210,9 +210,11 @@ type axis_case = {
 let arb_axis_case =
   let open QCheck.Gen in
   let gen =
-    let* n_pts = int_range 1 6 in
+    let* n_pts = int_range 1 12 in
     let* t0 = float_range (-50e-12) 200e-12 in
-    let* gaps = list_repeat (n_pts - 1) (float_range 1e-15 150e-12) in
+    let* gaps =
+      list_repeat (n_pts - 1) (oneof [ float_range 1e-15 150e-12; float_range 1e-15 1e-13 ])
+    in
     let* vs = list_repeat n_pts (float_range 0. vdd) in
     let times = List.rev (List.fold_left (fun acc g -> (List.hd acc +. g) :: acc) [ t0 ] gaps) in
     let* shift = oneof [ return 0.; float_range (-100e-12) 100e-12 ] in
@@ -229,9 +231,11 @@ let arb_axis_case =
         (match u.end_at with `Before -> "before" | `At -> "at" | `Past -> "past")
         u.n)
 
-(* Random PWLs -- shifted, mirrored, with [t_end] before, at and past the
-   last breakpoint: the merged axis and its samples equal the sort-based
-   axis and [Pwl.eval] on it, bit for bit. *)
+(* Random PWLs of 1 to 12 points -- shifted, mirrored, some segments far
+   shorter than the grid spacing, with [t_end] before, at and past the last
+   breakpoint: the merged axis equals the sort-based axis, and the samples
+   [Pwl.to_waveform] computes by walking the segments equal [Pwl.eval] on
+   it, bit for bit. *)
 let prop_to_waveform_axis =
   QCheck.Test.make ~name:"to_waveform axis = sorted union of grid and breakpoints" ~count:500
     arb_axis_case (fun u ->
