@@ -1299,19 +1299,36 @@ let state_for h dt =
 (* The DC operating point depends only on element values and the source
    values at t = 0; cache it keyed by the latter (bit patterns, so any
    behavioural difference at 0 forces a fresh solve).  Nonlinear circuits
-   always re-solve — their Newton iteration isn't worth fingerprinting. *)
+   always re-solve — their Newton iteration isn't worth fingerprinting.
+
+   A linear circuit whose every source is +0.0 at t = 0 (a replay whose
+   model waveform starts later) has the all-zero point, taken without a
+   solve: [dc_solve] would assemble a right-hand side of +0.0 sums (each
+   term is a finite conductance times a +0.0 node, or a +0.0 source, and
+   x + -0.0 = x), and substituting it leaves every entry +0.0 as long as
+   every pivot is positive, which holds for the positive-valued elements
+   {!Netlist} admits (a symmetric, diagonally dominant system; the dense
+   LU's partial pivoting keeps the diagonal there).  [test_circuit]'s "zero
+   DC point" checks it bit for bit against [dc_operating_point] on
+   ladders, trees, clusters and a dense system.  The shortcut skips only
+   the solve's singularity test; every element that conducts at DC
+   conducts in a step too, so a circuit with a node cut off from ground
+   and the forced nodes is as singular in its steps. *)
 let dc_for h =
   let c = h.h_c in
   if Array.length c.nonlinears > 0 then dc_solve c 0.
   else begin
     let f0 = Array.map (fun fs -> Int64.bits_of_float (fs.fsrc 0.)) c.forced in
     let i0 = Array.map (fun (s : isource) -> Int64.bits_of_float (s.samps 0.)) c.isources in
-    match h.h_dc with
-    | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
-    | _ ->
-        let v = dc_solve c 0. in
-        h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
-        v
+    if Array.for_all (Int64.equal 0L) f0 && Array.for_all (Int64.equal 0L) i0 then
+      Array.make c.n_nodes 0.
+    else
+      match h.h_dc with
+      | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
+      | _ ->
+          let v = dc_solve c 0. in
+          h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
+          v
   end
 
 (* ------------------------------------------------------------- adaptive *)
@@ -1535,6 +1552,7 @@ type lane = {
   l_peak : peak option;
   l_rebuild : bool;  (* [reassemble_per_step] *)
   mutable l_steps : int;  (* steps taken *)
+  mutable l_repeated : int;  (* of those, repeats of an all-zero sample ([step_lanes]) *)
   mutable l_newton : int;
   mutable l_worst : int;
   mutable l_fail : exn option;  (* a Newton failure or a vanishing pivot *)
@@ -1572,10 +1590,35 @@ let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
     l_peak = peak;
     l_rebuild = reassemble_per_step;
     l_steps = 0;
+    l_repeated = 0;
     l_newton = 0;
     l_worst = 0;
     l_fail = None;
   }
+
+(* [true] when every entry of [a] is +0.0, bit for bit. *)
+let all_zero (a : float array) =
+  let z = ref true in
+  for i = 0 to Array.length a - 1 do
+    if Int64.bits_of_float (Array.unsafe_get a i) <> 0L then z := false
+  done;
+  !z
+
+(* Every quantity a linear step reads besides its sources -- the node
+   vector, the capacitor and inductor histories, the coupled groups'
+   histories -- is +0.0. *)
+let state_zero c (vnode : float array) =
+  all_zero vnode && all_zero c.caps.v_prev && all_zero c.caps.i_prev && all_zero c.inds.v_prev
+  && all_zero c.inds.i_prev
+  && Array.for_all (fun (k : coupled_state) -> all_zero k.v_prev_k && all_zero k.i_prev_k) c.coupled
+
+(* The sources [set_sources] just wrote are all +0.0. *)
+let sources_zero c st (vnode : float array) =
+  let z = ref true in
+  for i = 0 to Array.length c.forced - 1 do
+    if Int64.bits_of_float vnode.(c.forced.(i).fnode) <> 0L then z := false
+  done;
+  !z && all_zero st.isrc
 
 (* The linear fixed-step kernel: advances lanes that each hold a factored
    linear system, one step at a time.  Per lane a step does the one-lane
@@ -1585,7 +1628,25 @@ let lane_setup ~obs ~record_nodes ~until ~until_peak ~reassemble_per_step ~dt ~t
    banded ([run_fixed] groups only lanes of one size and bandwidth), their
    substitutions run interleaved row by row, so the latency-bound chain
    of one lane overlaps the others'; a lane leaves the interleaving once it
-   stops. *)
+   stops.
+
+   A lane repeats its all-zero sample instead of stepping while nothing
+   can move it.  A linear step is a function of the lane's fixed matrices,
+   the state it starts from ([state_zero]'s quantities) and the sources at
+   its time.  So if step 1 took the all-+0.0 state with all-+0.0 sources
+   back to the all-+0.0 state, every later step that starts there with
+   all-+0.0 sources lands there too, and by induction the state stays
+   put while the sources do.  Each lane checks its state once before and
+   once after step 1 ([quiet]); while it is quiet, a step sets the sources
+   and, if they all read +0.0, skips the coupled history, right-hand side,
+   solve, scatter and commit -- it leaves the interleaved solve for that
+   step only -- and pushes the unchanged node vector with its time, tests
+   its stop and counts as a step ([l_repeated] too).  What it skips
+   outlives no step: the history sources, right-hand side and current
+   values are rewritten by the next step that runs.  The first step whose
+   sources move clears [quiet] for good, so a live run pays one flag test
+   a step.  This is every far-end replay's lead-in, the steps before its
+   shifted model waveform starts. *)
 let step_lanes ~dt (lanes : lane array) =
   let m = Array.length lanes in
   let facts =
@@ -1600,6 +1661,8 @@ let step_lanes ~dt (lanes : lane array) =
   (* The lanes solved at this step, gathered for the interleaved solve. *)
   let solve_b = Array.copy banded and solve_x = Array.make m [||] in
   let active = Array.init m Fun.id and n_active = ref m in
+  let quiet = Array.map (fun l -> state_zero l.l_c l.l_vnode) lanes in
+  let repeat = Array.make m false in
   let step = ref 0 in
   while !n_active > 0 do
     incr step;
@@ -1612,16 +1675,20 @@ let step_lanes ~dt (lanes : lane array) =
       let l = lanes.(li) in
       let c = l.l_c and st = l.l_st in
       set_sources c st l.l_vnode t;
-      for i = 0 to Array.length c.coupled - 1 do
-        coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
-      done;
-      assemble_rhs c st st.rhs l.l_vnode;
-      if interleave then begin
-        solve_b.(!k) <- banded.(li);
-        solve_x.(!k) <- st.rhs;
-        incr k
+      if quiet.(li) && not (sources_zero c st l.l_vnode) then quiet.(li) <- false;
+      repeat.(li) <- quiet.(li) && step > 1;
+      if not repeat.(li) then begin
+        for i = 0 to Array.length c.coupled - 1 do
+          coupled_ieq_into c.coupled.(i) st.galpha.(i) st.ieq_k.(i)
+        done;
+        assemble_rhs c st st.rhs l.l_vnode;
+        if interleave then begin
+          solve_b.(!k) <- banded.(li);
+          solve_x.(!k) <- st.rhs;
+          incr k
+        end
+        else factored_solve facts.(li) st.rhs st.xsol
       end
-      else factored_solve facts.(li) st.rhs st.xsol
     done;
     if !k > 0 then Banded.solve_factored_lanes solve_b solve_x !k;
     let kept = ref 0 in
@@ -1629,8 +1696,12 @@ let step_lanes ~dt (lanes : lane array) =
       let li = active.(a) in
       let l = lanes.(li) in
       let c = l.l_c and vnode = l.l_vnode in
-      scatter c vnode l.l_st.rhs;
-      commit c l.l_st vnode;
+      if repeat.(li) then l.l_repeated <- l.l_repeated + 1
+      else begin
+        scatter c vnode l.l_st.rhs;
+        commit c l.l_st vnode;
+        if step = 1 && quiet.(li) then quiet.(li) <- state_zero c vnode
+      end;
       l.l_steps <- step;
       let i = trace_push l.l_tr vnode in
       l.l_tr.tr_times.(i) <- t;
@@ -1798,7 +1869,9 @@ let run_fixed ~obs ~dt (lanes : lane array) =
           "engine.step_loop" step_t0;
         Obs.add obs "engine.transients" (Array.length pass);
         Obs.add obs "engine.steps" steps;
-        Obs.add obs "engine.newton_iters" newton
+        Obs.add obs "engine.newton_iters" newton;
+        let repeated = sum (fun l -> l.l_repeated) in
+        if repeated > 0 then Obs.add obs "engine.steps_repeated" repeated
       end)
     !passes;
   Array.map

@@ -169,15 +169,29 @@ module Compiled : sig
       states and adaptive rung/offcut states share the cache), and the DC
       operating point is reused whenever the circuit is linear and every
       source's value at [t = 0] is bit-identical to the cached solve's.  A
-      run stopped early by [until] or [until_peak] leaves the handle fully
-      reusable: every run restarts its companion history from the DC
-      point.
+      linear circuit whose every source is +0.0 at [t = 0] takes the
+      all-+0.0 point without a solve: the point {!dc_operating_point}
+      solves for it, bit for bit, when every element value is positive,
+      as {!Netlist} requires.  A run stopped early by [until] or
+      [until_peak] leaves the handle fully reusable: every run restarts its
+      companion history from the DC point.
+
+      A linear fixed-step run that starts from the all-+0.0 state, and
+      whose first step, with every source +0.0, leaves that state
+      unchanged, repeats its all-zero sample for each later step whose
+      sources are all still +0.0 (a replay's lead-in before its waveform
+      starts) instead of solving it.  The repeated steps are bit for bit
+      the steps solving them gives, since a step is a function of the
+      state and the sources.  They count in {!steps} and ["engine.steps"]
+      like any other, and in ["engine.steps_repeated"] too.  Newton and
+      [adaptive] runs step every step.
 
       [obs] (default disabled) records ["engine.dc_solve"] /
       ["engine.factor"] / ["engine.step_loop"] spans (the step-loop span
       carries [steps], [newton_total], the solver [path] and [lanes] as
       args) plus ["engine.transients"] / ["engine.steps"] /
-      ["engine.newton_iters"] counters.  Only phase boundaries are instrumented — the per-step inner loops are
+      ["engine.newton_iters"] counters, and ["engine.steps_repeated"]
+      when a run repeated steps.  Only phase boundaries are instrumented — the per-step inner loops are
       untouched, so results and speed are identical when disabled.
 
       [record_nodes] restricts waveform storage to the listed nodes
@@ -293,7 +307,8 @@ module Compiled : sig
       bandwidth -- runs of one netlist structure -- step together,
       [max_lanes] at a time in lane order, linear lanes with linear lanes
       and Newton lanes with Newton lanes.  Linear lanes interleave their
-      banded substitutions row by row.  Newton lanes set their sources and
+      banded substitutions row by row; a lane repeating an all-zero step
+      (see {!run}) leaves the interleaving for that step.  Newton lanes set their sources and
       right-hand sides, then iterate in lock-step: each iteration copies
       every still-iterating lane's base system, stamps its devices,
       factors and substitutes the lanes interleaved

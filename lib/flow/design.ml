@@ -3,6 +3,7 @@ module Tree = Rlc_moments.Tree
 module Line = Rlc_tline.Line
 module Inverter = Rlc_devices.Inverter
 module Obs = Rlc_obs.Obs
+module Pool = Rlc_parallel.Pool
 
 let src = Logs.Src.create "rlc.flow.design" ~doc:"full-design ingest"
 
@@ -244,9 +245,16 @@ let index_of ~n ~id_of ~owner ~terms ~dangling ~(spef : Spef.t) ~(spec : Spec.t)
     dangling;
   }
 
+(* Nets a pool job builds: a net's tree and Pade fit take a few
+   microseconds, so a job of this many outweighs its scheduling. *)
+let build_chunk = 16
+
 (* The full pass, a cold ingest: every net, every node and every coupling
-   cap.  Returns the design and a thunk building its index. *)
-let full ~obs ~tech ~(spef : Spef.t) ~(spec : Spec.t) =
+   cap.  The per-net builds run as jobs of [pool] (the lowest failing id's
+   error is raised, as a build in id order raises it); the rest runs on
+   the calling domain.  Returns the design and a thunk building its
+   index. *)
+let full ~obs ~pool ~tech ~(spef : Spef.t) ~(spec : Spec.t) =
   (* Net universe: the spec's driver lines, sorted by name for stable ids. *)
   let names = Array.of_list (List.sort String.compare (List.map fst spec.Spec.drivers)) in
   let id_of = Hashtbl.create (2 * Array.length names) in
@@ -320,7 +328,7 @@ let full ~obs ~tech ~(spef : Spef.t) ~(spec : Spec.t) =
     ignore (level_of i [])
   done;
   let nets =
-    Array.init n (fun i ->
+    Pool.init (Pool.borrow ?pool ()) ~chunk:build_chunk n (fun i ->
         build ~id:i ~name:names.(i) ~size:size.(i) ~prim_slew:prim.(i) ~fanin:fanin.(i)
           ~fanout:(List.sort Int.compare fanout.(i))
           ~level:level.(i) ~block:dnets.(i) ~loads:(List.rev extra.(i)))
@@ -605,7 +613,7 @@ let incremental ~obs ~tech (prev : t) ix (prev_spef : Spef.t) ~(spef : Spef.t) ~
     },
     { ix with owners; terms; dangling } )
 
-let ingest_resident ?(tech = Rlc_devices.Tech.c018) ?(obs = Obs.null) ?prev ~spef ~spec () =
+let ingest_resident ?(tech = Rlc_devices.Tech.c018) ?(obs = Obs.null) ?pool ?prev ~spef ~spec () =
   Obs.layer obs "design.ingest" (fun () ->
       let quick =
         match prev with
@@ -617,13 +625,13 @@ let ingest_resident ?(tech = Rlc_devices.Tech.c018) ?(obs = Obs.null) ?prev ~spe
       match quick with
       | Some r -> Ok r
       | None -> (
-          match full ~obs ~tech ~spef ~spec with
+          match full ~obs ~pool ~tech ~spef ~spec with
           | design, index -> Ok (design, index ())
           | exception Bad msg -> Error msg))
 
-let ingest ?(tech = Rlc_devices.Tech.c018) ?(obs = Obs.null) ~spef ~spec () =
+let ingest ?(tech = Rlc_devices.Tech.c018) ?(obs = Obs.null) ?pool ~spef ~spec () =
   Obs.layer obs "design.ingest" (fun () ->
-      match full ~obs ~tech ~spef ~spec with
+      match full ~obs ~pool ~tech ~spef ~spec with
       | design, _ -> Ok design
       | exception Bad msg -> Error msg)
 

@@ -50,6 +50,7 @@ type t = {
 val ingest :
   ?tech:Rlc_devices.Tech.t ->
   ?obs:Rlc_obs.Obs.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   spef:Rlc_spef.Spef.t ->
   spec:Spec.t ->
   unit ->
@@ -70,7 +71,14 @@ val ingest :
     [obs] (default disabled) records a ["design.ingest"] span (also
     charged to the calling domain's {!Rlc_obs.Obs.with_split}) and adds
     every node claim made — each conn pin, grounded-cap node and branch
-    endpoint of every net — to the ["design.nodes_claimed"] counter. *)
+    endpoint of every net — to the ["design.nodes_claimed"] counter.
+
+    Each net's tree and Padé fit are built as jobs of [pool] (default
+    {!Rlc_parallel.Pool.borrow}[ ()], the process-wide resident pool, as
+    {!Rlc_liberty.Characterize.cell} defaults; a daemon passes its own),
+    {!Rlc_parallel.Pool.init}'s chunks of 16 nets in id order.  The design
+    and the error are the same on any pool: of several failing nets, the
+    lowest id's error is returned, as a build in id order returns it. *)
 
 type index
 (** A resident design's ingest index: what the ingest of an edited
@@ -83,6 +91,7 @@ type index
 val ingest_resident :
   ?tech:Rlc_devices.Tech.t ->
   ?obs:Rlc_obs.Obs.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   ?prev:t * index * Rlc_spef.Spef.t ->
   spef:Rlc_spef.Spef.t ->
   spec:Spec.t ->
@@ -113,8 +122,9 @@ val ingest_resident :
     claimed twice, a coupling joining a net to itself, a block that does
     not build), takes the full pass of {!ingest} instead.  Either way the
     design equals, field by field, the one a cold ingest of the same
-    sources builds, and errors carry a cold ingest's text.  [obs] as in
-    {!ingest}: the quick path claims only the replaced blocks' nodes. *)
+    sources builds, and errors carry a cold ingest's text.  [obs] and
+    [pool] as in {!ingest}: the quick path claims only the replaced
+    blocks' nodes, and builds its few nets on the calling domain. *)
 
 val n_nets : t -> int
 val pp : Format.formatter -> t -> unit

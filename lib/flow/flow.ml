@@ -553,7 +553,8 @@ let run_cfg (cfg : Config.t) (design : Design.t) =
 (* ---------------------------------------------------- incremental (ECO) *)
 
 let time ?tech (cfg : Config.t) ~spef ~spec () =
-  match Design.ingest_resident ?tech ~obs:cfg.Config.obs ~spef ~spec () with
+  let pool = Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs () in
+  match Design.ingest_resident ?tech ~obs:cfg.Config.obs ~pool ~spef ~spec () with
   | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
   | Ok (design, index) ->
       let result, keys, _ = solve_pass cfg design in
@@ -571,8 +572,10 @@ let retime ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
          coupling pairs are redone, and a net keeps its record only when
          everything it is built from is provably unchanged, so every record
          equals the one a cold ingest of the edited sources would build. *)
+      let cfg = t.Timed.cfg in
       match
-        Design.ingest_resident ~tech:old.design.Design.tech ~obs:t.Timed.cfg.Config.obs
+        Design.ingest_resident ~tech:old.design.Design.tech ~obs:cfg.Config.obs
+          ~pool:(Pool.borrow ?pool:cfg.Config.pool ?jobs:cfg.Config.jobs ())
           ~prev:(old.design, t.Timed.index, t.Timed.spef) ~spef ~spec ()
       with
       | Error msg -> Error (Rlc_errors.Error.Bad_request msg)
@@ -618,7 +621,6 @@ let retime ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =
             in
             Array.iteri (fun i d -> if d then mark i) direct;
             List.iter mark partners;
-            let cfg = t.Timed.cfg in
             let obs = cfg.Config.obs in
             let t0 = Obs.start obs in
             let result, keys, reused = solve_pass ~prev:(t, dirty) cfg design in

@@ -3,16 +3,23 @@ module Screen = Rlc_ceff.Screen
 module Measure = Rlc_waveform.Measure
 module Units = Rlc_num.Units
 module Obs = Rlc_obs.Obs
+module Pool = Rlc_parallel.Pool
 
 let ps = Units.in_ps
 let ff = Units.in_ff
 
+(* The C conversion [Printf.sprintf "%.6g"] ends in: called directly, a
+   number skips building the format string and interpreting it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* One float format for every payload so report bytes are reproducible.
    [%g] prints a NaN or an infinity bare, which no JSON reader accepts, so
-   a non-finite value is an internal error naming its field. *)
-let num field x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x
-  else failwith (Printf.sprintf "Rlc_flow.Report: %s is %g, not a finite number" field x)
+   a non-finite value is an internal error naming its renderer and field. *)
+let number ~prefix field x =
+  if Float.is_finite x then format_float "%.6g" x
+  else failwith (Printf.sprintf "%s: %s is %g, not a finite number" prefix field x)
+
+let num field x = number ~prefix:"Rlc_flow.Report" field x
 
 let num_ps field x = num field (ps x)
 
@@ -67,29 +74,50 @@ let json_histogram h =
     (num_ps "bin_width_ps" h.bin_width)
     (String.concat "," (List.map string_of_int (Array.to_list h.counts)))
 
+(* Net [r]'s entry, written field by field in the report's order and
+   separators; of several non-finite fields, the first is named. *)
 let net_json (r : Flow.net_result) =
   let m = r.Flow.solve.Flow.model in
   let c1, c2 = ceffs m in
-  let screen = m.Driver_model.screen in
-  Printf.sprintf
-    {|    {"net":"%s","level":%d,"driver_size":%s,"edge":"%s","input_slew_ps":%s,"shape":"%s","inductive":%b,"f":%s,"rs_ohm":%s,"z0_ohm":%s,"tf_ps":%s,"ceff1_ff":%s,"tr1_ps":%s,"ceff2_ff":%s,"tr2_ps":%s,"ceff_iterations":%d,"near_delay_ps":%s,"stage_delay_ps":%s,"far_slew_ps":%s,"arrival_ps":%s}|}
-    (json_escape r.Flow.net.Design.name)
-    r.Flow.net.Design.level
-    (num "driver_size" r.Flow.net.Design.size)
-    (edge_name r.Flow.edge)
-    (num_ps "input_slew_ps" r.Flow.input_slew)
-    (shape_name m) screen.Screen.significant (num "f" m.Driver_model.f)
-    (num "rs_ohm" m.Driver_model.rs) (num "z0_ohm" m.Driver_model.z0)
-    (num_ps "tf_ps" m.Driver_model.tf)
-    (num "ceff1_ff" (ff c1.Driver_model.value))
-    (num_ps "tr1_ps" c1.Driver_model.ramp)
-    (match c2 with Some c -> num "ceff2_ff" (ff c.Driver_model.value) | None -> "null")
-    (match c2 with Some c -> num_ps "tr2_ps" c.Driver_model.ramp | None -> "null")
-    r.Flow.solve.Flow.iterations
-    (num_ps "near_delay_ps" m.Driver_model.delay_50)
-    (num_ps "stage_delay_ps" r.Flow.solve.Flow.stage_delay)
-    (num_ps "far_slew_ps" r.Flow.solve.Flow.far_slew)
-    (num_ps "arrival_ps" r.Flow.arrival)
+  let buf = Buffer.create 512 in
+  let add = Buffer.add_string buf in
+  let field key v =
+    add ",\"";
+    add key;
+    add "\":";
+    add v
+  in
+  let str key v = field key ("\"" ^ v ^ "\"") in
+  let fnum key x = field key (num key x) and fps key x = field key (num_ps key x) in
+  add "    {\"net\":\"";
+  add (json_escape r.Flow.net.Design.name);
+  add "\"";
+  field "level" (string_of_int r.Flow.net.Design.level);
+  fnum "driver_size" r.Flow.net.Design.size;
+  str "edge" (edge_name r.Flow.edge);
+  fps "input_slew_ps" r.Flow.input_slew;
+  str "shape" (shape_name m);
+  field "inductive" (string_of_bool m.Driver_model.screen.Screen.significant);
+  fnum "f" m.Driver_model.f;
+  fnum "rs_ohm" m.Driver_model.rs;
+  fnum "z0_ohm" m.Driver_model.z0;
+  fps "tf_ps" m.Driver_model.tf;
+  fnum "ceff1_ff" (ff c1.Driver_model.value);
+  fps "tr1_ps" c1.Driver_model.ramp;
+  (match c2 with
+  | Some c ->
+      fnum "ceff2_ff" (ff c.Driver_model.value);
+      fps "tr2_ps" c.Driver_model.ramp
+  | None ->
+      field "ceff2_ff" "null";
+      field "tr2_ps" "null");
+  field "ceff_iterations" (string_of_int r.Flow.solve.Flow.iterations);
+  fps "near_delay_ps" m.Driver_model.delay_50;
+  fps "stage_delay_ps" r.Flow.solve.Flow.stage_delay;
+  fps "far_slew_ps" r.Flow.solve.Flow.far_slew;
+  fps "arrival_ps" r.Flow.arrival;
+  add "}";
+  Buffer.contents buf
 
 (* A rendered entry: the bytes it was rendered to and, in a store, those
    bytes escaped by the store's [escape]. *)
@@ -107,30 +135,45 @@ let same_entry (a : Flow.net_result) (b : Flow.net_result) =
   && Cache.same_bits a.Flow.input_slew b.Flow.input_slew
   && Cache.same_bits a.Flow.arrival b.Flow.arrival
 
-let net_entries ~obs ?entries (result : Flow.result) =
+(* Entries a pool job renders. *)
+let render_chunk = 32
+
+(* The report's entries: each one the store holds for an unchanged result
+   is reused, the others are rendered (and escaped for a store) as jobs of
+   [pool], [render_chunk] in result order a job, so the first failing
+   entry's error is raised, as a render in order raises it. *)
+let net_entries ~obs ~pool ?entries (result : Flow.result) =
   let prev = match entries with Some e -> e.rendered | None -> [||] in
-  let rendered = ref 0 in
+  let results = result.Flow.results in
+  let kept = Array.mapi (fun i r -> i < Array.length prev && same_entry prev.(i).result r) results in
+  let todo = Array.of_seq (Seq.filter (fun i -> not kept.(i)) (Seq.init (Array.length results) Fun.id)) in
+  let rendered =
+    Pool.init pool ~chunk:render_chunk (Array.length todo) (fun k ->
+        let r = results.(todo.(k)) in
+        let text = net_json r in
+        let escaped = match entries with Some e -> e.escape text | None -> "" in
+        { result = r; text; escaped })
+  in
+  let next = ref 0 in
   let fresh =
     Array.mapi
-      (fun i r ->
-        if i < Array.length prev && same_entry prev.(i).result r then prev.(i)
+      (fun i _ ->
+        if kept.(i) then prev.(i)
         else begin
-          incr rendered;
-          let text = net_json r in
-          let escaped = match entries with Some e -> e.escape text | None -> "" in
-          { result = r; text; escaped }
+          incr next;
+          rendered.(!next - 1)
         end)
-      result.Flow.results
+      results
   in
-  Obs.add obs "report.entries_rendered" !rendered;
-  if Option.is_some entries then Obs.add obs "report.entries_escaped" !rendered;
+  Obs.add obs "report.entries_rendered" !next;
+  if Option.is_some entries then Obs.add obs "report.entries_escaped" !next;
   fresh
 
 (* The report in three parts: the header, through the opening of
    ["net_results"]; the entries, each followed by [",\n"] but the last by
    ["\n"]; and the rest. *)
-let parts ~obs ?required ?xtalk ?entries (result : Flow.result) =
-  let rendered = net_entries ~obs ?entries result in
+let parts ~obs ~pool ?required ?xtalk ?entries (result : Flow.result) =
+  let rendered = net_entries ~obs ~pool ?entries result in
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let stats = result.Flow.stats in
@@ -194,18 +237,20 @@ let text (header, rendered, footer) =
 
 (* Render, then hand the store this report's entries: only a report that
    rendered whole changes it. *)
-let render ~obs ?required ?xtalk ?entries result k =
+let render ~obs ?pool ?required ?xtalk ?entries result k =
   Obs.layer obs "report.render" (fun () ->
-      let ((_, rendered, _) as parts) = parts ~obs ?required ?xtalk ?entries result in
+      let ((_, rendered, _) as parts) =
+        parts ~obs ~pool:(Pool.borrow ?pool ()) ?required ?xtalk ?entries result
+      in
       let v = k parts in
       Option.iter (fun e -> e.rendered <- rendered) entries;
       v)
 
-let json_string ?(obs = Obs.null) ?required ?xtalk result =
-  render ~obs ?required ?xtalk result text
+let json_string ?(obs = Obs.null) ?pool ?required ?xtalk result =
+  render ~obs ?pool ?required ?xtalk result text
 
-let json_escaped ?(obs = Obs.null) ?required ?xtalk ~entries result =
-  render ~obs ?required ?xtalk ~entries result (fun ((header, rendered, footer) as parts) ->
+let json_escaped ?(obs = Obs.null) ?pool ?required ?xtalk ~entries result =
+  render ~obs ?pool ?required ?xtalk ~entries result (fun ((header, rendered, footer) as parts) ->
       let escape = entries.escape and n = Array.length rendered in
       let sep = escape ",\n" and last = escape "\n" in
       let chunks = ref [ escape footer ] in

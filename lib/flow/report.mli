@@ -5,12 +5,18 @@
     with [--jobs N] emits byte-identical reports for every [N]; scheduling-
     dependent observability (cache hit counters, wall times) lives in the
     human {!summary} and the logs only.  Floats are printed with [%.6g] —
-    one fixed, locale-independent format everywhere.  A NaN or infinite
+    one fixed, locale-independent format everywhere ({!number}).  A NaN or infinite
     float has no JSON spelling, so the renderers ({!json_string},
     {!csv_string} and the optimize payloads) raise [Failure] naming the
     field instead of printing it (the daemon answers [internal]). *)
 
-val json_string : ?obs:Rlc_obs.Obs.t -> ?required:float -> ?xtalk:string -> Flow.result -> string
+val json_string :
+  ?obs:Rlc_obs.Obs.t ->
+  ?pool:Rlc_parallel.Pool.t ->
+  ?required:float ->
+  ?xtalk:string ->
+  Flow.result ->
+  string
 (** Full report: design header, one object per net (timing, shape, screen
     verdict, Ceff values, iteration count), and a summary block with the
     worst-arrival (critical) path, optional slack against a [required]
@@ -25,7 +31,13 @@ val json_string : ?obs:Rlc_obs.Obs.t -> ?required:float -> ?xtalk:string -> Flow
 
     [obs] (default disabled) records a ["report.render"] span (also
     charged to the calling domain's {!Rlc_obs.Obs.with_split}) and counts
-    the entries rendered in ["report.entries_rendered"]. *)
+    the entries rendered in ["report.entries_rendered"].
+
+    The per-net entries render as jobs of [pool] (default
+    {!Rlc_parallel.Pool.borrow}[ ()], as {!Design.ingest} defaults; a
+    daemon passes its own), 32 entries in net order a job; the bytes are
+    the same on any pool, and of several entries that cannot render, the
+    first one's error is raised. *)
 
 type entries
 (** The rendered per-net entries of the last report of one evolving
@@ -41,6 +53,7 @@ val entries : escape:(string -> string) -> unit -> entries
 
 val json_escaped :
   ?obs:Rlc_obs.Obs.t ->
+  ?pool:Rlc_parallel.Pool.t ->
   ?required:float ->
   ?xtalk:string ->
   entries:entries ->
@@ -57,8 +70,16 @@ val json_escaped :
     raises leaves it unchanged).  The header and the summary are always
     computed and escaped afresh, so a report that re-renders two entries
     escapes two entries, not the report.  The report bytes equal
-    {!json_string}'s.  [obs] as in {!json_string}, plus the entries
-    escaped in ["report.entries_escaped"]. *)
+    {!json_string}'s.  [obs] and [pool] as in {!json_string} (the store's
+    [escape] runs in the jobs too), plus the entries escaped in
+    ["report.entries_escaped"]. *)
+
+val number : prefix:string -> string -> float -> string
+(** [number ~prefix field x]: [x] in the payloads' one float format,
+    [Printf.sprintf "%.6g" x], computed by the C conversion that
+    [Printf] ends in without interpreting a format.  A NaN or an infinity
+    raises [Failure "<prefix>: <field> is <x>, not a finite number"].
+    Every report and fragment prints its numbers through it. *)
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON payload (used by the crosstalk

@@ -144,6 +144,14 @@ let map ?(obs = Rlc_obs.Obs.null) t n f =
     Array.map Option.get results
   end
 
+let init t ~chunk n f =
+  let chunk = Int.max 1 chunk in
+  Array.concat
+    (Array.to_list
+       (map t ((n + chunk - 1) / chunk) (fun ci ->
+            let lo = ci * chunk in
+            Array.init (Int.min chunk (n - lo)) (fun k -> f (lo + k)))))
+
 let run ?obs t thunks =
   let arr = Array.of_list thunks in
   ignore (map ?obs t (Array.length arr) (fun i -> arr.(i) ()))

@@ -58,6 +58,14 @@ val map : ?obs:Rlc_obs.Obs.t -> t -> int -> (int -> 'a) -> 'a array
     contains it.  At worst the calling domain runs the nested batch alone
     while the other domains finish the outer one. *)
 
+val init : t -> chunk:int -> int -> (int -> 'a) -> 'a array
+(** [init t ~chunk n f] is [Array.init n f] computed as one {!map} batch
+    whose jobs each take [chunk] consecutive indices ([chunk] is clamped
+    to at least 1).  If any call raises, the exception of the lowest index
+    is re-raised, as [Array.init] would raise it: it lies in the lowest
+    failing job, which stops at it.  The batch records no ["pool.batch"]
+    span. *)
+
 val run : ?obs:Rlc_obs.Obs.t -> t -> (unit -> unit) list -> unit
 (** Convenience: run thunks as one batch. *)
 

@@ -174,7 +174,8 @@ let ingest t ?spef_name ?spec ?spec_name ?size ?slew ~spef () =
   let ( let* ) = Result.bind in
   let* spef, spec = parse_sources t ?spef_name ?spec ?spec_name ?size ?slew ~spef () in
   match
-    Rlc_flow.Design.ingest ~tech:t.config.Config.tech ~obs:t.config.Config.obs ~spef ~spec ()
+    Rlc_flow.Design.ingest ~tech:t.config.Config.tech ~obs:t.config.Config.obs ~pool:t.pool ~spef
+      ~spec ()
   with
   | Ok d -> Ok d
   | Error msg -> Error (Error.Bad_request msg)
@@ -229,10 +230,10 @@ let outcome_of ?entries t (req : Request.t) (result : Flow.result) =
     match entries with
     | Some entries ->
         let report, escaped =
-          Report.json_escaped ~obs ?required ?xtalk:fragment ~entries result
+          Report.json_escaped ~obs ~pool:t.pool ?required ?xtalk:fragment ~entries result
         in
         (report, Some escaped)
-    | None -> (Report.json_string ~obs ?required ?xtalk:fragment result, None)
+    | None -> (Report.json_string ~obs ~pool:t.pool ?required ?xtalk:fragment result, None)
   in
   { result; xtalk; report; report_escaped }
 

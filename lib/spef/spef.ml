@@ -65,144 +65,161 @@ let unquote s =
 
 type section = S_none | S_conn | S_cap | S_res | S_induc
 
+let is_blank c = c = ' ' || c = '\t' || c = '\r'
+
+(* The tokens of [src]'s bytes [lo, hi): the maximal runs of bytes other
+   than ' ', '\t' and '\r', in order. *)
+let tokens src lo hi =
+  let acc = ref [] and i = ref lo in
+  while !i < hi do
+    if is_blank src.[!i] then incr i
+    else begin
+      let start = !i in
+      while !i < hi && not (is_blank src.[!i]) do
+        incr i
+      done;
+      acc := String.sub src start (!i - start) :: !acc
+    end
+  done;
+  List.rev !acc
+
+(* Call [f lineno toks] on every line of [src] in order, and return the
+   number of lines.  Lines are separated by '\n' (a trailing one opens an
+   empty last line); a line is cut at its first '/' when the next byte is
+   another '/' (only the first '/' of a line can open a comment).  No
+   line is copied, only its tokens. *)
+let iter_lines src f =
+  let n = String.length src in
+  let pos = ref 0 and lineno = ref 0 in
+  while !pos <= n do
+    incr lineno;
+    let eol = ref !pos and slash = ref (-1) in
+    while !eol < n && src.[!eol] <> '\n' do
+      if !slash < 0 && src.[!eol] = '/' then slash := !eol;
+      incr eol
+    done;
+    let stop = if !slash >= 0 && !slash + 1 < !eol && src.[!slash + 1] = '/' then !slash else !eol in
+    f !lineno (tokens src !pos stop);
+    pos := !eol + 1
+  done;
+  !lineno
+
 (* One parser drives both entry points: [allow_header] distinguishes a
    full SPEF file (header directives legal, units default) from a bare
    [*D_NET] fragment re-parsed against the units of an already-loaded
    file (header directives are "unexpected token" errors there — a delta
    must not silently re-scale the design). *)
 let run_parser ?file ~allow_header ~units:init_units src =
-  let lines = String.split_on_char '\n' src in
   let design = ref "" in
   let units = ref init_units in
   let nets = ref [] in
-  (* current net under construction *)
+  (* The block under construction: its name and declared total, and its
+     entries so far, newest first. *)
   let cur = ref None in
+  let conns = ref [] and caps = ref [] and x_caps = ref [] and branches = ref [] in
   let section = ref S_none in
+  (* Every finished block's name, so a duplicate is found in constant time. *)
+  let finished = Hashtbl.create 64 in
   (* Coupling caps are keyed by their unordered node pair, globally: the same
      physical capacitor listed twice (in one section or under both nets it
      couples) is a modeling error, not a doubling. *)
   let x_seen = Hashtbl.create 16 in
-  let finish_net lineno =
-    match !cur with
-    | None -> raise (Err (lineno, "*END outside a *D_NET"))
-    | Some net ->
-        if List.exists (fun n -> n.net_name = net.net_name) !nets then
-          raise (Err (lineno, "duplicate *D_NET " ^ net.net_name));
-        nets :=
-          { net with conns = List.rev net.conns; caps = List.rev net.caps;
-            x_caps = List.rev net.x_caps; branches = List.rev net.branches }
-          :: !nets;
-        cur := None;
-        section := S_none
+  let finish_net lineno net_name total_cap =
+    if Hashtbl.mem finished net_name then raise (Err (lineno, "duplicate *D_NET " ^ net_name));
+    Hashtbl.add finished net_name ();
+    nets :=
+      {
+        net_name;
+        total_cap;
+        conns = List.rev !conns;
+        caps = List.rev !caps;
+        x_caps = List.rev !x_caps;
+        branches = List.rev !branches;
+      }
+      :: !nets;
+    cur := None;
+    conns := [];
+    caps := [];
+    x_caps := [];
+    branches := [];
+    section := S_none
   in
   try
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt line '/' with
-          | Some k when k + 1 < String.length line && line.[k + 1] = '/' -> String.sub line 0 k
-          | _ -> line
-        in
-        let toks =
-          String.split_on_char ' ' (String.map (function '\t' | '\r' -> ' ' | c -> c) line)
-          |> List.filter (fun s -> s <> "")
-        in
-        match (toks, !cur) with
-        | [], _ -> ()
-        | ( "*SPEF" :: _, _ | "*VERSION" :: _, _ | "*DATE" :: _, _ | "*VENDOR" :: _, _
-          | "*PROGRAM" :: _, _ | "*DIVIDER" :: _, _ | "*DELIMITER" :: _, _
-          | "*BUS_DELIMITER" :: _, _ )
-          when allow_header ->
-            ()
-        | [ "*DESIGN"; name ], _ when allow_header -> design := unquote name
-        | [ "*T_UNIT"; mult; unit ], _ when allow_header ->
-            units := { !units with t_scale = float_of lineno mult *. scale_of_suffix lineno unit }
-        | [ "*C_UNIT"; mult; unit ], _ when allow_header ->
-            units := { !units with c_scale = float_of lineno mult *. scale_of_suffix lineno unit }
-        | [ "*R_UNIT"; mult; unit ], _ when allow_header ->
-            units := { !units with r_scale = float_of lineno mult *. scale_of_suffix lineno unit }
-        | [ "*L_UNIT"; mult; unit ], _ when allow_header ->
-            units := { !units with l_scale = float_of lineno mult *. scale_of_suffix lineno unit }
-        | [ "*D_NET"; name; tc ], None ->
-            cur :=
-              Some
+    let n_lines =
+      iter_lines src (fun lineno toks ->
+          match (toks, !cur) with
+          | [], _ -> ()
+          | ( "*SPEF" :: _, _ | "*VERSION" :: _, _ | "*DATE" :: _, _ | "*VENDOR" :: _, _
+            | "*PROGRAM" :: _, _ | "*DIVIDER" :: _, _ | "*DELIMITER" :: _, _
+            | "*BUS_DELIMITER" :: _, _ )
+            when allow_header ->
+              ()
+          | [ "*DESIGN"; name ], _ when allow_header -> design := unquote name
+          | [ "*T_UNIT"; mult; unit ], _ when allow_header ->
+              units := { !units with t_scale = float_of lineno mult *. scale_of_suffix lineno unit }
+          | [ "*C_UNIT"; mult; unit ], _ when allow_header ->
+              units := { !units with c_scale = float_of lineno mult *. scale_of_suffix lineno unit }
+          | [ "*R_UNIT"; mult; unit ], _ when allow_header ->
+              units := { !units with r_scale = float_of lineno mult *. scale_of_suffix lineno unit }
+          | [ "*L_UNIT"; mult; unit ], _ when allow_header ->
+              units := { !units with l_scale = float_of lineno mult *. scale_of_suffix lineno unit }
+          | [ "*D_NET"; name; tc ], None ->
+              cur := Some (name, float_of lineno tc *. !units.c_scale);
+              section := S_none
+          | "*D_NET" :: _, Some _ -> raise (Err (lineno, "nested *D_NET"))
+          | [ "*CONN" ], Some _ -> section := S_conn
+          | [ "*CAP" ], Some _ -> section := S_cap
+          | [ "*RES" ], Some _ -> section := S_res
+          | [ "*INDUC" ], Some _ -> section := S_induc
+          | [ "*END" ], Some (name, tc) -> finish_net lineno name tc
+          | "*K" :: _, Some _ | "*C" :: "*K" :: _, Some _ ->
+              raise (Err (lineno, "mutual inductance (*K) is not supported"))
+          | (("*P" | "*I") :: pin :: dir :: _), Some _ when !section = S_conn ->
+              let dir =
+                match dir with
+                | "I" -> Input
+                | "O" -> Output
+                | "B" -> Bidir
+                | d -> raise (Err (lineno, "unknown direction " ^ d))
+              in
+              conns := { pin; dir } :: !conns
+          | [ id; node; value ], Some _ when !section = S_cap ->
+              caps :=
+                { c_id = int_of lineno id; node; farads = float_of lineno value *. !units.c_scale }
+                :: !caps
+          | [ id; n1; n2; value ], Some _ when !section = S_cap ->
+              (* Four-token *CAP entry: a coupling capacitor between two nodes
+                 (SPEF's cross-net "*C" construct in this subset). *)
+              if n1 = n2 then
+                raise (Err (lineno, "coupling capacitance with identical nodes " ^ n1));
+              let pair = if n1 <= n2 then (n1, n2) else (n2, n1) in
+              (match Hashtbl.find_opt x_seen pair with
+              | Some first ->
+                  raise
+                    (Err
+                       ( lineno,
+                         Printf.sprintf "duplicate coupling capacitance %s-%s (first at line %d)"
+                           n1 n2 first ))
+              | None -> Hashtbl.add x_seen pair lineno);
+              x_caps :=
                 {
-                  net_name = name;
-                  total_cap = float_of lineno tc *. !units.c_scale;
-                  conns = [];
-                  caps = [];
-                  x_caps = [];
-                  branches = [];
-                };
-            section := S_none
-        | "*D_NET" :: _, Some _ -> raise (Err (lineno, "nested *D_NET"))
-        | [ "*CONN" ], Some _ -> section := S_conn
-        | [ "*CAP" ], Some _ -> section := S_cap
-        | [ "*RES" ], Some _ -> section := S_res
-        | [ "*INDUC" ], Some _ -> section := S_induc
-        | [ "*END" ], Some _ -> finish_net lineno
-        | "*K" :: _, Some _ | "*C" :: "*K" :: _, Some _ ->
-            raise (Err (lineno, "mutual inductance (*K) is not supported"))
-        | (("*P" | "*I") :: pin :: dir :: _), Some net when !section = S_conn ->
-            let dir =
-              match dir with
-              | "I" -> Input
-              | "O" -> Output
-              | "B" -> Bidir
-              | d -> raise (Err (lineno, "unknown direction " ^ d))
-            in
-            cur := Some { net with conns = { pin; dir } :: net.conns }
-        | [ id; node; value ], Some net when !section = S_cap ->
-            cur :=
-              Some
-                {
-                  net with
-                  caps =
-                    { c_id = int_of lineno id; node; farads = float_of lineno value *. !units.c_scale }
-                    :: net.caps;
+                  x_id = int_of lineno id;
+                  x_node1 = n1;
+                  x_node2 = n2;
+                  x_farads = float_of lineno value *. !units.c_scale;
                 }
-        | [ id; n1; n2; value ], Some net when !section = S_cap ->
-            (* Four-token *CAP entry: a coupling capacitor between two nodes
-               (SPEF's cross-net "*C" construct in this subset). *)
-            if n1 = n2 then
-              raise (Err (lineno, "coupling capacitance with identical nodes " ^ n1));
-            let pair = if n1 <= n2 then (n1, n2) else (n2, n1) in
-            (match Hashtbl.find_opt x_seen pair with
-            | Some first ->
-                raise
-                  (Err
-                     ( lineno,
-                       Printf.sprintf "duplicate coupling capacitance %s-%s (first at line %d)"
-                         n1 n2 first ))
-            | None -> Hashtbl.add x_seen pair lineno);
-            cur :=
-              Some
-                {
-                  net with
-                  x_caps =
-                    {
-                      x_id = int_of lineno id;
-                      x_node1 = n1;
-                      x_node2 = n2;
-                      x_farads = float_of lineno value *. !units.c_scale;
-                    }
-                    :: net.x_caps;
-                }
-        | [ id; n1; n2; value ], Some net when !section = S_res || !section = S_induc ->
-            let kind, scale = if !section = S_res then (Res, !units.r_scale) else (Induc, !units.l_scale) in
-            cur :=
-              Some
-                {
-                  net with
-                  branches =
-                    { b_id = int_of lineno id; kind; n1; n2; value = float_of lineno value *. scale }
-                    :: net.branches;
-                }
-        | tok :: _, _ -> raise (Err (lineno, "unexpected token " ^ tok)))
-      lines;
+                :: !x_caps
+          | [ id; n1; n2; value ], Some _ when !section = S_res || !section = S_induc ->
+              let kind, scale =
+                if !section = S_res then (Res, !units.r_scale) else (Induc, !units.l_scale)
+              in
+              branches :=
+                { b_id = int_of lineno id; kind; n1; n2; value = float_of lineno value *. scale }
+                :: !branches
+          | tok :: _, _ -> raise (Err (lineno, "unexpected token " ^ tok)))
+    in
     (match !cur with
-    | Some net -> raise (Err (List.length lines, "unterminated *D_NET " ^ net.net_name))
+    | Some (name, _) -> raise (Err (n_lines, "unterminated *D_NET " ^ name))
     | None -> ());
     Ok { design = !design; units = !units; nets = List.rev !nets }
   with Err (lineno, msg) -> Error (Rlc_errors.Error.parse ?file ~line:lineno msg)

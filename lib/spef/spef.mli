@@ -50,7 +50,13 @@ val parse_res : ?file:string -> string -> (t, Rlc_errors.Error.t) result
     the source [file] name when given.  Coupling capacitances (four-token
     [*CAP] entries) parse into {!coupling_cap}; a duplicate unordered node
     pair anywhere in the file, or a coupling cap with identical nodes, is an
-    error.  Unsupported constructs ([*K] mutual sections) produce errors. *)
+    error.  Unsupported constructs ([*K] mutual sections) produce errors.
+
+    Tokens are the runs of bytes other than space, tab and carriage
+    return on each ['\n']-separated line; a line is cut at its first ['/']
+    when another ['/'] follows it (only a line's first ['/'] can open a
+    comment).  The source is scanned once, and a repeated [*D_NET] name is
+    found in constant time, so a parse takes time linear in the file. *)
 
 val parse_dnet_res : ?file:string -> units:units -> string -> (dnet, Rlc_errors.Error.t) result
 (** Parse a source fragment holding exactly one [*D_NET ... *END] block

@@ -353,11 +353,8 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
 
 (* ---------------------------------------------------------------- JSON *)
 
-(* The report's float format; a NaN or an infinity would print bare and
-   break the JSON, so it is an internal error naming its field. *)
-let num field x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x
-  else failwith (Printf.sprintf "Rlc_xtalk.json_fragment: %s is %g, not a finite number" field x)
+(* The report's float format, which refuses a non-finite number. *)
+let num field x = Rlc_flow.Report.number ~prefix:"Rlc_xtalk.json_fragment" field x
 
 let num_ps field x = num field (Rlc_num.Units.in_ps x)
 let num_mv field x = num field (1e3 *. x)

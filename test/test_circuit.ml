@@ -1717,6 +1717,244 @@ let test_lanes_reject_shared_handle () =
   | _ -> Alcotest.fail "a handle in two lanes must raise"
   | exception Invalid_argument _ -> ()
 
+(* ---------------------------------------------------- quiet lead-ins *)
+
+(* A far-end replay shaped like the flow's: a 40-segment RLC ladder into a
+   receiver load, its near end forced by a two-ramp model waveform shifted
+   to start at [t0], as [Reference.replay_circuit] shifts it; [v0] lifts
+   the whole waveform, and [hold] adds a 1 mA current source at the far
+   end that is on at t = 0 only.  Returns the netlist and the far node. *)
+let replay_ladder ?(v0 = 0.) ?(hold = false) ~t0 () =
+  let nl = Netlist.create () in
+  let near = Netlist.node nl "near" in
+  Netlist.force_pwl nl near
+    (Pwl.of_points [ (t0, v0); (t0 +. 18e-12, v0 +. 1.); (t0 +. 55e-12, v0 +. 1.8) ]);
+  let prev = ref near in
+  for _ = 1 to 40 do
+    let mid = Netlist.node nl "mid" and next = Netlist.node nl "next" in
+    Netlist.resistor nl !prev mid 2.;
+    Netlist.inductor nl mid next 0.1e-9;
+    Netlist.capacitor nl next Netlist.ground 20e-15;
+    prev := next
+  done;
+  let far = !prev in
+  Netlist.capacitor nl far Netlist.ground 10e-15;
+  if hold then Netlist.current_source nl far Netlist.ground (fun t -> if t <= 0. then 1e-3 else 0.);
+  (nl, far)
+
+let repeated obs = Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs) "engine.steps_repeated"
+
+(* [nl]'s run on the kernel, with [obs], against its per-step reassembly:
+   bit-equal times and far-end samples, and [engine.steps] counts them. *)
+let check_against_reassembly ~what ~t_stop (nl, far) =
+  let dt = 0.5e-12 and obs = Rlc_obs.Obs.create () in
+  let r = Engine.Compiled.run ~obs ~record_nodes:[ far ] ~dt ~t_stop (Engine.Compiled.compile nl) in
+  let oracle = Engine.transient ~reassemble_per_step:true ~record_nodes:[ far ] ~dt ~t_stop nl in
+  same_run ~what:(what ^ " vs per-step reassembly") r oracle [ far ];
+  Alcotest.(check int) (what ^ ": engine.steps") (Engine.steps oracle)
+    (Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs) "engine.steps");
+  repeated obs
+
+(* A replay whose model waveform starts at 10 ps sees a +0.0 source at
+   steps 1-20 of 0.5 ps: step 1 runs and leaves the all-zero state, steps
+   2-20 repeat it, bit for bit what per-step reassembly computes.  A run
+   from a non-zero DC point, one held off zero only by its DC point, and
+   one whose source moves at step 1 repeat nothing; nor do Newton lanes.
+   In a batch each lane repeats its own lead-in. *)
+let test_repeated_lead_in () =
+  let t_stop = 150e-12 in
+  Alcotest.(check int) "cold_flow-shaped replay" 19
+    (check_against_reassembly ~what:"lead-in" ~t_stop (replay_ladder ~t0:10e-12 ()));
+  Alcotest.(check int) "non-zero DC point" 0
+    (check_against_reassembly ~what:"lifted" ~t_stop (replay_ladder ~v0:0.2 ~t0:10e-12 ()));
+  Alcotest.(check int) "zero sources, non-zero DC point" 0
+    (check_against_reassembly ~what:"held" ~t_stop (replay_ladder ~hold:true ~t0:10e-12 ()));
+  Alcotest.(check int) "source moves at step 1" 0
+    (check_against_reassembly ~what:"immediate" ~t_stop (replay_ladder ~t0:0. ()));
+  let dt = 0.5e-12 and obs = Rlc_obs.Obs.create () in
+  let cases = [ replay_ladder ~t0:10e-12 (); replay_ladder ~t0:0. (); replay_ladder ~t0:5e-12 () ] in
+  let lanes =
+    Array.of_list
+      (List.map
+         (fun (nl, far) ->
+           {
+             Engine.Compiled.handle = Engine.Compiled.compile nl;
+             t_stop;
+             record_nodes = [ far ];
+             until = [];
+             until_peak = None;
+           })
+         cases)
+  in
+  let results = Engine.Compiled.run_lanes ~obs ~dt lanes in
+  List.iteri
+    (fun i (nl, far) ->
+      let alone = Engine.transient ~record_nodes:[ far ] ~dt ~t_stop nl in
+      match results.(i) with
+      | Ok r -> same_run ~what:(Printf.sprintf "lane %d vs alone" i) r alone [ far ]
+      | Error e -> Alcotest.fail (Printexc.to_string e))
+    cases;
+  Alcotest.(check int) "a batch repeats each lane's lead-in" (19 + 9) (repeated obs);
+  let obs = Rlc_obs.Obs.create () in
+  let u = { nc_load = `Rlc; nc_segs = 4; nc_lanes = [] }
+  and v =
+    {
+      nv_size = 50.;
+      nv_slew = 60e-12;
+      nv_r = 40.;
+      nv_l = 2e-9;
+      nv_c = 300e-15;
+      nv_t_stop = 120e-12;
+      nv_until = false;
+      nv_fail = `No;
+    }
+  in
+  let benches =
+    Array.init 2 (fun _ ->
+        let nl, record_nodes, until = build_newton_lane u v in
+        {
+          Engine.Compiled.handle = Engine.Compiled.compile nl;
+          t_stop = v.nv_t_stop;
+          record_nodes;
+          until;
+          until_peak = None;
+        })
+  in
+  Array.iter (fun r -> ignore (Result.get_ok r)) (Engine.Compiled.run_lanes ~obs ~dt benches);
+  Alcotest.(check int) "Newton lanes repeat nothing" 0 (repeated obs)
+
+(* A random linear circuit whose every source is +0.0 at t = 0: a ladder
+   (RC or RLC), an RC tree with coupling caps, a 2- or 3-member cluster
+   (coupling caps, optionally coupled inductors), or a dense system (a
+   resistor spanning the whole node range pushes the bandwidth past the
+   banded cutoff); driven by forced nodes and current sources that start
+   later. *)
+type zdc_case = {
+  z_shape : [ `Ladder | `Tree | `Cluster | `Dense ];
+  z_n : int;  (** segments, tree nodes or cluster segments *)
+  z_l : bool;  (** inductors in the series branches *)
+  z_vals : float array;  (** element value jitter, one per slot used *)
+  z_parents : int array;  (** tree: each node's parent among the earlier ones *)
+  z_members : int;
+  z_isrc : bool;
+}
+
+let arb_zdc =
+  let open QCheck.Gen in
+  let gen =
+    let* z_shape = oneofl [ `Ladder; `Tree; `Cluster; `Dense ] in
+    let* z_n = int_range 1 (if z_shape = `Dense then 40 else 12) in
+    let z_n = if z_shape = `Dense then Int.max 30 z_n else z_n in
+    let* z_l = bool and* z_members = int_range 2 3 and* z_isrc = bool in
+    let* z_vals = array_repeat 200 (float_range 0.2 5.) in
+    let* z_parents = array_repeat z_n (float_range 0. 1.) in
+    let z_parents = Array.mapi (fun i x -> int_of_float (x *. float_of_int i)) z_parents in
+    return { z_shape; z_n; z_l; z_vals; z_parents; z_members; z_isrc }
+  in
+  QCheck.make gen ~print:(fun z ->
+      Printf.sprintf "%s n=%d%s members=%d%s"
+        (match z.z_shape with
+        | `Ladder -> "ladder"
+        | `Tree -> "tree"
+        | `Cluster -> "cluster"
+        | `Dense -> "dense")
+        z.z_n
+        (if z.z_l then " L" else "")
+        z.z_members
+        (if z.z_isrc then " isrc" else ""))
+
+let build_zdc z =
+  let nl = Netlist.create () in
+  let k = ref 0 in
+  let v base =
+    incr k;
+    base *. z.z_vals.(!k mod Array.length z.z_vals)
+  in
+  let driven () =
+    let nd = Netlist.node nl "in" in
+    Netlist.force_pwl nl nd (Pwl.of_points [ (7e-12, 0.); (30e-12, 1.8) ]);
+    nd
+  in
+  let series a b =
+    if z.z_l then begin
+      let m = Netlist.node nl "m" in
+      Netlist.resistor nl a m (v 10.);
+      Netlist.inductor nl m b (v 0.2e-9)
+    end
+    else Netlist.resistor nl a b (v 10.)
+  in
+  let ladder src =
+    let prev = ref src and nodes = ref [] in
+    for _ = 1 to z.z_n do
+      let next = Netlist.node nl "n" in
+      series !prev next;
+      Netlist.capacitor nl next Netlist.ground (v 20e-15);
+      nodes := next :: !nodes;
+      prev := next
+    done;
+    Array.of_list (List.rev !nodes)
+  in
+  let nodes =
+    match z.z_shape with
+    | `Ladder -> ladder (driven ())
+    | `Tree ->
+        let root = driven () in
+        let nodes = Array.make z.z_n root in
+        for i = 0 to z.z_n - 1 do
+          let nd = Netlist.node nl "t" in
+          series (if i = 0 then root else nodes.(z.z_parents.(i))) nd;
+          Netlist.capacitor nl nd Netlist.ground (v 15e-15);
+          if i > 1 then Netlist.capacitor nl nd nodes.(z.z_parents.(i - 1)) (v 3e-15);
+          nodes.(i) <- nd
+        done;
+        nodes
+    | `Cluster ->
+        let members = Array.init z.z_members (fun _ -> ladder (driven ())) in
+        for s = 0 to z.z_n - 1 do
+          for j = 1 to z.z_members - 1 do
+            Netlist.capacitor nl members.(0).(s) members.(j).(s) (v 5e-15)
+          done
+        done;
+        if z.z_l then begin
+          (* A coupled group across the members' last segments. *)
+          let ends = Array.map (fun m -> m.(Array.length m - 1)) members in
+          let tails = Array.map (fun _ -> Netlist.node nl "k") ends in
+          let l = v 0.1e-9 in
+          Netlist.coupled_inductors nl
+            (Array.mapi (fun j e -> (e, tails.(j))) ends)
+            ~lmat:
+              (Array.init z.z_members (fun p ->
+                   Array.init z.z_members (fun q -> if p = q then l else 0.3 *. l)));
+          Array.iter (fun t -> Netlist.capacitor nl t Netlist.ground (v 10e-15)) tails
+        end;
+        Array.concat (Array.to_list members)
+    | `Dense ->
+        let nodes = ladder (driven ()) in
+        Netlist.resistor nl nodes.(0) nodes.(Array.length nodes - 1) (v 50.);
+        nodes
+  in
+  if z.z_isrc then
+    Netlist.current_source nl nodes.(Array.length nodes - 1) Netlist.ground (fun t ->
+        if t < 5e-12 then 0. else 1e-4);
+  nl
+
+(* The all-zero DC point a zero-source linear run takes without a solve is
+   bit for bit the point [dc_operating_point] solves, on every shape above:
+   the run's first samples are compared with the solve, node by node. *)
+let prop_zero_dc =
+  QCheck.Test.make ~name:"zero DC point = the solved point, bit for bit" ~count:200 arb_zdc
+    (fun z ->
+      let nl = build_zdc z in
+      let solved = Engine.dc_operating_point nl in
+      let r = Engine.transient ~dt:0.5e-12 ~t_stop:2e-12 nl in
+      Array.iteri
+        (fun n x ->
+          let first = (Engine.voltage r n |> Waveform.values).(0) in
+          if Int64.bits_of_float first <> Int64.bits_of_float x || Int64.bits_of_float x <> 0L then
+            QCheck.Test.fail_reportf "node %d: run starts at %h, the solve gives %h" n first x)
+        solved;
+      true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_circuit"
@@ -1790,6 +2028,8 @@ let () =
           q prop_lanes;
           Alcotest.test_case "a handle in two lanes" `Quick test_lanes_reject_shared_handle;
           q prop_newton_lanes;
+          Alcotest.test_case "repeated lead-in" `Quick test_repeated_lead_in;
+          q prop_zero_dc;
         ] );
       ( "until_peak",
         [

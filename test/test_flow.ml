@@ -753,6 +753,99 @@ let prop_xtalk_jobs =
       in
       String.equal (fragment 1) (fragment 2))
 
+(* ----------------------------------------------- pooled ingest, render *)
+
+(* Floats the report formatter must print as [Printf.sprintf "%.6g"]
+   does: random bit patterns (non-finite ones must be refused), subnormals,
+   signed zeros, and six-digit rounding ties at every decade with their
+   neighbours, which carry into the next power of ten. *)
+let arb_report_float =
+  let open QCheck.Gen in
+  let tie =
+    let* digits = oneof [ return "9.99999"; return "1.00000"; return "9.99998"; map (Printf.sprintf "%d.%05d") (int_range 1 9) <*> int_range 0 99_999 ] in
+    let* exp = int_range (-320) 308 and* neg = bool and* nudge = int_range (-1) 1 in
+    let x = float_of_string (Printf.sprintf "%s%s5e%d" (if neg then "-" else "") digits exp) in
+    return (match nudge with -1 -> Float.pred x | 1 -> Float.succ x | _ -> x)
+  in
+  let gen =
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 ((1 lsl 52) - 1)));
+        (1, map (fun m -> -.Int64.float_of_bits (Int64.of_int m)) (int_range 1 ((1 lsl 52) - 1)));
+        (1, oneofl [ 0.; -0.; Float.min_float; -.Float.max_float; 999999.5; 9.999995; 0.0001 ]);
+        (4, tie);
+      ]
+  in
+  QCheck.make gen ~print:(Printf.sprintf "%h")
+
+let prop_report_number =
+  QCheck.Test.make ~name:"report numbers = Printf %.6g" ~count:5000 arb_report_float (fun x ->
+      match Report.number ~prefix:"P" "f" x with
+      | s ->
+          Float.is_finite x
+          && (String.equal s (Printf.sprintf "%.6g" x)
+             || QCheck.Test.fail_reportf "%h: %S, Printf gives %S" x s (Printf.sprintf "%.6g" x))
+      | exception Failure msg ->
+          (not (Float.is_finite x))
+          && String.equal msg (Printf.sprintf "P: f is %g, not a finite number" x))
+
+(* [bits] RC nets [n00], [n01], ... (ids in that order), each a primary
+   input; the nets of [broken] have no Output conn. *)
+let rc_nets ~bits ~broken =
+  let spef = Buffer.create 4096 and spec = Buffer.create 512 in
+  for i = 0 to bits - 1 do
+    let n = Printf.sprintf "n%02d" i in
+    Printf.bprintf spef
+      "*D_NET %s 40\n*CONN\n*P %s_drv %s\n*P %s_rcv I\n*CAP\n1 %s_rcv 40\n*RES\n1 %s_drv %s_rcv 50\n*END\n"
+      n n (if List.mem i broken then "I" else "O") n n n n;
+    Printf.bprintf spec "driver %s 75\ninput %s 100\n" n n
+  done;
+  ( Result.get_ok (spef_parse (Buffer.contents spef)),
+    Result.get_ok (spec_parse (Buffer.contents spec)) )
+
+(* Of two nets that cannot be built, the lower id's error is the one an
+   ingest returns, on one domain or two, whether the two share a pool job
+   or not. *)
+let test_ingest_lowest_error () =
+  List.iter
+    (fun (lo, hi) ->
+      let spef, spec = rc_nets ~bits:40 ~broken:[ lo; hi ] in
+      let want = Printf.sprintf "net n%02d has no Output *CONN (no driver pin)" lo in
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              match Design.ingest ~pool ~spef ~spec () with
+              | Ok _ -> Alcotest.fail "broken nets accepted"
+              | Error e -> Alcotest.(check string) (Printf.sprintf "jobs %d" jobs) want e))
+        [ 1; 2 ])
+    [ (3, 37); (35, 37); (17, 18) ]
+
+(* A 72-net report is the same bytes rendered on 1, 2 or 4 domains, and
+   so is the design ingested on each: its entries span three render jobs
+   and its nets five build jobs. *)
+let test_report_pools () =
+  let c =
+    {
+      bits = 24;
+      segs = 2;
+      tails = true;
+      coupled = false;
+      jitter = Array.init 72 (fun i -> 0.9 +. (0.2 *. float_of_int (i * 37 mod 72) /. 72.));
+      slews = Array.init 24 (fun i -> 60. +. float_of_int (3 * i));
+    }
+  in
+  let spef, spec = bus_sources c in
+  let render jobs =
+    Pool.with_pool ~jobs (fun pool ->
+        let d = Result.get_ok (Design.ingest ~pool ~spef ~spec ()) in
+        Alcotest.(check int) "nets" 72 (Design.n_nets d);
+        let r = Flow.run_cfg { Flow.Config.default with Flow.Config.pool = Some pool } d in
+        Report.json_string ~pool ~required:400e-12 r)
+  in
+  let one = render 1 in
+  List.iter (fun jobs -> Alcotest.(check string) (Printf.sprintf "jobs %d" jobs) one (render jobs)) [ 2; 4 ]
+
 let () =
   Alcotest.run "rlc_flow"
     [
@@ -770,6 +863,7 @@ let () =
           Alcotest.test_case "shape" `Quick test_ingest_shape;
           Alcotest.test_case "errors" `Quick test_ingest_errors;
           Alcotest.test_case "no driver conn" `Quick test_ingest_no_driver_conn;
+          Alcotest.test_case "lowest failing id on any pool" `Quick test_ingest_lowest_error;
         ] );
       ( "pool",
         [
@@ -792,6 +886,8 @@ let () =
           Alcotest.test_case "stats and report" `Quick test_flow_stats_and_report;
           Alcotest.test_case "config defaults" `Quick test_flow_config_defaults;
           Alcotest.test_case "borrowed pool" `Quick test_flow_borrowed_pool;
+          Alcotest.test_case "report = on 1, 2 and 4 domains" `Quick test_report_pools;
+          QCheck_alcotest.to_alcotest prop_report_number;
         ] );
       ( "jobs independence",
         List.map QCheck_alcotest.to_alcotest [ prop_flow_jobs; prop_optimize_jobs; prop_xtalk_jobs ]

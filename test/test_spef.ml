@@ -223,6 +223,38 @@ let test_duplicate_net_rejected () =
         in
         contains 0)
 
+(* The duplicate check keeps its text and line deep into a file: the
+   8,000th block repeats the 4,321st, and its *END line is named. *)
+let test_late_duplicate_net () =
+  let b = Buffer.create (1 lsl 20) in
+  Buffer.add_string b "*SPEF \"IEEE 1481-1998\"\n";
+  let block name = Printf.bprintf b "*D_NET %s 1.0\n*CAP\n1 %s:1 1.0\n*END\n" name name in
+  for i = 1 to 7_999 do
+    block (Printf.sprintf "n%d" i)
+  done;
+  block "n4321";
+  match Rlc_spef.Spef.parse_res (Buffer.contents b) with
+  | Error (Rlc_errors.Error.Parse { line = Some 32_001; _ } as e) ->
+      Alcotest.(check string) "message" "32001: duplicate *D_NET n4321" (Rlc_errors.Error.message e)
+  | Error e -> Alcotest.fail ("wrong error: " ^ Rlc_errors.Error.to_string e)
+  | Ok _ -> Alcotest.fail "duplicate accepted"
+
+(* Tokens are separated by spaces, tabs and carriage returns, and only a
+   line's first '/' can open a "//" comment. *)
+let test_tokens_and_comments () =
+  let src =
+    "*D_NET n 1.0\r\n// a comment line\n*CAP\t// trailing\n1\tn:1  \t1.0\r\n\n*END\n"
+  in
+  (match parse_str src with
+  | Ok t -> (
+      match Rlc_spef.Spef.find_net t "n" with
+      | Some net -> Alcotest.(check int) "one cap" 1 (List.length net.Rlc_spef.Spef.caps)
+      | None -> Alcotest.fail "net missing")
+  | Error e -> Alcotest.fail e);
+  match parse_str "*D_NET n 1.0\n*CAP\n1 n/1 1.0 // not a comment\n*END\n" with
+  | Error e -> Alcotest.(check string) "second slash pair kept" "3: unexpected token 1" e
+  | Ok _ -> Alcotest.fail "a later // opened a comment"
+
 let test_driver_conn () =
   let t = Lazy.force parsed in
   let net = Option.get (Rlc_spef.Spef.find_net t "net1") in
@@ -306,6 +338,8 @@ let () =
           Alcotest.test_case "coupling roundtrip" `Quick test_coupling_roundtrip;
           Alcotest.test_case "multi-net out of order" `Quick test_multi_net_out_of_order;
           Alcotest.test_case "duplicate net rejected" `Quick test_duplicate_net_rejected;
+          Alcotest.test_case "duplicate as the 8,000th block" `Quick test_late_duplicate_net;
+          Alcotest.test_case "tokens and comments" `Quick test_tokens_and_comments;
           Alcotest.test_case "driver conn" `Quick test_driver_conn;
         ] );
       ( "tree",
